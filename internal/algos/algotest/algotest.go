@@ -4,12 +4,15 @@
 package algotest
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
 	"sparta/internal/corpus"
 	"sparta/internal/index"
 	"sparta/internal/model"
+	"sparta/internal/topk"
 	"sparta/internal/xrand"
 )
 
@@ -129,5 +132,52 @@ func AssertSettled(tb testing.TB, name string, s Settleable) {
 	tb.Helper()
 	if owed := s.Unsettled(); owed != 0 {
 		tb.Fatalf("%s: unsettled simulated I/O: %v", name, owed)
+	}
+}
+
+// StressScheduling runs exact queries through alg over x at every
+// Threads ∈ {1, 2, 4, 8} × GOMAXPROCS ∈ {1, 2, 4}, each under its own
+// watchdog, and checks every answer against brute force. It is the
+// lost-wake-up test of the event-driven background tasks (Sparta's
+// cleaner, pNRA's stop checker): a wake-up lost between a pass's last
+// look and its parking leaves the query waiting for ever, and the
+// watchdog turns that into this query's failure instead of a timeout of
+// the whole package. Tiny segments make events, and so park/wake
+// hand-offs, as frequent as they get. check, when non-nil, sees every
+// answer's statistics.
+func StressScheduling(t *testing.T, x *index.Index, alg topk.Algorithm, check func(label string, st topk.Stats)) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, threads := range []int{1, 2, 4, 8} {
+			for i, m := range []int{1, 3, 6, 12, 6, 12} {
+				q := RandomQuery(x, m, uint64(1000*procs+100*threads+10*i+m))
+				opts := topk.Options{K: 10, Exact: true, Threads: threads, SegSize: 1 << (2 * (i % 4))}
+				label := fmt.Sprintf("%s procs=%d threads=%d m=%d seg=%d", alg.Name(), procs, threads, m, opts.SegSize)
+				type answer struct {
+					res model.TopK
+					st  topk.Stats
+					err error
+				}
+				done := make(chan answer, 1) // the query's one send never blocks, even after a watchdog failure
+				go func() {
+					res, st, err := alg.Search(q, opts)
+					done <- answer{res, st, err}
+				}()
+				select {
+				case a := <-done:
+					if a.err != nil {
+						t.Fatalf("%s: %v", label, a.err)
+					}
+					AssertExactSet(t, label, topk.BruteForce(x, q, opts.K), a.res)
+					if check != nil {
+						check(label, a.st)
+					}
+				case <-time.After(30 * time.Second):
+					t.Fatalf("%s: query hung (lost wake-up?)", label)
+				}
+			}
+		}
 	}
 }

@@ -77,7 +77,7 @@ func (a *PNRA) search(es *topk.ExecState, q model.Query, opts topk.Options) (mod
 		r.cursors[i] = view.ScoreCursor(t)
 	}
 	r.ubs = topk.NewUpperBounds(topk.TermMaxima(view, q))
-	r.heapUpdTime.Store(start.UnixNano())
+	r.idle = topk.NewIdleStop(opts, func() { r.finish("delta") })
 	r.remaining.Store(int64(r.m))
 
 	workers := opts.Threads
@@ -85,12 +85,14 @@ func (a *PNRA) search(es *topk.ExecState, q model.Query, opts topk.Options) (mod
 		workers = r.m + 1 // +1 for the dedicated stop-checker task
 	}
 	r.pool = jobqueue.New(workers)
+	r.checker = jobqueue.NewEventJob(r.pool, r.stopChecker)
 	for i := 0; i < r.m; i++ {
 		i := i
 		r.pool.Submit(func() { r.processTerm(i) })
 	}
-	r.pool.Submit(func() { r.stopChecker() })
+	r.checker.Start()
 	<-r.doneCh
+	r.idle.Stop()
 	r.pool.Close()
 
 	var st topk.Stats
@@ -124,14 +126,15 @@ type run struct {
 	cursors []postings.ScoreCursor
 	ubs     *topk.UpperBounds
 	pool    *jobqueue.Pool
+	checker *jobqueue.EventJob // the stop checker, parked between events
 
 	docMap   *cmap.Map
 	mapBytes atomic.Int64
 
-	heapMu      sync.Mutex
-	docHeap     *heap.DocHeap
-	theta       atomic.Int64
-	heapUpdTime atomic.Int64
+	heapMu  sync.Mutex
+	docHeap *heap.DocHeap
+	theta   atomic.Int64
+	idle    *topk.IdleStop // the Δ rule; nil when exact
 
 	done      atomic.Bool
 	doneCh    chan struct{}
@@ -172,9 +175,8 @@ func (r *run) processTerm(i int) {
 		}
 		if !c.Next() {
 			r.ubs.Set(i, 0)
-			if r.remaining.Add(-1) == 0 {
-				// Everything is fully scored; let the checker conclude.
-			}
+			r.remaining.Add(-1)
+			r.checker.Notify() // once the last list ends, the checker concludes
 			return
 		}
 		r.nPostings.Add(1)
@@ -201,6 +203,7 @@ func (r *run) processTerm(i int) {
 			r.updateHeap(d)
 		}
 	}
+	r.checker.Notify()
 	r.pool.Submit(func() { r.processTerm(i) })
 }
 
@@ -209,19 +212,26 @@ func (r *run) updateHeap(d *cmap.DocState) {
 	if !r.docHeap.Contains(d) {
 		_, theta := r.docHeap.UpdateInsert(d)
 		r.theta.Store(int64(theta))
-		r.heapUpdTime.Store(time.Now().UnixNano())
 		r.nInserts.Add(1)
 		r.exec.HeapUpdate(d.ID, d.CachedLB)
+		r.idle.Touch() // after the observers: their cost is not idleness
 		if r.opts.Probe != nil && r.opts.Probe.ShouldObserve() {
 			r.opts.Probe.Observe(r.docHeap.Results())
 		}
+		r.heapMu.Unlock()
+		r.checker.Notify() // Θ or the heap's membership moved
+		return
 	}
 	r.heapMu.Unlock()
 }
 
-// stopChecker is the dedicated stopping-condition task: it repeatedly
+// stopChecker is the dedicated stopping-condition task: each pass
 // evaluates NRA's two safe conditions over the whole (uncleaned)
-// docMap, plus the Δ idle timeout for the approximate variant.
+// docMap; the approximate variant's Δ idle timeout is r.idle's timer.
+// Like Sparta's cleaner (see core) it is event-driven: a pass that does
+// not end the query parks until a segment boundary, a list end or a
+// heap insert submits it again, so the two algorithms differ in what a
+// pass costs, not in how often they sleep.
 func (r *run) stopChecker() {
 	if r.done.Load() {
 		return
@@ -230,14 +240,18 @@ func (r *run) stopChecker() {
 		r.finish(r.exec.StopReason())
 		return
 	}
-	theta := model.Score(r.theta.Load())
-	ubStop := theta > 0 && r.ubs.Sum() <= theta
-
+	// Read before any state the events announce, so an event that lands
+	// during this pass sends the checker round again instead of parking.
+	epoch := r.checker.Epoch()
 	if r.remaining.Load() == 0 {
 		r.finish("exhausted")
 		return
 	}
-	if ubStop {
+	theta := model.Score(r.theta.Load())
+	if theta > 0 && r.ubs.Sum() <= theta {
+		// Equation 1 holds: no new candidate can enter the heap. As in
+		// Sparta, the Δ rule belongs to what follows.
+		r.idle.Arm()
 		// Condition 2: no visited doc outside the heap can still pass Θ.
 		r.ubBuf = r.ubs.Snapshot(r.ubBuf)
 		r.heapMu.Lock()
@@ -259,17 +273,7 @@ func (r *run) stopChecker() {
 			return
 		}
 	}
-	if !r.opts.Exact && r.opts.Delta > 0 {
-		idle := time.Since(time.Unix(0, r.heapUpdTime.Load()))
-		if idle >= r.opts.Delta {
-			r.finish("delta")
-			return
-		}
-	}
-	// Yield briefly before the next pass so the checker does not starve
-	// the workers on an oversubscribed pool (see core.cleaner).
-	time.Sleep(50 * time.Microsecond)
-	r.pool.Submit(func() { r.stopChecker() })
+	r.checker.Park(epoch)
 }
 
 var _ topk.Algorithm = (*PNRA)(nil)

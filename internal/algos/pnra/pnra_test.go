@@ -104,3 +104,8 @@ func TestPNRAUsesMoreMemoryThanSpartaWould(t *testing.T) {
 		t.Errorf("peak %d <= k; expected a growing uncleaned map", st.CandidatesPeak)
 	}
 }
+
+func TestPNRASchedulingStress(t *testing.T) {
+	x := algotest.SmallIndex(t, 6)
+	algotest.StressScheduling(t, x, New(x), nil)
+}

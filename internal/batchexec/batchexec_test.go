@@ -340,7 +340,7 @@ func TestWarmSkipsDeadlineStarvedTerms(t *testing.T) {
 	// before its partner joins launches alone (batches of one never
 	// consider warming), so retry until a two-member batch forms.
 	var c batchexec.Counters
-	for attempt := 0; attempt < 20; attempt++ {
+	for attempt := 0; attempt < 200; attempt++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Microsecond)
 		runBatch(ctx)
 		cancel()

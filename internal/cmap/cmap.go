@@ -25,7 +25,12 @@ import (
 )
 
 // DocStateBytes approximates the heap footprint of one candidate entry
-// (map bucket + DocState + score vector) for membudget accounting.
+// (map bucket + DocState + score vector) for membudget accounting. It
+// counts candidates, not allocations: a candidate carved from a Slab
+// shares its chunk with up to slabMaxChunk-1 siblings, and the chunk is
+// only collected once none of them is referenced, so a budget release
+// for a dropped candidate can run ahead of the memory actually freed by
+// at most one chunk (slabMaxChunk × (DocState + m scores)) per term.
 const DocStateBytes = 96
 
 // DocState is the per-candidate accumulator: the paper's DocType
@@ -55,6 +60,51 @@ type DocState struct {
 // NewDocState creates a candidate for an m-term query.
 func NewDocState(id model.DocID, m int) *DocState {
 	return &DocState{ID: id, scores: make([]int64, m), HeapIdx: -1}
+}
+
+// Slab allocates the candidates one posting list discovers. A list is
+// traversed by one worker at a time, so a slab needs no lock; it carves
+// DocStates and their score vectors out of two chunked arrays — two
+// allocations per chunk instead of two per candidate. Chunks double
+// from slabMinChunk to slabMaxChunk entries, so a short list costs
+// little and a long one amortizes; a chunk lives as long as any of its
+// candidates is referenced (see DocStateBytes for what that means for
+// the memory budget).
+type Slab struct {
+	m      int
+	next   int // entries in the next chunk
+	states []DocState
+	scores []int64
+}
+
+const (
+	slabMinChunk = 16
+	slabMaxChunk = 1024
+)
+
+// NewSlab creates a slab for an m-term query. Nothing is allocated
+// until the first candidate.
+func NewSlab(m int) *Slab { return &Slab{m: m, next: slabMinChunk} }
+
+// New returns a fresh candidate, equal to NewDocState(id, m): zero
+// scores in a vector no other candidate shares, not in the heap.
+func (s *Slab) New(id model.DocID) *DocState {
+	if len(s.states) == cap(s.states) {
+		s.states = make([]DocState, 0, s.next)
+		s.scores = make([]int64, s.next*s.m)
+		if s.next < slabMaxChunk {
+			s.next *= 2
+		}
+	}
+	n := len(s.states)
+	s.states = s.states[:n+1]
+	d := &s.states[n]
+	d.ID = id
+	// The capacity is capped too, so a vector can never be appended
+	// into its neighbour.
+	d.scores = s.scores[n*s.m : (n+1)*s.m : (n+1)*s.m]
+	d.HeapIdx = -1
+	return d
 }
 
 // NumTerms returns the score-vector length m.

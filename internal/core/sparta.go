@@ -14,14 +14,18 @@
 //   - Per-term local replicas: when the shrinking docMap drops below
 //     Φ entries, each posting list gets a termMap — a local copy of
 //     just the candidates still missing that term's score — and its
-//     worker stops touching shared memory altogether (§4.3).
+//     worker stops touching shared memory altogether (§4.3). A replica
+//     is cloned only from a map the cleaner has been over at least once.
 //
 // The structure follows Algorithm 1: posting lists are traversed in
 // score order, split into segments scheduled through a shared job
 // queue; docHeap (guarded by one lock, with lazy lower-bound refresh
-// on insert) holds the current top-k; the cleaner also detects
-// termination — safely when |docMap| = |docHeap|, or after the heap
-// has been idle for Δ in the approximate configuration.
+// on insert) holds the current top-k; the cleaner also detects safe
+// termination, |docMap| = |docHeap|. The cleaner is event-driven: a
+// pass that does not end the query parks, and the next segment boundary,
+// list end or heap insert submits it again; in the approximate
+// configuration a timer (topk.IdleStop) ends the query once the heap
+// has been idle for Δ.
 package core
 
 import (
@@ -118,20 +122,22 @@ type run struct {
 	m    int
 	exec *topk.ExecState
 
-	cursors   []postings.ScoreCursor
-	ubs       *topk.UpperBounds
-	theta     atomic.Int64
-	ubStop    atomic.Bool
-	phase1    chan struct{} // closed when Eq. 1 holds or all lists end
-	phase1On  sync.Once
-	cleanerOn sync.Once
+	cursors  []postings.ScoreCursor
+	termJobs []func() // termJobs[i] is processTerm(i), built once
+	ubs      *topk.UpperBounds
+	theta    atomic.Int64
+	ubStop   atomic.Bool
+	phase1   chan struct{} // closed when Eq. 1 holds or all lists end
+	phase1On sync.Once
 
 	docMap   atomic.Pointer[cmap.Map]
+	cleaned  atomic.Bool                      // the cleaner has been over docMap at least once
+	slabs    []*cmap.Slab                     // slabs[i] allocates what term i's list discovers
 	termMaps []map[model.DocID]*cmap.DocState // nil => use global docMap
 
-	heapMu      sync.Mutex
-	docHeap     *heap.DocHeap
-	heapUpdTime atomic.Int64 // UnixNano of last heap insert
+	heapMu  sync.Mutex
+	docHeap *heap.DocHeap
+	idle    *topk.IdleStop // the Δ rule; nil when exact
 
 	done   atomic.Bool
 	doneCh chan struct{}
@@ -143,15 +149,23 @@ type run struct {
 	remaining atomic.Int64 // posting lists not yet exhausted
 	pool      *jobqueue.Pool
 
-	// statistics
-	nPostings   atomic.Int64
-	nInserts    atomic.Int64
-	nCleanings  atomic.Int64
-	peakDocs    atomic.Int64
-	mapBytes    atomic.Int64
-	stopReason  atomic.Value // string
+	// cleanerJob parks the cleaner between events; cleanerOn starts it.
+	// The remaining cleaner fields are the single cleaner task's scratch,
+	// reused from pass to pass under cleanerBusy.
+	cleanerJob  *jobqueue.EventJob
+	cleanerOn   sync.Once
+	cleanerBusy sync.Mutex
 	ubBuf       []model.Score
-	cleanerBusy sync.Mutex // cleaner state is single-task; mutex documents it
+	probBuf     []model.Score
+	inHeap      map[*cmap.DocState]bool
+
+	// statistics
+	nPostings  atomic.Int64
+	nInserts   atomic.Int64
+	nCleanings atomic.Int64
+	peakDocs   atomic.Int64
+	mapBytes   atomic.Int64
+	stopReason atomic.Value // string
 }
 
 func newRun(view postings.View, q model.Query, opts topk.Options, cfg Config, es *topk.ExecState) *run {
@@ -164,17 +178,24 @@ func newRun(view postings.View, q model.Query, opts topk.Options, cfg Config, es
 		m:        m,
 		exec:     es,
 		cursors:  make([]postings.ScoreCursor, m),
+		termJobs: make([]func(), m),
+		slabs:    make([]*cmap.Slab, m),
 		termMaps: make([]map[model.DocID]*cmap.DocState, m),
 		docHeap:  heap.GetDoc(opts.K),
 		phase1:   make(chan struct{}),
 		doneCh:   make(chan struct{}),
+		probBuf:  make([]model.Score, m),
+		inHeap:   make(map[*cmap.DocState]bool, opts.K),
 	}
 	for i, t := range q {
+		i := i
 		r.cursors[i] = view.ScoreCursor(t)
+		r.termJobs[i] = func() { r.processTerm(i) }
+		r.slabs[i] = cmap.NewSlab(m)
 	}
+	r.idle = topk.NewIdleStop(opts, func() { r.finish("delta") })
 	r.ubs = topk.NewUpperBounds(topk.TermMaxima(view, q))
 	r.docMap.Store(cmap.NewWithShards(cfg.mapShards(), 4*opts.K))
-	r.heapUpdTime.Store(time.Now().UnixNano())
 	r.remaining.Store(int64(m))
 	return r
 }
@@ -196,9 +217,9 @@ func (r *run) run() (model.TopK, topk.Stats, error) {
 		workers = r.m
 	}
 	r.pool = jobqueue.New(workers)
-	for i := 0; i < r.m; i++ {
-		i := i
-		r.pool.Submit(func() { r.processTerm(i) })
+	r.cleanerJob = jobqueue.NewEventJob(r.pool, r.cleaner)
+	for _, job := range r.termJobs {
+		r.pool.Submit(job)
 	}
 
 	// Lines 4–5 of Algorithm 1 have the main thread wait for UBStop and
@@ -211,6 +232,7 @@ func (r *run) run() (model.TopK, topk.Stats, error) {
 
 	// Line 6: wait until done.
 	<-r.doneCh
+	r.idle.Stop()
 	r.pool.Close()
 
 	r.opts.Budget.Release(r.mapBytes.Load())
@@ -245,12 +267,14 @@ func (r *run) run() (model.TopK, topk.Stats, error) {
 }
 
 // signalPhase1 unblocks the main thread's line-4 wait and starts the
-// cleaner task (line 5).
+// cleaner task (line 5), and before it the Δ timer: like the paper's,
+// our Δ rule belongs to the shrinking phase, whose heap is full.
 func (r *run) signalPhase1() {
 	r.phase1On.Do(func() { close(r.phase1) })
 	if !r.done.Load() {
 		r.cleanerOn.Do(func() {
-			r.pool.Submit(func() { r.cleaner() })
+			r.idle.Arm() // first: the cleaner's first pass may end the query
+			r.cleanerJob.Start()
 		})
 	}
 }
@@ -315,8 +339,10 @@ func (r *run) processTerm(i int) {
 	r.exec.SegmentScheduled(i)
 	// Lines 9–12: once the map is shrinking and small, clone the
 	// entries still missing this term's score into a local replica and
-	// stop touching shared memory.
-	if r.termMaps[i] == nil && r.ubStop.Load() {
+	// stop touching shared memory. Only a map the cleaner has been over
+	// is worth cloning: the growing-phase map is mostly dead candidates,
+	// and a replica never drops an entry again.
+	if r.termMaps[i] == nil && r.cleaned.Load() {
 		if dm := r.docMap.Load(); dm.Len() < r.opts.Phi {
 			tm := make(map[model.DocID]*cmap.DocState, dm.Len())
 			dm.Range(func(d *cmap.DocState) bool {
@@ -347,6 +373,7 @@ func (r *run) processTerm(i int) {
 			if r.remaining.Add(-1) == 0 {
 				r.signalPhase1()
 			}
+			r.cleanerJob.Notify() // after remaining: a pass that sees this event sees the list gone
 			return
 		}
 		r.nPostings.Add(1)
@@ -366,10 +393,15 @@ func (r *run) processTerm(i int) {
 				continue
 			}
 		} else {
+			// Read the latch before the lookup: "absent" only means
+			// "irrelevant" (line 21) if the hash was already complete when
+			// it was searched. Checked the other way round, a worker held up
+			// between the two would skip a candidate created meanwhile.
+			complete := r.ubStop.Load()
 			dm := r.docMap.Load()
 			d = dm.Get(doc)
 			if d == nil {
-				if r.ubStop.Load() {
+				if complete {
 					continue // line 21: hash complete, doc irrelevant
 				}
 				created := false
@@ -377,7 +409,7 @@ func (r *run) processTerm(i int) {
 					if err := r.opts.Budget.Charge(cmap.DocStateBytes); err != nil {
 						return nil
 					}
-					return cmap.NewDocState(doc, r.m)
+					return r.slabs[i].New(doc)
 				})
 				if d == nil {
 					r.fail(membudget.ErrMemoryBudget)
@@ -402,9 +434,10 @@ func (r *run) processTerm(i int) {
 	// posting, so readers' cache lines are invalidated rarely.
 	r.ubs.Set(i, last)
 	r.checkUBStop()
+	r.cleanerJob.Notify()
 
 	// Line 25: schedule the next segment of the same list.
-	r.pool.Submit(func() { r.processTerm(i) })
+	r.pool.Submit(r.termJobs[i])
 }
 
 // updateHeap is Algorithm 1's UPDATE_HEAP: all heap and Θ updates are
@@ -415,23 +448,29 @@ func (r *run) updateHeap(d *cmap.DocState) {
 	if !r.docHeap.Contains(d) {
 		_, theta := r.docHeap.UpdateInsert(d)
 		r.theta.Store(int64(theta))
-		r.heapUpdTime.Store(time.Now().UnixNano())
 		r.nInserts.Add(1)
 		r.exec.HeapUpdate(d.ID, d.CachedLB)
+		r.idle.Touch() // after the observers: their cost is not idleness
 		if r.opts.Probe != nil && r.opts.Probe.ShouldObserve() {
 			r.opts.Probe.Observe(r.docHeap.Results())
 		}
 		r.heapMu.Unlock()
 		r.checkUBStop()
+		r.cleanerJob.Notify() // Θ or the heap's membership moved
 		return
 	}
 	r.heapMu.Unlock()
 }
 
-// cleaner is Algorithm 1's CLEANER task. Each invocation rebuilds the
-// docMap without entries that can no longer reach the top-k, installs
-// the copy with a single pointer swing, evaluates the stopping
-// conditions, and re-enqueues itself.
+// cleaner is Algorithm 1's CLEANER task. Each pass rebuilds the docMap
+// without entries that can no longer reach the top-k, installs the copy
+// with a single pointer swing and evaluates the stopping conditions. A
+// pass that does not end the query parks instead of going round again
+// (line 48): its outcome can only change when a term bound falls, a
+// list ends, or Θ or the heap's membership moves, and each of those
+// events re-submits it (cleanerJob.Notify). On the paper's 12-core box
+// the cleaner occupies a spare hardware thread; here it shares the
+// query's workers, so it must not hold one while it has nothing to do.
 func (r *run) cleaner() {
 	if r.done.Load() {
 		return
@@ -444,15 +483,22 @@ func (r *run) cleaner() {
 	defer r.cleanerBusy.Unlock()
 	r.nCleanings.Add(1)
 
+	// Read before any state the events announce, so an event that lands
+	// during this pass sends the cleaner round again instead of parking.
+	epoch := r.cleanerJob.Epoch()
+	// Likewise read before the bounds: if the lists were already drained
+	// here, the snapshot below holds their final (zero) bounds.
+	drained := r.remaining.Load() == 0
+
 	old := r.docMap.Load()
 	theta := model.Score(r.theta.Load())
 	r.ubBuf = r.ubs.Snapshot(r.ubBuf)
 
 	// Heap membership must be read under the heap lock; snapshot it.
+	clear(r.inHeap)
 	r.heapMu.Lock()
-	inHeap := make(map[*cmap.DocState]bool, r.docHeap.Len())
 	for _, d := range r.docHeap.Items() {
-		inHeap[d] = true
+		r.inHeap[d] = true
 	}
 	heapLen := r.docHeap.Len()
 	r.heapMu.Unlock()
@@ -464,14 +510,15 @@ func (r *run) cleaner() {
 	tmp := old
 	if !r.cfg.NoCleanerShrink {
 		tmp = cmap.NewWithShards(r.cfg.mapShards(), heapLen*2)
-		scratch := make([]model.Score, r.m)
 		old.Range(func(d *cmap.DocState) bool {
-			if inHeap[d] || probRelevant(d, theta, r.ubBuf, r.cfg.ProbEpsilon, scratch) {
+			if r.inHeap[d] || probRelevant(d, theta, r.ubBuf, r.cfg.ProbEpsilon, r.probBuf) {
 				tmp.Put(d) // line 44: still relevant
 			}
 			return true
 		})
 		if dropped := old.Len() - tmp.Len(); dropped > 0 {
+			// Released per candidate; its slab chunk goes only with its
+			// last sibling (cmap.DocStateBytes bounds the difference).
 			bytes := int64(dropped) * cmap.DocStateBytes
 			r.opts.Budget.Release(bytes)
 			r.mapBytes.Add(-bytes)
@@ -479,6 +526,7 @@ func (r *run) cleaner() {
 		r.docMap.Store(tmp) // line 45: single pointer swing
 		r.exec.CleanerPass(tmp.Len(), old.Len()-tmp.Len())
 	}
+	r.cleaned.Store(true) // after the swing: whoever sees it loads a cleaned map
 
 	// Lines 46–47: stopping conditions.
 	if tmp.Len() == heapLen {
@@ -489,29 +537,20 @@ func (r *run) cleaner() {
 		}
 		return
 	}
-	if r.remaining.Load() == 0 {
-		// Every posting list is exhausted: all bounds are final and the
-		// heap already holds the exact top-k. (Reached when the data
-		// offers no early stop, and always under the NoCleanerShrink
-		// ablation, whose docMap cannot shrink to heap size.)
+	if drained {
+		// Every posting list was exhausted before the bounds were read,
+		// so they were final and the heap holds the exact top-k, yet the
+		// map did not shrink to it: the NoCleanerShrink ablation. With
+		// the rebuild on, final bounds prune everything outside the heap,
+		// and lists that drain during a pass raise an event that sends
+		// the cleaner round once more — so a query that can stop safe
+		// reports safe at any core count.
 		r.finish("exhausted")
 		return
 	}
-	if !r.opts.Exact && r.opts.Delta > 0 {
-		idle := time.Since(time.Unix(0, r.heapUpdTime.Load()))
-		if idle >= r.opts.Delta {
-			r.finish("delta")
-			return
-		}
-	}
-	// Line 48: go around again. On the paper's 12-core box the cleaner
-	// occupies a spare hardware thread; on an oversubscribed pool an
-	// immediate requeue would spin through the queue and starve the
-	// workers, so passes that made no progress yield briefly first.
-	if tmp.Len() == old.Len() {
-		time.Sleep(50 * time.Microsecond)
-	}
-	r.pool.Submit(func() { r.cleaner() })
+	// The Δ rule is not among them: its timer (r.idle) ends the query on
+	// its own, whether or not a pass can run.
+	r.cleanerJob.Park(epoch)
 }
 
 var _ topk.Algorithm = (*Sparta)(nil)

@@ -11,7 +11,10 @@
 // the segment size, as the paper's round-robin scheduling requires.
 package jobqueue
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Pool runs submitted jobs on a fixed set of worker goroutines.
 type Pool struct {
@@ -107,4 +110,58 @@ func (p *Pool) Close() {
 func (p *Pool) CloseAfterDrain() {
 	p.Drain()
 	p.Close()
+}
+
+// EventJob is a self-perpetuating background job that runs on a Pool
+// only while something has happened that could change its outcome —
+// Sparta's cleaner, pNRA's stop checker. A pass that ends without
+// finishing the query does not requeue itself and does not sleep on its
+// worker: it parks, and the next Notify submits it again. Every Notify
+// also advances an event counter; a pass reads the counter (Epoch)
+// before it reads any state the events announce and hands it back to
+// Park, which resubmits at once if an event arrived during the pass —
+// so no wake-up is lost between a pass's last look and its parking.
+//
+// At most one pass is queued or running per transition out of the
+// parked state; a pass that must not overlap its successor's first
+// instructions makes Park its last action.
+type EventJob struct {
+	pool   *Pool
+	job    func()
+	events atomic.Uint64
+	parked atomic.Bool
+}
+
+// NewEventJob binds job to pool. Nothing runs until Start.
+func NewEventJob(pool *Pool, job func()) *EventJob {
+	return &EventJob{pool: pool, job: job}
+}
+
+// Start submits the first pass. Call it once.
+func (e *EventJob) Start() { e.pool.Submit(e.job) }
+
+// Epoch returns the event count a pass starts from.
+func (e *EventJob) Epoch() uint64 { return e.events.Load() }
+
+// Park ends a pass that started at epoch: it resubmits the job if an
+// event has arrived since, and otherwise leaves it parked for the next
+// Notify to resubmit.
+func (e *EventJob) Park(epoch uint64) {
+	e.parked.Store(true)
+	// Either this load sees a concurrent Notify's increment, or that
+	// Notify's load sees parked; the compare-and-swap lets exactly one
+	// of the two resubmit.
+	if e.events.Load() != epoch && e.parked.CompareAndSwap(true, false) {
+		e.pool.Submit(e.job)
+	}
+}
+
+// Notify records an event and resubmits the job if it is parked. It is
+// cheap enough for once-per-segment call sites: one atomic add and one
+// load when nothing is parked.
+func (e *EventJob) Notify() {
+	e.events.Add(1)
+	if e.parked.Load() && e.parked.CompareAndSwap(true, false) {
+		e.pool.Submit(e.job)
+	}
 }

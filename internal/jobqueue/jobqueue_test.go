@@ -1,6 +1,7 @@
 package jobqueue
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -143,6 +144,73 @@ func TestFIFOOrderSingleWorker(t *testing.T) {
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("order[%d] = %d; queue is not FIFO", i, v)
+		}
+	}
+}
+
+func TestEventJobParksUntilNotified(t *testing.T) {
+	p := New(2)
+	defer p.Close()
+	var passes atomic.Int64
+	var job *EventJob
+	job = NewEventJob(p, func() {
+		epoch := job.Epoch()
+		passes.Add(1)
+		job.Park(epoch)
+	})
+	job.Start()
+	p.Drain()
+	if n := passes.Load(); n != 1 || !job.parked.Load() {
+		t.Fatalf("after Start: %d passes, parked %v; want 1 pass, parked", n, job.parked.Load())
+	}
+	p.Drain() // no event: nothing runs, nothing spins
+	if n := passes.Load(); n != 1 {
+		t.Fatalf("parked job ran %d passes without an event", n)
+	}
+	for i := int64(2); i <= 4; i++ {
+		job.Notify()
+		p.Drain()
+		if n := passes.Load(); n != i || !job.parked.Load() {
+			t.Fatalf("after Notify: %d passes, parked %v; want %d, parked", n, job.parked.Load(), i)
+		}
+	}
+}
+
+func TestEventJobLosesNoWakeup(t *testing.T) {
+	// Producers publish a value and Notify; each pass records the
+	// largest value it saw. Whatever the interleaving of Notify with a
+	// pass's end, once everything is quiet the job must have seen the
+	// last value — a lost wake-up leaves it parked on a stale one.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for round := 0; round < 50; round++ {
+			p := New(2)
+			var published, seen atomic.Int64
+			var job *EventJob
+			job = NewEventJob(p, func() {
+				epoch := job.Epoch()
+				seen.Store(published.Load())
+				job.Park(epoch)
+			})
+			job.Start()
+			var wg sync.WaitGroup
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < 200; i++ {
+						published.Add(1)
+						job.Notify()
+					}
+				}()
+			}
+			wg.Wait()
+			p.Drain()
+			if s, want := seen.Load(), published.Load(); s != want || !job.parked.Load() {
+				t.Fatalf("procs=%d round=%d: job saw %d of %d, parked %v", procs, round, s, want, job.parked.Load())
+			}
+			p.Close()
 		}
 	}
 }

@@ -29,22 +29,29 @@ type Budget struct {
 // New creates a budget of limit bytes. limit <= 0 means unlimited.
 func New(limit int64) *Budget { return &Budget{limit: limit} }
 
-// Charge reserves n bytes, returning ErrMemoryBudget (with the
-// reservation rolled back) if the limit would be exceeded. Charging a
-// nil budget always succeeds.
+// Charge reserves n bytes, returning ErrMemoryBudget (and reserving
+// nothing) if the limit would be exceeded. The reservation is a
+// compare-and-swap, never add-then-roll-back, so Used() <= Limit() at
+// every instant a concurrent observer can look. Charging a nil budget
+// always succeeds.
 func (b *Budget) Charge(n int64) error {
 	if b == nil || b.limit <= 0 {
 		return nil
 	}
-	used := b.used.Add(n)
-	if used > b.limit {
-		b.used.Add(-n)
-		return ErrMemoryBudget
-	}
 	for {
-		peak := b.peak.Load()
-		if used <= peak || b.peak.CompareAndSwap(peak, used) {
-			return nil
+		used := b.used.Load()
+		next := used + n
+		if next > b.limit {
+			return ErrMemoryBudget
+		}
+		if !b.used.CompareAndSwap(used, next) {
+			continue
+		}
+		for {
+			peak := b.peak.Load()
+			if next <= peak || b.peak.CompareAndSwap(peak, next) {
+				return nil
+			}
 		}
 	}
 }

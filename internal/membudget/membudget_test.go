@@ -3,6 +3,7 @@ package membudget
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -89,5 +90,55 @@ func TestConcurrentCharges(t *testing.T) {
 	}
 	if okCount != 100 {
 		t.Errorf("exactly 100 charges of 10 fit in 1000; got %d", okCount)
+	}
+}
+
+func TestChargeNeverExceedsLimitUnderConcurrency(t *testing.T) {
+	// A budget held just under its limit, hammered with charges that
+	// cannot fit (a full posting cache looks like this all the time):
+	// add-then-roll-back lets Used() read above Limit() for an instant on
+	// every one of them; compare-and-swap never does.
+	const limit, held, chunk = 1000, 900, 300
+	b := New(limit)
+	if err := b.Charge(held); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var over atomic.Int64
+	var watcher, chargers sync.WaitGroup
+	watcher.Add(1)
+	go func() {
+		defer watcher.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if u := b.Used(); u > limit {
+				over.Store(u)
+			}
+		}
+	}()
+	for g := 0; g < 4; g++ {
+		chargers.Add(1)
+		go func() {
+			defer chargers.Done()
+			for i := 0; i < 200000; i++ {
+				if b.Charge(chunk) == nil {
+					t.Error("a charge beyond the limit succeeded")
+					return
+				}
+			}
+		}()
+	}
+	chargers.Wait()
+	close(stop)
+	watcher.Wait()
+	if u := over.Load(); u != 0 {
+		t.Errorf("observed Used() = %d above limit %d", u, limit)
+	}
+	if b.Used() != held || b.Peak() != held {
+		t.Errorf("used %d, peak %d after failed charges, want %d", b.Used(), b.Peak(), held)
 	}
 }
