@@ -106,13 +106,16 @@ const (
 	// traffic keeps hot terms resident. The budget is split across the
 	// per-shard caches.
 	postingCacheBytes = 16 << 20
-	// batchWindow coalesces queries arriving within 200µs of each other
-	// into per-shard batches: with FusedExec on, each term shared by two
-	// or more batch members is traversed once, scoring every subscriber
-	// in a single pass ("serve.<algo>.batch.fused_*" under /stats); the
-	// rest share a warm-up pass and single-flight block fills. Well under
-	// the SLA, so the latency cost is negligible against the duplicate
-	// work it removes.
+	// batchWindow turns on per-shard batching: queries that reach a
+	// shard while it is executing others form a batch, and with FusedExec
+	// on each term shared by two or more batch members is traversed once,
+	// scoring every subscriber in a single pass ("serve.<algo>.batch.
+	// fused_*" under /stats); the rest share a warm-up pass and
+	// single-flight block fills. The value is an upper bound on how long
+	// a batch collects, waited only while other queries are executing: a
+	// query that finds its shard idle runs at once ("serve.<algo>.batch"
+	// counts those as "immediate"), so an unloaded server pays nothing
+	// for it.
 	batchWindow = 200 * time.Microsecond
 	// maxBatch caps a coalesced batch; a full batch launches early.
 	maxBatch = 8

@@ -70,7 +70,6 @@ func (a *PNRA) search(es *topk.ExecState, q model.Query, opts topk.Options) (mod
 		exec:    es,
 		docMap:  cmap.New(16 * opts.K),
 		docHeap: heap.GetDoc(opts.K),
-		doneCh:  make(chan struct{}),
 	}
 	r.cursors = make([]postings.ScoreCursor, r.m)
 	for i, t := range q {
@@ -91,7 +90,7 @@ func (a *PNRA) search(es *topk.ExecState, q model.Query, opts topk.Options) (mod
 		r.pool.Submit(func() { r.processTerm(i) })
 	}
 	r.checker.Start()
-	<-r.doneCh
+	r.pool.Run() // as the first worker, until finish stops the pool
 	r.idle.Stop()
 	r.pool.Close()
 
@@ -137,8 +136,6 @@ type run struct {
 	idle    *topk.IdleStop // the Δ rule; nil when exact
 
 	done      atomic.Bool
-	doneCh    chan struct{}
-	doneOnce  sync.Once
 	failed    atomic.Bool
 	remaining atomic.Int64
 
@@ -151,7 +148,7 @@ type run struct {
 func (r *run) finish(reason string) {
 	if r.done.CompareAndSwap(false, true) {
 		r.stopReason.Store(reason)
-		r.doneOnce.Do(func() { close(r.doneCh) })
+		r.pool.Stop()
 	}
 }
 

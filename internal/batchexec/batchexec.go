@@ -1,10 +1,18 @@
 // Package batchexec coalesces concurrent queries into batches over one
 // algorithm — the multi-query execution layer the serving stack runs
-// per shard. A query arriving while no batch is collecting becomes the
-// leader of a new batch and waits a small collection window; queries
-// arriving inside the window (or while the previous batch is still in
-// flight, since they form the next batch) join it. When the window
-// expires or the batch is full, the whole batch launches at once:
+// per shard. Batching is driven by what is in flight, not by the clock:
+//
+//   - A query that finds the executor idle (no query executing, no
+//     batch collecting) runs at once, on the goroutine that submitted
+//     it: there is nobody to batch with and nothing to wait for.
+//   - A query that arrives while others are executing becomes the
+//     leader of a new batch, and queries arriving after it join that
+//     batch. The batch launches at the first of: it is full, the window
+//     expired, the leader's context ended, or the executor went idle
+//     (the last executing query left). So the window is an upper bound
+//     that is only ever waited out while the CPUs have other work.
+//
+// A launched batch of two or more runs jointly:
 //
 //   - One warm-up pass covers the terms shared by two or more member
 //     queries (postings.TermWarmer), so the batch pays a shared term's
@@ -19,10 +27,11 @@
 //     completion path, including cancellation or deadline expiry of any
 //     member mid-batch.
 //
-// Batching trades a bounded latency add (≤ Window) for throughput: on a
-// Zipfian query log concurrent queries overlap heavily in their hot
-// terms, and the shared warm-up plus single-flight fills remove the
-// duplicated fetch+decode work that otherwise scales with concurrency.
+// Batching trades a bounded wait under load (≤ Window, and none on an
+// idle executor) for throughput: on a Zipfian query log concurrent
+// queries overlap heavily in their hot terms, and the shared warm-up
+// plus single-flight fills remove the duplicated fetch+decode work that
+// otherwise scales with concurrency.
 //
 // The zero Config (Window == 0) disables batching entirely: Search and
 // SearchContext pass straight through to the wrapped algorithm with no
@@ -45,13 +54,15 @@ import (
 
 // Config parameterizes an Executor.
 type Config struct {
-	// Window is how long a batch leader collects co-arriving queries
-	// before launching the batch. Zero disables batching (pass-through).
+	// Window is the longest a batch leader collects co-arriving queries
+	// before launching the batch — an upper bound, waited only while
+	// other queries are executing (see the package comment). Zero
+	// disables batching (pass-through).
 	Window time.Duration
 	// MaxBatch caps the batch size; a full batch launches without
-	// waiting out the window. Default 16. MaxBatch 1 launches every
-	// query immediately in its own batch (the batching machinery runs,
-	// but nothing coalesces — the degenerate case tests pin).
+	// waiting out the window. Default 16. MaxBatch 1 runs every query at
+	// once in its own batch (counted, but nothing coalesces — the
+	// degenerate case tests pin).
 	MaxBatch int
 	// WarmBlocks is how many leading blocks per term region the batch
 	// warm-up pass prefetches for terms shared by ≥ 2 member queries.
@@ -128,6 +139,9 @@ type Counters struct {
 	// Coalesced counts queries that joined another query's collection
 	// window (BatchedQueries − Batches, the coalesce hits).
 	Coalesced int64 `json:"coalesced"`
+	// Immediate counts queries that ran without collecting: they found
+	// the executor idle (or MaxBatch is 1) and are batches of one.
+	Immediate int64 `json:"immediate"`
 	// MaxBatchObserved is the largest batch launched.
 	MaxBatchObserved int64 `json:"max_batch_observed"`
 	// SharedTerms counts terms warmed because ≥ 2 members of one batch
@@ -159,16 +173,17 @@ type Executor struct {
 	alg topk.Algorithm
 	cfg Config
 
-	mu   sync.Mutex
-	open *batch // collecting batch, nil when none
+	mu      sync.Mutex
+	open    *batch // collecting batch, nil when none
+	running int    // queries executing: admitted alone or in a launched batch
 
-	// active tracks every goroutine a dispatched batch owns (member
-	// queries and warm-up passes) for Drain.
+	// active tracks every executing query and warm-up pass for Drain.
 	active sync.WaitGroup
 
 	batches      atomic.Int64
 	queries      atomic.Int64
 	coalesced    atomic.Int64
+	immediate    atomic.Int64
 	maxBatch     atomic.Int64
 	sharedTerms  atomic.Int64
 	warmedBlocks atomic.Int64
@@ -180,8 +195,8 @@ type Executor struct {
 var _ topk.Algorithm = (*Executor)(nil)
 
 // request is one query riding a batch. The runner publishes res/st/err
-// and then closes done; the submitting goroutine reads them only after
-// done.
+// and then closes done; a submitter that is not itself the runner reads
+// them only after done.
 type request struct {
 	ctx  context.Context
 	q    model.Query
@@ -192,12 +207,12 @@ type request struct {
 	err  error
 }
 
-// batch is one collection window. full is closed (once, by whoever
-// detaches the batch from e.open) when the batch reaches MaxBatch, so
-// the leader stops collecting early.
+// batch is one collection window. launch is closed (once, by whoever
+// detaches the batch from e.open) to end the collection before the
+// leader's timer does.
 type batch struct {
-	reqs []*request
-	full chan struct{}
+	reqs   []*request
+	launch chan struct{}
 }
 
 // New wraps alg under cfg.
@@ -215,42 +230,45 @@ func (e *Executor) Search(q model.Query, opts topk.Options) (model.TopK, topk.St
 }
 
 // SearchContext implements topk.Algorithm. With batching enabled the
-// query joins the collecting batch (or starts one and leads its
-// window); it returns when its own evaluation completes — members of
-// one batch return individually, not when the batch drains.
+// query runs at once if the executor is idle, and otherwise joins the
+// collecting batch (or starts one and leads it); it returns when its
+// own evaluation completes — members of one batch return individually,
+// not when the batch drains.
 func (e *Executor) SearchContext(ctx context.Context, q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
 	if e.cfg.Window <= 0 {
 		return e.alg.SearchContext(ctx, q, opts)
 	}
-	r := &request{ctx: ctx, q: q, opts: opts, done: make(chan struct{})}
 	e.mu.Lock()
 	if b := e.open; b != nil {
 		// Join the collecting batch.
+		r := &request{ctx: ctx, q: q, opts: opts, done: make(chan struct{})}
 		b.reqs = append(b.reqs, r)
 		e.coalesced.Add(1)
 		if len(b.reqs) >= e.cfg.MaxBatch {
-			e.open = nil // detached: the leader's select sees full
-			close(b.full)
+			e.launchLocked(b)
 		}
 		e.mu.Unlock()
 		<-r.done
 		return r.res, r.st, r.err
 	}
-	// Lead a new batch.
-	b := &batch{reqs: []*request{r}, full: make(chan struct{})}
-	if e.cfg.MaxBatch == 1 {
+	if e.running == 0 || e.cfg.MaxBatch == 1 {
+		// Nobody to batch with: a batch of one, here and now.
+		e.running++
+		e.active.Add(1)
 		e.mu.Unlock()
-		e.dispatch(b)
-		<-r.done
-		return r.res, r.st, r.err
+		e.immediate.Add(1)
+		return e.runAlone(ctx, q, opts)
 	}
+	// Lead a new batch while the executing queries keep the CPUs busy.
+	r := &request{ctx: ctx, q: q, opts: opts, done: make(chan struct{})}
+	b := &batch{reqs: []*request{r}, launch: make(chan struct{})}
 	e.open = b
 	e.mu.Unlock()
 
 	timer := time.NewTimer(e.cfg.Window)
 	select {
 	case <-timer.C:
-	case <-b.full:
+	case <-b.launch: // full, or the executor went idle
 	case <-ctx.Done():
 		// The leader's context ended during collection: launch whatever
 		// has gathered now. The leader's own evaluation returns its
@@ -259,77 +277,123 @@ func (e *Executor) SearchContext(ctx context.Context, q model.Query, opts topk.O
 	timer.Stop()
 	e.mu.Lock()
 	if e.open == b {
-		e.open = nil
+		e.launchLocked(b)
 	}
 	e.mu.Unlock()
-	e.dispatch(b)
-	<-r.done
+
+	switch {
+	case len(b.reqs) == 1:
+		return e.runAlone(ctx, q, opts)
+	case e.cfg.Fused != nil:
+		e.count(len(b.reqs))
+		e.fusedBatches.Add(1)
+		go e.runFused(b.reqs)
+		<-r.done
+	default:
+		e.count(len(b.reqs))
+		e.warm(b.reqs)
+		for _, m := range b.reqs[1:] {
+			go e.runMember(m)
+		}
+		e.runMember(r) // the leader's own, on its own goroutine
+	}
 	return r.res, r.st, r.err
 }
 
-// dispatch launches a detached batch: the shared warm-up pass (when ≥ 2
-// members overlap on a term) and one goroutine per member. It returns
-// without waiting; members release their submitters individually and
-// Drain waits for everything.
-func (e *Executor) dispatch(b *batch) {
-	n := int64(len(b.reqs))
+// launchLocked ends b's collection: nothing joins it any more, its
+// members count as executing from this instant, and its leader (who
+// runs the launch) is released. Called with e.mu held and e.open == b.
+func (e *Executor) launchLocked(b *batch) {
+	e.open = nil
+	e.running += len(b.reqs)
+	e.active.Add(len(b.reqs))
+	close(b.launch)
+}
+
+// leave records that n queries finished executing. If they were the
+// last and a batch is collecting, the batch launches: what it was
+// waiting behind is gone.
+func (e *Executor) leave(n int) {
+	e.mu.Lock()
+	e.running -= n
+	if e.running == 0 && e.open != nil {
+		e.launchLocked(e.open)
+	}
+	e.mu.Unlock()
+	e.active.Add(-n)
+}
+
+// count records one launched batch of n.
+func (e *Executor) count(n int) {
 	e.batches.Add(1)
-	e.queries.Add(n)
+	e.queries.Add(int64(n))
 	for {
 		cur := e.maxBatch.Load()
-		if n <= cur || e.maxBatch.CompareAndSwap(cur, n) {
+		if int64(n) <= cur || e.maxBatch.CompareAndSwap(cur, int64(n)) {
 			break
 		}
 	}
-	if n >= 2 && e.cfg.Fused != nil {
-		e.fusedBatches.Add(1)
-		members := make([]*BatchMember, len(b.reqs))
-		for i, r := range b.reqs {
-			members[i] = &BatchMember{Ctx: r.ctx, Query: r.q, Opts: r.opts, r: r}
+}
+
+// runAlone executes a batch of one on the calling goroutine.
+func (e *Executor) runAlone(ctx context.Context, q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
+	defer e.leave(1)
+	e.count(1)
+	return e.alg.SearchContext(ctx, q, opts)
+}
+
+// runMember executes one member of a multi-member batch and releases
+// its submitter.
+func (e *Executor) runMember(r *request) {
+	defer e.leave(1)
+	defer close(r.done)
+	r.res, r.st, r.err = e.alg.SearchContext(r.ctx, r.q, r.opts)
+}
+
+// runFused hands a multi-member batch to the fused runner; members
+// release their submitters individually through Finish.
+func (e *Executor) runFused(reqs []*request) {
+	defer e.leave(len(reqs))
+	members := make([]*BatchMember, len(reqs))
+	for i, r := range reqs {
+		members[i] = &BatchMember{Ctx: r.ctx, Query: r.q, Opts: r.opts, r: r}
+	}
+	e.cfg.Fused.RunBatch(members)
+	// Defensive: a runner that missed a member must not leave its
+	// submitter blocked forever.
+	for _, m := range members {
+		if !m.finished.Load() {
+			m.Finish(e.alg.SearchContext(m.Ctx, m.Query, m.Opts))
 		}
-		e.active.Add(1)
-		go func() {
-			defer e.active.Done()
-			e.cfg.Fused.RunBatch(members)
-			// Defensive: a runner that missed a member must not leave its
-			// submitter blocked forever.
-			for _, m := range members {
-				if !m.finished.Load() {
-					m.Finish(e.alg.SearchContext(m.Ctx, m.Query, m.Opts))
-				}
-			}
-		}()
+	}
+}
+
+// warm starts the shared warm-up pass of a multi-member batch, when its
+// members overlap on a warmable term. It returns without waiting.
+func (e *Executor) warm(reqs []*request) {
+	if e.cfg.Warmer == nil || e.cfg.WarmBlocks <= 0 {
 		return
 	}
-	if n >= 2 && e.cfg.Warmer != nil && e.cfg.WarmBlocks > 0 {
-		if shared := e.warmableTerms(b.reqs); len(shared) > 0 {
-			e.sharedTerms.Add(int64(len(shared)))
-			// Warm concurrently with the members: their cursors join the
-			// warm pass's in-flight fills through the single-flight gate
-			// instead of waiting for the whole pass. Bound to the
-			// leader's context so an abandoned batch stops prefetching.
-			warmCtx := b.reqs[0].ctx
-			e.active.Add(1)
-			go func() {
-				defer e.active.Done()
-				start := time.Now()
-				filled := e.cfg.Warmer.WarmTerms(warmCtx, shared, e.cfg.WarmBlocks)
-				e.warmedBlocks.Add(int64(filled))
-				if filled > 0 {
-					e.observeWarmLatency(time.Since(start) / time.Duration(filled))
-				}
-			}()
+	shared := e.warmableTerms(reqs)
+	if len(shared) == 0 {
+		return
+	}
+	e.sharedTerms.Add(int64(len(shared)))
+	// Warm concurrently with the members: their cursors join the warm
+	// pass's in-flight fills through the single-flight gate instead of
+	// waiting for the whole pass. Bound to the leader's context so an
+	// abandoned batch stops prefetching.
+	warmCtx := reqs[0].ctx
+	e.active.Add(1)
+	go func() {
+		defer e.active.Done()
+		start := time.Now()
+		filled := e.cfg.Warmer.WarmTerms(warmCtx, shared, e.cfg.WarmBlocks)
+		e.warmedBlocks.Add(int64(filled))
+		if filled > 0 {
+			e.observeWarmLatency(time.Since(start) / time.Duration(filled))
 		}
-	}
-	for _, r := range b.reqs {
-		r := r
-		e.active.Add(1)
-		go func() {
-			defer e.active.Done()
-			defer close(r.done)
-			r.res, r.st, r.err = e.alg.SearchContext(r.ctx, r.q, r.opts)
-		}()
-	}
+	}()
 }
 
 // observeWarmLatency folds one warm pass's mean per-block fill latency
@@ -404,8 +468,8 @@ func (e *Executor) warmableTerms(reqs []*request) []model.TermID {
 	return out
 }
 
-// Drain blocks until every batch dispatched so far — member queries and
-// warm-up passes — has completed. Call it when no SearchContext calls
+// Drain blocks until every query admitted so far — alone or in a batch
+// — and every warm-up pass has completed. Call it when no SearchContext calls
 // are being submitted (shutdown, test assertions): once Drain returns,
 // all batch I/O is settled, so Store.Unsettled() == 0.
 func (e *Executor) Drain() { e.active.Wait() }
@@ -421,6 +485,7 @@ func (e *Executor) Counters() Counters {
 		Batches:          e.batches.Load(),
 		BatchedQueries:   e.queries.Load(),
 		Coalesced:        e.coalesced.Load(),
+		Immediate:        e.immediate.Load(),
 		MaxBatchObserved: e.maxBatch.Load(),
 		SharedTerms:      e.sharedTerms.Load(),
 		WarmedBlocks:     e.warmedBlocks.Load(),
@@ -435,6 +500,7 @@ func (e *Executor) RegisterMetrics(r *metrics.Registry, prefix string) {
 	r.RegisterFunc(prefix+".batches", func() any { return e.batches.Load() })
 	r.RegisterFunc(prefix+".batched_queries", func() any { return e.queries.Load() })
 	r.RegisterFunc(prefix+".coalesced", func() any { return e.coalesced.Load() })
+	r.RegisterFunc(prefix+".immediate", func() any { return e.immediate.Load() })
 	r.RegisterFunc(prefix+".max_batch", func() any { return e.maxBatch.Load() })
 	r.RegisterFunc(prefix+".mean_batch", func() any { return e.Counters().MeanBatch() })
 	r.RegisterFunc(prefix+".shared_terms", func() any { return e.sharedTerms.Load() })

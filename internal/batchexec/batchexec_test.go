@@ -4,10 +4,13 @@
 package batchexec_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,6 +18,7 @@ import (
 	"sparta/internal/batchexec"
 	"sparta/internal/bench"
 	"sparta/internal/diskindex"
+	"sparta/internal/index"
 	"sparta/internal/iomodel"
 	"sparta/internal/model"
 	"sparta/internal/plcache"
@@ -107,10 +111,61 @@ func TestBatchedMatchesSequential(t *testing.T) {
 	}
 }
 
+// await spins until cond holds: the tests wait for the executor to have
+// admitted what they submitted, not for time to pass. (Their windows
+// are an hour, which no test can wait out: whatever launches under one
+// was launched by one of the other rules.)
+func await(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); !cond(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// collecting is a context that reports when its Done channel is first
+// asked for. A query submitted behind a held one can only lead a batch,
+// and a leader asks for its context's Done channel once its batch is
+// open, so receiving from asked means "the batch is collecting".
+type collecting struct {
+	context.Context
+	once  sync.Once
+	asked chan struct{}
+}
+
+func newCollecting(ctx context.Context) *collecting {
+	return &collecting{Context: ctx, asked: make(chan struct{})}
+}
+
+func (c *collecting) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.asked) })
+	return c.Context.Done()
+}
+
+// goroutineID names the calling goroutine (the number in its stack
+// header), so a test can tell whether two pieces of code shared one.
+func goroutineID() string {
+	var buf [64]byte
+	fields := bytes.Fields(buf[:runtime.Stack(buf[:], false)])
+	return string(fields[1])
+}
+
+// ranOn records the goroutine of the algorithm's most recent call.
+type ranOn struct {
+	topk.Algorithm
+	id atomic.Value
+}
+
+func (a *ranOn) SearchContext(ctx context.Context, q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
+	a.id.Store(goroutineID())
+	return a.Algorithm.SearchContext(ctx, q, opts)
+}
+
 // TestCoalescingCounters pins the batching bookkeeping: four queries
-// submitted into one generous window form one batch of four (three
+// submitted behind an executing one form one batch of four (three
 // coalesce hits), the overlap terms are warmed, and MaxBatch closes the
-// batch early.
+// batch without the window.
 func TestCoalescingCounters(t *testing.T) {
 	x := algotest.SmallIndex(t, 7)
 	disk, err := diskindex.FromIndex(x, 2, iomodel.RAMConfig())
@@ -120,16 +175,16 @@ func TestCoalescingCounters(t *testing.T) {
 	disk.SetPostingCache(plcache.NewWithBudget(4 << 20))
 
 	const n = 4
-	ex := batchexec.New(bench.MakeAlgorithm(bench.AlgoSparta, disk), batchexec.Config{
-		Window:     250 * time.Millisecond, // generous: all n arrive inside it
-		MaxBatch:   n,                      // ...and the full batch closes it early
+	ex := batchexec.New(algotest.Gated(bench.MakeAlgorithm(bench.AlgoSparta, disk)), batchexec.Config{
+		Window:     time.Hour,
+		MaxBatch:   n, // the full batch closes it
 		WarmBlocks: 2,
 		Warmer:     disk,
 	})
 	q := algotest.RandomQuery(x, 4, 42) // identical queries: every term shared
 	opts := topk.Options{K: 5, Exact: true, Threads: 1}
 
-	start := time.Now()
+	release := algotest.Hold(ex)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -140,16 +195,14 @@ func TestCoalescingCounters(t *testing.T) {
 			}
 		}()
 	}
-	wg.Wait()
+	wg.Wait() // full-batch close: returning at all means nobody waited out the window
+	release()
 	ex.Drain()
 
-	// Full-batch early close: nobody waited out the 250ms window.
-	if d := time.Since(start); d > 200*time.Millisecond {
-		t.Errorf("full batch took %v; early close did not fire", d)
-	}
+	// The held query is the other batch: a batch of one that ran at once.
 	c := ex.Counters()
-	if c.Batches != 1 || c.BatchedQueries != n || c.Coalesced != n-1 {
-		t.Errorf("counters = %+v, want 1 batch, %d queries, %d coalesced", c, n, n-1)
+	if c.Batches != 2 || c.BatchedQueries != n+1 || c.Coalesced != n-1 || c.Immediate != 1 {
+		t.Errorf("counters = %+v, want 2 batches, %d queries, %d coalesced, 1 immediate", c, n+1, n-1)
 	}
 	if c.MaxBatchObserved != n {
 		t.Errorf("max batch observed = %d, want %d", c.MaxBatchObserved, n)
@@ -161,6 +214,174 @@ func TestCoalescingCounters(t *testing.T) {
 		t.Error("warm-up pass performed no fills")
 	}
 	algotest.AssertSettled(t, "after drain", disk.Store())
+}
+
+// TestLoneQueryRunsAtOnce pins the idle rule: a query that finds the
+// executor idle does not collect — it returns although the window is an
+// hour — and its algorithm call runs on the goroutine that submitted it.
+func TestLoneQueryRunsAtOnce(t *testing.T) {
+	x := algotest.SmallIndex(t, 9)
+	disk, err := diskindex.FromIndex(x, 2, iomodel.RAMConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	alg := &ranOn{Algorithm: bench.MakeAlgorithm(bench.AlgoSparta, disk)}
+	ex := batchexec.New(alg, batchexec.Config{Window: time.Hour, MaxBatch: 8})
+	q := algotest.RandomQuery(x, 3, 5)
+	opts := topk.Options{K: 5, Exact: true, Threads: 1}
+	want, _, err := alg.Algorithm.SearchContext(context.Background(), q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(1); i <= 3; i++ {
+		res, _, err := ex.SearchContext(context.Background(), q, opts)
+		if err != nil || !reflect.DeepEqual(want, res) {
+			t.Fatalf("lone query %d: err %v\nwant: %v\ngot: %v", i, err, want, res)
+		}
+		if on := alg.id.Load(); on != goroutineID() {
+			t.Errorf("lone query %d ran on goroutine %v, submitted from %v", i, on, goroutineID())
+		}
+		if c := ex.Counters(); c.Batches != i || c.BatchedQueries != i || c.Immediate != i || c.Coalesced != 0 {
+			t.Errorf("after %d lone queries: %+v, want each a batch of one that ran at once", i, c)
+		}
+	}
+	ex.Drain()
+	algotest.AssertSettled(t, "after lone queries", disk.Store())
+}
+
+// TestIdleClosesOpenBatch pins the rule that replaces waiting the
+// window out: a batch collecting behind an executing query launches the
+// moment that query leaves.
+func TestIdleClosesOpenBatch(t *testing.T) {
+	x := algotest.SmallIndex(t, 7)
+	disk, err := diskindex.FromIndex(x, 2, iomodel.RAMConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 3
+	ex := batchexec.New(algotest.Gated(bench.MakeAlgorithm(bench.AlgoSparta, disk)), batchexec.Config{
+		Window:   time.Hour,
+		MaxBatch: 8, // never full
+	})
+	q := algotest.RandomQuery(x, 4, 42)
+	opts := topk.Options{K: 5, Exact: true, Threads: 1}
+	want, _, err := bench.MakeAlgorithm(bench.AlgoSparta, disk).SearchContext(context.Background(), q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	release := algotest.Hold(ex)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if res, _, err := ex.SearchContext(context.Background(), q, opts); err != nil || !reflect.DeepEqual(want, res) {
+				t.Errorf("member: err %v\nwant: %v\ngot: %v", err, want, res)
+			}
+		}()
+	}
+	// Whichever arrives first leads; all n are in once the others joined.
+	await(t, "the batch to gather", func() bool { return ex.Counters().Coalesced == n-1 })
+	if c := ex.Counters(); c.Batches != 1 { // the held query's
+		t.Fatalf("the batch launched behind an executing query: %+v", c)
+	}
+	release() // the executor goes idle
+	wg.Wait()
+	ex.Drain()
+	if c := ex.Counters(); c.Batches != 2 || c.BatchedQueries != n+1 || c.MaxBatchObserved != n || c.Immediate != 1 {
+		t.Errorf("counters = %+v, want the held query and one batch of %d", c, n)
+	}
+	algotest.AssertSettled(t, "after idle close", disk.Store())
+}
+
+// TestLoneLeaderRunsOnItsOwnGoroutine: a batch that closes with one
+// member is executed by its leader, not handed to a new goroutine.
+func TestLoneLeaderRunsOnItsOwnGoroutine(t *testing.T) {
+	x := algotest.SmallIndex(t, 9)
+	disk, err := diskindex.FromIndex(x, 2, iomodel.RAMConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	alg := &ranOn{Algorithm: algotest.Gated(bench.MakeAlgorithm(bench.AlgoSparta, disk))}
+	ex := batchexec.New(alg, batchexec.Config{Window: time.Hour, MaxBatch: 8})
+	q := algotest.RandomQuery(x, 3, 5)
+
+	release := algotest.Hold(ex)
+	ctx := newCollecting(context.Background())
+	leader := make(chan string, 1)
+	go func() {
+		if res, _, err := ex.SearchContext(ctx, q, topk.Options{K: 5, Exact: true, Threads: 1}); err != nil || len(res) == 0 {
+			t.Errorf("leader: %d results, err %v", len(res), err)
+		}
+		leader <- goroutineID()
+	}()
+	<-ctx.asked
+	release()
+	if id := <-leader; alg.id.Load() != id {
+		t.Errorf("one-member batch ran on goroutine %v, its leader was %v", alg.id.Load(), id)
+	}
+	ex.Drain()
+	if c := ex.Counters(); c.Batches != 2 || c.Immediate != 1 || c.Coalesced != 0 {
+		t.Errorf("counters = %+v, want the held query at once and the leader's batch of one", c)
+	}
+}
+
+// TestCoArrivalsIntoIdleExecutor throws n queries at an idle executor
+// at once, at several core counts: however they interleave — one runs
+// at once, the rest batch behind it and behind each other — all of them
+// complete with the exact top-k, every query is a batch's leader or a coalesce hit,
+// and the store settles.
+func TestCoArrivalsIntoIdleExecutor(t *testing.T) {
+	x := algotest.MediumIndex(t, 2024)
+	disk, err := diskindex.FromIndex(x, 4, iomodel.RAMConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk.SetPostingCache(plcache.NewWithBudget(8 << 20))
+	const n = 16
+	opts := topk.Options{K: 10, Exact: true, Threads: 2}
+	alg := bench.MakeAlgorithm(bench.AlgoSparta, disk)
+	qs, want := make([]model.Query, n), make([]model.TopK, n)
+	for i := range qs {
+		qs[i] = algotest.RandomQuery(x, 3+i%4, uint64(100+i))
+		if want[i], _, err = alg.SearchContext(context.Background(), qs[i], opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		ex := batchexec.New(alg, batchexec.Config{Window: time.Hour, MaxBatch: 4, WarmBlocks: 2, Warmer: disk})
+		for round := int64(1); round <= 5; round++ {
+			got, errs := make([]model.TopK, n), make([]error, n)
+			var wg sync.WaitGroup
+			for i := range qs {
+				i := i
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got[i], _, errs[i] = ex.SearchContext(context.Background(), qs[i], opts)
+				}()
+			}
+			wg.Wait()
+			ex.Drain()
+			for i := range qs {
+				label := fmt.Sprintf("procs=%d round %d query %d", procs, round, i)
+				if errs[i] != nil {
+					t.Fatalf("%s: %v", label, errs[i])
+				}
+				// Two threads: which of two documents tied at the k-th score
+				// stays is the scheduler's choice, batched or not.
+				algotest.AssertExactSet(t, label, want[i], got[i])
+			}
+			c := ex.Counters()
+			if c.BatchedQueries != round*n || c.Batches+c.Coalesced != c.BatchedQueries || c.Immediate < round {
+				t.Errorf("procs=%d round %d: %+v, want %d queries, each a leader or a coalesce hit", procs, round, c, round*n)
+			}
+			algotest.AssertSettled(t, fmt.Sprintf("procs=%d round %d", procs, round), disk.Store())
+		}
+	}
 }
 
 // TestZeroWindowPassesThrough pins the compatibility contract: the zero
@@ -207,8 +428,8 @@ func TestCancelMidBatchSettles(t *testing.T) {
 	store := disk.Store()
 
 	const n = 4
-	ex := batchexec.New(bench.MakeAlgorithm(bench.AlgoSparta, disk), batchexec.Config{
-		Window:     100 * time.Millisecond,
+	ex := batchexec.New(algotest.Gated(bench.MakeAlgorithm(bench.AlgoSparta, disk)), batchexec.Config{
+		Window:     time.Hour,
 		MaxBatch:   n,
 		WarmBlocks: 2,
 		Warmer:     disk,
@@ -219,6 +440,7 @@ func TestCancelMidBatchSettles(t *testing.T) {
 	// Cancel the victim after a few physical fetches, mid-traversal.
 	obs := &cancelAfterIO{cancel: cancel, after: 3}
 
+	release := algotest.Hold(ex) // the n members form one batch behind it
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		i := i
@@ -245,6 +467,7 @@ func TestCancelMidBatchSettles(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	release()
 	ex.Drain()
 
 	algotest.AssertSettled(t, "after cancelled batch", store)
@@ -273,16 +496,75 @@ func (c *cancelAfterIO) IOFetch(time.Duration) {
 	}
 }
 
+// TestCancelledLoneQuerySettles cancels a query on the path that runs
+// it at once, mid-traversal: it returns its anytime partial, nothing it
+// read is left unpaid, and Drain — which covers that path too — returns.
+func TestCancelledLoneQuerySettles(t *testing.T) {
+	x := algotest.MediumIndex(t, 555)
+	// Charges out of reach of the sleep batch stay visible until settled.
+	disk, err := diskindex.FromIndex(x, 4, iomodel.Config{
+		BlockSize:   4096,
+		CacheBlocks: 16,
+		SeqLatency:  200 * time.Nanosecond,
+		RandLatency: 500 * time.Nanosecond,
+		SleepBatch:  time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := batchexec.New(bench.MakeAlgorithm(bench.AlgoSparta, disk), batchexec.Config{Window: time.Hour, MaxBatch: 8})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts := topk.Options{K: 10, Exact: true, Threads: 2, Observer: &cancelAfterIO{cancel: cancel, after: 3}}
+	res, st, err := ex.SearchContext(ctx, algotest.RandomQuery(x, 5, 900), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.StopReason != topk.StopCancelled {
+		t.Errorf("stop reason %q, want %q", st.StopReason, topk.StopCancelled)
+	}
+	algotest.AssertPartialTopK(t, "cancelled lone query", res, opts.K)
+	ex.Drain()
+	algotest.AssertSettled(t, "after cancelled lone query", disk.Store())
+	if c := ex.Counters(); c.Immediate != 1 || c.Batches != 1 {
+		t.Errorf("counters = %+v, want one query that ran at once", c)
+	}
+	if io := disk.Store().Snapshot(); io.SimulatedIO == 0 {
+		t.Fatal("test charged no simulated I/O; settlement was not exercised")
+	}
+}
+
+// disjointQueries returns two queries over x with no term in common.
+func disjointQueries(t *testing.T, x *index.Index, m int) (a, b model.Query) {
+	t.Helper()
+	a = algotest.RandomQuery(x, m, 21)
+	in := make(map[model.TermID]bool, m)
+	for _, term := range a {
+		in[term] = true
+	}
+search:
+	for seed := uint64(22); seed < 200; seed++ {
+		b = algotest.RandomQuery(x, m, seed)
+		for _, term := range b {
+			if in[term] {
+				continue search
+			}
+		}
+		return a, b
+	}
+	t.Fatal("no disjoint query pair found")
+	return nil, nil
+}
+
 // TestWarmSkipsDeadlineStarvedTerms pins the warm-up budget check: once
-// a warm pass has been timed, a batch whose every subscriber carries a
-// deadline budget below the observed per-block fill latency skips
-// warming its shared terms (the subscribers would stop before their
-// cursors reach the warmed blocks), while unbounded batches keep
-// warming.
+// a warm pass has been timed, shared terms whose every subscriber
+// carries a deadline budget below the observed per-block fill latency
+// are not warmed (the subscribers would stop before their cursors reach
+// the warmed blocks), while unbounded batches keep warming.
 func TestWarmSkipsDeadlineStarvedTerms(t *testing.T) {
 	x := algotest.SmallIndex(t, 13)
-	// Real sleeps, slow enough that a per-block warm fill measurably
-	// costs hundreds of microseconds.
+	// Real sleeps, so a warm fill takes measurable time.
 	cfg := iomodel.Config{
 		BlockSize:   4096,
 		CacheBlocks: 4,
@@ -296,33 +578,35 @@ func TestWarmSkipsDeadlineStarvedTerms(t *testing.T) {
 	}
 	disk.SetPostingCache(plcache.NewWithBudget(4 << 20))
 
-	const n = 2
-	ex := batchexec.New(bench.MakeAlgorithm(bench.AlgoSparta, disk), batchexec.Config{
-		Window:     100 * time.Millisecond,
+	const n = 3
+	ex := batchexec.New(algotest.Gated(bench.MakeAlgorithm(bench.AlgoSparta, disk)), batchexec.Config{
+		Window:     time.Hour,
 		MaxBatch:   n,
 		WarmBlocks: 2,
 		Warmer:     disk,
 	})
-	q := algotest.RandomQuery(x, 4, 21)
+	qLead, qStarved := disjointQueries(t, x, 4)
 	opts := topk.Options{K: 5, Exact: true, Threads: 1}
+	search := func(wg *sync.WaitGroup, ctx context.Context, q model.Query) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, _, err := ex.SearchContext(ctx, q, opts); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
 
 	// Training batch: no deadlines, so the warm pass runs and its
 	// per-block latency is observed.
-	runBatch := func(ctx context.Context) {
-		var wg sync.WaitGroup
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if _, _, err := ex.SearchContext(ctx, q, opts); err != nil {
-					t.Error(err)
-				}
-			}()
-		}
-		wg.Wait()
-		ex.Drain()
+	release := algotest.Hold(ex)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		search(&wg, context.Background(), qStarved)
 	}
-	runBatch(context.Background())
+	wg.Wait()
+	release()
+	ex.Drain()
 	trained := ex.Counters()
 	if trained.WarmedBlocks == 0 {
 		t.Fatal("training batch warmed nothing; the latency estimate was never observed")
@@ -331,73 +615,85 @@ func TestWarmSkipsDeadlineStarvedTerms(t *testing.T) {
 		t.Fatalf("training batch skipped %d terms; nothing should skip before a deadline-bounded batch", trained.WarmSkippedTerms)
 	}
 
-	// Starved batches: every member's remaining budget (~100µs, enough
-	// to survive the collection window but far below the observed
-	// ~300µs per-block fill latency) makes its shared terms unwarmable.
-	// The members themselves stop at their deadlines with anytime
-	// partials (nil error), which is fine — the property under test is
-	// the warm pass, not the members. A member whose deadline fires
-	// before its partner joins launches alone (batches of one never
-	// consider warming), so retry until a two-member batch forms.
-	var c batchexec.Counters
-	for attempt := 0; attempt < 200; attempt++ {
-		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Microsecond)
-		runBatch(ctx)
-		cancel()
-		if c = ex.Counters(); c.WarmSkippedTerms > 0 {
-			break
-		}
+	// Starved batch: an unbounded leader on terms of its own, then two
+	// members past their deadlines that share qStarved's terms — no
+	// subscriber of those has any budget left, so none is warmed. (The
+	// leader must be the unbounded one: a leader past its deadline
+	// launches alone, and a batch of one never considers warming.) The
+	// starved members stop at once with anytime partials (nil error),
+	// which is fine — the property under test is the warm pass.
+	release = algotest.Hold(ex)
+	leadCtx := newCollecting(context.Background())
+	search(&wg, leadCtx, qLead)
+	<-leadCtx.asked
+	past, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	search(&wg, past, qStarved)
+	search(&wg, past, qStarved) // fills the batch
+	wg.Wait()
+	release()
+	ex.Drain()
+
+	c := ex.Counters()
+	distinct := make(map[model.TermID]bool)
+	for _, term := range qStarved {
+		distinct[term] = true
 	}
-	if c.WarmSkippedTerms == 0 {
-		t.Error("deadline-starved batches skipped no shared terms")
+	if c.WarmSkippedTerms != int64(len(distinct)) {
+		t.Errorf("skipped %d shared terms, want all %d the starved members share", c.WarmSkippedTerms, len(distinct))
 	}
 	if c.WarmedBlocks != trained.WarmedBlocks {
 		t.Errorf("deadline-starved batch warmed %d blocks", c.WarmedBlocks-trained.WarmedBlocks)
+	}
+	if c.MaxBatchObserved != n {
+		t.Errorf("max batch observed = %d, want %d", c.MaxBatchObserved, n)
 	}
 	algotest.AssertSettled(t, "after starved batch", disk.Store())
 }
 
 // TestLeaderCancelledDuringWindow pins the collection-window edge: a
-// leader whose context dies while collecting still launches the batch,
-// returns its (pre-cancelled, empty-or-partial) result, and any joined
-// member completes normally.
+// leader whose context dies while collecting launches the batch there
+// and then, returns its (pre-cancelled, empty-or-partial) result, and
+// the member that had joined completes normally.
 func TestLeaderCancelledDuringWindow(t *testing.T) {
 	x := algotest.SmallIndex(t, 31)
 	disk, err := diskindex.FromIndex(x, 2, iomodel.RAMConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := batchexec.New(bench.MakeAlgorithm(bench.AlgoSparta, disk), batchexec.Config{
-		Window:   10 * time.Second, // only cancellation can end the window
+	ex := batchexec.New(algotest.Gated(bench.MakeAlgorithm(bench.AlgoSparta, disk)), batchexec.Config{
+		Window:   time.Hour, // only cancellation can end the collection
 		MaxBatch: 8,
 	})
-	ctx, cancel := context.WithCancel(context.Background())
 	q := algotest.RandomQuery(x, 3, 17)
 	opts := topk.Options{K: 5, Exact: true, Threads: 1}
 
-	done := make(chan error, 1)
+	release := algotest.Hold(ex)
+	parent, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ctx := newCollecting(parent)
+	var wg sync.WaitGroup
+	wg.Add(2)
 	go func() {
-		_, st, err := ex.SearchContext(ctx, q, opts)
-		if err == nil && st.StopReason != topk.StopCancelled {
-			err = fmt.Errorf("leader stop reason %q, want %q", st.StopReason, topk.StopCancelled)
+		defer wg.Done()
+		if _, st, err := ex.SearchContext(ctx, q, opts); err != nil || st.StopReason != topk.StopCancelled {
+			t.Errorf("leader: stop reason %q, err %v; want %q", st.StopReason, err, topk.StopCancelled)
 		}
-		done <- err
 	}()
-	time.Sleep(20 * time.Millisecond) // let the leader open its window
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
+	<-ctx.asked // the leader is collecting
+	go func() {
+		defer wg.Done()
+		if res, st, err := ex.SearchContext(context.Background(), q, opts); err != nil || len(res) == 0 || st.StopReason == topk.StopCancelled {
+			t.Errorf("joined member: %d results, stop %q, err %v", len(res), st.StopReason, err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancelled leader never returned")
-	}
+	}()
+	await(t, "the member to join", func() bool { return ex.Counters().Coalesced == 1 })
+	cancel()
+	wg.Wait() // with the held query still executing: the cancellation launched the batch
+	release()
 	ex.Drain()
+	if c := ex.Counters(); c.Batches != 2 || c.MaxBatchObserved != 2 {
+		t.Errorf("counters = %+v, want the held query and one batch of two", c)
+	}
 	algotest.AssertSettled(t, "after cancelled leader", disk.Store())
-	// Ensure a live member can still join and complete on the next batch.
-	if res, _, err := ex.SearchContext(context.Background(), q, opts); err != nil || len(res) == 0 {
-		t.Fatalf("post-cancel search: %d results, err %v", len(res), err)
-	}
-	ex.Drain()
 }

@@ -92,11 +92,13 @@ func TestSpartaDeltaStopFiresWithoutACleanerPass(t *testing.T) {
 	opts := topk.Options{K: 10, Threads: 2, Delta: delta, Observer: obs}.WithDefaults()
 	es := topk.NewExecState(context.Background(), obs)
 	r := newRun(es.BindView(x), popularQuery, opts, Config{}, es)
+	// The Δ rule's verdict, stamped as it is delivered (expire runs at
+	// most once).
 	stopped := make(chan time.Time, 1)
-	go func() {
-		<-r.doneCh
+	r.idle = topk.NewIdleStop(opts, func() {
 		stopped <- time.Now()
-	}()
+		r.finish("delta")
+	})
 	_, st, err := r.run()
 	returned := time.Now()
 	es.Finish(st, err)

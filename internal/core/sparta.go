@@ -127,8 +127,6 @@ type run struct {
 	ubs      *topk.UpperBounds
 	theta    atomic.Int64
 	ubStop   atomic.Bool
-	phase1   chan struct{} // closed when Eq. 1 holds or all lists end
-	phase1On sync.Once
 
 	docMap   atomic.Pointer[cmap.Map]
 	cleaned  atomic.Bool                      // the cleaner has been over docMap at least once
@@ -139,9 +137,7 @@ type run struct {
 	docHeap *heap.DocHeap
 	idle    *topk.IdleStop // the Δ rule; nil when exact
 
-	done   atomic.Bool
-	doneCh chan struct{}
-	doneOn sync.Once
+	done atomic.Bool // set by finish, which also stops the pool
 
 	errMu  sync.Mutex
 	runErr error
@@ -182,8 +178,6 @@ func newRun(view postings.View, q model.Query, opts topk.Options, cfg Config, es
 		slabs:    make([]*cmap.Slab, m),
 		termMaps: make([]map[model.DocID]*cmap.DocState, m),
 		docHeap:  heap.GetDoc(opts.K),
-		phase1:   make(chan struct{}),
-		doneCh:   make(chan struct{}),
 		probBuf:  make([]model.Score, m),
 		inHeap:   make(map[*cmap.DocState]bool, opts.K),
 	}
@@ -225,13 +219,11 @@ func (r *run) run() (model.TopK, topk.Stats, error) {
 	// Lines 4–5 of Algorithm 1 have the main thread wait for UBStop and
 	// then enqueue the cleaner. Here the worker that latches UBStop (or
 	// exhausts the last list) enqueues it directly — semantically
-	// identical, but it keeps the cleaner's start off the main
-	// goroutine's wakeup latency, which matters when workers are
-	// CPU-bound on an oversubscribed machine.
-	<-r.phase1
-
-	// Line 6: wait until done.
-	<-r.doneCh
+	// identical, and the main thread is free to be a worker itself.
+	//
+	// Line 6: wait until done — as the pool's first worker; finish stops
+	// the pool.
+	r.pool.Run()
 	r.idle.Stop()
 	r.pool.Close()
 
@@ -266,11 +258,10 @@ func (r *run) run() (model.TopK, topk.Stats, error) {
 	return res, st, nil
 }
 
-// signalPhase1 unblocks the main thread's line-4 wait and starts the
-// cleaner task (line 5), and before it the Δ timer: like the paper's,
-// our Δ rule belongs to the shrinking phase, whose heap is full.
+// signalPhase1 starts the cleaner task (line 5), and before it the Δ
+// timer: like the paper's, our Δ rule belongs to the shrinking phase,
+// whose heap is full.
 func (r *run) signalPhase1() {
-	r.phase1On.Do(func() { close(r.phase1) })
 	if !r.done.Load() {
 		r.cleanerOn.Do(func() {
 			r.idle.Arm() // first: the cleaner's first pass may end the query
@@ -279,12 +270,12 @@ func (r *run) signalPhase1() {
 	}
 }
 
-// finish sets done and wakes everyone. The first caller's reason wins.
+// finish sets done and stops the pool, which ends the main thread's
+// wait. The first caller's reason wins.
 func (r *run) finish(reason string) {
 	if r.done.CompareAndSwap(false, true) {
 		r.stopReason.Store(reason)
-		r.signalPhase1()
-		r.doneOn.Do(func() { close(r.doneCh) })
+		r.pool.Stop()
 	}
 }
 

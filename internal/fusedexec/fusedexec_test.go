@@ -40,8 +40,12 @@ var exactAlgos = []bench.AlgoID{
 }
 
 // fusedExecutor wires a batch executor whose closed batches run through
-// a fused engine over view, returning both.
+// a fused engine over view, returning both. The algorithm is gated: the
+// tests hold one query inside the executor (algotest.Hold) while they
+// submit, so what they submit batches behind it instead of the first
+// arrival running at once.
 func fusedExecutor(alg topk.Algorithm, view postings.View, window time.Duration, maxBatch int) (*batchexec.Executor, *fusedexec.Engine) {
+	alg = algotest.Gated(alg)
 	eng := fusedexec.New(alg, view)
 	ex := batchexec.New(alg, batchexec.Config{
 		Window:   window,
@@ -92,6 +96,7 @@ func TestFusedMatchesSequential(t *testing.T) {
 			for _, maxBatch := range []int{2, 8, 16} {
 				ex, eng := fusedExecutor(bench.MakeAlgorithm(id, disk), disk, 20*time.Millisecond, maxBatch)
 				got := make([]model.TopK, nq)
+				release := algotest.Hold(ex)
 				var wg sync.WaitGroup
 				for i, q := range qs {
 					i, q := i, q
@@ -110,6 +115,7 @@ func TestFusedMatchesSequential(t *testing.T) {
 					}()
 				}
 				wg.Wait()
+				release()
 				ex.Drain()
 				for i := range qs {
 					if !reflect.DeepEqual(seq[i], got[i]) {
@@ -157,6 +163,7 @@ func TestFusedCompressedView(t *testing.T) {
 
 	ex, _ := fusedExecutor(bench.MakeAlgorithm(bench.AlgoSparta, ci), ci, 20*time.Millisecond, nq)
 	got := make([]model.TopK, nq)
+	release := algotest.Hold(ex)
 	var wg sync.WaitGroup
 	for i, q := range qs {
 		i, q := i, q
@@ -172,6 +179,7 @@ func TestFusedCompressedView(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	release()
 	ex.Drain()
 	for i := range qs {
 		if !reflect.DeepEqual(seq[i], got[i]) {
@@ -226,6 +234,7 @@ func TestFusedCancelMidBatchSettles(t *testing.T) {
 		ex, _ := fusedExecutor(bench.MakeAlgorithm(bench.AlgoSparta, disk), disk, 50*time.Millisecond, n)
 
 		ctx, cancel := context.WithCancel(context.Background())
+		release := algotest.Hold(ex)
 		var wg sync.WaitGroup
 		for i := 0; i < n; i++ {
 			i := i
@@ -255,6 +264,7 @@ func TestFusedCancelMidBatchSettles(t *testing.T) {
 			}()
 		}
 		wg.Wait()
+		release()
 		ex.Drain()
 		cancel()
 		algotest.AssertSettled(t, fmt.Sprintf("round %d after drain", round), store)
@@ -304,6 +314,7 @@ func TestFusedDetachEarly(t *testing.T) {
 
 	const n = 2
 	ex, eng := fusedExecutor(bench.MakeAlgorithm(bench.AlgoSparta, disk), disk, 50*time.Millisecond, n)
+	release := algotest.Hold(ex)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -323,6 +334,7 @@ func TestFusedDetachEarly(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	release()
 	ex.Drain()
 
 	c := eng.Counters()
@@ -360,6 +372,7 @@ func TestFusedCountersAndBlocksSaved(t *testing.T) {
 	opts := topk.Options{K: 5, Exact: true, Threads: 1}
 	ex, eng := fusedExecutor(bench.MakeAlgorithm(bench.AlgoSparta, disk), disk, 250*time.Millisecond, n)
 
+	release := algotest.Hold(ex)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -371,6 +384,7 @@ func TestFusedCountersAndBlocksSaved(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	release()
 	ex.Drain()
 
 	if bc := ex.Counters(); bc.FusedBatches != 1 {
@@ -411,6 +425,7 @@ func TestFusedFallbackUnsupportedView(t *testing.T) {
 	}
 
 	ex, eng := fusedExecutor(bench.MakeAlgorithm(bench.AlgoSparta, x), x, 250*time.Millisecond, n)
+	release := algotest.Hold(ex)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -427,6 +442,7 @@ func TestFusedFallbackUnsupportedView(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	release()
 	ex.Drain()
 	c := eng.Counters()
 	if c.FusedMembers != 0 || c.FallbackMembers != n {
@@ -472,6 +488,7 @@ func TestFusedBudget(t *testing.T) {
 			budget := membudget.New(tc.entries * cmap.DocStateBytes)
 			ex, eng := fusedExecutor(bench.MakeAlgorithm(bench.AlgoSparta, disk), disk, 250*time.Millisecond, 2)
 
+			release := algotest.Hold(ex)
 			var wg sync.WaitGroup
 			var budRes, sibRes model.TopK
 			var budSt topk.Stats
@@ -488,6 +505,7 @@ func TestFusedBudget(t *testing.T) {
 				sibRes, _, sibErr = ex.SearchContext(context.Background(), q, base)
 			}()
 			wg.Wait()
+			release()
 			ex.Drain()
 
 			if sibErr != nil {
@@ -543,6 +561,7 @@ func TestFusedDeltaStop(t *testing.T) {
 	opts := topk.Options{K: 10, Delta: time.Nanosecond, Threads: 1}
 	ex, eng := fusedExecutor(bench.MakeAlgorithm(bench.AlgoSparta, disk), disk, 50*time.Millisecond, n)
 
+	release := algotest.Hold(ex)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -562,6 +581,7 @@ func TestFusedDeltaStop(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	release()
 	ex.Drain()
 	if c := eng.Counters(); c.FusedMembers != n {
 		t.Errorf("fused members = %d, want %d", c.FusedMembers, n)

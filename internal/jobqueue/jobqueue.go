@@ -16,44 +16,50 @@ import (
 	"sync/atomic"
 )
 
-// Pool runs submitted jobs on a fixed set of worker goroutines.
+// Pool runs submitted jobs on a fixed number of workers, the first of
+// which is the goroutine that waits for the work: New(n) starts n−1
+// goroutines and the owner's Drain or Run call is the n-th worker, so a
+// query run with one thread never leaves the goroutine that submitted it
+// and a wider one saves a goroutine and the wake-ups of handing the
+// first job over and the result back.
 type Pool struct {
-	mu     sync.Mutex
+	mu sync.Mutex
+	// cond is signalled when a job is queued and broadcast when the pool
+	// stops or falls quiet (no job queued or executing).
 	cond   *sync.Cond
 	queue  []func()
 	closed bool
-
 	active int // jobs currently executing
-	idle   *sync.Cond
 
-	wg sync.WaitGroup
+	wg sync.WaitGroup // the goroutines New started
 }
 
-// New starts a pool with the given number of workers (at least 1).
+// New returns a pool of the given number of workers (at least 1),
+// counting the caller of Drain or Run as one: jobs submitted to a
+// one-worker pool run only inside those calls.
 func New(workers int) *Pool {
-	if workers < 1 {
-		workers = 1
-	}
 	p := &Pool{}
 	p.cond = sync.NewCond(&p.mu)
-	p.idle = sync.NewCond(&p.mu)
-	p.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go p.worker()
+	for i := 1; i < workers; i++ {
+		p.wg.Add(1)
+		go func() {
+			defer p.wg.Done()
+			p.work(false)
+		}()
 	}
 	return p
 }
 
-func (p *Pool) worker() {
-	defer p.wg.Done()
+// work runs queued jobs on the calling goroutine until the pool is
+// stopped or, when untilQuiet, until no job is queued or executing.
+func (p *Pool) work(untilQuiet bool) {
+	p.mu.Lock()
 	for {
-		p.mu.Lock()
-		for len(p.queue) == 0 && !p.closed {
+		for len(p.queue) == 0 && !p.closed && !(untilQuiet && p.active == 0) {
 			p.cond.Wait()
 		}
-		if len(p.queue) == 0 && p.closed {
-			p.mu.Unlock()
-			return
+		if len(p.queue) == 0 {
+			break // stopped (Stop empties the queue) or quiet
 		}
 		job := p.queue[0]
 		p.queue = p.queue[1:]
@@ -65,14 +71,14 @@ func (p *Pool) worker() {
 		p.mu.Lock()
 		p.active--
 		if p.active == 0 && len(p.queue) == 0 {
-			p.idle.Broadcast()
+			p.cond.Broadcast()
 		}
-		p.mu.Unlock()
 	}
+	p.mu.Unlock()
 }
 
 // Submit enqueues a job. Jobs may Submit follow-on jobs. Submitting to
-// a closed pool is a no-op (late self-re-enqueues during shutdown are
+// a stopped pool is a no-op (late self-re-enqueues during shutdown are
 // dropped harmlessly).
 func (p *Pool) Submit(job func()) {
 	p.mu.Lock()
@@ -83,26 +89,31 @@ func (p *Pool) Submit(job func()) {
 	p.mu.Unlock()
 }
 
-// Drain blocks until the queue is empty and no job is executing. A job
-// submitted after Drain observes quiescence may still run later; Drain
-// is for the "all posting lists exhausted" termination of a query whose
-// jobs have stopped re-enqueueing.
-func (p *Pool) Drain() {
-	p.mu.Lock()
-	for p.active > 0 || len(p.queue) > 0 {
-		p.idle.Wait()
-	}
-	p.mu.Unlock()
-}
+// Drain runs jobs on the calling goroutine until the queue is empty and
+// no job is executing. A job submitted after Drain observes quiescence
+// may still run later; Drain is for the "all posting lists exhausted"
+// termination of a query whose jobs have stopped re-enqueueing.
+func (p *Pool) Drain() { p.work(true) }
 
-// Close stops accepting jobs, discards queued-but-unstarted work, and
-// waits for running jobs to finish.
-func (p *Pool) Close() {
+// Run runs jobs on the calling goroutine until Stop: the wait of a
+// query that something other than an empty queue ends (a stopping
+// condition met inside a job, a timer).
+func (p *Pool) Run() { p.work(false) }
+
+// Stop stops accepting jobs and discards queued-but-unstarted work
+// without waiting for running jobs, so a job may call it.
+func (p *Pool) Stop() {
 	p.mu.Lock()
 	p.closed = true
 	p.queue = nil
 	p.cond.Broadcast()
 	p.mu.Unlock()
+}
+
+// Close stops the pool and waits for the jobs running on its own
+// goroutines to finish. Call it from outside the pool's jobs.
+func (p *Pool) Close() {
+	p.Stop()
 	p.wg.Wait()
 }
 

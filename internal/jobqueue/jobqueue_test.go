@@ -75,7 +75,7 @@ func TestDrainOnIdlePool(t *testing.T) {
 }
 
 func TestCloseDiscardsQueued(t *testing.T) {
-	p := New(1)
+	p := New(2) // one goroutine besides the caller, to be running the blocker
 	block := make(chan struct{})
 	var ran atomic.Int64
 	p.Submit(func() { <-block })
@@ -213,4 +213,75 @@ func TestEventJobLosesNoWakeup(t *testing.T) {
 			p.Close()
 		}
 	}
+}
+
+func TestCallerIsAWorker(t *testing.T) {
+	base := runtime.NumGoroutine()
+	p := New(1)
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("New(1) started %d goroutines; its only worker is the caller", n-base)
+	}
+	// No synchronization on ran: every job runs on this goroutine, or
+	// the race detector says otherwise.
+	var ran []string
+	p.Submit(func() {
+		ran = append(ran, "before")
+		p.Submit(func() { ran = append(ran, "during") })
+	})
+	if len(ran) != 0 {
+		t.Fatalf("jobs %v ran with nobody waiting", ran)
+	}
+	p.Drain()
+	if len(ran) != 2 || ran[0] != "before" || ran[1] != "during" {
+		t.Fatalf("Drain ran %v, want the job submitted before it and the one submitted during", ran)
+	}
+
+	// Run works until a job stops the pool; what is still queued then,
+	// and what is submitted afterwards, never runs.
+	p.Submit(func() {
+		ran = append(ran, "stopper")
+		p.Submit(func() { ran = append(ran, "discarded") })
+		p.Stop()
+		p.Submit(func() { ran = append(ran, "late") })
+	})
+	p.Submit(func() { ran = append(ran, "queued behind the stopper") })
+	p.Run()
+	p.Close()
+	if len(ran) != 3 || ran[2] != "stopper" {
+		t.Fatalf("ran %v, want nothing after the stopper", ran)
+	}
+
+	// A wider pool starts one goroutine fewer than its width, and Close
+	// leaves none behind.
+	p = New(3)
+	if n := runtime.NumGoroutine(); n > base+2 {
+		t.Fatalf("New(3) started %d goroutines, want 2", n-base)
+	}
+	var n atomic.Int64
+	for i := 0; i < 100; i++ {
+		p.Submit(func() { n.Add(1) })
+	}
+	p.CloseAfterDrain()
+	if n.Load() != 100 {
+		t.Errorf("ran %d jobs, want 100", n.Load())
+	}
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before New", runtime.NumGoroutine(), base)
+		}
+	}
+}
+
+func TestStopWakesRun(t *testing.T) {
+	// The wait of a query that a timer ends: Run is idle (nothing queued)
+	// when something outside the pool stops it.
+	p := New(2)
+	started := make(chan struct{})
+	p.Submit(func() { close(started) })
+	go func() {
+		<-started
+		p.Stop()
+	}()
+	p.Run()
+	p.Close()
 }

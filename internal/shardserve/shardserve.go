@@ -172,11 +172,15 @@ type Config struct {
 
 	// BatchWindow enables per-shard query coalescing (package
 	// batchexec): each shard's algorithm is wrapped in a batch executor,
-	// so concurrent queries fanning out to the same shard within this
-	// window share one warm-up pass and single-flight their block fills.
-	// Zero disables batching (the default serving path, unchanged).
-	// Hedged retries bypass the batch layer — a hedge exists to cut tail
-	// latency, not to wait out a collection window.
+	// so queries that reach a shard while it is executing others form a
+	// batch that shares one warm-up pass and single-flights its block
+	// fills. The window is an upper bound on how long a batch collects,
+	// waited only while other queries are executing on the shard: a
+	// query that finds its shard idle runs at once, and a collecting
+	// batch launches as soon as the shard goes idle. Zero disables
+	// batching (the default serving path, unchanged). Hedged retries
+	// bypass the batch layer — a hedge exists to cut tail latency, not
+	// to collect a batch.
 	BatchWindow time.Duration
 	// MaxBatch caps a shard batch (default 16; see batchexec.Config).
 	MaxBatch int
@@ -1048,6 +1052,7 @@ func (g *Group) BatchCounters() batchexec.Counters {
 		c.Batches += bc.Batches
 		c.BatchedQueries += bc.BatchedQueries
 		c.Coalesced += bc.Coalesced
+		c.Immediate += bc.Immediate
 		if bc.MaxBatchObserved > c.MaxBatchObserved {
 			c.MaxBatchObserved = bc.MaxBatchObserved
 		}

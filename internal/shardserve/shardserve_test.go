@@ -510,7 +510,7 @@ func TestBatchedGroupMatchesUnbatched(t *testing.T) {
 		MaxBatch:        n,
 		BatchWarmBlocks: 2,
 	}, func(v postings.View) topk.Algorithm {
-		return bench.MakeAlgorithm(bench.AlgoSparta, v)
+		return algotest.Gated(bench.MakeAlgorithm(bench.AlgoSparta, v))
 	}, views)
 	if err != nil {
 		t.Fatal(err)
@@ -526,6 +526,12 @@ func TestBatchedGroupMatchesUnbatched(t *testing.T) {
 		res model.TopK
 		st  shardserve.ShardedStats
 	}
+	// A shard's executor runs a lone query at once and collects batches
+	// behind an executing one: hold a query inside every shard's executor
+	// while the n arrive.
+	release := algotest.HoldInFlight(p, func(ctx context.Context) {
+		g.SearchShards(ctx, queries[0], topk.Options{K: k})
+	})
 	results := make([]result, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -540,6 +546,7 @@ func TestBatchedGroupMatchesUnbatched(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	release()
 	g.Drain()
 
 	for i, q := range queries {
@@ -554,10 +561,10 @@ func TestBatchedGroupMatchesUnbatched(t *testing.T) {
 	}
 	algotest.AssertSettled(t, "after batch drain", g)
 	bc := g.BatchCounters()
-	// Every query visits every shard, so each shard's executor batched n
-	// queries: n*p in total across the group.
-	if bc.BatchedQueries != int64(n*p) {
-		t.Errorf("batched queries = %d, want %d", bc.BatchedQueries, n*p)
+	// Every query — the held one too — visits every shard, so each
+	// shard's executor batched n+1 queries.
+	if bc.BatchedQueries != int64((n+1)*p) {
+		t.Errorf("batched queries = %d, want %d", bc.BatchedQueries, (n+1)*p)
 	}
 	if bc.Coalesced == 0 {
 		t.Error("no queries coalesced despite a generous window")

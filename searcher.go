@@ -75,12 +75,17 @@ type SearcherConfig struct {
 	ShedQuantile float64
 
 	// BatchWindow enables multi-query batch execution (package
-	// batchexec): concurrent queries arriving within this window are
+	// batchexec): queries arriving while others are executing are
 	// coalesced into one batch that shares a cursor warm-up pass for
 	// overlapping terms and single-flights its posting-block fills.
-	// Zero (the default) disables batching — the serving path is then
-	// byte-identical to an unbatched Searcher. For sharded serving,
-	// prefer ShardGroupConfig.BatchWindow, which batches per shard.
+	// The window is an upper bound on how long a batch collects, waited
+	// only while other queries are executing: a query that finds the
+	// searcher idle runs at once on the caller's goroutine, and a
+	// collecting batch launches as soon as the last executing query
+	// leaves. Zero (the default) disables batching — the serving path
+	// is then byte-identical to an unbatched Searcher. For sharded
+	// serving, prefer ShardGroupConfig.BatchWindow, which batches per
+	// shard.
 	BatchWindow time.Duration
 	// MaxBatch caps the batch size (default 16; see batchexec.Config).
 	MaxBatch int

@@ -332,7 +332,7 @@ func TestSearcherBatchingEndToEnd(t *testing.T) {
 	disk.SetPostingCache(cache)
 
 	plain := sparta.NewSearcher(sparta.New(disk), sparta.SearcherConfig{})
-	batched := sparta.NewSearcher(sparta.New(disk), sparta.SearcherConfig{
+	batched := sparta.NewSearcher(algotest.Gated(sparta.New(disk)), sparta.SearcherConfig{
 		BatchWindow:     30 * time.Millisecond,
 		MaxBatch:        4,
 		BatchWarmBlocks: 2,
@@ -355,6 +355,9 @@ func TestSearcherBatchingEndToEnd(t *testing.T) {
 		want[i] = res
 	}
 
+	// A lone query runs at once; batches collect behind an executing
+	// one, so hold one inside the executor while the n arrive.
+	release := algotest.Hold(batched)
 	got := make([]sparta.TopK, n)
 	var wg sync.WaitGroup
 	for i := range qs {
@@ -371,6 +374,7 @@ func TestSearcherBatchingEndToEnd(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	release()
 	batched.Drain()
 
 	for i := range qs {
@@ -379,8 +383,8 @@ func TestSearcherBatchingEndToEnd(t *testing.T) {
 		}
 	}
 	bc := batched.BatchCounters()
-	if bc.BatchedQueries != n || bc.Coalesced == 0 {
-		t.Errorf("batch counters = %+v, want %d batched queries with coalescing", bc, n)
+	if bc.BatchedQueries != n+1 || bc.Coalesced == 0 {
+		t.Errorf("batch counters = %+v, want %d batched queries (the held one included) with coalescing", bc, n+1)
 	}
 	algotest.AssertSettled(t, "after drain", disk.Store())
 	if cs := cache.Snapshot(); cs.DupFillsSuppressed == 0 {
