@@ -64,16 +64,26 @@ func (a *PNRA) search(es *topk.ExecState, q model.Query, opts topk.Options) (mod
 	}
 
 	view := es.BindView(a.view)
+	store := cmap.GetStore()
 	r := &run{
 		opts:    opts,
 		m:       len(q),
 		exec:    es,
-		docMap:  cmap.New(16 * opts.K),
+		docMap:  store.Map(cmap.DefaultShards, 16*opts.K),
 		docHeap: heap.GetDoc(opts.K),
+		inHeap:  make(map[*cmap.DocState]bool, opts.K),
 	}
+	// Past pool.Close() and idle.Stop() no worker, checker pass or Δ
+	// timer is left to reach the heap or a candidate, on any stop reason.
+	defer func() {
+		heap.PutDoc(r.docHeap)
+		store.Release()
+	}()
 	r.cursors = make([]postings.ScoreCursor, r.m)
+	r.slabs = make([]*cmap.Slab, r.m)
 	for i, t := range q {
 		r.cursors[i] = view.ScoreCursor(t)
+		r.slabs[i] = store.Slab(r.m)
 	}
 	r.ubs = topk.NewUpperBounds(topk.TermMaxima(view, q))
 	r.idle = topk.NewIdleStop(opts, func() { r.finish("delta") })
@@ -104,13 +114,11 @@ func (a *PNRA) search(es *topk.ExecState, q model.Query, opts topk.Options) (mod
 	}
 	st.Duration = time.Since(start)
 	if r.failed.Load() {
-		heap.PutDoc(r.docHeap) // pool.Close() returned: no worker holds it
 		return nil, st, membudget.ErrMemoryBudget
 	}
 	r.heapMu.Lock()
 	res := r.docHeap.Results()
 	r.heapMu.Unlock()
-	heap.PutDoc(r.docHeap)
 	if opts.Probe != nil {
 		opts.Probe.Final(res)
 	}
@@ -128,6 +136,7 @@ type run struct {
 	checker *jobqueue.EventJob // the stop checker, parked between events
 
 	docMap   *cmap.Map
+	slabs    []*cmap.Slab // slabs[i] allocates what term i's list discovers; one worker owns a list at a time
 	mapBytes atomic.Int64
 
 	heapMu  sync.Mutex
@@ -142,7 +151,8 @@ type run struct {
 	nPostings  atomic.Int64
 	nInserts   atomic.Int64
 	stopReason atomic.Value
-	ubBuf      []model.Score
+	ubBuf      []model.Score // the stop checker's scratch, like inHeap
+	inHeap     map[*cmap.DocState]bool
 }
 
 func (r *run) finish(reason string) {
@@ -185,7 +195,7 @@ func (r *run) processTerm(i int) {
 			if err := r.opts.Budget.Charge(cmap.DocStateBytes); err != nil {
 				return nil
 			}
-			return cmap.NewDocState(doc, r.m)
+			return r.slabs[i].New(doc)
 		})
 		if d == nil {
 			r.failed.Store(true)
@@ -252,14 +262,14 @@ func (r *run) stopChecker() {
 		// Condition 2: no visited doc outside the heap can still pass Θ.
 		r.ubBuf = r.ubs.Snapshot(r.ubBuf)
 		r.heapMu.Lock()
-		inHeap := make(map[*cmap.DocState]bool, r.docHeap.Len())
+		clear(r.inHeap)
 		for _, d := range r.docHeap.Items() {
-			inHeap[d] = true
+			r.inHeap[d] = true
 		}
 		r.heapMu.Unlock()
 		safe := true
 		r.docMap.Range(func(d *cmap.DocState) bool {
-			if !inHeap[d] && d.UB(r.ubBuf) > theta {
+			if d.UB(r.ubBuf) > theta && !r.inHeap[d] {
 				safe = false
 				return false
 			}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"sparta/internal/algos/algotest"
+	"sparta/internal/cmap"
 	"sparta/internal/membudget"
 	"sparta/internal/model"
 	"sparta/internal/topk"
@@ -108,4 +109,41 @@ func TestPNRAUsesMoreMemoryThanSpartaWould(t *testing.T) {
 func TestPNRASchedulingStress(t *testing.T) {
 	x := algotest.SmallIndex(t, 6)
 	algotest.StressScheduling(t, x, New(x), nil)
+}
+
+// TestPNRAStoreReuse runs queries of every length back to back on one
+// goroutine — each takes the candidate store the last one gave back,
+// whether that one ended safe, out of memory or by Δ — and checks that
+// every exact answer is still the exact set and the budget is level.
+func TestPNRAStoreReuse(t *testing.T) {
+	x := algotest.MediumIndex(t, 7)
+	a := New(x)
+	b := membudget.New(1 << 30)
+	for round := 0; round < 3; round++ {
+		for _, m := range []int{12, 1, 7, 2, 12, 3} {
+			q := algotest.RandomQuery(x, m, uint64(100*round+m))
+			exact := topk.BruteForce(x, q, 10)
+			got, _, err := a.Search(q, topk.Options{K: 10, Exact: true, Threads: 1 + round, Budget: b})
+			if err != nil {
+				t.Fatal(err)
+			}
+			algotest.AssertExactSet(t, "pNRA", exact, got)
+			if b.Used() != 0 {
+				t.Fatalf("budget holds %d bytes after an exact query", b.Used())
+			}
+			switch m {
+			case 7: // a query that fails on its second candidate
+				tiny := membudget.New(cmap.DocStateBytes)
+				if _, _, err := a.Search(q, topk.Options{K: 10, Exact: true, Threads: 2, Budget: tiny}); !errors.Is(err, membudget.ErrMemoryBudget) || tiny.Used() != 0 {
+					t.Fatalf("err = %v with %d bytes held, want ErrMemoryBudget and none", err, tiny.Used())
+				}
+			case 3: // a query that Δ may cut short
+				res, _, err := a.Search(q, topk.Options{K: 10, Delta: time.Microsecond, Threads: 2, Budget: b})
+				if err != nil {
+					t.Fatal(err)
+				}
+				algotest.AssertPartialTopK(t, "pNRA", res, 10)
+			}
+		}
+	}
 }

@@ -60,3 +60,33 @@ func BenchmarkDocStateUB(b *testing.B) {
 		_ = d.UB(ub)
 	}
 }
+
+// BenchmarkMapChurn is one query's use of a docMap — check out, insert
+// n candidates, Range, give back — on a store that has already held
+// 12 000: what a small n costs next to a large one is the price of the
+// capacity the large one left behind, which should be nothing.
+func BenchmarkMapChurn(b *testing.B) {
+	churn := func(st *Store, n int) (visited int) {
+		m, sl := st.Map(DefaultShards, 40), st.Slab(12)
+		for id := model.DocID(0); id < model.DocID(n); id++ {
+			m.GetOrCreate(id*7, func() *DocState { return sl.New(id * 7) })
+		}
+		m.Range(func(*DocState) bool { visited++; return true })
+		st.reset()
+		return visited
+	}
+	for _, n := range []int{40, 5000, 12000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			st := new(Store)
+			churn(st, 12000)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if got := churn(st, n); got != n {
+					b.Fatalf("Range visited %d of %d", got, n)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/entry")
+		})
+	}
+}

@@ -1,13 +1,15 @@
-// Package cmap provides the shared candidate-document state used by the
+// Package cmap provides the candidate-document state used by the
 // score-order algorithms (Sparta, pNRA, pJASS): a striped concurrent
-// hash map from document id to accumulated per-term scores.
+// hash map from document id to accumulated per-term scores, and the
+// per-query Store that Sparta's and pNRA's candidate memory comes from.
 //
 // The paper protects "each hash bucket by a granular lock, which
 // performs better than the generic Java concurrent hashmap" (§4.3);
-// here each of a fixed number of shards carries its own mutex, giving
-// the same bucket-granular contention profile. The map's size is
-// tracked with an atomic counter so Sparta's cleaner and termMap logic
-// can poll |docMap| without locking every shard.
+// here each of a fixed number of stripes is a flat open-addressed Table
+// under its own mutex, giving the same bucket-granular contention
+// profile. The map's size is tracked with an atomic counter so Sparta's
+// cleaner and termMap logic can poll |docMap| without locking every
+// stripe.
 //
 // DocState carries the per-term partial scores. Score slots are written
 // by the worker currently traversing that term's posting list and read
@@ -15,6 +17,42 @@
 // implementation leaves those reads racy; in Go a racy read is
 // undefined behaviour, so slots are accessed with sync/atomic — free on
 // x86 loads and keeps `go test -race` clean (see DESIGN.md §4).
+//
+// # The store's lifecycle
+//
+// A query checks a Store out of a pool (GetStore), takes from it every
+// docMap generation (Store.Map: the growing-phase map and one per
+// cleaner pass), one Slab per posting list and one replica Table per
+// termMap, and gives the Store back whole (Release). A generation the
+// cleaner has replaced is retired, not reused: a worker that loaded the
+// old pointer may still be probing it, so it stays as it is until the
+// query's workers and timers are gone — the paper's JVM collects such
+// maps, here they wait for Release and then serve the next query. No
+// *DocState may outlive the Release of the store it was carved from. A
+// Map from New / NewWithShards belongs to no store and is collected
+// like any other value.
+//
+// The pool is outside the memory budget, like the heap and decode-buffer
+// pools: membudget is charged DocStateBytes when a candidate is created
+// and released the same amount when the cleaner drops it or the query
+// ends, which bounds the candidates a query may hold at once, not the
+// bytes idle Stores retain between queries (sync.Pool evicts those).
+//
+// # Why active prefixes
+//
+// A table in use is the active prefix of a retained buffer, sized for
+// the entries it is about to hold, so clearing, iterating and growing
+// it cost in proportion to its live entries. Reusing the Go maps this
+// package used to be built from does not have that property — a
+// recycled map is cleared and iterated in proportion to the largest
+// query it ever held — and measured worse than allocating fresh on the
+// benchmark's disk_voice workload, whose queries range from one term
+// to twelve and whose candidate peak reaches 12 492 (p95): qps
+// 618/608/560 → 523/580/531 in three pairs, cpu_ms_per_query +7…+16 %,
+// six cleaner generations per query each paying for 16–32 K empty
+// slots. Tables whose active size follows the live entries read
+// 613/625 → 656/646 on the same workload (both from the prototypes that
+// sized this design; results/candidate_store.txt has the final runs).
 package cmap
 
 import (
@@ -24,13 +62,14 @@ import (
 	"sparta/internal/model"
 )
 
-// DocStateBytes approximates the heap footprint of one candidate entry
-// (map bucket + DocState + score vector) for membudget accounting. It
-// counts candidates, not allocations: a candidate carved from a Slab
-// shares its chunk with up to slabMaxChunk-1 siblings, and the chunk is
-// only collected once none of them is referenced, so a budget release
-// for a dropped candidate can run ahead of the memory actually freed by
-// at most one chunk (slabMaxChunk × (DocState + m scores)) per term.
+// DocStateBytes approximates the footprint of one candidate entry
+// (table slot + DocState + score vector) for membudget accounting. It
+// counts candidates, not allocations: candidates are carved from Slab
+// chunks, a chunk of a pooled Store is kept for the next query rather
+// than freed, and a chunk of a bare Slab is collected only once none of
+// the up to slabMaxChunk candidates in it is referenced. A budget
+// release for a dropped candidate therefore says that the query holds
+// one candidate fewer, not that the process holds 96 bytes less.
 const DocStateBytes = 96
 
 // DocState is the per-candidate accumulator: the paper's DocType
@@ -60,51 +99,6 @@ type DocState struct {
 // NewDocState creates a candidate for an m-term query.
 func NewDocState(id model.DocID, m int) *DocState {
 	return &DocState{ID: id, scores: make([]int64, m), HeapIdx: -1}
-}
-
-// Slab allocates the candidates one posting list discovers. A list is
-// traversed by one worker at a time, so a slab needs no lock; it carves
-// DocStates and their score vectors out of two chunked arrays — two
-// allocations per chunk instead of two per candidate. Chunks double
-// from slabMinChunk to slabMaxChunk entries, so a short list costs
-// little and a long one amortizes; a chunk lives as long as any of its
-// candidates is referenced (see DocStateBytes for what that means for
-// the memory budget).
-type Slab struct {
-	m      int
-	next   int // entries in the next chunk
-	states []DocState
-	scores []int64
-}
-
-const (
-	slabMinChunk = 16
-	slabMaxChunk = 1024
-)
-
-// NewSlab creates a slab for an m-term query. Nothing is allocated
-// until the first candidate.
-func NewSlab(m int) *Slab { return &Slab{m: m, next: slabMinChunk} }
-
-// New returns a fresh candidate, equal to NewDocState(id, m): zero
-// scores in a vector no other candidate shares, not in the heap.
-func (s *Slab) New(id model.DocID) *DocState {
-	if len(s.states) == cap(s.states) {
-		s.states = make([]DocState, 0, s.next)
-		s.scores = make([]int64, s.next*s.m)
-		if s.next < slabMaxChunk {
-			s.next *= 2
-		}
-	}
-	n := len(s.states)
-	s.states = s.states[:n+1]
-	d := &s.states[n]
-	d.ID = id
-	// The capacity is capped too, so a vector can never be appended
-	// into its neighbour.
-	d.scores = s.scores[n*s.m : (n+1)*s.m : (n+1)*s.m]
-	d.HeapIdx = -1
-	return d
 }
 
 // NumTerms returns the score-vector length m.
@@ -146,16 +140,17 @@ func (d *DocState) UB(ub []model.Score) model.Score {
 // contention negligible at the paper's 12-thread scale.
 const DefaultShards = 64
 
-// Map is the striped concurrent docMap.
+// Map is the striped concurrent docMap: each stripe is a Table under
+// its own mutex.
 type Map struct {
 	shards []shard
-	shift  uint
+	shift  uint // 64 - log2(len(shards)): the hash's top bits pick the stripe
 	count  atomic.Int64
 }
 
 type shard struct {
 	mu sync.Mutex
-	m  map[model.DocID]*DocState
+	t  Table
 }
 
 // New creates an empty map sized for about sizeHint entries with the
@@ -164,41 +159,54 @@ func New(sizeHint int) *Map { return NewWithShards(DefaultShards, sizeHint) }
 
 // NewWithShards creates a map with an explicit stripe count (rounded up
 // to a power of two). nShards = 1 degenerates to a single global lock —
-// the configuration the global-lock ablation benchmark measures.
+// the configuration the global-lock ablation benchmark measures. The
+// map belongs to no Store: when it is dropped it is simply collected.
 func NewWithShards(nShards, sizeHint int) *Map {
-	n := 1
-	for n < nShards {
-		n *= 2
-	}
-	m := &Map{shards: make([]shard, n)}
-	shift := uint(64)
-	for s := n; s > 1; s /= 2 {
-		shift--
-	}
-	m.shift = shift
-	per := sizeHint / n
-	if per < 4 {
-		per = 4
-	}
-	for i := range m.shards {
-		m.shards[i].m = make(map[model.DocID]*DocState, per)
-	}
+	m := new(Map)
+	m.init(nShards, sizeHint)
 	return m
 }
 
-func (m *Map) shardFor(id model.DocID) *shard {
-	if len(m.shards) == 1 {
-		return &m.shards[0]
+// init readies m, new or cleared, for about sizeHint entries in nShards
+// stripes. The stripes of a new map are carved from two allocations.
+func (m *Map) init(nShards, sizeHint int) {
+	n, skip := 1, uint(0) // the hash bits that pick the stripe
+	for n < nShards {
+		n, skip = 2*n, skip+1
 	}
-	// Fibonacci hashing spreads dense ids across shards.
-	return &m.shards[(uint64(id)*0x9e3779b97f4a7c15)>>m.shift]
+	size := tableSize(sizeHint / n)
+	if len(m.shards) != n {
+		m.shards = make([]shard, n)
+		m.shift = 64 - skip
+		keys, vals := make([]uint32, n*size), make([]*DocState, n*size)
+		for i := range m.shards {
+			lo, hi := i*size, (i+1)*size
+			m.shards[i].t.keys, m.shards[i].t.vals = keys[lo:lo:hi], vals[lo:lo:hi]
+		}
+	}
+	for i := range m.shards {
+		m.shards[i].t.init(size, skip)
+	}
+}
+
+// clear empties a quiescent map, at a cost that follows its entries.
+func (m *Map) clear() {
+	for i := range m.shards {
+		m.shards[i].t.clear()
+	}
+	m.count.Store(0)
+}
+
+func (m *Map) shardFor(h uint64) *shard {
+	return &m.shards[h>>m.shift] // one stripe: a shift by 64 is 0
 }
 
 // Get returns the candidate for id, or nil.
 func (m *Map) Get(id model.DocID) *DocState {
-	s := m.shardFor(id)
+	h := hash(id)
+	s := m.shardFor(h)
 	s.mu.Lock()
-	d := s.m[id]
+	d := s.t.get(h, id)
 	s.mu.Unlock()
 	return d
 }
@@ -209,15 +217,15 @@ func (m *Map) Get(id model.DocID) *DocState {
 // returned — that is how callers abort insertion on a failed memory
 // budget charge without a second lock round trip.
 func (m *Map) GetOrCreate(id model.DocID, create func() *DocState) (d *DocState, created bool) {
-	s := m.shardFor(id)
+	h := hash(id)
+	s := m.shardFor(h)
 	s.mu.Lock()
-	d, ok := s.m[id]
-	if !ok {
-		d = create()
-		if d != nil {
-			s.m[id] = d
-			created = true
-		}
+	i, ok := s.t.find(h, id)
+	if ok {
+		d = s.t.vals[i]
+	} else if d = create(); d != nil {
+		s.t.insert(i, h, d)
+		created = true
 	}
 	s.mu.Unlock()
 	if created {
@@ -228,10 +236,10 @@ func (m *Map) GetOrCreate(id model.DocID, create func() *DocState) (d *DocState,
 
 // Put inserts or replaces the candidate for id.
 func (m *Map) Put(d *DocState) {
-	s := m.shardFor(d.ID)
+	h := hash(d.ID)
+	s := m.shardFor(h)
 	s.mu.Lock()
-	_, existed := s.m[d.ID]
-	s.m[d.ID] = d
+	existed := s.t.put(h, d)
 	s.mu.Unlock()
 	if !existed {
 		m.count.Add(1)
@@ -250,13 +258,11 @@ func (m *Map) Range(f func(d *DocState) bool) {
 	for i := range m.shards {
 		s := &m.shards[i]
 		s.mu.Lock()
-		for _, d := range s.m {
-			if !f(d) {
-				s.mu.Unlock()
-				return
-			}
-		}
+		more := s.t.each(f)
 		s.mu.Unlock()
+		if !more {
+			return
+		}
 	}
 }
 

@@ -204,47 +204,3 @@ func TestLenMatchesDistinctIDsProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestSlabStatesAreFreshAndDisjoint(t *testing.T) {
-	const m, n = 5, 3 * slabMaxChunk // crosses every chunk size
-	s := NewSlab(m)
-	states := make([]*DocState, n)
-	for i := range states {
-		d := s.New(model.DocID(i))
-		if d.ID != model.DocID(i) || d.NumTerms() != m || d.HeapIdx != -1 || d.CachedLB != 0 || d.LB() != 0 {
-			t.Fatalf("state %d does not start clean: id %d, %d terms, HeapIdx %d, CachedLB %d, LB %d",
-				i, d.ID, d.NumTerms(), d.HeapIdx, d.CachedLB, d.LB())
-		}
-		for j := 0; j < m; j++ {
-			if d.ScoreAt(j) != 0 {
-				t.Fatalf("state %d term %d starts at %d", i, j, d.ScoreAt(j))
-			}
-		}
-		states[i] = d
-	}
-	// Every slot of every state gets its own value; an aliased vector
-	// would show as a value written through a neighbour.
-	for i, d := range states {
-		for j := 0; j < m; j++ {
-			d.SetScore(j, model.Score(i*m+j+1))
-		}
-	}
-	for i, d := range states {
-		var lb model.Score
-		for j := 0; j < m; j++ {
-			want := model.Score(i*m + j + 1)
-			if got := d.ScoreAt(j); got != want {
-				t.Fatalf("state %d term %d = %d, want %d: score vectors alias", i, j, got, want)
-			}
-			lb += want
-		}
-		if d.LB() != lb {
-			t.Fatalf("state %d LB %d, want %d", i, d.LB(), lb)
-		}
-	}
-	// A vector's capacity ends where it does: appending cannot reach
-	// the next state's scores.
-	if d := states[0]; cap(d.scores) != m {
-		t.Errorf("score vector capacity %d, want %d", cap(d.scores), m)
-	}
-}

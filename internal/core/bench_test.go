@@ -66,3 +66,36 @@ func BenchmarkSpartaRAMLong(b *testing.B) {
 }
 
 var benchSink model.TopK
+
+var raceEnabled bool // set by race_test.go
+
+// TestSpartaSteadyStateAllocs is the allocation gate: once the pools
+// are warm, a 12-term query at Threads 1 allocates its run state, its
+// cursors and its answer — about a hundred objects — and no candidate
+// memory. The parent of the pooled store read 1 388 here; the slack up
+// to 300 absorbs a sync.Pool flushed by a GC cycle inside the run.
+func TestSpartaSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	view, pool := ramLongStack(t)
+	s := New(view)
+	opts := topk.Options{K: 10, Exact: true, Threads: 1}
+	next := 0
+	query := func() {
+		res, _, err := s.Search(pool[next%len(pool)], opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		benchSink = res
+		next++
+	}
+	for range pool { // warm-up: 120 queries
+		query()
+	}
+	if got := testing.AllocsPerRun(len(pool), query); got > 300 {
+		t.Errorf("%.0f allocs per 12-term query in steady state, want at most 300", got)
+	} else {
+		t.Logf("%.0f allocs per query", got)
+	}
+}

@@ -128,10 +128,13 @@ type run struct {
 	theta    atomic.Int64
 	ubStop   atomic.Bool
 
+	// store is the query's candidate memory: every docMap generation,
+	// slab and replica below comes out of it, and run gives it back whole.
+	store    *cmap.Store
 	docMap   atomic.Pointer[cmap.Map]
-	cleaned  atomic.Bool                      // the cleaner has been over docMap at least once
-	slabs    []*cmap.Slab                     // slabs[i] allocates what term i's list discovers
-	termMaps []map[model.DocID]*cmap.DocState // nil => use global docMap
+	cleaned  atomic.Bool   // the cleaner has been over docMap at least once
+	slabs    []*cmap.Slab  // slabs[i] allocates what term i's list discovers
+	termMaps []*cmap.Table // nil => use global docMap
 
 	heapMu  sync.Mutex
 	docHeap *heap.DocHeap
@@ -175,8 +178,9 @@ func newRun(view postings.View, q model.Query, opts topk.Options, cfg Config, es
 		exec:     es,
 		cursors:  make([]postings.ScoreCursor, m),
 		termJobs: make([]func(), m),
+		store:    cmap.GetStore(),
 		slabs:    make([]*cmap.Slab, m),
-		termMaps: make([]map[model.DocID]*cmap.DocState, m),
+		termMaps: make([]*cmap.Table, m),
 		docHeap:  heap.GetDoc(opts.K),
 		probBuf:  make([]model.Score, m),
 		inHeap:   make(map[*cmap.DocState]bool, opts.K),
@@ -185,22 +189,29 @@ func newRun(view postings.View, q model.Query, opts topk.Options, cfg Config, es
 		i := i
 		r.cursors[i] = view.ScoreCursor(t)
 		r.termJobs[i] = func() { r.processTerm(i) }
-		r.slabs[i] = cmap.NewSlab(m)
+		r.slabs[i] = r.store.Slab(m)
 	}
 	r.idle = topk.NewIdleStop(opts, func() { r.finish("delta") })
 	r.ubs = topk.NewUpperBounds(topk.TermMaxima(view, q))
-	r.docMap.Store(cmap.NewWithShards(cfg.mapShards(), 4*opts.K))
+	r.docMap.Store(r.store.Map(cfg.mapShards(), 4*opts.K))
 	r.remaining.Store(int64(m))
 	return r
 }
 
 func (r *run) run() (model.TopK, topk.Stats, error) {
 	start := time.Now()
+	// Every return below is either before the pool exists or after
+	// pool.Close() and idle.Stop() have returned: no worker, cleaner pass
+	// or Δ timer is left that could reach the heap or a candidate, on any
+	// stop reason. What is returned holds values, no *DocState.
+	defer func() {
+		heap.PutDoc(r.docHeap)
+		r.store.Release()
+	}()
 	if r.opts.Probe != nil {
 		r.opts.Probe.Start()
 	}
 	if r.m == 0 {
-		heap.PutDoc(r.docHeap)
 		return model.TopK{}, topk.Stats{StopReason: "empty", Duration: time.Since(start)}, nil
 	}
 
@@ -243,7 +254,6 @@ func (r *run) run() (model.TopK, topk.Stats, error) {
 	err := r.runErr
 	r.errMu.Unlock()
 	if err != nil {
-		heap.PutDoc(r.docHeap) // pool.Close() returned: no worker holds it
 		return nil, st, err
 	}
 
@@ -251,7 +261,6 @@ func (r *run) run() (model.TopK, topk.Stats, error) {
 	r.heapMu.Lock()
 	res := r.docHeap.Results()
 	r.heapMu.Unlock()
-	heap.PutDoc(r.docHeap)
 	if r.opts.Probe != nil {
 		r.opts.Probe.Final(res)
 	}
@@ -335,16 +344,27 @@ func (r *run) processTerm(i int) {
 	// and a replica never drops an entry again.
 	if r.termMaps[i] == nil && r.cleaned.Load() {
 		if dm := r.docMap.Load(); dm.Len() < r.opts.Phi {
-			tm := make(map[model.DocID]*cmap.DocState, dm.Len())
+			tm := r.store.Table(dm.Len())
 			dm.Range(func(d *cmap.DocState) bool {
 				if d.ScoreAt(i) == 0 {
-					tm[d.ID] = d
+					tm.Put(d)
 				}
 				return true
 			})
 			r.termMaps[i] = tm
 		}
 	}
+
+	// Counted in locals and published once, however the segment ends:
+	// the shared counters cost a cache-line transfer per update.
+	var nPostings, nCreated, peak int64
+	defer func() {
+		r.nPostings.Add(nPostings)
+		r.mapBytes.Add(nCreated * cmap.DocStateBytes)
+		for old := r.peakDocs.Load(); peak > old && !r.peakDocs.CompareAndSwap(old, peak); {
+			old = r.peakDocs.Load()
+		}
+	}()
 
 	c := r.cursors[i]
 	var last model.Score
@@ -367,7 +387,7 @@ func (r *run) processTerm(i int) {
 			r.cleanerJob.Notify() // after remaining: a pass that sees this event sees the list gone
 			return
 		}
-		r.nPostings.Add(1)
+		nPostings++
 		doc, score := c.Doc(), c.Score() // line 15
 		last = score
 		if r.cfg.UBEveryPosting {
@@ -377,7 +397,7 @@ func (r *run) processTerm(i int) {
 		// Line 16: resolve the candidate through the term's map.
 		var d *cmap.DocState
 		if tm := r.termMaps[i]; tm != nil {
-			d = tm[doc]
+			d = tm.Get(doc)
 			if d == nil {
 				// Either already scored for this term or no longer a
 				// candidate; both mean skip.
@@ -390,11 +410,11 @@ func (r *run) processTerm(i int) {
 			// between the two would skip a candidate created meanwhile.
 			complete := r.ubStop.Load()
 			dm := r.docMap.Load()
-			d = dm.Get(doc)
-			if d == nil {
-				if complete {
+			if complete {
+				if d = dm.Get(doc); d == nil {
 					continue // line 21: hash complete, doc irrelevant
 				}
+			} else {
 				created := false
 				d, created = dm.GetOrCreate(doc, func() *cmap.DocState {
 					if err := r.opts.Budget.Charge(cmap.DocStateBytes); err != nil {
@@ -407,10 +427,8 @@ func (r *run) processTerm(i int) {
 					return
 				}
 				if created {
-					r.mapBytes.Add(cmap.DocStateBytes)
-					if n := int64(dm.Len()); n > r.peakDocs.Load() {
-						r.peakDocs.Store(n)
-					}
+					nCreated++
+					peak = max(peak, int64(dm.Len()))
 				}
 			}
 		}
@@ -500,9 +518,12 @@ func (r *run) cleaner() {
 	// |docMap| = |docHeap| eventually hold.
 	tmp := old
 	if !r.cfg.NoCleanerShrink {
-		tmp = cmap.NewWithShards(r.cfg.mapShards(), heapLen*2)
+		// old is retired, not reused: a worker may still be probing it.
+		tmp = r.store.Map(r.cfg.mapShards(), heapLen*2)
 		old.Range(func(d *cmap.DocState) bool {
-			if r.inHeap[d] || probRelevant(d, theta, r.ubBuf, r.cfg.ProbEpsilon, r.probBuf) {
+			// A heap member's bound is at least the Θ read above (Θ only
+			// rises), so the membership lookup is for the few that reach it.
+			if probRelevant(d, theta, r.ubBuf, r.cfg.ProbEpsilon, r.probBuf) || d.LB() >= theta && r.inHeap[d] {
 				tmp.Put(d) // line 44: still relevant
 			}
 			return true
