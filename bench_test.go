@@ -296,9 +296,10 @@ func BenchmarkAblationSegSize(b *testing.B) {
 // BenchmarkCompressionImpact checks, within the reproduction, the claim
 // the paper relies on when it abstracts compression away (§5): that
 // decompression's end-to-end impact is marginal. The same high-recall
-// Sparta queries run over the uncompressed disk index and over the
-// varint-delta compressed one (internal/cindex); compare ns/op between
-// the two sub-benchmarks, and see the size ratio metric.
+// Sparta queries run over one on-disk index built with codec.Raw and
+// with codec.Group — the codec is the only thing that differs between
+// the two sub-benchmarks; compare their ns/op, and see the size ratio
+// metric.
 func BenchmarkCompressionImpact(b *testing.B) {
 	env := benchEnv(b)
 	ci, err := cindex.FromIndex(env.Mem, 12, iomodel.DefaultConfig())

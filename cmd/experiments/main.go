@@ -47,8 +47,9 @@ import (
 	"time"
 
 	"sparta/internal/bench"
-	"sparta/internal/cindex"
+	"sparta/internal/codec"
 	"sparta/internal/corpus"
+	"sparta/internal/diskindex"
 	"sparta/internal/iomodel"
 	"sparta/internal/stats"
 	"sparta/internal/topk"
@@ -710,7 +711,7 @@ func (r *runner) run(name string) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		ci, err := cindex.FromIndex(env.Mem, r.envOpts.Shards, r.cfg)
+		ci, err := diskindex.FromIndexWith(env.Mem, r.envOpts.Shards, r.cfg, codec.Group)
 		if err != nil {
 			return "", err
 		}

@@ -2,7 +2,9 @@
 // directory created by corpusgen — the paper's offline index build
 // (§5.1): uncompressed binary posting files in both document order and
 // score order, block-max metadata, the RA secondary ordering, and the
-// sNRA shard partition.
+// sNRA shard partition. -compressed also writes the same index with the
+// group block codec to <out>-compressed: the same directory format,
+// opened by the same tools, with another codec id in its manifest.
 //
 // Usage:
 //
@@ -24,7 +26,7 @@ import (
 	"path/filepath"
 	"time"
 
-	"sparta/internal/cindex"
+	"sparta/internal/codec"
 	"sparta/internal/corpus"
 	"sparta/internal/diskindex"
 	"sparta/internal/index"
@@ -41,7 +43,7 @@ func main() {
 		corpusDir = flag.String("corpus", "", "corpus directory containing corpus.json (required)")
 		out       = flag.String("out", "", "index output directory (default <corpus>/index)")
 		shards    = flag.Int("shards", diskindex.DefaultShards, "sNRA document-id shards")
-		comp      = flag.Bool("compressed", false, "also write the varint-delta compressed form to <out>-compressed")
+		comp      = flag.Bool("compressed", false, "also write the index with the group block codec to <out>-compressed")
 		live      = flag.Bool("live", false, "ingest through the segmented live-index path instead of a one-shot build")
 		liveFlush = flag.Int("live-flush", 4096, "live-index memtable flush threshold (documents)")
 	)
@@ -83,7 +85,7 @@ func main() {
 	if *comp {
 		cdir := *out + "-compressed"
 		start = time.Now()
-		if err := cindex.WriteDir(x, *shards, cdir); err != nil {
+		if err := diskindex.WriteDirWith(x, *shards, cdir, codec.Group); err != nil {
 			log.Fatal(err)
 		}
 		log.Printf("wrote %s in %v", cdir, time.Since(start).Round(time.Millisecond))

@@ -1,8 +1,11 @@
 // Command indexstat inspects a built index directory: corpus-level
-// statistics, posting-list length distribution, score skew, and the
-// compression ratio the varint codec would achieve — the numbers one
-// looks at when judging whether a corpus can support score-order early
-// stopping at all (see DESIGN.md on the document-quality prior).
+// statistics, posting-list length distribution, score skew, the block
+// codec the index was written with and the compression it measures (or,
+// for an uncompressed index, the compression the group codec would
+// achieve) — the numbers one looks at when judging whether a corpus can
+// support score-order early stopping at all (see DESIGN.md on the
+// document-quality prior). Uncompressed and compressed directories are
+// one format and go through one code path.
 //
 // Usage:
 //
@@ -16,10 +19,9 @@
 // document range, block count and byte size of every segment in the
 // current epoch.
 //
-// A compressed index directory — one holding a cmanifest.json — prints
-// the posting codec it was written with and its measured compression
-// ratio, aggregate and over the longest lists. Directories written by
-// an older cindex format version are refused with a rebuild hint.
+// Directories written in a retired format (the three-file uncompressed
+// layout, the cmanifest.json compressed one) are refused with a rebuild
+// hint.
 //
 // -verify recomputes every file's SHA-256 digest and the per-shard (or
 // per-segment) Merkle root against the manifest and reports every
@@ -34,7 +36,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -44,7 +45,6 @@ import (
 	"strings"
 	"time"
 
-	"sparta/internal/cindex"
 	"sparta/internal/codec"
 	"sparta/internal/diskindex"
 	"sparta/internal/iomodel"
@@ -81,10 +81,6 @@ func main() {
 		liveStats(*indexDir)
 		return
 	}
-	if _, err := os.Stat(filepath.Join(*indexDir, cindex.ManifestFile)); err == nil {
-		cindexStats(*indexDir)
-		return
-	}
 
 	idx, err := diskindex.OpenDir(*indexDir, iomodel.RAMConfig())
 	if err != nil {
@@ -97,8 +93,12 @@ func main() {
 	}
 
 	m := idx.Manifest()
-	fmt.Printf("docs: %d   terms: %d   postings: %d   shards: %d\n",
-		m.NumDocs, m.NumTerms, m.TotalPostings, m.Shards)
+	fmt.Printf("docs: %d   terms: %d   postings: %d   shards: %d   codec: %s\n",
+		m.NumDocs, m.NumTerms, m.TotalPostings, m.Shards, m.Codec)
+	if stored := idx.CompressedBytes(); stored > 0 {
+		fmt.Printf("postings region: %d bytes stored, %d uncompressed (%.2fx)\n",
+			stored, idx.RawBytes(), float64(idx.RawBytes())/float64(stored))
+	}
 
 	// Posting-list length distribution.
 	dfs := make([]int, 0, idx.NumTerms())
@@ -150,29 +150,37 @@ func main() {
 			t, longest[i].df, head, mid, ratio)
 	}
 
-	// Compression ratio estimate over the longest lists.
-	var raw, comp int64
-	for i := 0; i < 50 && i < len(longest); i++ {
+	// Per-term ratios over the longest lists, where block structure
+	// dominates and the codec choice actually shows: what is stored, and
+	// for an uncompressed index what the group codec would store.
+	fmt.Printf("doc-ordered bytes of the 10 longest lists:\n")
+	fmt.Printf("  %-8s %-9s %-13s %-11s %s\n", "term", "df", "uncompressed", "stored", "ratio")
+	for i := 0; i < 10 && i < len(longest) && longest[i].df > 0; i++ {
 		t := longest[i].t
-		list := readDocList(idx, t)
-		raw += int64(len(list)) * 8
-		base := model.DocID(0)
-		for start := 0; start < len(list); start += postings.BlockSize {
-			end := start + postings.BlockSize
-			if end > len(list) {
-				end = len(list)
-			}
-			buf, err := codec.EncodeDocBlock(base, list[start:end])
-			if err != nil {
-				log.Fatal(err)
-			}
-			comp += int64(len(buf))
-			base = list[end-1].Doc
-		}
+		raw := int64(longest[i].df) * codec.RawPostingBytes
+		stored := idx.TermCompressedBytes(t)
+		fmt.Printf("  %-8d %-9d %-13d %-11d %.2fx\n", t, longest[i].df, raw, stored, float64(raw)/float64(stored))
 	}
-	if comp > 0 {
-		fmt.Printf("varint-delta compression over the 50 longest lists: %.2fx\n",
-			float64(raw)/float64(comp))
+	if m.Codec == codec.Raw {
+		var raw, comp int64
+		for i := 0; i < 50 && i < len(longest); i++ {
+			list := readDocList(idx, longest[i].t)
+			raw += int64(len(list)) * codec.RawPostingBytes
+			base := model.DocID(0)
+			for start := 0; start < len(list); start += postings.BlockSize {
+				block := list[start:min(start+postings.BlockSize, len(list))]
+				buf, err := codec.EncodeDoc(codec.Group, base, block)
+				if err != nil {
+					log.Fatal(err)
+				}
+				comp += int64(len(buf))
+				base = block[len(block)-1].Doc
+			}
+		}
+		if comp > 0 {
+			fmt.Printf("group-codec compression over the 50 longest lists: %.2fx\n",
+				float64(raw)/float64(comp))
+		}
 	}
 }
 
@@ -228,56 +236,6 @@ func remoteStats(addr string) {
 		log.Fatal(err)
 	}
 	fmt.Println(string(out))
-}
-
-// cindexStats prints the codec and compression breakdown of a
-// compressed index directory. A directory written by an older format
-// version gets a rebuild hint instead of a parse failure.
-func cindexStats(dir string) {
-	ci, err := cindex.OpenDir(dir, iomodel.RAMConfig())
-	var ve *cindex.VersionError
-	if errors.As(err, &ve) {
-		log.Fatalf("%s: compressed index uses format version %d, this build reads version %d — rebuild with cmd/indexbuild",
-			dir, ve.Got, ve.Want)
-	}
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	fmt.Printf("compressed index: docs=%d terms=%d codec=%s\n",
-		ci.NumDocs(), ci.NumTerms(), ci.Codec())
-	ratio := 0.0
-	if ci.CompressedBytes() > 0 {
-		ratio = float64(ci.RawBytes()) / float64(ci.CompressedBytes())
-	}
-	fmt.Printf("aggregate: %d raw -> %d compressed bytes (%.2fx)\n",
-		ci.RawBytes(), ci.CompressedBytes(), ratio)
-
-	// Per-term ratios over the longest lists, where block structure
-	// dominates and the codec choice actually shows.
-	type tl struct {
-		t  model.TermID
-		df int
-	}
-	longest := make([]tl, 0, ci.NumTerms())
-	for t := 0; t < ci.NumTerms(); t++ {
-		if df := ci.DF(model.TermID(t)); df > 0 {
-			longest = append(longest, tl{model.TermID(t), df})
-		}
-	}
-	sort.Slice(longest, func(i, j int) bool { return longest[i].df > longest[j].df })
-	fmt.Printf("per-term compression of the 10 longest lists:\n")
-	fmt.Printf("  %-8s %-9s %-11s %-11s %s\n", "term", "df", "raw B", "compressed", "ratio")
-	for i := 0; i < 10 && i < len(longest); i++ {
-		t, df := longest[i].t, longest[i].df
-		raw := int64(df) * codec.RawPostingBytes
-		comp := ci.TermCompressedBytes(t)
-		r := 0.0
-		if comp > 0 {
-			r = float64(raw) / float64(comp)
-		}
-		fmt.Printf("  %-8d %-9d %-11d %-11d %.2fx\n", t, df, raw, comp, r)
-	}
 }
 
 // liveStats prints the per-segment breakdown of a segmented live

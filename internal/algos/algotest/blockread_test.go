@@ -180,18 +180,18 @@ func TestBlockCursorsMatchReference(t *testing.T) {
 }
 
 // TestAllVariantsAgreeAcrossViews runs all fourteen algorithm variants
-// in exact mode over the in-memory, block-decoded and compressed views
-// (the compressed one under both posting codecs, and the charged views
-// also with a warm decoded-block cache) and requires identical top-k
-// sets; the sequential deterministic variants must also report
+// in exact mode over the in-memory view and the on-disk index under
+// both block codecs, each with no decoded-block cache and with a cold
+// and then a warm one, and requires identical top-k sets; the sequential deterministic variants must also report
 // identical traversal Stats across views.
 func TestAllVariantsAgreeAcrossViews(t *testing.T) {
 	mem, disk, comp := equivViews(t, 99)
 	disk.SetPostingCache(plcache.NewWithBudget(64 << 20))
 	comp.SetPostingCache(plcache.NewWithBudget(64 << 20))
-	leb, err := cindex.FromIndexWith(mem, equivShards, iomodel.RAMConfig(), codec.LEB128)
-	if err != nil {
-		t.Fatal(err)
+	// Reopen: the same indexes with no cache attached.
+	diskBare, compBare := disk.Reopen(iomodel.RAMConfig()), comp.Reopen(iomodel.RAMConfig())
+	if disk.Codec() != codec.Raw || comp.Codec() != codec.Group {
+		t.Fatalf("views built with %v and %v, want raw and group", disk.Codec(), comp.Codec())
 	}
 
 	allIDs := []bench.AlgoID{
@@ -221,9 +221,8 @@ func TestAllVariantsAgreeAcrossViews(t *testing.T) {
 				v     postings.View
 			}{
 				{"mem", mem},
-				{"disk", disk}, {"disk-warm", disk},
-				{"cindex", comp}, {"cindex-warm", comp},
-				{"cindex-leb128", leb},
+				{"raw", diskBare}, {"raw-cold", disk}, {"raw-warm", disk},
+				{"group", compBare}, {"group-cold", comp}, {"group-warm", comp},
 			} {
 				name := fmt.Sprintf("m%d/%s/%s", m, id, view.label)
 				got, st, err := bench.MakeAlgorithm(id, view.v).Search(q, opts)

@@ -47,6 +47,13 @@ type SNRA struct {
 // New creates sNRA over view.
 func New(view postings.View) *SNRA { return &SNRA{view: view} }
 
+// prebuilt is a view whose shard sublists were partitioned when it was
+// built — the on-disk index, under any codec — and can only be read at
+// that count. In-memory views filter at any count and don't implement it.
+type prebuilt interface {
+	Shards() int
+}
+
 // Name implements topk.Algorithm.
 func (a *SNRA) Name() string { return "sNRA" }
 
@@ -77,8 +84,8 @@ func (a *SNRA) search(es *topk.ExecState, q model.Query, opts topk.Options) (mod
 	}
 	shards := opts.Shards
 	if shards == 0 {
-		if di, ok := a.view.(*diskindex.Index); ok {
-			shards = di.Shards()
+		if pre, ok := a.view.(prebuilt); ok {
+			shards = pre.Shards()
 		} else {
 			shards = diskindex.DefaultShards
 		}

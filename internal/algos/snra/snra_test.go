@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"sparta/internal/algos/algotest"
+	"sparta/internal/codec"
 	"sparta/internal/diskindex"
 	"sparta/internal/iomodel"
 	"sparta/internal/membudget"
@@ -59,20 +60,24 @@ func TestSNRAShardsDefaultFromDiskIndex(t *testing.T) {
 	mem := algotest.SmallIndex(t, 3)
 	cfg := iomodel.DefaultConfig()
 	cfg.NoSleep = true
-	disk, err := diskindex.FromIndex(mem, 4, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := New(disk)
 	q := algotest.RandomQuery(mem, 3, 11)
 	exact := topk.BruteForce(mem, q, 10)
-	// Shards unset: must pick up the index's build-time count (4).
-	got, _, err := a.Search(q, topk.Options{K: 10, Exact: true, Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec := model.Recall(exact, got); rec < 0.9 {
-		t.Errorf("recall %v", rec)
+	// The build-time count is the on-disk index's under either codec; a
+	// view sNRA fails to ask falls back to 12 and panics in
+	// ScoreCursorShard.
+	for _, id := range []codec.ID{codec.Raw, codec.Group} {
+		disk, err := diskindex.FromIndexWith(mem, 4, cfg, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Shards unset: must pick up the index's build-time count (4).
+		got, _, err := New(disk).Search(q, topk.Options{K: 10, Exact: true, Threads: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec := model.Recall(exact, got); len(got) != len(exact) || rec < 0.9 {
+			t.Errorf("%v: %d results, recall %v", id, len(got), rec)
+		}
 	}
 }
 

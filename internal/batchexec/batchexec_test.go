@@ -17,6 +17,7 @@ import (
 	"sparta/internal/algos/algotest"
 	"sparta/internal/batchexec"
 	"sparta/internal/bench"
+	"sparta/internal/codec"
 	"sparta/internal/diskindex"
 	"sparta/internal/index"
 	"sparta/internal/iomodel"
@@ -216,6 +217,92 @@ func TestCoalescingCounters(t *testing.T) {
 	algotest.AssertSettled(t, "after drain", disk.Store())
 }
 
+// readsNothing answers every query empty without opening a cursor, so
+// whatever a cache holds after a batch of them, the warm-up pass put
+// there.
+type readsNothing struct{}
+
+func (readsNothing) Name() string { return "readsNothing" }
+func (readsNothing) Search(model.Query, topk.Options) (model.TopK, topk.Stats, error) {
+	return nil, topk.Stats{}, nil
+}
+func (readsNothing) SearchContext(context.Context, model.Query, topk.Options) (model.TopK, topk.Stats, error) {
+	return nil, topk.Stats{}, nil
+}
+
+// TestWarmUpOnEitherCodec: a two-member batch that shares one term
+// warms that term's leading blocks whichever codec the warm view was
+// built with — the same block keys, the same number of fills — and
+// leaves every warm reader settled. (A warmer only the uncompressed
+// index implements leaves the shipped serving config, whose warm view
+// is group-coded, silently unwarmed.)
+func TestWarmUpOnEitherCodec(t *testing.T) {
+	x := algotest.MediumIndex(t, 77)
+	const shards, warmBlocks = 3, 2
+	shared := model.TermID(0) // the longest list: several blocks in every region
+	qa, qb := model.Query{shared, 5}, model.Query{9, shared}
+
+	warmed := make(map[codec.ID]map[plcache.Key]bool)
+	for _, id := range []codec.ID{codec.Group, codec.Raw} {
+		view, err := diskindex.FromIndexWith(x, shards, iomodel.DefaultConfig(), id) // sleeps on: warm readers owe
+		if err != nil {
+			t.Fatal(err)
+		}
+		cache := plcache.NewWithBudget(8 << 20)
+		view.SetPostingCache(cache)
+		ex := batchexec.New(algotest.Gated(readsNothing{}), batchexec.Config{
+			Window: time.Hour, MaxBatch: 2, WarmBlocks: warmBlocks, Warmer: view,
+		})
+		release := algotest.Hold(ex)
+		var wg sync.WaitGroup
+		for _, q := range []model.Query{qa, qb} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, _, err := ex.SearchContext(context.Background(), q, topk.Options{K: 5}); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		release()
+		ex.Drain()
+
+		keys := make(map[plcache.Key]bool)
+		kinds := []plcache.Kind{plcache.KindDoc, plcache.KindImpact}
+		for s := 0; s < shards; s++ {
+			kinds = append(kinds, plcache.KindShard(s))
+		}
+		for _, term := range []model.TermID{shared, 5, 9} {
+			for _, kind := range kinds {
+				for b := int32(0); b <= warmBlocks; b++ {
+					k := plcache.Key{Term: term, Kind: kind, Block: b}
+					if _, ok := cache.Get(k); ok {
+						keys[k] = true
+					}
+				}
+			}
+		}
+		warmed[id] = keys
+		c := ex.Counters()
+		if c.SharedTerms != 1 || c.WarmedBlocks == 0 || c.WarmedBlocks != int64(len(keys)) {
+			t.Errorf("%v: %d shared terms, %d warmed blocks, %d blocks cached; want 1 term and every fill cached",
+				id, c.SharedTerms, c.WarmedBlocks, len(keys))
+		}
+		if want := 2*warmBlocks + shards; len(keys) != want {
+			t.Errorf("%v: warmed %d blocks of term %d, want %d leading doc and impact blocks plus one per shard",
+				id, len(keys), shared, want)
+		}
+		if view.Store().Snapshot().BlocksRead == 0 {
+			t.Errorf("%v: the warm pass charged nothing", id)
+		}
+		algotest.AssertSettled(t, fmt.Sprintf("%v after the warm pass", id), view.Store())
+	}
+	if !reflect.DeepEqual(warmed[codec.Raw], warmed[codec.Group]) {
+		t.Errorf("raw warmed %v, group warmed %v", warmed[codec.Raw], warmed[codec.Group])
+	}
+}
+
 // TestLoneQueryRunsAtOnce pins the idle rule: a query that finds the
 // executor idle does not collect — it returns although the window is an
 // hour — and its algorithm call runs on the goroutine that submitted it.
@@ -410,6 +497,12 @@ func TestZeroWindowPassesThrough(t *testing.T) {
 // the batch drains every simulated-I/O charge is settled — the
 // acceptance invariant Store.Unsettled() == 0 on the cancellation path.
 func TestCancelMidBatchSettles(t *testing.T) {
+	for _, id := range []codec.ID{codec.Raw, codec.Group} {
+		t.Run(id.String(), func(t *testing.T) { cancelMidBatchSettles(t, id) })
+	}
+}
+
+func cancelMidBatchSettles(t *testing.T, id codec.ID) {
 	x := algotest.MediumIndex(t, 555)
 	// Real (tiny) latencies with settlement out of reach of the sleep
 	// batch: unpaid charges stay visible until someone settles them.
@@ -420,7 +513,7 @@ func TestCancelMidBatchSettles(t *testing.T) {
 		RandLatency: 500 * time.Nanosecond,
 		SleepBatch:  time.Hour,
 	}
-	disk, err := diskindex.FromIndex(x, 4, cfg)
+	disk, err := diskindex.FromIndexWith(x, 4, cfg, id)
 	if err != nil {
 		t.Fatal(err)
 	}

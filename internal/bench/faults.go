@@ -123,15 +123,15 @@ func (e *Env) runFaultsCell(qs []model.Query, threads, p, replicas int, errRate 
 	shards := make([]shardserve.Shard, p)
 	var injs []*faultinject.Injector
 	for s, part := range e.Mem.Partition(p) {
-		manifest, dict, post, err := diskindex.Encode(part, e.Opts.Shards)
+		built, err := diskindex.FromIndex(part, e.Opts.Shards, e.IO)
 		if err != nil {
-			return row, fmt.Errorf("bench: encoding faults shard %d: %w", s, err)
+			return row, fmt.Errorf("bench: building faults shard %d: %w", s, err)
 		}
 		reps := make([]shardserve.Replica, replicas)
 		for ri := range reps {
-			di, err := diskindex.OpenEncoded(manifest, dict, post, e.IO)
-			if err != nil {
-				return row, fmt.Errorf("bench: opening faults shard %d replica %d: %w", s, ri, err)
+			di := built
+			if ri > 0 {
+				di = built.Reopen(e.IO)
 			}
 			inj := faultinject.New(planFor(s, ri), s, ri)
 			inj.BindStore(di.Store())

@@ -13,8 +13,9 @@ import (
 	"strings"
 	"time"
 
-	"sparta/internal/cindex"
+	"sparta/internal/codec"
 	"sparta/internal/corpus"
+	"sparta/internal/diskindex"
 	"sparta/internal/index"
 	"sparta/internal/iomodel"
 	"sparta/internal/queries"
@@ -91,7 +92,7 @@ func RunScaleReport(base corpus.Spec, factors []int, cfg iomodel.Config,
 		say("building %s (%d docs)...", spec.Name, spec.Docs)
 		start := time.Now()
 		mem := index.FromCorpus(corpus.New(spec))
-		ci, err := cindex.FromIndex(mem, opts.Shards, cfg)
+		ci, err := diskindex.FromIndexWith(mem, opts.Shards, cfg, codec.Group)
 		if err != nil {
 			return rep, fmt.Errorf("bench: compressing %s: %w", spec.Name, err)
 		}

@@ -1,767 +1,26 @@
-// Package cindex is the compressed counterpart of package diskindex: an
-// on-(simulated-)disk inverted index whose posting lists are stored as
-// compressed blocks (package codec) read through the iomodel page
-// cache. Block directories — offsets, last doc ids, block maxima,
-// score bounds — stay RAM-resident like real engines' skip data;
-// posting bytes are charged.
-//
-// Two block codecs are supported, selected per index by a codec id the
-// manifest persists: the original byte-at-a-time LEB128 varints and
-// the branch-light group codec (stream-vbyte + frame-of-reference,
-// codec.Group), which new indexes default to. The package exists to
-// validate, inside the reproduction, the claim the paper leans on when
-// it abstracts compression away (§5): that decompression's end-to-end
-// impact is marginal while the index shrinks 2–3x.
-// BenchmarkCompressionImpact in the repository root runs identical
-// queries over diskindex and cindex views and reports both sides.
+// Package cindex names the compressed configuration of the one on-disk
+// index (package diskindex): the same directory, cursors and charged
+// read path, built with codec.Group. It exists to validate, inside the
+// reproduction, the claim the paper leans on when it abstracts
+// compression away (§5): that decompression's end-to-end impact is
+// marginal while the index shrinks 2–3x. BenchmarkCompressionImpact in
+// the repository root runs identical queries over an index from each
+// constructor and reports both sides.
 package cindex
 
 import (
-	"context"
-	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
-
 	"sparta/internal/codec"
+	"sparta/internal/diskindex"
 	"sparta/internal/index"
 	"sparta/internal/iomodel"
-	"sparta/internal/model"
-	"sparta/internal/plcache"
-	"sparta/internal/postings"
 )
 
-// BlockLen is the number of postings per compressed block. It equals
-// postings.BlockSize so block-max pruning granularity matches the
-// uncompressed index.
-const BlockLen = postings.BlockSize
+// Index is diskindex's; a compressed index differs from an uncompressed
+// one in the codec id its manifest carries and in nothing else.
+type Index = diskindex.Index
 
-// DefaultCodec is the codec new compressed indexes are built with.
-const DefaultCodec = codec.Group
-
-// docBlockMeta directs one compressed doc-ordered block.
-type docBlockMeta struct {
-	off     int64 // byte offset in the postings region
-	byteLen int32
-	count   int32
-	base    model.DocID // doc id immediately before the block
-	last    model.DocID
-	max     model.Score
-}
-
-// impBlockMeta directs one compressed impact-ordered block.
-type impBlockMeta struct {
-	off     int64
-	byteLen int32
-	count   int32
-	ceil    model.Score // score bound entering the block
-	lastSc  model.Score
-}
-
-// termMeta is one fixed-width term record: spans into the flat block
-// directories. Shard records live at terms[t] × shards in shardRecs.
-type termMeta struct {
-	df       int32
-	max      model.Score
-	docStart int32
-	docLen   int32
-	impStart int32
-	impLen   int32
-}
-
-// shardRec directs one term × shard sublist: its posting count, its
-// max score (the tight initial Bound), and its block span in the
-// shared impact-block directory.
-type shardRec struct {
-	n        int32
-	max      model.Score
-	blkStart int32
-	blkLen   int32
-}
-
-// Index is an opened compressed index. It implements postings.View.
-//
-// The block directory is flat: fixed-width term records indexing into
-// shared docMeta/impMeta arrays, mirroring the v3 on-disk layout so
-// OpenDir is a bulk copy instead of a per-term decode.
-type Index struct {
-	numDocs   int
-	shards    int
-	codecID   codec.ID
-	terms     []termMeta
-	docMeta   []docBlockMeta
-	impMeta   []impBlockMeta // impact blocks, then shard blocks
-	shardRecs []shardRec     // len(terms) * shards
-	docDir    []postings.BlockMeta // (last, max) mirror of docMeta, shared via DocBlockMeta
-	store     *iomodel.Store
-	postFile  int
-	rawBytes  int64 // uncompressed size, for ratio reporting
-
-	cache atomic.Pointer[plcache.Cache] // decoded-block cache, optional
-}
-
-var _ postings.View = (*Index)(nil)
-
-// FromIndex compresses an in-memory index into a charged store using
-// the default codec.
+// FromIndex builds x into a charged store with the group codec. shards
+// is the sNRA pre-partition count (0 means diskindex.DefaultShards).
 func FromIndex(x *index.Index, shards int, cfg iomodel.Config) (*Index, error) {
-	return FromIndexWith(x, shards, cfg, DefaultCodec)
+	return diskindex.FromIndexWith(x, shards, cfg, codec.Group)
 }
-
-// FromIndexWith compresses an in-memory index with an explicit codec.
-func FromIndexWith(x *index.Index, shards int, cfg iomodel.Config, id codec.ID) (*Index, error) {
-	if shards <= 0 {
-		shards = 12
-	}
-	if !id.Valid() {
-		return nil, fmt.Errorf("cindex: unknown codec id %d", uint8(id))
-	}
-	ci := &Index{
-		numDocs: x.NumDocs(),
-		shards:  shards,
-		codecID: id,
-		terms:   make([]termMeta, x.NumTerms()),
-	}
-	var region []byte
-
-	appendDocBlocks := func(list []model.Posting) error {
-		base := model.DocID(0)
-		for start := 0; start < len(list); start += BlockLen {
-			end := start + BlockLen
-			if end > len(list) {
-				end = len(list)
-			}
-			block := list[start:end]
-			buf, err := codec.EncodeDoc(id, base, block)
-			if err != nil {
-				return err
-			}
-			var max model.Score
-			for _, p := range block {
-				if p.Score > max {
-					max = p.Score
-				}
-			}
-			ci.docMeta = append(ci.docMeta, docBlockMeta{
-				off:     int64(len(region)),
-				byteLen: int32(len(buf)),
-				count:   int32(len(block)),
-				base:    base,
-				last:    block[len(block)-1].Doc,
-				max:     max,
-			})
-			region = append(region, buf...)
-			base = block[len(block)-1].Doc
-		}
-		return nil
-	}
-	appendImpBlocks := func(list []model.Posting, ceil model.Score) error {
-		for start := 0; start < len(list); start += BlockLen {
-			end := start + BlockLen
-			if end > len(list) {
-				end = len(list)
-			}
-			block := list[start:end]
-			buf, err := codec.EncodeImpact(id, ceil, block)
-			if err != nil {
-				return err
-			}
-			ci.impMeta = append(ci.impMeta, impBlockMeta{
-				off:     int64(len(region)),
-				byteLen: int32(len(buf)),
-				count:   int32(len(block)),
-				ceil:    ceil,
-				lastSc:  block[len(block)-1].Score,
-			})
-			region = append(region, buf...)
-			ceil = block[len(block)-1].Score
-		}
-		return nil
-	}
-
-	for t := 0; t < x.NumTerms(); t++ {
-		term := model.TermID(t)
-		tm := termMeta{df: int32(x.DF(term)), max: x.MaxScore(term)}
-		tm.docStart = int32(len(ci.docMeta))
-		if err := appendDocBlocks(x.Postings(term)); err != nil {
-			return nil, fmt.Errorf("cindex: term %d doc blocks: %w", t, err)
-		}
-		tm.docLen = int32(len(ci.docMeta)) - tm.docStart
-		tm.impStart = int32(len(ci.impMeta))
-		if err := appendImpBlocks(x.Impact(term), tm.max); err != nil {
-			return nil, fmt.Errorf("cindex: term %d impact blocks: %w", t, err)
-		}
-		tm.impLen = int32(len(ci.impMeta)) - tm.impStart
-		sharded := make([][]model.Posting, shards)
-		numDocs := int64(x.NumDocs())
-		for _, p := range x.Impact(term) {
-			s := int(int64(p.Doc) * int64(shards) / numDocs)
-			sharded[s] = append(sharded[s], p)
-		}
-		for s := 0; s < shards; s++ {
-			rec := shardRec{n: int32(len(sharded[s])), blkStart: int32(len(ci.impMeta))}
-			if err := appendImpBlocks(sharded[s], tm.max); err != nil {
-				return nil, fmt.Errorf("cindex: term %d shard %d: %w", t, s, err)
-			}
-			rec.blkLen = int32(len(ci.impMeta)) - rec.blkStart
-			if len(sharded[s]) > 0 {
-				rec.max = sharded[s][0].Score // impact-ordered: first is max
-			}
-			ci.shardRecs = append(ci.shardRecs, rec)
-		}
-		ci.terms[t] = tm
-		ci.rawBytes += int64(tm.df) * 8 * 3 // doc + impact + shard copies
-	}
-	ci.buildDocDir()
-
-	ci.store = iomodel.NewStore(cfg)
-	ci.postFile = ci.store.AddFile(PostingsFile, region)
-	return ci, nil
-}
-
-// buildDocDir materializes the uniform (last, max) mirror of the doc
-// block directory once, so DocBlockMeta hands out shared subslices
-// instead of allocating per call.
-func (x *Index) buildDocDir() {
-	x.docDir = make([]postings.BlockMeta, len(x.docMeta))
-	for i, b := range x.docMeta {
-		x.docDir[i] = postings.BlockMeta{Last: b.last, Max: b.max}
-	}
-}
-
-// Store exposes the simulated storage.
-func (x *Index) Store() *iomodel.Store { return x.store }
-
-// Codec returns the block codec this index was built with.
-func (x *Index) Codec() codec.ID { return x.codecID }
-
-// SetPostingCache attaches an app-level cache of decoded (that is,
-// decompressed) posting blocks, shared by every cursor over this index.
-// Hits skip the charged read and the varint decode. A nil cache
-// detaches. The cache must not be shared with another index.
-func (x *Index) SetPostingCache(c *plcache.Cache) {
-	if c != nil {
-		c.MarkAttached()
-	}
-	x.cache.Store(c)
-}
-
-// PostingCache returns the attached decoded-block cache, or nil.
-func (x *Index) PostingCache() *plcache.Cache { return x.cache.Load() }
-
-// CompressedBytes returns the compressed postings-region size.
-func (x *Index) CompressedBytes() int64 { return x.store.FileSize(x.postFile) }
-
-// RawBytes returns the size the uncompressed layout would occupy.
-func (x *Index) RawBytes() int64 { return x.rawBytes }
-
-// TermCompressedBytes returns the compressed byte size of term t's
-// doc-ordered region (the region tooling reports per-term ratios on).
-func (x *Index) TermCompressedBytes(t model.TermID) int64 {
-	tm := &x.terms[t]
-	var n int64
-	for _, b := range x.docMeta[tm.docStart : tm.docStart+tm.docLen] {
-		n += int64(b.byteLen)
-	}
-	return n
-}
-
-// NumDocs implements postings.View.
-func (x *Index) NumDocs() int { return x.numDocs }
-
-// NumTerms implements postings.View.
-func (x *Index) NumTerms() int { return len(x.terms) }
-
-// DF implements postings.View.
-func (x *Index) DF(t model.TermID) int { return int(x.terms[t].df) }
-
-// MaxScore implements postings.View.
-func (x *Index) MaxScore(t model.TermID) model.Score { return x.terms[t].max }
-
-// DocCursor implements postings.View.
-func (x *Index) DocCursor(t model.TermID) postings.DocCursor {
-	return x.docCursor(t, x.store.NewReader(x.postFile), nil)
-}
-
-func (x *Index) docCursor(t model.TermID, rd *iomodel.Reader, onCache func(bool)) postings.DocCursor {
-	tm := &x.terms[t]
-	return &docCursor{
-		rd:      rd,
-		cid:     x.codecID,
-		cache:   x.cache.Load(),
-		onCache: onCache,
-		key:     plcache.Key{Term: t, Kind: plcache.KindDoc},
-		blocks:  x.docMeta[tm.docStart : tm.docStart+tm.docLen],
-		max:     tm.max,
-		df:      int(tm.df),
-		blk:     -1,
-	}
-}
-
-// ScoreCursor implements postings.View.
-func (x *Index) ScoreCursor(t model.TermID) postings.ScoreCursor {
-	return x.scoreCursor(t, x.store.NewReader(x.postFile), nil)
-}
-
-func (x *Index) scoreCursor(t model.TermID, rd *iomodel.Reader, onCache func(bool)) postings.ScoreCursor {
-	tm := &x.terms[t]
-	return newImpCursor(rd, x.codecID, x.cache.Load(), onCache,
-		plcache.Key{Term: t, Kind: plcache.KindImpact},
-		x.impMeta[tm.impStart:tm.impStart+tm.impLen], tm.max, int(tm.df))
-}
-
-// ScoreCursorShard implements postings.View.
-func (x *Index) ScoreCursorShard(t model.TermID, shard, nShards int) postings.ScoreCursor {
-	return x.scoreCursorShard(t, shard, nShards, x.store.NewReader(x.postFile), nil)
-}
-
-func (x *Index) scoreCursorShard(t model.TermID, shard, nShards int, rd *iomodel.Reader, onCache func(bool)) postings.ScoreCursor {
-	if nShards <= 1 {
-		return x.scoreCursor(t, rd, onCache)
-	}
-	if nShards != x.shards {
-		panic(fmt.Sprintf("cindex: built with %d shards, requested %d", x.shards, nShards))
-	}
-	rec := x.shardRecs[int(t)*x.shards+shard]
-	return newImpCursor(rd, x.codecID, x.cache.Load(), onCache,
-		plcache.Key{Term: t, Kind: plcache.KindShard(shard)},
-		x.impMeta[rec.blkStart:rec.blkStart+rec.blkLen], rec.max, int(rec.n))
-}
-
-// RandomAccess implements postings.View: a RAM directory search plus
-// one charged block decode — the compressed analogue of the secondary
-// index lookup.
-func (x *Index) RandomAccess(t model.TermID, d model.DocID) (model.Score, bool) {
-	return x.randomAccess(t, d, func() *iomodel.Reader {
-		return x.store.NewReader(x.postFile)
-	})
-}
-
-func (x *Index) randomAccess(t model.TermID, d model.DocID, newRd func() *iomodel.Reader) (model.Score, bool) {
-	tm := &x.terms[t]
-	blocks := x.docMeta[tm.docStart : tm.docStart+tm.docLen]
-	lo, hi := 0, len(blocks)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if blocks[mid].last < d {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == len(blocks) {
-		return 0, false
-	}
-	b := blocks[lo]
-	var decoded []model.Posting
-	if cc := x.cache.Load(); cc != nil {
-		if post, ok := cc.Get(plcache.Key{Term: t, Kind: plcache.KindDoc, Block: int32(lo)}); ok {
-			decoded = post
-		}
-	}
-	if decoded == nil {
-		rd := newRd()
-		defer rd.Settle()
-		buf := rd.View(b.off, int64(b.byteLen))
-		var err error
-		decoded, err = codec.DecodeDoc(x.codecID, b.base, buf, int(b.count), nil)
-		if err != nil {
-			panic(fmt.Sprintf("cindex: corrupt block for term %d: %v", t, err))
-		}
-	}
-	for _, p := range decoded {
-		if p.Doc == d {
-			return p.Score, true
-		}
-		if p.Doc > d {
-			break
-		}
-	}
-	return 0, false
-}
-
-// BindExec implements postings.ExecBinder: the returned view opens
-// cursors whose simulated I/O waits end early once ctx is done, whose
-// physical fetches are reported to onIO, and whose posting-cache
-// lookups are reported to onCache. It shares the index, page cache and
-// posting cache with the receiver, tracks every reader it hands out,
-// and implements postings.Settler so the execution layer can pay any
-// outstanding I/O charges when the query finishes — including on
-// cancelled compressed-view queries.
-func (x *Index) BindExec(ctx context.Context, onIO func(time.Duration), onStop func(), onCache func(hit bool)) postings.View {
-	return &execView{Index: x, ctx: ctx, onIO: onIO, onStop: onStop, onCache: onCache}
-}
-
-var _ postings.ExecBinder = (*Index)(nil)
-
-// execView is a per-query binding of an Index to an execution context.
-type execView struct {
-	*Index
-	ctx     context.Context
-	onIO    func(time.Duration)
-	onStop  func()
-	onCache func(bool)
-
-	mu      sync.Mutex
-	readers []*iomodel.Reader
-}
-
-var _ postings.Settler = (*execView)(nil)
-
-// newReader opens a bound reader and records it for settlement when the
-// query finishes.
-func (v *execView) newReader() *iomodel.Reader {
-	rd := v.store.NewReader(v.postFile)
-	rd.Bind(v.ctx, v.onIO, v.onStop)
-	v.mu.Lock()
-	v.readers = append(v.readers, rd)
-	v.mu.Unlock()
-	return rd
-}
-
-// SettleAll implements postings.Settler: it pays the accrued-but-unpaid
-// simulated latency of every reader this view handed out. Callers must
-// ensure the query's workers have quiesced first. Readers settle
-// concurrently, mirroring diskindex: each owed tail is a wait its
-// owning worker would have performed in parallel with the others.
-func (v *execView) SettleAll() {
-	v.mu.Lock()
-	readers := v.readers
-	v.mu.Unlock()
-	var wg sync.WaitGroup
-	for _, rd := range readers {
-		if !rd.Owes() {
-			rd.Settle() // no wait involved: just flushes accounting
-			continue
-		}
-		wg.Add(1)
-		go func(rd *iomodel.Reader) {
-			defer wg.Done()
-			rd.Settle()
-		}(rd)
-	}
-	wg.Wait()
-}
-
-func (v *execView) DocCursor(t model.TermID) postings.DocCursor {
-	return v.Index.docCursor(t, v.newReader(), v.onCache)
-}
-
-func (v *execView) ScoreCursor(t model.TermID) postings.ScoreCursor {
-	return v.Index.scoreCursor(t, v.newReader(), v.onCache)
-}
-
-func (v *execView) ScoreCursorShard(t model.TermID, shard, nShards int) postings.ScoreCursor {
-	return v.Index.scoreCursorShard(t, shard, nShards, v.newReader(), v.onCache)
-}
-
-// RandomAccess probes through a bound reader that randomAccess settles
-// before returning, so lookups interrupted by cancellation still pay
-// their charge immediately.
-func (v *execView) RandomAccess(t model.TermID, d model.DocID) (model.Score, bool) {
-	return v.Index.randomAccess(t, d, func() *iomodel.Reader {
-		rd := v.store.NewReader(v.postFile)
-		rd.Bind(v.ctx, v.onIO, v.onStop)
-		return rd
-	})
-}
-
-var _ postings.BlockWalker = (*Index)(nil)
-
-// DocBlockMeta implements postings.BlockWalker. The (last, max) mirror
-// of the compressed block directory is materialized once at build/open
-// time, so this is a shared read-only subslice — no per-call work.
-func (x *Index) DocBlockMeta(t model.TermID) []postings.BlockMeta {
-	if int(t) >= len(x.terms) {
-		return nil
-	}
-	tm := &x.terms[t]
-	return x.docDir[tm.docStart : tm.docStart+tm.docLen]
-}
-
-// WalkDocBlocks implements postings.BlockWalker over the compressed
-// doc-ordered blocks: one reader, one View + decode per miss, fills
-// through the single-flight gate with hot or cold admission per the hot
-// flag. The reader is settled before returning.
-func (x *Index) WalkDocBlocks(ctx context.Context, t model.TermID, hot bool, sink func(block int, post []model.Posting) bool) (blocks, fills int) {
-	if int(t) >= len(x.terms) {
-		return 0, 0
-	}
-	tm := &x.terms[t]
-	if tm.df == 0 {
-		return 0, 0
-	}
-	metas := x.docMeta[tm.docStart : tm.docStart+tm.docLen]
-	rd := x.store.NewReader(x.postFile)
-	rd.Bind(ctx, nil, nil)
-	defer rd.Settle()
-	cache := x.cache.Load()
-	var scratch []model.Posting
-	for i := range metas {
-		if ctx.Err() != nil {
-			break
-		}
-		b := metas[i]
-		var post []model.Posting
-		if cache != nil {
-			fill := func() ([]model.Posting, error) {
-				buf := rd.View(b.off, int64(b.byteLen))
-				// Decode into a fresh slice the cache retains — never into
-				// the owned scratch, which this walk reuses.
-				post, err := codec.DecodeDoc(x.codecID, b.base, buf, int(b.count), nil)
-				if err != nil {
-					panic(fmt.Sprintf("cindex: corrupt doc block: %v", err))
-				}
-				return post, nil
-			}
-			key := plcache.Key{Term: t, Kind: plcache.KindDoc, Block: int32(i)}
-			var did bool
-			if hot {
-				post, did, _ = cache.GetOrFillHot(key, fill)
-			} else {
-				post, did, _ = cache.GetOrFill(key, fill)
-			}
-			if did {
-				fills++
-			}
-		} else {
-			buf := rd.View(b.off, int64(b.byteLen))
-			var err error
-			scratch, err = codec.DecodeDoc(x.codecID, b.base, buf, int(b.count), scratch)
-			if err != nil {
-				panic(fmt.Sprintf("cindex: corrupt doc block: %v", err))
-			}
-			post = scratch
-			fills++
-		}
-		blocks++
-		if !sink(i, post) {
-			break
-		}
-	}
-	return blocks, fills
-}
-
-// docCursor walks compressed doc-ordered blocks.
-type docCursor struct {
-	rd      *iomodel.Reader
-	cid     codec.ID
-	cache   *plcache.Cache
-	onCache func(bool)
-	key     plcache.Key // Block set per load
-	blocks  []docBlockMeta
-	max     model.Score
-	df      int
-	blk     int             // current block index; -1 before start
-	pos     int             // position within decoded
-	decoded []model.Posting // current block; may alias a shared cache entry
-	scratch []model.Posting // owned decode buffer, never handed to the cache's readers
-}
-
-func (c *docCursor) loadBlock(i int) bool {
-	if i >= len(c.blocks) {
-		c.blk = len(c.blocks) // exhausted
-		c.rd.Settle()
-		return false
-	}
-	b := c.blocks[i]
-	if c.cache != nil {
-		// Single-flight: concurrent cursors missing on this block share
-		// one fetch+decode; only the fill leader charges the store.
-		c.key.Block = int32(i)
-		post, filled, _ := c.cache.GetOrFill(c.key, func() ([]model.Posting, error) {
-			buf := c.rd.View(b.off, int64(b.byteLen))
-			// Decode into a fresh slice the cache retains — never into
-			// the owned scratch, which this cursor reuses.
-			post, err := codec.DecodeDoc(c.cid, b.base, buf, int(b.count), nil)
-			if err != nil {
-				panic(fmt.Sprintf("cindex: corrupt doc block: %v", err))
-			}
-			return post, nil
-		})
-		if c.onCache != nil {
-			c.onCache(!filled) // a waiter served by another's fill is a hit
-		}
-		c.decoded = post
-		c.blk, c.pos = i, 0
-		return true
-	}
-	buf := c.rd.View(b.off, int64(b.byteLen))
-	var err error
-	// Decode into the owned scratch buffer — never into c.decoded,
-	// which may alias a cache entry other queries are reading.
-	c.scratch, err = codec.DecodeDoc(c.cid, b.base, buf, int(b.count), c.scratch)
-	if err != nil {
-		panic(fmt.Sprintf("cindex: corrupt doc block: %v", err))
-	}
-	c.decoded = c.scratch
-	c.blk = i
-	c.pos = 0
-	return true
-}
-
-func (c *docCursor) Next() bool {
-	if c.blk >= len(c.blocks) {
-		return false // already exhausted
-	}
-	if c.blk >= 0 && c.pos+1 < len(c.decoded) {
-		c.pos++
-		return true
-	}
-	return c.loadBlock(c.blk + 1)
-}
-
-func (c *docCursor) SkipTo(d model.DocID) bool {
-	if c.blk >= 0 && c.blk < len(c.blocks) && d <= c.decoded[c.pos].Doc {
-		return true
-	}
-	// Find the first block whose last >= d, starting from the current.
-	start := c.blk
-	if start < 0 {
-		start = 0
-	}
-	lo, hi := start, len(c.blocks)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if c.blocks[mid].last < d {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo >= len(c.blocks) {
-		c.blk = len(c.blocks)
-		c.rd.Settle()
-		return false
-	}
-	if lo != c.blk {
-		if !c.loadBlock(lo) {
-			return false
-		}
-	}
-	for c.pos < len(c.decoded) && c.decoded[c.pos].Doc < d {
-		c.pos++
-	}
-	if c.pos >= len(c.decoded) {
-		return c.loadBlock(c.blk + 1)
-	}
-	return true
-}
-
-func (c *docCursor) Doc() model.DocID      { return c.decoded[c.pos].Doc }
-func (c *docCursor) Score() model.Score    { return c.decoded[c.pos].Score }
-func (c *docCursor) MaxScore() model.Score { return c.max }
-func (c *docCursor) BlockMax() model.Score { return c.blocks[c.blk].max }
-func (c *docCursor) BlockLast() model.DocID {
-	return c.blocks[c.blk].last
-}
-func (c *docCursor) Len() int { return c.df }
-
-func (c *docCursor) BlockMaxAt(d model.DocID) model.Score {
-	if i := c.blockAt(d); i < len(c.blocks) {
-		return c.blocks[i].max
-	}
-	return 0
-}
-
-func (c *docCursor) BlockLastAt(d model.DocID) model.DocID {
-	if i := c.blockAt(d); i < len(c.blocks) {
-		return c.blocks[i].last
-	}
-	return model.DocID(^uint32(0))
-}
-
-func (c *docCursor) blockAt(d model.DocID) int {
-	lo, hi := 0, len(c.blocks)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if c.blocks[mid].last < d {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// impCursor walks compressed impact-ordered blocks.
-type impCursor struct {
-	rd      *iomodel.Reader
-	cid     codec.ID
-	cache   *plcache.Cache
-	onCache func(bool)
-	key     plcache.Key // Block set per load
-	blocks  []impBlockMeta
-	max     model.Score
-	n       int
-	blk     int
-	pos     int
-	decoded []model.Posting // current block; may alias a shared cache entry
-	scratch []model.Posting // owned decode buffer
-}
-
-func newImpCursor(rd *iomodel.Reader, cid codec.ID, cache *plcache.Cache, onCache func(bool), key plcache.Key, blocks []impBlockMeta, max model.Score, n int) *impCursor {
-	return &impCursor{rd: rd, cid: cid, cache: cache, onCache: onCache, key: key, blocks: blocks, max: max, n: n, blk: -1}
-}
-
-func (c *impCursor) loadBlock(i int) bool {
-	if i >= len(c.blocks) {
-		c.blk = len(c.blocks) // exhausted
-		c.rd.Settle()
-		return false
-	}
-	b := c.blocks[i]
-	if c.cache != nil {
-		c.key.Block = int32(i)
-		post, filled, _ := c.cache.GetOrFill(c.key, func() ([]model.Posting, error) {
-			buf := c.rd.View(b.off, int64(b.byteLen))
-			post, err := codec.DecodeImpact(c.cid, b.ceil, buf, int(b.count), nil)
-			if err != nil {
-				panic(fmt.Sprintf("cindex: corrupt impact block: %v", err))
-			}
-			return post, nil
-		})
-		if c.onCache != nil {
-			c.onCache(!filled)
-		}
-		c.decoded = post
-		c.blk, c.pos = i, 0
-		return true
-	}
-	buf := c.rd.View(b.off, int64(b.byteLen))
-	var err error
-	c.scratch, err = codec.DecodeImpact(c.cid, b.ceil, buf, int(b.count), c.scratch)
-	if err != nil {
-		panic(fmt.Sprintf("cindex: corrupt impact block: %v", err))
-	}
-	c.decoded = c.scratch
-	c.blk = i
-	c.pos = 0
-	return true
-}
-
-func (c *impCursor) Next() bool {
-	if c.blk >= len(c.blocks) {
-		return false // already exhausted
-	}
-	if c.blk >= 0 && c.pos+1 < len(c.decoded) {
-		c.pos++
-		return true
-	}
-	return c.loadBlock(c.blk + 1)
-}
-
-func (c *impCursor) Doc() model.DocID   { return c.decoded[c.pos].Doc }
-func (c *impCursor) Score() model.Score { return c.decoded[c.pos].Score }
-
-func (c *impCursor) Bound() model.Score {
-	if c.blk < 0 {
-		return c.max
-	}
-	if c.blk >= len(c.blocks) {
-		return 0
-	}
-	return c.decoded[c.pos].Score
-}
-
-func (c *impCursor) Len() int { return c.n }

@@ -11,6 +11,7 @@ import (
 	"sparta/internal/algos/algotest"
 	"sparta/internal/codec"
 	"sparta/internal/core"
+	"sparta/internal/diskindex"
 	"sparta/internal/index"
 	"sparta/internal/iomodel"
 	"sparta/internal/model"
@@ -36,7 +37,7 @@ func buildBoth(t *testing.T, seed uint64) (*index.Index, *Index) {
 func buildBothWith(t *testing.T, seed uint64, id codec.ID) (*index.Index, *Index) {
 	t.Helper()
 	mem := algotest.MediumIndex(t, seed)
-	ci, err := FromIndexWith(mem, 4, testCfg(), id)
+	ci, err := diskindex.FromIndexWith(mem, 4, testCfg(), id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,10 +215,10 @@ func TestShardCountMismatchPanics(t *testing.T) {
 func TestWriteOpenDirRoundTrip(t *testing.T) {
 	mem := algotest.MediumIndex(t, 10)
 	dir := t.TempDir()
-	if err := WriteDir(mem, 4, dir); err != nil {
+	if err := diskindex.WriteDirWith(mem, 4, dir, codec.Group); err != nil {
 		t.Fatal(err)
 	}
-	ci, err := OpenDir(dir, testCfg())
+	ci, err := diskindex.OpenDir(dir, testCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,26 +269,26 @@ func TestWriteOpenDirRoundTrip(t *testing.T) {
 func TestOpenDirCorrupt(t *testing.T) {
 	mem := algotest.SmallIndex(t, 11)
 	dir := t.TempDir()
-	if err := WriteDir(mem, 2, dir); err != nil {
+	if err := diskindex.WriteDirWith(mem, 2, dir, codec.Group); err != nil {
 		t.Fatal(err)
 	}
 	// Truncated directory file must error, not panic.
-	raw, err := os.ReadFile(filepath.Join(dir, DirFile))
+	raw, err := os.ReadFile(filepath.Join(dir, diskindex.DirFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, DirFile), raw[:len(raw)/2], 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, diskindex.DirFile), raw[:len(raw)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenDir(dir, testCfg()); err == nil {
+	if _, err := diskindex.OpenDir(dir, testCfg()); err == nil {
 		t.Error("truncated directory accepted")
 	}
 	// Bad manifest.
-	os.WriteFile(filepath.Join(dir, ManifestFile), []byte("nope"), 0o644)
-	if _, err := OpenDir(dir, testCfg()); err == nil {
+	os.WriteFile(filepath.Join(dir, diskindex.ManifestFile), []byte("nope"), 0o644)
+	if _, err := diskindex.OpenDir(dir, testCfg()); err == nil {
 		t.Error("bad manifest accepted")
 	}
-	if _, err := OpenDir(t.TempDir(), testCfg()); err == nil {
+	if _, err := diskindex.OpenDir(t.TempDir(), testCfg()); err == nil {
 		t.Error("empty dir accepted")
 	}
 }
@@ -296,7 +297,7 @@ func TestOpenDirCorrupt(t *testing.T) {
 // under each codec id: the codec changes bytes on disk, never what a
 // cursor yields.
 func TestBothCodecsMatchUncompressed(t *testing.T) {
-	for _, id := range []codec.ID{codec.LEB128, codec.Group} {
+	for _, id := range []codec.ID{codec.Raw, codec.Group} {
 		t.Run(id.String(), func(t *testing.T) {
 			mem, ci := buildBothWith(t, 21, id)
 			if ci.Codec() != id {
@@ -334,80 +335,70 @@ func TestBothCodecsMatchUncompressed(t *testing.T) {
 	}
 }
 
-// TestCodecPersistsAcrossWriteOpen writes a directory with an explicit
-// non-default codec and checks the reopened index both reports it and
-// still decodes with it.
+// TestCodecPersistsAcrossWriteOpen writes a directory with each codec
+// and checks the reopened index both reports it and still decodes with
+// it; this package's constructor names the group codec.
 func TestCodecPersistsAcrossWriteOpen(t *testing.T) {
 	mem := algotest.MediumIndex(t, 22)
-	dir := t.TempDir()
-	if err := WriteDirWith(mem, 4, dir, codec.LEB128); err != nil {
-		t.Fatal(err)
-	}
-	ver, id, err := ReadManifestVersion(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ver != formatVersion || id != codec.LEB128 {
-		t.Fatalf("manifest says version %d codec %v, want %d %v", ver, id, formatVersion, codec.LEB128)
-	}
-	ci, err := OpenDir(dir, testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ci.Codec() != codec.LEB128 {
-		t.Fatalf("reopened codec %v, want %v", ci.Codec(), codec.LEB128)
-	}
-	for tid := 0; tid < mem.NumTerms(); tid += 13 {
-		term := model.TermID(tid)
-		cc, mc := ci.DocCursor(term), mem.DocCursor(term)
-		for mc.Next() {
-			if !cc.Next() || cc.Doc() != mc.Doc() || cc.Score() != mc.Score() {
-				t.Fatalf("term %d mismatch after LEB128 reopen", tid)
+	for _, id := range []codec.ID{codec.Raw, codec.Group} {
+		dir := t.TempDir()
+		if err := diskindex.WriteDirWith(mem, 4, dir, id); err != nil {
+			t.Fatal(err)
+		}
+		ci, err := diskindex.OpenDir(dir, testCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m := ci.Manifest(); ci.Codec() != id || m.Codec != id || m.Version != diskindex.FormatVersion {
+			t.Fatalf("reopened codec %v, manifest %+v, want %v at version %d", ci.Codec(), m, id, diskindex.FormatVersion)
+		}
+		for tid := 0; tid < mem.NumTerms(); tid += 13 {
+			term := model.TermID(tid)
+			cc, mc := ci.DocCursor(term), mem.DocCursor(term)
+			for mc.Next() {
+				if !cc.Next() || cc.Doc() != mc.Doc() || cc.Score() != mc.Score() {
+					t.Fatalf("term %d mismatch after %v reopen", tid, id)
+				}
 			}
 		}
 	}
-	// Default path writes the default codec.
-	dir2 := t.TempDir()
-	if err := WriteDir(mem, 4, dir2); err != nil {
-		t.Fatal(err)
-	}
-	ci2, err := OpenDir(dir2, testCfg())
+	ci, err := FromIndex(mem, 4, testCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ci2.Codec() != DefaultCodec {
-		t.Fatalf("default write produced codec %v, want %v", ci2.Codec(), DefaultCodec)
+	if ci.Codec() != codec.Group {
+		t.Fatalf("cindex.FromIndex built with codec %v, want %v", ci.Codec(), codec.Group)
 	}
 }
 
-// TestOpenDirRefusesOldVersion hand-writes a pre-v3 manifest: OpenDir
-// must return *VersionError so tooling can tell "rebuild" apart from
+// TestOpenDirRefusesOldVersion hand-writes the manifests of the formats
+// and the codec this one retired: OpenDir must return
+// *diskindex.RebuildError so tooling can tell "rebuild" apart from
 // "corrupt".
 func TestOpenDirRefusesOldVersion(t *testing.T) {
 	mem := algotest.SmallIndex(t, 23)
-	dir := t.TempDir()
-	if err := WriteDir(mem, 2, dir); err != nil {
-		t.Fatal(err)
-	}
-	old := []byte(`{"Version":2,"NumDocs":10,"NumTerms":5,"Shards":2,"RawBytes":400}`)
-	if err := os.WriteFile(filepath.Join(dir, ManifestFile), old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err := OpenDir(dir, testCfg())
-	var ve *VersionError
-	if !errors.As(err, &ve) {
-		t.Fatalf("OpenDir on v2 dir returned %v, want *VersionError", err)
-	}
-	if ve.Got != 2 || ve.Want != formatVersion {
-		t.Errorf("VersionError{Got:%d, Want:%d}", ve.Got, ve.Want)
-	}
-	// An unknown codec id in a current-version manifest is also refused.
-	bad := []byte(`{"Version":3,"NumDocs":10,"NumTerms":5,"Shards":2,"Codec":9,"RawBytes":400}`)
-	if err := os.WriteFile(filepath.Join(dir, ManifestFile), bad, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenDir(dir, testCfg()); err == nil {
-		t.Error("unknown codec id accepted")
+	for name, old := range map[string]struct{ file, manifest string }{
+		"cindex v2":         {"cmanifest.json", `{"Version":2,"NumDocs":10,"NumTerms":5,"Shards":2,"RawBytes":400}`},
+		"cindex v3 codec 0": {"cmanifest.json", `{"Version":3,"NumDocs":10,"NumTerms":5,"Shards":2,"Codec":0,"RawBytes":400}`},
+		"retired codec":     {diskindex.ManifestFile, `{"Version":4,"NumDocs":10,"NumTerms":5,"Shards":2,"Codec":0}`},
+		"unknown codec":     {diskindex.ManifestFile, `{"Version":4,"NumDocs":10,"NumTerms":5,"Shards":2,"Codec":9}`},
+		"old version":       {diskindex.ManifestFile, `{"Version":3,"NumDocs":10,"NumTerms":5,"Shards":2,"Codec":1}`},
+	} {
+		dir := t.TempDir()
+		if err := diskindex.WriteDirWith(mem, 2, dir, codec.Group); err != nil {
+			t.Fatal(err)
+		}
+		if old.file != diskindex.ManifestFile {
+			os.Remove(filepath.Join(dir, diskindex.ManifestFile))
+		}
+		if err := os.WriteFile(filepath.Join(dir, old.file), []byte(old.manifest), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := diskindex.OpenDir(dir, testCfg())
+		var re *diskindex.RebuildError
+		if !errors.As(err, &re) {
+			t.Errorf("%s: OpenDir returned %v, want *diskindex.RebuildError", name, err)
+		}
 	}
 }
 

@@ -1,164 +1,186 @@
-// Package codec implements posting-list compression: group-varint-style
-// byte-aligned varints over delta-encoded document ids (document order)
-// or delta-encoded scores (impact order).
+// Package codec turns 64-posting blocks into bytes and back. The
+// on-disk index (package diskindex) stores every posting region as a
+// sequence of such blocks and names the codec it used by an ID its
+// manifest persists, so the choice between the paper's layout and a
+// compressed one is a value, not a second index implementation.
 //
-// The paper deliberately stores its indexes uncompressed to "crystallize
-// the comparison among the core algorithms", citing evidence that with
-// state-of-the-art codecs "the impact of decompression on end-to-end
-// performance is marginal (e.g., up to 6% with QMX-D4 compression)"
-// (§5). This package — and the compressed index in package cindex —
-// exists to *check that claim within the reproduction*: the
-// BenchmarkCompressionImpact benchmark runs the same queries over both
-// index forms and reports the latency delta alongside the size ratio.
+// The paper stores its indexes "uncompressed as a collection of binary
+// files" (§5.1) to "crystallize the comparison among the core
+// algorithms", citing evidence that with state-of-the-art codecs "the
+// impact of decompression on end-to-end performance is marginal (e.g.,
+// up to 6% with QMX-D4 compression)" (§5). Raw is that layout; Group
+// (group.go) is the codec the reproduction checks the claim with:
+// BenchmarkCompressionImpact runs the same queries over one index built
+// with each and reports the latency delta beside the size ratio.
 //
-// Encoding. A posting is a (doc id, score) pair of uint32s. In document
-// order, ids strictly increase, so ids are delta-encoded (first delta
-// is from the block's base) and scores stored raw; in impact order,
-// scores never increase, so scores are delta-encoded downward and ids
-// stored raw. All values are LEB128 varints. Typical web posting lists
-// compress 2–3x, matching what byte-aligned codecs achieve in practice.
+// A posting is a (doc id, score) pair of uint32s. A doc-ordered block is
+// coded against the doc id immediately before it, an impact-ordered
+// block against the score bound entering it; Raw ignores both.
 package codec
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
 	"sparta/internal/model"
 )
 
-// ErrCorrupt reports malformed compressed data.
-var ErrCorrupt = errors.New("codec: corrupt compressed postings")
+// ErrCorrupt reports malformed encoded data.
+var ErrCorrupt = errors.New("codec: corrupt encoded postings")
 
-// maxVarint32Len is the worst-case encoded size of a uint32.
-const maxVarint32Len = 5
+// ID selects a posting-block codec. Ids are persisted in index
+// manifests, so a retired id is never reused: 0 was a byte-at-a-time
+// varint codec, which Group dominated on every measurement (DESIGN.md
+// §4i) and no index is built with any more.
+type ID uint8
 
-// putUvarint32 appends v as a LEB128 varint.
-func putUvarint32(buf []byte, v uint32) []byte {
-	for v >= 0x80 {
-		buf = append(buf, byte(v)|0x80)
-		v >>= 7
+const (
+	// Group is the branch-light stream-vbyte + frame-of-reference codec.
+	Group ID = 1
+	// Raw is the paper's uncompressed layout: RawPostingBytes per
+	// posting, nothing delta-coded. It is the only codec that accepts an
+	// impact-ordered block whose scores are not non-increasing, which is
+	// what the live index's frozen segments store (term frequencies
+	// ordered by a weight the index does not see).
+	Raw ID = 2
+)
+
+// RawPostingBytes is the fixed encoded size of one posting under Raw
+// (doc id + score, both little-endian uint32).
+const RawPostingBytes = 8
+
+// Valid reports whether id names a codec this build reads and writes.
+func (id ID) Valid() bool { return id == Group || id == Raw }
+
+func (id ID) String() string {
+	switch id {
+	case Group:
+		return "group"
+	case Raw:
+		return "raw"
 	}
-	return append(buf, byte(v))
+	return fmt.Sprintf("codec(%d)", uint8(id))
 }
 
-// uvarint32 decodes a varint at buf[pos:], returning the value and the
-// next position, or pos < 0 on corruption.
-func uvarint32(buf []byte, pos int) (uint32, int) {
-	var v uint32
-	var shift uint
-	for i := 0; i < maxVarint32Len; i++ {
-		if pos >= len(buf) {
-			return 0, -1
-		}
-		b := buf[pos]
-		pos++
-		if shift == 28 && b&0x7f > 0x0f {
-			// Non-canonical 5-byte varint: bits 32+ are set, so the
-			// value would silently truncate. Reject it as corrupt.
-			return 0, -1
-		}
-		v |= uint32(b&0x7f) << shift
-		if b < 0x80 {
-			return v, pos
-		}
-		shift += 7
-	}
-	return 0, -1
-}
+func errUnknown(id ID) error { return fmt.Errorf("codec: unknown codec id %d", uint8(id)) }
 
-// EncodeDocBlock compresses a doc-ordered block of postings. base is
+// AppendDoc appends the encoding of a doc-ordered block to dst. base is
 // the id immediately before the block (the previous block's last doc,
 // or 0 for the first block); ids must strictly increase from it.
-func EncodeDocBlock(base model.DocID, block []model.Posting) ([]byte, error) {
-	buf := make([]byte, 0, len(block)*4)
-	prev := uint32(base)
-	for i, p := range block {
-		doc := uint32(p.Doc)
-		if i == 0 && doc < prev {
-			return nil, fmt.Errorf("codec: block starts at doc %d before base %d", doc, prev)
+func AppendDoc(dst []byte, id ID, base model.DocID, block []model.Posting) ([]byte, error) {
+	switch id {
+	case Group:
+		return appendGroupDoc(dst, base, block)
+	case Raw:
+		prev := base
+		for i, p := range block {
+			if p.Doc < prev || i > 0 && p.Doc == prev {
+				return nil, docOrderError(i, p.Doc, prev)
+			}
+			prev = p.Doc
 		}
-		if i > 0 && doc <= prev {
-			return nil, fmt.Errorf("codec: doc ids not strictly increasing at %d", i)
-		}
-		buf = putUvarint32(buf, doc-prev)
-		buf = putUvarint32(buf, uint32(p.Score))
-		prev = doc
+		return appendRaw(dst, block), nil
 	}
-	return buf, nil
+	return nil, errUnknown(id)
 }
 
-// DecodeDocBlock decompresses a doc-ordered block of n postings into
-// out (reused if big enough).
-func DecodeDocBlock(base model.DocID, buf []byte, n int, out []model.Posting) ([]model.Posting, error) {
+// docOrderError reports posting i breaking AppendDoc's ordering
+// contract: the first doc id may equal the base, later ones must rise.
+func docOrderError(i int, doc, prev model.DocID) error {
+	if i == 0 {
+		return fmt.Errorf("codec: block starts at doc %d before base %d", doc, prev)
+	}
+	return fmt.Errorf("codec: doc ids not strictly increasing at %d", i)
+}
+
+// AppendImpact appends the encoding of an impact-ordered block to dst.
+// ceil is the score bound entering the block (the previous block's last
+// score, or the term max for the first block). Group requires scores
+// that never increase from it; Raw stores whatever it is given.
+func AppendImpact(dst []byte, id ID, ceil model.Score, block []model.Posting) ([]byte, error) {
+	switch id {
+	case Group:
+		return appendGroupImpact(dst, ceil, block)
+	case Raw:
+		return appendRaw(dst, block), nil
+	}
+	return nil, errUnknown(id)
+}
+
+// EncodeDoc is AppendDoc into a fresh buffer.
+func EncodeDoc(id ID, base model.DocID, block []model.Posting) ([]byte, error) {
+	return AppendDoc(make([]byte, 0, sizeHint(id, len(block))), id, base, block)
+}
+
+// EncodeImpact is AppendImpact into a fresh buffer.
+func EncodeImpact(id ID, ceil model.Score, block []model.Posting) ([]byte, error) {
+	return AppendImpact(make([]byte, 0, sizeHint(id, len(block))), id, ceil, block)
+}
+
+// sizeHint is the capacity a fresh buffer for n postings starts with.
+func sizeHint(id ID, n int) int {
+	if id == Raw {
+		return n * RawPostingBytes
+	}
+	return 2 + n*3
+}
+
+// DecodeDoc decodes a doc-ordered block of n postings into out (reused
+// if big enough). buf must hold the block and nothing else.
+func DecodeDoc(id ID, base model.DocID, buf []byte, n int, out []model.Posting) ([]model.Posting, error) {
+	switch id {
+	case Group:
+		return decodeGroupDoc(base, buf, n, out)
+	case Raw:
+		return decodeRaw(buf, n, out)
+	}
+	return nil, errUnknown(id)
+}
+
+// DecodeImpact decodes an impact-ordered block of n postings into out.
+func DecodeImpact(id ID, ceil model.Score, buf []byte, n int, out []model.Posting) ([]model.Posting, error) {
+	switch id {
+	case Group:
+		return decodeGroupImpact(ceil, buf, n, out)
+	case Raw:
+		return decodeRaw(buf, n, out)
+	}
+	return nil, errUnknown(id)
+}
+
+// sized returns out resliced (or reallocated) to n postings.
+func sized(out []model.Posting, n int) []model.Posting {
 	if cap(out) < n {
-		out = make([]model.Posting, n)
+		return make([]model.Posting, n)
 	}
-	out = out[:n]
-	pos := 0
-	prev := uint32(base)
-	for i := 0; i < n; i++ {
-		d, next := uvarint32(buf, pos)
-		if next < 0 {
-			return nil, ErrCorrupt
-		}
-		s, next2 := uvarint32(buf, next)
-		if next2 < 0 {
-			return nil, ErrCorrupt
-		}
-		pos = next2
-		prev += d
-		out[i] = model.Posting{Doc: model.DocID(prev), Score: model.Score(s)}
+	return out[:n]
+}
+
+// appendRaw appends block in the fixed layout, growing dst once.
+func appendRaw(dst []byte, block []model.Posting) []byte {
+	at := len(dst)
+	dst = append(dst, make([]byte, len(block)*RawPostingBytes)...)
+	w := dst[at:]
+	for i, p := range block {
+		binary.LittleEndian.PutUint32(w[i*RawPostingBytes:], uint32(p.Doc))
+		binary.LittleEndian.PutUint32(w[i*RawPostingBytes+4:], uint32(p.Score))
 	}
-	if pos != len(buf) {
+	return dst
+}
+
+// decodeRaw decodes exactly n fixed-layout postings.
+func decodeRaw(buf []byte, n int, out []model.Posting) ([]model.Posting, error) {
+	if n < 0 || len(buf) != n*RawPostingBytes {
 		return nil, ErrCorrupt
 	}
-	return out, nil
-}
-
-// EncodeImpactBlock compresses an impact-ordered block. ceil is the
-// score bound entering the block (the previous block's last score, or
-// the term max for the first block); scores must not increase.
-func EncodeImpactBlock(ceil model.Score, block []model.Posting) ([]byte, error) {
-	buf := make([]byte, 0, len(block)*4)
-	prev := uint32(ceil)
-	for i, p := range block {
-		s := uint32(p.Score)
-		if s > prev {
-			return nil, fmt.Errorf("codec: scores increase at %d (%d > %d)", i, s, prev)
+	out = sized(out, n)
+	for i := range out {
+		b := buf[i*RawPostingBytes:][:RawPostingBytes]
+		out[i] = model.Posting{
+			Doc:   model.DocID(binary.LittleEndian.Uint32(b)),
+			Score: model.Score(binary.LittleEndian.Uint32(b[4:])),
 		}
-		buf = putUvarint32(buf, prev-s)
-		buf = putUvarint32(buf, uint32(p.Doc))
-		prev = s
-	}
-	return buf, nil
-}
-
-// DecodeImpactBlock decompresses an impact-ordered block of n postings.
-func DecodeImpactBlock(ceil model.Score, buf []byte, n int, out []model.Posting) ([]model.Posting, error) {
-	if cap(out) < n {
-		out = make([]model.Posting, n)
-	}
-	out = out[:n]
-	pos := 0
-	prev := uint32(ceil)
-	for i := 0; i < n; i++ {
-		d, next := uvarint32(buf, pos)
-		if next < 0 {
-			return nil, ErrCorrupt
-		}
-		doc, next2 := uvarint32(buf, next)
-		if next2 < 0 {
-			return nil, ErrCorrupt
-		}
-		pos = next2
-		if d > prev {
-			return nil, ErrCorrupt
-		}
-		prev -= d
-		out[i] = model.Posting{Doc: model.DocID(doc), Score: model.Score(prev)}
-	}
-	if pos != len(buf) {
-		return nil, ErrCorrupt
 	}
 	return out, nil
 }

@@ -1,13 +1,17 @@
 package codec
 
 import (
+	"errors"
 	"math/rand"
 	"sort"
 	"testing"
-	"testing/quick"
 
 	"sparta/internal/model"
 )
+
+// codecs is every id an index can be built with; the tests below are
+// one table over it.
+var codecs = []ID{Raw, Group}
 
 func docBlock(rng *rand.Rand, n int) []model.Posting {
 	ids := make(map[uint32]bool)
@@ -23,21 +27,23 @@ func docBlock(rng *rand.Rand, n int) []model.Posting {
 }
 
 func TestDocBlockRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 50; trial++ {
-		n := rng.Intn(200) + 1
-		block := docBlock(rng, n)
-		buf, err := EncodeDocBlock(0, block)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := DecodeDocBlock(0, buf, n, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range block {
-			if got[i] != block[i] {
-				t.Fatalf("trial %d posting %d: %+v != %+v", trial, i, got[i], block[i])
+	for _, id := range codecs {
+		rng := rand.New(rand.NewSource(1))
+		for trial := 0; trial < 50; trial++ {
+			n := rng.Intn(200) + 1
+			block := docBlock(rng, n)
+			buf, err := EncodeDoc(id, 0, block)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := DecodeDoc(id, 0, buf, n, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range block {
+				if got[i] != block[i] {
+					t.Fatalf("%v trial %d posting %d: %+v != %+v", id, trial, i, got[i], block[i])
+				}
 			}
 		}
 	}
@@ -45,142 +51,126 @@ func TestDocBlockRoundTrip(t *testing.T) {
 
 func TestDocBlockWithBase(t *testing.T) {
 	block := []model.Posting{{Doc: 100, Score: 7}, {Doc: 105, Score: 3}}
-	buf, err := EncodeDocBlock(99, block)
-	if err != nil {
-		t.Fatal(err)
+	for _, id := range codecs {
+		buf, err := EncodeDoc(id, 99, block)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeDoc(id, 99, buf, 2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[0].Doc != 100 || got[1].Doc != 105 {
+			t.Errorf("%v: got %v", id, got)
+		}
 	}
-	got, err := DecodeDocBlock(99, buf, 2, nil)
-	if err != nil {
-		t.Fatal(err)
+	// Under a delta codec a wrong base shifts everything: detected only
+	// by the caller, but it must not error. Raw does not read the base.
+	buf, _ := EncodeDoc(Group, 99, block)
+	if got, err := DecodeDoc(Group, 0, buf, 2, nil); err != nil || got[0].Doc != 1 {
+		t.Errorf("group base-0 decode: %v, %v", got, err)
 	}
-	if got[0].Doc != 100 || got[1].Doc != 105 {
-		t.Errorf("got %v", got)
-	}
-	// Wrong base shifts everything: detected only by the caller, but
-	// must not error.
-	got2, err := DecodeDocBlock(0, buf, 2, nil)
-	if err != nil || got2[0].Doc != 1 {
-		t.Errorf("base-0 decode: %v, %v", got2, err)
+	buf, _ = EncodeDoc(Raw, 99, block)
+	if got, err := DecodeDoc(Raw, 0, buf, 2, nil); err != nil || got[0].Doc != 100 {
+		t.Errorf("raw base-0 decode: %v, %v", got, err)
 	}
 }
 
 func TestDocBlockRejectsUnsorted(t *testing.T) {
-	if _, err := EncodeDocBlock(0, []model.Posting{{Doc: 5, Score: 1}, {Doc: 5, Score: 2}}); err == nil {
-		t.Error("duplicate ids accepted")
-	}
-	if _, err := EncodeDocBlock(10, []model.Posting{{Doc: 5, Score: 1}}); err == nil {
-		t.Error("doc before base accepted")
+	for _, id := range codecs {
+		if _, err := EncodeDoc(id, 0, []model.Posting{{Doc: 5, Score: 1}, {Doc: 5, Score: 2}}); err == nil {
+			t.Errorf("%v: duplicate ids accepted", id)
+		}
+		if _, err := EncodeDoc(id, 10, []model.Posting{{Doc: 5, Score: 1}}); err == nil {
+			t.Errorf("%v: doc before base accepted", id)
+		}
 	}
 }
 
 func TestImpactBlockRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 50; trial++ {
-		n := rng.Intn(200) + 1
-		block := make([]model.Posting, n)
-		score := model.Score(rng.Uint32()%50_000_000 + uint32(n))
-		for i := range block {
-			block[i] = model.Posting{Doc: model.DocID(rng.Uint32() % 1_000_000), Score: score}
-			if rng.Intn(2) == 0 {
-				score -= model.Score(rng.Intn(1000))
+	for _, id := range codecs {
+		rng := rand.New(rand.NewSource(2))
+		for trial := 0; trial < 50; trial++ {
+			n := rng.Intn(200) + 1
+			block := make([]model.Posting, n)
+			score := model.Score(rng.Uint32()%50_000_000 + uint32(n))
+			for i := range block {
+				block[i] = model.Posting{Doc: model.DocID(rng.Uint32() % 1_000_000), Score: score}
+				if rng.Intn(2) == 0 {
+					score -= model.Score(rng.Intn(1000))
+				}
+				if score < 0 {
+					score = 0
+				}
 			}
-			if score < 0 {
-				score = 0
+			ceil := block[0].Score
+			buf, err := EncodeImpact(id, ceil, block)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		ceil := block[0].Score
-		buf, err := EncodeImpactBlock(ceil, block)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := DecodeImpactBlock(ceil, buf, n, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range block {
-			if got[i] != block[i] {
-				t.Fatalf("trial %d posting %d: %+v != %+v", trial, i, got[i], block[i])
+			got, err := DecodeImpact(id, ceil, buf, n, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range block {
+				if got[i] != block[i] {
+					t.Fatalf("%v trial %d posting %d: %+v != %+v", id, trial, i, got[i], block[i])
+				}
 			}
 		}
 	}
 }
 
+// TestImpactBlockRejectsIncreasing pins the one place the codecs'
+// contracts differ: Group delta-codes scores downward and must refuse a
+// block that rises, Raw stores a payload it does not interpret — the
+// live index's frozen segments keep term frequencies in that field,
+// ordered by a weight the block does not hold.
 func TestImpactBlockRejectsIncreasing(t *testing.T) {
-	if _, err := EncodeImpactBlock(10, []model.Posting{{Doc: 1, Score: 20}}); err == nil {
-		t.Error("score above ceiling accepted")
+	above := []model.Posting{{Doc: 1, Score: 20}}
+	rising := []model.Posting{{Doc: 1, Score: 20}, {Doc: 2, Score: 25}}
+	if _, err := EncodeImpact(Group, 10, above); err == nil {
+		t.Error("group: score above ceiling accepted")
 	}
-	if _, err := EncodeImpactBlock(30, []model.Posting{
-		{Doc: 1, Score: 20}, {Doc: 2, Score: 25},
-	}); err == nil {
-		t.Error("increasing scores accepted")
+	if _, err := EncodeImpact(Group, 30, rising); err == nil {
+		t.Error("group: increasing scores accepted")
+	}
+	buf, err := EncodeImpact(Raw, 10, rising)
+	if err != nil {
+		t.Fatalf("raw: non-monotone payload refused: %v", err)
+	}
+	got, err := DecodeImpact(Raw, 10, buf, len(rising), nil)
+	if err != nil || got[0] != rising[0] || got[1] != rising[1] {
+		t.Errorf("raw: non-monotone payload came back as %v, %v", got, err)
 	}
 }
 
 func TestDecodeCorruptData(t *testing.T) {
-	// Truncated buffer.
 	block := []model.Posting{{Doc: 1, Score: 1 << 30}, {Doc: 2, Score: 1 << 29}}
-	buf, _ := EncodeDocBlock(0, block)
-	if _, err := DecodeDocBlock(0, buf[:len(buf)-1], 2, nil); err == nil {
-		t.Error("truncated doc block accepted")
-	}
-	// Trailing garbage.
-	if _, err := DecodeDocBlock(0, append(buf, 0), 2, nil); err == nil {
-		t.Error("trailing bytes accepted")
-	}
-	ibuf, _ := EncodeImpactBlock(1<<30, block)
-	if _, err := DecodeImpactBlock(1<<30, ibuf[:len(ibuf)-1], 2, nil); err == nil {
-		t.Error("truncated impact block accepted")
-	}
-	// All-continuation bytes never terminate a varint.
-	bad := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
-	if _, err := DecodeDocBlock(0, bad, 1, nil); err == nil {
-		t.Error("overlong varint accepted")
-	}
-}
-
-func TestVarintRejectsNonCanonicalOverflow(t *testing.T) {
-	// A 5-byte varint whose 5th byte sets bits past 31 encodes a value
-	// that does not fit uint32; the old decoder silently truncated it.
-	over := []byte{0xff, 0xff, 0xff, 0xff, 0x1f}
-	if _, next := uvarint32(over, 0); next >= 0 {
-		t.Error("overflowing 5-byte varint accepted")
-	}
-	// The worst case 0x7f payload byte, too.
-	over[4] = 0x7f
-	if _, next := uvarint32(over, 0); next >= 0 {
-		t.Error("overflowing 5-byte varint accepted")
-	}
-	// The canonical encoding of MaxUint32 still decodes.
-	maxEnc := putUvarint32(nil, 0xffffffff)
-	v, next := uvarint32(maxEnc, 0)
-	if next != len(maxEnc) || v != 0xffffffff {
-		t.Errorf("canonical MaxUint32 decode: got %#x next %d", v, next)
-	}
-	// Overflow inside a posting block surfaces as ErrCorrupt.
-	block := append(append([]byte{}, over...), 0x01) // delta overflow + score
-	if _, err := DecodeDocBlock(0, block, 1, nil); err == nil {
-		t.Error("doc block with overflowing delta accepted")
-	}
-}
-
-func TestVarintRoundTripProperty(t *testing.T) {
-	f := func(vals []uint32) bool {
-		var buf []byte
-		for _, v := range vals {
-			buf = putUvarint32(buf, v)
+	for _, id := range codecs {
+		buf, _ := EncodeDoc(id, 0, block)
+		if _, err := DecodeDoc(id, 0, buf[:len(buf)-1], 2, nil); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%v: truncated doc block: %v", id, err)
 		}
-		pos := 0
-		for _, v := range vals {
-			got, next := uvarint32(buf, pos)
-			if next < 0 || got != v {
-				return false
-			}
-			pos = next
+		if _, err := DecodeDoc(id, 0, append(buf, 0), 2, nil); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%v: trailing bytes: %v", id, err)
 		}
-		return pos == len(buf)
+		ibuf, _ := EncodeImpact(id, 1<<30, block)
+		if _, err := DecodeImpact(id, 1<<30, ibuf[:len(ibuf)-1], 2, nil); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%v: truncated impact block: %v", id, err)
+		}
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
+	// The retired id 0 and ids never assigned decode nothing.
+	for _, id := range []ID{0, 3, 255} {
+		if id.Valid() {
+			t.Errorf("id %d reads as valid", id)
+		}
+		if _, err := DecodeDoc(id, 0, nil, 0, nil); err == nil {
+			t.Errorf("id %d decoded a doc block", id)
+		}
+		if _, err := EncodeImpact(id, 0, nil); err == nil {
+			t.Errorf("id %d encoded an impact block", id)
+		}
 	}
 }
 
@@ -194,44 +184,52 @@ func TestCompressionRatioOnDenseLists(t *testing.T) {
 			Score: model.Score(1_000_000 + i%1000),
 		})
 	}
-	buf, err := EncodeDocBlock(0, block)
+	buf, err := EncodeDoc(Group, 0, block)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw := len(block) * 8
-	if len(buf)*2 > raw {
-		t.Errorf("compressed %d bytes vs raw %d; expected at least 2x", len(buf), raw)
+	raw, err := EncodeDoc(Raw, 0, block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw) != len(block)*RawPostingBytes {
+		t.Errorf("raw block is %d bytes, want %d", len(raw), len(block)*RawPostingBytes)
+	}
+	if len(buf)*2 > len(raw) {
+		t.Errorf("compressed %d bytes vs raw %d; expected at least 2x", len(buf), len(raw))
 	}
 }
 
 func TestDecodeReusesBuffer(t *testing.T) {
 	block := docBlock(rand.New(rand.NewSource(3)), 64)
-	buf, _ := EncodeDocBlock(0, block)
-	scratch := make([]model.Posting, 0, 128)
-	out, err := DecodeDocBlock(0, buf, 64, scratch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &out[0] != &scratch[:1][0] {
-		t.Error("decode did not reuse the provided buffer")
+	for _, id := range codecs {
+		buf, _ := EncodeDoc(id, 0, block)
+		scratch := make([]model.Posting, 0, 128)
+		out, err := DecodeDoc(id, 0, buf, 64, scratch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &out[0] != &scratch[:1][0] {
+			t.Errorf("%v: decode did not reuse the provided buffer", id)
+		}
 	}
 }
 
 func FuzzDecodeDocBlock(f *testing.F) {
 	sample := []model.Posting{{Doc: 3, Score: 9}, {Doc: 8, Score: 2}}
-	valid, _ := EncodeDocBlock(0, sample)
-	f.Add(valid, 2)
-	gvalid, _ := EncodeGroupDocBlock(0, sample)
-	f.Add(gvalid, 2)
+	for _, id := range codecs {
+		valid, _ := EncodeDoc(id, 0, sample)
+		f.Add(valid, 2)
+	}
 	f.Add([]byte{0xff, 0x01}, 1)
 	f.Add([]byte{0x02, 0x0f, 0xff}, 3) // FOR tags with short payloads
 	f.Fuzz(func(t *testing.T, data []byte, n int) {
 		if n < 0 || n > 1024 {
 			return
 		}
-		// Both codecs must never panic on arbitrary bytes; errors are
-		// fine, but a nil error must deliver exactly n postings.
-		for _, id := range []ID{LEB128, Group} {
+		// No codec may panic on arbitrary bytes; errors are fine, but a
+		// nil error must deliver exactly n postings.
+		for _, id := range codecs {
 			out, err := DecodeDoc(id, 0, data, n, nil)
 			if err == nil && len(out) != n {
 				t.Fatalf("%v: no error but %d postings, want %d", id, len(out), n)
@@ -242,16 +240,16 @@ func FuzzDecodeDocBlock(f *testing.F) {
 
 func FuzzDecodeImpactBlock(f *testing.F) {
 	sample := []model.Posting{{Doc: 3, Score: 90}, {Doc: 8, Score: 20}}
-	valid, _ := EncodeImpactBlock(100, sample)
-	f.Add(valid, 2)
-	gvalid, _ := EncodeGroupImpactBlock(100, sample)
-	f.Add(gvalid, 2)
+	for _, id := range codecs {
+		valid, _ := EncodeImpact(id, 100, sample)
+		f.Add(valid, 2)
+	}
 	f.Add([]byte{0x10, 0x00, 0xff}, 2)
 	f.Fuzz(func(t *testing.T, data []byte, n int) {
 		if n < 0 || n > 1024 {
 			return
 		}
-		for _, id := range []ID{LEB128, Group} {
+		for _, id := range codecs {
 			out, err := DecodeImpact(id, 1<<31, data, n, nil)
 			if err == nil && len(out) != n {
 				t.Fatalf("%v: no error but %d postings, want %d", id, len(out), n)

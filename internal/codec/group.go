@@ -1,6 +1,5 @@
-// Group codec: a branch-light block codec layered over the same
-// 64-posting blocks the LEB128 codec uses, selectable per index through
-// a codec id.
+// Group codec: a branch-light block codec over the same 64-posting
+// blocks Raw stores, selectable per index through a codec id.
 //
 // Each block carries two tagged streams (doc order: doc-id deltas then
 // scores; impact order: downward score deltas then doc ids). A stream
@@ -30,75 +29,6 @@ import (
 
 	"sparta/internal/model"
 )
-
-// ID selects a posting-block codec. It is persisted in index manifests
-// (cindex format v3) so old directories keep decoding with the codec
-// they were written with.
-type ID uint8
-
-const (
-	// LEB128 is the original byte-at-a-time varint codec.
-	LEB128 ID = 0
-	// Group is the branch-light stream-vbyte + frame-of-reference codec.
-	Group ID = 1
-)
-
-// Valid reports whether id names a known codec.
-func (id ID) Valid() bool { return id == LEB128 || id == Group }
-
-func (id ID) String() string {
-	switch id {
-	case LEB128:
-		return "leb128"
-	case Group:
-		return "group"
-	}
-	return fmt.Sprintf("codec(%d)", uint8(id))
-}
-
-// EncodeDoc compresses a doc-ordered block with the named codec.
-func EncodeDoc(id ID, base model.DocID, block []model.Posting) ([]byte, error) {
-	switch id {
-	case LEB128:
-		return EncodeDocBlock(base, block)
-	case Group:
-		return EncodeGroupDocBlock(base, block)
-	}
-	return nil, fmt.Errorf("codec: unknown codec id %d", uint8(id))
-}
-
-// DecodeDoc decompresses a doc-ordered block with the named codec.
-func DecodeDoc(id ID, base model.DocID, buf []byte, n int, out []model.Posting) ([]model.Posting, error) {
-	switch id {
-	case LEB128:
-		return DecodeDocBlock(base, buf, n, out)
-	case Group:
-		return DecodeGroupDocBlock(base, buf, n, out)
-	}
-	return nil, fmt.Errorf("codec: unknown codec id %d", uint8(id))
-}
-
-// EncodeImpact compresses an impact-ordered block with the named codec.
-func EncodeImpact(id ID, ceil model.Score, block []model.Posting) ([]byte, error) {
-	switch id {
-	case LEB128:
-		return EncodeImpactBlock(ceil, block)
-	case Group:
-		return EncodeGroupImpactBlock(ceil, block)
-	}
-	return nil, fmt.Errorf("codec: unknown codec id %d", uint8(id))
-}
-
-// DecodeImpact decompresses an impact-ordered block with the named codec.
-func DecodeImpact(id ID, ceil model.Score, buf []byte, n int, out []model.Posting) ([]model.Posting, error) {
-	switch id {
-	case LEB128:
-		return DecodeImpactBlock(ceil, buf, n, out)
-	case Group:
-		return DecodeGroupImpactBlock(ceil, buf, n, out)
-	}
-	return nil, fmt.Errorf("codec: unknown codec id %d", uint8(id))
-}
 
 const (
 	// forMaxBits caps the frame-of-reference width; wider values fall
@@ -275,38 +205,28 @@ func decodeSVB(buf []byte, pos, n int, out []uint32) (int, error) {
 // block up to that size.
 const groupScratchLen = 64
 
-// EncodeGroupDocBlock compresses a doc-ordered block with the group
-// codec. Same contract as EncodeDocBlock.
-func EncodeGroupDocBlock(base model.DocID, block []model.Posting) ([]byte, error) {
+// appendGroupDoc appends a doc-ordered block: doc-id deltas from base,
+// then scores.
+func appendGroupDoc(dst []byte, base model.DocID, block []model.Posting) ([]byte, error) {
 	n := len(block)
 	var da, sa [groupScratchLen]uint32
 	deltas, scores := scratchPair(&da, &sa, n)
-	prev := uint32(base)
+	prev := base
 	for i, p := range block {
-		doc := uint32(p.Doc)
-		if i == 0 && doc < prev {
-			return nil, fmt.Errorf("codec: block starts at doc %d before base %d", doc, prev)
+		if p.Doc < prev || i > 0 && p.Doc == prev {
+			return nil, docOrderError(i, p.Doc, prev)
 		}
-		if i > 0 && doc <= prev {
-			return nil, fmt.Errorf("codec: doc ids not strictly increasing at %d", i)
-		}
-		deltas[i] = doc - prev
+		deltas[i] = uint32(p.Doc - prev)
 		scores[i] = uint32(p.Score)
-		prev = doc
+		prev = p.Doc
 	}
-	buf := make([]byte, 0, 2+n*3)
-	buf = appendStream(buf, deltas)
-	buf = appendStream(buf, scores)
-	return buf, nil
+	dst = appendStream(dst, deltas)
+	return appendStream(dst, scores), nil
 }
 
-// DecodeGroupDocBlock decompresses a group-coded doc-ordered block of n
-// postings into out (reused if big enough).
-func DecodeGroupDocBlock(base model.DocID, buf []byte, n int, out []model.Posting) ([]model.Posting, error) {
-	if cap(out) < n {
-		out = make([]model.Posting, n)
-	}
-	out = out[:n]
+// decodeGroupDoc decodes a group-coded doc-ordered block of n postings.
+func decodeGroupDoc(base model.DocID, buf []byte, n int, out []model.Posting) ([]model.Posting, error) {
+	out = sized(out, n)
 	var da, sa [groupScratchLen]uint32
 	deltas, scores := scratchPair(&da, &sa, n)
 	pos, err := decodeStream(buf, 0, n, deltas)
@@ -328,9 +248,9 @@ func DecodeGroupDocBlock(base model.DocID, buf []byte, n int, out []model.Postin
 	return out, nil
 }
 
-// EncodeGroupImpactBlock compresses an impact-ordered block with the
-// group codec. Same contract as EncodeImpactBlock.
-func EncodeGroupImpactBlock(ceil model.Score, block []model.Posting) ([]byte, error) {
+// appendGroupImpact appends an impact-ordered block: downward score
+// deltas from ceil, then doc ids.
+func appendGroupImpact(dst []byte, ceil model.Score, block []model.Posting) ([]byte, error) {
 	n := len(block)
 	var da, sa [groupScratchLen]uint32
 	deltas, docs := scratchPair(&da, &sa, n)
@@ -344,19 +264,14 @@ func EncodeGroupImpactBlock(ceil model.Score, block []model.Posting) ([]byte, er
 		docs[i] = uint32(p.Doc)
 		prev = s
 	}
-	buf := make([]byte, 0, 2+n*3)
-	buf = appendStream(buf, deltas)
-	buf = appendStream(buf, docs)
-	return buf, nil
+	dst = appendStream(dst, deltas)
+	return appendStream(dst, docs), nil
 }
 
-// DecodeGroupImpactBlock decompresses a group-coded impact-ordered
-// block of n postings.
-func DecodeGroupImpactBlock(ceil model.Score, buf []byte, n int, out []model.Posting) ([]model.Posting, error) {
-	if cap(out) < n {
-		out = make([]model.Posting, n)
-	}
-	out = out[:n]
+// decodeGroupImpact decodes a group-coded impact-ordered block of n
+// postings.
+func decodeGroupImpact(ceil model.Score, buf []byte, n int, out []model.Posting) ([]model.Posting, error) {
+	out = sized(out, n)
 	var da, sa [groupScratchLen]uint32
 	deltas, docs := scratchPair(&da, &sa, n)
 	pos, err := decodeStream(buf, 0, n, deltas)
@@ -413,34 +328,4 @@ func DecodeUint32Stream(buf []byte, n int, out []uint32) ([]uint32, error) {
 		return nil, ErrCorrupt
 	}
 	return out, nil
-}
-
-// RawPostingBytes is the fixed on-disk size of one uncompressed posting
-// (doc id + score, both little-endian uint32) — the layout the
-// uncompressed diskindex format stores.
-const RawPostingBytes = 8
-
-// AppendRawPostings appends list in the fixed 8-byte layout.
-func AppendRawPostings(buf []byte, list []model.Posting) []byte {
-	for _, p := range list {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(p.Doc))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(p.Score))
-	}
-	return buf
-}
-
-// DecodeRawPostings decodes len(out) fixed-layout postings from raw,
-// which the caller has sized (raw views are length-checked by the
-// store).
-func DecodeRawPostings(raw []byte, out []model.Posting) {
-	if len(out) == 0 {
-		return
-	}
-	_ = raw[len(out)*RawPostingBytes-1] // one bounds check for the loop
-	for i := range out {
-		out[i] = model.Posting{
-			Doc:   model.DocID(binary.LittleEndian.Uint32(raw[i*RawPostingBytes:])),
-			Score: model.Score(binary.LittleEndian.Uint32(raw[i*RawPostingBytes+4:])),
-		}
-	}
 }

@@ -32,11 +32,11 @@ func TestGroupDocBlockRoundTrip(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		n := rng.Intn(200) + 1
 		block := docBlockWide(rng, n, trial%2 == 0, trial%3 == 0)
-		buf, err := EncodeGroupDocBlock(0, block)
+		buf, err := EncodeDoc(Group, 0, block)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := DecodeGroupDocBlock(0, buf, n, nil)
+		got, err := DecodeDoc(Group, 0, buf, n, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,11 +65,11 @@ func TestGroupImpactBlockRoundTrip(t *testing.T) {
 			}
 		}
 		ceil := block[0].Score
-		buf, err := EncodeGroupImpactBlock(ceil, block)
+		buf, err := EncodeImpact(Group, ceil, block)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := DecodeGroupImpactBlock(ceil, buf, n, nil)
+		got, err := DecodeImpact(Group, ceil, buf, n, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,16 +81,16 @@ func TestGroupImpactBlockRoundTrip(t *testing.T) {
 	}
 }
 
-func TestGroupMatchesLEB128(t *testing.T) {
+func TestGroupMatchesRaw(t *testing.T) {
 	// Both codecs must decode to identical postings from their own
 	// encodings of the same blocks — the cross-codec equivalence the
-	// index formats rely on.
+	// one index format relies on.
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 100; trial++ {
 		n := rng.Intn(64) + 1
 		block := docBlockWide(rng, n, trial%2 == 0, false)
 		base := model.DocID(0)
-		for _, id := range []ID{LEB128, Group} {
+		for _, id := range []ID{Raw, Group} {
 			buf, err := EncodeDoc(id, base, block)
 			if err != nil {
 				t.Fatal(err)
@@ -109,59 +109,59 @@ func TestGroupMatchesLEB128(t *testing.T) {
 }
 
 func TestGroupRejectsInvalidBlocks(t *testing.T) {
-	if _, err := EncodeGroupDocBlock(0, []model.Posting{{Doc: 5, Score: 1}, {Doc: 5, Score: 2}}); err == nil {
+	if _, err := EncodeDoc(Group, 0, []model.Posting{{Doc: 5, Score: 1}, {Doc: 5, Score: 2}}); err == nil {
 		t.Error("duplicate ids accepted")
 	}
-	if _, err := EncodeGroupDocBlock(10, []model.Posting{{Doc: 5, Score: 1}}); err == nil {
+	if _, err := EncodeDoc(Group, 10, []model.Posting{{Doc: 5, Score: 1}}); err == nil {
 		t.Error("doc before base accepted")
 	}
-	if _, err := EncodeGroupImpactBlock(10, []model.Posting{{Doc: 1, Score: 20}}); err == nil {
+	if _, err := EncodeImpact(Group, 10, []model.Posting{{Doc: 1, Score: 20}}); err == nil {
 		t.Error("score above ceiling accepted")
 	}
 }
 
 func TestGroupDecodeCorrupt(t *testing.T) {
 	block := []model.Posting{{Doc: 1, Score: 1 << 30}, {Doc: 2, Score: 1 << 29}}
-	buf, err := EncodeGroupDocBlock(0, block)
+	buf, err := EncodeDoc(Group, 0, block)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeGroupDocBlock(0, buf[:len(buf)-1], 2, nil); err == nil {
+	if _, err := DecodeDoc(Group, 0, buf[:len(buf)-1], 2, nil); err == nil {
 		t.Error("truncated group doc block accepted")
 	}
-	if _, err := DecodeGroupDocBlock(0, append(append([]byte{}, buf...), 0), 2, nil); err == nil {
+	if _, err := DecodeDoc(Group, 0, append(append([]byte{}, buf...), 0), 2, nil); err == nil {
 		t.Error("trailing bytes accepted")
 	}
-	if _, err := DecodeGroupDocBlock(0, nil, 1, nil); err == nil {
+	if _, err := DecodeDoc(Group, 0, nil, 1, nil); err == nil {
 		t.Error("empty buffer accepted")
 	}
 	// Unknown stream tag.
-	if _, err := DecodeGroupDocBlock(0, []byte{0x42, 0, 0}, 1, nil); err == nil {
+	if _, err := DecodeDoc(Group, 0, []byte{0x42, 0, 0}, 1, nil); err == nil {
 		t.Error("unknown tag accepted")
 	}
 	// FOR payload shorter than the width demands.
-	if _, err := DecodeGroupDocBlock(0, []byte{16, 0x01}, 1, nil); err == nil {
+	if _, err := DecodeDoc(Group, 0, []byte{16, 0x01}, 1, nil); err == nil {
 		t.Error("short FOR payload accepted")
 	}
 	// Stream-vbyte control bytes demanding more data than present.
-	if _, err := DecodeGroupDocBlock(0, []byte{0xff, 0xff, 0x01}, 4, nil); err == nil {
+	if _, err := DecodeDoc(Group, 0, []byte{0xff, 0xff, 0x01}, 4, nil); err == nil {
 		t.Error("short svb payload accepted")
 	}
 	// Impact deltas that underflow the ceiling.
-	ibuf, err := EncodeGroupImpactBlock(5, []model.Posting{{Doc: 1, Score: 0}})
+	ibuf, err := EncodeImpact(Group, 5, []model.Posting{{Doc: 1, Score: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeGroupImpactBlock(2, ibuf, 1, nil); err == nil {
+	if _, err := DecodeImpact(Group, 2, ibuf, 1, nil); err == nil {
 		t.Error("underflowing impact delta accepted")
 	}
 }
 
 func TestGroupDecodeReusesBuffer(t *testing.T) {
 	block := docBlockWide(rand.New(rand.NewSource(14)), 64, false, false)
-	buf, _ := EncodeGroupDocBlock(0, block)
+	buf, _ := EncodeDoc(Group, 0, block)
 	scratch := make([]model.Posting, 0, 128)
-	out, err := DecodeGroupDocBlock(0, buf, 64, scratch)
+	out, err := DecodeDoc(Group, 0, buf, 64, scratch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,28 +172,24 @@ func TestGroupDecodeReusesBuffer(t *testing.T) {
 
 func TestGroupCompressionRatio(t *testing.T) {
 	// Typical dense blocks (small deltas, bounded scores) must beat the
-	// 8-byte raw layout by at least 2x, and not lose to LEB128.
+	// 8-byte raw layout by at least 2x.
 	rng := rand.New(rand.NewSource(15))
-	var groupBytes, lebBytes, rawBytes int
+	var groupBytes, rawBytes int
 	for trial := 0; trial < 50; trial++ {
 		block := docBlockWide(rng, 64, false, false)
-		g, err := EncodeGroupDocBlock(0, block)
+		g, err := EncodeDoc(Group, 0, block)
 		if err != nil {
 			t.Fatal(err)
 		}
-		l, err := EncodeDocBlock(0, block)
+		r, err := EncodeDoc(Raw, 0, block)
 		if err != nil {
 			t.Fatal(err)
 		}
 		groupBytes += len(g)
-		lebBytes += len(l)
-		rawBytes += len(block) * 8
+		rawBytes += len(r)
 	}
 	if groupBytes*2 > rawBytes {
 		t.Errorf("group codec: %d bytes vs %d raw; want at least 2x", groupBytes, rawBytes)
-	}
-	if groupBytes > lebBytes*11/10 {
-		t.Errorf("group codec %d bytes noticeably worse than LEB128 %d", groupBytes, lebBytes)
 	}
 }
 
@@ -229,15 +225,30 @@ func TestUint32StreamRoundTrip(t *testing.T) {
 
 func TestRawPostingsRoundTrip(t *testing.T) {
 	block := docBlockWide(rand.New(rand.NewSource(17)), 64, true, true)
-	raw := AppendRawPostings(nil, block)
-	if len(raw) != len(block)*RawPostingBytes {
-		t.Fatalf("raw size %d, want %d", len(raw), len(block)*RawPostingBytes)
+	raw, err := AppendDoc([]byte{0xaa}, Raw, 0, block)
+	if err != nil {
+		t.Fatal(err)
 	}
-	out := make([]model.Posting, len(block))
-	DecodeRawPostings(raw, out)
+	if raw[0] != 0xaa || len(raw) != 1+len(block)*RawPostingBytes {
+		t.Fatalf("raw size %d, want the prefix plus %d", len(raw), len(block)*RawPostingBytes)
+	}
+	out, err := DecodeDoc(Raw, 0, raw[1:], len(block), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range block {
 		if out[i] != block[i] {
 			t.Fatalf("posting %d: %+v != %+v", i, out[i], block[i])
 		}
+	}
+	// The length is the only thing a raw block can get wrong, and it is
+	// checked: one byte short, one long, or the wrong count.
+	for _, bad := range [][]byte{raw[1 : len(raw)-1], append(raw[1:len(raw):len(raw)], 0)} {
+		if _, err := DecodeDoc(Raw, 0, bad, len(block), nil); err != ErrCorrupt {
+			t.Errorf("%d-byte raw block of %d postings: err = %v, want ErrCorrupt", len(bad), len(block), err)
+		}
+	}
+	if _, err := DecodeImpact(Raw, 0, raw[1:], len(block)-1, nil); err != ErrCorrupt {
+		t.Errorf("wrong posting count: err = %v, want ErrCorrupt", err)
 	}
 }

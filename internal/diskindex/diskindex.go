@@ -1,208 +1,139 @@
+// Package diskindex is the repository's one on-(simulated-)disk inverted
+// index. Per §5.1 of the paper, "the appropriate index (either in
+// document order or in score order) is pre-built offline and stored on
+// disk"; per §5.2, pRA additionally needs a by-document index and sNRA
+// a partition into document-id shards. One directory holds all of it.
+//
+// Every posting region — a term's doc-ordered list, its impact-ordered
+// list, one impact-ordered sublist per shard — is stored as a sequence
+// of postings.BlockSize-posting blocks, each turned into bytes by the
+// block codec the manifest names (package codec). codec.Raw is the
+// paper's layout, "uncompressed as a collection of binary files": §5.1
+// is a configuration of this package, not a package of its own.
+// codec.Group is the compressed form the reproduction checks §5's
+// "decompression is marginal" claim with. Nothing below this comment
+// depends on which one an index was built with.
+//
+// The block directory — per term: length and max score; per block: byte
+// length, last doc id and block max (doc order) or entering score bound
+// (impact order) — is RAM-resident, like a search engine's dictionary
+// and skip data. Posting bytes are read through an iomodel.Store and
+// charged. Cursors read a block at a time: one View per block, decoded
+// into a buffer the cursor owns or served decoded from an optional
+// plcache.Cache shared by every query over the index.
 package diskindex
 
 import (
 	"context"
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"sparta/internal/index"
+	"sparta/internal/codec"
 	"sparta/internal/iomodel"
 	"sparta/internal/model"
 	"sparta/internal/plcache"
 	"sparta/internal/postings"
 )
 
-// File names inside an index directory.
-const (
-	ManifestFile = "manifest.json"
-	DictFile     = "dict.bin"
-	PostingsFile = "postings.bin"
-)
+// DefaultShards is the number of document-id shards pre-built for the
+// shared-nothing baseline; the paper partitions into 12 (§5.2.2).
+const DefaultShards = 12
 
-// blockBytes is the on-disk size of one full posting block.
-const blockBytes = postings.BlockSize * postingSize
+// blockMeta directs one stored block. ref is what its codec decodes
+// against: the doc id immediately before a doc-ordered block, the score
+// bound entering an impact-ordered one.
+type blockMeta struct {
+	off     int64 // byte offset in the postings region
+	byteLen int32
+	count   int32
+	ref     uint32
+}
+
+// termMeta is one term's record: its list length and max score, and
+// where its nBlocks(df) doc-ordered and nBlocks(df) impact-ordered
+// blocks start in the flat block tables.
+type termMeta struct {
+	df       int32
+	max      model.Score
+	docStart int32
+	impStart int32
+}
+
+// shardRec directs one term × shard impact sublist: its length, its max
+// score (the tight initial Bound), and where its nBlocks(n) blocks start
+// in the impact block table. Term t's records are
+// shardRecs[t*Shards : (t+1)*Shards].
+type shardRec struct {
+	n        int32
+	max      model.Score
+	blkStart int32
+}
+
+func nBlocks(n int32) int32 { return (n + postings.BlockSize - 1) / postings.BlockSize }
+
+// directory is everything about an index but its posting bytes and its
+// store: immutable once built or opened, so Reopen shares it.
+type directory struct {
+	manifest  Manifest
+	terms     []termMeta
+	shardRecs []shardRec
+	docMeta   []blockMeta
+	docDir    []postings.BlockMeta // (last, max) of docMeta[i]; what SkipTo and block-max pruning read
+	impMeta   []blockMeta          // per term: the impact list's blocks, then each shard sublist's
+}
 
 // Index is an opened on-disk index whose posting reads are charged
 // through an iomodel.Store. It implements postings.View and is safe for
 // concurrent use (each cursor owns its reader).
-//
-// Cursors read block-at-a-time: one iomodel View per posting block of
-// postings.BlockSize entries, decoded into a reusable buffer, so Next
-// is a slice index and SkipTo is a RAM metadata search plus one block
-// decode. An optional plcache.Cache of decoded blocks (SetPostingCache)
-// sits above the simulated page cache; serving a block from it skips
-// both the reader-accounting round trip and the simulated disk charge.
 type Index struct {
-	manifest Manifest
+	*directory
 	store    *iomodel.Store
 	postFile int
 
-	dict      []dictEntry
-	blocks    [][]postings.BlockMeta // resident, like skip data
-	shardLens [][]uint32             // per term, per shard
-	shardOffs [][]int64              // per term, per shard: absolute sublist offset
-	shardMaxs [][]model.Score        // per term, per shard: sublist max score
-
-	cache atomic.Pointer[plcache.Cache] // app-level decoded-block cache, optional
+	cache atomic.Pointer[plcache.Cache] // decoded-block cache, optional
 }
 
-var _ postings.View = (*Index)(nil)
+var (
+	_ postings.View        = (*Index)(nil)
+	_ postings.ExecBinder  = (*Index)(nil)
+	_ postings.TermWarmer  = (*Index)(nil)
+	_ postings.BlockWalker = (*Index)(nil)
+	_ postings.Settler     = (*execView)(nil)
+)
 
-// blockPool recycles per-cursor decode buffers of one posting block.
-var blockPool = sync.Pool{
-	New: func() any {
-		b := make([]model.Posting, postings.BlockSize)
-		return &b
-	},
+func newIndex(d *directory, region []byte, cfg iomodel.Config) *Index {
+	x := &Index{directory: d, store: iomodel.NewStore(cfg)}
+	x.postFile = x.store.AddFile(PostingsFile, region)
+	return x
 }
 
-// WriteDir serializes x into directory dir (created if needed).
-func WriteDir(x *index.Index, shards int, dir string) error {
-	manifest, dict, post, err := Encode(x, shards)
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("diskindex: creating %s: %w", dir, err)
-	}
-	for _, f := range []struct {
-		name string
-		data []byte
-	}{{ManifestFile, manifest}, {DictFile, dict}, {PostingsFile, post}} {
-		if err := os.WriteFile(filepath.Join(dir, f.name), f.data, 0o644); err != nil {
-			return fmt.Errorf("diskindex: writing %s: %w", f.name, err)
-		}
-	}
-	return nil
-}
-
-// OpenDir loads an index directory into a fresh simulated store
-// configured by cfg. The file bytes live in memory but every posting
-// access is charged as if the index were disk-resident.
-func OpenDir(dir string, cfg iomodel.Config) (*Index, error) {
-	manifest, err := os.ReadFile(filepath.Join(dir, ManifestFile))
-	if err != nil {
-		return nil, fmt.Errorf("diskindex: %w", err)
-	}
-	dict, err := os.ReadFile(filepath.Join(dir, DictFile))
-	if err != nil {
-		return nil, fmt.Errorf("diskindex: %w", err)
-	}
-	post, err := os.ReadFile(filepath.Join(dir, PostingsFile))
-	if err != nil {
-		return nil, fmt.Errorf("diskindex: %w", err)
-	}
-	return open(manifest, dict, post, cfg)
-}
-
-// FromIndex converts an in-memory index directly into an opened
-// disk-modeled index, skipping the filesystem round trip. This is what
-// tests and single-process experiments use.
-func FromIndex(x *index.Index, shards int, cfg iomodel.Config) (*Index, error) {
-	manifest, dict, post, err := Encode(x, shards)
-	if err != nil {
-		return nil, err
-	}
-	return open(manifest, dict, post, cfg)
-}
-
-// OpenEncoded opens an index over already-encoded file bytes (the
-// triple Encode returns) with a fresh simulated store configured by
-// cfg. Replica sets use it to open N independently charged copies of
-// one shard without paying the encode N times; the byte slices are
-// aliased, not copied, so callers must not mutate them afterwards.
-func OpenEncoded(manifest, dict, post []byte, cfg iomodel.Config) (*Index, error) {
-	return open(manifest, dict, post, cfg)
-}
-
-func open(manifestBytes, dictBytes, postBytes []byte, cfg iomodel.Config) (*Index, error) {
-	var m Manifest
-	if err := json.Unmarshal(manifestBytes, &m); err != nil {
-		return nil, fmt.Errorf("diskindex: parsing manifest: %w", err)
-	}
-	if m.Version != FormatVersion {
-		return nil, fmt.Errorf("diskindex: format version %d, want %d", m.Version, FormatVersion)
-	}
-	if len(dictBytes) != m.NumTerms*dictRecSize {
-		return nil, fmt.Errorf("diskindex: dict is %d bytes, want %d terms x %d",
-			len(dictBytes), m.NumTerms, dictRecSize)
-	}
-	store := iomodel.NewStore(cfg)
-	postFile := store.AddFile(PostingsFile, postBytes)
-
-	x := &Index{
-		manifest:  m,
-		store:     store,
-		postFile:  postFile,
-		dict:      make([]dictEntry, m.NumTerms),
-		blocks:    make([][]postings.BlockMeta, m.NumTerms),
-		shardLens: make([][]uint32, m.NumTerms),
-		shardOffs: make([][]int64, m.NumTerms),
-		shardMaxs: make([][]model.Score, m.NumTerms),
-	}
-	// Decode the dictionary and the resident metadata regions. This is
-	// open-time setup (uncharged), like a search engine loading its
-	// term dictionary and skip data into the heap.
-	for t := 0; t < m.NumTerms; t++ {
-		rec := dictBytes[t*dictRecSize:]
-		e := dictEntry{
-			df:        binary.LittleEndian.Uint32(rec[0:]),
-			max:       binary.LittleEndian.Uint32(rec[4:]),
-			docOff:    binary.LittleEndian.Uint64(rec[8:]),
-			impactOff: binary.LittleEndian.Uint64(rec[16:]),
-			blockOff:  binary.LittleEndian.Uint64(rec[24:]),
-			shardOff:  binary.LittleEndian.Uint64(rec[32:]),
-		}
-		x.dict[t] = e
-		nBlocks := (int(e.df) + postings.BlockSize - 1) / postings.BlockSize
-		blocks := make([]postings.BlockMeta, nBlocks)
-		for b := 0; b < nBlocks; b++ {
-			raw := postBytes[int(e.blockOff)+b*8:]
-			blocks[b] = postings.BlockMeta{
-				Last: model.DocID(binary.LittleEndian.Uint32(raw)),
-				Max:  model.Score(binary.LittleEndian.Uint32(raw[4:])),
-			}
-		}
-		x.blocks[t] = blocks
-		lens := make([]uint32, m.Shards)
-		for s := 0; s < m.Shards; s++ {
-			lens[s] = binary.LittleEndian.Uint32(postBytes[int(e.shardOff)+s*4:])
-		}
-		x.shardLens[t] = lens
-		// Prefix-summed absolute shard sublist offsets, so opening a
-		// shard cursor is O(1) instead of an O(nShards) walk per cursor.
-		// The sublist max (its first posting — lists are impact-ordered)
-		// becomes the cursor's initial Bound, matching the in-memory
-		// view's tight per-shard bound.
-		offs := make([]int64, m.Shards)
-		maxs := make([]model.Score, m.Shards)
-		off := align8(int64(e.shardOff) + int64(m.Shards)*4)
-		for s := 0; s < m.Shards; s++ {
-			offs[s] = off
-			if lens[s] > 0 {
-				maxs[s] = model.Score(binary.LittleEndian.Uint32(postBytes[off+4:]))
-			}
-			off += int64(lens[s]) * postingSize
-		}
-		x.shardOffs[t] = offs
-		x.shardMaxs[t] = maxs
-	}
-	return x, nil
+// Reopen returns another index over the same directory and posting
+// bytes behind a fresh store configured by cfg, with no cache attached.
+// Replica sets build or read a shard once and Reopen it per replica:
+// every copy is charged independently, none pays for the build again,
+// and nothing they share is ever written.
+func (x *Index) Reopen(cfg iomodel.Config) *Index {
+	return newIndex(x.directory, x.store.RawBytesOf(x.postFile), cfg)
 }
 
 // Store exposes the simulated storage for flushing and statistics.
 func (x *Index) Store() *iomodel.Store { return x.store }
 
+// Manifest returns the index metadata.
+func (x *Index) Manifest() Manifest { return x.manifest }
+
+// Codec returns the block codec the index was built with.
+func (x *Index) Codec() codec.ID { return x.manifest.Codec }
+
+// Shards returns the pre-built shard count.
+func (x *Index) Shards() int { return x.manifest.Shards }
+
 // SetPostingCache attaches an app-level cache of decoded posting
 // blocks, shared by every cursor (and every concurrent query) over this
-// index. A nil cache detaches. The cache must not be shared with
-// another index.
+// index. Hits skip the charged read and the decode. A nil cache
+// detaches. The cache must not be shared with another index.
 func (x *Index) SetPostingCache(c *plcache.Cache) {
 	if c != nil {
 		c.MarkAttached()
@@ -213,226 +144,63 @@ func (x *Index) SetPostingCache(c *plcache.Cache) {
 // PostingCache returns the attached decoded-block cache, or nil.
 func (x *Index) PostingCache() *plcache.Cache { return x.cache.Load() }
 
-// warmWorkers bounds the parallelism of one WarmTerms pass; each worker
-// owns one charged reader, so a warm pass overlaps at most this many
-// simulated fetches.
-const warmWorkers = 8
+// CompressedBytes returns the size of the postings region as stored —
+// under codec.Raw, RawBytes.
+func (x *Index) CompressedBytes() int64 { return x.store.FileSize(x.postFile) }
 
-var _ postings.TermWarmer = (*Index)(nil)
+// RawBytes returns the size the postings region has under codec.Raw:
+// every posting three times (doc order, impact order, shard sublists).
+func (x *Index) RawBytes() int64 { return x.manifest.TotalPostings * codec.RawPostingBytes * 3 }
 
-// WarmTerms implements postings.TermWarmer: it prefetches the leading
-// `blocks` posting blocks of each term's impact- and doc-ordered
-// regions, plus the first block of each pre-built shard sublist, into
-// the attached decoded-block cache (or just the simulated page cache
-// when none is attached). Fills go through the single-flight gate with
-// hot admission, so a warm pass never duplicates a fetch a concurrent
-// query is already performing, and warmed blocks displace cold ones
-// immediately. The pass stops early when ctx is done; every reader it
-// opened is settled before it returns. It reports the fills performed.
-func (x *Index) WarmTerms(ctx context.Context, terms []model.TermID, blocks int) int {
-	if blocks <= 0 || len(terms) == 0 {
-		return 0
+// TermCompressedBytes returns the stored byte size of term t's
+// doc-ordered region (the region tooling reports per-term ratios on).
+func (x *Index) TermCompressedBytes(t model.TermID) int64 {
+	var n int64
+	for _, b := range x.docBlocks(t) {
+		n += int64(b.byteLen)
 	}
-	cache := x.cache.Load()
-	work := make(chan model.TermID, len(terms))
-	for _, t := range terms {
-		if int(t) < len(x.dict) {
-			work <- t
-		}
-	}
-	close(work)
-	workers := warmWorkers
-	if workers > len(terms) {
-		workers = len(terms)
-	}
-	var filled atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rd := x.store.NewReader(x.postFile)
-			rd.Bind(ctx, nil, nil)
-			defer rd.Settle()
-			for t := range work {
-				if ctx.Err() != nil {
-					return
-				}
-				filled.Add(int64(x.warmTerm(rd, cache, t, blocks)))
-			}
-		}()
-	}
-	wg.Wait()
-	return int(filled.Load())
+	return n
 }
-
-// warmTerm fetches the leading blocks of one term's regions through rd,
-// returning the number of fills it performed itself.
-func (x *Index) warmTerm(rd *iomodel.Reader, cache *plcache.Cache, t model.TermID, blocks int) int {
-	e := x.dict[t]
-	if e.df == 0 {
-		return 0
-	}
-	filled := 0
-	warm := func(kind plcache.Kind, base int64, n, limit int) {
-		nb := (n + postings.BlockSize - 1) / postings.BlockSize
-		w := nb
-		if w > limit {
-			w = limit
-		}
-		for i := 0; i < w; i++ {
-			count := postings.BlockSize
-			if i == nb-1 {
-				count = n - i*postings.BlockSize
-			}
-			off := base + int64(i)*blockBytes
-			if cache == nil {
-				rd.View(off, int64(count)*postingSize) // page-cache warm only
-				filled++
-				continue
-			}
-			key := plcache.Key{Term: t, Kind: kind, Block: int32(i)}
-			_, did, _ := cache.GetOrFillHot(key, func() ([]model.Posting, error) {
-				raw := rd.View(off, int64(count)*postingSize)
-				buf := make([]model.Posting, count)
-				decodePostingBlock(raw, buf)
-				return buf, nil
-			})
-			if did {
-				filled++
-			}
-		}
-	}
-	warm(plcache.KindImpact, int64(e.impactOff), int(e.df), blocks)
-	warm(plcache.KindDoc, int64(e.docOff), int(e.df), blocks)
-	if x.manifest.Shards > 1 { // at 1 shard the cursors fall back to the impact region
-		for s := 0; s < x.manifest.Shards; s++ {
-			if sn := int(x.shardLens[t][s]); sn > 0 {
-				warm(plcache.KindShard(s), x.shardOffs[t][s], sn, 1)
-			}
-		}
-	}
-	return filled
-}
-
-var _ postings.BlockWalker = (*Index)(nil)
-
-// DocBlockMeta implements postings.BlockWalker: the resident block
-// directory of t's doc-ordered region, shared read-only.
-func (x *Index) DocBlockMeta(t model.TermID) []postings.BlockMeta {
-	if int(t) >= len(x.blocks) {
-		return nil
-	}
-	return x.blocks[t]
-}
-
-// WalkDocBlocks implements postings.BlockWalker: one reader walks t's
-// doc-ordered region block-at-a-time, serving each block to sink from
-// the decoded-block cache when possible (single-flight, hot or cold
-// admission per the hot flag) and charging one bulk View per miss. The
-// reader is settled before returning, so a walk can never leave I/O
-// debt outstanding regardless of how early sink stops it.
-func (x *Index) WalkDocBlocks(ctx context.Context, t model.TermID, hot bool, sink func(block int, post []model.Posting) bool) (blocks, fills int) {
-	if int(t) >= len(x.dict) {
-		return 0, 0
-	}
-	e := x.dict[t]
-	if e.df == 0 {
-		return 0, 0
-	}
-	rd := x.store.NewReader(x.postFile)
-	rd.Bind(ctx, nil, nil)
-	defer rd.Settle()
-	cache := x.cache.Load()
-	var scratch *[]model.Posting
-	defer func() {
-		if scratch != nil {
-			blockPool.Put(scratch)
-		}
-	}()
-	nb := (int(e.df) + postings.BlockSize - 1) / postings.BlockSize
-	for i := 0; i < nb; i++ {
-		if ctx.Err() != nil {
-			break
-		}
-		count := postings.BlockSize
-		if i == nb-1 {
-			count = int(e.df) - i*postings.BlockSize
-		}
-		off := int64(e.docOff) + int64(i)*blockBytes
-		var post []model.Posting
-		if cache != nil {
-			fill := func() ([]model.Posting, error) {
-				raw := rd.View(off, int64(count)*postingSize)
-				buf := make([]model.Posting, count) // retained by the cache; never pooled
-				decodePostingBlock(raw, buf)
-				return buf, nil
-			}
-			key := plcache.Key{Term: t, Kind: plcache.KindDoc, Block: int32(i)}
-			var did bool
-			if hot {
-				post, did, _ = cache.GetOrFillHot(key, fill)
-			} else {
-				post, did, _ = cache.GetOrFill(key, fill)
-			}
-			if did {
-				fills++
-			}
-		} else {
-			raw := rd.View(off, int64(count)*postingSize)
-			if scratch == nil {
-				scratch = blockPool.Get().(*[]model.Posting)
-			}
-			buf := (*scratch)[:count]
-			decodePostingBlock(raw, buf)
-			post = buf
-			fills++
-		}
-		blocks++
-		if !sink(i, post) {
-			break
-		}
-	}
-	return blocks, fills
-}
-
-// Manifest returns the index metadata.
-func (x *Index) Manifest() Manifest { return x.manifest }
-
-// Shards returns the pre-built shard count.
-func (x *Index) Shards() int { return x.manifest.Shards }
 
 // NumDocs implements postings.View.
 func (x *Index) NumDocs() int { return x.manifest.NumDocs }
 
 // NumTerms implements postings.View.
-func (x *Index) NumTerms() int { return x.manifest.NumTerms }
+func (x *Index) NumTerms() int { return len(x.terms) }
 
 // DF implements postings.View.
-func (x *Index) DF(t model.TermID) int { return int(x.dict[t].df) }
+func (x *Index) DF(t model.TermID) int { return int(x.terms[t].df) }
 
 // MaxScore implements postings.View.
-func (x *Index) MaxScore(t model.TermID) model.Score { return model.Score(x.dict[t].max) }
+func (x *Index) MaxScore(t model.TermID) model.Score { return x.terms[t].max }
+
+func (x *Index) docBlocks(t model.TermID) []blockMeta {
+	tm := &x.terms[t]
+	return x.docMeta[tm.docStart : tm.docStart+nBlocks(tm.df)]
+}
+
+// DocBlockMeta implements postings.BlockWalker: the resident (last,
+// max) directory of t's doc-ordered region, shared read-only.
+func (x *Index) DocBlockMeta(t model.TermID) []postings.BlockMeta {
+	if int(t) >= len(x.terms) {
+		return nil
+	}
+	tm := &x.terms[t]
+	return x.docDir[tm.docStart : tm.docStart+nBlocks(tm.df)]
+}
 
 // DocCursor implements postings.View.
 func (x *Index) DocCursor(t model.TermID) postings.DocCursor {
 	return x.docCursor(t, x.store.NewReader(x.postFile), nil)
 }
 
-func (x *Index) docCursor(t model.TermID, rd *iomodel.Reader, onCache func(bool)) postings.DocCursor {
-	e := x.dict[t]
-	return &diskDocCursor{
-		blockCursor: blockCursor{
-			rd:      rd,
-			cache:   x.cache.Load(),
-			onCache: onCache,
-			key:     plcache.Key{Term: t, Kind: plcache.KindDoc},
-			base:    int64(e.docOff),
-			n:       int(e.df),
-			blk:     -1,
-		},
-		max:    model.Score(e.max),
-		blocks: x.blocks[t],
+func (x *Index) docCursor(t model.TermID, rd *iomodel.Reader, onCache func(bool)) *cursor {
+	tm := &x.terms[t]
+	return &cursor{
+		x: x, rd: rd, cache: x.cache.Load(), onCache: onCache,
+		key:    plcache.Key{Term: t, Kind: plcache.KindDoc},
+		blocks: x.docBlocks(t), dir: x.DocBlockMeta(t),
+		max: tm.max, n: int(tm.df), blk: -1,
 	}
 }
 
@@ -441,102 +209,225 @@ func (x *Index) ScoreCursor(t model.TermID) postings.ScoreCursor {
 	return x.scoreCursor(t, x.store.NewReader(x.postFile), nil)
 }
 
-func (x *Index) scoreCursor(t model.TermID, rd *iomodel.Reader, onCache func(bool)) postings.ScoreCursor {
-	e := x.dict[t]
-	return &diskScoreCursor{
-		blockCursor: blockCursor{
-			rd:      rd,
-			cache:   x.cache.Load(),
-			onCache: onCache,
-			key:     plcache.Key{Term: t, Kind: plcache.KindImpact},
-			base:    int64(e.impactOff),
-			n:       int(e.df),
-			blk:     -1,
-		},
-		max: model.Score(e.max),
+func (x *Index) scoreCursor(t model.TermID, rd *iomodel.Reader, onCache func(bool)) *cursor {
+	tm := &x.terms[t]
+	return &cursor{
+		x: x, rd: rd, cache: x.cache.Load(), onCache: onCache,
+		key:    plcache.Key{Term: t, Kind: plcache.KindImpact},
+		blocks: x.impMeta[tm.impStart : tm.impStart+nBlocks(tm.df)],
+		max:    tm.max, n: int(tm.df), blk: -1,
 	}
 }
 
 // ScoreCursorShard implements postings.View using the pre-partitioned
-// shard section. nShards must equal the build-time shard count (or 1
+// shard sublists. nShards must equal the build-time shard count (or 1
 // for the unsharded list).
 func (x *Index) ScoreCursorShard(t model.TermID, shard, nShards int) postings.ScoreCursor {
 	return x.scoreCursorShard(t, shard, nShards, x.store.NewReader(x.postFile), nil)
 }
 
-func (x *Index) scoreCursorShard(t model.TermID, shard, nShards int, rd *iomodel.Reader, onCache func(bool)) postings.ScoreCursor {
+func (x *Index) scoreCursorShard(t model.TermID, shard, nShards int, rd *iomodel.Reader, onCache func(bool)) *cursor {
 	if nShards <= 1 {
 		return x.scoreCursor(t, rd, onCache)
 	}
-	if nShards != x.manifest.Shards {
-		panic(fmt.Sprintf("diskindex: index pre-built with %d shards, requested %d",
-			x.manifest.Shards, nShards))
+	if nShards != x.Shards() {
+		panic(fmt.Sprintf("diskindex: index pre-built with %d shards, requested %d", x.Shards(), nShards))
 	}
-	return &diskScoreCursor{
-		blockCursor: blockCursor{
-			rd:      rd,
-			cache:   x.cache.Load(),
-			onCache: onCache,
-			key:     plcache.Key{Term: t, Kind: plcache.KindShard(shard)},
-			base:    x.shardOffs[t][shard],
-			n:       int(x.shardLens[t][shard]),
-			blk:     -1,
-		},
-		max: x.shardMaxs[t][shard],
+	rec := x.shardRecs[int(t)*nShards+shard]
+	return &cursor{
+		x: x, rd: rd, cache: x.cache.Load(), onCache: onCache,
+		key:    plcache.Key{Term: t, Kind: plcache.KindShard(shard)},
+		blocks: x.impMeta[rec.blkStart : rec.blkStart+nBlocks(rec.n)],
+		max:    rec.max, n: int(rec.n), blk: -1,
 	}
 }
 
+// loadBlock is the one way stored bytes become postings: block b of the
+// region key names, from the decoded-block cache when one is attached —
+// concurrent misses on a block share one fetch+decode, and only the
+// fill leader charges the store — otherwise one charged View decoded
+// into scratch, grown if it is too small, which the caller keeps as the
+// next call's scratch. filled reports that this call did the fetch. The
+// result may alias a shared cache entry: read-only.
+func (x *Index) loadBlock(rd *iomodel.Reader, cache *plcache.Cache, hot bool, key plcache.Key, b blockMeta, scratch []model.Posting) (post []model.Posting, filled bool) {
+	if cache == nil {
+		return x.decode(rd, key, b, scratch), true
+	}
+	// Decode into a fresh slice the cache retains — never into scratch.
+	fill := func() ([]model.Posting, error) { return x.decode(rd, key, b, nil), nil }
+	if hot {
+		post, filled, _ = cache.GetOrFillHot(key, fill)
+	} else {
+		post, filled, _ = cache.GetOrFill(key, fill)
+	}
+	return post, filled
+}
+
+// decode is one charged View of block b plus the codec call, into out.
+//
+// A block that does not decode can only mean posting bytes damaged
+// after OpenDir vouched for the directory; no cursor method can report
+// that, so it panics, naming the block. Shard sets and live segments
+// check file digests before they open an index.
+func (x *Index) decode(rd *iomodel.Reader, key plcache.Key, b blockMeta, out []model.Posting) []model.Posting {
+	raw := rd.View(b.off, int64(b.byteLen))
+	var err error
+	if key.Kind == plcache.KindDoc {
+		out, err = codec.DecodeDoc(x.manifest.Codec, model.DocID(b.ref), raw, int(b.count), out)
+	} else {
+		out, err = codec.DecodeImpact(x.manifest.Codec, model.Score(b.ref), raw, int(b.count), out)
+	}
+	if err != nil {
+		panic(fmt.Sprintf("diskindex: term %d kind %d block %d: %v", key.Term, key.Kind, key.Block, err))
+	}
+	return out
+}
+
+// cursor walks one posting region a block at a time. It is both cursor
+// types of postings.View: a doc-ordered region comes with its (last,
+// max) directory and answers the DocCursor methods, an impact-ordered
+// one (a whole list or a shard sublist) answers Bound.
+type cursor struct {
+	x       *Index
+	rd      *iomodel.Reader
+	cache   *plcache.Cache
+	onCache func(bool)
+	key     plcache.Key // Block is set per load
+	blocks  []blockMeta
+	dir     []postings.BlockMeta // doc order only
+	max     model.Score
+	n       int             // postings in the region
+	blk     int             // current block; -1 before start, len(blocks) when exhausted
+	pos     int             // position within cur
+	cur     []model.Posting // current block; may alias a shared cache entry
+	scratch []model.Posting // owned decode buffer when no cache is attached
+}
+
+// load positions the cursor at the start of block i. Past the last
+// block it marks the cursor exhausted and settles its reader.
+func (c *cursor) load(i int) bool {
+	if i >= len(c.blocks) {
+		c.blk, c.cur = len(c.blocks), nil
+		c.rd.Settle()
+		return false
+	}
+	c.key.Block = int32(i)
+	post, filled := c.x.loadBlock(c.rd, c.cache, false, c.key, c.blocks[i], c.scratch)
+	if c.cache == nil {
+		c.scratch = post
+	} else if c.onCache != nil {
+		c.onCache(!filled) // a waiter served by another's fill is a hit
+	}
+	c.cur, c.blk, c.pos = post, i, 0
+	return true
+}
+
+func (c *cursor) Next() bool {
+	if c.blk >= 0 && c.pos+1 < len(c.cur) {
+		c.pos++
+		return true
+	}
+	if c.blk >= len(c.blocks) {
+		return false // already exhausted
+	}
+	return c.load(c.blk + 1)
+}
+
+func (c *cursor) SkipTo(d model.DocID) bool {
+	if c.blk >= len(c.blocks) {
+		return false
+	}
+	if c.blk >= 0 && c.cur[c.pos].Doc >= d {
+		return true // never moves backwards
+	}
+	// The target block comes from the RAM-resident directory — a move
+	// over skip data, no posting bytes touched.
+	tgt := postings.BlockAtMeta(c.dir, d)
+	if tgt < c.blk {
+		tgt = c.blk
+	}
+	if tgt != c.blk && !c.load(tgt) {
+		return false
+	}
+	for c.pos < len(c.cur) && c.cur[c.pos].Doc < d {
+		c.pos++
+	}
+	if c.pos >= len(c.cur) {
+		// d lies past this block's postings (possible only when the
+		// cursor was already inside the target block): spill forward.
+		return c.load(c.blk + 1)
+	}
+	return true
+}
+
+func (c *cursor) Doc() model.DocID       { return c.cur[c.pos].Doc }
+func (c *cursor) Score() model.Score     { return c.cur[c.pos].Score }
+func (c *cursor) Len() int               { return c.n }
+func (c *cursor) MaxScore() model.Score  { return c.max }
+func (c *cursor) BlockMax() model.Score  { return c.dir[c.blk].Max }
+func (c *cursor) BlockLast() model.DocID { return c.dir[c.blk].Last }
+
+func (c *cursor) BlockMaxAt(d model.DocID) model.Score {
+	return postings.BlockMaxAtMeta(c.dir, d)
+}
+
+func (c *cursor) BlockLastAt(d model.DocID) model.DocID {
+	return postings.BlockLastAtMeta(c.dir, d)
+}
+
+// Bound implements postings.ScoreCursor.
+func (c *cursor) Bound() model.Score {
+	if c.blk < 0 {
+		return c.max
+	}
+	if c.blk >= len(c.blocks) {
+		return 0
+	}
+	return c.cur[c.pos].Score
+}
+
 // RandomAccess implements postings.View. The RA family's secondary
-// by-document index (§3.2 — the structure that "doubles the
-// footprint") is the doc-ordered fixed-width array itself; a lookup is
-// an interpolation search over it. Document ids are uniformly spread
-// within a posting list, so interpolation converges in O(log log n)
-// probes — each probe touching a (usually non-sequential) block, which
-// is precisely the random-access I/O cost the paper charges to pRA.
-// Probes stay per-posting deliberately: scattered single-posting reads
-// are the access pattern whose cost the paper attributes to pRA.
+// by-document index (§3.2 — the structure that "doubles the footprint")
+// is the doc-ordered region itself: a lookup is a search of the
+// resident directory for the one block that can hold d, then one
+// charged read of that block — a random read, which is the cost the
+// paper attributes to pRA — and a scan of its postings. The cost is
+// the same whichever codec built the index (DESIGN.md §4a).
 func (x *Index) RandomAccess(t model.TermID, d model.DocID) (model.Score, bool) {
 	return x.randomAccess(t, d, x.store.NewReader(x.postFile))
 }
 
+// randomAccess probes through rd, which it settles before returning so
+// a lookup interrupted by cancellation still pays its charge at once.
+// A cached block is used but a miss does not fill the cache: a point
+// lookup is no evidence the block will be read again. The reader and
+// the decode buffer stay on the caller's stack; the RA family
+// allocates nothing per lookup.
 func (x *Index) randomAccess(t model.TermID, d model.DocID, rd *iomodel.Reader) (model.Score, bool) {
-	e := x.dict[t]
-	defer rd.Settle()
-	base := int64(e.docOff)
-	probe := func(i int) model.Posting {
-		return decodePosting(rd.View(base+int64(i)*postingSize, postingSize))
-	}
-	lo, hi := 0, int(e.df)-1
-	if hi < 0 {
+	dir := x.DocBlockMeta(t)
+	i := postings.BlockAtMeta(dir, d)
+	if i >= len(dir) {
 		return 0, false
 	}
-	pLo, pHi := probe(lo), probe(hi)
-	for lo <= hi {
-		if d < pLo.Doc || d > pHi.Doc {
-			return 0, false
-		}
-		var mid int
-		if pHi.Doc == pLo.Doc {
-			mid = lo
-		} else {
-			mid = lo + int(int64(hi-lo)*int64(d-pLo.Doc)/int64(pHi.Doc-pLo.Doc))
-		}
-		p := probe(mid)
-		switch {
-		case p.Doc == d:
+	key := plcache.Key{Term: t, Kind: plcache.KindDoc, Block: int32(i)}
+	var (
+		post []model.Posting
+		ok   bool
+		buf  [postings.BlockSize]model.Posting
+	)
+	if cache := x.cache.Load(); cache != nil {
+		post, ok = cache.Get(key)
+	}
+	if !ok {
+		post = x.decode(rd, key, x.docBlocks(t)[i], buf[:0])
+		rd.Settle()
+	}
+	for _, p := range post {
+		if p.Doc == d {
 			return p.Score, true
-		case p.Doc < d:
-			lo = mid + 1
-			if lo > hi {
-				return 0, false
-			}
-			pLo = probe(lo)
-		default:
-			hi = mid - 1
-			if hi < lo {
-				return 0, false
-			}
-			pHi = probe(hi)
+		}
+		if p.Doc > d {
+			break
 		}
 	}
 	return 0, false
@@ -553,8 +444,6 @@ func (x *Index) BindExec(ctx context.Context, onIO func(time.Duration), onStop f
 	return &execView{Index: x, ctx: ctx, onIO: onIO, onStop: onStop, onCache: onCache}
 }
 
-var _ postings.ExecBinder = (*Index)(nil)
-
 // execView is a per-query binding of an Index to an execution context.
 type execView struct {
 	*Index
@@ -566,8 +455,6 @@ type execView struct {
 	mu      sync.Mutex
 	readers []*iomodel.Reader
 }
-
-var _ postings.Settler = (*execView)(nil)
 
 // newReader opens a bound reader and records it for settlement when the
 // query finishes.
@@ -622,184 +509,117 @@ func (v *execView) ScoreCursorShard(t model.TermID, shard, nShards int) postings
 
 // RandomAccess probes through an untracked reader that is constructed
 // inline and settled by randomAccess before returning — constructed
-// here rather than in a helper so it never escapes to the heap; the
-// RA family allocates nothing per lookup.
+// here rather than in a helper so it never escapes to the heap.
 func (v *execView) RandomAccess(t model.TermID, d model.DocID) (model.Score, bool) {
 	rd := v.store.NewReader(v.postFile)
 	rd.Bind(v.ctx, v.onIO, v.onStop)
 	return v.Index.randomAccess(t, d, rd)
 }
 
-// blockCursor is the shared block-at-a-time machinery of the charged
-// cursors: it fetches one posting block per iomodel View call, decodes
-// it into a pooled buffer (or serves it decoded from the app-level
-// cache, skipping the charge), and exposes the decoded slice.
-type blockCursor struct {
-	rd      *iomodel.Reader
-	cache   *plcache.Cache
-	onCache func(bool)
-	key     plcache.Key // Block field is set per load
-	base    int64
-	n       int // total postings
-	blk     int // current block index; -1 before start, nBlocks() when exhausted
-	pos     int // index within cur
-	cur     []model.Posting
-	scratch *[]model.Posting // pooled decode buffer; nil until first miss
-	done    bool
-}
-
-func (c *blockCursor) nBlocks() int {
-	return (c.n + postings.BlockSize - 1) / postings.BlockSize
-}
-
-// loadBlock positions the cursor at the start of block i, consulting
-// the decoded-block cache first and charging a single bulk View on a
-// miss. It returns false (settling the reader and recycling the decode
-// buffer) when i is past the last block.
-func (c *blockCursor) loadBlock(i int) bool {
-	nb := c.nBlocks()
-	if i >= nb {
-		c.finish()
-		return false
+// WalkDocBlocks implements postings.BlockWalker: one reader walks t's
+// doc-ordered region block-at-a-time, serving each block to sink from
+// the decoded-block cache when possible (single-flight, hot or cold
+// admission per the hot flag) and charging one bulk View per miss. The
+// reader is settled before returning, so a walk can never leave I/O
+// debt outstanding regardless of how early sink stops it.
+func (x *Index) WalkDocBlocks(ctx context.Context, t model.TermID, hot bool, sink func(block int, post []model.Posting) bool) (blocks, fills int) {
+	if int(t) >= len(x.terms) {
+		return 0, 0
 	}
-	count := postings.BlockSize
-	if i == nb-1 {
-		count = c.n - i*postings.BlockSize
-	}
-	if c.cache != nil {
-		// Single-flight: concurrent cursors missing on the same block
-		// share one fetch+decode; only the fill leader charges the store.
-		c.key.Block = int32(i)
-		post, filled, _ := c.cache.GetOrFill(c.key, func() ([]model.Posting, error) {
-			raw := c.rd.View(c.base+int64(i)*blockBytes, int64(count)*postingSize)
-			buf := make([]model.Posting, count) // retained by the cache; never pooled
-			decodePostingBlock(raw, buf)
-			return buf, nil
-		})
-		if c.onCache != nil {
-			c.onCache(!filled) // a waiter served by another's fill is a hit
+	rd := x.store.NewReader(x.postFile)
+	rd.Bind(ctx, nil, nil)
+	defer rd.Settle()
+	cache := x.cache.Load()
+	key := plcache.Key{Term: t, Kind: plcache.KindDoc}
+	var scratch []model.Posting
+	for i, b := range x.docBlocks(t) {
+		if ctx.Err() != nil {
+			break
 		}
-		c.cur = post
-		c.blk, c.pos = i, 0
-		return true
-	}
-	raw := c.rd.View(c.base+int64(i)*blockBytes, int64(count)*postingSize)
-	if c.scratch == nil {
-		c.scratch = blockPool.Get().(*[]model.Posting)
-	}
-	buf := (*c.scratch)[:count]
-	decodePostingBlock(raw, buf)
-	c.cur = buf
-	c.blk, c.pos = i, 0
-	return true
-}
-
-// finish marks the cursor exhausted: the reader settles its owed
-// latency and the decode buffer returns to the pool.
-func (c *blockCursor) finish() {
-	c.blk = c.nBlocks()
-	c.cur = nil
-	if c.done {
-		return
-	}
-	c.done = true
-	if c.scratch != nil {
-		blockPool.Put(c.scratch)
-		c.scratch = nil
-	}
-	c.rd.Settle()
-}
-
-// next advances one posting, loading the successor block at a block
-// boundary.
-func (c *blockCursor) next() bool {
-	if c.blk >= 0 && c.pos+1 < len(c.cur) {
-		c.pos++
-		return true
-	}
-	if c.blk >= c.nBlocks() {
-		return false // already exhausted
-	}
-	return c.loadBlock(c.blk + 1)
-}
-
-// diskDocCursor is the charged document-order cursor.
-type diskDocCursor struct {
-	blockCursor
-	max    model.Score
-	blocks []postings.BlockMeta
-}
-
-func (c *diskDocCursor) Next() bool { return c.next() }
-
-func (c *diskDocCursor) SkipTo(d model.DocID) bool {
-	if c.blk >= len(c.blocks) {
-		return false // exhausted (covers n == 0 after first probe too)
-	}
-	if c.blk >= 0 && c.cur[c.pos].Doc >= d {
-		return true // never moves backwards
-	}
-	// The target block comes from the RAM-resident block directory —
-	// a shallow move over skip data, no posting bytes touched.
-	tgt := postings.BlockAtMeta(c.blocks, d)
-	if tgt < c.blk {
-		tgt = c.blk
-	}
-	if tgt >= len(c.blocks) {
-		c.finish()
-		return false
-	}
-	if tgt != c.blk {
-		if !c.loadBlock(tgt) {
-			return false
+		key.Block = int32(i)
+		post, filled := x.loadBlock(rd, cache, hot, key, b, scratch)
+		if cache == nil {
+			scratch = post
+		}
+		if filled {
+			fills++
+		}
+		blocks++
+		if !sink(i, post) {
+			break
 		}
 	}
-	for c.pos < len(c.cur) && c.cur[c.pos].Doc < d {
-		c.pos++
-	}
-	if c.pos >= len(c.cur) {
-		// d exceeded this block's postings (possible only when the
-		// cursor was already inside the target block): spill forward.
-		return c.loadBlock(c.blk + 1)
-	}
-	return true
+	return blocks, fills
 }
 
-func (c *diskDocCursor) Doc() model.DocID       { return c.cur[c.pos].Doc }
-func (c *diskDocCursor) Score() model.Score     { return c.cur[c.pos].Score }
-func (c *diskDocCursor) MaxScore() model.Score  { return c.max }
-func (c *diskDocCursor) BlockMax() model.Score  { return c.blocks[c.blk].Max }
-func (c *diskDocCursor) BlockLast() model.DocID { return c.blocks[c.blk].Last }
-func (c *diskDocCursor) Len() int               { return c.n }
+// warmWorkers bounds the parallelism of one WarmTerms pass; each worker
+// owns one charged reader, so a warm pass overlaps at most this many
+// simulated fetches.
+const warmWorkers = 8
 
-func (c *diskDocCursor) BlockMaxAt(d model.DocID) model.Score {
-	return postings.BlockMaxAtMeta(c.blocks, d)
-}
-
-func (c *diskDocCursor) BlockLastAt(d model.DocID) model.DocID {
-	return postings.BlockLastAtMeta(c.blocks, d)
-}
-
-// diskScoreCursor is the charged score-order cursor (whole impact list
-// or one pre-partitioned shard sublist).
-type diskScoreCursor struct {
-	blockCursor
-	max model.Score
-}
-
-func (c *diskScoreCursor) Next() bool { return c.next() }
-
-func (c *diskScoreCursor) Doc() model.DocID   { return c.cur[c.pos].Doc }
-func (c *diskScoreCursor) Score() model.Score { return c.cur[c.pos].Score }
-
-func (c *diskScoreCursor) Bound() model.Score {
-	if c.blk < 0 {
-		return c.max
-	}
-	if c.blk >= c.nBlocks() {
+// WarmTerms implements postings.TermWarmer: it prefetches the leading
+// `blocks` posting blocks of each term's impact- and doc-ordered
+// regions, plus the first block of each pre-built shard sublist, into
+// the attached decoded-block cache (or just the simulated page cache
+// when none is attached). Fills go through the single-flight gate with
+// hot admission, so a warm pass never duplicates a fetch a concurrent
+// query is already performing, and warmed blocks displace cold ones
+// immediately. The pass stops early when ctx is done; every reader it
+// opened is settled before it returns. It reports the fills performed.
+func (x *Index) WarmTerms(ctx context.Context, terms []model.TermID, blocks int) int {
+	if blocks <= 0 || len(terms) == 0 {
 		return 0
 	}
-	return c.cur[c.pos].Score
+	cache := x.cache.Load()
+	work := make(chan model.TermID, len(terms))
+	for _, t := range terms {
+		if int(t) < len(x.terms) {
+			work <- t
+		}
+	}
+	close(work)
+	var filled atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(warmWorkers, len(terms)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rd := x.store.NewReader(x.postFile)
+			rd.Bind(ctx, nil, nil)
+			defer rd.Settle()
+			for t := range work {
+				if ctx.Err() != nil {
+					return
+				}
+				filled.Add(int64(x.warmTerm(rd, cache, t, blocks)))
+			}
+		}()
+	}
+	wg.Wait()
+	return int(filled.Load())
 }
 
-func (c *diskScoreCursor) Len() int { return c.n }
+// warmTerm fetches the leading blocks of one term's regions through rd,
+// returning the number of fills it performed itself.
+func (x *Index) warmTerm(rd *iomodel.Reader, cache *plcache.Cache, t model.TermID, blocks int) int {
+	filled := 0
+	var buf [postings.BlockSize]model.Posting // decode target when only the page cache is being warmed
+	warm := func(kind plcache.Kind, region []blockMeta, limit int) {
+		for i, b := range region[:min(limit, len(region))] {
+			key := plcache.Key{Term: t, Kind: kind, Block: int32(i)}
+			if _, did := x.loadBlock(rd, cache, true, key, b, buf[:0]); did {
+				filled++
+			}
+		}
+	}
+	tm := &x.terms[t]
+	nb := nBlocks(tm.df)
+	warm(plcache.KindImpact, x.impMeta[tm.impStart:tm.impStart+nb], blocks)
+	warm(plcache.KindDoc, x.docMeta[tm.docStart:tm.docStart+nb], blocks)
+	if s := x.Shards(); s > 1 { // at 1 shard the cursors fall back to the impact region
+		for i, rec := range x.shardRecs[int(t)*s : (int(t)+1)*s] {
+			warm(plcache.KindShard(i), x.impMeta[rec.blkStart:rec.blkStart+nBlocks(rec.n)], 1)
+		}
+	}
+	return filled
+}

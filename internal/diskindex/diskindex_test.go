@@ -4,6 +4,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"sparta/internal/codec"
 	"sparta/internal/corpus"
 	"sparta/internal/index"
 	"sparta/internal/iomodel"
@@ -246,5 +247,80 @@ func TestManifest(t *testing.T) {
 func TestOpenDirMissingFile(t *testing.T) {
 	if _, err := OpenDir(t.TempDir(), testCfg()); err == nil {
 		t.Error("OpenDir on empty dir should error")
+	}
+}
+
+// TestReopenChargesIndependently: every Reopen is the same index over
+// the same bytes — nothing is copied or rebuilt — behind a store of its
+// own, so a replica's reads are charged to that replica alone.
+func TestReopenChargesIndependently(t *testing.T) {
+	mem := testCorpusIndex(t, 300)
+	first, err := FromIndex(mem, 4, testCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps := []*Index{first, first.Reopen(testCfg()), first.Reopen(testCfg())}
+	for i, r := range reps {
+		verifyEquivalent(t, mem, r)
+		if i > 0 && &r.Store().RawBytesOf(r.postFile)[0] != &first.Store().RawBytesOf(first.postFile)[0] {
+			t.Errorf("replica %d copied the posting bytes", i)
+		}
+		if i > 0 && (r.directory != first.directory || r.Store() == first.Store() || r.PostingCache() != nil) {
+			t.Errorf("replica %d: shared directory %v, own store %v, cache %v",
+				i, r.directory == first.directory, r.Store() != first.Store(), r.PostingCache())
+		}
+	}
+	for _, r := range reps {
+		r.Store().Flush()
+		r.Store().ResetStats()
+	}
+	for c := reps[1].ScoreCursor(0); c.Next(); {
+	}
+	for i, r := range reps {
+		st := r.Store().Snapshot()
+		if (st.BlocksRead > 0) != (i == 1) || r.Store().Unsettled() != 0 {
+			t.Errorf("replica %d: %d blocks read, %v unsettled after a scan of replica 1 only",
+				i, st.BlocksRead, r.Store().Unsettled())
+		}
+	}
+}
+
+// TestRandomAccessCostIsCodecIndependent: a lookup is one directory
+// search and at most one charged block read on either codec, so the RA
+// family's I/O bill does not depend on how the index was built.
+func TestRandomAccessCostIsCodecIndependent(t *testing.T) {
+	mem := testCorpusIndex(t, 2000)
+	raw, err := FromIndexWith(mem, 2, testCfg(), codec.Raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	group, err := FromIndexWith(mem, 2, testCfg(), codec.Group)
+	if err != nil {
+		t.Fatal(err)
+	}
+	views := func(x *Index, term model.TermID, d model.DocID) (int64, model.Score, bool) {
+		x.Store().ResetStats()
+		s, ok := x.RandomAccess(term, d)
+		return x.Store().Snapshot().ViewCalls, s, ok
+	}
+	for tid := 0; tid < mem.NumTerms(); tid += 11 {
+		term := model.TermID(tid)
+		for d := 0; d <= mem.NumDocs(); d += 13 {
+			want, wantOK := mem.RandomAccess(term, model.DocID(d))
+			rv, rs, rok := views(raw, term, model.DocID(d))
+			gv, gs, gok := views(group, term, model.DocID(d))
+			if rs != want || rok != wantOK || gs != want || gok != wantOK {
+				t.Fatalf("term %d doc %d: raw (%d,%v) group (%d,%v) want (%d,%v)", tid, d, rs, rok, gs, gok, want, wantOK)
+			}
+			if rv != gv || rv > 1 {
+				t.Fatalf("term %d doc %d: %d charged views on raw, %d on group; want the same, at most 1", tid, d, rv, gv)
+			}
+		}
+	}
+	// The reader and the decoded block live on the caller's stack.
+	for _, x := range []*Index{raw, group} {
+		if a := testing.AllocsPerRun(100, func() { x.RandomAccess(0, 777) }); a != 0 {
+			t.Errorf("%v: %v allocations per lookup, want none", x.Codec(), a)
+		}
 	}
 }

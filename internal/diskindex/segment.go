@@ -13,10 +13,10 @@ import (
 var _ index.Segment = (*Index)(nil)
 
 // SegmentDocs implements index.Segment.
-func (x *Index) SegmentDocs() int { return x.manifest.NumDocs }
+func (x *Index) SegmentDocs() int { return x.NumDocs() }
 
 // SegmentRange implements index.Segment.
-func (x *Index) SegmentRange() (lo, hi model.DocID) { return 0, model.DocID(x.manifest.NumDocs) }
+func (x *Index) SegmentRange() (lo, hi model.DocID) { return 0, model.DocID(x.NumDocs()) }
 
 // SegmentBytes implements index.Segment: the posting file's size, the
 // storage the simulated disk actually charges for.

@@ -1,8 +1,8 @@
 // Segment abstraction: the index core's unit of composition. A
 // segment is an immutable, queryable piece of a corpus covering a
 // contiguous global document-id range. The monolithic build-once
-// artifacts (this package's Index, diskindex.Index, cindex.Index) are
-// each one segment spanning the whole corpus; the live index
+// artifacts (this package's Index and diskindex.Index) are each one
+// segment spanning the whole corpus; the live index
 // (internal/liveindex) composes many — frozen on-disk segments plus an
 // in-memory memtable — and queries merge across them exactly the way
 // sharded serving merges across shards (DESIGN.md §4e).

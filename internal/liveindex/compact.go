@@ -108,7 +108,7 @@ func (l *Live) compactOnce(ctx context.Context) (bool, error) {
 	if err := writeFrozen(segDir, seg); err != nil {
 		return false, err
 	}
-	fz, err := openFrozen(segDir, gen, seg.lo, seg.hi, segLensGroup, *l.cfg.IO)
+	fz, err := openFrozen(segDir, gen, seg.lo, seg.hi, *l.cfg.IO)
 	if err != nil {
 		os.RemoveAll(segDir)
 		return false, err
@@ -172,12 +172,9 @@ func (l *Live) mergeRun(ctx context.Context, run []*frozenSeg, nTerms int) (_ *m
 	}()
 
 	seg := &memSegment{
-		lo:     run[0].lo,
-		hi:     run[len(run)-1].hi,
-		post:   make([][]tfPost, nTerms),
-		impact: make([][]tfPost, nTerms),
-		blocks: make([][]memBlock, nTerms),
-		wmax:   make([]float64, nTerms),
+		lo:    run[0].lo,
+		hi:    run[len(run)-1].hi,
+		terms: make([]*memTerm, nTerms),
 	}
 	for _, fz := range run {
 		for _, n := range fz.docLens {
@@ -204,13 +201,7 @@ func (l *Live) mergeRun(ctx context.Context, run []*frozenSeg, nTerms int) (_ *m
 		if len(list) == 0 {
 			continue
 		}
-		seg.post[t] = list
-		imp := make([]tfPost, len(list))
-		copy(imp, list)
-		sortImpact(imp)
-		seg.impact[t] = imp
-		seg.blocks[t] = buildMemBlocks(list)
-		seg.wmax[t] = imp[0].w
+		seg.terms[t] = newMemTerm(nil, list)
 		seg.bytes += int64(24 * len(list))
 	}
 	seg.bytes += int64(8 * len(seg.docLens))

@@ -1,16 +1,18 @@
 // Frozen segments: a memtable flushed into the existing diskindex
 // block format, plus the epoch-bound view that serves it.
 //
-// A frozen segment reuses diskindex's three-file layout verbatim, with
+// A frozen segment reuses diskindex's directory layout verbatim, with
 // raw-frequency payload semantics: each posting's u32 Score field
 // holds the term frequency, the impact region is pre-sorted by the
 // idf-independent weight w (descending), and the dictionary / block-max
 // Max fields hold ceil(w × 10⁶) — see score.go for why this preserves
 // byte-identical scores and valid pruning bounds under any future
-// corpus statistics. A sidecar (seglens.bin) carries the per-document
-// token lengths, RAM-resident like a search engine's norms file; the
-// global doc-id range and generation live in the live index's
-// manifest.
+// corpus statistics. Term frequencies in w order are not monotone, so
+// segments are written with codec.Raw, the one block codec that stores
+// the field without interpreting it. A sidecar (seglens.bin) carries
+// the per-document token lengths as one group-coded stream,
+// RAM-resident like a search engine's norms file; the global doc-id
+// range and generation live in the live index's manifest.
 //
 // All posting traversal goes through diskindex's charged block
 // cursors, so frozen segments keep the simulated-I/O accounting —
@@ -20,7 +22,6 @@ package liveindex
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -38,15 +39,6 @@ import (
 // segLensFile is the per-segment sidecar of u32 document lengths.
 const segLensFile = "seglens.bin"
 
-// Seglens sidecar codecs, recorded per segment in the live manifest:
-// v1/v2 segments store a raw u32 array; segments flushed by this
-// version store one group stream (codec.AppendUint32Stream), which
-// bitpacks typical doc-length distributions ~3x tighter.
-const (
-	segLensRaw   = 0
-	segLensGroup = 1
-)
-
 // frozenStoredShards is the sNRA pre-partition count written into
 // frozen payloads. Stored sublists are built against segment-local
 // statistics and unusable for epoch-global shard ranges, so they are
@@ -55,17 +47,15 @@ const frozenStoredShards = 1
 
 // frozenSeg is one immutable on-disk segment.
 type frozenSeg struct {
-	dir       string
-	gen       int
-	lo, hi    model.DocID
-	lensCodec uint8    // seglens sidecar codec (segLensRaw or segLensGroup)
-	docLens   []uint32 // per local document, RAM-resident
+	dir     string
+	gen     int
+	lo, hi  model.DocID
+	docLens []uint32 // per local document, RAM-resident
 	inner   *diskindex.Index
 	dfs     []int32 // local df per term (dictionary cache)
 	nBlocks int     // total block-max blocks, for stats
 	// files/root are the flush-time digests recorded in the live
-	// manifest and re-verified before the segment is served (empty for
-	// segments inherited from a v1 manifest).
+	// manifest and re-verified before the segment is served.
 	files []merkle.FileDigest
 	root  string
 }
@@ -73,7 +63,7 @@ type frozenSeg struct {
 // segmentFiles are the on-disk artifacts of one frozen segment, in
 // manifest (and Merkle leaf) order.
 var segmentFiles = []string{
-	diskindex.ManifestFile, diskindex.DictFile, diskindex.PostingsFile, segLensFile,
+	diskindex.ManifestFile, diskindex.DirFile, diskindex.PostingsFile, segLensFile,
 }
 
 // digestFrozen hashes a frozen segment's files into manifest digests
@@ -104,29 +94,30 @@ func (s *frozenSeg) docLen(d model.DocID) int { return int(s.docLens[d-s.lo]) }
 // writeFrozen serializes a raw segment snapshot into dir using the
 // diskindex layout plus the length sidecar.
 func writeFrozen(dir string, seg *memSegment) error {
-	nTerms := len(seg.post)
+	nTerms := len(seg.terms)
 	terms := make([]index.TermStats, nTerms)
 	post := make([][]model.Posting, nTerms)
 	impact := make([][]model.Posting, nTerms)
 	blocks := make([][]postings.BlockMeta, nTerms)
 	for t := 0; t < nTerms; t++ {
-		list := seg.post[t]
+		mt := seg.term(model.TermID(t))
+		list := mt.post
 		if len(list) == 0 {
 			continue
 		}
-		terms[t] = index.TermStats{DF: len(list), Max: model.Score(quantUp(seg.wmax[t]))}
+		terms[t] = index.TermStats{DF: len(list), Max: model.Score(quantUp(mt.wmax))}
 		pl := make([]model.Posting, len(list))
 		for i, p := range list {
 			pl[i] = model.Posting{Doc: p.doc, Score: model.Score(p.tf)}
 		}
 		post[t] = pl
 		il := make([]model.Posting, len(list))
-		for i, p := range seg.impact[t] {
+		for i, p := range mt.impact {
 			il[i] = model.Posting{Doc: p.doc, Score: model.Score(p.tf)}
 		}
 		impact[t] = il
-		bl := make([]postings.BlockMeta, len(seg.blocks[t]))
-		for i, b := range seg.blocks[t] {
+		bl := make([]postings.BlockMeta, len(mt.blocks))
+		for i, b := range mt.blocks {
 			bl[i] = postings.BlockMeta{Last: b.last, Max: model.Score(quantUp(b.wmax))}
 		}
 		blocks[t] = bl
@@ -150,9 +141,8 @@ func writeFrozen(dir string, seg *memSegment) error {
 }
 
 // openFrozen opens a frozen segment directory over a fresh simulated
-// store. gen, lo, hi and the seglens codec come from the live manifest
-// (v1/v2 manifests imply the raw sidecar).
-func openFrozen(dir string, gen int, lo, hi model.DocID, lensCodec uint8, cfg iomodel.Config) (*frozenSeg, error) {
+// store. gen, lo and hi come from the live manifest.
+func openFrozen(dir string, gen int, lo, hi model.DocID, cfg iomodel.Config) (*frozenSeg, error) {
 	inner, err := diskindex.OpenDir(dir, cfg)
 	if err != nil {
 		return nil, err
@@ -161,28 +151,12 @@ func openFrozen(dir string, gen int, lo, hi model.DocID, lensCodec uint8, cfg io
 	if err != nil {
 		return nil, fmt.Errorf("liveindex: %w", err)
 	}
-	n := int(hi - lo)
-	var docLens []uint32
-	switch lensCodec {
-	case segLensRaw:
-		if len(raw) != 4*n {
-			return nil, fmt.Errorf("liveindex: %s in %s holds %d docs, manifest says %d",
-				segLensFile, dir, len(raw)/4, n)
-		}
-		docLens = make([]uint32, n)
-		for i := range docLens {
-			docLens[i] = binary.LittleEndian.Uint32(raw[4*i:])
-		}
-	case segLensGroup:
-		docLens, err = codec.DecodeUint32Stream(raw, n, nil)
-		if err != nil {
-			return nil, fmt.Errorf("liveindex: decoding %s in %s: %w", segLensFile, dir, err)
-		}
-	default:
-		return nil, fmt.Errorf("liveindex: unknown seglens codec %d for %s", lensCodec, dir)
+	docLens, err := codec.DecodeUint32Stream(raw, int(hi-lo), nil)
+	if err != nil {
+		return nil, fmt.Errorf("liveindex: decoding %s in %s: %w", segLensFile, dir, err)
 	}
 	s := &frozenSeg{
-		dir: dir, gen: gen, lo: lo, hi: hi, lensCodec: lensCodec,
+		dir: dir, gen: gen, lo: lo, hi: hi,
 		docLens: docLens, inner: inner,
 		dfs: make([]int32, inner.NumTerms()),
 	}

@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -29,6 +30,7 @@ import (
 
 	"sparta/internal/core"
 	"sparta/internal/corpus"
+	"sparta/internal/diskindex"
 	"sparta/internal/index"
 	"sparta/internal/iomodel"
 	"sparta/internal/merkle"
@@ -45,16 +47,12 @@ const (
 	// WALFile is the memtable's write-ahead log.
 	WALFile = "wal.log"
 
-	// Manifest versions: v1 trusted segment directories blindly; v2
-	// records per-file SHA-256 digests plus a per-segment Merkle root,
-	// verified before a segment is served; v3 records the per-segment
-	// seglens sidecar codec (segments written at v3 group-stream-code
-	// the doc-length array). v1/v2 manifests remain readable — their
-	// segments imply the raw sidecar; newly written manifests are
-	// always v3.
-	manifestVersion   = 1
-	manifestVersionV2 = 2
-	manifestVersionV3 = 3
+	// manifestVersion is the one live manifest this build reads and
+	// writes: per-file SHA-256 digests plus a per-segment Merkle root,
+	// verified before a segment is served, over segments in
+	// diskindex.FormatVersion with a group-coded seglens sidecar.
+	// Versions 1–3 listed segments in the retired three-file layout.
+	manifestVersion = 4
 )
 
 // Config parameterizes a live index. The zero value serves.
@@ -122,35 +120,45 @@ type segManifest struct {
 	Hi   model.DocID `json:"hi"`
 	Docs int         `json:"docs"`
 	// Files are the segment's index files with flush-time SHA-256
-	// digests; MerkleRoot folds them into one provable identity
-	// (empty in v1 manifests).
-	Files      []merkle.FileDigest `json:"files,omitempty"`
-	MerkleRoot string              `json:"merkle_root,omitempty"`
-	// LensCodec names the seglens sidecar encoding (segLensRaw for
-	// segments written before manifest v3, segLensGroup after).
-	LensCodec uint8 `json:"lens_codec,omitempty"`
+	// digests; MerkleRoot folds them into one provable identity.
+	Files      []merkle.FileDigest `json:"files"`
+	MerkleRoot string              `json:"merkle_root"`
+}
+
+// readManifest parses live.json. A manifest written by an older build
+// is a *diskindex.RebuildError; one that lists a segment without digests is
+// refused — absence of digests must read as "unverifiable", not "valid".
+func readManifest(dir string) (manifest, error) {
+	var man manifest
+	raw, err := os.ReadFile(filepath.Join(dir, ManifestFile))
+	if err != nil {
+		return man, fmt.Errorf("liveindex: %w", err)
+	}
+	if err := json.Unmarshal(raw, &man); err != nil {
+		return man, fmt.Errorf("liveindex: parsing %s: %w", ManifestFile, err)
+	}
+	if man.Version != manifestVersion {
+		return man, &diskindex.RebuildError{Dir: dir,
+			Reason: fmt.Sprintf("live manifest version %d, this build reads %d", man.Version, manifestVersion)}
+	}
+	for _, sm := range man.Segments {
+		if len(sm.Files) == 0 {
+			return man, fmt.Errorf("liveindex: segment %s: manifest carries no digests", sm.Dir)
+		}
+	}
+	return man, nil
 }
 
 // VerifyDir recomputes every frozen segment's file digests and Merkle
 // root against the live.json manifest without opening the index, and
-// reports every disagreement (cmd/indexstat -verify). Verifying a v1
-// manifest (no digests) is an error: absence of digests must read as
-// "unverifiable", not "valid".
+// reports every disagreement (cmd/indexstat -verify).
 func VerifyDir(dir string) error {
-	raw, err := os.ReadFile(filepath.Join(dir, ManifestFile))
+	man, err := readManifest(dir)
 	if err != nil {
-		return fmt.Errorf("liveindex: %w", err)
-	}
-	var man manifest
-	if err := json.Unmarshal(raw, &man); err != nil {
-		return fmt.Errorf("liveindex: parsing %s: %w", ManifestFile, err)
+		return err
 	}
 	var errs []error
 	for _, sm := range man.Segments {
-		if len(sm.Files) == 0 {
-			errs = append(errs, fmt.Errorf("segment %s: manifest carries no digests (v1); flush or compact to upgrade", sm.Dir))
-			continue
-		}
 		if err := merkle.VerifyDir(filepath.Join(dir, sm.Dir), sm.Files, sm.MerkleRoot); err != nil {
 			errs = append(errs, err)
 		}
@@ -236,22 +244,12 @@ func Open(dir string, cfg Config) (*Live, error) {
 		compactDone:  make(chan struct{}),
 	}
 
-	var man manifest
-	raw, err := os.ReadFile(filepath.Join(dir, ManifestFile))
-	switch {
-	case err == nil:
-		if err := json.Unmarshal(raw, &man); err != nil {
-			return nil, fmt.Errorf("liveindex: parsing %s: %w", ManifestFile, err)
-		}
-		if man.Version != manifestVersion && man.Version != manifestVersionV2 &&
-			man.Version != manifestVersionV3 {
-			return nil, fmt.Errorf("liveindex: manifest version %d, want %d..%d",
-				man.Version, manifestVersion, manifestVersionV3)
-		}
-	case os.IsNotExist(err):
-		man = manifest{Version: manifestVersion, NextGen: 1}
-	default:
-		return nil, fmt.Errorf("liveindex: %w", err)
+	man, err := readManifest(dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		man, err = manifest{NextGen: 1}, nil
+	}
+	if err != nil {
+		return nil, err
 	}
 	l.nextGen = man.NextGen
 	l.walStart = man.WALStart
@@ -276,12 +274,10 @@ func Open(dir string, cfg Config) (*Live, error) {
 		// Verify before trusting: a segment whose bytes disagree with
 		// its flush-time digests fails the open rather than serving
 		// corrupted postings.
-		if len(sm.Files) > 0 {
-			if err := merkle.VerifyDir(segDir, sm.Files, sm.MerkleRoot); err != nil {
-				return nil, fmt.Errorf("liveindex: segment %s failed verification: %w", sm.Dir, err)
-			}
+		if err := merkle.VerifyDir(segDir, sm.Files, sm.MerkleRoot); err != nil {
+			return nil, fmt.Errorf("liveindex: segment %s failed verification: %w", sm.Dir, err)
 		}
-		fz, err := openFrozen(segDir, sm.Gen, sm.Lo, sm.Hi, sm.LensCodec, *cfg.IO)
+		fz, err := openFrozen(segDir, sm.Gen, sm.Lo, sm.Hi, *cfg.IO)
 		if err != nil {
 			return nil, err
 		}
@@ -561,7 +557,7 @@ func (l *Live) flushLocked() error {
 	if err := writeFrozen(filepath.Join(l.dir, segDir), seg); err != nil {
 		return err
 	}
-	fz, err := openFrozen(filepath.Join(l.dir, segDir), gen, seg.lo, seg.hi, segLensGroup, *l.cfg.IO)
+	fz, err := openFrozen(filepath.Join(l.dir, segDir), gen, seg.lo, seg.hi, *l.cfg.IO)
 	if err != nil {
 		return err
 	}
@@ -601,11 +597,11 @@ func (l *Live) flushLocked() error {
 func segDirName(gen int) string { return fmt.Sprintf("seg-%06d", gen) }
 
 func (l *Live) writeManifestLocked() error {
-	man := manifest{Version: manifestVersionV3, NextGen: l.nextGen, WALStart: l.walStart}
+	man := manifest{Version: manifestVersion, NextGen: l.nextGen, WALStart: l.walStart}
 	for _, fz := range l.frozen {
 		man.Segments = append(man.Segments, segManifest{
 			Dir: filepath.Base(fz.dir), Gen: fz.gen, Lo: fz.lo, Hi: fz.hi, Docs: fz.docs(),
-			Files: fz.files, MerkleRoot: fz.root, LensCodec: fz.lensCodec,
+			Files: fz.files, MerkleRoot: fz.root,
 		})
 	}
 	rawMan, err := json.MarshalIndent(man, "", "  ")
@@ -646,8 +642,10 @@ func (l *Live) publishLocked() {
 			df[t] += d
 		}
 	}
-	for t := range memSeg.post {
-		df[t] += int32(len(memSeg.post[t]))
+	for t, mt := range memSeg.terms {
+		if mt != nil {
+			df[t] += int32(len(mt.post))
+		}
 	}
 
 	var (

@@ -2,6 +2,7 @@ package liveindex_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 	"sparta/internal/algos/algotest"
 	"sparta/internal/bench"
 	"sparta/internal/corpus"
+	"sparta/internal/diskindex"
 	"sparta/internal/index"
 	"sparta/internal/iomodel"
 	"sparta/internal/liveindex"
@@ -636,5 +638,33 @@ func TestLiveSegmentStats(t *testing.T) {
 	}
 	if total != 250 {
 		t.Errorf("segment docs sum to %d, want 250", total)
+	}
+}
+
+// TestOpenRefusesOldManifests: a live directory whose manifest an older
+// build wrote lists segments in a layout this build does not read; both
+// ways into it return the typed error that says to rebuild, and leave
+// the directory alone.
+func TestOpenRefusesOldManifests(t *testing.T) {
+	for _, version := range []int{1, 2, 3, 5} {
+		dir := t.TempDir()
+		man := fmt.Sprintf(`{"version":%d,"next_gen":2,"wal_start":40,"segments":[{"dir":"seg-000001","gen":1,"lo":0,"hi":40,"docs":40}]}`, version)
+		if err := os.WriteFile(filepath.Join(dir, liveindex.ManifestFile), []byte(man), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Mkdir(filepath.Join(dir, "seg-000001"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		_, err := liveindex.Open(dir, liveindex.Config{IO: ramIO(), DisableCompaction: true})
+		var re *diskindex.RebuildError
+		if !errors.As(err, &re) || !strings.Contains(err.Error(), fmt.Sprintf("version %d", version)) || !strings.Contains(err.Error(), "rebuild") {
+			t.Errorf("Open on a version-%d manifest: %v, want a *RebuildError that says rebuild", version, err)
+		}
+		if err := liveindex.VerifyDir(dir); !errors.As(err, &re) {
+			t.Errorf("VerifyDir on a version-%d manifest: %v, want a *RebuildError", version, err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "seg-000001")); err != nil {
+			t.Errorf("version-%d manifest: refused open removed the segment directory: %v", version, err)
+		}
 	}
 }

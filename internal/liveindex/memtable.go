@@ -3,7 +3,10 @@
 // immutable snapshots. Posting slices are shared between the memtable
 // and its snapshots by immutable prefix: appends only ever write past
 // the published length (or reallocate), so readers of a snapshot never
-// observe a mutation.
+// observe a mutation. A term's lists are published as one immutable
+// memTerm that every snapshot shares until the term changes again, so a
+// snapshot costs one pointer per dictionary term plus the terms the
+// appends since the last one touched.
 package liveindex
 
 import (
@@ -29,6 +32,20 @@ type memBlock struct {
 	wmax float64
 }
 
+// memTerm is one term's lists as one snapshot publishes them: the
+// doc-ordered postings, the same postings by weight, the block-max
+// metadata and the largest weight. Nothing reachable from it is written
+// after it is published.
+type memTerm struct {
+	post   []tfPost
+	impact []tfPost
+	blocks []memBlock
+	wmax   float64
+}
+
+// noPostings stands for every term a segment has no postings for.
+var noPostings = &memTerm{}
+
 // memtable accumulates appended documents. All mutation happens under
 // the owning Live's lock; queries only ever see snapshots.
 type memtable struct {
@@ -37,12 +54,10 @@ type memtable struct {
 	post    [][]tfPost  // per term, doc-ordered (documents arrive in id order)
 	dirty   map[model.TermID]struct{}
 
-	// Derived per-term structures, rebuilt lazily for dirty terms at
-	// snapshot time. Rebuilds allocate fresh slices, so snapshots taken
-	// earlier keep their consistent versions.
-	impact [][]tfPost
-	blocks [][]memBlock
-	wmax   []float64
+	// terms holds each term's lists as last published (nil: none yet),
+	// rebuilt for dirty terms at snapshot time into a fresh memTerm, so
+	// snapshots taken earlier keep their consistent versions.
+	terms []*memTerm
 
 	bytes int64
 }
@@ -64,9 +79,7 @@ func (m *memtable) appendDoc(doc model.DocID, bag []corpus.TermCount) {
 	for _, tc := range bag {
 		for int(tc.Term) >= len(m.post) {
 			m.post = append(m.post, nil)
-			m.impact = append(m.impact, nil)
-			m.blocks = append(m.blocks, nil)
-			m.wmax = append(m.wmax, 0)
+			m.terms = append(m.terms, nil)
 		}
 		m.post[tc.Term] = append(m.post[tc.Term], tfPost{
 			doc: doc, tf: tc.Count, w: rawWeight(tc.Count, length),
@@ -83,11 +96,17 @@ func (m *memtable) appendDoc(doc model.DocID, bag []corpus.TermCount) {
 type memSegment struct {
 	lo, hi  model.DocID
 	docLens []int
-	post    [][]tfPost
-	impact  [][]tfPost
-	blocks  [][]memBlock
-	wmax    []float64
+	terms   []*memTerm // per dictionary term; nil where the segment has no postings
 	bytes   int64
+}
+
+// term returns t's lists; a term the segment has no postings for, or
+// that joined the dictionary after the snapshot, has empty ones.
+func (s *memSegment) term(t model.TermID) *memTerm {
+	if int(t) >= len(s.terms) || s.terms[t] == nil {
+		return noPostings
+	}
+	return s.terms[t]
 }
 
 // snapshot rebuilds the derived structures of dirty terms and freezes
@@ -95,13 +114,7 @@ type memSegment struct {
 // memtable has no postings for appear as empty lists.
 func (m *memtable) snapshot(nTerms int) *memSegment {
 	for t := range m.dirty {
-		list := m.post[t]
-		imp := make([]tfPost, len(list))
-		copy(imp, list)
-		sortImpact(imp)
-		m.impact[t] = imp
-		m.blocks[t] = buildMemBlocks(list)
-		m.wmax[t] = imp[0].w
+		m.terms[t] = newMemTerm(m.terms[t], m.post[t])
 	}
 	clear(m.dirty)
 
@@ -109,60 +122,62 @@ func (m *memtable) snapshot(nTerms int) *memSegment {
 		lo:      m.lo,
 		hi:      m.lo + model.DocID(len(m.docLens)),
 		docLens: m.docLens[:len(m.docLens):len(m.docLens)],
-		post:    make([][]tfPost, nTerms),
-		impact:  make([][]tfPost, nTerms),
-		blocks:  make([][]memBlock, nTerms),
-		wmax:    make([]float64, nTerms),
+		terms:   make([]*memTerm, nTerms),
 		bytes:   m.bytes,
 	}
-	n := min(nTerms, len(m.post))
-	copy(seg.post, m.post[:n])
-	copy(seg.impact, m.impact[:n])
-	copy(seg.blocks, m.blocks[:n])
-	copy(seg.wmax, m.wmax[:n])
+	copy(seg.terms, m.terms)
 	return seg
 }
 
-// sortImpact orders a list by weight descending, document id
-// ascending on ties — the impact order every segment form shares.
-func sortImpact(list []tfPost) {
-	slices.SortFunc(list, func(a, b tfPost) int {
-		switch {
-		case a.w > b.w:
-			return -1
-		case a.w < b.w:
-			return 1
-		case a.doc < b.doc:
-			return -1
-		case a.doc > b.doc:
-			return 1
+// newMemTerm derives the published form of a non-empty doc-ordered
+// list. prev, when not nil, is the form published for a prefix of list:
+// the new postings are merged into its impact order and its full blocks
+// are kept, so an append costs a term a copy, not a sort.
+func newMemTerm(prev *memTerm, list []tfPost) *memTerm {
+	if prev == nil {
+		prev = noPostings
+	}
+	old := prev.impact
+	added := slices.Clone(list[len(old):])
+	slices.SortFunc(added, cmpImpact)
+	imp := make([]tfPost, 0, len(list))
+	for _, p := range added {
+		i, _ := slices.BinarySearchFunc(old, p, cmpImpact)
+		imp = append(append(imp, old[:i]...), p)
+		old = old[i:]
+	}
+	imp = append(imp, old...)
+
+	full := len(prev.post) / postings.BlockSize // prev's blocks no new posting joins
+	blocks := make([]memBlock, full, (len(list)+postings.BlockSize-1)/postings.BlockSize)
+	copy(blocks, prev.blocks)
+	for start := full * postings.BlockSize; start < len(list); start += postings.BlockSize {
+		block := list[start:min(start+postings.BlockSize, len(list))]
+		meta := memBlock{last: block[len(block)-1].doc}
+		for _, p := range block {
+			meta.wmax = max(meta.wmax, p.w)
 		}
-		return 0
-	})
+		blocks = append(blocks, meta)
+	}
+	return &memTerm{post: list, impact: imp, blocks: blocks, wmax: imp[0].w}
 }
 
-func buildMemBlocks(list []tfPost) []memBlock {
-	n := (len(list) + postings.BlockSize - 1) / postings.BlockSize
-	blocks := make([]memBlock, n)
-	for b := 0; b < n; b++ {
-		start := b * postings.BlockSize
-		end := min(start+postings.BlockSize, len(list))
-		meta := memBlock{last: list[end-1].doc}
-		for _, p := range list[start:end] {
-			if p.w > meta.wmax {
-				meta.wmax = p.w
-			}
-		}
-		blocks[b] = meta
+// cmpImpact orders postings by weight descending, document id ascending
+// on ties — the impact order every segment form shares.
+func cmpImpact(a, b tfPost) int {
+	switch {
+	case a.w > b.w:
+		return -1
+	case a.w < b.w:
+		return 1
+	case a.doc < b.doc:
+		return -1
+	case a.doc > b.doc:
+		return 1
 	}
-	return blocks
+	return 0
 }
 
 func (s *memSegment) docs() int { return len(s.docLens) }
 
-func (s *memSegment) localDF(t model.TermID) int {
-	if int(t) >= len(s.post) {
-		return 0
-	}
-	return len(s.post[t])
-}
+func (s *memSegment) localDF(t model.TermID) int { return len(s.term(t).post) }

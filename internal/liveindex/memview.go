@@ -42,16 +42,17 @@ func (v *memView) MaxScore(t model.TermID) model.Score {
 	if v.seg.localDF(t) == 0 {
 		return 0
 	}
-	return scoreOf(v.seg.wmax[t], v.idf(t))
+	return scoreOf(v.seg.term(t).wmax, v.idf(t))
 }
 
 func (v *memView) DocCursor(t model.TermID) postings.DocCursor {
 	if v.seg.localDF(t) == 0 {
 		return postings.NewSliceDocCursor(nil, nil, 0)
 	}
+	mt := v.seg.term(t)
 	return &memDocCursor{
-		list:   v.seg.post[t],
-		blocks: v.seg.blocks[t],
+		list:   mt.post,
+		blocks: mt.blocks,
 		idf:    v.idf(t),
 		max:    v.MaxScore(t),
 		pos:    -1,
@@ -62,7 +63,7 @@ func (v *memView) ScoreCursor(t model.TermID) postings.ScoreCursor {
 	if v.seg.localDF(t) == 0 {
 		return postings.NewSliceScoreCursor(nil, 0)
 	}
-	return &memScoreCursor{list: v.seg.impact[t], idf: v.idf(t), max: v.MaxScore(t), pos: -1}
+	return &memScoreCursor{list: v.seg.term(t).impact, idf: v.idf(t), max: v.MaxScore(t), pos: -1}
 }
 
 // ScoreCursorShard implements postings.View: shard ranges are over the
@@ -77,7 +78,7 @@ func (v *memView) ScoreCursorShard(t model.TermID, shard, nShards int) postings.
 	}
 	lo, hi := postings.ShardRange(v.n, shard, nShards)
 	list := make([]tfPost, 0, 8)
-	for _, p := range v.seg.impact[t] {
+	for _, p := range v.seg.term(t).impact {
 		if p.doc >= lo && p.doc < hi {
 			list = append(list, p)
 		}
@@ -93,7 +94,7 @@ func (v *memView) RandomAccess(t model.TermID, d model.DocID) (model.Score, bool
 	if v.seg.localDF(t) == 0 {
 		return 0, false
 	}
-	list := v.seg.post[t]
+	list := v.seg.term(t).post
 	i := sort.Search(len(list), func(i int) bool { return list[i].doc >= d })
 	if i < len(list) && list[i].doc == d {
 		return scoreOf(list[i].w, v.idf(t)), true

@@ -196,9 +196,8 @@ type BlockWalker interface {
 	// DocBlockMeta returns the RAM-resident block directory (last doc id
 	// and quantized max score per block) of t's doc-ordered posting
 	// region — the same skip data DocCursor pruning reads. The slice is
-	// shared read-only state (both the disk and compressed views hand
-	// out subslices of a directory built once at open) and must not be
-	// mutated.
+	// shared read-only state (the on-disk index hands out subslices of
+	// a directory built once at open) and must not be mutated.
 	DocBlockMeta(t model.TermID) []BlockMeta
 	// WalkDocBlocks traverses t's doc-ordered posting blocks in order,
 	// invoking sink once per block with the block index and the decoded

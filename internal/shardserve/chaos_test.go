@@ -33,16 +33,16 @@ func faultedGroup(t *testing.T, x *index.Index, p, r int, io iomodel.Config,
 	shards := make([]shardserve.Shard, p)
 	var injs []*faultinject.Injector
 	for s, part := range x.Partition(p) {
-		manifest, dict, post, err := diskindex.Encode(part, diskindex.DefaultShards)
+		built, err := diskindex.FromIndex(part, diskindex.DefaultShards, io)
 		if err != nil {
 			t.Fatal(err)
 		}
 		lo, hi := postings.ShardRange(x.NumDocs(), s, p)
 		reps := make([]shardserve.Replica, r)
 		for ri := range reps {
-			di, err := diskindex.OpenEncoded(manifest, dict, post, io)
-			if err != nil {
-				t.Fatal(err)
+			di := built
+			if ri > 0 {
+				di = built.Reopen(io)
 			}
 			inj := faultinject.New(planFor(s, ri), s, ri)
 			inj.BindStore(di.Store())

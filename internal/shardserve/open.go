@@ -25,14 +25,13 @@ import (
 // index directories.
 const ManifestFile = "shards.json"
 
-// Manifest versions: v1 trusted the shard directories blindly; v2
-// records per-file SHA-256 digests and a per-shard Merkle root, and
-// OpenDir / replica promotion verify them before serving. v1 sets are
-// still readable (legacy, unverified).
-const (
-	manifestV1 = 1
-	manifestV2 = 2
-)
+// manifestVersion is the one shard-set manifest this build reads and
+// writes: per-file SHA-256 digests and a per-shard Merkle root, which
+// OpenDir and replica promotion verify before serving, over shard
+// directories in diskindex.FormatVersion. Version 2 carried the same
+// digests over the retired three-file shard layout; version 1 carried
+// none.
+const manifestVersion = 3
 
 // Manifest describes a built shard set.
 type Manifest struct {
@@ -48,14 +47,10 @@ type ShardManifest struct {
 	HiDoc    uint32 `json:"hi_doc"`
 	Postings int64  `json:"postings"`
 	// Files are the shard's index files with their build-time SHA-256
-	// digests; MerkleRoot folds them into one provable identity
-	// (empty in v1 manifests).
-	Files      []merkle.FileDigest `json:"files,omitempty"`
-	MerkleRoot string              `json:"merkle_root,omitempty"`
+	// digests; MerkleRoot folds them into one provable identity.
+	Files      []merkle.FileDigest `json:"files"`
+	MerkleRoot string              `json:"merkle_root"`
 }
-
-// Verified reports whether the shard carries digests to check.
-func (sm ShardManifest) Verified() bool { return len(sm.Files) > 0 }
 
 // ShardView is one opened shard: the disk-modeled view plus the store
 // and optional cache that belong to it.
@@ -115,8 +110,8 @@ func NewFromViews(cfg Config, factory Factory, views []ShardView) (*Group, error
 // simulated store (cfg.IO, default iomodel.DefaultConfig) with an
 // optional per-shard cache (cfg.CacheBytes), and serves them with
 // factory's algorithm — the one-call path tests and single-process
-// experiments use. With cfg.Replicas > 1 each shard is encoded once
-// and opened that many times (diskindex.OpenEncoded over the shared
+// experiments use. With cfg.Replicas > 1 each shard is built once and
+// reopened per replica (diskindex.Reopen over the shared directory and
 // bytes), every replica getting its own independently charged store
 // and cache.
 func FromIndex(x *index.Index, p int, factory Factory, cfg Config) (*Group, error) {
@@ -131,32 +126,35 @@ func FromIndex(x *index.Index, p int, factory Factory, cfg Config) (*Group, erro
 		}
 		return NewFromViews(cfg, factory, views)
 	}
-	if p <= 0 {
-		return nil, fmt.Errorf("shardserve: shard count must be positive, got %d", p)
+	views, err := PartitionViews(x, p, io, 0)
+	if err != nil {
+		return nil, err
 	}
 	shards := make([]Shard, p)
-	for s, part := range x.Partition(p) {
-		manifest, dict, post, err := diskindex.Encode(part, diskindex.DefaultShards)
-		if err != nil {
-			return nil, fmt.Errorf("shardserve: encoding shard %d: %w", s, err)
-		}
-		lo, hi := postings.ShardRange(x.NumDocs(), s, p)
-		reps := make([]Replica, cfg.Replicas)
-		for r := range reps {
-			di, err := diskindex.OpenEncoded(manifest, dict, post, io)
-			if err != nil {
-				return nil, fmt.Errorf("shardserve: opening shard %d replica %d: %w", s, r, err)
-			}
-			reps[r] = Replica{View: di, Alg: factory(di), Store: di.Store()}
-			if cfg.CacheBytes > 0 {
-				c := plcache.NewWithBudget(cfg.CacheBytes)
-				di.SetPostingCache(c)
-				reps[r].Cache = c
-			}
-		}
-		shards[s] = Shard{Replicas: reps, Lo: lo, Hi: hi}
+	for s, v := range views {
+		shards[s] = Shard{Replicas: replicas(v.View, cfg.Replicas, io, cfg.CacheBytes, factory, nil), Lo: v.Lo, Hi: v.Hi}
 	}
 	return New(cfg, shards...)
+}
+
+// replicas returns n replicas of one shard: first itself, then n-1
+// reopenings of it over the same directory and bytes. Each has its own
+// independently charged store and, when cacheBytes is positive, its own
+// decoded-block cache.
+func replicas(first *diskindex.Index, n int, io iomodel.Config, cacheBytes int64, factory Factory, verify func() error) []Replica {
+	reps := make([]Replica, n)
+	for r := range reps {
+		di := first
+		if r > 0 {
+			di = first.Reopen(io)
+		}
+		reps[r] = Replica{View: di, Alg: factory(di), Store: di.Store(), Verify: verify}
+		if cacheBytes > 0 {
+			reps[r].Cache = plcache.NewWithBudget(cacheBytes)
+			di.SetPostingCache(reps[r].Cache)
+		}
+	}
+	return reps
 }
 
 // WriteDir partitions x into p shards and writes each as a diskindex
@@ -173,7 +171,7 @@ func WriteDir(x *index.Index, p, innerShards int, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("shardserve: creating %s: %w", dir, err)
 	}
-	m := Manifest{Version: manifestV2, NumDocs: x.NumDocs()}
+	m := Manifest{Version: manifestVersion, NumDocs: x.NumDocs()}
 	for s, part := range x.Partition(p) {
 		sub := fmt.Sprintf("shard-%04d", s)
 		if err := diskindex.WriteDir(part, innerShards, filepath.Join(dir, sub)); err != nil {
@@ -182,7 +180,7 @@ func WriteDir(x *index.Index, p, innerShards int, dir string) error {
 		// Hash every index file back from disk — the digests attest to
 		// the bytes actually written, not the bytes we meant to write.
 		var files []merkle.FileDigest
-		for _, name := range []string{diskindex.ManifestFile, diskindex.DictFile, diskindex.PostingsFile} {
+		for _, name := range []string{diskindex.ManifestFile, diskindex.DirFile, diskindex.PostingsFile} {
 			fd, err := merkle.HashFile(filepath.Join(dir, sub), name)
 			if err != nil {
 				return fmt.Errorf("shardserve: digesting shard %d: %w", s, err)
@@ -207,7 +205,8 @@ func WriteDir(x *index.Index, p, innerShards int, dir string) error {
 }
 
 // ReadManifest reads and validates the shards.json manifest of a
-// built shard set.
+// built shard set. A set written by an older build is a
+// *diskindex.RebuildError.
 func ReadManifest(dir string) (Manifest, error) {
 	b, err := os.ReadFile(filepath.Join(dir, ManifestFile))
 	if err != nil {
@@ -217,30 +216,31 @@ func ReadManifest(dir string) (Manifest, error) {
 	if err := json.Unmarshal(b, &m); err != nil {
 		return Manifest{}, fmt.Errorf("shardserve: parsing %s: %w", ManifestFile, err)
 	}
-	if m.Version != manifestV1 && m.Version != manifestV2 {
-		return Manifest{}, fmt.Errorf("shardserve: unsupported manifest version %d", m.Version)
+	if m.Version != manifestVersion {
+		return Manifest{}, &diskindex.RebuildError{Dir: dir,
+			Reason: fmt.Sprintf("shard-set manifest version %d, this build reads %d", m.Version, manifestVersion)}
 	}
 	if len(m.Shards) == 0 {
 		return Manifest{}, fmt.Errorf("shardserve: manifest lists no shards")
+	}
+	for s, sm := range m.Shards {
+		if len(sm.Files) == 0 {
+			return Manifest{}, fmt.Errorf("shardserve: manifest carries no digests for shard %d (%s)", s, sm.Dir)
+		}
 	}
 	return m, nil
 }
 
 // VerifySet recomputes every shard's file digests and Merkle root
 // against the shards.json manifest and reports every disagreement
-// (cmd/indexstat -verify). Verifying a v1 set (no digests) is an
-// error: absence of digests must read as "unverifiable", not "valid".
+// (cmd/indexstat -verify).
 func VerifySet(dir string) error {
 	m, err := ReadManifest(dir)
 	if err != nil {
 		return err
 	}
 	var errs []error
-	for s, sm := range m.Shards {
-		if !sm.Verified() {
-			errs = append(errs, fmt.Errorf("shard %d (%s): manifest carries no digests (v1 set); rebuild to verify", s, sm.Dir))
-			continue
-		}
+	for _, sm := range m.Shards {
 		if err := merkle.VerifyDir(filepath.Join(dir, sm.Dir), sm.Files, sm.MerkleRoot); err != nil {
 			errs = append(errs, err)
 		}
@@ -251,11 +251,11 @@ func VerifySet(dir string) error {
 // OpenDir opens a shard set written by WriteDir: each shard gets
 // cfg.Replicas (default 1) independently opened backends, each with
 // its own simulated store (cfg.IO) and optional cache
-// (cfg.CacheBytes), served by factory's algorithm. Shards carrying
-// manifest digests are verified before the bytes are trusted — a
-// corrupted shard fails the open rather than serving wrong results —
-// and every replica keeps a Verify hook, re-run before that replica
-// can be promoted to primary.
+// (cfg.CacheBytes), served by factory's algorithm. Every shard's files
+// are verified against the manifest digests before the bytes are
+// trusted — a corrupted shard fails the open rather than serving wrong
+// results — and every replica keeps a Verify hook, re-run before that
+// replica can be promoted to primary.
 func OpenDir(dir string, factory Factory, cfg Config) (*Group, error) {
 	m, err := ReadManifest(dir)
 	if err != nil {
@@ -292,42 +292,27 @@ func OpenShard(dir string, shard int, factory Factory, cfg Config) (*Group, erro
 	return New(cfg, sh)
 }
 
-// openManifestShard opens one shard of a written set: cfg.Replicas
-// (default 1) independently opened backends, each with its own
+// openManifestShard opens one shard of a written set: the directory is
+// verified against its manifest digests and read once, then reopened
+// for each further replica (cfg.Replicas, default 1), each with its own
 // simulated store (cfg.IO) and optional cache (cfg.CacheBytes), served
-// by factory's algorithm. Shards carrying manifest digests are verified
-// before the bytes are trusted, and every replica keeps a Verify hook
-// re-run before it can be promoted to primary.
+// by factory's algorithm. Every replica keeps the Verify hook, re-run
+// before it can be promoted to primary.
 func openManifestShard(dir string, s int, sm ShardManifest, factory Factory, cfg Config) (Shard, error) {
 	io := iomodel.DefaultConfig()
 	if cfg.IO != nil {
 		io = *cfg.IO
 	}
-	replicas := cfg.Replicas
-	if replicas <= 0 {
-		replicas = 1
-	}
 	shardDir := filepath.Join(dir, sm.Dir)
-	var verify func() error
-	if sm.Verified() {
-		files, root := sm.Files, sm.MerkleRoot
-		verify = func() error { return merkle.VerifyDir(shardDir, files, root) }
-		if err := verify(); err != nil {
-			return Shard{}, fmt.Errorf("shardserve: shard %d failed verification: %w", s, err)
-		}
+	files, root := sm.Files, sm.MerkleRoot
+	verify := func() error { return merkle.VerifyDir(shardDir, files, root) }
+	if err := verify(); err != nil {
+		return Shard{}, fmt.Errorf("shardserve: shard %d failed verification: %w", s, err)
 	}
-	reps := make([]Replica, replicas)
-	for r := range reps {
-		di, err := diskindex.OpenDir(shardDir, io)
-		if err != nil {
-			return Shard{}, fmt.Errorf("shardserve: opening shard %d replica %d: %w", s, r, err)
-		}
-		reps[r] = Replica{View: di, Alg: factory(di), Store: di.Store(), Verify: verify}
-		if cfg.CacheBytes > 0 {
-			c := plcache.NewWithBudget(cfg.CacheBytes)
-			di.SetPostingCache(c)
-			reps[r].Cache = c
-		}
+	di, err := diskindex.OpenDir(shardDir, io)
+	if err != nil {
+		return Shard{}, fmt.Errorf("shardserve: opening shard %d: %w", s, err)
 	}
+	reps := replicas(di, max(cfg.Replicas, 1), io, cfg.CacheBytes, factory, verify)
 	return Shard{Name: fmt.Sprintf("shard%d", s), Replicas: reps, Lo: model.DocID(sm.LoDoc), Hi: model.DocID(sm.HiDoc)}, nil
 }

@@ -8,6 +8,8 @@ package shardserve_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -411,6 +413,103 @@ func TestFromIndexReplicasServesExact(t *testing.T) {
 	algotest.AssertSettled(t, "after replicated query", g)
 }
 
+// TestReplicasShareBytesNotStores: both ways of opening a replicated
+// shard — built in memory, read from a written set — hold the shard's
+// posting bytes once and reopen them per replica, each behind a store
+// and a cache of its own, so a replica is charged for exactly the reads
+// it serves.
+func TestReplicasShareBytesNotStores(t *testing.T) {
+	x := algotest.MediumIndex(t, 34)
+	io := iomodel.DefaultConfig()
+	io.NoSleep = true
+	factory := func(v postings.View) topk.Algorithm { return core.New(v) }
+	cfg := shardserve.Config{IO: &io, Replicas: 3, CacheBytes: 1 << 20}
+	dir := t.TempDir()
+	if err := shardserve.WriteDir(x, 2, 0, dir); err != nil {
+		t.Fatal(err)
+	}
+	built, err := shardserve.FromIndex(x, 2, factory, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opened, err := shardserve.OpenDir(dir, factory, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*shardserve.Group{"FromIndex": built, "OpenDir": opened} {
+		for s := 0; s < g.NumShards(); s++ {
+			reps := g.ShardInfo(s).Replicas
+			if len(reps) != 3 {
+				t.Fatalf("%s shard %d: %d replicas, want 3", name, s, len(reps))
+			}
+			bytesOf := func(r shardserve.Replica) *byte {
+				h, err := r.Store.Lookup(diskindex.PostingsFile)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return &r.Store.RawBytesOf(h)[0]
+			}
+			for r := 1; r < len(reps); r++ {
+				if bytesOf(reps[r]) != bytesOf(reps[0]) {
+					t.Errorf("%s shard %d replica %d holds its own copy of the posting bytes", name, s, r)
+				}
+				if reps[r].Store == reps[0].Store || reps[r].Cache == reps[0].Cache || reps[r].Cache == nil {
+					t.Errorf("%s shard %d replica %d shares a store or a cache with replica 0", name, s, r)
+				}
+			}
+		}
+		if _, _, err := g.Search(algotest.RandomQuery(x, 5, 910), topk.Options{K: 10, Exact: true, Threads: 2}); err != nil {
+			t.Fatal(err)
+		}
+		// An unhedged, unfailed query is served by each shard's primary.
+		for s := 0; s < g.NumShards(); s++ {
+			for r, rep := range g.ShardInfo(s).Replicas {
+				if read := rep.Store.Snapshot().BlocksRead; (read > 0) != (r == 0) {
+					t.Errorf("%s shard %d replica %d: %d blocks charged after one query on the primary", name, s, r, read)
+				}
+			}
+		}
+		algotest.AssertSettled(t, name, g)
+	}
+}
+
+// TestOpenRefusesOldManifests: a shard set whose manifest an older
+// build wrote names shard directories in a layout this build does not
+// read; every way into it returns the typed error that says to rebuild.
+func TestOpenRefusesOldManifests(t *testing.T) {
+	x := algotest.SmallIndex(t, 35)
+	factory := func(v postings.View) topk.Algorithm { return core.New(v) }
+	for _, version := range []int{1, 2} {
+		dir := t.TempDir()
+		if err := shardserve.WriteDir(x, 2, 0, dir); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, shardserve.ManifestFile)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := strings.Replace(string(raw), `"version": 3`, fmt.Sprintf(`"version": %d`, version), 1)
+		if old == string(raw) {
+			t.Fatalf("manifest carries no version 3 to rewrite:\n%s", raw)
+		}
+		if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, errRead := shardserve.ReadManifest(dir)
+		_, errOpen := shardserve.OpenDir(dir, factory, shardserve.Config{})
+		_, errShard := shardserve.OpenShard(dir, 0, factory, shardserve.Config{})
+		for what, err := range map[string]error{
+			"ReadManifest": errRead, "OpenDir": errOpen, "OpenShard": errShard, "VerifySet": shardserve.VerifySet(dir),
+		} {
+			var re *diskindex.RebuildError
+			if !errors.As(err, &re) || !strings.Contains(err.Error(), fmt.Sprintf("version %d", version)) || !strings.Contains(err.Error(), "rebuild") {
+				t.Errorf("%s on a version-%d set: %v, want a *RebuildError that says rebuild", what, version, err)
+			}
+		}
+	}
+}
+
 func TestVerifySetCatchesCorruption(t *testing.T) {
 	x := algotest.MediumIndex(t, 77)
 	dir := t.TempDir()
@@ -489,7 +588,7 @@ func TestPromotionRefusesCorruptReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := faultinject.CorruptFile(filepath.Join(dir, "shard-0000", diskindex.DictFile), 3); err != nil {
+	if _, err := faultinject.CorruptFile(filepath.Join(dir, "shard-0000", diskindex.DirFile), 3); err != nil {
 		t.Fatal(err)
 	}
 

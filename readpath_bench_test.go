@@ -96,12 +96,12 @@ func benchBlocks(dist string, nBlocks int) (bases []model.DocID, blocks [][]mode
 }
 
 // BenchmarkDecodeDocBlock measures the raw per-posting decode cost of
-// each codec over identical block contents — the branchy byte-at-a-time
-// LEB128 loop against the group codec's constant-stride FOR/stream-vbyte
-// paths. ns/posting is the number the read path's CPU claim rests on.
+// each codec over identical block contents — the fixed 8-byte raw layout
+// against the group codec's constant-stride FOR/stream-vbyte paths.
+// ns/posting is the number the read path's CPU claim rests on.
 func BenchmarkDecodeDocBlock(b *testing.B) {
 	const nBlocks = 64
-	for _, id := range []codec.ID{codec.LEB128, codec.Group} {
+	for _, id := range []codec.ID{codec.Raw, codec.Group} {
 		for _, dist := range []string{"uniform", "zipf"} {
 			bases, blocks := benchBlocks(dist, nBlocks)
 			encoded := make([][]byte, nBlocks)
@@ -136,7 +136,7 @@ func BenchmarkDecodeDocBlock(b *testing.B) {
 // score deltas plus raw doc ids per block.
 func BenchmarkDecodeImpactBlock(b *testing.B) {
 	const nBlocks = 64
-	for _, id := range []codec.ID{codec.LEB128, codec.Group} {
+	for _, id := range []codec.ID{codec.Raw, codec.Group} {
 		for _, dist := range []string{"uniform", "zipf"} {
 			_, blocks := benchBlocks(dist, nBlocks)
 			type enc struct {

@@ -104,7 +104,7 @@ type SearcherConfig struct {
 	// per-member early detach and an exact resolution step that keeps
 	// results byte-identical to sequential execution. Requires
 	// BatchWindow > 0 and a BatchWarmView that supports block walking
-	// (postings.BlockWalker — the disk and compressed indexes do); when
+	// (postings.BlockWalker — the on-disk index does, under any codec); when
 	// the view does not, batches silently run the plain per-member path.
 	// Fused batches skip the warm-up pass: the fused traversal itself is
 	// the warm, hot-admission pass.
