@@ -215,14 +215,17 @@ func BenchmarkFig4Throughput(b *testing.B) {
 	}
 }
 
-// runSpartaConfigBench measures Sparta under an ablation Config.
+// runSpartaConfigBench measures Sparta under an ablation Config. Besides
+// the work counters it reports the simulated disk's reader round trips
+// (views/op) and the real sleeps that paid its charges (sleeps/op):
+// each sleep lasts its timer's granularity at least, whatever it pays.
 func runSpartaConfigBench(b *testing.B, cfg core.Config, opts topk.Options) {
 	env := benchEnv(b)
 	qs := env.Sets.Length(12)
 	env.FlushAndReset()
 	opts.K = benchK
 	opts.Threads = benchThreads
-	var postings int64
+	var postings, peak, cleanings int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := qs[i%len(qs)]
@@ -232,9 +235,17 @@ func runSpartaConfigBench(b *testing.B, cfg core.Config, opts topk.Options) {
 			b.Fatal(err)
 		}
 		postings += st.Postings
+		peak += st.CandidatesPeak
+		cleanings += st.Cleanings
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(postings)/float64(b.N), "postings/op")
+	io := env.Disk.Store().Snapshot()
+	n := float64(b.N)
+	b.ReportMetric(float64(postings)/n, "postings/op")
+	b.ReportMetric(float64(peak)/n, "peak/op")
+	b.ReportMetric(float64(cleanings)/n, "cleanings/op")
+	b.ReportMetric(float64(io.ViewCalls)/n, "views/op")
+	b.ReportMetric(float64(io.Sleeps)/n, "sleeps/op")
 }
 
 // BenchmarkAblationUBDeferred — deferred (paper) vs per-posting UB
@@ -282,7 +293,10 @@ func BenchmarkAblationLockGranularity(b *testing.B) {
 }
 
 // BenchmarkAblationSegSize — segment-size sensitivity (§4.2: larger
-// segments amortize scheduling, smaller ones tighten bounds).
+// segments amortize scheduling, smaller ones tighten bounds). The growing
+// phase starts at one block whatever SegSize is, so this sweeps the cap
+// its segments double up to and the length of every phase-2 segment
+// (DESIGN.md §4a deviation 10).
 func BenchmarkAblationSegSize(b *testing.B) {
 	for _, seg := range []int{64, 256, 1024, 4096} {
 		b.Run(fmt.Sprintf("seg=%d", seg), func(b *testing.B) {

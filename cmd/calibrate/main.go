@@ -1,6 +1,7 @@
 // Command calibrate sweeps the approximation knobs (Δ, f, p) of every
 // algorithm on long queries and prints mean/P95 latency, recall,
-// traversed postings, and the candidate-map peak per configuration.
+// traversed postings, and the candidate-map peak per configuration;
+// then Sparta's segment cap, on RAM and on the simulated disk.
 //
 // This is how the reproduction's DefaultTuning values were chosen (and
 // how to re-derive them after changing corpus parameters): pick, for
@@ -22,7 +23,10 @@ import (
 	"time"
 
 	"sparta/internal/bench"
+	"sparta/internal/cindex"
+	"sparta/internal/core"
 	"sparta/internal/corpus"
+	"sparta/internal/diskindex"
 	"sparta/internal/iomodel"
 	"sparta/internal/model"
 	"sparta/internal/stats"
@@ -96,6 +100,54 @@ func main() {
 	for _, p := range []float64{0.01, 0.03, 0.1, 0.3} {
 		run(fmt.Sprintf("pJASS p=%v", p), bench.AlgoPJASS, topk.Options{FracP: p})
 	}
+	if err := segmentSweep(env, qs, *k); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// segmentSweep prints ROADMAP item 1's table: Sparta-exact with the
+// segment cap swept, on a RAM-resident copy of the index (the group
+// codec, as the benchmark's ram_long) and on the simulated disk, at 1, 2
+// and 12 threads. Sparta's growing phase starts at one block whatever
+// the cap, so the cap is how far its segments double and how long every
+// phase-2 segment is. Per query: mean latency, postings, candidate peak,
+// cleaner passes, reader round trips (views) and real sleeps that paid
+// simulated I/O, and recall.
+func segmentSweep(env *bench.Env, qs []model.Query, k int) error {
+	ram, err := cindex.FromIndex(env.Mem, env.Opts.Shards, iomodel.RAMConfig())
+	if err != nil {
+		return err
+	}
+	fmt.Printf("\nsegment cap: Sparta-exact, %d queries per row\n", len(qs))
+	for _, store := range []struct {
+		name string
+		view *diskindex.Index
+	}{{"ram", ram}, {"disk", env.Disk}} {
+		for _, threads := range []int{1, 2, 12} {
+			for _, seg := range []int{64, 128, 256, 512, 1024, 4096} {
+				store.view.Store().Flush()
+				store.view.Store().ResetStats()
+				var lat, post, peak, clean, rec stats.Sample
+				alg := core.New(store.view)
+				for _, q := range qs {
+					res, st, err := alg.Search(q, topk.Options{K: k, Exact: true, Threads: threads, SegSize: seg})
+					if err != nil {
+						return err
+					}
+					lat.AddDuration(st.Duration)
+					post.Add(float64(st.Postings))
+					peak.Add(float64(st.CandidatesPeak))
+					clean.Add(float64(st.Cleanings))
+					rec.Add(model.Recall(env.Exact(q), res))
+				}
+				io, n := store.view.Store().Snapshot(), float64(len(qs))
+				fmt.Printf("%-4s threads=%-2d cap=%-4d ms=%7.2f postings=%7.0f peak=%6.0f cleanings=%6.1f views=%6.0f sleeps=%5.1f recall=%5.1f%%\n",
+					store.name, threads, seg, lat.Mean(), post.Mean(), peak.Mean(), clean.Mean(),
+					float64(io.ViewCalls)/n, float64(io.Sleeps)/n, rec.Mean()*100)
+			}
+		}
+	}
+	return nil
 }
 
 func maxInt(a, b int) int {

@@ -19,17 +19,21 @@
 //
 // The structure follows Algorithm 1: posting lists are traversed in
 // score order, split into segments scheduled through a shared job
-// queue; docHeap (guarded by one lock, with lazy lower-bound refresh
-// on insert) holds the current top-k; the cleaner also detects safe
-// termination, |docMap| = |docHeap|. The cleaner is event-driven: a
-// pass that does not end the query parks, and the next segment boundary,
-// list end or heap insert submits it again; in the approximate
-// configuration a timer (topk.IdleStop) ends the query once the heap
-// has been idle for Δ.
+// queue — in the growing phase a list's segments start at one block and
+// double up to SegSize, afterwards they are SegSize; docHeap (guarded
+// by one lock, with lazy lower-bound refresh on insert) holds the
+// current top-k; the cleaner also detects safe termination, |docMap| =
+// |docHeap|, after which an exact answer's scores are completed by
+// random access. The cleaner is event-driven: a pass that does not end
+// the query parks, and the next segment boundary, list end or heap
+// insert submits it again; in the approximate configuration a timer
+// (topk.IdleStop) ends the query once the heap has been idle for Δ.
 package core
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -94,7 +98,7 @@ func (s *Sparta) Name() string { return "Sparta" }
 
 // Search implements topk.Algorithm. The exact configuration
 // (opts.Exact) corresponds to Δ = ∞ and is safe: it returns the true
-// top-k (§4.4).
+// top-k (§4.4), with full scores.
 func (s *Sparta) Search(q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
 	return s.SearchContext(context.Background(), q, opts)
 }
@@ -124,6 +128,7 @@ type run struct {
 
 	cursors  []postings.ScoreCursor
 	termJobs []func() // termJobs[i] is processTerm(i), built once
+	segLen   []int    // segLen[i] is term i's next growing-phase segment; its worker's, like slabs
 	ubs      *topk.UpperBounds
 	theta    atomic.Int64
 	ubStop   atomic.Bool
@@ -178,6 +183,7 @@ func newRun(view postings.View, q model.Query, opts topk.Options, cfg Config, es
 		exec:     es,
 		cursors:  make([]postings.ScoreCursor, m),
 		termJobs: make([]func(), m),
+		segLen:   make([]int, m),
 		store:    cmap.GetStore(),
 		slabs:    make([]*cmap.Slab, m),
 		termMaps: make([]*cmap.Table, m),
@@ -189,6 +195,7 @@ func newRun(view postings.View, q model.Query, opts topk.Options, cfg Config, es
 		i := i
 		r.cursors[i] = view.ScoreCursor(t)
 		r.termJobs[i] = func() { r.processTerm(i) }
+		r.segLen[i] = min(postings.BlockSize, opts.SegSize)
 		r.slabs[i] = r.store.Slab(m)
 	}
 	r.idle = topk.NewIdleStop(opts, func() { r.finish("delta") })
@@ -248,23 +255,64 @@ func (r *run) run() (model.TopK, topk.Stats, error) {
 	if v := r.stopReason.Load(); v != nil {
 		st.StopReason = v.(string)
 	}
-	st.Duration = time.Since(start)
 
 	r.errMu.Lock()
 	err := r.runErr
 	r.errMu.Unlock()
 	if err != nil {
+		st.Duration = time.Since(start)
 		return nil, st, err
 	}
 
 	// Line 7: return the heap contents.
 	r.heapMu.Lock()
+	if r.opts.Exact && st.StopReason == "safe" {
+		st.RandomAccesses = r.completeScores()
+	}
 	res := r.docHeap.Results()
 	r.heapMu.Unlock()
+	st.Duration = time.Since(start)
 	if r.opts.Probe != nil {
 		r.opts.Probe.Final(res)
 	}
 	return res, st, nil
+}
+
+// completeScores gives every heap member its full score. The safe stop
+// proves the top-k set, not the members' scores: a member may still
+// have a posting below where its list stopped, so its lower bound is
+// short by that term and its rank can be wrong. A term whose bound is 0
+// has no posting left to find. Each missing (member, term) score is one
+// random access, returned as the count: a SkipTo on one doc-order
+// cursor per term of the bound view, members in doc-id order. The
+// cursors' charges are paid when the query's readers are settled
+// together (topk.ExecState.Finish), not one real sleep per lookup as
+// View.RandomAccess pays them. Called once the pool is closed.
+func (r *run) completeScores() int64 {
+	var ra int64
+	r.ubBuf = r.ubs.Snapshot(r.ubBuf)
+	members := slices.SortedFunc(slices.Values(r.docHeap.Items()), func(a, b *cmap.DocState) int {
+		return cmp.Compare(a.ID, b.ID)
+	})
+	for i, t := range r.q {
+		if r.ubBuf[i] == 0 {
+			continue
+		}
+		var c postings.DocCursor
+		for _, d := range members {
+			if d.ScoreAt(i) != 0 {
+				continue
+			}
+			if c == nil {
+				c = r.view.DocCursor(t)
+			}
+			ra++
+			if c.SkipTo(d.ID) && c.Doc() == d.ID {
+				d.SetScore(i, c.Score())
+			}
+		}
+	}
+	return ra
 }
 
 // signalPhase1 starts the cleaner task (line 5), and before it the Δ
@@ -366,9 +414,19 @@ func (r *run) processTerm(i int) {
 		}
 	}()
 
+	// The growing phase reads a list one block first and doubles the
+	// segment each round up to SegSize, so Equation 1 sees every list's
+	// bound after m blocks rather than m × SegSize postings; once UBStop
+	// has latched the work is lookups, and whole SegSize segments
+	// amortize the scheduling (§4.2).
+	n := r.segLen[i]
+	if r.ubStop.Load() {
+		n = r.opts.SegSize
+	}
+	r.segLen[i] = min(2*n, r.opts.SegSize)
 	c := r.cursors[i]
 	var last model.Score
-	for j := 0; j < r.opts.SegSize; j++ {
+	for j := 0; j < n; j++ {
 		if r.done.Load() {
 			return // line 14
 		}

@@ -85,6 +85,7 @@ type Stats struct {
 	SeqReads    int64         // of BlocksRead, sequential
 	RandReads   int64         // of BlocksRead, random
 	ViewCalls   int64         // Reader.View invocations (reader-accounting round trips)
+	Sleeps      int64         // waits that paid batched charges (each a real sleep)
 	SimulatedIO time.Duration // total latency charged
 }
 
@@ -116,6 +117,7 @@ type Store struct {
 	seqReads   atomic.Int64
 	randReads  atomic.Int64
 	viewCalls  atomic.Int64
+	sleeps     atomic.Int64
 	simIO      atomic.Int64 // nanoseconds
 	owedNs     atomic.Int64 // charged but not yet paid (see Unsettled)
 }
@@ -232,6 +234,7 @@ func (s *Store) ResetStats() {
 	s.seqReads.Store(0)
 	s.randReads.Store(0)
 	s.viewCalls.Store(0)
+	s.sleeps.Store(0)
 	s.simIO.Store(0)
 }
 
@@ -243,6 +246,7 @@ func (s *Store) Snapshot() Stats {
 		SeqReads:    s.seqReads.Load(),
 		RandReads:   s.randReads.Load(),
 		ViewCalls:   s.viewCalls.Load(),
+		Sleeps:      s.sleeps.Load(),
 		SimulatedIO: time.Duration(s.simIO.Load()),
 	}
 }
@@ -375,12 +379,13 @@ func (r *Reader) Bind(ctx context.Context, onFetch func(time.Duration), onStop f
 // remain counted in the store's statistics either way — the block was
 // already "read"; only the caller's wait is cut short.
 func (r *Reader) pay(d time.Duration) {
-	if r.ctx == nil {
-		time.Sleep(d)
+	if r.ctx != nil && r.ctx.Err() != nil {
+		r.noteStop()
 		return
 	}
-	if r.ctx.Err() != nil {
-		r.noteStop()
+	r.store.sleeps.Add(1)
+	if r.ctx == nil {
+		time.Sleep(d)
 		return
 	}
 	t := time.NewTimer(d)

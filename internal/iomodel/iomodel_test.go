@@ -338,6 +338,37 @@ func TestViewCallsCounted(t *testing.T) {
 	}
 }
 
+func TestSleepsCountPaidWaits(t *testing.T) {
+	cfg := Config{
+		BlockSize:   64,
+		CacheBlocks: 100,
+		SeqLatency:  time.Microsecond,
+		RandLatency: time.Microsecond,
+		SleepBatch:  time.Hour,
+	}
+	s, h := newStoreWithFile(cfg, 64*10)
+	r := s.NewReader(h)
+	r.View(0, 64*4) // owed, not paid
+	if got := s.Snapshot().Sleeps; got != 0 {
+		t.Errorf("Sleeps before Settle = %d, want 0", got)
+	}
+	r.Settle() // one wait pays all four
+	r.Settle() // nothing owed: no wait
+	if got := s.Snapshot().Sleeps; got != 1 {
+		t.Errorf("Sleeps after Settle = %d, want 1", got)
+	}
+	cfg.SleepBatch = time.Nanosecond
+	s2, h2 := newStoreWithFile(cfg, 64*10)
+	s2.NewReader(h2).View(0, 64*4) // every block pays at once
+	if got := s2.Snapshot().Sleeps; got != 4 {
+		t.Errorf("Sleeps with immediate batches = %d, want 4", got)
+	}
+	s2.ResetStats()
+	if got := s2.Snapshot().Sleeps; got != 0 {
+		t.Errorf("Sleeps after reset = %d", got)
+	}
+}
+
 func TestUnsettledTracksOwedCharges(t *testing.T) {
 	// Sleeps enabled with an enormous batch, so charges accrue as owed
 	// latency that only Settle pays.

@@ -26,8 +26,11 @@ import (
 // (§5.1).
 const DefaultK = 1000
 
-// DefaultSegSize is Sparta's posting-list segment length (the paper
-// uses large segments when m threads are available, §4.2).
+// DefaultSegSize is the posting-list segment length of the
+// segment-scheduled algorithms (the paper uses large segments when m
+// threads are available, §4.2). For Sparta it is the phase-2 segment and
+// the cap of the growing phase's, which start at one block and double
+// (DESIGN.md §4a deviation 10).
 const DefaultSegSize = 1024
 
 // DefaultPhi is Sparta's docMap size threshold below which workers
@@ -56,7 +59,9 @@ type Options struct {
 	// (§5.2.1). Ignored when Exact.
 	FracP float64
 	// SegSize is the posting-list segment length for segment-scheduled
-	// algorithms (DefaultSegSize if zero).
+	// algorithms (DefaultSegSize if zero): pNRA, pJASS, pRA and the TA
+	// family use it as is; Sparta grows its growing-phase segments from
+	// one block up to it and uses it whole once UBStop holds.
 	SegSize int
 	// Phi is Sparta's local-copy threshold Φ (DefaultPhi if zero).
 	Phi int
@@ -142,7 +147,8 @@ type Stats struct {
 	Duration time.Duration
 	// Postings is the number of posting entries traversed.
 	Postings int64
-	// RandomAccesses counts by-document score lookups (RA family).
+	// RandomAccesses counts by-document score lookups (RA family, and
+	// Sparta's completion of an exact answer's scores).
 	RandomAccesses int64
 	// HeapInserts counts successful top-k heap insertions.
 	HeapInserts int64
