@@ -30,6 +30,7 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"slices"
 	"syscall"
 	"time"
 
@@ -37,14 +38,6 @@ import (
 	"sparta/internal/bench"
 	"sparta/internal/iomodel"
 )
-
-// algoIDs are the serving algorithms this binary accepts for -algo.
-var algoIDs = []bench.AlgoID{
-	bench.AlgoSparta, bench.AlgoPRA, bench.AlgoPNRA, bench.AlgoSNRA,
-	bench.AlgoPBMW, bench.AlgoPWAND, bench.AlgoPJASS, bench.AlgoRA,
-	bench.AlgoNRA, bench.AlgoSelNRA, bench.AlgoMaxScore, bench.AlgoWAND,
-	bench.AlgoBMW, bench.AlgoJASS,
-}
 
 func main() {
 	log.SetFlags(0)
@@ -54,7 +47,7 @@ func main() {
 		shard    = flag.Int("shard", 0, "which shard of the set this process serves")
 		listen   = flag.String("listen", ":7070", "TCP listen address")
 		name     = flag.String("name", "", "server name in stats (default the listen address)")
-		algo     = flag.String("algo", string(bench.AlgoSparta), fmt.Sprintf("serving algorithm: %v", algoIDs))
+		algo     = flag.String("algo", string(bench.AlgoSparta), fmt.Sprintf("serving algorithm: %v", bench.AllAlgos))
 		replicas = flag.Int("replicas", 1, "replica backends for this shard (hedging/failover within the process)")
 		cacheMB  = flag.Int("cachemb", 16, "decoded-block cache budget per replica, MiB (0 disables)")
 		drain    = flag.Duration("drain", 5*time.Second, "graceful-shutdown drain budget")
@@ -65,23 +58,12 @@ func main() {
 		os.Exit(2)
 	}
 	id := bench.AlgoID(*algo)
-	known := false
-	for _, a := range algoIDs {
-		known = known || a == id
-	}
-	if !known {
-		log.Fatalf("unknown algorithm %q (want one of %v)", *algo, algoIDs)
+	if !slices.Contains(bench.AllAlgos, id) {
+		log.Fatalf("unknown algorithm %q (want one of %v)", *algo, bench.AllAlgos)
 	}
 
 	io := iomodel.DefaultConfig()
-	cfg := sparta.ShardGroupConfig{
-		IO:       &io,
-		Replicas: *replicas,
-		// The dialing group owns cross-shard exact resolution (it asks
-		// back through the resolve RPC); resolving the local part here
-		// too would double the random-access cost for the same answer.
-		NoExactResolve: true,
-	}
+	cfg := sparta.ShardGroupConfig{IO: &io, Replicas: *replicas}
 	if *cacheMB > 0 {
 		cfg.CacheBytes = int64(*cacheMB) << 20
 	}

@@ -7,13 +7,10 @@ import (
 	"sparta/internal/algos/algotest"
 	"sparta/internal/algos/bmw"
 	"sparta/internal/algos/jass"
-	"sparta/internal/algos/maxscore"
-	"sparta/internal/algos/pnra"
-	"sparta/internal/algos/pra"
-	"sparta/internal/algos/ta"
-	"sparta/internal/core"
+	"sparta/internal/bench"
 	"sparta/internal/corpus"
 	"sparta/internal/index"
+	"sparta/internal/model"
 	"sparta/internal/topk"
 	"sparta/internal/xrand"
 )
@@ -21,8 +18,9 @@ import (
 // TestAllExactAlgorithmsAgree is the repository's strongest correctness
 // property: on randomized corpora and queries, every exact algorithm —
 // sequential and parallel, document-order and score-order — must return
-// the same top-k document set as brute force. A bug in any cursor,
-// bound, heap, or synchronization path shows up here.
+// brute force's top-k, scores included, with no resolution step. A bug
+// in any cursor, bound, heap, completion or synchronization path shows
+// up here.
 func TestAllExactAlgorithmsAgree(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		seed := uint64(1000 + trial)
@@ -39,31 +37,52 @@ func TestAllExactAlgorithmsAgree(t *testing.T) {
 			k := 5 + rng.Intn(30)
 			q := algotest.RandomQuery(x, m, seed+uint64(m))
 			exact := topk.BruteForce(x, q, k)
-			algos := []topk.Algorithm{
-				ta.NewRA(x),
-				ta.NewNRA(x),
-				ta.NewSelNRA(x),
-				maxscore.New(x),
-				bmw.NewWAND(x),
-				bmw.NewBMW(x),
-				jass.New(x),
-				core.New(x),
-				pra.New(x),
-				pnra.New(x),
-				bmw.NewPBMW(x),
-				jass.NewP(x),
-			}
-			for _, alg := range algos {
-				name := fmt.Sprintf("trial%d/m%d/k%d/%s", trial, m, k, alg.Name())
-				got, _, err := alg.Search(q, topk.Options{
+			for _, id := range bench.AllAlgos {
+				name := fmt.Sprintf("trial%d/m%d/k%d/%s", trial, m, k, id)
+				got, _, err := bench.MakeAlgorithm(id, x).Search(q, topk.Options{
 					K: k, Exact: true, Threads: 1 + trial%4, SegSize: 32 << (trial % 3),
 				})
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				algotest.AssertExactSet(t, name, exact, got)
+				algotest.AssertExact(t, name, exact, got)
 			}
 		}
+	}
+}
+
+// probeQueries is TestNRAFamilyExactScores' query count.
+var probeQueries = 200
+
+// TestNRAFamilyExactScores probes the NRA family where its safe stop
+// comes earliest: 20 000 documents, segments of 16 postings, 200 queries
+// of 3–12 terms. The stop proves the top-k set while members' lower
+// bounds may still miss terms whose postings lie below where their
+// lists stopped; an exact answer must complete them (and sNRA's merge
+// must then rank by true scores), so every answer is brute force's.
+func TestNRAFamilyExactScores(t *testing.T) {
+	x := index.FromCorpus(corpus.New(corpus.Spec{
+		Name: "probe", Docs: 20_000, Vocab: 2_000, ZipfS: 1.0,
+		MeanDocLen: 60, MinDocLen: 5, Seed: 27,
+	}))
+	const k = 10
+	n := probeQueries
+	qs, want := make([]model.Query, n), make([]model.TopK, n)
+	for i := range qs {
+		qs[i] = algotest.RandomQuery(x, 3+i%10, uint64(2700+i))
+		want[i] = topk.BruteForce(x, qs[i], k)
+	}
+	for _, id := range []bench.AlgoID{bench.AlgoNRA, bench.AlgoPNRA, bench.AlgoSNRA} {
+		t.Run(string(id), func(t *testing.T) {
+			alg := bench.MakeAlgorithm(id, x)
+			for i, q := range qs {
+				got, _, err := alg.Search(q, topk.Options{K: k, Exact: true, Threads: 2, SegSize: 16})
+				if err != nil {
+					t.Fatalf("q%d: %v", i, err)
+				}
+				algotest.AssertExact(t, fmt.Sprintf("q%d (m=%d)", i, len(q)), want[i], got)
+			}
+		})
 	}
 }
 
@@ -106,16 +125,12 @@ func TestApproximateVariantsNeverExceedExactWork(t *testing.T) {
 func TestStatsSanity(t *testing.T) {
 	x := algotest.SmallIndex(t, 88)
 	q := algotest.RandomQuery(x, 4, 111)
-	algos := []topk.Algorithm{
-		ta.NewRA(x), ta.NewNRA(x), ta.NewSelNRA(x), maxscore.New(x),
-		bmw.NewWAND(x), bmw.NewBMW(x), jass.New(x),
-		core.New(x), pra.New(x), pnra.New(x), bmw.NewPBMW(x), jass.NewP(x),
-	}
 	var total int64
 	for _, term := range q {
 		total += int64(x.DF(term))
 	}
-	for _, alg := range algos {
+	for _, id := range bench.AllAlgos {
+		alg := bench.MakeAlgorithm(id, x)
 		_, st, err := alg.Search(q, topk.Options{K: 10, Exact: true, Threads: 2})
 		if err != nil {
 			t.Fatalf("%s: %v", alg.Name(), err)

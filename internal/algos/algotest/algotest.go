@@ -55,25 +55,31 @@ func RandomQuery(x *index.Index, m int, seed uint64) model.Query {
 	return q
 }
 
-// AssertExactSet verifies that got contains exactly the exact top-k
-// document set, modulo ties at the k-th score: every returned doc must
-// score >= the exact cutoff, and every exact doc scoring strictly above
-// the cutoff must be present.
-func AssertExactSet(tb testing.TB, name string, exact, got model.TopK) {
-	tb.Helper()
-	if len(got) != len(exact) {
-		tb.Fatalf("%s: returned %d results, exact has %d", name, len(got), len(exact))
+// ExactMismatch checks got against want, the reference answer
+// (topk.BruteForce), under the exactness contract of topk.Algorithm:
+// scores equal rank by rank, documents equal above the cutoff score, any
+// tied document admissible at the cutoff. It returns "" when got passes
+// and what differs otherwise.
+func ExactMismatch(want, got model.TopK) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("got %d results, want %d", len(got), len(want))
 	}
-	cut := exact.MinScore()
-	gotDocs := got.Docs()
-	for _, r := range exact {
-		if r.Score > cut && !gotDocs[r.Doc] {
-			tb.Errorf("%s: missing above-cutoff doc %d (score %d, cutoff %d)",
-				name, r.Doc, r.Score, cut)
+	for i := range want {
+		if got[i].Score != want[i].Score {
+			return fmt.Sprintf("rank %d score %d, want %d", i, got[i].Score, want[i].Score)
+		}
+		if want[i].Score > want[len(want)-1].Score && got[i].Doc != want[i].Doc {
+			return fmt.Sprintf("rank %d doc %d, want %d (score %d)", i, got[i].Doc, want[i].Doc, want[i].Score)
 		}
 	}
-	if rec := model.Recall(exact, got); rec != 1 {
-		tb.Errorf("%s: recall %v, want 1 for an exact algorithm", name, rec)
+	return ""
+}
+
+// AssertExact fails the test unless got is exact (see ExactMismatch).
+func AssertExact(tb testing.TB, name string, want, got model.TopK) {
+	tb.Helper()
+	if msg := ExactMismatch(want, got); msg != "" {
+		tb.Errorf("%s: %s\ngot  %v\nwant %v", name, msg, got, want)
 	}
 }
 
@@ -97,22 +103,6 @@ func AssertPartialTopK(tb testing.TB, name string, got model.TopK, k int) {
 		seen[r.Doc] = true
 		if r.Score <= 0 {
 			tb.Errorf("%s: non-positive score %d for doc %d", name, r.Score, r.Doc)
-		}
-	}
-}
-
-// AssertFullScores verifies that every returned score equals the true
-// full document score — for algorithms (RA, WAND, BMW, brute force)
-// that report complete scores rather than lower bounds.
-func AssertFullScores(tb testing.TB, name string, exact, got model.TopK) {
-	tb.Helper()
-	truth := make(map[model.DocID]model.Score, len(exact))
-	for _, r := range exact {
-		truth[r.Doc] = r.Score
-	}
-	for _, r := range got {
-		if want, ok := truth[r.Doc]; ok && want != r.Score {
-			tb.Errorf("%s: doc %d score %d, want %d", name, r.Doc, r.Score, want)
 		}
 	}
 }
@@ -171,7 +161,7 @@ func StressScheduling(t *testing.T, x *index.Index, alg topk.Algorithm, check fu
 					if a.err != nil {
 						t.Fatalf("%s: %v", label, a.err)
 					}
-					AssertExactSet(t, label, topk.BruteForce(x, q, opts.K), a.res)
+					AssertExact(t, label, topk.BruteForce(x, q, opts.K), a.res)
 					if check != nil {
 						check(label, a.st)
 					}

@@ -182,8 +182,9 @@ func TestBlockCursorsMatchReference(t *testing.T) {
 // TestAllVariantsAgreeAcrossViews runs all fourteen algorithm variants
 // in exact mode over the in-memory view and the on-disk index under
 // both block codecs, each with no decoded-block cache and with a cold
-// and then a warm one, and requires identical top-k sets; the sequential deterministic variants must also report
-// identical traversal Stats across views.
+// and then a warm one, and requires brute force's top-k, scores
+// included, from every one; the sequential deterministic variants must
+// also report identical traversal Stats across views.
 func TestAllVariantsAgreeAcrossViews(t *testing.T) {
 	mem, disk, comp := equivViews(t, 99)
 	disk.SetPostingCache(plcache.NewWithBudget(64 << 20))
@@ -194,12 +195,6 @@ func TestAllVariantsAgreeAcrossViews(t *testing.T) {
 		t.Fatalf("views built with %v and %v, want raw and group", disk.Codec(), comp.Codec())
 	}
 
-	allIDs := []bench.AlgoID{
-		bench.AlgoSparta, bench.AlgoPRA, bench.AlgoPNRA, bench.AlgoSNRA,
-		bench.AlgoPBMW, bench.AlgoPJASS, bench.AlgoRA, bench.AlgoNRA,
-		bench.AlgoSelNRA, bench.AlgoWAND, bench.AlgoPWAND,
-		bench.AlgoMaxScore, bench.AlgoBMW, bench.AlgoJASS,
-	}
 	sequential := map[bench.AlgoID]bool{
 		bench.AlgoRA: true, bench.AlgoNRA: true, bench.AlgoSelNRA: true,
 		bench.AlgoWAND: true, bench.AlgoMaxScore: true, bench.AlgoBMW: true,
@@ -210,7 +205,7 @@ func TestAllVariantsAgreeAcrossViews(t *testing.T) {
 		q := algotest.RandomQuery(mem, m, uint64(400+m))
 		k := 15
 		exact := topk.BruteForce(mem, q, k)
-		for _, id := range allIDs {
+		for _, id := range bench.AllAlgos {
 			opts := topk.Options{K: k, Exact: true, Threads: 2, Shards: equivShards}
 			if sequential[id] {
 				opts.Threads = 1
@@ -229,7 +224,7 @@ func TestAllVariantsAgreeAcrossViews(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				algotest.AssertExactSet(t, name, exact, got)
+				algotest.AssertExact(t, name, exact, got)
 				if sequential[id] {
 					memSt[view.label] = st
 					if ref, ok := memSt["mem"]; ok && st.Postings != ref.Postings {

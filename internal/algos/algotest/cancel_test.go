@@ -22,16 +22,6 @@ import (
 	"sparta/internal/topk"
 )
 
-// allAlgos covers all nine algorithm packages (fourteen variants).
-var allAlgos = []bench.AlgoID{
-	bench.AlgoSparta,
-	bench.AlgoPRA, bench.AlgoPNRA, bench.AlgoSNRA,
-	bench.AlgoPBMW, bench.AlgoPJASS,
-	bench.AlgoRA, bench.AlgoNRA, bench.AlgoSelNRA,
-	bench.AlgoWAND, bench.AlgoPWAND,
-	bench.AlgoMaxScore, bench.AlgoBMW, bench.AlgoJASS,
-}
-
 // slowIndex builds a disk-resident index over a deliberately punishing
 // storage model (tiny blocks, near-empty cache, high latencies) so an
 // uncancelled exact query takes far longer than the test's deadlines.
@@ -70,7 +60,7 @@ func TestPreCancelledContext(t *testing.T) {
 	q := algotest.RandomQuery(mem, 4, 11)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, id := range allAlgos {
+	for _, id := range bench.AllAlgos {
 		alg := bench.MakeAlgorithm(id, x)
 		res, st, err := alg.SearchContext(ctx, q, cancelOpts())
 		if err != nil {
@@ -88,7 +78,7 @@ func TestExpiredDeadline(t *testing.T) {
 	q := algotest.RandomQuery(mem, 4, 12)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	for _, id := range allAlgos {
+	for _, id := range bench.AllAlgos {
 		alg := bench.MakeAlgorithm(id, x)
 		res, st, err := alg.SearchContext(ctx, q, cancelOpts())
 		if err != nil {
@@ -104,7 +94,7 @@ func TestExpiredDeadline(t *testing.T) {
 func TestMidFlightCancel(t *testing.T) {
 	_, x := slowIndex(t)
 	q := slowQuery()
-	for _, id := range allAlgos {
+	for _, id := range bench.AllAlgos {
 		id := id
 		t.Run(string(id), func(t *testing.T) {
 			alg := bench.MakeAlgorithm(id, x)
@@ -217,7 +207,7 @@ func TestObserverSeesExecution(t *testing.T) {
 func TestContextSearchMatchesSearch(t *testing.T) {
 	mem := algotest.SmallIndex(t, 21)
 	q := algotest.RandomQuery(mem, 3, 22)
-	for _, id := range allAlgos {
+	for _, id := range bench.AllAlgos {
 		if id == bench.AlgoSNRA {
 			continue // sNRA needs a sharded (disk) view for stable shards
 		}

@@ -1,0 +1,7 @@
+//go:build race
+
+package algotest_test
+
+// The race detector slows TestNRAFamilyExactScores tenfold; what it
+// adds there is interleavings, which a quarter of the queries exercise.
+func init() { probeQueries = 50 }

@@ -2,15 +2,23 @@ package algotest_test
 
 import (
 	"context"
+	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"sparta/internal/algos/algotest"
 	"sparta/internal/algos/jass"
+	"sparta/internal/bench"
+	"sparta/internal/cmap"
 	"sparta/internal/core"
+	"sparta/internal/corpus"
 	"sparta/internal/diskindex"
+	"sparta/internal/index"
 	"sparta/internal/iomodel"
+	"sparta/internal/membudget"
+	"sparta/internal/model"
+	"sparta/internal/postings"
 	"sparta/internal/topk"
 )
 
@@ -80,3 +88,104 @@ func (c *cancelAfterIO) IOFetch(time.Duration) {
 		c.cancel()
 	}
 }
+
+// TestCompletionStopPathsSettle covers every stop path of the
+// algorithms that complete an exact answer's scores: a safe stop whose
+// completion reads through doc cursors, a cancel that strikes during
+// that completion, a cancel mid-traversal, and an out-of-memory stop.
+// On each, the store is settled and the budget is back to zero.
+func TestCompletionStopPathsSettle(t *testing.T) {
+	// A corpus and query (found by search) on which every one of them,
+	// at one thread, stops safe with members to complete.
+	x := index.FromCorpus(corpus.New(corpus.Spec{
+		Name: "settle", Docs: 8_000, Vocab: 800, ZipfS: 1.0,
+		MeanDocLen: 60, MinDocLen: 5, Seed: 27,
+	}))
+	disk, err := diskindex.FromIndex(x, 4, settleConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := disk.Store()
+	q := algotest.RandomQuery(x, 5, 52)
+	want := topk.BruteForce(x, q, 10)
+	for _, id := range []bench.AlgoID{bench.AlgoSparta, bench.AlgoPNRA, bench.AlgoNRA, bench.AlgoSelNRA, bench.AlgoSNRA} {
+		t.Run(string(id), func(t *testing.T) {
+			budget := membudget.New(1 << 30)
+			opts := topk.Options{K: 10, Exact: true, Threads: 1, SegSize: 16, Budget: budget}
+			check := func(path string) {
+				t.Helper()
+				algotest.AssertSettled(t, path, store)
+				if used := budget.Used(); used != 0 {
+					t.Fatalf("%s: budget still holds %d bytes", path, used)
+				}
+			}
+
+			got, st, err := bench.MakeAlgorithm(id, disk).Search(q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.RandomAccesses == 0 {
+				t.Fatalf("no score was completed (stop %q): the completion path was not exercised", st.StopReason)
+			}
+			algotest.AssertExact(t, "safe", want, got)
+			check("safe")
+
+			ctx, cancel := context.WithCancel(context.Background())
+			v := &cancelAtCompletion{Index: disk, cancel: cancel}
+			if _, _, err = bench.MakeAlgorithm(id, v).SearchContext(ctx, q, opts); err != nil {
+				t.Fatal(err)
+			}
+			cancel()
+			if v.opened.Load() == 0 {
+				t.Fatal("no doc cursor opened: the cancel never struck during completion")
+			}
+			check("cancel during completion")
+
+			ctx, cancel = context.WithCancel(context.Background())
+			mid := opts
+			mid.Observer = &cancelAfterIO{cancel: cancel, after: 3}
+			_, st, err = bench.MakeAlgorithm(id, disk).SearchContext(ctx, q, mid)
+			cancel()
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("cancel mid-traversal (" + st.StopReason + ")")
+
+			oom := opts
+			oom.Budget = membudget.New(4 * cmap.DocStateBytes)
+			if _, _, err = bench.MakeAlgorithm(id, disk).Search(q, oom); !errors.Is(err, membudget.ErrMemoryBudget) {
+				t.Fatalf("tiny budget: err %v, want ErrMemoryBudget", err)
+			}
+			if used := oom.Budget.Used(); used != 0 {
+				t.Fatalf("oom: budget still holds %d bytes", used)
+			}
+			check("oom")
+		})
+	}
+}
+
+// cancelAtCompletion is an on-disk index whose bound form cancels the
+// query the first time a doc-order cursor is opened: the NRA family
+// opens doc cursors only to complete an exact answer's scores.
+type cancelAtCompletion struct {
+	*diskindex.Index
+	cancel context.CancelFunc
+	opened atomic.Int64
+}
+
+func (c *cancelAtCompletion) BindExec(ctx context.Context, onIO func(time.Duration), onStop func(), onCache func(bool)) postings.View {
+	return boundCancel{View: c.Index.BindExec(ctx, onIO, onStop, onCache), c: c}
+}
+
+type boundCancel struct {
+	postings.View
+	c *cancelAtCompletion
+}
+
+func (b boundCancel) DocCursor(t model.TermID) postings.DocCursor {
+	b.c.opened.Add(1)
+	b.c.cancel()
+	return b.View.DocCursor(t)
+}
+
+func (b boundCancel) SettleAll() { b.View.(postings.Settler).SettleAll() }

@@ -18,8 +18,7 @@ func TestWANDExactMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		algotest.AssertExactSet(t, "WAND", exact, got)
-		algotest.AssertFullScores(t, "WAND", exact, got)
+		algotest.AssertExact(t, "WAND", exact, got)
 	}
 }
 
@@ -33,8 +32,7 @@ func TestBMWExactMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		algotest.AssertExactSet(t, "BMW", exact, got)
-		algotest.AssertFullScores(t, "BMW", exact, got)
+		algotest.AssertExact(t, "BMW", exact, got)
 	}
 }
 
@@ -47,7 +45,7 @@ func TestBMWExactMedium(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	algotest.AssertExactSet(t, "BMW", exact, got)
+	algotest.AssertExact(t, "BMW", exact, got)
 	// BMW must skip: traversal count below the total postings.
 	var total int64
 	for _, term := range q {
@@ -84,8 +82,7 @@ func TestPBMWExactMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		algotest.AssertExactSet(t, "pBMW", exact, got)
-		algotest.AssertFullScores(t, "pBMW", exact, got)
+		algotest.AssertExact(t, "pBMW", exact, got)
 	}
 }
 
@@ -98,7 +95,7 @@ func TestPBMWExactMedium(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	algotest.AssertExactSet(t, "pBMW", exact, got)
+	algotest.AssertExact(t, "pBMW", exact, got)
 }
 
 func TestApproximateFTradesRecallForWork(t *testing.T) {
@@ -145,7 +142,7 @@ func TestPBMWSingleDocRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	algotest.AssertExactSet(t, "pBMW", exact, got)
+	algotest.AssertExact(t, "pBMW", exact, got)
 }
 
 func TestBMWRecallProbe(t *testing.T) {
@@ -187,8 +184,7 @@ func TestPWANDExactMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		algotest.AssertExactSet(t, "pWAND", exact, got)
-		algotest.AssertFullScores(t, "pWAND", exact, got)
+		algotest.AssertExact(t, "pWAND", exact, got)
 	}
 }
 

@@ -18,8 +18,7 @@ func TestMaxScoreExactMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		algotest.AssertExactSet(t, "MaxScore", exact, got)
-		algotest.AssertFullScores(t, "MaxScore", exact, got)
+		algotest.AssertExact(t, "MaxScore", exact, got)
 	}
 }
 
@@ -33,7 +32,7 @@ func TestMaxScoreExactMedium(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		algotest.AssertExactSet(t, "MaxScore", exact, got)
+		algotest.AssertExact(t, "MaxScore", exact, got)
 		if st.Postings == 0 {
 			t.Error("no postings counted")
 		}
@@ -68,7 +67,7 @@ func TestMaxScoreSingleTerm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	algotest.AssertExactSet(t, "MaxScore", exact, got)
+	algotest.AssertExact(t, "MaxScore", exact, got)
 }
 
 func TestMaxScoreDuplicateTerms(t *testing.T) {
@@ -79,7 +78,7 @@ func TestMaxScoreDuplicateTerms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	algotest.AssertExactSet(t, "MaxScore", exact, got)
+	algotest.AssertExact(t, "MaxScore", exact, got)
 }
 
 func TestMaxScoreFewerThanK(t *testing.T) {

@@ -112,13 +112,17 @@ func (a *PNRA) search(es *topk.ExecState, q model.Query, opts topk.Options) (mod
 	if v := r.stopReason.Load(); v != nil {
 		st.StopReason = v.(string)
 	}
-	st.Duration = time.Since(start)
 	if r.failed.Load() {
+		st.Duration = time.Since(start)
 		return nil, st, membudget.ErrMemoryBudget
 	}
 	r.heapMu.Lock()
+	if opts.Exact && st.StopReason == "safe" {
+		st.RandomAccesses = topk.CompleteScores(view, q, r.ubs, r.docHeap.Items())
+	}
 	res := r.docHeap.Results()
 	r.heapMu.Unlock()
+	st.Duration = time.Since(start)
 	if opts.Probe != nil {
 		opts.Probe.Final(res)
 	}

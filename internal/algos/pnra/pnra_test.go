@@ -23,7 +23,7 @@ func TestPNRAExactMatchesBruteForce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			algotest.AssertExactSet(t, "pNRA", exact, got)
+			algotest.AssertExact(t, "pNRA", exact, got)
 		}
 	}
 }
@@ -37,7 +37,7 @@ func TestPNRAExactMedium(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	algotest.AssertExactSet(t, "pNRA", exact, got)
+	algotest.AssertExact(t, "pNRA", exact, got)
 	if st.StopReason == "" {
 		t.Error("no stop reason")
 	}
@@ -127,7 +127,7 @@ func TestPNRAStoreReuse(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			algotest.AssertExactSet(t, "pNRA", exact, got)
+			algotest.AssertExact(t, "pNRA", exact, got)
 			if b.Used() != 0 {
 				t.Fatalf("budget holds %d bytes after an exact query", b.Used())
 			}

@@ -22,8 +22,7 @@ func TestPRAExactMatchesBruteForce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			algotest.AssertExactSet(t, "pRA", exact, got)
-			algotest.AssertFullScores(t, "pRA", exact, got)
+			algotest.AssertExact(t, "pRA", exact, got)
 			if m > 1 && st.RandomAccesses == 0 {
 				t.Error("pRA did no random accesses")
 			}
@@ -40,7 +39,7 @@ func TestPRAExactMedium(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	algotest.AssertExactSet(t, "pRA", exact, got)
+	algotest.AssertExact(t, "pRA", exact, got)
 	if st.StopReason != "ubstop" && st.StopReason != "exhausted" {
 		t.Errorf("stop = %q", st.StopReason)
 	}
@@ -105,7 +104,7 @@ func TestPRASingleTerm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	algotest.AssertExactSet(t, "pRA", exact, got)
+	algotest.AssertExact(t, "pRA", exact, got)
 	if st.RandomAccesses != 0 {
 		t.Errorf("single-term query did %d random accesses", st.RandomAccesses)
 	}
@@ -121,6 +120,6 @@ func TestPRARepeatedRunsStable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		algotest.AssertExactSet(t, "pRA", exact, got)
+		algotest.AssertExact(t, "pRA", exact, got)
 	}
 }

@@ -15,15 +15,13 @@
 // jobs on a worker pool (the partitioning is fixed at index build time,
 // 12 shards by default, matching the paper's setup).
 //
-// A caveat the paper glosses over: NRA guarantees the top-k *set*, but
-// the scores it reports are lower bounds, and the cross-shard merge
-// ranks by those bounds. A heap document whose bound is still far from
-// its true score can therefore lose its global slot to a fully-resolved
-// weaker document from another shard. In practice (and in this
-// repository's tests) the effect is confined to the boundary of the
-// result set — sNRA-"exact" achieves recall ≈ 0.99 rather than a
-// guaranteed 1.0, which is also how the paper's own evaluation treats
-// it (Table 3 reports sNRA-high at 99%).
+// A departure from the paper (DESIGN.md §4a): NRA proves the top-k
+// *set*, but the scores it reports are lower bounds, and a merge that
+// ranks by bounds can give a heap document's global slot to a weaker,
+// fully scored document of another shard — the paper reports sNRA-high
+// at 99 % recall (Table 3). Here every shard's exact run completes its
+// heap members' scores (ta.RunNRA), so the merge is a plain k-way merge
+// and sNRA-exact is the reference's bytes.
 package snra
 
 import (
@@ -92,7 +90,6 @@ func (a *SNRA) search(es *topk.ExecState, q model.Query, opts topk.Options) (mod
 	}
 
 	view := es.BindView(a.view)
-	maxima := topk.TermMaxima(view, q)
 	var (
 		mu      sync.Mutex
 		results []model.TopK
@@ -118,7 +115,7 @@ func (a *SNRA) search(es *topk.ExecState, q model.Query, opts topk.Options) (mod
 			shardOpts := opts
 			shardOpts.Probe = nil
 			shardOpts.Observer = nil
-			res, st, err := ta.RunNRA(es, cursors, maxima, shardOpts)
+			res, st, err := ta.RunNRA(es, view, q, cursors, shardOpts)
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {
@@ -129,6 +126,7 @@ func (a *SNRA) search(es *topk.ExecState, q model.Query, opts topk.Options) (mod
 			}
 			results = append(results, res)
 			stTotal.Postings += st.Postings
+			stTotal.RandomAccesses += st.RandomAccesses
 			stTotal.HeapInserts += st.HeapInserts
 			if st.CandidatesPeak > stTotal.CandidatesPeak {
 				stTotal.CandidatesPeak = st.CandidatesPeak
@@ -148,14 +146,7 @@ func (a *SNRA) search(es *topk.ExecState, q model.Query, opts topk.Options) (mod
 	}
 
 	// Merge the shard-local top-k lists, keep the global top-k.
-	var all model.TopK
-	for _, r := range results {
-		all = append(all, r...)
-	}
-	all.Sort()
-	if len(all) > opts.K {
-		all = all[:opts.K]
-	}
+	all := topk.MergeTopK(results, opts.K)
 	if reason := es.StopReason(); reason != "" {
 		stTotal.StopReason = reason
 	} else {

@@ -167,6 +167,9 @@ scan:
 			break
 		}
 	}
+	if opts.Exact && st.StopReason == "safe" {
+		st.RandomAccesses = topk.CompleteScores(view, q, ubs, h.Items())
+	}
 	st.Duration = time.Since(start)
 	res := h.Results()
 	release()

@@ -19,7 +19,7 @@ func TestSelNRAExactMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		algotest.AssertExactSet(t, "SelNRA", exact, got)
+		algotest.AssertExact(t, "SelNRA", exact, got)
 	}
 }
 
@@ -32,7 +32,7 @@ func TestSelNRAExactMedium(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	algotest.AssertExactSet(t, "SelNRA", exact, got)
+	algotest.AssertExact(t, "SelNRA", exact, got)
 	if st.Postings == 0 || st.CandidatesPeak == 0 {
 		t.Error("no work recorded")
 	}
@@ -86,5 +86,5 @@ func TestSelNRASingleTerm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	algotest.AssertExactSet(t, "SelNRA", exact, got)
+	algotest.AssertExact(t, "SelNRA", exact, got)
 }

@@ -179,30 +179,31 @@ func (a *NRA) SearchContext(ctx context.Context, q model.Query, opts topk.Option
 	for i, t := range q {
 		cursors[i] = view.ScoreCursor(t)
 	}
-	res, st, err := RunNRA(es, cursors, topk.TermMaxima(view, q), opts)
+	res, st, err := RunNRA(es, view, q, cursors, opts)
 	es.Finish(st, err)
 	return res, st, err
 }
 
-// RunNRA executes sequential NRA over the given score cursors (one per
-// query term; maxima are the initial upper bounds). It is shared by
-// NRA proper and by sNRA, which runs one instance per index shard. es
-// may be nil (run to completion, unobserved); a shared es lets sNRA
-// stop all shards from one context.
+// RunNRA executes sequential NRA for q over the given score cursors
+// (one per query term, opened on view, whose term maxima are the
+// initial upper bounds). It is shared by NRA proper and by sNRA, which
+// runs one instance per index shard. es may be nil (run to completion,
+// unobserved); a shared es lets sNRA stop all shards from one context.
 //
 // Stopping (§3.2): the safe variant stops when (1) Σ UB[i] <= Θ and
 // (2) every visited document outside the heap has UB(D) <= Θ.
 // Condition (2) requires an O(|docMap|·m) scan, so it is evaluated
-// periodically rather than per posting. The approximate variant stops
-// when the heap has not changed for Δ.
-func RunNRA(es *topk.ExecState, cursors []postings.ScoreCursor, maxima []model.Score, opts topk.Options) (model.TopK, topk.Stats, error) {
+// periodically rather than per posting. An exact answer then has its
+// scores completed through doc cursors on view (topk.CompleteScores).
+// The approximate variant stops when the heap has not changed for Δ.
+func RunNRA(es *topk.ExecState, view postings.View, q model.Query, cursors []postings.ScoreCursor, opts topk.Options) (model.TopK, topk.Stats, error) {
 	start := time.Now()
 	var st topk.Stats
 	if opts.Probe != nil {
 		opts.Probe.Start()
 	}
 	m := len(cursors)
-	ubs := topk.NewUpperBounds(maxima)
+	ubs := topk.NewUpperBounds(topk.TermMaxima(view, q))
 	h := heap.GetDoc(opts.K)
 	docMap := cmap.GetLocalMap()
 	var mapBytes int64
@@ -295,6 +296,9 @@ scan:
 	if st.StopReason == "" {
 		// All lists exhausted: every bound is final, results are exact.
 		st.StopReason = "exhausted"
+	}
+	if opts.Exact && st.StopReason == "safe" {
+		st.RandomAccesses = topk.CompleteScores(view, q, ubs, h.Items())
 	}
 	st.Duration = time.Since(start)
 	res := h.Results()

@@ -21,8 +21,7 @@ func TestRAExactMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		algotest.AssertExactSet(t, "RA", exact, got)
-		algotest.AssertFullScores(t, "RA", exact, got)
+		algotest.AssertExact(t, "RA", exact, got)
 		if st.Postings == 0 {
 			t.Error("RA reported zero postings")
 		}
@@ -42,7 +41,7 @@ func TestNRAExactMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		algotest.AssertExactSet(t, "NRA", exact, got)
+		algotest.AssertExact(t, "NRA", exact, got)
 	}
 }
 
@@ -55,7 +54,7 @@ func TestNRAEarlyStopsOnMedium(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	algotest.AssertExactSet(t, "NRA", exact, got)
+	algotest.AssertExact(t, "NRA", exact, got)
 	var total int64
 	for _, term := range q {
 		total += int64(x.DF(term))
@@ -74,7 +73,7 @@ func TestRAEarlyStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	algotest.AssertExactSet(t, "RA", exact, got)
+	algotest.AssertExact(t, "RA", exact, got)
 	if st.StopReason != "ubstop" {
 		t.Logf("note: RA stop reason %q (ubstop expected on skewed data)", st.StopReason)
 	}
@@ -187,7 +186,7 @@ func TestDuplicateTermQuery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		algotest.AssertExactSet(t, alg.Name(), exact, got)
+		algotest.AssertExact(t, alg.Name(), exact, got)
 	}
 }
 

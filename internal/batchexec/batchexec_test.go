@@ -26,16 +26,6 @@ import (
 	"sparta/internal/topk"
 )
 
-// exactAlgos is every exact algorithm of the repository except sNRA
-// (whose shard scheduling makes its traversal order — though not its
-// result set — depend on timing).
-var exactAlgos = []bench.AlgoID{
-	bench.AlgoSparta, bench.AlgoPRA, bench.AlgoPNRA, bench.AlgoPBMW,
-	bench.AlgoPJASS, bench.AlgoRA, bench.AlgoNRA, bench.AlgoSelNRA,
-	bench.AlgoWAND, bench.AlgoPWAND, bench.AlgoMaxScore, bench.AlgoBMW,
-	bench.AlgoJASS,
-}
-
 // TestBatchedMatchesSequential is the tentpole's equivalence property:
 // for every exact algorithm and MaxBatch ∈ {1, 2, 8}, a query batch
 // executed through the coalescing layer returns byte-identical results
@@ -58,7 +48,7 @@ func TestBatchedMatchesSequential(t *testing.T) {
 	}
 	opts := topk.Options{K: 10, Exact: true, Threads: 1}
 
-	for _, id := range exactAlgos {
+	for _, id := range bench.AllAlgos {
 		id := id
 		t.Run(string(id), func(t *testing.T) {
 			// Sequential ground truth: the bare algorithm, one query at a
@@ -460,7 +450,7 @@ func TestCoArrivalsIntoIdleExecutor(t *testing.T) {
 				}
 				// Two threads: which of two documents tied at the k-th score
 				// stays is the scheduler's choice, batched or not.
-				algotest.AssertExactSet(t, label, want[i], got[i])
+				algotest.AssertExact(t, label, want[i], got[i])
 			}
 			c := ex.Counters()
 			if c.BatchedQueries != round*n || c.Batches+c.Coalesced != c.BatchedQueries || c.Immediate < round {

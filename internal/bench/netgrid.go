@@ -111,13 +111,12 @@ func (e *Env) RunNetBenchReport(nQueries, threads, clients int, ps []int, seed u
 
 		// The remote side: one single-shard group + server per shard —
 		// cmd/shardserver's arrangement on loopback — and a dialed group
-		// in front. The servers skip their own exact resolution; the
-		// dialing group resolves through the resolve RPC, so the remote
-		// cell pays every round trip a real deployment would.
+		// in front, so the remote cell pays every round trip a real
+		// deployment would.
 		servers := make([]*shardrpc.Server, p)
 		addrs := make([][]string, p)
 		for s := 0; s < p; s++ {
-			sg, err := shardserve.OpenShard(dir, s, factory, shardserve.Config{IO: &e.IO, NoExactResolve: true})
+			sg, err := shardserve.OpenShard(dir, s, factory, shardserve.Config{IO: &e.IO})
 			if err != nil {
 				return rep, fmt.Errorf("bench: opening remote shard %d of P=%d: %w", s, p, err)
 			}

@@ -39,6 +39,14 @@ const (
 	AlgoJASS     AlgoID = "JASS"
 )
 
+// AllAlgos lists every algorithm. Each answers an Exact query with the
+// reference's bytes, scores included (the topk.Algorithm contract), so
+// the identity suites iterate this one list.
+var AllAlgos = []AlgoID{
+	AlgoSparta, AlgoPRA, AlgoPNRA, AlgoSNRA, AlgoPBMW, AlgoPJASS, AlgoRA,
+	AlgoNRA, AlgoSelNRA, AlgoWAND, AlgoPWAND, AlgoMaxScore, AlgoBMW, AlgoJASS,
+}
+
 // MakeAlgorithm instantiates id over view.
 func MakeAlgorithm(id AlgoID, view postings.View) topk.Algorithm {
 	switch id {

@@ -19,7 +19,7 @@ func TestAblationUBEveryPostingStillExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	algotest.AssertExactSet(t, "Sparta(UBEvery)", exact, got)
+	algotest.AssertExact(t, "Sparta(UBEvery)", exact, got)
 }
 
 func TestAblationNoCleanerShrinkStillExact(t *testing.T) {
@@ -31,7 +31,7 @@ func TestAblationNoCleanerShrinkStillExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	algotest.AssertExactSet(t, "Sparta(NoClean)", exact, got)
+	algotest.AssertExact(t, "Sparta(NoClean)", exact, got)
 	if st.StopReason != "exhausted" {
 		t.Logf("note: NoCleanerShrink stopped via %q", st.StopReason)
 	}
@@ -65,5 +65,5 @@ func TestAblationCombined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	algotest.AssertExactSet(t, "Sparta(all-ablations)", exact, got)
+	algotest.AssertExact(t, "Sparta(all-ablations)", exact, got)
 }

@@ -100,7 +100,7 @@ func TestSpartaProbHighRecallLessWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	algotest.AssertExactSet(t, "Sparta", exact, got)
+	algotest.AssertExact(t, "Sparta", exact, got)
 
 	prob := NewWithConfig(x, Config{ProbEpsilon: 0.05})
 	gotP, stProb, err := prob.Search(q, topk.Options{K: 20, Exact: true, Threads: 4})
@@ -127,5 +127,5 @@ func TestSpartaProbZeroEpsilonStillExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	algotest.AssertExactSet(t, "Sparta(eps=0)", exact, got)
+	algotest.AssertExact(t, "Sparta(eps=0)", exact, got)
 }

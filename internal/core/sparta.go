@@ -31,9 +31,7 @@
 package core
 
 import (
-	"cmp"
 	"context"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -267,7 +265,7 @@ func (r *run) run() (model.TopK, topk.Stats, error) {
 	// Line 7: return the heap contents.
 	r.heapMu.Lock()
 	if r.opts.Exact && st.StopReason == "safe" {
-		st.RandomAccesses = r.completeScores()
+		st.RandomAccesses = topk.CompleteScores(r.view, r.q, r.ubs, r.docHeap.Items())
 	}
 	res := r.docHeap.Results()
 	r.heapMu.Unlock()
@@ -276,43 +274,6 @@ func (r *run) run() (model.TopK, topk.Stats, error) {
 		r.opts.Probe.Final(res)
 	}
 	return res, st, nil
-}
-
-// completeScores gives every heap member its full score. The safe stop
-// proves the top-k set, not the members' scores: a member may still
-// have a posting below where its list stopped, so its lower bound is
-// short by that term and its rank can be wrong. A term whose bound is 0
-// has no posting left to find. Each missing (member, term) score is one
-// random access, returned as the count: a SkipTo on one doc-order
-// cursor per term of the bound view, members in doc-id order. The
-// cursors' charges are paid when the query's readers are settled
-// together (topk.ExecState.Finish), not one real sleep per lookup as
-// View.RandomAccess pays them. Called once the pool is closed.
-func (r *run) completeScores() int64 {
-	var ra int64
-	r.ubBuf = r.ubs.Snapshot(r.ubBuf)
-	members := slices.SortedFunc(slices.Values(r.docHeap.Items()), func(a, b *cmap.DocState) int {
-		return cmp.Compare(a.ID, b.ID)
-	})
-	for i, t := range r.q {
-		if r.ubBuf[i] == 0 {
-			continue
-		}
-		var c postings.DocCursor
-		for _, d := range members {
-			if d.ScoreAt(i) != 0 {
-				continue
-			}
-			if c == nil {
-				c = r.view.DocCursor(t)
-			}
-			ra++
-			if c.SkipTo(d.ID) && c.Doc() == d.ID {
-				d.SetScore(i, c.Score())
-			}
-		}
-	}
-	return ra
 }
 
 // signalPhase1 starts the cleaner task (line 5), and before it the Δ

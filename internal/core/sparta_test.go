@@ -22,7 +22,7 @@ func TestSpartaExactMatchesBruteForce(t *testing.T) {
 			if err != nil {
 				t.Fatalf("m=%d threads=%d: %v", m, threads, err)
 			}
-			algotest.AssertExactSet(t, "Sparta", exact, got)
+			algotest.AssertExact(t, "Sparta", exact, got)
 			if st.StopReason != "safe" {
 				t.Errorf("m=%d threads=%d stop=%q, want safe", m, threads, st.StopReason)
 			}
@@ -39,7 +39,7 @@ func TestSpartaExactMediumEarlyStops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	algotest.AssertExactSet(t, "Sparta", exact, got)
+	algotest.AssertExact(t, "Sparta", exact, got)
 	var total int64
 	for _, term := range q {
 		total += int64(x.DF(term))
@@ -81,7 +81,7 @@ func TestSpartaSingleTerm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	algotest.AssertExactSet(t, "Sparta", exact, got)
+	algotest.AssertExact(t, "Sparta", exact, got)
 }
 
 func TestSpartaEmptyQuery(t *testing.T) {
@@ -116,7 +116,7 @@ func TestSpartaFewerThanK(t *testing.T) {
 	if len(got) != len(exact) {
 		t.Errorf("returned %d, want %d", len(got), len(exact))
 	}
-	algotest.AssertExactSet(t, "Sparta", exact, got)
+	algotest.AssertExact(t, "Sparta", exact, got)
 }
 
 func TestSpartaDuplicateTerms(t *testing.T) {
@@ -128,7 +128,7 @@ func TestSpartaDuplicateTerms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	algotest.AssertExactSet(t, "Sparta", exact, got)
+	algotest.AssertExact(t, "Sparta", exact, got)
 }
 
 func TestSpartaMoreThreadsThanTerms(t *testing.T) {
@@ -140,7 +140,7 @@ func TestSpartaMoreThreadsThanTerms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	algotest.AssertExactSet(t, "Sparta", exact, got)
+	algotest.AssertExact(t, "Sparta", exact, got)
 }
 
 func TestSpartaMemoryBudget(t *testing.T) {
@@ -200,13 +200,13 @@ func TestSpartaTermMapActivation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	algotest.AssertExactSet(t, "Sparta(Phi=inf)", exact, got)
+	algotest.AssertExact(t, "Sparta(Phi=inf)", exact, got)
 	// And with Phi = 0 termMaps never activate; still exact.
 	got2, _, err := s.Search(q, topk.Options{K: 10, Exact: true, Threads: 4, SegSize: 32, Phi: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	algotest.AssertExactSet(t, "Sparta(Phi=0)", exact, got2)
+	algotest.AssertExact(t, "Sparta(Phi=0)", exact, got2)
 }
 
 func TestSpartaRecallProbe(t *testing.T) {
@@ -241,7 +241,7 @@ func TestSpartaRepeatedRunsDeterministicSet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		algotest.AssertExactSet(t, "Sparta", exact, got)
+		algotest.AssertExact(t, "Sparta", exact, got)
 	}
 }
 
@@ -259,6 +259,6 @@ func TestSpartaStress(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		algotest.AssertExactSet(t, "Sparta", exact, got)
+		algotest.AssertExact(t, "Sparta", exact, got)
 	}
 }

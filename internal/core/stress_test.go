@@ -56,7 +56,7 @@ func TestSpartaTinySegmentsMaximizeInterleaving(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	algotest.AssertExactSet(t, "Sparta(seg=1)", exact, got)
+	algotest.AssertExact(t, "Sparta(seg=1)", exact, got)
 	if st.Postings == 0 {
 		t.Error("no postings")
 	}
@@ -73,7 +73,7 @@ func TestSpartaTinyPhiForcesEarlyTermMaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	algotest.AssertExactSet(t, "Sparta(phi=1)", exact, got)
+	algotest.AssertExact(t, "Sparta(phi=1)", exact, got)
 }
 
 func TestSpartaK1(t *testing.T) {
@@ -85,7 +85,7 @@ func TestSpartaK1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	algotest.AssertExactSet(t, "Sparta(k=1)", exact, got)
+	algotest.AssertExact(t, "Sparta(k=1)", exact, got)
 }
 
 func TestSpartaKLargerThanCandidates(t *testing.T) {
@@ -116,5 +116,5 @@ func TestSpartaManyTermsFewThreads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	algotest.AssertExactSet(t, "Sparta(12t/2w)", exact, got)
+	algotest.AssertExact(t, "Sparta(12t/2w)", exact, got)
 }

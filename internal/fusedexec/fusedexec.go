@@ -71,10 +71,11 @@
 //     acc(d) ≥ θ_final − detachedUB (a missed contribution is bounded
 //     by the forfeited upper bounds). The candidate set
 //     {d : acc(d) ≥ θ_final − detachedUB} is therefore a superset of
-//     the true top-k, and topk.ResolveTopK recomputes each candidate's
-//     exact score by random access — so every member's result is
-//     byte-identical to its sequential exact execution. A member with
-//     no detaches skips resolution: its accumulator is already exact.
+//     the true top-k, and resolveTopK recomputes each candidate's exact
+//     score by random access — so every member's result is the
+//     reference's bytes, scores included, which is also what every
+//     exact algorithm returns sequentially. A member with no detaches
+//     skips resolution: its accumulator is already exact.
 //
 // The Delta anytime knob keeps its TA-family meaning (§4: stop once
 // the top-k heap has been stable for Delta): a non-Exact member whose
@@ -934,7 +935,7 @@ func (f *Engine) finishMember(m *member) {
 		for i, r := range top {
 			cands[i] = r.Doc
 		}
-		res, ra = topk.ResolveTopK(m.q, m.bound, cands, m.k)
+		res, ra = resolveTopK(m.q, m.bound, cands, m.k)
 		f.resolveRA.Add(ra)
 		reason = "delta"
 	case detached == 0:
@@ -949,7 +950,7 @@ func (f *Engine) finishMember(m *member) {
 				cands = append(cands, d)
 			}
 		}
-		res, ra = topk.ResolveTopK(m.q, m.bound, cands, m.k)
+		res, ra = resolveTopK(m.q, m.bound, cands, m.k)
 		f.resolveRA.Add(ra)
 	}
 	f.putAcc(acc)
@@ -962,6 +963,31 @@ func (f *Engine) finishMember(m *member) {
 	}
 	m.es.Finish(st, nil)
 	m.bm.Finish(res, st, nil)
+}
+
+// resolveTopK recomputes the exact score of every candidate by per-term
+// random access against v (the member's bound view, which its ExecState
+// settles) and returns the canonical top-k plus the accesses charged.
+// Any candidate superset of the true top-k resolves to the reference's
+// bytes: documents outside it score strictly below the true k-th score.
+func resolveTopK(q model.Query, v postings.View, cands []model.DocID, k int) (model.TopK, int64) {
+	var ra int64
+	resolved := make(model.TopK, 0, len(cands))
+	for _, d := range cands {
+		var s model.Score
+		for _, t := range q {
+			if ts, ok := v.RandomAccess(t, d); ok {
+				s += ts
+			}
+			ra++
+		}
+		resolved = append(resolved, model.Result{Doc: d, Score: s})
+	}
+	resolved.Sort()
+	if len(resolved) > k {
+		resolved = resolved[:k]
+	}
+	return resolved, ra
 }
 
 // exactThreshold returns the k-th best accumulated score (0 when fewer

@@ -28,17 +28,6 @@ import (
 	"sparta/internal/topk"
 )
 
-// exactAlgos is every exact algorithm of the repository except sNRA
-// (whose shard scheduling makes its traversal order — though not its
-// result set — depend on timing), mirroring the batchexec equivalence
-// matrix.
-var exactAlgos = []bench.AlgoID{
-	bench.AlgoSparta, bench.AlgoPRA, bench.AlgoPNRA, bench.AlgoPBMW,
-	bench.AlgoPJASS, bench.AlgoRA, bench.AlgoNRA, bench.AlgoSelNRA,
-	bench.AlgoWAND, bench.AlgoPWAND, bench.AlgoMaxScore, bench.AlgoBMW,
-	bench.AlgoJASS,
-}
-
 // fusedExecutor wires a batch executor whose closed batches run through
 // a fused engine over view, returning both. The algorithm is gated: the
 // tests hold one query inside the executor (algotest.Hold) while they
@@ -80,7 +69,7 @@ func TestFusedMatchesSequential(t *testing.T) {
 	}
 	opts := topk.Options{K: 10, Exact: true, Threads: 1}
 
-	for _, id := range exactAlgos {
+	for _, id := range bench.AllAlgos {
 		id := id
 		t.Run(string(id), func(t *testing.T) {
 			seq := make([]model.TopK, nq)

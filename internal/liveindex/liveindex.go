@@ -733,10 +733,11 @@ func (l *Live) Search(q model.Query, opts topk.Options) (model.TopK, topk.Stats,
 }
 
 // SearchContext evaluates q over the epoch current at call time: one
-// algorithm instance per segment runs in parallel, partial top-ks
-// merge (topk.MergeTopK), and exact queries get the same
-// score-resolution pass sharded serving uses (topk.ResolveExact).
-// Epochs published mid-query do not disturb it.
+// algorithm instance per segment runs in parallel and the partial
+// top-ks merge (topk.MergeTopK). Segments cover disjoint document
+// ranges and score under the epoch's global statistics, so exact parts
+// — each the reference's bytes — merge into the exact answer with no
+// further pass. Epochs published mid-query do not disturb it.
 func (l *Live) SearchContext(ctx context.Context, q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, topk.Stats{}, err
@@ -787,12 +788,6 @@ func (l *Live) SearchContext(ctx context.Context, q model.Query, opts topk.Optio
 			agg.StopReason = stats[i].StopReason
 		}
 	}
-	if opts.Exact {
-		var ra int64
-		merged, ra = topk.ResolveExact(ctx, q, parts, func(i int) postings.View { return ep.views[i] }, k)
-		agg.RandomAccesses += ra
-	}
-	agg.Duration = time.Since(start)
 	return merged, agg, nil
 }
 

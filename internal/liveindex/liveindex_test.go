@@ -22,15 +22,6 @@ import (
 	"sparta/internal/xrand"
 )
 
-// exactAlgos is the exact-capable family (sNRA excluded, as in every
-// exactness test in this repository).
-var exactAlgos = []bench.AlgoID{
-	bench.AlgoRA, bench.AlgoNRA, bench.AlgoSelNRA, bench.AlgoMaxScore,
-	bench.AlgoWAND, bench.AlgoBMW, bench.AlgoJASS, bench.AlgoSparta,
-	bench.AlgoPRA, bench.AlgoPNRA, bench.AlgoPBMW, bench.AlgoPWAND,
-	bench.AlgoPJASS,
-}
-
 // testBags draws n document bags from a deterministic corpus with a
 // neutral quality prior (live ingest indexes without priors).
 func testBags(n int, seed uint64) [][]corpus.TermCount {
@@ -81,30 +72,6 @@ func appendAll(tb testing.TB, l *liveindex.Live, bags [][]corpus.TermCount) {
 	}
 }
 
-// assertMergedExact checks got against the brute-force reference:
-// scores byte-identical at every rank, documents identical above the
-// cutoff tie group (any tied document at the cutoff is admissible).
-func assertMergedExact(t *testing.T, name string, want, got model.TopK) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: got %d results, want %d\ngot  %v\nwant %v", name, len(got), len(want), got, want)
-	}
-	if len(want) == 0 {
-		return
-	}
-	cut := want[len(want)-1].Score
-	for i := range want {
-		if got[i].Score != want[i].Score {
-			t.Fatalf("%s: rank %d score %d, want %d\ngot  %v\nwant %v",
-				name, i, got[i].Score, want[i].Score, got, want)
-		}
-		if want[i].Score > cut && got[i].Doc != want[i].Doc {
-			t.Fatalf("%s: rank %d doc %d, want %d (score %d)\ngot  %v\nwant %v",
-				name, i, got[i].Doc, want[i].Doc, want[i].Score, got, want)
-		}
-	}
-}
-
 // assertIdentity runs every exact algorithm over the live index's
 // composite view, plus the live per-segment merge path, against the
 // fresh single-segment reference.
@@ -119,25 +86,25 @@ func assertIdentity(t *testing.T, label string, l *liveindex.Live, fresh *index.
 
 		// The composite view itself must reproduce full brute-force
 		// scoring byte-for-byte.
-		assertMergedExact(t, fmt.Sprintf("%s/bruteforce/q%d", label, qi),
+		algotest.AssertExact(t, fmt.Sprintf("%s/bruteforce/q%d", label, qi),
 			want, topk.BruteForce(l, q, k))
 
-		for _, id := range exactAlgos {
+		for _, id := range bench.AllAlgos {
 			alg := bench.MakeAlgorithm(id, l)
 			got, _, err := alg.Search(q, topk.Options{K: k, Exact: true, Threads: 2})
 			if err != nil {
 				t.Fatalf("%s/%s/q%d: %v", label, id, qi, err)
 			}
-			assertMergedExact(t, fmt.Sprintf("%s/%s/q%d", label, id, qi), want, got)
+			algotest.AssertExact(t, fmt.Sprintf("%s/%s/q%d", label, id, qi), want, got)
 		}
 
 		// The per-segment merge path (one algorithm per segment,
-		// topk.MergeTopK + topk.ResolveExact — the shard decomposition).
+		// topk.MergeTopK alone — the shard decomposition).
 		got, _, err := l.Search(q, topk.Options{K: k, Exact: true, Threads: 2})
 		if err != nil {
 			t.Fatalf("%s/segmerge/q%d: %v", label, qi, err)
 		}
-		assertMergedExact(t, fmt.Sprintf("%s/segmerge/q%d", label, qi), want, got)
+		algotest.AssertExact(t, fmt.Sprintf("%s/segmerge/q%d", label, qi), want, got)
 	}
 }
 
@@ -402,7 +369,7 @@ func TestLiveAppendTokens(t *testing.T) {
 		}
 	}
 	q := model.Query{0, 1, 2}
-	assertMergedExact(t, "tokens", topk.BruteForce(fresh, q, 4), topk.BruteForce(l, q, 4))
+	algotest.AssertExact(t, "tokens", topk.BruteForce(fresh, q, 4), topk.BruteForce(l, q, 4))
 }
 
 // TestLiveSettlement: frozen segments charge simulated I/O like any
@@ -512,7 +479,7 @@ func TestLiveCompactionCancelSettled(t *testing.T) {
 	// And the index still answers exactly.
 	fresh := buildFresh(bags, 400)
 	q := algotest.RandomQuery(fresh, 4, 43)
-	assertMergedExact(t, "post-cancel", topk.BruteForce(fresh, q, 10), topk.BruteForce(l, q, 10))
+	algotest.AssertExact(t, "post-cancel", topk.BruteForce(fresh, q, 10), topk.BruteForce(l, q, 10))
 }
 
 // TestLiveBackgroundCompactor: the automatic path — flush-triggered

@@ -18,34 +18,11 @@ import (
 	"sparta/internal/core"
 	"sparta/internal/faultinject"
 	"sparta/internal/iomodel"
-	"sparta/internal/model"
 	"sparta/internal/postings"
 	"sparta/internal/shardrpc"
 	"sparta/internal/shardserve"
 	"sparta/internal/topk"
 )
-
-// sameTopK is assertMergedExact as a predicate: scores byte-identical
-// rank for rank, documents byte-identical above the cutoff, any tied
-// document admissible at the cutoff score.
-func sameTopK(want, got model.TopK) bool {
-	if len(got) != len(want) {
-		return false
-	}
-	if len(want) == 0 {
-		return true
-	}
-	cut := want[len(want)-1].Score
-	for i := range want {
-		if got[i].Score != want[i].Score {
-			return false
-		}
-		if want[i].Score > cut && got[i].Doc != want[i].Doc {
-			return false
-		}
-	}
-	return true
-}
 
 // wireHook adapts a deterministic frame-fault schedule to the
 // transport's hook type.
@@ -94,7 +71,7 @@ func TestChaosTransportStaysExactAndSettled(t *testing.T) {
 				// refuses every connection.
 				addr = deadAddr(t)
 			} else {
-				g, err := shardserve.OpenShard(dir, s, factory, shardserve.Config{IO: &io, NoExactResolve: true})
+				g, err := shardserve.OpenShard(dir, s, factory, shardserve.Config{IO: &io})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -118,7 +95,7 @@ func TestChaosTransportStaysExactAndSettled(t *testing.T) {
 				RedialBackoffMax: 20 * time.Millisecond,
 			})
 			clients = append(clients, cl)
-			reps[ri] = shardserve.Replica{Name: cl.Name(), Alg: cl, Resolver: cl}
+			reps[ri] = shardserve.Replica{Name: cl.Name(), Alg: cl}
 		}
 		lo, hi := postings.ShardRange(x.NumDocs(), s, p)
 		shards[s] = shardserve.Shard{Name: fmt.Sprintf("shard%d", s), Replicas: reps, Lo: lo, Hi: hi}
@@ -142,7 +119,7 @@ func TestChaosTransportStaysExactAndSettled(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
-		if sameTopK(want, got) {
+		if algotest.ExactMismatch(want, got) == "" {
 			identical++
 		} else if st.ShardsDropped == 0 {
 			t.Fatalf("query %d: result differs from the reference with no shard dropped\ngot  %v\nwant %v", i, got, want)

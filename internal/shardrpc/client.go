@@ -83,9 +83,8 @@ type Counters struct {
 
 // Client speaks the shardrpc protocol to one shardserver endpoint. It
 // implements topk.Algorithm (so a shardserve.Replica can point Alg at
-// it) and shardserve.Resolver (so exact resolution batches over the
-// wire). Safe for concurrent use; connections dial lazily and redial
-// with capped backoff.
+// it) and shardserve.Resolver. Safe for concurrent use; connections
+// dial lazily and redial with capped backoff.
 type Client struct {
 	addr string
 	cfg  Config

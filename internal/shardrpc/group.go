@@ -11,12 +11,11 @@ import (
 
 // DialGroup builds a shardserve.Group over remote shardserver
 // processes: addrs[i] lists shard i's replica endpoints, each becoming
-// a Replica whose Alg and Resolver are a shardrpc.Client. The group
-// then scatter-gathers exactly as it does in-process — per-shard
-// deadline carving, hedging onto a different replica, transient-error
-// failover, breakers, k-way merge, and post-merge exact resolution
-// (batched over the wire) all unchanged; transport failures surface as
-// replica errors and feed the same machinery.
+// a Replica whose Alg is a shardrpc.Client. The group then
+// scatter-gathers exactly as it does in-process — per-shard deadline
+// carving, hedging onto a different replica, transient-error failover,
+// breakers and the k-way merge all unchanged; transport failures
+// surface as replica errors and feed the same machinery.
 //
 // Connections dial lazily; no endpoint needs to be up yet. The returned
 // clients are for Close and stats aggregation — one per (shard,
@@ -35,7 +34,7 @@ func DialGroup(addrs [][]string, gcfg shardserve.Config, ccfg Config) (*shardser
 		for j, addr := range reps {
 			cl := NewClient(addr, ccfg)
 			clients = append(clients, cl)
-			rs[j] = shardserve.Replica{Name: addr, Alg: cl, Resolver: cl}
+			rs[j] = shardserve.Replica{Name: addr, Alg: cl}
 		}
 		shards[i] = shardserve.Shard{Name: fmt.Sprintf("shard%d", i), Replicas: rs}
 	}

@@ -24,40 +24,6 @@ import (
 	"sparta/internal/topk"
 )
 
-// exactAlgos is the exact-capable family the repository's agreement
-// tests cover (sNRA excluded there too).
-var exactAlgos = []bench.AlgoID{
-	bench.AlgoRA, bench.AlgoNRA, bench.AlgoSelNRA, bench.AlgoMaxScore,
-	bench.AlgoWAND, bench.AlgoBMW, bench.AlgoJASS, bench.AlgoSparta,
-	bench.AlgoPRA, bench.AlgoPNRA, bench.AlgoPBMW, bench.AlgoPWAND,
-	bench.AlgoPJASS,
-}
-
-// assertMergedExact checks got against the canonical reference (brute
-// force): scores byte-identical rank for rank, documents byte-identical
-// above the cutoff, any tied document admissible at the cutoff score —
-// the same byte-identity contract every exactness test here grants.
-func assertMergedExact(t *testing.T, name string, want, got model.TopK) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: got %d results, want %d\ngot  %v\nwant %v", name, len(got), len(want), got, want)
-	}
-	if len(want) == 0 {
-		return
-	}
-	cut := want[len(want)-1].Score
-	for i := range want {
-		if got[i].Score != want[i].Score {
-			t.Fatalf("%s: rank %d score %d, want %d\ngot  %v\nwant %v",
-				name, i, got[i].Score, want[i].Score, got, want)
-		}
-		if want[i].Score > cut && got[i].Doc != want[i].Doc {
-			t.Fatalf("%s: rank %d doc %d, want %d\ngot  %v\nwant %v",
-				name, i, got[i].Doc, want[i].Doc, got, want)
-		}
-	}
-}
-
 // writeShards writes x as a p-shard verified set in a temp dir.
 func writeShards(t *testing.T, x *index.Index, p int) string {
 	t.Helper()
@@ -119,7 +85,8 @@ func waitIdle(t *testing.T, srv *shardrpc.Server) {
 // merge-equivalence property: for every exact algorithm and
 // P ∈ {1,2,4}, scatter/gather over loopback shardserver processes is
 // byte-identical to both the in-process group over the same shard set
-// and the single-index brute-force reference. Runs under -race in CI.
+// and the single-index brute-force reference — with no resolve round
+// trip: every server's Resolves counter stays 0. Runs under -race in CI.
 func TestRemoteMatchesInProcessExact(t *testing.T) {
 	x := algotest.MediumIndex(t, 420)
 	ram := iomodel.RAMConfig()
@@ -129,13 +96,10 @@ func TestRemoteMatchesInProcessExact(t *testing.T) {
 	}
 	for _, p := range []int{1, 2, 4} {
 		dir := writeShards(t, x, p)
-		for _, id := range exactAlgos {
+		for _, id := range bench.AllAlgos {
 			id := id
 			factory := func(v postings.View) topk.Algorithm { return bench.MakeAlgorithm(id, v) }
-			// The server side forgoes its own resolution pass: parts must
-			// cross the wire with the same lower-bound scores an
-			// in-process shard would contribute to the merge.
-			servers, addrs := startServers(t, dir, p, factory, shardserve.Config{IO: &ram, NoExactResolve: true})
+			servers, addrs := startServers(t, dir, p, factory, shardserve.Config{IO: &ram})
 			remote, clients, err := shardrpc.DialGroup(addrs, shardserve.Config{}, shardrpc.Config{})
 			if err != nil {
 				t.Fatal(err)
@@ -160,8 +124,8 @@ func TestRemoteMatchesInProcessExact(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: in-process: %v", name, err)
 				}
-				assertMergedExact(t, name+"/remote", want, gotR)
-				assertMergedExact(t, name+"/inproc", want, gotL)
+				algotest.AssertExact(t, name+"/remote", want, gotR)
+				algotest.AssertExact(t, name+"/inproc", want, gotL)
 			}
 			shardrpc.CloseClients(clients)
 			for _, srv := range servers {
@@ -171,6 +135,9 @@ func TestRemoteMatchesInProcessExact(t *testing.T) {
 				}
 				if d := srv.Group().Unsettled(); d != 0 {
 					t.Fatalf("P=%d/%s: %v unsettled I/O server-side", p, id, d)
+				}
+				if n := srv.Stats().Resolves; n != 0 {
+					t.Fatalf("P=%d/%s: %d resolve RPCs served, want 0", p, id, n)
 				}
 			}
 		}
@@ -198,7 +165,7 @@ func TestRemoteCancelAndDisconnectSettle(t *testing.T) {
 	dir := writeShards(t, x, 1)
 	io := slowIO()
 	g, err := shardserve.OpenShard(dir, 0, func(v postings.View) topk.Algorithm { return core.New(v) },
-		shardserve.Config{IO: &io, NoExactResolve: true})
+		shardserve.Config{IO: &io})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +274,7 @@ func TestRemoteStopReasonsDistinguishable(t *testing.T) {
 	slow := slowIO()
 	factory := func(v postings.View) topk.Algorithm { return core.New(v) }
 
-	g0, err := shardserve.OpenShard(dir, 0, factory, shardserve.Config{IO: &ram, NoExactResolve: true})
+	g0, err := shardserve.OpenShard(dir, 0, factory, shardserve.Config{IO: &ram})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +283,7 @@ func TestRemoteStopReasonsDistinguishable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s0.Close()
-	g1, err := shardserve.OpenShard(dir, 1, factory, shardserve.Config{IO: &slow, NoExactResolve: true})
+	g1, err := shardserve.OpenShard(dir, 1, factory, shardserve.Config{IO: &slow})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +368,7 @@ func TestGarbledFrameKillsConnection(t *testing.T) {
 	dir := writeShards(t, x, 1)
 	ram := iomodel.RAMConfig()
 	g, err := shardserve.OpenShard(dir, 0, func(v postings.View) topk.Algorithm { return core.New(v) },
-		shardserve.Config{IO: &ram, NoExactResolve: true})
+		shardserve.Config{IO: &ram})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +416,7 @@ func TestServerStatsRPC(t *testing.T) {
 	dir := writeShards(t, x, 1)
 	ram := iomodel.RAMConfig()
 	g, err := shardserve.OpenShard(dir, 0, func(v postings.View) topk.Algorithm { return core.New(v) },
-		shardserve.Config{IO: &ram, NoExactResolve: true})
+		shardserve.Config{IO: &ram})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,6 @@ import (
 	"sparta/internal/faultinject"
 	"sparta/internal/index"
 	"sparta/internal/iomodel"
-	"sparta/internal/model"
 	"sparta/internal/postings"
 	"sparta/internal/shardserve"
 	"sparta/internal/topk"
@@ -58,28 +57,6 @@ func faultedGroup(t *testing.T, x *index.Index, p, r int, io iomodel.Config,
 	return g, injs
 }
 
-// sameTopK is assertMergedExact as a predicate: scores byte-identical
-// rank for rank, documents byte-identical above the cutoff, any tied
-// document admissible at the cutoff score.
-func sameTopK(want, got model.TopK) bool {
-	if len(got) != len(want) {
-		return false
-	}
-	if len(want) == 0 {
-		return true
-	}
-	cut := want[len(want)-1].Score
-	for i := range want {
-		if got[i].Score != want[i].Score {
-			return false
-		}
-		if want[i].Score > cut && got[i].Doc != want[i].Doc {
-			return false
-		}
-	}
-	return true
-}
-
 func TestChaosReplicatedServingStaysExact(t *testing.T) {
 	x := algotest.MediumIndex(t, 4242)
 	io := iomodel.Config{
@@ -116,7 +93,7 @@ func TestChaosReplicatedServingStaysExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
-		if sameTopK(want, got) {
+		if algotest.ExactMismatch(want, got) == "" {
 			identical++
 		} else if st.ShardsDropped == 0 {
 			t.Fatalf("query %d: result differs from the reference with no shard dropped\ngot  %v\nwant %v", i, got, want)

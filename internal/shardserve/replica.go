@@ -33,14 +33,10 @@ import (
 	"sparta/internal/topk"
 )
 
-// Resolver computes exact scores for a batch of candidate documents —
-// the remote form of the per-term random accesses exact resolution
-// performs against a local view. A replica served over the wire
-// (shardrpc.Client) cannot expose a postings.View, but it can answer
-// "what do these documents really score for q" in one round trip; the
-// shard group uses that to keep sharded exact results byte-identical
-// even when every shard lives in another process. Implementations must
-// return exactly one score per requested document, in order.
+// Resolver computes exact scores for a batch of candidate documents in
+// one round trip (shardrpc.Client implements it over the wire). The
+// group does not call it: exact parts arrive with exact scores.
+// Implementations return exactly one score per document, in order.
 type Resolver interface {
 	Resolve(ctx context.Context, q model.Query, docs []model.DocID) ([]model.Score, error)
 }
@@ -48,19 +44,16 @@ type Resolver interface {
 // Replica is one opened backend copy of a shard: its own view, its own
 // simulated store (so replica failures and latencies are independent),
 // and optionally its own decoded-block cache. A *remote* replica has no
-// View — its Alg is a transport client and exact resolution goes
-// through Resolver instead.
+// View: its Alg is a transport client.
 type Replica struct {
 	// Name labels the replica in counters ("r0", "r1", ... if empty).
 	Name string
-	// View is the replica's index view. Required unless Resolver is set
-	// (a remote replica, whose index lives in another process).
+	// View is the replica's index view; nil for a remote replica, whose
+	// index lives in another process.
 	View postings.View
 	// Alg evaluates queries over View (required).
 	Alg topk.Algorithm
-	// Resolver, when non-nil, resolves exact candidate scores for this
-	// replica without a local View — the wire path of the post-merge
-	// exactness pass.
+	// Resolver is accepted and not called (see Resolver).
 	Resolver Resolver
 	// Store, when non-nil, is the replica's simulated storage, used for
 	// settlement accounting and stats.

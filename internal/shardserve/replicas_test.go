@@ -409,7 +409,7 @@ func TestFromIndexReplicasServesExact(t *testing.T) {
 	if st.ShardsDropped != 0 {
 		t.Fatalf("ShardsDropped = %d", st.ShardsDropped)
 	}
-	assertMergedExact(t, "replicated", want, got)
+	algotest.AssertExact(t, "replicated", want, got)
 	algotest.AssertSettled(t, "after replicated query", g)
 }
 
@@ -558,7 +558,7 @@ func TestVerifySetCatchesCorruption(t *testing.T) {
 	if st.ShardsDropped != 0 {
 		t.Fatalf("ShardsDropped = %d", st.ShardsDropped)
 	}
-	assertMergedExact(t, "repaired", topk.BruteForce(x, q, k), got)
+	algotest.AssertExact(t, "repaired", topk.BruteForce(x, q, k), got)
 }
 
 // TestPromotionRefusesCorruptReplica damages the on-disk artifacts
@@ -602,7 +602,7 @@ func TestPromotionRefusesCorruptReplica(t *testing.T) {
 	if run := st.Shards[0]; run.Replica != 1 || run.Dropped {
 		t.Fatalf("run = %+v, want served by replica 1 (dark primary retried)", run)
 	}
-	assertMergedExact(t, "promote-corrupt", want, got)
+	algotest.AssertExact(t, "promote-corrupt", want, got)
 
 	c := g.Counters(0)
 	if c.Promotions != 0 {

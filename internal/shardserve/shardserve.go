@@ -25,13 +25,10 @@
 //     tripped shards are skipped (counted as dropped) except for an
 //     occasional probe query that can close the breaker again.
 //
-// Exact queries get a score-resolution pass after the merge: NRA-family
-// algorithms report lower-bound scores, and ranking across shards by
-// bounds can mis-order the boundary of the result set (the caveat the
-// sNRA package documents). Resolving every merged candidate's true
-// score with per-term random accesses against its owning shard makes
-// sharded exact results byte-identical to the single-index reference,
-// for every exact algorithm.
+// Shards cover disjoint document ranges and score under the global
+// statistics, and every exact algorithm's answer carries exact scores
+// (the topk.Algorithm contract), so the k-way merge of exact parts is
+// byte-identical to the single-index reference with no further pass.
 package shardserve
 
 import (
@@ -91,7 +88,8 @@ type Shard struct {
 	// Cache, when non-nil, is the shard's decoded-block cache; its
 	// counters appear in ShardCounters.
 	Cache *plcache.Cache
-	// Lo, Hi record the covered document range [Lo, Hi), informational.
+	// Lo, Hi record the covered document range [Lo, Hi). When Hi > Lo,
+	// ResolveScores asks this shard only about documents inside it.
 	Lo, Hi model.DocID
 }
 
@@ -164,10 +162,9 @@ type Config struct {
 	RetryBackoff    time.Duration
 	RetryBackoffMax time.Duration
 
-	// NoExactResolve skips the post-merge score-resolution pass for
-	// exact queries. Resolution costs ~P×K×|q| random accesses; without
-	// it, exact results from lower-bound algorithms (NRA family) may
-	// mis-rank the boundary of the cross-shard result set.
+	// NoExactResolve has no effect: exact parts carry exact scores, so
+	// the merge has no resolution pass to skip. It is kept so existing
+	// configurations compile.
 	NoExactResolve bool
 
 	// BatchWindow enables per-shard query coalescing (package
@@ -326,9 +323,6 @@ func New(cfg Config, shards ...Shard) (*Group, error) {
 		for ri, rep := range reps {
 			if rep.Alg == nil {
 				return nil, fmt.Errorf("shardserve: shard %d replica %d needs Alg", i, ri)
-			}
-			if rep.View == nil && rep.Resolver == nil {
-				return nil, fmt.Errorf("shardserve: shard %d replica %d needs a View or a Resolver", i, ri)
 			}
 			if rep.Name == "" {
 				rep.Name = fmt.Sprintf("r%d", ri)
@@ -505,18 +499,6 @@ func (g *Group) SearchShards(ctx context.Context, q model.Query, opts topk.Optio
 
 	merged := topk.MergeTopK(parts, k)
 	agg := topk.Stats{}
-	if opts.Exact && !g.cfg.NoExactResolve {
-		var ra int64
-		var unresolved int
-		merged, ra, unresolved = g.resolveExact(ctx, q, parts, k)
-		agg.RandomAccesses += ra
-		// A part whose scores could not be resolved (a remote shard whose
-		// resolve round trip failed) may mis-rank the result boundary;
-		// count it dropped so "byte-identical unless ShardsDropped > 0"
-		// stays an honest contract.
-		agg.ShardsDropped += unresolved
-	}
-
 	out := ShardedStats{Shards: runs}
 	for i := range runs {
 		r := &runs[i]
@@ -775,127 +757,35 @@ func (g *Group) shardDeadline(i int, ctx context.Context) time.Duration {
 	return d
 }
 
-// resolveExact replaces every merged candidate's (possibly lower-bound)
-// score with its true score, then re-ranks and truncates to k. Parts
-// from shards with a local view resolve by per-term random accesses
-// against the current primary replica (topk.ResolveExact, shared with
-// the live segmented index); parts from remote shards resolve in one
-// batched Resolve round trip per part, the random accesses running on
-// the server against the same view the shard searched. Returns the
-// resolved top-k, the random accesses charged, and the number of parts
-// left unresolved (remote resolution failed on every replica) — those
-// keep their lower-bound scores and are reported as dropped.
-func (g *Group) resolveExact(ctx context.Context, q model.Query, parts []model.TopK, k int) (model.TopK, int64, int) {
-	var ra int64
-	unresolved := 0
-	resolved := make(model.TopK, 0, len(parts)*8)
-	for i, part := range parts {
-		if len(part) == 0 {
-			continue
-		}
-		sh := g.shards[i]
-		rep := sh.replicas[sh.primary.Load()]
-		if rep.View != nil {
-			r, n := topk.ResolveExact(ctx, q, parts[i:i+1], func(int) postings.View { return rep.View }, len(part))
-			resolved = append(resolved, r...)
-			ra += n
-			continue
-		}
-		docs := make([]model.DocID, len(part))
-		for j, r := range part {
-			docs[j] = r.Doc
-		}
-		if scores, err := g.resolveRemote(ctx, sh, q, docs); err == nil {
-			for j, d := range docs {
-				resolved = append(resolved, model.Result{Doc: d, Score: scores[j]})
-			}
-			// Charge what local resolution of this part would have: the
-			// server performed one random access per (candidate, term).
-			ra += int64(len(docs)) * int64(len(q))
-			continue
-		}
-		resolved = append(resolved, part...)
-		unresolved++
-	}
-	resolved.Sort()
-	if len(resolved) > k {
-		resolved = resolved[:k]
-	}
-	return resolved, ra, unresolved
-}
-
-// resolveRemote asks a remote shard's replicas to batch-resolve exact
-// candidate scores, starting at the current primary and failing over in
-// pickReplica order. Resolution is a single small round trip, so it
-// carries no breaker interplay: a transport error just tries the next
-// copy.
-func (g *Group) resolveRemote(ctx context.Context, sh *shardState, q model.Query, docs []model.DocID) ([]model.Score, error) {
-	n := len(sh.replicas)
-	start := int(sh.primary.Load())
-	lastErr := errors.New("shardserve: no replica can resolve")
-	for off := 0; off < n; off++ {
-		r := sh.replicas[(start+off)%n]
-		if r.Resolver == nil || r.corrupt.Load() {
-			continue
-		}
-		// Bound each attempt by the per-shard timeout even when the query
-		// carries no deadline: a resolve whose frames are lost must fail
-		// over to the next replica, not hang the merge.
-		actx := ctx
-		if g.cfg.ShardTimeout > 0 {
-			var cancel context.CancelFunc
-			actx, cancel = context.WithTimeout(ctx, g.cfg.ShardTimeout)
-			defer cancel()
-		}
-		scores, err := r.Resolver.Resolve(actx, q, docs)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if len(scores) != len(docs) {
-			lastErr = fmt.Errorf("shardserve: resolver returned %d scores for %d docs", len(scores), len(docs))
-			continue
-		}
-		return scores, nil
-	}
-	return nil, lastErr
-}
-
 // ResolveScores computes each document's exact score for q by per-term
-// random access against every shard's primary replica view, returning
-// one score per document plus the random accesses charged. Shards cover
-// disjoint document ranges, so at most one shard contributes to each
-// document's sum; views that charge simulated I/O are bound and settled
-// here, never leaving debt outstanding. This is the server side of
-// remote exact resolution: shardrpc's Resolve RPC calls it on the
-// shardserver's (typically single-shard) group.
+// random access against the primary replica view of the shard that can
+// hold it (a shard whose Hi > Lo is asked only about documents in
+// [Lo, Hi)), returning one score per document plus the random accesses
+// charged. Views that charge simulated I/O are bound and settled here,
+// never leaving debt outstanding. Exact queries do not need it — each
+// shard's exact part carries exact scores; it is the server side of
+// shardrpc's Resolve RPC.
 func (g *Group) ResolveScores(ctx context.Context, q model.Query, docs []model.DocID) ([]model.Score, int64) {
 	out := make([]model.Score, len(docs))
 	var ra int64
+	es := topk.NewExecState(ctx, nil)
+	defer es.Finish(topk.Stats{}, nil)
 	for _, sh := range g.shards {
-		rep := sh.replicas[sh.primary.Load()]
-		v := rep.View
+		v := sh.replicas[sh.primary.Load()].View
 		if v == nil {
 			continue
 		}
-		var settler postings.Settler
-		if b, ok := v.(postings.ExecBinder); ok {
-			bound := b.BindExec(ctx, nil, nil, nil)
-			if s, ok := bound.(postings.Settler); ok {
-				settler = s
-			}
-			v = bound
-		}
+		v = es.BindView(v)
 		for j, d := range docs {
+			if sh.Hi > sh.Lo && (d < sh.Lo || d >= sh.Hi) {
+				continue
+			}
 			for _, t := range q {
 				if ts, ok := v.RandomAccess(t, d); ok {
 					out[j] += ts
 				}
 				ra++
 			}
-		}
-		if settler != nil {
-			settler.SettleAll()
 		}
 	}
 	return out, ra

@@ -25,16 +25,6 @@ import (
 	"sparta/internal/topk"
 )
 
-// exactAlgos is the same exact-capable family the repository's
-// agreement test covers (sNRA is excluded there too: its cross-shard
-// bound merge is only ~0.99 exact even single-index).
-var exactAlgos = []bench.AlgoID{
-	bench.AlgoRA, bench.AlgoNRA, bench.AlgoSelNRA, bench.AlgoMaxScore,
-	bench.AlgoWAND, bench.AlgoBMW, bench.AlgoJASS, bench.AlgoSparta,
-	bench.AlgoPRA, bench.AlgoPNRA, bench.AlgoPBMW, bench.AlgoPWAND,
-	bench.AlgoPJASS,
-}
-
 func ramViews(t *testing.T, x *index.Index, p int) []shardserve.ShardView {
 	t.Helper()
 	views, err := shardserve.PartitionViews(x, p, iomodel.RAMConfig(), 0)
@@ -42,34 +32,6 @@ func ramViews(t *testing.T, x *index.Index, p int) []shardserve.ShardView {
 		t.Fatal(err)
 	}
 	return views
-}
-
-// assertMergedExact checks got against the canonical reference (brute
-// force: full scores, sorted descending score then ascending doc).
-// Ranks whose reference score is strictly above the cutoff must match
-// byte-for-byte; within the tied group at the cutoff, any tied document
-// is admissible (the same interchangeability every exactness test in
-// this repository grants), but its resolved score must equal the
-// cutoff.
-func assertMergedExact(t *testing.T, name string, want, got model.TopK) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: got %d results, want %d\ngot  %v\nwant %v", name, len(got), len(want), got, want)
-	}
-	if len(want) == 0 {
-		return
-	}
-	cut := want[len(want)-1].Score
-	for i := range want {
-		if got[i].Score != want[i].Score {
-			t.Fatalf("%s: rank %d score %d, want %d\ngot  %v\nwant %v",
-				name, i, got[i].Score, want[i].Score, got, want)
-		}
-		if want[i].Score > cut && got[i].Doc != want[i].Doc {
-			t.Fatalf("%s: rank %d doc %d, want %d (score %d)\ngot  %v\nwant %v",
-				name, i, got[i].Doc, want[i].Doc, want[i].Score, got, want)
-		}
-	}
 }
 
 // TestShardedMatchesSingleIndexExact is the merge-equivalence property:
@@ -83,7 +45,7 @@ func TestShardedMatchesSingleIndexExact(t *testing.T) {
 	}
 	for _, p := range []int{1, 2, 4, 8} {
 		views := ramViews(t, x, p)
-		for _, id := range exactAlgos {
+		for _, id := range bench.AllAlgos {
 			id := id
 			g, err := shardserve.NewFromViews(shardserve.Config{}, func(v postings.View) topk.Algorithm {
 				return bench.MakeAlgorithm(id, v)
@@ -105,18 +67,55 @@ func TestShardedMatchesSingleIndexExact(t *testing.T) {
 				if st.StopReason != shardserve.StopMerged {
 					t.Fatalf("%s: StopReason = %q, want %q", name, st.StopReason, shardserve.StopMerged)
 				}
-				assertMergedExact(t, name, want, got)
+				algotest.AssertExact(t, name, want, got)
 			}
 		}
+	}
+}
+
+// TestResolveScoresAsksOnlyTheOwningShard: each document costs one
+// random access per term, in the one shard whose range holds it, and a
+// document outside every range costs none.
+func TestResolveScoresAsksOnlyTheOwningShard(t *testing.T) {
+	x := algotest.MediumIndex(t, 31)
+	g, err := shardserve.NewFromViews(shardserve.Config{}, func(v postings.View) topk.Algorithm {
+		return core.New(v)
+	}, ramViews(t, x, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := algotest.RandomQuery(x, 4, 9)
+	want := topk.BruteForce(x, q, 20)
+	docs := make([]model.DocID, len(want))
+	for i, r := range want {
+		docs[i] = r.Doc
+	}
+	scores, ra := g.ResolveScores(context.Background(), q, docs)
+	for i, r := range want {
+		if scores[i] != r.Score {
+			t.Errorf("doc %d: resolved %d, want %d", r.Doc, scores[i], r.Score)
+		}
+	}
+	if n := int64(len(docs) * len(q)); ra != n {
+		t.Errorf("%d random accesses, want %d (one shard per document)", ra, n)
+	}
+	if _, ra := g.ResolveScores(context.Background(), q, []model.DocID{model.DocID(x.NumDocs() + 5)}); ra != 0 {
+		t.Errorf("a document outside every shard cost %d random accesses, want 0", ra)
 	}
 }
 
 // TestShardedApproxRecallNotWorse: approximate Sparta over shards must
 // not lose recall versus the single-index run — each shard exhausts
 // (or Δ-stops) independently, so the union can only know more.
+//
+// Δ is wall clock, and it also expires while a shard's workers are kept
+// off the CPU. These queries finish in about a millisecond and stop
+// safe, so a Δ of a second is armed on both sides but ends neither: a
+// loaded scheduler would have to stall a shard for a whole second to
+// cost it recall.
 func TestShardedApproxRecallNotWorse(t *testing.T) {
 	x := algotest.MediumIndex(t, 7)
-	opts := topk.Options{K: 10, Threads: 4, Delta: 2 * time.Millisecond}
+	opts := topk.Options{K: 10, Threads: 4, Delta: time.Second}
 	single := bench.MakeAlgorithm(bench.AlgoSparta, x)
 	for _, q := range []model.Query{
 		algotest.RandomQuery(x, 4, 31),
@@ -470,7 +469,7 @@ func TestWriteDirOpenDirRoundTrip(t *testing.T) {
 	if st.ShardsDropped != 0 {
 		t.Fatalf("ShardsDropped = %d", st.ShardsDropped)
 	}
-	assertMergedExact(t, "opendir", want, got)
+	algotest.AssertExact(t, "opendir", want, got)
 }
 
 func TestSearchShardsRespectsGlobalCancel(t *testing.T) {
@@ -556,7 +555,7 @@ func TestBatchedGroupMatchesUnbatched(t *testing.T) {
 		if results[i].st.ShardsDropped != 0 {
 			t.Fatalf("query %d: ShardsDropped = %d", i, results[i].st.ShardsDropped)
 		}
-		assertMergedExact(t, fmt.Sprintf("batched/q%d", i),
+		algotest.AssertExact(t, fmt.Sprintf("batched/q%d", i),
 			topk.BruteForce(x, q, k), results[i].res)
 	}
 	algotest.AssertSettled(t, "after batch drain", g)

@@ -148,7 +148,7 @@ type Stats struct {
 	// Postings is the number of posting entries traversed.
 	Postings int64
 	// RandomAccesses counts by-document score lookups (RA family, and
-	// Sparta's completion of an exact answer's scores).
+	// the NRA family's completion of an exact answer's scores).
 	RandomAccesses int64
 	// HeapInserts counts successful top-k heap insertions.
 	HeapInserts int64
@@ -172,7 +172,11 @@ type Algorithm interface {
 	// Name returns the algorithm's report name ("Sparta", "pBMW", ...).
 	Name() string
 	// Search evaluates q and returns the (possibly approximate) top-k.
-	// Equivalent to SearchContext with context.Background().
+	// An Exact answer that is not an anytime stop is BruteForce's bytes,
+	// scores included, up to which of the documents tied at the k-th
+	// score it keeps — so exact answers over disjoint document ranges
+	// merge with MergeTopK alone. Equivalent to SearchContext with
+	// context.Background().
 	Search(q model.Query, opts Options) (model.TopK, Stats, error)
 	// SearchContext evaluates q under ctx. Cancellation and deadline
 	// expiry are anytime stops, not errors: the call returns the

@@ -1,9 +1,9 @@
 // Remote shard serving, re-exported from internal/shardrpc: a shard
 // group whose shards live in other processes (cmd/shardserver), reached
 // over a dependency-free framed binary RPC transport. A remote group is
-// still a *ShardGroup — the scatter/gather, k-way merge, exact
-// resolution, hedging, and breaker machinery are byte-identical to
-// in-process serving; only the per-shard backend changes. See DESIGN.md
+// still a *ShardGroup — the scatter/gather, k-way merge, hedging, and
+// breaker machinery are byte-identical to in-process serving; only the
+// per-shard backend changes. See DESIGN.md
 // §4h for the wire format and failure taxonomy.
 package sparta
 
