@@ -111,7 +111,9 @@ func main() {
 // and 12 threads. Sparta's growing phase starts at one block whatever
 // the cap, so the cap is how far its segments double and how long every
 // phase-2 segment is. Per query: mean latency, postings, candidate peak,
-// cleaner passes, reader round trips (views) and real sleeps that paid
+// cleaner passes, score lookups (an exact answer's completion, and the
+// lookups that end phase 2 when they are cheaper than a round of
+// segments), reader round trips (views) and real sleeps that paid
 // simulated I/O, and recall.
 func segmentSweep(env *bench.Env, qs []model.Query, k int) error {
 	ram, err := cindex.FromIndex(env.Mem, env.Opts.Shards, iomodel.RAMConfig())
@@ -127,7 +129,7 @@ func segmentSweep(env *bench.Env, qs []model.Query, k int) error {
 			for _, seg := range []int{64, 128, 256, 512, 1024, 4096} {
 				store.view.Store().Flush()
 				store.view.Store().ResetStats()
-				var lat, post, peak, clean, rec stats.Sample
+				var lat, post, peak, clean, look, rec stats.Sample
 				alg := core.New(store.view)
 				for _, q := range qs {
 					res, st, err := alg.Search(q, topk.Options{K: k, Exact: true, Threads: threads, SegSize: seg})
@@ -138,11 +140,12 @@ func segmentSweep(env *bench.Env, qs []model.Query, k int) error {
 					post.Add(float64(st.Postings))
 					peak.Add(float64(st.CandidatesPeak))
 					clean.Add(float64(st.Cleanings))
+					look.Add(float64(st.RandomAccesses))
 					rec.Add(model.Recall(env.Exact(q), res))
 				}
 				io, n := store.view.Store().Snapshot(), float64(len(qs))
-				fmt.Printf("%-4s threads=%-2d cap=%-4d ms=%7.2f postings=%7.0f peak=%6.0f cleanings=%6.1f views=%6.0f sleeps=%5.1f recall=%5.1f%%\n",
-					store.name, threads, seg, lat.Mean(), post.Mean(), peak.Mean(), clean.Mean(),
+				fmt.Printf("%-4s threads=%-2d cap=%-4d ms=%7.2f postings=%7.0f peak=%6.0f cleanings=%6.1f lookups=%5.1f views=%6.0f sleeps=%5.1f recall=%5.1f%%\n",
+					store.name, threads, seg, lat.Mean(), post.Mean(), peak.Mean(), clean.Mean(), look.Mean(),
 					float64(io.ViewCalls)/n, float64(io.Sleeps)/n, rec.Mean()*100)
 			}
 		}

@@ -108,10 +108,27 @@ func TestCompletionStopPathsSettle(t *testing.T) {
 	store := disk.Store()
 	q := algotest.RandomQuery(x, 5, 52)
 	want := topk.BruteForce(x, q, 10)
-	for _, id := range []bench.AlgoID{bench.AlgoSparta, bench.AlgoPNRA, bench.AlgoNRA, bench.AlgoSelNRA, bench.AlgoSNRA} {
-		t.Run(string(id), func(t *testing.T) {
+	// Sparta runs twice: at SegSize 16 its phase 2 ends when the docMap
+	// is down to the heap, at the default SegSize it ends by lookups with
+	// candidates outside the heap, and that completion is the one the
+	// cancel strikes.
+	for _, c := range []struct {
+		name    string
+		id      bench.AlgoID
+		segSize int
+		lookups bool
+	}{
+		{"Sparta", bench.AlgoSparta, 16, false},
+		{"SpartaLookups", bench.AlgoSparta, topk.DefaultSegSize, true},
+		{"pNRA", bench.AlgoPNRA, 16, false},
+		{"NRA", bench.AlgoNRA, 16, false},
+		{"SelNRA", bench.AlgoSelNRA, 16, false},
+		{"sNRA", bench.AlgoSNRA, 16, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
 			budget := membudget.New(1 << 30)
-			opts := topk.Options{K: 10, Exact: true, Threads: 1, SegSize: 16, Budget: budget}
+			last := new(lastPass)
+			opts := topk.Options{K: 10, Exact: true, Threads: 1, SegSize: c.segSize, Budget: budget, Observer: last}
 			check := func(path string) {
 				t.Helper()
 				algotest.AssertSettled(t, path, store)
@@ -119,8 +136,14 @@ func TestCompletionStopPathsSettle(t *testing.T) {
 					t.Fatalf("%s: budget still holds %d bytes", path, used)
 				}
 			}
+			checkLookups := func(path string) {
+				t.Helper()
+				if kept := last.kept.Swap(0); (kept > int64(opts.K)) != c.lookups {
+					t.Fatalf("%s: the last cleaner pass kept %d candidates; ended by lookups %v, want %v", path, kept, !c.lookups, c.lookups)
+				}
+			}
 
-			got, st, err := bench.MakeAlgorithm(id, disk).Search(q, opts)
+			got, st, err := bench.MakeAlgorithm(c.id, disk).Search(q, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,10 +152,11 @@ func TestCompletionStopPathsSettle(t *testing.T) {
 			}
 			algotest.AssertExact(t, "safe", want, got)
 			check("safe")
+			checkLookups("safe")
 
 			ctx, cancel := context.WithCancel(context.Background())
 			v := &cancelAtCompletion{Index: disk, cancel: cancel}
-			if _, _, err = bench.MakeAlgorithm(id, v).SearchContext(ctx, q, opts); err != nil {
+			if _, _, err = bench.MakeAlgorithm(c.id, v).SearchContext(ctx, q, opts); err != nil {
 				t.Fatal(err)
 			}
 			cancel()
@@ -140,11 +164,12 @@ func TestCompletionStopPathsSettle(t *testing.T) {
 				t.Fatal("no doc cursor opened: the cancel never struck during completion")
 			}
 			check("cancel during completion")
+			checkLookups("cancel during completion")
 
 			ctx, cancel = context.WithCancel(context.Background())
 			mid := opts
 			mid.Observer = &cancelAfterIO{cancel: cancel, after: 3}
-			_, st, err = bench.MakeAlgorithm(id, disk).SearchContext(ctx, q, mid)
+			_, st, err = bench.MakeAlgorithm(c.id, disk).SearchContext(ctx, q, mid)
 			cancel()
 			if err != nil {
 				t.Fatal(err)
@@ -153,7 +178,7 @@ func TestCompletionStopPathsSettle(t *testing.T) {
 
 			oom := opts
 			oom.Budget = membudget.New(4 * cmap.DocStateBytes)
-			if _, _, err = bench.MakeAlgorithm(id, disk).Search(q, oom); !errors.Is(err, membudget.ErrMemoryBudget) {
+			if _, _, err = bench.MakeAlgorithm(c.id, disk).Search(q, oom); !errors.Is(err, membudget.ErrMemoryBudget) {
 				t.Fatalf("tiny budget: err %v, want ErrMemoryBudget", err)
 			}
 			if used := oom.Budget.Used(); used != 0 {
@@ -163,6 +188,15 @@ func TestCompletionStopPathsSettle(t *testing.T) {
 		})
 	}
 }
+
+// lastPass records how many candidates Sparta's last cleaner pass kept:
+// more than the heap holds only when the pass ended phase 2 by lookups.
+type lastPass struct {
+	topk.NopObserver
+	kept atomic.Int64
+}
+
+func (o *lastPass) CleanerPass(kept, _ int) { o.kept.Store(int64(kept)) }
 
 // cancelAtCompletion is an on-disk index whose bound form cancels the
 // query the first time a doc-order cursor is opened: the NRA family

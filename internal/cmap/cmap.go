@@ -106,7 +106,10 @@ func (d *DocState) NumTerms() int { return len(d.scores) }
 
 // SetScore records term i's score. Each (document, term) pair is set at
 // most once — a posting appears once per list and one worker owns a
-// list at a time — so the lower bound advances by s exactly.
+// list at a time — so the lower bound advances by s exactly. That is why
+// a score completion (topk.CompleteScores) runs only once the query's
+// workers are gone: a lookup and a worker that both set the same pair
+// would count it twice.
 func (d *DocState) SetScore(i int, s model.Score) {
 	atomic.StoreInt64(&d.scores[i], int64(s))
 	d.lb.Add(int64(s))

@@ -39,15 +39,16 @@ func ramLongStack(tb testing.TB) (*cindex.Index, []model.Query) {
 
 // BenchmarkSpartaRAMLong is the ruler for the hot loop: one exact
 // 12-term query per op with no I/O cost, so ns/op, postings/op,
-// cleanings/op and allocs/op are what core itself spends. A result
-// sink keeps the call from being optimized away.
+// cleanings/op, lookups/op (score completions, Stats.RandomAccesses) and
+// allocs/op are what core itself spends. A result sink keeps the call
+// from being optimized away.
 func BenchmarkSpartaRAMLong(b *testing.B) {
 	view, pool := ramLongStack(b)
 	s := New(view)
 	for _, threads := range []int{1, 2} {
 		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
 			opts := topk.Options{K: 10, Exact: true, Threads: threads}
-			var postings, cleanings int64
+			var postings, cleanings, lookups int64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -57,10 +58,12 @@ func BenchmarkSpartaRAMLong(b *testing.B) {
 				}
 				postings += st.Postings
 				cleanings += st.Cleanings
+				lookups += st.RandomAccesses
 				benchSink = res
 			}
 			b.ReportMetric(float64(postings)/float64(b.N), "postings/op")
 			b.ReportMetric(float64(cleanings)/float64(b.N), "cleanings/op")
+			b.ReportMetric(float64(lookups)/float64(b.N), "lookups/op")
 		})
 	}
 }

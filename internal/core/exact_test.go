@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+	"time"
 
+	"sparta/internal/cmap"
 	"sparta/internal/index"
 	"sparta/internal/model"
 	"sparta/internal/postings"
@@ -20,16 +22,23 @@ import (
 // TestSpartaExactScoresMatchBruteForce compares whole answers — every
 // document and every score, with no resolution step — on the ram_long
 // pool. A safe stop proves the set; the scores are complete only
-// because Sparta fills in what its lists did not reach.
+// because Sparta fills in what its lists did not reach, and when phase 2
+// ended by lookups, only because the completion waits for the workers:
+// at Threads 2 and 4 one may still be setting a score it would set too.
 func TestSpartaExactScoresMatchBruteForce(t *testing.T) {
 	view, pool := ramLongStack(t)
+	if raceEnabled {
+		// Ten times slower there; what it adds is interleavings, which a
+		// quarter of the pool exercises.
+		pool = pool[:30]
+	}
 	truth := make([]model.TopK, len(pool))
 	for i, q := range pool {
 		truth[i] = topk.BruteForce(view, q, 10)
 	}
 	s := New(view)
 	for _, seg := range []int{64, 256, 1024} {
-		for _, threads := range []int{1, 2} {
+		for _, threads := range []int{1, 2, 4} {
 			for i, q := range pool {
 				got, st, err := s.Search(q, topk.Options{K: 10, Exact: true, Threads: threads, SegSize: seg})
 				if err != nil {
@@ -43,27 +52,36 @@ func TestSpartaExactScoresMatchBruteForce(t *testing.T) {
 	}
 }
 
-// countingCursor counts the postings a score cursor has returned.
+// countingCursor counts the postings a score cursor has returned before
+// and after latched() first reports true.
 type countingCursor struct {
 	postings.ScoreCursor
-	n *int
+	latched func() bool
+	n       *[2]int
 }
 
 func (c countingCursor) Next() bool {
 	if !c.ScoreCursor.Next() {
 		return false
 	}
-	*c.n++
+	if c.latched() {
+		c.n[1]++
+	} else {
+		c.n[0]++
+	}
 	return true
 }
 
-// segmentObserver calls onSegment at the start of every segment.
-type segmentObserver struct {
+// traceObserver calls onSegment at the start of every segment and
+// onPass after every cleaner pass.
+type traceObserver struct {
 	topk.NopObserver
 	onSegment func(term int)
+	onPass    func(kept, dropped int)
 }
 
-func (o segmentObserver) SegmentScheduled(term int) { o.onSegment(term) }
+func (o traceObserver) SegmentScheduled(term int)     { o.onSegment(term) }
+func (o traceObserver) CleanerPass(kept, dropped int) { o.onPass(kept, dropped) }
 
 // segment is where one segment of a list began, and whether UBStop had
 // latched by then.
@@ -72,29 +90,145 @@ type segment struct {
 	latched bool
 }
 
-// traceSegments runs q at Threads 1 and returns, per term, the segments
-// its list was traversed in.
-func traceSegments(t *testing.T, view postings.View, q model.Query, opts topk.Options) [][]segment {
+// pass is what one cleaner pass left: the postings read by then, the
+// candidates it kept, the (candidate, term) scores they still missed in
+// live lists, and the postings one more round of segments would read —
+// the two sides of the switch to lookups.
+type pass struct {
+	read, kept, missing, round int
+}
+
+// runTrace is one query run at Threads 1, followed from inside: per term
+// the segments its list was read in; the postings read before and after
+// UBStop latched; the docMap's size when it latched; and every cleaner
+// pass. A last pass that kept more than the heap is the switch to
+// lookups.
+type runTrace struct {
+	segs          [][]segment
+	before, after int
+	atUBStop      int
+	passes        []pass
+	st            topk.Stats
+}
+
+// traceRun runs q at Threads 1 and traces it.
+func traceRun(t *testing.T, view postings.View, q model.Query, opts topk.Options) runTrace {
 	t.Helper()
 	var r *run
-	read := make([]int, len(q))
-	segs := make([][]segment, len(q))
-	obs := segmentObserver{onSegment: func(i int) {
-		segs[i] = append(segs[i], segment{read[i], r.ubStop.Load()})
-	}}
+	tr := runTrace{segs: make([][]segment, len(q)), atUBStop: -1}
+	read := make([][2]int, len(q))
+	latched := func() bool {
+		if !r.ubStop.Load() {
+			return false
+		}
+		if tr.atUBStop < 0 {
+			tr.atUBStop = r.docMap.Load().Len()
+		}
+		return true
+	}
+	obs := traceObserver{
+		onSegment: func(i int) {
+			tr.segs[i] = append(tr.segs[i], segment{read[i][0] + read[i][1], latched()})
+		},
+		onPass: func(kept, dropped int) {
+			if tr.atUBStop < 0 {
+				tr.atUBStop = kept + dropped // the map this pass cleaned
+			}
+			p := pass{kept: kept}
+			r.docMap.Load().Range(func(d *cmap.DocState) bool {
+				for i := range q {
+					if d.ScoreAt(i) == 0 && r.ubs.Get(i) > 0 {
+						p.missing++
+					}
+				}
+				return true
+			})
+			for i, c := range r.cursors {
+				n := read[i][0] + read[i][1]
+				p.read += n
+				if r.ubs.Get(i) > 0 {
+					p.round += min(opts.SegSize, c.Len()-n)
+				}
+			}
+			tr.passes = append(tr.passes, p)
+		},
+	}
 	opts.Threads, opts.Observer = 1, obs
 	opts = opts.WithDefaults()
 	es := topk.NewExecState(context.Background(), obs)
 	r = newRun(view, q, opts, Config{}, es)
 	for i := range r.cursors {
-		r.cursors[i] = countingCursor{r.cursors[i], &read[i]}
+		r.cursors[i] = countingCursor{r.cursors[i], latched, &read[i]}
 	}
 	_, st, err := r.run()
 	es.Finish(st, err)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return segs
+	for _, n := range read {
+		tr.before += n[0]
+		tr.after += n[1]
+	}
+	tr.st = st
+	return tr
+}
+
+// TestSpartaPhase2Price reports where an exact query's work goes on the
+// ram_long pool at Threads 1 (run with -v for one row per query, and a
+// summary): postings read before and after UBStop, the docMap at UBStop,
+// the first cleaner pass's candidates, their missing scores and the next
+// round's postings, and the candidates left at the last pass — more than
+// the heap when phase 2 ended by lookups. It checks that the counts
+// agree with Stats and that every switch to lookups obeyed its rule.
+func TestSpartaPhase2Price(t *testing.T) {
+	view, pool := ramLongStack(t)
+	const k = 10
+	cols := []string{"before", "after", "share‰", "atUBStop", "kept1", "missing1", "round1", "afterPass1", "atSwitch", "passes", "lookups"}
+	vals := make(map[string][]int)
+	for qi, q := range pool {
+		tr := traceRun(t, view, q, topk.Options{K: k, Exact: true})
+		if got := int64(tr.before + tr.after); got != tr.st.Postings {
+			t.Fatalf("query %d: %d postings traced, Stats says %d", qi, got, tr.st.Postings)
+		}
+		if len(tr.passes) == 0 || tr.st.StopReason != "safe" {
+			t.Fatalf("query %d: stop %q after %d cleaner passes, want safe after at least one", qi, tr.st.StopReason, len(tr.passes))
+		}
+		first, last := tr.passes[0], tr.passes[len(tr.passes)-1]
+		row := map[string]int{
+			"before": tr.before, "after": tr.after, "share‰": 1000 * tr.after / (tr.before + tr.after),
+			"atUBStop": tr.atUBStop, "kept1": first.kept, "missing1": first.missing, "round1": first.round,
+			"afterPass1": tr.before + tr.after - first.read, "passes": len(tr.passes), "lookups": int(tr.st.RandomAccesses),
+		}
+		if last.kept > k {
+			if last.missing*postings.BlockSize > last.round {
+				t.Errorf("query %d: switched to lookups with %d missing scores against a round of %d postings", qi, last.missing, last.round)
+			}
+			row["atSwitch"] = last.kept
+			vals["atSwitch"] = append(vals["atSwitch"], last.kept)
+		}
+		line := fmt.Sprintf("query %3d:", qi)
+		for _, c := range cols {
+			line += fmt.Sprintf(" %s %d", c, row[c])
+			if c != "atSwitch" {
+				vals[c] = append(vals[c], row[c])
+			}
+		}
+		t.Log(line)
+	}
+	summary := fmt.Sprintf("mean / median over %d queries (atSwitch over the %d that ended by lookups):", len(pool), len(vals["atSwitch"]))
+	for _, c := range cols {
+		xs := slices.Sorted(slices.Values(vals[c]))
+		if len(xs) == 0 {
+			summary += fmt.Sprintf(" %s -", c)
+			continue
+		}
+		sum := 0
+		for _, x := range xs {
+			sum += x
+		}
+		summary += fmt.Sprintf(" %s %.1f / %d", c, float64(sum)/float64(len(xs)), xs[len(xs)/2])
+	}
+	t.Log(summary)
 }
 
 // TestSpartaSegmentsGrowFromOneBlock pins the growing phase's schedule:
@@ -108,7 +242,7 @@ func TestSpartaSegmentsGrowFromOneBlock(t *testing.T) {
 	}
 	x := b.Build()
 	term, _ := x.Lookup("term")
-	segs := traceSegments(t, x, model.Query{term}, topk.Options{K: 2000, Exact: true})
+	segs := traceRun(t, x, model.Query{term}, topk.Options{K: 2000, Exact: true}).segs
 	var starts []int
 	for _, s := range segs[0] {
 		starts = append(starts, s.start)
@@ -128,7 +262,7 @@ func TestSpartaSegmentsAfterUBStopAreWhole(t *testing.T) {
 	for _, seg := range []int{256, 1024} {
 		whole := 0
 		for qi, q := range pool[:20] {
-			for i, list := range traceSegments(t, view, q, topk.Options{K: 10, Exact: true, SegSize: seg}) {
+			for i, list := range traceRun(t, view, q, topk.Options{K: 10, Exact: true, SegSize: seg}).segs {
 				for j := 0; j+1 < len(list); j++ {
 					got := list[j+1].start - list[j].start
 					want := min(postings.BlockSize<<j, seg)
@@ -154,18 +288,31 @@ func TestSpartaSegmentsAfterUBStopAreWhole(t *testing.T) {
 // was meant to, update the row in the same diff.
 func TestSpartaWorkAtThreads1(t *testing.T) {
 	view, pool := ramLongStack(t)
-	s := New(view)
 	for _, want := range []struct {
-		seg                                        int
+		name                                       string
+		cfg                                        Config
+		opts                                       topk.Options
 		postings, cleanings, peak, inserts, random int64
 	}{
-		{64, 3_411_066, 12_520, 114_794, 5_390, 1_636},
-		{256, 3_417_454, 3_127, 128_207, 5_399, 1_600},
-		{1024, 3_561_134, 834, 128_207, 5_400, 1_455}, // DefaultSegSize
+		{"SegSize 64", Config{}, topk.Options{Exact: true, SegSize: 64}, 3_352_442, 12_196, 114_794, 5_390, 1_641},
+		{"SegSize 256", Config{}, topk.Options{Exact: true, SegSize: 256}, 2_075_823, 1_480, 128_207, 5_399, 1_906},
+		{"SegSize 1024", Config{}, topk.Options{Exact: true}, 882_347, 130, 128_207, 5_400, 5_115}, // DefaultSegSize
+		// The probabilistic stop of an exact query ends phase 2 by lookups
+		// too, and completes what it keeps: it reads less than the exact run.
+		{"ProbEpsilon", Config{ProbEpsilon: 0.05}, topk.Options{Exact: true}, 848_055, 131, 78_821, 5_394, 5_518},
+		// Only Exact ends phase 2 by lookups. The Δ rule (with a Δ no query
+		// reaches) and the NoCleanerShrink ablation keep the paper's phase 2
+		// — these are the sums from before the switch existed — and a query
+		// without Exact makes no lookup.
+		{"Δ", Config{}, topk.Options{Delta: time.Hour}, 3_561_134, 834, 128_207, 5_400, 0},
+		{"NoCleanerShrink", Config{NoCleanerShrink: true}, topk.Options{Exact: true}, 11_183_215, 4_536, 128_207, 5_400, 0},
 	} {
+		s := NewWithConfig(view, want.cfg)
+		opts := want.opts
+		opts.K, opts.Threads = 10, 1
 		var got struct{ postings, cleanings, peak, inserts, random int64 }
 		for _, q := range pool {
-			_, st, err := s.Search(q, topk.Options{K: 10, Exact: true, Threads: 1, SegSize: want.seg})
+			_, st, err := s.Search(q, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -177,8 +324,8 @@ func TestSpartaWorkAtThreads1(t *testing.T) {
 		}
 		if got.postings != want.postings || got.cleanings != want.cleanings || got.peak != want.peak ||
 			got.inserts != want.inserts || got.random != want.random {
-			t.Errorf("SegSize %d over %d queries: postings %d, cleanings %d, candidate peak %d, heap inserts %d, random accesses %d;\nwant %d, %d, %d, %d, %d",
-				want.seg, len(pool), got.postings, got.cleanings, got.peak, got.inserts, got.random,
+			t.Errorf("%s over %d queries: postings %d, cleanings %d, candidate peak %d, heap inserts %d, random accesses %d;\nwant %d, %d, %d, %d, %d",
+				want.name, len(pool), got.postings, got.cleanings, got.peak, got.inserts, got.random,
 				want.postings, want.cleanings, want.peak, want.inserts, want.random)
 		}
 	}

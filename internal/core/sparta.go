@@ -23,10 +23,13 @@
 // double up to SegSize, afterwards they are SegSize; docHeap (guarded
 // by one lock, with lazy lower-bound refresh on insert) holds the
 // current top-k; the cleaner also detects safe termination, |docMap| =
-// |docHeap|, after which an exact answer's scores are completed by
-// random access. The cleaner is event-driven: a pass that does not end
-// the query parks, and the next segment boundary, list end or heap
-// insert submits it again; in the approximate configuration a timer
+// |docHeap|. An exact query's cleaner may end phase 2 sooner, once
+// looking up the scores the candidates left still miss takes no longer
+// than one more round of segments (Fagin, Lotem and Naor's Combined
+// Algorithm); either way an exact answer's missing scores are then
+// completed by doc-order lookups. The cleaner is event-driven: a pass
+// that does not end the query parks, and the next segment boundary, list
+// end or heap insert submits it again; in the approximate configuration a timer
 // (topk.IdleStop) ends the query once the heap has been idle for Δ.
 package core
 
@@ -125,8 +128,9 @@ type run struct {
 	exec *topk.ExecState
 
 	cursors  []postings.ScoreCursor
-	termJobs []func() // termJobs[i] is processTerm(i), built once
-	segLen   []int    // segLen[i] is term i's next growing-phase segment; its worker's, like slabs
+	termJobs []func()       // termJobs[i] is processTerm(i), built once
+	segLen   []int          // segLen[i] is term i's next growing-phase segment; its worker's, like slabs
+	left     []atomic.Int64 // left[i] is term i's postings not yet read, published per segment
 	ubs      *topk.UpperBounds
 	theta    atomic.Int64
 	ubStop   atomic.Bool
@@ -182,6 +186,7 @@ func newRun(view postings.View, q model.Query, opts topk.Options, cfg Config, es
 		cursors:  make([]postings.ScoreCursor, m),
 		termJobs: make([]func(), m),
 		segLen:   make([]int, m),
+		left:     make([]atomic.Int64, m),
 		store:    cmap.GetStore(),
 		slabs:    make([]*cmap.Slab, m),
 		termMaps: make([]*cmap.Table, m),
@@ -194,6 +199,7 @@ func newRun(view postings.View, q model.Query, opts topk.Options, cfg Config, es
 		r.cursors[i] = view.ScoreCursor(t)
 		r.termJobs[i] = func() { r.processTerm(i) }
 		r.segLen[i] = min(postings.BlockSize, opts.SegSize)
+		r.left[i].Store(int64(r.cursors[i].Len()))
 		r.slabs[i] = r.store.Slab(m)
 	}
 	r.idle = topk.NewIdleStop(opts, func() { r.finish("delta") })
@@ -262,10 +268,33 @@ func (r *run) run() (model.TopK, topk.Stats, error) {
 		return nil, st, err
 	}
 
-	// Line 7: return the heap contents.
+	// Line 7: return the heap contents. An exact answer first gets full
+	// scores, here and not in the cleaner: a worker may still have been
+	// setting a score the completion would set too. The answer is among
+	// the heap's members and the candidates left in docMap — a few
+	// outside the heap when the cleaner ended phase 2 by lookups. The
+	// two sets are joined, not assumed nested: a candidate the
+	// probabilistic rule dropped may still reach the heap through a map
+	// or replica a worker already held. Completed, the outsiders enter
+	// the heap like any other insert, each refreshing every member's
+	// bound, so the heap ends holding the k best full scores.
 	r.heapMu.Lock()
-	if r.opts.Exact && st.StopReason == "safe" {
-		st.RandomAccesses = topk.CompleteScores(r.view, r.q, r.ubs, r.docHeap.Items())
+	if r.opts.Exact && (st.StopReason == "safe" || st.StopReason == "prob") {
+		var cands []*cmap.DocState
+		r.docMap.Load().Range(func(d *cmap.DocState) bool {
+			if !r.docHeap.Contains(d) {
+				cands = append(cands, d)
+			}
+			return true
+		})
+		outside := len(cands)
+		cands = append(cands, r.docHeap.Items()...)
+		st.RandomAccesses = topk.CompleteScores(r.view, r.q, r.ubs, cands)
+		for _, d := range cands[:outside] {
+			if evicted, _ := r.docHeap.UpdateInsert(d); evicted != d {
+				st.HeapInserts++
+			}
+		}
 	}
 	res := r.docHeap.Results()
 	r.heapMu.Unlock()
@@ -369,6 +398,7 @@ func (r *run) processTerm(i int) {
 	var nPostings, nCreated, peak int64
 	defer func() {
 		r.nPostings.Add(nPostings)
+		r.left[i].Add(-nPostings)
 		r.mapBytes.Add(nCreated * cmap.DocStateBytes)
 		for old := r.peakDocs.Load(); peak > old && !r.peakDocs.CompareAndSwap(old, peak); {
 			old = r.peakDocs.Load()
@@ -492,13 +522,16 @@ func (r *run) updateHeap(d *cmap.DocState) {
 
 // cleaner is Algorithm 1's CLEANER task. Each pass rebuilds the docMap
 // without entries that can no longer reach the top-k, installs the copy
-// with a single pointer swing and evaluates the stopping conditions. A
-// pass that does not end the query parks instead of going round again
-// (line 48): its outcome can only change when a term bound falls, a
-// list ends, or Θ or the heap's membership moves, and each of those
-// events re-submits it (cleanerJob.Notify). On the paper's 12-core box
-// the cleaner occupies a spare hardware thread; here it shares the
-// query's workers, so it must not hold one while it has nothing to do.
+// with a single pointer swing and evaluates the stopping conditions:
+// |docMap| = |docHeap|, and once the hash is complete lookupsCheaper,
+// which ends an exact query's phase 2 with candidates still outside the
+// heap for run() to complete. A pass that does not end the query parks
+// instead of going round again (line 48): its outcome can only change
+// when a term bound falls, a list ends, or Θ or the heap's membership
+// moves, and each of those events re-submits it (cleanerJob.Notify). On
+// the paper's 12-core box the cleaner occupies a spare hardware thread;
+// here it shares the query's workers, so it must not hold one while it
+// has nothing to do.
 func (r *run) cleaner() {
 	if r.done.Load() {
 		return
@@ -515,8 +548,10 @@ func (r *run) cleaner() {
 	// during this pass sends the cleaner round again instead of parking.
 	epoch := r.cleanerJob.Epoch()
 	// Likewise read before the bounds: if the lists were already drained
-	// here, the snapshot below holds their final (zero) bounds.
+	// here, the snapshot below holds their final (zero) bounds; if UBStop
+	// had latched, no document outside the map can beat the Θ below.
 	drained := r.remaining.Load() == 0
+	latched := r.ubStop.Load()
 
 	old := r.docMap.Load()
 	theta := model.Score(r.theta.Load())
@@ -559,8 +594,9 @@ func (r *run) cleaner() {
 	}
 	r.cleaned.Store(true) // after the swing: whoever sees it loads a cleaned map
 
-	// Lines 46–47: stopping conditions.
-	if tmp.Len() == heapLen {
+	// Lines 46–47: stopping conditions; after the second, run() completes
+	// tmp's candidates.
+	if tmp.Len() == heapLen || latched && r.lookupsCheaper(tmp) {
 		if r.cfg.ProbEpsilon > 0 {
 			r.finish("prob") // pruned probabilistically: not safe
 		} else {
@@ -582,6 +618,42 @@ func (r *run) cleaner() {
 	// The Δ rule is not among them: its timer (r.idle) ends the query on
 	// its own, whether or not a pass can run.
 	r.cleanerJob.Park(epoch)
+}
+
+// lookupsCheaper is Fagin, Lotem and Naor's Combined Algorithm (PODS
+// 2001) as a stopping condition of an exact query's phase 2: once UBStop
+// has latched, kept holds every document that can still beat Θ (with
+// ProbEpsilon, every one likely to), so the top-k of their full scores
+// is the answer. Phase 2 would read on in score order only to find their
+// missing scores; a doc-order lookup finds each in one block. Lookups
+// win when they take no longer than one more round of segments: SegSize
+// of every live list, capped by what is left of it, read by up to
+// Threads workers at once, against M missing (candidate, term) scores of
+// live lists, one block each, looked up one after another once the
+// workers are gone. The Δ stop, whose phase 2 is about heap stability,
+// and the NoCleanerShrink ablation keep the paper's phase 2.
+func (r *run) lookupsCheaper(kept *cmap.Map) bool {
+	if !r.opts.Exact || r.cfg.NoCleanerShrink {
+		return false
+	}
+	var round, live int64
+	for i, ub := range r.ubBuf {
+		if ub > 0 {
+			round += min(int64(r.opts.SegSize), r.left[i].Load())
+			live++
+		}
+	}
+	perLookup := postings.BlockSize * min(int64(r.opts.Threads), live)
+	var missing int64
+	kept.Range(func(d *cmap.DocState) bool {
+		for i, ub := range r.ubBuf {
+			if ub > 0 && d.ScoreAt(i) == 0 {
+				missing++
+			}
+		}
+		return missing*perLookup <= round
+	})
+	return missing*perLookup <= round
 }
 
 var _ topk.Algorithm = (*Sparta)(nil)

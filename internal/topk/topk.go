@@ -150,7 +150,9 @@ type Stats struct {
 	// RandomAccesses counts by-document score lookups (RA family, and
 	// the NRA family's completion of an exact answer's scores).
 	RandomAccesses int64
-	// HeapInserts counts successful top-k heap insertions.
+	// HeapInserts counts successful top-k heap insertions. Sparta's
+	// include the completed candidates an exact query inserts after
+	// ending phase 2 by lookups that enter the heap.
 	HeapInserts int64
 	// CandidatesPeak is the largest candidate-map size observed.
 	CandidatesPeak int64
