@@ -293,10 +293,9 @@ func BenchmarkAblationLockGranularity(b *testing.B) {
 }
 
 // BenchmarkAblationSegSize — segment-size sensitivity (§4.2: larger
-// segments amortize scheduling, smaller ones tighten bounds). The growing
-// phase starts at one block whatever SegSize is, so this sweeps the cap
-// its segments double up to and the length of every phase-2 segment
-// (DESIGN.md §4a deviation 10).
+// segments amortize scheduling, smaller ones tighten bounds). Sparta's
+// segments start at one block whatever SegSize is, so this sweeps the
+// cap they double up to (DESIGN.md §4a deviation 10).
 func BenchmarkAblationSegSize(b *testing.B) {
 	for _, seg := range []int{64, 256, 1024, 4096} {
 		b.Run(fmt.Sprintf("seg=%d", seg), func(b *testing.B) {

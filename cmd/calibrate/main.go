@@ -108,13 +108,12 @@ func main() {
 // segmentSweep prints ROADMAP item 1's table: Sparta-exact with the
 // segment cap swept, on a RAM-resident copy of the index (the group
 // codec, as the benchmark's ram_long) and on the simulated disk, at 1, 2
-// and 12 threads. Sparta's growing phase starts at one block whatever
-// the cap, so the cap is how far its segments double and how long every
-// phase-2 segment is. Per query: mean latency, postings, candidate peak,
-// cleaner passes, score lookups (an exact answer's completion, and the
-// lookups that end phase 2 when they are cheaper than a round of
-// segments), reader round trips (views) and real sleeps that paid
-// simulated I/O, and recall.
+// and 12 threads. Sparta's segments start at one block whatever the
+// cap, in either phase, so the cap is how far they double. Per query:
+// mean latency, postings, candidate peak, cleaner passes, score lookups
+// (an exact answer's completion, and the lookups that end phase 2 when
+// they are cheaper than a round of segments), reader round trips
+// (views) and real sleeps that paid simulated I/O, and recall.
 func segmentSweep(env *bench.Env, qs []model.Query, k int) error {
 	ram, err := cindex.FromIndex(env.Mem, env.Opts.Shards, iomodel.RAMConfig())
 	if err != nil {

@@ -19,11 +19,11 @@
 //
 // The structure follows Algorithm 1: posting lists are traversed in
 // score order, split into segments scheduled through a shared job
-// queue — in the growing phase a list's segments start at one block and
-// double up to SegSize, afterwards they are SegSize; docHeap (guarded
-// by one lock, with lazy lower-bound refresh on insert) holds the
-// current top-k; the cleaner also detects safe termination, |docMap| =
-// |docHeap|. An exact query's cleaner may end phase 2 sooner, once
+// queue — a list's segments start at one block and double up to
+// SegSize, whatever the phase; docHeap (guarded by one lock, with lazy
+// lower-bound refresh on insert) holds the current top-k; the cleaner
+// also detects safe termination, |docMap| = |docHeap|. An exact
+// query's cleaner may end phase 2 sooner, once
 // looking up the scores the candidates left still miss takes no longer
 // than one more round of segments (Fagin, Lotem and Naor's Combined
 // Algorithm); either way an exact answer's missing scores are then
@@ -129,7 +129,7 @@ type run struct {
 
 	cursors  []postings.ScoreCursor
 	termJobs []func()       // termJobs[i] is processTerm(i), built once
-	segLen   []int          // segLen[i] is term i's next growing-phase segment; its worker's, like slabs
+	segLen   []int          // segLen[i] is term i's next segment; its worker's, like slabs
 	left     []atomic.Int64 // left[i] is term i's postings not yet read, published per segment
 	ubs      *topk.UpperBounds
 	theta    atomic.Int64
@@ -405,15 +405,12 @@ func (r *run) processTerm(i int) {
 		}
 	}()
 
-	// The growing phase reads a list one block first and doubles the
-	// segment each round up to SegSize, so Equation 1 sees every list's
-	// bound after m blocks rather than m × SegSize postings; once UBStop
-	// has latched the work is lookups, and whole SegSize segments
-	// amortize the scheduling (§4.2).
+	// A list is read one block first and the segment doubles each round
+	// up to SegSize, in either phase: Equation 1 sees every list's bound
+	// after m blocks rather than m × SegSize postings, and after UBStop a
+	// short segment brings the cleaner's next pass, which may end phase 2
+	// by lookups (lookupsCheaper), sooner than a whole SegSize round would.
 	n := r.segLen[i]
-	if r.ubStop.Load() {
-		n = r.opts.SegSize
-	}
 	r.segLen[i] = min(2*n, r.opts.SegSize)
 	c := r.cursors[i]
 	var last model.Score
@@ -630,8 +627,11 @@ func (r *run) cleaner() {
 // of every live list, capped by what is left of it, read by up to
 // Threads workers at once, against M missing (candidate, term) scores of
 // live lists, one block each, looked up one after another once the
-// workers are gone. The Δ stop, whose phase 2 is about heap stability,
-// and the NoCleanerShrink ablation keep the paper's phase 2.
+// workers are gone. The round stands for the rest of phase 2, not for
+// the next segment, which is shorter while segments still double:
+// priced at that, the switch fires later and reads more. The Δ stop,
+// whose phase 2 is about heap stability, and the NoCleanerShrink
+// ablation keep the paper's phase 2.
 func (r *run) lookupsCheaper(kept *cmap.Map) bool {
 	if !r.opts.Exact || r.cfg.NoCleanerShrink {
 		return false

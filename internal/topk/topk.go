@@ -28,9 +28,8 @@ const DefaultK = 1000
 
 // DefaultSegSize is the posting-list segment length of the
 // segment-scheduled algorithms (the paper uses large segments when m
-// threads are available, §4.2). For Sparta it is the phase-2 segment and
-// the cap of the growing phase's, which start at one block and double
-// (DESIGN.md §4a deviation 10).
+// threads are available, §4.2). For Sparta it is the cap of segments
+// that start at one block and double (DESIGN.md §4a deviation 10).
 const DefaultSegSize = 1024
 
 // DefaultPhi is Sparta's docMap size threshold below which workers
@@ -60,8 +59,8 @@ type Options struct {
 	FracP float64
 	// SegSize is the posting-list segment length for segment-scheduled
 	// algorithms (DefaultSegSize if zero): pNRA, pJASS, pRA and the TA
-	// family use it as is; Sparta grows its growing-phase segments from
-	// one block up to it and uses it whole once UBStop holds.
+	// family use it as is; Sparta grows every list's segments from one
+	// block up to it, in either phase.
 	SegSize int
 	// Phi is Sparta's local-copy threshold Φ (DefaultPhi if zero).
 	Phi int
