@@ -12,27 +12,6 @@
 //
 // Subcommands: table2 table3 table4 fig3a fig3b fig3c fig3d fig3e
 // fig3f fig3g fig3h fig3i fig4 ramtable compression all
-//
-// The extra "bench" subcommand (not part of "all") runs the default
-// grid with and without the decoded-block posting cache and writes the
-// machine-readable BENCH_topk.json artifact consumed by CI. The
-// "throughput" subcommand (also not part of "all") runs the closed-loop
-// multi-client grid, batched vs sequential, and writes
-// BENCH_throughput.json. The "ingest" subcommand streams documents
-// into a live segmented index while query clients measure latency,
-// background compaction off versus on, and writes BENCH_ingest.json.
-// The "faults" subcommand serves the exact query log through a
-// replicated group under a seeded fault schedule — the error-rate ×
-// replica-count availability grid, one dark replica when R>1 — and
-// writes BENCH_faults.json. The "netgrid" subcommand serves the exact
-// query log through the same shard sets in-process and over loopback
-// shardserver processes (the shardrpc transport), measuring throughput,
-// tail latency, and the added wire latency, and writes BENCH_net.json.
-// The "scale" subcommand builds the corpus at each -scalefactors
-// multiple of the base size, compresses it with the group codec, and
-// serves exact queries at each scale, writing BENCH_scale.json; each
-// scale is built and released before the next so the 100x stretch fits
-// in RAM.
 package main
 
 import (
@@ -42,7 +21,6 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"time"
 
@@ -63,28 +41,6 @@ type runner struct {
 	tuning    bench.Tuning
 	nQueries  int
 	threads   int
-	benchOut  string
-	shardOut  string
-	shardP    int
-	shardTO   time.Duration
-	cacheMB   int64
-	tputOut   string
-	tputCs    []int
-	batchWin  time.Duration
-	maxBatch  int
-	warmBlk   int
-	fused     bool
-	microOut  string
-	ingestOut string
-	ingestN   int
-	faultsOut string
-	faultRate []float64
-	faultReps []int
-	netOut    string
-	netPs     []int
-	netCs     int
-	scaleOut  string
-	scaleFs   []int
 	out       io.Writer
 	cw, cwx   *bench.Env
 	ram       *bench.Env
@@ -96,81 +52,23 @@ func main() {
 	log.SetPrefix("experiments: ")
 
 	var (
-		docs      = flag.Int("docs", 0, "base corpus documents (default 50000)")
-		scale     = flag.Int("scale", 10, "CWX10 scale factor")
-		k         = flag.Int("k", 10, "retrieval depth (k/corpus selectivity matches the paper's 1000/50M)")
-		nq        = flag.Int("queries", 10, "queries per measurement point")
-		threads   = flag.Int("threads", 12, "max worker threads (paper: 12-core Xeon)")
-		shards    = flag.Int("shards", 12, "sNRA shards")
-		budget    = flag.Int("budget", 200_000, "candidate memory budget in entries (<0 disables)")
-		seed      = flag.Uint64("seed", 2020, "workload seed")
-		ram       = flag.Bool("ram", false, "RAM-resident indexes (no simulated I/O)")
-		delta     = flag.Duration("delta", 5*time.Millisecond, "TA-family Δ (high recall)")
-		fHigh     = flag.Float64("fhigh", 2, "pBMW f (high recall)")
-		fLow      = flag.Float64("flow", 6, "pBMW f (low recall)")
-		pHigh     = flag.Float64("phigh", 0.30, "pJASS p (high recall)")
-		pLow      = flag.Float64("plow", 0.10, "pJASS p (low recall)")
-		outDir    = flag.String("outdir", "", "also write each artifact to <outdir>/<name>.txt")
-		benchJSON = flag.String("benchout", "BENCH_topk.json",
-			"output path of the machine-readable report the bench subcommand writes")
-		shardJSON = flag.String("benchshardedout", "BENCH_sharded.json",
-			"output path of the sharded-serving report the bench subcommand writes")
-		shardP  = flag.Int("shardp", 4, "shard count of the sharded bench section")
-		shardTO = flag.Duration("shardtimeout", 2*time.Millisecond,
-			"tight per-shard timeout of the sharded bench section")
-		cacheMB  = flag.Int64("cachemb", 16, "posting-cache budget (MB) for the bench subcommand")
-		tputJSON = flag.String("throughputout", "BENCH_throughput.json",
-			"output path of the report the throughput subcommand writes")
-		clients  = flag.String("clients", "1,4,16,64", "closed-loop client grid of the throughput subcommand")
-		batchWin = flag.Duration("batchwindow", 200*time.Microsecond,
-			"query-coalescing window of the throughput subcommand's batched rows")
-		maxBatch = flag.Int("maxbatch", 16, "max queries per coalesced batch (throughput subcommand)")
-		warmBlk  = flag.Int("warmblocks", 2, "leading blocks warmed per term shared across a batch")
-		fused    = flag.Bool("fused", true,
-			"add fused-execution rows to the throughput grid (one traversal per shared term scores the whole batch)")
-		microJSON = flag.String("microout", "BENCH_fused_micro.json",
-			"output path of the fusion micro-benchmark (blocks decoded per query, traversals per term) the throughput subcommand writes")
-		ingestJSON = flag.String("ingestout", "BENCH_ingest.json",
-			"output path of the report the ingest subcommand writes")
-		ingestN    = flag.Int("ingestdocs", 3000, "documents streamed in during the ingest subcommand's measurement window")
-		faultsJSON = flag.String("faultsout", "BENCH_faults.json",
-			"output path of the report the faults subcommand writes")
-		faultRates = flag.String("faultrates", "0,0.05,0.10,0.20",
-			"per-attempt transient error rates of the faults subcommand's grid")
-		faultReps = flag.String("faultreplicas", "1,2,3",
-			"replica counts of the faults subcommand's grid")
-		netJSON = flag.String("netout", "BENCH_net.json",
-			"output path of the report the netgrid subcommand writes")
-		netPs = flag.String("netshards", "2,4",
-			"shard counts of the netgrid subcommand (each run in-process and over loopback TCP)")
-		netCs     = flag.Int("netclients", 8, "closed-loop clients of the netgrid subcommand")
-		scaleJSON = flag.String("scaleout", "BENCH_scale.json",
-			"output path of the report the scale subcommand writes")
-		scaleFs = flag.String("scalefactors", "1,10,100",
-			"corpus scale factors of the scale subcommand (1 = base size)")
+		docs    = flag.Int("docs", 0, "base corpus documents (default 50000)")
+		scale   = flag.Int("scale", 10, "CWX10 scale factor")
+		k       = flag.Int("k", 10, "retrieval depth (k/corpus selectivity matches the paper's 1000/50M)")
+		nq      = flag.Int("queries", 10, "queries per measurement point")
+		threads = flag.Int("threads", 12, "max worker threads (paper: 12-core Xeon)")
+		shards  = flag.Int("shards", 12, "sNRA shards")
+		budget  = flag.Int("budget", 200_000, "candidate memory budget in entries (<0 disables)")
+		seed    = flag.Uint64("seed", 2020, "workload seed")
+		ram     = flag.Bool("ram", false, "RAM-resident indexes (no simulated I/O)")
+		delta   = flag.Duration("delta", 5*time.Millisecond, "TA-family Δ (high recall)")
+		fHigh   = flag.Float64("fhigh", 2, "pBMW f (high recall)")
+		fLow    = flag.Float64("flow", 6, "pBMW f (low recall)")
+		pHigh   = flag.Float64("phigh", 0.30, "pJASS p (high recall)")
+		pLow    = flag.Float64("plow", 0.10, "pJASS p (low recall)")
+		outDir  = flag.String("outdir", "", "also write each artifact to <outdir>/<name>.txt")
 	)
 	flag.Parse()
-
-	clientGrid, err := parseInts(*clients)
-	if err != nil {
-		log.Fatalf("-clients: %v", err)
-	}
-	rateGrid, err := parseRates(*faultRates)
-	if err != nil {
-		log.Fatalf("-faultrates: %v", err)
-	}
-	repGrid, err := parseInts(*faultReps)
-	if err != nil {
-		log.Fatalf("-faultreplicas: %v", err)
-	}
-	netGrid, err := parseInts(*netPs)
-	if err != nil {
-		log.Fatalf("-netshards: %v", err)
-	}
-	scaleGrid, err := parseInts(*scaleFs)
-	if err != nil {
-		log.Fatalf("-scalefactors: %v", err)
-	}
 
 	base := corpus.DefaultSpec()
 	if *docs > 0 {
@@ -189,7 +87,7 @@ func main() {
 		cfg:   cfg,
 		envOpts: bench.EnvOptions{
 			K:                *k,
-			QueriesPerLength: maxInt(*nq, 10),
+			QueriesPerLength: max(*nq, 10),
 			Shards:           *shards,
 			Seed:             *seed,
 			MemBudgetEntries: *budget,
@@ -201,28 +99,6 @@ func main() {
 		},
 		nQueries:  *nq,
 		threads:   *threads,
-		benchOut:  *benchJSON,
-		shardOut:  *shardJSON,
-		shardP:    *shardP,
-		shardTO:   *shardTO,
-		cacheMB:   *cacheMB,
-		tputOut:   *tputJSON,
-		tputCs:    clientGrid,
-		batchWin:  *batchWin,
-		maxBatch:  *maxBatch,
-		warmBlk:   *warmBlk,
-		fused:     *fused,
-		microOut:  *microJSON,
-		ingestOut: *ingestJSON,
-		ingestN:   *ingestN,
-		faultsOut: *faultsJSON,
-		faultRate: rateGrid,
-		faultReps: repGrid,
-		netOut:    *netJSON,
-		netPs:     netGrid,
-		netCs:     *netCs,
-		scaleOut:  *scaleJSON,
-		scaleFs:   scaleGrid,
 		out:       os.Stdout,
 		sweepHigh: make(map[string][]bench.SweepPoint),
 	}
@@ -262,45 +138,6 @@ func main() {
 			}
 		}
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// parseRates parses a comma-separated list of probabilities in [0,1).
-func parseRates(s string) ([]float64, error) {
-	var out []float64
-	for _, f := range strings.Split(s, ",") {
-		p, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil {
-			return nil, err
-		}
-		if p < 0 || p >= 1 {
-			return nil, fmt.Errorf("error rates must be in [0,1), got %g", p)
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
-// parseInts parses a comma-separated list of positive integers.
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil {
-			return nil, err
-		}
-		if n <= 0 {
-			return nil, fmt.Errorf("client counts must be positive, got %d", n)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }
 
 // envCW lazily builds the base-scale environment.
@@ -571,137 +408,6 @@ func (r *runner) run(name string) (string, error) {
 		p := env.RunTable2(r.nQueries, r.threads)
 		return bench.FormatTable("Appendix (CW, RAM-resident): mean latency (ms), 12-term exact queries",
 			"mean ms", p, meanOf), nil
-
-	case "bench":
-		// The machine-readable benchmark artifact: the default grid with
-		// and without the decoded-block posting cache, as ns/op plus the
-		// reader-accounting and cache metrics the read path is judged on.
-		env, err := r.envCW()
-		if err != nil {
-			return "", err
-		}
-		rep := env.RunBenchReport(r.tuning, r.nQueries, r.threads, r.cacheMB<<20)
-		if err := rep.WriteJSON(r.benchOut); err != nil {
-			return "", err
-		}
-		srep, err := env.RunShardedBenchReport(r.tuning, r.nQueries, r.threads,
-			r.shardP, r.cacheMB<<20, r.shardTO)
-		if err != nil {
-			return "", err
-		}
-		if err := srep.WriteJSON(r.shardOut); err != nil {
-			return "", err
-		}
-		return rep.Summary() + "\nwrote " + r.benchOut + "\n\n" +
-			srep.Summary() + "\nwrote " + r.shardOut, nil
-
-	case "throughput":
-		// The multi-query serving artifact: closed-loop clients over the
-		// Zipfian voice mix, sequential vs batched (coalescing window +
-		// shared warm-up + single-flight block fills) vs fused (one
-		// traversal per shared term scores the whole batch), plus the
-		// fusion micro-benchmark (blocks decoded per query, traversals
-		// per term).
-		env, err := r.envCW()
-		if err != nil {
-			return "", err
-		}
-		rep := env.RunThroughputReport(r.tuning, bench.ThroughputConfig{
-			Clients:          r.tputCs,
-			QueriesPerClient: maxInt(r.nQueries*2, 20),
-			Threads:          r.threads,
-			CacheBytes:       r.cacheMB << 20,
-			Window:           r.batchWin,
-			MaxBatch:         r.maxBatch,
-			WarmBlocks:       r.warmBlk,
-			Fused:            r.fused,
-		})
-		if err := rep.WriteJSON(r.tputOut); err != nil {
-			return "", err
-		}
-		wrote := "\nwrote " + r.tputOut
-		if r.fused {
-			if err := rep.Micro().WriteJSON(r.microOut); err != nil {
-				return "", err
-			}
-			wrote += "\nwrote " + r.microOut
-		}
-		return rep.Summary() + wrote, nil
-
-	case "ingest":
-		// The ingest-under-load artifact: query latency percentiles
-		// against a live segmented index during sustained ingest,
-		// background compaction off vs on.
-		env, err := r.envCW()
-		if err != nil {
-			return "", err
-		}
-		rep, err := env.RunIngestReport(bench.IngestConfig{
-			Docs:       r.ingestN,
-			MinQueries: maxInt(r.nQueries*20, 200),
-			Threads:    maxInt(r.threads/4, 1),
-		})
-		if err != nil {
-			return "", err
-		}
-		if err := rep.WriteJSON(r.ingestOut); err != nil {
-			return "", err
-		}
-		return rep.Summary() + "\nwrote " + r.ingestOut, nil
-
-	case "faults":
-		// The chaos-serving artifact: availability and exactness of the
-		// replicated scatter/gather layer across the error-rate ×
-		// replica-count grid, a seeded fault schedule on every replica
-		// and a permanently dark one on shard 0 when there is a spare.
-		env, err := r.envCW()
-		if err != nil {
-			return "", err
-		}
-		rep, err := env.RunFaultsBenchReport(maxInt(r.nQueries*5, 50), r.threads,
-			r.shardP, r.faultRate, r.faultReps, r.envOpts.Seed)
-		if err != nil {
-			return "", err
-		}
-		if err := rep.WriteJSON(r.faultsOut); err != nil {
-			return "", err
-		}
-		return rep.Summary() + "\nwrote " + r.faultsOut, nil
-
-	case "netgrid":
-		// The remote-serving artifact: the same exact query log through
-		// the same shard sets, in-process vs over loopback shardserver
-		// processes, measuring what the wire adds.
-		env, err := r.envCW()
-		if err != nil {
-			return "", err
-		}
-		rep, err := env.RunNetBenchReport(maxInt(r.nQueries*10, 100),
-			maxInt(r.threads/4, 2), r.netCs, r.netPs, r.envOpts.Seed)
-		if err != nil {
-			return "", err
-		}
-		if err := rep.WriteJSON(r.netOut); err != nil {
-			return "", err
-		}
-		return rep.Summary() + "\nwrote " + r.netOut, nil
-
-	case "scale":
-		// The scale-envelope artifact: compression ratio and serving
-		// metrics as the corpus grows past the base scale. Each factor
-		// builds, measures, and frees its indexes before the next one so
-		// the peak resident set is a single corpus.
-		rep, err := bench.RunScaleReport(r.base, r.scaleFs, r.cfg, r.envOpts,
-			maxInt(r.nQueries, 5), r.threads,
-			[]bench.AlgoID{bench.AlgoSparta, bench.AlgoPBMW, bench.AlgoPJASS},
-			func(msg string) { log.Print(msg) })
-		if err != nil {
-			return "", err
-		}
-		if err := rep.WriteJSON(r.scaleOut); err != nil {
-			return "", err
-		}
-		return rep.Summary() + "\nwrote " + r.scaleOut, nil
 
 	case "compression":
 		// Appendix: §5's justification for benchmarking uncompressed —

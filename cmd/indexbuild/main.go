@@ -13,8 +13,8 @@
 // With -live, the corpus is instead ingested through the segmented
 // live-index path (WAL, memtable flushes at -live-flush documents,
 // compaction) into a live directory that sparta.OpenLive and indexstat
-// understand — the offline way to produce a segmented index for
-// ingest-under-load experiments. Live ingest indexes with a neutral
+// understand — the offline way to produce a segmented index. Live
+// ingest indexes with a neutral
 // document-quality prior.
 package main
 

@@ -62,9 +62,7 @@ func TestRunTable2Smoke(t *testing.T) {
 			t.Errorf("%s N/A at tiny scale", c.Label)
 			continue
 		}
-		// Exact variants must hit (near-)perfect recall; sNRA's LB
-		// merge may sit just below 1.0.
-		if c.Recall < 0.95 {
+		if c.Recall != 1 {
 			t.Errorf("%s exact recall %v", c.Label, c.Recall)
 		}
 		if c.Postings == 0 {

@@ -68,10 +68,6 @@ func (o EnvOptions) withDefaults() EnvOptions {
 type Env struct {
 	Spec corpus.Spec
 	Opts EnvOptions
-	// IO is the simulated-storage configuration the disk index was
-	// opened with; sharded experiments open their per-shard stores with
-	// the same model.
-	IO   iomodel.Config
 	Mem  *index.Index
 	Disk *diskindex.Index
 	Sets queries.Sets
@@ -94,7 +90,6 @@ func NewEnv(spec corpus.Spec, cfg iomodel.Config, opts EnvOptions) (*Env, error)
 	return &Env{
 		Spec:       spec,
 		Opts:       opts,
-		IO:         cfg,
 		Mem:        mem,
 		Disk:       disk,
 		Sets:       sets,

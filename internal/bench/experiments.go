@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"errors"
 	"time"
 
@@ -156,57 +155,6 @@ func (e *Env) RunRecallDynamics(variants []Variant, nQueries, threads int, step,
 			ds.Series = stats.MergeMean(series, step, horizon)
 		}
 		out = append(out, ds)
-	}
-	return out
-}
-
-// AnytimeCell is one point of an anytime-profile curve: the quality of
-// the partial result a variant returns when cut off after Budget.
-type AnytimeCell struct {
-	Budget time.Duration
-	// Recall of the partial top-k against the exact one, averaged.
-	Recall float64
-	// CutOff is the fraction of queries that actually hit the deadline
-	// (the rest finished on their own stopping condition first).
-	CutOff float64
-	NA     bool
-}
-
-// RunAnytimeProfile measures the anytime character that cancellation
-// exposes (the complement of Figures 3f–3g's probe-based dynamics):
-// each query runs under a context deadline, and the recall of the
-// partial result actually handed back is measured. An anytime
-// algorithm degrades gracefully as the budget shrinks; a
-// nothing-until-done one falls off a cliff.
-func (e *Env) RunAnytimeProfile(v Variant, budgets []time.Duration, nQueries, threads int) []AnytimeCell {
-	qs := e.pick(queriesMaxLen, nQueries)
-	out := make([]AnytimeCell, 0, len(budgets))
-	for _, budget := range budgets {
-		e.FlushAndReset()
-		var recall stats.Sample
-		cut := 0
-		cell := AnytimeCell{Budget: budget}
-		for _, q := range qs {
-			opts := v.Opts
-			opts.Threads = threads
-			alg := MakeAlgorithm(v.ID, e.Disk)
-			ctx, cancel := context.WithTimeout(context.Background(), budget)
-			res, st, err := alg.SearchContext(ctx, q, opts)
-			cancel()
-			if err != nil {
-				cell.NA = true
-				break
-			}
-			if st.StopReason == topk.StopDeadline || st.StopReason == topk.StopCancelled {
-				cut++
-			}
-			recall.Add(model.Recall(e.Exact(q), res))
-		}
-		if !cell.NA {
-			cell.Recall = recall.Mean()
-			cell.CutOff = float64(cut) / float64(len(qs))
-		}
-		out = append(out, cell)
 	}
 	return out
 }

@@ -5,8 +5,6 @@ import (
 	"math"
 	"strings"
 	"time"
-
-	"sparta/internal/stats"
 )
 
 // ASCII renderings of the figure data, so a terminal-only reproduction
@@ -118,7 +116,8 @@ func PlotDynamics(title string, series []DynamicsSeries, step, horizon time.Dura
 	return b.String()
 }
 
-// sparkline renders a small numeric series; used by reports.
+// sparkline renders a small numeric series on the glyph ramp, scaled
+// from its minimum (' ') to its maximum ('@').
 func sparkline(vals []float64) string {
 	if len(vals) == 0 {
 		return ""
@@ -137,13 +136,4 @@ func sparkline(vals []float64) string {
 		b.WriteByte(plotGlyphs[idx])
 	}
 	return b.String()
-}
-
-// SeriesSparkline renders a stats.Series on a fixed grid.
-func SeriesSparkline(s *stats.Series, step, horizon time.Duration) string {
-	var vals []float64
-	for t := time.Duration(0); t <= horizon; t += step {
-		vals = append(vals, s.At(t))
-	}
-	return sparkline(vals)
 }

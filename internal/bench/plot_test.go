@@ -68,13 +68,3 @@ func TestSparkline(t *testing.T) {
 	// Constant series must not divide by zero.
 	_ = sparkline([]float64{3, 3, 3})
 }
-
-func TestSeriesSparkline(t *testing.T) {
-	var s stats.Series
-	s.Record(0, 0.1)
-	s.Record(4*time.Millisecond, 0.9)
-	out := SeriesSparkline(&s, time.Millisecond, 4*time.Millisecond)
-	if len(out) != 5 {
-		t.Errorf("len %d, want 5", len(out))
-	}
-}

@@ -1,6 +1,5 @@
-// External test package: these tests want bench.MakeAlgorithm for the
-// full exact-algorithm family, and internal/bench imports shardrpc for
-// the netgrid report — an in-package test would close an import cycle.
+// External test package: these tests drive the exported API with
+// bench.MakeAlgorithm's full exact-algorithm family.
 package shardrpc_test
 
 import (

@@ -1,6 +1,5 @@
-// External test package: internal/bench imports shardserve for the
-// sharded benchmark report, and these tests want bench.MakeAlgorithm —
-// an in-package test would close an import cycle.
+// External test package: these tests drive the exported API with
+// bench.MakeAlgorithm's algorithm family.
 package shardserve_test
 
 import (
