@@ -211,7 +211,7 @@ func main() {
 			"sparta": mk(func(v sparta.View) sparta.Algorithm { return core.New(v) }),
 			"pbmw":   mk(func(v sparta.View) sparta.Algorithm { return bmw.NewPBMW(v) }),
 			"pjass":  mk(func(v sparta.View) sparta.Algorithm { return jass.NewP(v) }),
-			"live":   sparta.NewSearcher(sparta.New(live), scfg),
+			"live":   sparta.NewSearcher(live, scfg),
 		},
 	}
 
@@ -335,9 +335,11 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 
 	// The live backend grows its own dictionary as documents arrive, so
 	// its term-id range is independent of the static build's.
-	numTerms := s.mem.NumTerms()
+	var numTerms int
 	if algoName == "live" {
 		numTerms = s.live.NumTerms()
+	} else {
+		numTerms = s.mem.NumTerms()
 	}
 	q, err := parseQuery(r.URL.Query().Get("q"), numTerms)
 	if err != nil {

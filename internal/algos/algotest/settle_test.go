@@ -207,19 +207,17 @@ type cancelAtCompletion struct {
 	opened atomic.Int64
 }
 
-func (c *cancelAtCompletion) BindExec(ctx context.Context, onIO func(time.Duration), onStop func(), onCache func(bool)) postings.View {
-	return boundCancel{View: c.Index.BindExec(ctx, onIO, onStop, onCache), c: c}
+func (c *cancelAtCompletion) BindExec(ctx context.Context, onIO func(time.Duration), onStop func(), onCache func(bool)) postings.BoundView {
+	return boundCancel{BoundView: c.Index.BindExec(ctx, onIO, onStop, onCache), c: c}
 }
 
 type boundCancel struct {
-	postings.View
+	postings.BoundView
 	c *cancelAtCompletion
 }
 
 func (b boundCancel) DocCursor(t model.TermID) postings.DocCursor {
 	b.c.opened.Add(1)
 	b.c.cancel()
-	return b.View.DocCursor(t)
+	return b.BoundView.DocCursor(t)
 }
-
-func (b boundCancel) SettleAll() { b.View.(postings.Settler).SettleAll() }

@@ -100,7 +100,7 @@ var (
 	_ postings.ExecBinder  = (*Index)(nil)
 	_ postings.TermWarmer  = (*Index)(nil)
 	_ postings.BlockWalker = (*Index)(nil)
-	_ postings.Settler     = (*execView)(nil)
+	_ postings.BoundView   = (*execView)(nil)
 )
 
 func newIndex(d *directory, region []byte, cfg iomodel.Config) *Index {
@@ -437,10 +437,10 @@ func (x *Index) randomAccess(t model.TermID, d model.DocID, rd *iomodel.Reader) 
 // cursors whose simulated I/O waits end early once ctx is done, whose
 // physical fetches are reported to onIO, and whose posting-cache
 // lookups are reported to onCache. It shares the index, page cache and
-// posting cache with the receiver, tracks every reader it hands out,
-// and implements postings.Settler so the execution layer can pay any
-// outstanding I/O charges when the query finishes.
-func (x *Index) BindExec(ctx context.Context, onIO func(time.Duration), onStop func(), onCache func(hit bool)) postings.View {
+// posting cache with the receiver, and tracks every reader it hands out
+// so the execution layer can pay any outstanding I/O charges when the
+// query finishes (SettleAll).
+func (x *Index) BindExec(ctx context.Context, onIO func(time.Duration), onStop func(), onCache func(hit bool)) postings.BoundView {
 	return &execView{Index: x, ctx: ctx, onIO: onIO, onStop: onStop, onCache: onCache}
 }
 
@@ -467,7 +467,7 @@ func (v *execView) newReader() *iomodel.Reader {
 	return rd
 }
 
-// SettleAll implements postings.Settler: it pays the accrued-but-unpaid
+// SettleAll implements postings.BoundView: it pays the accrued-but-unpaid
 // simulated latency of every reader this view handed out. Callers must
 // ensure the query's workers have quiesced first.
 //

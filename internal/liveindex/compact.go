@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"sparta/internal/model"
 	"sparta/internal/postings"
@@ -156,18 +155,13 @@ func (l *Live) compactOnce(ctx context.Context) (bool, error) {
 // cancellation. All charged I/O is settled before returning, on every
 // path.
 func (l *Live) mergeRun(ctx context.Context, run []*frozenSeg, nTerms int) (_ *memSegment, err error) {
-	bound := make([]postings.View, len(run))
-	settlers := make([]postings.Settler, 0, len(run))
+	bound := make([]postings.BoundView, len(run))
 	for i, fz := range run {
-		bv := fz.inner.BindExec(ctx, func(time.Duration) {}, func() {}, func(bool) {})
-		bound[i] = bv
-		if s, ok := bv.(postings.Settler); ok {
-			settlers = append(settlers, s)
-		}
+		bound[i] = fz.inner.BindExec(ctx, nil, nil, nil)
 	}
 	defer func() {
-		for _, s := range settlers {
-			s.SettleAll()
+		for _, b := range bound {
+			b.SettleAll()
 		}
 	}()
 

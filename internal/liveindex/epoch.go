@@ -1,4 +1,4 @@
-// Epochs and the composite set view.
+// Epochs.
 //
 // An epoch is one immutable snapshot of the segment set together with
 // the global corpus statistics (N, df) recomputed for it. Queries pin
@@ -7,322 +7,13 @@
 // in-flight readers. Segment memory stays reachable from pinned
 // epochs, so replaced segments need no reference counting — directory
 // deletion after compaction cannot pull bytes out from under a query.
-//
-// The composite setView presents the whole segment set as one
-// postings.View: segments own contiguous global document-id ranges, so
-// document-order cursors chain, score-order cursors k-way merge, and
-// random access routes by range — the same decomposition that makes
-// shard-merge exact (internal/shardserve), applied within one index.
 package liveindex
 
-import (
-	"container/heap"
-	"context"
-	"sort"
-	"time"
-
-	"sparta/internal/index"
-	"sparta/internal/model"
-	"sparta/internal/postings"
-)
+import "sparta/internal/postings"
 
 // epoch is one published snapshot of the live index.
 type epoch struct {
-	n     int     // global corpus size
-	df    []int32 // global document frequency per term
-	segs  []index.Segment
-	views []postings.View // same order as segs; element i serves segs[i]
-	his   []model.DocID   // exclusive upper bound of segs[i]'s doc range
-	set   *setView
-}
-
-// newSetView builds the composite view of a segment set. Segment
-// views must already be bound to the same (n, df) vectors.
-func newSetView(n int, df []int32, views []postings.View, his []model.DocID) *setView {
-	return &setView{n: n, df: df, views: views, his: his}
-}
-
-// setView is the composite postings.View over an epoch's segments.
-type setView struct {
-	n     int
-	df    []int32
-	views []postings.View
-	his   []model.DocID
-}
-
-var (
-	_ postings.View       = (*setView)(nil)
-	_ postings.ExecBinder = (*setView)(nil)
-	_ postings.Settler    = (*setView)(nil)
-)
-
-func (v *setView) NumDocs() int  { return v.n }
-func (v *setView) NumTerms() int { return len(v.df) }
-
-func (v *setView) DF(t model.TermID) int {
-	if int(t) >= len(v.df) {
-		return 0
-	}
-	return int(v.df[t])
-}
-
-func (v *setView) MaxScore(t model.TermID) model.Score {
-	var max model.Score
-	for _, sv := range v.views {
-		if s := sv.MaxScore(t); s > max {
-			max = s
-		}
-	}
-	return max
-}
-
-func (v *setView) DocCursor(t model.TermID) postings.DocCursor {
-	switch len(v.views) {
-	case 0:
-		return postings.NewSliceDocCursor(nil, nil, 0)
-	case 1:
-		return v.views[0].DocCursor(t)
-	}
-	children := make([]postings.DocCursor, len(v.views))
-	n := 0
-	for i, sv := range v.views {
-		children[i] = sv.DocCursor(t)
-		n += children[i].Len()
-	}
-	return &chainDocCursor{children: children, his: v.his, n: n, max: v.MaxScore(t)}
-}
-
-func (v *setView) ScoreCursor(t model.TermID) postings.ScoreCursor {
-	switch len(v.views) {
-	case 0:
-		return postings.NewSliceScoreCursor(nil, 0)
-	case 1:
-		return v.views[0].ScoreCursor(t)
-	}
-	children := make([]postings.ScoreCursor, len(v.views))
-	for i, sv := range v.views {
-		children[i] = sv.ScoreCursor(t)
-	}
-	return newMergeScoreCursor(children)
-}
-
-func (v *setView) ScoreCursorShard(t model.TermID, shard, nShards int) postings.ScoreCursor {
-	switch len(v.views) {
-	case 0:
-		return postings.NewSliceScoreCursor(nil, 0)
-	case 1:
-		return v.views[0].ScoreCursorShard(t, shard, nShards)
-	}
-	children := make([]postings.ScoreCursor, len(v.views))
-	for i, sv := range v.views {
-		children[i] = sv.ScoreCursorShard(t, shard, nShards)
-	}
-	return newMergeScoreCursor(children)
-}
-
-func (v *setView) RandomAccess(t model.TermID, d model.DocID) (model.Score, bool) {
-	i := sort.Search(len(v.his), func(i int) bool { return v.his[i] > d })
-	if i >= len(v.views) {
-		return 0, false
-	}
-	return v.views[i].RandomAccess(t, d)
-}
-
-// BindExec implements postings.ExecBinder: segment views that charge
-// simulated I/O (frozen segments) bind to the query's execution
-// context; RAM-resident memtable views pass through unchanged.
-func (v *setView) BindExec(ctx context.Context, onIO func(time.Duration), onStop func(), onCache func(bool)) postings.View {
-	bound := make([]postings.View, len(v.views))
-	for i, sv := range v.views {
-		if eb, ok := sv.(postings.ExecBinder); ok {
-			bound[i] = eb.BindExec(ctx, onIO, onStop, onCache)
-		} else {
-			bound[i] = sv
-		}
-	}
-	return &setView{n: v.n, df: v.df, views: bound, his: v.his}
-}
-
-// SettleAll implements postings.Settler on bound composite views.
-func (v *setView) SettleAll() {
-	for _, sv := range v.views {
-		if s, ok := sv.(postings.Settler); ok {
-			s.SettleAll()
-		}
-	}
-}
-
-// chainDocCursor walks children — each owning a contiguous global
-// document-id range, in range order — as one document-order list.
-type chainDocCursor struct {
-	children []postings.DocCursor
-	his      []model.DocID
-	cur      int
-	started  bool
-	n        int
-	max      model.Score
-}
-
-func (c *chainDocCursor) Next() bool {
-	c.started = true
-	for c.cur < len(c.children) {
-		if c.children[c.cur].Next() {
-			return true
-		}
-		c.cur++
-	}
-	return false
-}
-
-func (c *chainDocCursor) SkipTo(d model.DocID) bool {
-	c.started = true
-	// Children whose entire range lies below d cannot match; step over
-	// them without touching their cursors (no I/O charged for blocks a
-	// skip never visits).
-	for c.cur < len(c.children) && d >= c.his[c.cur] {
-		c.cur++
-	}
-	for c.cur < len(c.children) {
-		if c.children[c.cur].SkipTo(d) {
-			return true
-		}
-		c.cur++
-	}
-	return false
-}
-
-func (c *chainDocCursor) Doc() model.DocID      { return c.children[c.cur].Doc() }
-func (c *chainDocCursor) Score() model.Score    { return c.children[c.cur].Score() }
-func (c *chainDocCursor) MaxScore() model.Score { return c.max }
-func (c *chainDocCursor) Len() int              { return c.n }
-
-func (c *chainDocCursor) BlockMax() model.Score {
-	return c.children[c.child()].BlockMax()
-}
-
-func (c *chainDocCursor) BlockLast() model.DocID {
-	return c.children[c.child()].BlockLast()
-}
-
-// child returns the cursor whose block metadata is current: the active
-// child, or the first one before traversal starts.
-func (c *chainDocCursor) child() int {
-	if !c.started && c.cur == 0 {
-		for i, ch := range c.children {
-			if ch.Len() > 0 {
-				return i
-			}
-		}
-	}
-	return c.cur
-}
-
-func (c *chainDocCursor) BlockMaxAt(d model.DocID) model.Score {
-	i := sort.Search(len(c.his), func(i int) bool { return c.his[i] > d })
-	for ; i < len(c.children); i++ {
-		// Block metadata lookups are stateless shallow peeks; a zero max
-		// means "no block at or beyond d in this child" (real blocks
-		// always carry a positive max) — fall through to the next range.
-		if m := c.children[i].BlockMaxAt(d); m != 0 {
-			return m
-		}
-	}
-	return 0
-}
-
-func (c *chainDocCursor) BlockLastAt(d model.DocID) model.DocID {
-	const none = model.DocID(^uint32(0))
-	i := sort.Search(len(c.his), func(i int) bool { return c.his[i] > d })
-	for ; i < len(c.children); i++ {
-		if last := c.children[i].BlockLastAt(d); last != none {
-			return last
-		}
-	}
-	return none
-}
-
-// mergeScoreCursor k-way merges children score cursors, preserving the
-// non-increasing score order (ties broken by ascending document id for
-// determinism).
-type mergeScoreCursor struct {
-	h       scHeap
-	lazy    []postings.ScoreCursor // children not yet primed
-	cur     postings.ScoreCursor
-	n       int
-	max     model.Score
-	started bool
-	done    bool
-}
-
-func newMergeScoreCursor(children []postings.ScoreCursor) *mergeScoreCursor {
-	m := &mergeScoreCursor{lazy: children}
-	for _, ch := range children {
-		m.n += ch.Len()
-		if b := ch.Bound(); b > m.max {
-			m.max = b
-		}
-	}
-	return m
-}
-
-func (m *mergeScoreCursor) Next() bool {
-	if m.done {
-		return false
-	}
-	if !m.started {
-		m.started = true
-		for _, ch := range m.lazy {
-			if ch.Next() {
-				m.h = append(m.h, ch)
-			}
-		}
-		m.lazy = nil
-		heap.Init(&m.h)
-	} else if m.cur != nil {
-		if m.cur.Next() {
-			heap.Push(&m.h, m.cur)
-		}
-		m.cur = nil
-	}
-	if len(m.h) == 0 {
-		m.done = true
-		return false
-	}
-	m.cur = heap.Pop(&m.h).(postings.ScoreCursor)
-	return true
-}
-
-func (m *mergeScoreCursor) Doc() model.DocID   { return m.cur.Doc() }
-func (m *mergeScoreCursor) Score() model.Score { return m.cur.Score() }
-func (m *mergeScoreCursor) Len() int           { return m.n }
-
-func (m *mergeScoreCursor) Bound() model.Score {
-	if !m.started {
-		return m.max
-	}
-	if m.done {
-		return 0
-	}
-	return m.cur.Score()
-}
-
-// scHeap orders cursors by (score desc, doc asc).
-type scHeap []postings.ScoreCursor
-
-func (h scHeap) Len() int { return len(h) }
-func (h scHeap) Less(i, j int) bool {
-	si, sj := h[i].Score(), h[j].Score()
-	if si != sj {
-		return si > sj
-	}
-	return h[i].Doc() < h[j].Doc()
-}
-func (h scHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *scHeap) Push(x any)   { *h = append(*h, x.(postings.ScoreCursor)) }
-func (h *scHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+	n     int             // global corpus size
+	df    []int32         // global document frequency per term
+	views []postings.View // *frozenView, then *memView, in document order
 }

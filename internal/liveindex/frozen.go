@@ -16,8 +16,8 @@
 //
 // All posting traversal goes through diskindex's charged block
 // cursors, so frozen segments keep the simulated-I/O accounting —
-// including ExecBinder/Settler pass-through for cancellation and
-// settlement — of a build-once on-disk index.
+// including BindExec pass-through for cancellation and settlement — of
+// a build-once on-disk index.
 package liveindex
 
 import (
@@ -169,24 +169,20 @@ func openFrozen(dir string, gen int, lo, hi model.DocID, cfg iomodel.Config) (*f
 }
 
 // frozenView serves one frozen segment under one epoch's global
-// statistics. src is the raw inner view, or its bound form after
-// BindExec.
+// statistics. src is the raw inner view; after BindExec it is the bound
+// inner view, also held as bound.
 type frozenView struct {
-	seg *frozenSeg
-	n   int
-	df  []int32
-	gen int
-	src postings.View
+	seg   *frozenSeg
+	n     int
+	df    []int32
+	src   postings.View
+	bound postings.BoundView // nil until BindExec
 }
 
-var (
-	_ postings.View       = (*frozenView)(nil)
-	_ postings.ExecBinder = (*frozenView)(nil)
-	_ index.Segment       = (*frozenView)(nil)
-)
+var _ postings.ExecBinder = (*frozenView)(nil)
 
 func newFrozenView(seg *frozenSeg, n int, df []int32) *frozenView {
-	return &frozenView{seg: seg, n: n, df: df, gen: seg.gen, src: seg.inner}
+	return &frozenView{seg: seg, n: n, df: df, src: seg.inner}
 }
 
 func (v *frozenView) idf(t model.TermID) float64 { return idfOf(v.n, int(v.df[t])) }
@@ -225,9 +221,9 @@ func (v *frozenView) ScoreCursor(t model.TermID) postings.ScoreCursor {
 // ScoreCursorShard implements postings.View by filtering the impact
 // order to the epoch-global shard range (the stored sublists were
 // partitioned against segment-local statistics and don't line up).
-// The reported Len is the full list length — an upper bound; the
-// shared-nothing baseline it serves is outside the byte-identity
-// contract.
+// The reported Len is the full list length — an upper bound; sNRA, the
+// shared-nothing baseline it serves, is exact all the same, and the
+// per-segment identity suite checks it.
 func (v *frozenView) ScoreCursorShard(t model.TermID, shard, nShards int) postings.ScoreCursor {
 	if nShards <= 1 {
 		return v.ScoreCursor(t)
@@ -253,24 +249,18 @@ func (v *frozenView) RandomAccess(t model.TermID, d model.DocID) (model.Score, b
 // BindExec implements postings.ExecBinder by binding the inner
 // diskindex view and rewrapping, so bound cursors keep the
 // cancellation and settlement semantics of the charged read path.
-func (v *frozenView) BindExec(ctx context.Context, onIO func(time.Duration), onStop func(), onCache func(bool)) postings.View {
+func (v *frozenView) BindExec(ctx context.Context, onIO func(time.Duration), onStop func(), onCache func(bool)) postings.BoundView {
 	bound := v.seg.inner.BindExec(ctx, onIO, onStop, onCache)
-	return &frozenView{seg: v.seg, n: v.n, df: v.df, gen: v.gen, src: bound}
+	return &frozenView{seg: v.seg, n: v.n, df: v.df, src: bound, bound: bound}
 }
 
-// SettleAll implements postings.Settler on bound views.
+// SettleAll implements postings.BoundView: it settles the bound inner
+// view (an unbound view has nothing to settle).
 func (v *frozenView) SettleAll() {
-	if s, ok := v.src.(postings.Settler); ok {
-		s.SettleAll()
+	if v.bound != nil {
+		v.bound.SettleAll()
 	}
 }
-
-// index.Segment.
-
-func (v *frozenView) SegmentDocs() int                   { return v.seg.docs() }
-func (v *frozenView) SegmentRange() (lo, hi model.DocID) { return v.seg.lo, v.seg.hi }
-func (v *frozenView) SegmentBytes() int64                { return v.seg.inner.SegmentBytes() }
-func (v *frozenView) SegmentGeneration() int             { return v.gen }
 
 // fzDocCursor maps a raw (doc, tf) cursor to final scores.
 type fzDocCursor struct {

@@ -8,10 +8,10 @@
 // mid-memtable, straight after a flush, during and after a compaction
 // — every exact retrieval algorithm returns results identical to a
 // fresh single-index build of the same documents (see score.go for the
-// scoring argument and epoch.go for the segment-set decomposition).
-// Queries run against immutable epoch snapshots published with an
-// atomic pointer swap; in-flight queries finish on the epoch they
-// started with.
+// scoring argument and Live.SearchContext for the per-segment merge).
+// Queries run against immutable epoch snapshots (epoch.go) published
+// with an atomic pointer swap; in-flight queries finish on the epoch
+// they started with.
 package liveindex
 
 import (
@@ -31,7 +31,6 @@ import (
 	"sparta/internal/core"
 	"sparta/internal/corpus"
 	"sparta/internal/diskindex"
-	"sparta/internal/index"
 	"sparta/internal/iomodel"
 	"sparta/internal/merkle"
 	"sparta/internal/model"
@@ -175,10 +174,10 @@ type appendReq struct {
 	done   chan struct{}
 }
 
-// Live is the mutable segment-based index. It implements
-// postings.View and postings.ExecBinder over its current epoch, so it
-// drops into every place a built index view does — including as a
-// shardserve shard.
+// Live is the mutable segment-based index. It is a topk.Algorithm: a
+// query runs Config.Factory's algorithm on every segment of the
+// current epoch and merges the parts, so it drops into every place an
+// algorithm does — a Searcher, the benchmark's query clients.
 type Live struct {
 	dir string
 	cfg Config
@@ -648,23 +647,14 @@ func (l *Live) publishLocked() {
 		}
 	}
 
-	var (
-		views []postings.View
-		his   []model.DocID
-	)
+	var views []postings.View
 	for _, fz := range l.frozen {
 		views = append(views, newFrozenView(fz, n, df))
-		his = append(his, fz.hi)
 	}
 	if memSeg.docs() > 0 {
 		views = append(views, &memView{seg: memSeg, n: n, df: df, gen: l.nextGen})
-		his = append(his, memSeg.hi)
 	}
-	ep := &epoch{n: n, df: df, views: views, his: his, set: newSetView(n, df, views, his)}
-	for _, v := range views {
-		ep.segs = append(ep.segs, v.(index.Segment))
-	}
-	l.cur.Store(ep)
+	l.cur.Store(&epoch{n: n, df: df, views: views})
 }
 
 // Flush forces the current memtable (if non-empty) into an on-disk
@@ -725,6 +715,16 @@ func (l *Live) Lookup(name string) (model.TermID, bool) {
 // epochNow returns the current published epoch.
 func (l *Live) epochNow() *epoch { return l.cur.Load() }
 
+var _ topk.Algorithm = (*Live)(nil)
+
+// Name implements topk.Algorithm.
+func (l *Live) Name() string { return "Live" }
+
+// NumDocs returns the current epoch's corpus size; NumTerms its
+// dictionary size.
+func (l *Live) NumDocs() int  { return l.epochNow().n }
+func (l *Live) NumTerms() int { return len(l.epochNow().df) }
+
 // Search evaluates q over the current epoch with the configured
 // per-segment algorithm, merging segment results the way shard
 // results merge. Equivalent to SearchContext(context.Background()).
@@ -737,7 +737,8 @@ func (l *Live) Search(q model.Query, opts topk.Options) (model.TopK, topk.Stats,
 // top-ks merge (topk.MergeTopK). Segments cover disjoint document
 // ranges and score under the epoch's global statistics, so exact parts
 // — each the reference's bytes — merge into the exact answer with no
-// further pass. Epochs published mid-query do not disturb it.
+// further pass. Epochs published mid-query do not disturb it. The
+// merged StopReason is the most telling of the segments' (stopRank).
 func (l *Live) SearchContext(ctx context.Context, q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, topk.Stats{}, err
@@ -784,44 +785,29 @@ func (l *Live) SearchContext(ctx context.Context, q model.Query, opts topk.Optio
 		if stats[i].CandidatesPeak > agg.CandidatesPeak {
 			agg.CandidatesPeak = stats[i].CandidatesPeak
 		}
-		if agg.StopReason == "" || stats[i].StopReason != "exhausted" {
-			agg.StopReason = stats[i].StopReason
+		if r := stats[i].StopReason; agg.StopReason == "" || stopRank(r) < stopRank(agg.StopReason) {
+			agg.StopReason = r
 		}
 	}
 	return merged, agg, nil
 }
 
-// View methods: Live is a postings.View over its current epoch, so it
-// drops in wherever a built index view does. BindExec pins the epoch
-// for the duration of a query — algorithms that bind per query get a
-// consistent snapshot even while ingest publishes new epochs.
-
-var (
-	_ postings.View       = (*Live)(nil)
-	_ postings.ExecBinder = (*Live)(nil)
-)
-
-func (l *Live) NumDocs() int  { return l.epochNow().n }
-func (l *Live) NumTerms() int { return len(l.epochNow().df) }
-
-func (l *Live) DF(t model.TermID) int               { return l.epochNow().set.DF(t) }
-func (l *Live) MaxScore(t model.TermID) model.Score { return l.epochNow().set.MaxScore(t) }
-
-func (l *Live) DocCursor(t model.TermID) postings.DocCursor { return l.epochNow().set.DocCursor(t) }
-func (l *Live) ScoreCursor(t model.TermID) postings.ScoreCursor {
-	return l.epochNow().set.ScoreCursor(t)
-}
-func (l *Live) ScoreCursorShard(t model.TermID, shard, nShards int) postings.ScoreCursor {
-	return l.epochNow().set.ScoreCursorShard(t, shard, nShards)
-}
-func (l *Live) RandomAccess(t model.TermID, d model.DocID) (model.Score, bool) {
-	return l.epochNow().set.RandomAccess(t, d)
-}
-
-// BindExec pins the current epoch and binds its segment views to the
-// query's execution context.
-func (l *Live) BindExec(ctx context.Context, onIO func(time.Duration), onStop func(), onCache func(bool)) postings.View {
-	return l.epochNow().set.BindExec(ctx, onIO, onStop, onCache)
+// stopRank orders segment stop reasons, most telling first, whatever
+// the segment order: a context stop, then any other stop that may leave
+// the merged answer partial, then a proven-safe stop, then a segment
+// that read all its postings, then one that had none to read.
+func stopRank(reason string) int {
+	switch reason {
+	case topk.StopCancelled, topk.StopDeadline:
+		return 0
+	case "safe":
+		return 2
+	case "exhausted":
+		return 3
+	case "empty":
+		return 4
+	}
+	return 1
 }
 
 // SegmentStats describes one segment of the current epoch.
@@ -838,22 +824,18 @@ type SegmentStats struct {
 // SegmentStats lists the current epoch's segments in document order.
 func (l *Live) SegmentStats() []SegmentStats {
 	ep := l.epochNow()
-	out := make([]SegmentStats, 0, len(ep.segs))
-	for i, seg := range ep.segs {
-		lo, hi := seg.SegmentRange()
-		st := SegmentStats{
-			Generation: seg.SegmentGeneration(),
-			Lo:         lo, Hi: hi,
-			Docs:  seg.SegmentDocs(),
-			Bytes: seg.SegmentBytes(),
+	out := make([]SegmentStats, 0, len(ep.views))
+	for _, v := range ep.views {
+		switch v := v.(type) {
+		case *frozenView:
+			s := v.seg
+			out = append(out, SegmentStats{Kind: "frozen", Generation: s.gen, Lo: s.lo, Hi: s.hi,
+				Docs: s.docs(), Bytes: s.inner.CompressedBytes(), Blocks: s.nBlocks})
+		case *memView:
+			s := v.seg
+			out = append(out, SegmentStats{Kind: "memtable", Generation: v.gen, Lo: s.lo, Hi: s.hi,
+				Docs: s.docs(), Bytes: s.bytes})
 		}
-		if fv, ok := ep.views[i].(*frozenView); ok {
-			st.Kind = "frozen"
-			st.Blocks = fv.seg.nBlocks
-		} else {
-			st.Kind = "memtable"
-		}
-		out = append(out, st)
 	}
 	return out
 }

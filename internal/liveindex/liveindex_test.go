@@ -18,6 +18,7 @@ import (
 	"sparta/internal/iomodel"
 	"sparta/internal/liveindex"
 	"sparta/internal/model"
+	"sparta/internal/postings"
 	"sparta/internal/topk"
 	"sparta/internal/xrand"
 )
@@ -52,14 +53,15 @@ func ramIO() *iomodel.Config {
 }
 
 // slowIO charges enough simulated latency that an unsettled reader is
-// visible — the backdrop for the settlement tests.
+// visible — the backdrop for the settlement tests. Charges below
+// SleepBatch stay owed until the reader is exhausted or settled.
 func slowIO() *iomodel.Config {
 	return &iomodel.Config{
 		BlockSize:   256,
 		CacheBlocks: 16,
 		SeqLatency:  100 * time.Microsecond,
 		RandLatency: 500 * time.Microsecond,
-		SleepBatch:  time.Microsecond,
+		SleepBatch:  10 * time.Millisecond,
 	}
 }
 
@@ -72,9 +74,54 @@ func appendAll(tb testing.TB, l *liveindex.Live, bags [][]corpus.TermCount) {
 	}
 }
 
-// assertIdentity runs every exact algorithm over the live index's
-// composite view, plus the live per-segment merge path, against the
-// fresh single-segment reference.
+// bruteForceID names the reference algorithm among segAlgo's choices.
+const bruteForceID bench.AlgoID = "BruteForce"
+
+// segAlgo is the algorithm segFactory runs on every segment: an id of
+// bench.AllAlgos, or bruteForceID. assertIdentity sets it per query.
+var segAlgo = bruteForceID
+
+// segFactory is the Config.Factory of the identity tests.
+func segFactory(v postings.View) topk.Algorithm {
+	if segAlgo == bruteForceID {
+		return bruteForce{v}
+	}
+	return bench.MakeAlgorithm(segAlgo, v)
+}
+
+// bruteForce is topk.BruteForce as an Algorithm, reading through the
+// view bound to the query so its charged reads settle like any
+// algorithm's.
+type bruteForce struct{ view postings.View }
+
+func (bruteForce) Name() string { return string(bruteForceID) }
+
+func (b bruteForce) Search(q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
+	return b.SearchContext(context.Background(), q, opts)
+}
+
+func (b bruteForce) SearchContext(ctx context.Context, q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
+	es := topk.NewExecState(ctx, nil)
+	got := topk.BruteForce(es.BindView(b.view), q, opts.K)
+	st := topk.Stats{StopReason: "exhausted"}
+	es.Finish(st, nil)
+	return got, st, nil
+}
+
+// exactSearch runs one exact query through the live index's
+// per-segment path.
+func exactSearch(tb testing.TB, l *liveindex.Live, q model.Query, k int) model.TopK {
+	tb.Helper()
+	got, _, err := l.Search(q, topk.Options{K: k, Exact: true, Threads: 2})
+	if err != nil {
+		tb.Fatalf("search %v: %v", q, err)
+	}
+	return got
+}
+
+// assertIdentity runs brute force and every exact algorithm on each
+// segment of a live index opened with segFactory, through l.Search,
+// against the fresh single-segment reference.
 func assertIdentity(t *testing.T, label string, l *liveindex.Live, fresh *index.Index, queries []model.Query) {
 	t.Helper()
 	if l.NumDocs() != fresh.NumDocs() {
@@ -83,28 +130,10 @@ func assertIdentity(t *testing.T, label string, l *liveindex.Live, fresh *index.
 	for qi, q := range queries {
 		k := 10 + qi*5
 		want := topk.BruteForce(fresh, q, k)
-
-		// The composite view itself must reproduce full brute-force
-		// scoring byte-for-byte.
-		algotest.AssertExact(t, fmt.Sprintf("%s/bruteforce/q%d", label, qi),
-			want, topk.BruteForce(l, q, k))
-
-		for _, id := range bench.AllAlgos {
-			alg := bench.MakeAlgorithm(id, l)
-			got, _, err := alg.Search(q, topk.Options{K: k, Exact: true, Threads: 2})
-			if err != nil {
-				t.Fatalf("%s/%s/q%d: %v", label, id, qi, err)
-			}
-			algotest.AssertExact(t, fmt.Sprintf("%s/%s/q%d", label, id, qi), want, got)
+		for _, id := range append([]bench.AlgoID{bruteForceID}, bench.AllAlgos...) {
+			segAlgo = id
+			algotest.AssertExact(t, fmt.Sprintf("%s/%s/q%d", label, id, qi), want, exactSearch(t, l, q, k))
 		}
-
-		// The per-segment merge path (one algorithm per segment,
-		// topk.MergeTopK alone — the shard decomposition).
-		got, _, err := l.Search(q, topk.Options{K: k, Exact: true, Threads: 2})
-		if err != nil {
-			t.Fatalf("%s/segmerge/q%d: %v", label, qi, err)
-		}
-		algotest.AssertExact(t, fmt.Sprintf("%s/segmerge/q%d", label, qi), want, got)
 	}
 }
 
@@ -115,7 +144,7 @@ func TestLiveIdentityAcrossLifecycle(t *testing.T) {
 	bags := testBags(900, 11)
 	dir := t.TempDir()
 	l, err := liveindex.Open(dir, liveindex.Config{
-		IO: ramIO(), FlushDocs: 1 << 20, DisableCompaction: true,
+		IO: ramIO(), FlushDocs: 1 << 20, DisableCompaction: true, Factory: segFactory,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +202,7 @@ func TestLiveRandomInterleaving(t *testing.T) {
 			bags := testBags(n, seed)
 			rng := xrand.New(seed * 977)
 			l, err := liveindex.Open(t.TempDir(), liveindex.Config{
-				IO: ramIO(), FlushDocs: 1 << 20, DisableCompaction: true,
+				IO: ramIO(), FlushDocs: 1 << 20, DisableCompaction: true, Factory: segFactory,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -214,7 +243,7 @@ func TestLiveWALReplay(t *testing.T) {
 	all := testBags(n+40, 23)
 	bags := all[:n]
 	dir := t.TempDir()
-	cfg := liveindex.Config{IO: ramIO(), FlushDocs: 50, DisableCompaction: true}
+	cfg := liveindex.Config{IO: ramIO(), FlushDocs: 50, DisableCompaction: true, Factory: segFactory}
 
 	l1, err := liveindex.Open(dir, cfg)
 	if err != nil {
@@ -289,7 +318,7 @@ func TestLiveFlushFailureRollback(t *testing.T) {
 	const n = 60
 	bags := testBags(n, 31)
 	dir := t.TempDir()
-	cfg := liveindex.Config{IO: ramIO(), FlushDocs: 1000, DisableCompaction: true}
+	cfg := liveindex.Config{IO: ramIO(), FlushDocs: 1000, DisableCompaction: true, Factory: segFactory}
 	l, err := liveindex.Open(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -369,7 +398,7 @@ func TestLiveAppendTokens(t *testing.T) {
 		}
 	}
 	q := model.Query{0, 1, 2}
-	algotest.AssertExact(t, "tokens", topk.BruteForce(fresh, q, 4), topk.BruteForce(l, q, 4))
+	algotest.AssertExact(t, "tokens", topk.BruteForce(fresh, q, 4), exactSearch(t, l, q, 4))
 }
 
 // TestLiveSettlement: frozen segments charge simulated I/O like any
@@ -385,20 +414,15 @@ func TestLiveSettlement(t *testing.T) {
 	defer l.Close()
 	appendAll(t, l, bags)
 
-	fresh := buildFresh(bags, 400)
-	q := algotest.RandomQuery(fresh, 5, 71)
+	// The most popular terms, and k 1: every segment's Sparta stops
+	// before the ends of its lists, so its readers owe until settled.
+	q := model.Query{0, 1, 2, 3}
 
-	// Normal exact query over the composite view.
-	if _, _, err := bench.MakeAlgorithm(bench.AlgoSparta, l).Search(q, topk.Options{K: 10, Exact: true, Threads: 4}); err != nil {
+	// Normal exact query, one Sparta per segment.
+	if _, _, err := l.Search(q, topk.Options{K: 1, Exact: true, Threads: 4}); err != nil {
 		t.Fatal(err)
 	}
 	algotest.AssertSettled(t, "after exact query", l)
-
-	// Per-segment merge path.
-	if _, _, err := l.Search(q, topk.Options{K: 10, Exact: true, Threads: 2}); err != nil {
-		t.Fatal(err)
-	}
-	algotest.AssertSettled(t, "after segment-merged query", l)
 
 	// Pre-cancelled query: the anytime contract returns a partial
 	// result with the bill paid.
@@ -479,7 +503,81 @@ func TestLiveCompactionCancelSettled(t *testing.T) {
 	// And the index still answers exactly.
 	fresh := buildFresh(bags, 400)
 	q := algotest.RandomQuery(fresh, 4, 43)
-	algotest.AssertExact(t, "post-cancel", topk.BruteForce(fresh, q, 10), topk.BruteForce(l, q, 10))
+	algotest.AssertExact(t, "post-cancel", topk.BruteForce(fresh, q, 10), exactSearch(t, l, q, 10))
+	algotest.AssertSettled(t, "after post-cancel query", l)
+}
+
+// scripted is a fake per-segment algorithm that reports the stop
+// reason scripted for its segment. It tells its segment by the first
+// document its doc cursor yields: segment 0 holds the documents below
+// split.
+type scripted struct {
+	view    postings.View
+	split   model.DocID
+	reasons *[2]string
+}
+
+func (s scripted) Name() string { return "scripted" }
+
+func (s scripted) Search(q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
+	return s.SearchContext(context.Background(), q, opts)
+}
+
+func (s scripted) SearchContext(_ context.Context, q model.Query, _ topk.Options) (model.TopK, topk.Stats, error) {
+	seg := 0
+	if c := s.view.DocCursor(q[0]); c.Next() && c.Doc() >= s.split {
+		seg = 1
+	}
+	return model.TopK{}, topk.Stats{StopReason: s.reasons[seg]}, nil
+}
+
+// TestLiveStopReasonRanksSegments: the merged stop reason is the most
+// telling segment's, in either segment order — a partial stop is never
+// reported as safe because a later segment stopped safe.
+func TestLiveStopReasonRanksSegments(t *testing.T) {
+	var reasons [2]string
+	l, err := liveindex.Open(t.TempDir(), liveindex.Config{
+		IO: ramIO(), DisableCompaction: true,
+		Factory: func(v postings.View) topk.Algorithm { return scripted{view: v, split: 3, reasons: &reasons} },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for i := 0; i < 6; i++ {
+		if i == 3 {
+			if err := l.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := l.AppendTokens([]string{"a"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := len(l.SegmentStats()); got != 2 {
+		t.Fatalf("segments = %d, want 2", got)
+	}
+	a, _ := l.Lookup("a")
+
+	for _, c := range []struct{ first, second, want string }{
+		{"delta", "safe", "delta"},
+		{topk.StopCancelled, "safe", topk.StopCancelled},
+		{topk.StopDeadline, "delta", topk.StopDeadline},
+		{"exhausted", "safe", "safe"},
+		{"exhausted", "exhausted", "exhausted"},
+		{"empty", "exhausted", "exhausted"},
+	} {
+		for _, order := range [][2]string{{c.first, c.second}, {c.second, c.first}} {
+			reasons = order
+			_, st, err := l.Search(model.Query{a}, topk.Options{K: 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.StopReason != c.want {
+				t.Errorf("segments stopped %v: merged stop %q, want %q", order, st.StopReason, c.want)
+			}
+		}
+	}
 }
 
 // TestLiveBackgroundCompactor: the automatic path — flush-triggered
@@ -489,7 +587,7 @@ func TestLiveBackgroundCompactor(t *testing.T) {
 	const n = 600
 	bags := testBags(n, 53)
 	l, err := liveindex.Open(t.TempDir(), liveindex.Config{
-		IO: ramIO(), FlushDocs: 50, CompactSegments: 3, CompactMaxDocs: 1000,
+		IO: ramIO(), FlushDocs: 50, CompactSegments: 3, CompactMaxDocs: 1000, Factory: segFactory,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -529,7 +627,7 @@ func TestLiveConcurrentCompact(t *testing.T) {
 	const n = 600
 	bags := testBags(n, 67)
 	l, err := liveindex.Open(t.TempDir(), liveindex.Config{
-		IO: ramIO(), FlushDocs: 50, CompactSegments: 3, CompactMaxDocs: 1000,
+		IO: ramIO(), FlushDocs: 50, CompactSegments: 3, CompactMaxDocs: 1000, Factory: segFactory,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -7,7 +7,6 @@ package liveindex
 import (
 	"sort"
 
-	"sparta/internal/index"
 	"sparta/internal/model"
 	"sparta/internal/postings"
 )
@@ -18,13 +17,10 @@ type memView struct {
 	seg *memSegment
 	n   int     // epoch-global corpus size
 	df  []int32 // epoch-global document frequencies
-	gen int
+	gen int     // the index's next generation when the epoch was published
 }
 
-var (
-	_ postings.View = (*memView)(nil)
-	_ index.Segment = (*memView)(nil)
-)
+var _ postings.View = (*memView)(nil)
 
 func (v *memView) idf(t model.TermID) float64 { return idfOf(v.n, int(v.df[t])) }
 
@@ -101,13 +97,6 @@ func (v *memView) RandomAccess(t model.TermID, d model.DocID) (model.Score, bool
 	}
 	return 0, false
 }
-
-// index.Segment.
-
-func (v *memView) SegmentDocs() int                   { return v.seg.docs() }
-func (v *memView) SegmentRange() (lo, hi model.DocID) { return v.seg.lo, v.seg.hi }
-func (v *memView) SegmentBytes() int64                { return v.seg.bytes }
-func (v *memView) SegmentGeneration() int             { return v.gen }
 
 // memDocCursor walks a raw doc-ordered list mapping weights to scores.
 type memDocCursor struct {

@@ -14,7 +14,7 @@ import (
 // flush and compaction activity, and the settlement invariant.
 func (l *Live) RegisterMetrics(r *metrics.Registry, prefix string) {
 	r.RegisterFunc(prefix+".segments", func() any {
-		return int64(len(l.epochNow().segs))
+		return int64(len(l.epochNow().views))
 	})
 	r.RegisterFunc(prefix+".docs", func() any {
 		return int64(l.epochNow().n)

@@ -147,8 +147,8 @@ type View interface {
 }
 
 // ExecBinder is implemented by views whose traversal charges simulated
-// I/O (package diskindex). BindExec returns a View whose cursors end
-// their I/O waits early once ctx is done — making an I/O fetch the
+// I/O (package diskindex). BindExec returns a BoundView whose cursors
+// end their I/O waits early once ctx is done — making an I/O fetch the
 // natural cancellation point for disk-resident queries — and report
 // every physical block fetch's charged latency to onIO. onStop is
 // invoked the first time a cursor's wait is cut short, giving the
@@ -158,17 +158,18 @@ type View interface {
 // nil. The returned view shares the underlying index, page cache, and
 // posting cache; in-memory views simply don't implement this interface.
 type ExecBinder interface {
-	BindExec(ctx context.Context, onIO func(time.Duration), onStop func(), onCache func(hit bool)) View
+	BindExec(ctx context.Context, onIO func(time.Duration), onStop func(), onCache func(hit bool)) BoundView
 }
 
-// Settler is implemented by bound views (the result of BindExec) that
-// hand out charged readers: SettleAll pays every reader's accrued but
-// unpaid simulated-I/O latency. The execution layer calls it when a
-// query finishes, so algorithms that stop early — threshold reached,
+// BoundView is the result of BindExec: a View that hands out charged
+// readers. SettleAll pays every reader's accrued but unpaid
+// simulated-I/O latency. The execution layer calls it when a query
+// finishes, so algorithms that stop early — threshold reached,
 // deadline, cancellation — cannot abandon cursors with their I/O bill
 // outstanding. It must only be called after the query's workers have
 // quiesced (readers are single-goroutine objects).
-type Settler interface {
+type BoundView interface {
+	View
 	SettleAll()
 }
 

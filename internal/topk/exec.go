@@ -182,7 +182,7 @@ type ExecState struct {
 	closeOnce sync.Once
 
 	settleMu sync.Mutex
-	settlers []postings.Settler // bound views with possibly-unpaid I/O
+	settlers []postings.BoundView // bound views with possibly-unpaid I/O
 }
 
 // NewExecState creates the execution state for one query under ctx.
@@ -269,7 +269,7 @@ func (e *ExecState) Begin(q model.Query, opts Options) {
 // exactly once, when the evaluation ends (any path). Every algorithm
 // joins its workers before returning, so by the time Finish runs no
 // goroutine still touches the bound cursors — the precondition
-// postings.Settler requires.
+// postings.BoundView's SettleAll requires.
 func (e *ExecState) Finish(st Stats, err error) {
 	if e == nil {
 		return
@@ -339,10 +339,8 @@ func (e *ExecState) BindView(v postings.View) postings.View {
 		onStop = func() { e.markStopped(e.ctx.Err()) }
 	}
 	bound := b.BindExec(e.ctx, onIO, onStop, onCache)
-	if s, ok := bound.(postings.Settler); ok {
-		e.settleMu.Lock()
-		e.settlers = append(e.settlers, s)
-		e.settleMu.Unlock()
-	}
+	e.settleMu.Lock()
+	e.settlers = append(e.settlers, bound)
+	e.settleMu.Unlock()
 	return bound
 }

@@ -5,9 +5,9 @@ import (
 )
 
 // Live-ingest types, re-exported: the segment-based mutable index
-// (internal/liveindex). A LiveIndex implements View and the execution
-// binder, so everything that runs over a built index — sparta.New,
-// Searcher, a shardserve shard — runs over a live one unchanged, with
+// (internal/liveindex). A LiveIndex is an Algorithm: it runs
+// LiveConfig.Factory's algorithm (Sparta by default) on every segment
+// and merges the parts, so a Searcher wraps it directly, with
 // byte-identical exact results at every lifecycle point (memtable,
 // post-flush, mid-compaction).
 type (

@@ -11,10 +11,9 @@ import (
 	"sparta/internal/topk"
 )
 
-// TestLiveIndexDropsIntoSearcher: a live index implements View, so the
-// serving stack built for immutable indexes — sparta.New, Searcher —
-// runs over it unchanged, and exact results match a fresh build of the
-// same documents while ingest continues between queries.
+// TestLiveIndexDropsIntoSearcher: a live index is an Algorithm, so a
+// Searcher wraps it directly, and exact results match a fresh build of
+// the same documents while ingest continues between queries.
 func TestLiveIndexDropsIntoSearcher(t *testing.T) {
 	c := corpus.New(corpus.Spec{
 		Name: "live", Docs: 600, Vocab: 150, ZipfS: 1.0,
@@ -30,7 +29,7 @@ func TestLiveIndexDropsIntoSearcher(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer live.Close()
-	s := sparta.NewSearcher(sparta.New(live), sparta.SearcherConfig{})
+	s := sparta.NewSearcher(live, sparta.SearcherConfig{})
 
 	build := func(n int) *index.Index {
 		b := index.NewBuilder()
