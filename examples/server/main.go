@@ -14,13 +14,13 @@
 // layer enforces the 250 ms SLA, the concurrent-query cap, and
 // load-aware shedding (a query whose remaining budget is smaller than
 // the observed admission-queue wait gets a 503 instead of a guaranteed
-// timeout), while the shard group underneath coalesces concurrent
-// queries into per-shard batches (shared warm-up, single-flight block
-// fills), fans every query out to all shards under per-shard
-// deadlines, hedges stragglers, and merges whatever the shards
-// deliver — a slow shard degrades the answer (reported as
-// shards_dropped), never blocks it. A disconnecting client cancels its
-// query through the request context.
+// timeout), while the shard group underneath fans every query out to
+// all shards under per-shard deadlines, hedges stragglers, and merges
+// whatever the shards deliver — a slow shard degrades the answer
+// (reported as shards_dropped), never blocks it. Every query runs its
+// algorithm on its own; concurrent queries that need the same posting
+// block share one fetch through the shard cache's single-flight fills.
+// A disconnecting client cancels its query through the request context.
 //
 // A fourth backend, algo=live, serves a WAL-backed segmented live
 // index that accepts writes while it serves:
@@ -37,9 +37,8 @@
 // counters (including shed), every shard's health/cache counters
 // (including single-flight duplicate-fill suppression and the
 // per-replica breaker states, retries, and promotions of the failover
-// machinery), the per-shard batch coalescing counters, and the live
-// index's segment lifecycle gauges ("live.segments",
-// "live.compactions", ...), flat JSON.
+// machinery), and the live index's segment lifecycle gauges
+// ("live.segments", "live.compactions", ...), flat JSON.
 //
 // A fifth backend, algo=remote, appears when -remote lists running
 // cmd/shardserver processes (comma-separated, one address per shard):
@@ -106,19 +105,6 @@ const (
 	// traffic keeps hot terms resident. The budget is split across the
 	// per-shard caches.
 	postingCacheBytes = 16 << 20
-	// batchWindow turns on per-shard batching: queries that reach a
-	// shard while it is executing others form a batch, and with FusedExec
-	// on each term shared by two or more batch members is traversed once,
-	// scoring every subscriber in a single pass ("serve.<algo>.batch.
-	// fused_*" under /stats); the rest share a warm-up pass and
-	// single-flight block fills. The value is an upper bound on how long
-	// a batch collects, waited only while other queries are executing: a
-	// query that finds its shard idle runs at once ("serve.<algo>.batch"
-	// counts those as "immediate"), so an unloaded server pays nothing
-	// for it.
-	batchWindow = 200 * time.Microsecond
-	// maxBatch caps a coalesced batch; a full batch launches early.
-	maxBatch = 8
 	// shedQuantile: shed a query at admission when its remaining context
 	// budget is below the median observed admission-queue wait.
 	shedQuantile = 0.5
@@ -167,9 +153,6 @@ func main() {
 		Hedge:          sparta.ShardHedgeConfig{Enabled: true},
 		Replicas:       numReplicas,
 		TripAfter:      3,
-		BatchWindow:    batchWindow,
-		MaxBatch:       maxBatch,
-		FusedExec:      true,
 	}
 	scfg := sparta.SearcherConfig{
 		Timeout:       queryTimeout,
@@ -217,8 +200,8 @@ func main() {
 
 	// The remote backend: every shard is a cmd/shardserver process; the
 	// group treats each address as that shard's (only) replica. Shard
-	// caches and batch coalescing live server-side, so the group config
-	// here carries only the scatter/gather serving knobs.
+	// caches live server-side, so the group config here carries only the
+	// scatter/gather serving knobs.
 	var remoteClients []*sparta.RemoteShard
 	if *remote != "" {
 		var addrs [][]string

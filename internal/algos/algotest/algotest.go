@@ -4,7 +4,6 @@
 package algotest
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -171,59 +170,4 @@ func StressScheduling(t *testing.T, x *index.Index, alg topk.Algorithm, check fu
 			}
 		}
 	}
-}
-
-// Gated wraps alg so that a test can keep queries executing inside a
-// serving layer built on it (see HoldInFlight); every other query goes
-// straight to alg. A batch executor runs a query that finds it idle at
-// once and collects batches only behind a query that is executing, so a
-// held query makes batches form by construction, not by timing.
-func Gated(alg topk.Algorithm) topk.Algorithm { return gated{alg} }
-
-type gated struct{ topk.Algorithm }
-
-// hold travels in a held query's context.
-type hold struct {
-	entered chan struct{} // one token per call that has reached the algorithm
-	release chan struct{} // closed to let the held calls return
-}
-
-type holdKey struct{}
-
-func (g gated) SearchContext(ctx context.Context, q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
-	if h, ok := ctx.Value(holdKey{}).(*hold); ok {
-		h.entered <- struct{}{}
-		<-h.release
-		return model.TopK{}, topk.Stats{}, nil
-	}
-	return g.Algorithm.SearchContext(ctx, q, opts)
-}
-
-// HoldInFlight runs submit on a new goroutine — it must send one query
-// carrying ctx through the layer under test — and returns once n Gated
-// algorithm calls carrying ctx are executing (one per executor the
-// query fans out to). The returned function lets them finish and waits
-// for submit to return. The held calls read nothing and return empty.
-func HoldInFlight(n int, submit func(ctx context.Context)) (release func()) {
-	h := &hold{entered: make(chan struct{}), release: make(chan struct{})}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		submit(context.WithValue(context.Background(), holdKey{}, h))
-	}()
-	for i := 0; i < n; i++ {
-		<-h.entered
-	}
-	return func() {
-		close(h.release)
-		<-done
-	}
-}
-
-// Hold is HoldInFlight for one query sent straight through via, a layer
-// that hands it to a single Gated algorithm.
-func Hold(via topk.Algorithm) (release func()) {
-	return HoldInFlight(1, func(ctx context.Context) {
-		via.SearchContext(ctx, nil, topk.Options{})
-	})
 }

@@ -245,7 +245,6 @@ func readEverything(x *Index) {
 		}
 		x.WalkDocBlocks(ctx, t, false, func(int, []model.Posting) bool { return true })
 	}
-	x.WarmTerms(ctx, []model.TermID{0, 1, 2}, 2)
 }
 
 func TestOpenDirTruncatedDict(t *testing.T) {

@@ -98,7 +98,6 @@ type Index struct {
 var (
 	_ postings.View        = (*Index)(nil)
 	_ postings.ExecBinder  = (*Index)(nil)
-	_ postings.TermWarmer  = (*Index)(nil)
 	_ postings.BlockWalker = (*Index)(nil)
 	_ postings.BoundView   = (*execView)(nil)
 )
@@ -550,76 +549,4 @@ func (x *Index) WalkDocBlocks(ctx context.Context, t model.TermID, hot bool, sin
 		}
 	}
 	return blocks, fills
-}
-
-// warmWorkers bounds the parallelism of one WarmTerms pass; each worker
-// owns one charged reader, so a warm pass overlaps at most this many
-// simulated fetches.
-const warmWorkers = 8
-
-// WarmTerms implements postings.TermWarmer: it prefetches the leading
-// `blocks` posting blocks of each term's impact- and doc-ordered
-// regions, plus the first block of each pre-built shard sublist, into
-// the attached decoded-block cache (or just the simulated page cache
-// when none is attached). Fills go through the single-flight gate with
-// hot admission, so a warm pass never duplicates a fetch a concurrent
-// query is already performing, and warmed blocks displace cold ones
-// immediately. The pass stops early when ctx is done; every reader it
-// opened is settled before it returns. It reports the fills performed.
-func (x *Index) WarmTerms(ctx context.Context, terms []model.TermID, blocks int) int {
-	if blocks <= 0 || len(terms) == 0 {
-		return 0
-	}
-	cache := x.cache.Load()
-	work := make(chan model.TermID, len(terms))
-	for _, t := range terms {
-		if int(t) < len(x.terms) {
-			work <- t
-		}
-	}
-	close(work)
-	var filled atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < min(warmWorkers, len(terms)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rd := x.store.NewReader(x.postFile)
-			rd.Bind(ctx, nil, nil)
-			defer rd.Settle()
-			for t := range work {
-				if ctx.Err() != nil {
-					return
-				}
-				filled.Add(int64(x.warmTerm(rd, cache, t, blocks)))
-			}
-		}()
-	}
-	wg.Wait()
-	return int(filled.Load())
-}
-
-// warmTerm fetches the leading blocks of one term's regions through rd,
-// returning the number of fills it performed itself.
-func (x *Index) warmTerm(rd *iomodel.Reader, cache *plcache.Cache, t model.TermID, blocks int) int {
-	filled := 0
-	var buf [postings.BlockSize]model.Posting // decode target when only the page cache is being warmed
-	warm := func(kind plcache.Kind, region []blockMeta, limit int) {
-		for i, b := range region[:min(limit, len(region))] {
-			key := plcache.Key{Term: t, Kind: kind, Block: int32(i)}
-			if _, did := x.loadBlock(rd, cache, true, key, b, buf[:0]); did {
-				filled++
-			}
-		}
-	}
-	tm := &x.terms[t]
-	nb := nBlocks(tm.df)
-	warm(plcache.KindImpact, x.impMeta[tm.impStart:tm.impStart+nb], blocks)
-	warm(plcache.KindDoc, x.docMeta[tm.docStart:tm.docStart+nb], blocks)
-	if s := x.Shards(); s > 1 { // at 1 shard the cursors fall back to the impact region
-		for i, rec := range x.shardRecs[int(t)*s : (int(t)+1)*s] {
-			warm(plcache.KindShard(i), x.impMeta[rec.blkStart:rec.blkStart+nBlocks(rec.n)], 1)
-		}
-	}
-	return filled
 }

@@ -250,8 +250,8 @@ var errFillAborted = errors.New("plcache: concurrent fill aborted")
 // without a decode) and increments DupFillsSuppressed; the leader
 // counts a miss. A successful fill is offered to the cache under the
 // usual admission rules — except that a fill which had waiters is
-// admitted immediately (see PutHot): concurrent demand is the second
-// touch. Like Get, the returned slice is shared and read-only.
+// admitted immediately: concurrent demand is the second touch. Like
+// Get, the returned slice is shared and read-only.
 //
 // fillFn runs outside all cache locks, so it may block on I/O; it must
 // return a slice the cache may retain (never a pooled buffer).
@@ -259,10 +259,10 @@ func (c *Cache) GetOrFill(k Key, fillFn func() ([]model.Posting, error)) (post [
 	return c.getOrFill(k, fillFn, false)
 }
 
-// GetOrFillHot is GetOrFill with PutHot admission: a successful fill is
-// admitted immediately instead of through the two-touch filter. Batch
-// warm-up uses it — warm-up only touches terms shared by several
-// queries of one batch, which is second-touch evidence in itself.
+// GetOrFillHot is GetOrFill with hot admission: a successful fill is
+// admitted immediately instead of through the two-touch filter, for a
+// caller that already knows the block will be read again soon
+// (postings.BlockWalker's hot walks).
 func (c *Cache) GetOrFillHot(k Key, fillFn func() ([]model.Posting, error)) (post []model.Posting, filled bool, err error) {
 	return c.getOrFill(k, fillFn, true)
 }
@@ -330,14 +330,6 @@ func (c *Cache) finishFill(k Key, f *fill) {
 // stripe emptied (or it is already cached), the cache is left as is.
 // The caller keeps ownership of post.
 func (c *Cache) Put(k Key, post []model.Posting) { c.put(k, post, false, false) }
-
-// PutHot inserts like Put but bypasses the two-touch admission filter.
-// Callers use it when they already hold independent evidence that the
-// block is hot — a batch warm-up for a term shared by several queries,
-// or a single-flight fill that had concurrent waiters — so the first
-// decode should displace resident blocks immediately instead of waiting
-// for a second touch.
-func (c *Cache) PutHot(k Key, post []model.Posting) { c.put(k, post, true, false) }
 
 // put inserts post under k. hot bypasses two-touch admission; owned
 // means the caller transfers ownership of post (no defensive copy) —

@@ -416,15 +416,6 @@ func TestGetOrFillHotBypassesTwoTouch(t *testing.T) {
 	}
 }
 
-func TestPutHotAdmitsFirstTouch(t *testing.T) {
-	c := NewWithBudget(1 << 20) // two-touch admission
-	k := Key{Term: 11, Kind: KindDoc, Block: 2}
-	c.PutHot(k, block(4, 9))
-	if _, ok := c.Get(k); !ok {
-		t.Fatal("PutHot was not admitted on first touch")
-	}
-}
-
 func TestGetOrFillManyConcurrentMissesChargeOnce(t *testing.T) {
 	c := newFirstTouch(1 << 20)
 	k := Key{Term: 13, Kind: KindDoc, Block: 0}

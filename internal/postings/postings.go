@@ -173,26 +173,11 @@ type BoundView interface {
 	SettleAll()
 }
 
-// TermWarmer is implemented by disk-resident views that can prefetch
-// the leading decoded blocks of a set of terms into the attached
-// posting cache before a batch of queries executes (package batchexec
-// runs one warm pass per batch over the terms its queries share).
-// WarmTerms fetches up to `blocks` leading blocks of each term's doc-
-// and impact-ordered regions, plus the first block of each pre-built
-// shard sublist, stopping early when ctx is done. Every charged reader
-// it opens is settled before it returns. It reports the number of
-// block fills it performed (already-cached or in-flight blocks are not
-// re-fetched).
-type TermWarmer interface {
-	WarmTerms(ctx context.Context, terms []model.TermID, blocks int) int
-}
-
-// BlockWalker is the multi-sink traversal hook of the fused multi-query
-// execution layer (package fusedexec): one walk over a term's
-// doc-ordered posting blocks can feed any number of per-query score
-// accumulators, where a DocCursor serves exactly one. Disk-resident
-// views implement it next to their cursors; in-memory views simply
-// don't, and the fused path falls back to per-member cursors.
+// BlockWalker is a block-at-a-time traversal of a term's doc-ordered
+// postings: one walk hands each decoded block to a sink, where a
+// DocCursor yields one posting per call. Disk-resident views implement
+// it next to their cursors (it prices the decode-and-walk floor of the
+// on-disk store); in-memory views don't.
 type BlockWalker interface {
 	// DocBlockMeta returns the RAM-resident block directory (last doc id
 	// and quantized max score per block) of t's doc-ordered posting
@@ -205,32 +190,15 @@ type BlockWalker interface {
 	// postings. The posting slice is valid only during the sink call —
 	// it may alias a shared cache entry or a reused scratch buffer —
 	// and must not be retained or mutated. sink returns false to stop
-	// the traversal early (all subscribers detached). hot selects hot
-	// cache admission for fills (plcache GetOrFillHot): the fused path
-	// uses it because a block it decodes serves several queries at
-	// once, exactly the reuse the two-touch cold filter exists to
-	// predict. The walk stops early when ctx is done; every charged
-	// reader it opens is settled before it returns. It reports the
-	// blocks visited and the fills (block fetch+decodes) it performed
-	// itself — blocks served from the decoded-block cache or an
-	// in-flight fill are visited, not filled.
+	// the traversal early. hot selects hot cache admission for fills
+	// (plcache GetOrFillHot): a filled block is admitted on its first
+	// touch instead of passing the two-touch filter, for a caller that
+	// knows the block will be read again soon. The walk stops early when
+	// ctx is done; every charged reader it opens is settled before it
+	// returns. It reports the blocks visited and the fills (block
+	// fetch+decodes) it performed itself — blocks served from the
+	// decoded-block cache or an in-flight fill are visited, not filled.
 	WalkDocBlocks(ctx context.Context, t model.TermID, hot bool, sink func(block int, post []model.Posting) bool) (blocks, fills int)
-}
-
-// SuffixMax returns suffix[i] = max over blocks[i:] of BlockMeta.Max —
-// the upper bound on any single posting's score in block i or later.
-// The fused executor's detach rule compares a member's threshold
-// against it: once θ exceeds detachedUB + weight·suffix[i], no document
-// first seen at or after block i can reach the member's top-k.
-func SuffixMax(blocks []BlockMeta) []model.Score {
-	out := make([]model.Score, len(blocks)+1)
-	for i := len(blocks) - 1; i >= 0; i-- {
-		out[i] = out[i+1]
-		if blocks[i].Max > out[i] {
-			out[i] = blocks[i].Max
-		}
-	}
-	return out
 }
 
 // ShardRange returns the half-open document-id range [lo, hi) of shard

@@ -101,9 +101,6 @@ type Server struct {
 	// starting (a false violation) or miss one that is finishing.
 	reqMu    sync.Mutex
 	inflight int64
-	// settleCheck is off when the group batches: batch warm-ups settle
-	// asynchronously by design, so "idle" does not imply "settled".
-	settleCheck bool
 
 	requests, resolves, statsCalls, cancels, remoteErrors   atomic.Int64
 	badFrames, disconnects, unsettledViolations, totalConns atomic.Int64
@@ -119,11 +116,10 @@ func Serve(ln net.Listener, g *shardserve.Group, cfg ServerConfig) *Server {
 		cfg.MaxFrame = DefaultMaxFrame
 	}
 	s := &Server{
-		g:           g,
-		cfg:         cfg,
-		ln:          ln,
-		conns:       make(map[*srvConn]struct{}),
-		settleCheck: !g.Batching(),
+		g:     g,
+		cfg:   cfg,
+		ln:    ln,
+		conns: make(map[*srvConn]struct{}),
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -183,7 +179,7 @@ func (s *Server) UnsettledViolations() int64 { return s.unsettledViolations.Load
 
 // Close stops accepting, kills every connection (cancelling its
 // in-flight requests), and waits for every handler to finish — so after
-// Close returns, the group is quiescent and, batching aside, settled.
+// Close returns, the group is quiescent and settled.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -267,7 +263,7 @@ func (s *Server) beginRequest() {
 func (s *Server) endRequest() {
 	s.reqMu.Lock()
 	s.inflight--
-	if s.inflight == 0 && s.settleCheck && s.g.Unsettled() != 0 {
+	if s.inflight == 0 && s.g.Unsettled() != 0 {
 		s.unsettledViolations.Add(1)
 	}
 	s.reqMu.Unlock()

@@ -444,3 +444,60 @@ func TestServerStatsRPC(t *testing.T) {
 		t.Fatalf("unsettled violations: %d", st.UnsettledViolations)
 	}
 }
+
+// leaksIO is an algorithm that charges one block read through its own
+// reader and returns without settling it: the bug the server's
+// idle-instant settlement check exists to catch.
+type leaksIO struct {
+	st   *iomodel.Store
+	file int
+	rd   *iomodel.Reader
+}
+
+func (a *leaksIO) Name() string { return "leaksIO" }
+
+func (a *leaksIO) Search(q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
+	return a.SearchContext(context.Background(), q, opts)
+}
+
+func (a *leaksIO) SearchContext(context.Context, model.Query, topk.Options) (model.TopK, topk.Stats, error) {
+	a.rd = a.st.NewReader(a.file)
+	a.rd.View(0, 1)
+	return model.TopK{}, topk.Stats{}, nil
+}
+
+// TestSettlementCheckFires serves a one-shard group whose algorithm
+// leaves one block read unpaid, and checks that the server counts the
+// idle instant that finds the debt.
+func TestSettlementCheckFires(t *testing.T) {
+	cfg := iomodel.DefaultConfig()
+	cfg.SleepBatch = time.Hour // one read's charge is owed, never paid on the spot
+	st := iomodel.NewStore(cfg)
+	alg := &leaksIO{st: st, file: st.AddFile("postings", make([]byte, 64))}
+	g, err := shardserve.New(shardserve.Config{}, shardserve.Shard{
+		Replicas: []shardserve.Replica{{Name: "leaky", Alg: alg, Store: st}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := shardrpc.Listen("127.0.0.1:0", g, shardrpc.ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl := shardrpc.NewClient(srv.Addr().String(), shardrpc.Config{})
+	defer cl.Close()
+	if _, _, err := cl.Search(model.Query{0}, topk.Options{K: 1}); err != nil {
+		t.Fatal(err)
+	}
+	// The handler counts the violation after it has answered.
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.UnsettledViolations() == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := srv.UnsettledViolations(); got != 1 {
+		t.Fatalf("unsettled violations = %d, want 1", got)
+	}
+	alg.rd.Settle()
+	algotest.AssertSettled(t, "after the test settles the leaked read", st)
+}

@@ -157,14 +157,9 @@ func (b *breaker) report(tripAfter int, probe bool, outcome int) {
 // replicaState is a Replica plus its serving state.
 type replicaState struct {
 	Replica
-	// alg serves normal traffic (batch-wrapped when batching is on);
-	// hedgeAlg is the unwrapped algorithm — a hedge exists to cut tail
-	// latency, not to wait out a collection window.
-	alg      topk.Algorithm
-	hedgeAlg topk.Algorithm
-	br       breaker
-	queries  atomic.Int64
-	errs     atomic.Int64
+	br      breaker
+	queries atomic.Int64
+	errs    atomic.Int64
 	// corrupt marks a replica that failed artifact verification;
 	// corrupt replicas are permanently excluded from serving.
 	corrupt atomic.Bool
@@ -213,8 +208,7 @@ func (g *Group) pickReplica(sh *shardState, tried []bool) (int, bool) {
 
 // pickHedge chooses the replica for a hedged retry: a healthy, untried
 // replica different from cur, or -1 when none exists (the hedge then
-// re-asks cur through its unbatched algorithm, the single-replica
-// fallback).
+// re-asks cur, the single-replica fallback).
 func (g *Group) pickHedge(sh *shardState, cur int, tried []bool) int {
 	n := len(sh.replicas)
 	for off := 1; off < n; off++ {

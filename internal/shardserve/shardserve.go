@@ -41,8 +41,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sparta/internal/batchexec"
-	"sparta/internal/fusedexec"
 	"sparta/internal/iomodel"
 	"sparta/internal/metrics"
 	"sparta/internal/model"
@@ -166,34 +164,6 @@ type Config struct {
 	// the merge has no resolution pass to skip. It is kept so existing
 	// configurations compile.
 	NoExactResolve bool
-
-	// BatchWindow enables per-shard query coalescing (package
-	// batchexec): each shard's algorithm is wrapped in a batch executor,
-	// so queries that reach a shard while it is executing others form a
-	// batch that shares one warm-up pass and single-flights its block
-	// fills. The window is an upper bound on how long a batch collects,
-	// waited only while other queries are executing on the shard: a
-	// query that finds its shard idle runs at once, and a collecting
-	// batch launches as soon as the shard goes idle. Zero disables
-	// batching (the default serving path, unchanged). Hedged retries
-	// bypass the batch layer — a hedge exists to cut tail latency, not
-	// to collect a batch.
-	BatchWindow time.Duration
-	// MaxBatch caps a shard batch (default 16; see batchexec.Config).
-	MaxBatch int
-	// BatchWarmBlocks is the warm-up depth per shared term (default 2;
-	// negative disables warm-up). Warm-up runs only on shard views that
-	// implement postings.TermWarmer (the disk-modeled ones).
-	BatchWarmBlocks int
-	// FusedExec runs each closed shard batch through the fused
-	// multi-query executor (package fusedexec): terms shared by two or
-	// more batch members are traversed once, scoring every subscriber in
-	// a single pass, with per-member detach and exact resolution keeping
-	// results byte-identical to sequential execution. Requires
-	// BatchWindow > 0; replicas whose view does not support block
-	// walking (postings.BlockWalker) keep the plain per-member batch
-	// path.
-	FusedExec bool
 }
 
 // latWindow is the per-shard completion-latency ring used for the
@@ -263,9 +233,6 @@ type Group struct {
 	cfg    Config
 	shards []*shardState
 	name   string
-	// batchers are the per-shard batch executors when BatchWindow > 0
-	// (batchers[i] == shards[i].Alg), kept for counters and Drain.
-	batchers []*batchexec.Executor
 }
 
 // New assembles a group from already-opened shards. Config.IO and
@@ -330,28 +297,7 @@ func New(cfg Config, shards ...Shard) (*Group, error) {
 			if rep.Cache != nil && !rep.Cache.Attached() {
 				return nil, fmt.Errorf("shardserve: shard %d (%s) replica %d: cache supplied but not attached to its view", i, sh.Name, ri)
 			}
-			rs := &replicaState{Replica: rep, alg: rep.Alg, hedgeAlg: rep.Alg}
-			if cfg.BatchWindow > 0 && rep.View != nil {
-				// Per-shard coalescing: concurrent queries fanning out
-				// to this replica batch here. Hedged retries stay
-				// latency-critical through the unwrapped algorithm — a
-				// hedge never waits out a collection window.
-				bcfg := batchexec.Config{
-					Window:     cfg.BatchWindow,
-					MaxBatch:   cfg.MaxBatch,
-					WarmBlocks: cfg.BatchWarmBlocks,
-				}
-				if w, ok := rep.View.(postings.TermWarmer); ok {
-					bcfg.Warmer = w
-				}
-				if cfg.FusedExec && fusedexec.Supported(rep.View) {
-					bcfg.Fused = fusedexec.New(rep.Alg, rep.View)
-				}
-				ex := batchexec.New(rep.Alg, bcfg)
-				rs.alg = ex
-				g.batchers = append(g.batchers, ex)
-			}
-			st.replicas = append(st.replicas, rs)
+			st.replicas = append(st.replicas, &replicaState{Replica: rep})
 		}
 		// Mirror replica 0 into the legacy flat fields so ShardInfo and
 		// older call sites keep seeing a single-backend shard.
@@ -362,9 +308,9 @@ func New(cfg Config, shards ...Shard) (*Group, error) {
 		st.Shard.Cache = reps[0].Cache
 		g.shards[i] = st
 	}
-	g.name = fmt.Sprintf("Sharded[%s×%d]", g.shards[0].replicas[0].alg.Name(), len(g.shards))
+	g.name = fmt.Sprintf("Sharded[%s×%d]", g.shards[0].replicas[0].Alg.Name(), len(g.shards))
 	if r := len(g.shards[0].replicas); r > 1 {
-		g.name = fmt.Sprintf("Sharded[%s×%d×r%d]", g.shards[0].replicas[0].alg.Name(), len(g.shards), r)
+		g.name = fmt.Sprintf("Sharded[%s×%d×r%d]", g.shards[0].replicas[0].Alg.Name(), len(g.shards), r)
 	}
 	return g, nil
 }
@@ -656,17 +602,17 @@ func (g *Group) runShard(ctx context.Context, i int, sh *shardState, q model.Que
 // replica).
 func (g *Group) raceAttempt(sctx context.Context, sh *shardState, r int, probe bool, tried []bool, q model.Query, opts topk.Options, run *ShardRunStats) attempt {
 	ch := make(chan attempt, 2)
-	launch := func(actx context.Context, rep int, alg topk.Algorithm, isProbe, hedge bool) {
+	launch := func(actx context.Context, rep int, isProbe, hedge bool) {
 		sh.replicas[rep].queries.Add(1)
 		go func() {
-			res, st, err := alg.SearchContext(actx, q, opts)
+			res, st, err := sh.replicas[rep].Alg.SearchContext(actx, q, opts)
 			ch <- attempt{res: res, st: st, err: err, hedge: hedge, rep: rep, probe: isProbe}
 		}()
 	}
 
 	pctx, pcancel := context.WithCancel(sctx)
 	defer pcancel()
-	launch(pctx, r, sh.replicas[r].alg, probe, false)
+	launch(pctx, r, probe, false)
 
 	var winner attempt
 	if g.cfg.Hedge.Enabled {
@@ -681,12 +627,12 @@ func (g *Group) raceAttempt(sctx context.Context, sh *shardState, r int, probe b
 		case <-timer.C:
 			hctx, hcancel := context.WithCancel(sctx)
 			defer hcancel()
-			hrep, halg := r, sh.replicas[r].hedgeAlg
+			hrep := r
 			if h := g.pickHedge(sh, r, tried); h >= 0 {
 				tried[h] = true
-				hrep, halg = h, sh.replicas[h].hedgeAlg
+				hrep = h
 			}
-			launch(hctx, hrep, halg, false, true)
+			launch(hctx, hrep, false, true)
 			sh.hedges.Add(1)
 			run.Hedged = true
 			winner = <-ch
@@ -919,80 +865,6 @@ func (g *Group) RegisterMetrics(r *metrics.Registry, prefix string) {
 	for i := range g.shards {
 		i := i
 		r.RegisterFunc(fmt.Sprintf("%sshard.%d", prefix, i), func() any { return g.Counters(i) })
-	}
-	if len(g.batchers) > 0 {
-		r.RegisterFunc(prefix+"batch", func() any { return g.BatchCounters() })
-	}
-	if g.cfg.FusedExec {
-		c := g.FusedCounters
-		r.RegisterFunc(prefix+"batch.fused_terms", func() any { return c().FusedTerms })
-		r.RegisterFunc(prefix+"batch.fused_members", func() any { return c().FusedMembers })
-		r.RegisterFunc(prefix+"batch.detach_early", func() any { return c().DetachEarly })
-		r.RegisterFunc(prefix+"batch.fused_blocks_saved", func() any { return c().BlocksSaved })
-		r.RegisterFunc(prefix+"batch.fused", func() any { return c() })
-	}
-}
-
-// BatchCounters aggregates the per-shard batch executors' counters
-// (zero value when BatchWindow is disabled).
-func (g *Group) BatchCounters() batchexec.Counters {
-	var c batchexec.Counters
-	for _, b := range g.batchers {
-		bc := b.Counters()
-		c.Batches += bc.Batches
-		c.BatchedQueries += bc.BatchedQueries
-		c.Coalesced += bc.Coalesced
-		c.Immediate += bc.Immediate
-		if bc.MaxBatchObserved > c.MaxBatchObserved {
-			c.MaxBatchObserved = bc.MaxBatchObserved
-		}
-		c.SharedTerms += bc.SharedTerms
-		c.WarmedBlocks += bc.WarmedBlocks
-		c.WarmSkippedTerms += bc.WarmSkippedTerms
-		c.FusedBatches += bc.FusedBatches
-	}
-	return c
-}
-
-// FusedCounters aggregates the per-replica fused engines' counters
-// (zero value when FusedExec is disabled or no replica supports it).
-func (g *Group) FusedCounters() fusedexec.Counters {
-	var c fusedexec.Counters
-	for _, b := range g.batchers {
-		eng, ok := b.FusedRunner().(*fusedexec.Engine)
-		if !ok {
-			continue
-		}
-		fc := eng.Counters()
-		c.Batches += fc.Batches
-		c.FusedMembers += fc.FusedMembers
-		c.FallbackMembers += fc.FallbackMembers
-		c.FusedTerms += fc.FusedTerms
-		c.SingleTerms += fc.SingleTerms
-		c.DetachEarly += fc.DetachEarly
-		c.BlocksWalked += fc.BlocksWalked
-		c.BlocksSaved += fc.BlocksSaved
-		c.TermTraversals += fc.TermTraversals
-		c.FallbackTerms += fc.FallbackTerms
-		c.ResolveRA += fc.ResolveRA
-	}
-	return c
-}
-
-// Batching reports whether the group wraps its replicas in batch
-// executors (Config.BatchWindow > 0 on at least one view-backed
-// replica). Batch warm-ups settle asynchronously, so a batching group
-// being idle does not imply it is settled — shardrpc's per-request
-// settlement enforcement keys off this.
-func (g *Group) Batching() bool { return len(g.batchers) > 0 }
-
-// Drain blocks until every dispatched shard batch (member queries and
-// warm-up passes) has completed; afterwards all batch I/O is settled,
-// so Unsettled() == 0. Call it with no searches in flight (shutdown,
-// test assertions). A no-op when batching is disabled.
-func (g *Group) Drain() {
-	for _, b := range g.batchers {
-		b.Drain()
 	}
 }
 

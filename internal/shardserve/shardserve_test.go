@@ -492,45 +492,32 @@ func TestSearchShardsRespectsGlobalCancel(t *testing.T) {
 	algotest.AssertSettled(t, "after cancelled query", g)
 }
 
-// TestBatchedGroupMatchesUnbatched runs concurrent queries through a
-// group with per-shard batching enabled: every result must still be
-// merged-exact, the batch counters must show coalescing, and after
-// Drain no shard store may hold unsettled I/O.
-func TestBatchedGroupMatchesUnbatched(t *testing.T) {
+// TestConcurrentGroupQueriesExactAndSettled runs concurrent exact
+// queries through one group: every merged answer must equal brute
+// force, and the moment the last query returns no shard store may hold
+// unsettled I/O.
+func TestConcurrentGroupQueriesExactAndSettled(t *testing.T) {
 	x := algotest.MediumIndex(t, 1234)
 	const p, n = 4, 6
 	views, err := shardserve.PartitionViews(x, p, iomodel.RAMConfig(), 4<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := shardserve.NewFromViews(shardserve.Config{
-		BatchWindow:     20 * time.Millisecond,
-		MaxBatch:        n,
-		BatchWarmBlocks: 2,
-	}, func(v postings.View) topk.Algorithm {
-		return algotest.Gated(bench.MakeAlgorithm(bench.AlgoSparta, v))
+	g, err := shardserve.NewFromViews(shardserve.Config{}, func(v postings.View) topk.Algorithm {
+		return bench.MakeAlgorithm(bench.AlgoSparta, v)
 	}, views)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Overlapping queries so the per-shard batches share terms.
+	// Overlapping queries, so concurrent shard runs read the same blocks.
 	queries := make([]model.Query, n)
 	for i := range queries {
 		queries[i] = algotest.RandomQuery(x, 4+i%3, uint64(60+i/2))
 	}
 	const k = 10
-	type result struct {
-		res model.TopK
-		st  shardserve.ShardedStats
-	}
-	// A shard's executor runs a lone query at once and collects batches
-	// behind an executing one: hold a query inside every shard's executor
-	// while the n arrive.
-	release := algotest.HoldInFlight(p, func(ctx context.Context) {
-		g.SearchShards(ctx, queries[0], topk.Options{K: k})
-	})
-	results := make([]result, n)
+	results := make([]model.TopK, n)
+	stats := make([]shardserve.ShardedStats, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := range queries {
@@ -538,36 +525,20 @@ func TestBatchedGroupMatchesUnbatched(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, st, err := g.SearchShards(context.Background(), queries[i],
+			results[i], stats[i], errs[i] = g.SearchShards(context.Background(), queries[i],
 				topk.Options{K: k, Exact: true, Threads: 1})
-			results[i], errs[i] = result{res, st}, err
 		}()
 	}
 	wg.Wait()
-	release()
-	g.Drain()
+	algotest.AssertSettled(t, "when the last query returned", g)
 
 	for i, q := range queries {
 		if errs[i] != nil {
 			t.Fatalf("query %d: %v", i, errs[i])
 		}
-		if results[i].st.ShardsDropped != 0 {
-			t.Fatalf("query %d: ShardsDropped = %d", i, results[i].st.ShardsDropped)
+		if stats[i].ShardsDropped != 0 {
+			t.Fatalf("query %d: ShardsDropped = %d", i, stats[i].ShardsDropped)
 		}
-		algotest.AssertExact(t, fmt.Sprintf("batched/q%d", i),
-			topk.BruteForce(x, q, k), results[i].res)
-	}
-	algotest.AssertSettled(t, "after batch drain", g)
-	bc := g.BatchCounters()
-	// Every query — the held one too — visits every shard, so each
-	// shard's executor batched n+1 queries.
-	if bc.BatchedQueries != int64((n+1)*p) {
-		t.Errorf("batched queries = %d, want %d", bc.BatchedQueries, (n+1)*p)
-	}
-	if bc.Coalesced == 0 {
-		t.Error("no queries coalesced despite a generous window")
-	}
-	if bc.MaxBatchObserved < 2 {
-		t.Errorf("max batch observed = %d, want >= 2", bc.MaxBatchObserved)
+		algotest.AssertExact(t, fmt.Sprintf("concurrent/q%d", i), topk.BruteForce(x, q, k), results[i])
 	}
 }

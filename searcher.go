@@ -9,11 +9,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sparta/internal/batchexec"
-	"sparta/internal/fusedexec"
 	"sparta/internal/metrics"
 	"sparta/internal/model"
-	"sparta/internal/postings"
 	"sparta/internal/topk"
 )
 
@@ -74,41 +71,17 @@ type SearcherConfig struct {
 	// without a deadline never shed.
 	ShedQuantile float64
 
-	// BatchWindow enables multi-query batch execution (package
-	// batchexec): queries arriving while others are executing are
-	// coalesced into one batch that shares a cursor warm-up pass for
-	// overlapping terms and single-flights its posting-block fills.
-	// The window is an upper bound on how long a batch collects, waited
-	// only while other queries are executing: a query that finds the
-	// searcher idle runs at once on the caller's goroutine, and a
-	// collecting batch launches as soon as the last executing query
-	// leaves. Zero (the default) disables batching — the serving path
-	// is then byte-identical to an unbatched Searcher. For sharded
-	// serving, prefer ShardGroupConfig.BatchWindow, which batches per
-	// shard.
-	BatchWindow time.Duration
-	// MaxBatch caps the batch size (default 16; see batchexec.Config).
-	MaxBatch int
-	// BatchWarmBlocks is the per-term warm-up depth of a batch (default
-	// 2; negative disables warm-up). Warm-up also needs BatchWarmView.
-	BatchWarmBlocks int
-	// BatchWarmView is the index view batches warm. It must be the view
-	// the wrapped algorithm reads (the Searcher wraps an Algorithm, not
-	// the view beneath it, so it cannot discover the view itself). Views
-	// that cannot warm (in-memory ones) are ignored.
+	// BatchWindow, MaxBatch, BatchWarmView and FusedExec have no
+	// effect: every query runs its algorithm on its own, and concurrent
+	// queries share posting blocks through the posting cache's
+	// single-flight fills instead. They are kept so existing
+	// configurations compile; a Searcher with BatchWindow > 0 still
+	// registers the <prefix>.batch.* counter names (see RegisterMetrics),
+	// each reading 0.
+	BatchWindow   time.Duration
+	MaxBatch      int
 	BatchWarmView View
-
-	// FusedExec enables fused multi-query execution (package fusedexec)
-	// for closed batches: each term shared by two or more batch members
-	// is traversed once, scoring every subscriber in a single pass, with
-	// per-member early detach and an exact resolution step that keeps
-	// results byte-identical to sequential execution. Requires
-	// BatchWindow > 0 and a BatchWarmView that supports block walking
-	// (postings.BlockWalker — the on-disk index does, under any codec); when
-	// the view does not, batches silently run the plain per-member path.
-	// Fused batches skip the warm-up pass: the fused traversal itself is
-	// the warm, hot-admission pass.
-	FusedExec bool
+	FusedExec     bool
 }
 
 // SearcherCounters is a point-in-time snapshot of a Searcher's
@@ -171,9 +144,8 @@ func (c SearcherCounters) CacheHitRate() float64 {
 type Searcher struct {
 	alg   topk.Algorithm
 	cfg   SearcherConfig
-	sem   chan struct{}       // nil when MaxConcurrent == 0
-	batch *batchexec.Executor // non-nil when BatchWindow > 0 (== alg)
-	waits waitRing            // recent admission waits, for shedding
+	sem   chan struct{} // nil when MaxConcurrent == 0
+	waits waitRing      // recent admission waits, for shedding
 
 	queries   atomic.Int64
 	errors    atomic.Int64
@@ -189,47 +161,16 @@ type Searcher struct {
 // NewSearcher wraps alg.
 func NewSearcher(alg topk.Algorithm, cfg SearcherConfig) *Searcher {
 	s := &Searcher{alg: alg, cfg: cfg}
-	if cfg.BatchWindow > 0 {
-		bcfg := batchexec.Config{
-			Window:     cfg.BatchWindow,
-			MaxBatch:   cfg.MaxBatch,
-			WarmBlocks: cfg.BatchWarmBlocks,
-		}
-		if w, ok := cfg.BatchWarmView.(postings.TermWarmer); ok {
-			bcfg.Warmer = w
-		}
-		if cfg.FusedExec {
-			if v, ok := cfg.BatchWarmView.(postings.View); ok && fusedexec.Supported(v) {
-				bcfg.Fused = fusedexec.New(alg, v)
-			}
-		}
-		s.batch = batchexec.New(alg, bcfg)
-		s.alg = s.batch
-	}
 	if cfg.MaxConcurrent > 0 {
 		s.sem = make(chan struct{}, cfg.MaxConcurrent)
 	}
 	return s
 }
 
-// BatchCounters returns the batch-execution counters, or the zero value
-// when batching is disabled.
-func (s *Searcher) BatchCounters() batchexec.Counters {
-	if s.batch == nil {
-		return batchexec.Counters{}
-	}
-	return s.batch.Counters()
-}
-
-// Drain blocks until every dispatched batch (member queries and warm-up
-// passes) has completed; afterwards all batch I/O is settled. Call it
-// with no searches in flight — shutdown and test assertions. A no-op
-// when batching is disabled.
-func (s *Searcher) Drain() {
-	if s.batch != nil {
-		s.batch.Drain()
-	}
-}
+// Drain returns at once: a query settles its I/O before it returns, so
+// there is no work left to wait for. It is kept so existing callers
+// compile.
+func (s *Searcher) Drain() {}
 
 // Name implements Algorithm.
 func (s *Searcher) Name() string { return s.alg.Name() }
@@ -368,9 +309,21 @@ func (s *Searcher) RegisterMetrics(r *metrics.Registry, prefix string) {
 		r.RegisterFunc(prefix+"cache", func() any { return s.cfg.PostingCache.Snapshot() })
 		r.RegisterFunc(prefix+"cache_hit_rate", func() any { return s.Counters().CacheHitRate() })
 	}
-	if s.batch != nil {
-		s.batch.RegisterMetrics(r, prefix+"batch")
+	if s.cfg.BatchWindow > 0 {
+		for _, name := range batchCounterNames {
+			r.RegisterFunc(prefix+"batch."+name, func() any { return int64(0) })
+		}
 	}
+}
+
+// batchCounterNames are the counters a batching Searcher once exported
+// under <prefix>.batch. They are registered, each reading 0, for
+// dashboards and tools that still read them.
+var batchCounterNames = []string{
+	"batches", "batched_queries", "coalesced", "fused_batches",
+	"warmed_blocks", "fused_members", "fused_fallback_members",
+	"fused_traversals", "fused_blocks_saved", "detach_early",
+	"fused_block_skips", "fused_ub_stops", "fused_resolve_ra",
 }
 
 // waitRingSize is how many recent admission waits the shedding

@@ -321,31 +321,30 @@ func TestSearcherLoadShedding(t *testing.T) {
 	}
 }
 
-// TestSearcherBatchingEndToEnd runs concurrent queries through a
-// Searcher with the coalescing layer enabled and checks the results
-// match an unbatched searcher, the batch counters move, and all I/O is
-// settled after Drain.
-func TestSearcherBatchingEndToEnd(t *testing.T) {
-	mem, disk := bigSlowIndex(t)
-	_ = mem
+// TestSearcherBatchFieldsHaveNoEffect configures every kept batching
+// field of SearcherConfig and checks that nothing changes: concurrent
+// exact queries answer byte for byte what a plain Searcher answers, the
+// store is settled the moment the last query returns (no Drain), and
+// the frozen <prefix>.batch.* names are registered, each reading 0.
+func TestSearcherBatchFieldsHaveNoEffect(t *testing.T) {
+	_, disk := bigSlowIndex(t)
 	cache := sparta.NewPostingCache(8 << 20)
 	disk.SetPostingCache(cache)
 
 	plain := sparta.NewSearcher(sparta.New(disk), sparta.SearcherConfig{})
-	batched := sparta.NewSearcher(algotest.Gated(sparta.New(disk)), sparta.SearcherConfig{
-		BatchWindow:     30 * time.Millisecond,
-		MaxBatch:        4,
-		BatchWarmBlocks: 2,
-		BatchWarmView:   disk,
+	configured := sparta.NewSearcher(sparta.New(disk), sparta.SearcherConfig{
+		BatchWindow:   time.Hour,
+		MaxBatch:      8,
+		FusedExec:     true,
+		BatchWarmView: disk,
 	})
 
-	const n = 4
+	const n = 8
 	qs := make([]sparta.Query, n)
 	for i := range qs {
-		qs[i] = popularQuery(3 + i%2) // heavy term overlap across members
+		qs[i] = popularQuery(3 + i%2) // heavy term overlap across queries
 	}
 	opts := sparta.Options{K: 10, Exact: true, Threads: 1}
-
 	want := make([]sparta.TopK, n)
 	for i, q := range qs {
 		res, _, err := plain.Search(q, opts)
@@ -355,9 +354,6 @@ func TestSearcherBatchingEndToEnd(t *testing.T) {
 		want[i] = res
 	}
 
-	// A lone query runs at once; batches collect behind an executing
-	// one, so hold one inside the executor while the n arrive.
-	release := algotest.Hold(batched)
 	got := make([]sparta.TopK, n)
 	var wg sync.WaitGroup
 	for i := range qs {
@@ -365,29 +361,38 @@ func TestSearcherBatchingEndToEnd(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, _, err := batched.Search(qs[i], opts)
+			res, _, err := configured.Search(qs[i], opts)
 			if err != nil {
-				t.Errorf("batched query %d: %v", i, err)
+				t.Errorf("query %d: %v", i, err)
 				return
 			}
 			got[i] = res
 		}()
 	}
 	wg.Wait()
-	release()
-	batched.Drain()
-
+	algotest.AssertSettled(t, "when the last query returned", disk.Store())
 	for i := range qs {
 		if !reflect.DeepEqual(want[i], got[i]) {
-			t.Errorf("query %d: batched result differs from unbatched", i)
+			t.Errorf("query %d: %v, want %v", i, got[i], want[i])
 		}
 	}
-	bc := batched.BatchCounters()
-	if bc.BatchedQueries != n+1 || bc.Coalesced == 0 {
-		t.Errorf("batch counters = %+v, want %d batched queries (the held one included) with coalescing", bc, n+1)
-	}
-	algotest.AssertSettled(t, "after drain", disk.Store())
-	if cs := cache.Snapshot(); cs.DupFillsSuppressed == 0 {
-		t.Logf("no duplicate fills suppressed (timing-dependent); hits=%d misses=%d", cs.Hits, cs.Misses)
+
+	r := sparta.NewMetricsRegistry()
+	configured.RegisterMetrics(r, "s")
+	snap := r.Snapshot()
+	for _, name := range []string{
+		"batches", "batched_queries", "coalesced", "fused_batches",
+		"warmed_blocks", "fused_members", "fused_fallback_members",
+		"fused_traversals", "fused_blocks_saved", "detach_early",
+		"fused_block_skips", "fused_ub_stops", "fused_resolve_ra",
+	} {
+		v, ok := snap["s.batch."+name]
+		if !ok {
+			t.Errorf("s.batch.%s not registered", name)
+			continue
+		}
+		if v != int64(0) {
+			t.Errorf("s.batch.%s = %v, want 0", name, v)
+		}
 	}
 }

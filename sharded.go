@@ -10,7 +10,6 @@ import (
 	"context"
 	"time"
 
-	"sparta/internal/batchexec"
 	"sparta/internal/shardserve"
 )
 
@@ -47,10 +46,6 @@ type (
 	// set built by WriteDir/cmd/shardbuild: per-file SHA-256 digests
 	// and a per-shard Merkle root.
 	ShardSetManifest = shardserve.Manifest
-	// BatchCounters is a snapshot of a batch executor's coalescing
-	// activity (SearcherConfig.BatchWindow / ShardGroupConfig.
-	// BatchWindow).
-	BatchCounters = batchexec.Counters
 )
 
 // Aggregate stop reasons reported by scatter/gather queries.
@@ -119,21 +114,8 @@ func (s *ShardedSearcher) SearchShards(ctx context.Context, q Query, opts Option
 func (s *ShardedSearcher) ShardCounters() []ShardCounters { return s.group.AllCounters() }
 
 // Unsettled sums the unpaid simulated-I/O debt across shard stores —
-// zero between queries (after Drain, when batching is enabled).
+// zero between queries.
 func (s *ShardedSearcher) Unsettled() time.Duration { return s.group.Unsettled() }
-
-// Drain blocks until every dispatched batch — searcher-level and
-// per-shard — has completed; afterwards all batch I/O is settled. Call
-// it with no searches in flight. A no-op when batching is disabled.
-func (s *ShardedSearcher) Drain() {
-	s.Searcher.Drain()
-	s.group.Drain()
-}
-
-// ShardBatchCounters aggregates the per-shard batch executors' counters
-// (ShardGroupConfig.BatchWindow); the zero value when per-shard
-// batching is disabled.
-func (s *ShardedSearcher) ShardBatchCounters() BatchCounters { return s.group.BatchCounters() }
 
 // RegisterMetrics registers both the searcher-level counters and the
 // per-shard counters in r under prefix.
