@@ -1,7 +1,8 @@
 // Command calibrate sweeps the approximation knobs (Δ, f, p) of every
 // algorithm on long queries and prints mean/P95 latency, recall,
-// traversed postings, and the candidate-map peak per configuration;
-// then Sparta's segment cap, on RAM and on the simulated disk.
+// traversed postings, the candidate-map peak, score lookups (random
+// accesses) and the share of safe stops per configuration; then Sparta's
+// segment cap, on RAM and on the simulated disk.
 //
 // This is how the reproduction's DefaultTuning values were chosen (and
 // how to re-derive them after changing corpus parameters): pick, for
@@ -61,7 +62,8 @@ func main() {
 	qs := env.Sets.Length(*mlen)[:*nq]
 
 	run := func(label string, id bench.AlgoID, opts topk.Options) {
-		var lat, rec, post, peak stats.Sample
+		var lat, rec, post, peak, look stats.Sample
+		safe := 0
 		env.FlushAndReset()
 		for _, q := range qs {
 			opts.K = *k
@@ -75,9 +77,13 @@ func main() {
 			rec.Add(model.Recall(env.Exact(q), res))
 			post.Add(float64(st.Postings))
 			peak.Add(float64(st.CandidatesPeak))
+			look.Add(float64(st.RandomAccesses))
+			if st.StopReason == "safe" {
+				safe++
+			}
 		}
-		fmt.Printf("%-18s mean=%8.2fms p95=%8.2fms recall=%5.1f%% postings=%9.0f peak=%8.0f\n",
-			label, lat.Mean(), lat.Percentile(95), rec.Mean()*100, post.Mean(), peak.Mean())
+		fmt.Printf("%-18s mean=%8.2fms p95=%8.2fms recall=%5.1f%% postings=%9.0f peak=%8.0f lookups=%7.1f safe=%5.1f%%\n",
+			label, lat.Mean(), lat.Percentile(95), rec.Mean()*100, post.Mean(), peak.Mean(), look.Mean(), 100*float64(safe)/float64(len(qs)))
 	}
 
 	run("Sparta-exact", bench.AlgoSparta, topk.Options{Exact: true})

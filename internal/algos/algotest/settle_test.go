@@ -200,7 +200,7 @@ func (o *lastPass) CleanerPass(kept, _ int) { o.kept.Store(int64(kept)) }
 
 // cancelAtCompletion is an on-disk index whose bound form cancels the
 // query the first time a doc-order cursor is opened: the NRA family
-// opens doc cursors only to complete an exact answer's scores.
+// opens doc cursors only to complete an answer's scores.
 type cancelAtCompletion struct {
 	*diskindex.Index
 	cancel context.CancelFunc

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -26,27 +27,62 @@ import (
 // ended by lookups, only because the completion waits for the workers:
 // at Threads 2 and 4 one may still be setting a score it would set too.
 func TestSpartaExactScoresMatchBruteForce(t *testing.T) {
+	matchBruteForce(t, topk.Options{Exact: true})
+}
+
+// TestSpartaDeltaSafeMatchesBruteForce is the same check for the Δ stop:
+// with a Δ no query reaches, a query that reports safe proved its answer
+// the way an exact one does, so it must return the same bytes, scores
+// completed included.
+func TestSpartaDeltaSafeMatchesBruteForce(t *testing.T) {
+	matchBruteForce(t, topk.Options{Delta: time.Hour})
+}
+
+// ramLongTruth is topk.BruteForce's answer at k 10 to each query
+// matchBruteForce runs, computed once: under -race it takes seconds.
+var ramLongTruth struct {
+	once  sync.Once
+	truth []model.TopK
+}
+
+// matchBruteForce runs the ram_long pool at k 10 under opts at SegSize
+// 64, 256 and 1024 and Threads 1, 2 and 4, and requires every answer that
+// stopped safe to equal topk.BruteForce's, and at least one to have;
+// every exact answer is compared, whatever its stop.
+func matchBruteForce(t *testing.T, opts topk.Options) {
 	view, pool := ramLongStack(t)
 	if raceEnabled {
 		// Ten times slower there; what it adds is interleavings, which a
 		// quarter of the pool exercises.
 		pool = pool[:30]
 	}
-	truth := make([]model.TopK, len(pool))
-	for i, q := range pool {
-		truth[i] = topk.BruteForce(view, q, 10)
-	}
+	ramLongTruth.once.Do(func() {
+		for _, q := range pool {
+			ramLongTruth.truth = append(ramLongTruth.truth, topk.BruteForce(view, q, 10))
+		}
+	})
+	truth := ramLongTruth.truth
 	s := New(view)
+	opts.K = 10
 	for _, seg := range []int{64, 256, 1024} {
 		for _, threads := range []int{1, 2, 4} {
+			opts.SegSize, opts.Threads = seg, threads
+			compared := 0
 			for i, q := range pool {
-				got, st, err := s.Search(q, topk.Options{K: 10, Exact: true, Threads: threads, SegSize: seg})
+				got, st, err := s.Search(q, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
+				if st.StopReason != "safe" && !opts.Exact {
+					continue
+				}
+				compared++
 				if !slices.Equal(got, truth[i]) {
 					t.Errorf("SegSize %d Threads %d query %d (stop %q):\n got %v\nwant %v", seg, threads, i, st.StopReason, got, truth[i])
 				}
+			}
+			if compared == 0 {
+				t.Errorf("SegSize %d Threads %d: no query stopped safe", seg, threads)
 			}
 		}
 	}
@@ -288,7 +324,7 @@ func TestSpartaSegmentsDoubleInEitherPhase(t *testing.T) {
 // was meant to, update the row in the same diff.
 func TestSpartaWorkAtThreads1(t *testing.T) {
 	view, pool := ramLongStack(t)
-	for _, want := range []struct {
+	rows := []struct {
 		name                                       string
 		cfg                                        Config
 		opts                                       topk.Options
@@ -300,14 +336,16 @@ func TestSpartaWorkAtThreads1(t *testing.T) {
 		// The probabilistic stop of an exact query ends phase 2 by lookups
 		// too, and completes what it keeps: it reads less than the exact run.
 		{"ProbEpsilon", Config{ProbEpsilon: 0.05}, topk.Options{Exact: true}, 487_336, 255, 78_821, 5_395, 7_451},
-		// Only Exact ends phase 2 by lookups. The Δ rule (with a Δ no query
-		// reaches) and the NoCleanerShrink ablation keep the paper's phase 2
-		// in the same doubling segments — NoCleanerShrink reads every list
-		// to its end, so only its cleanings follow the schedule — and a
-		// query without Exact makes no lookup.
-		{"Δ", Config{}, topk.Options{Delta: time.Hour}, 3_585_990, 1_056, 128_207, 5_396, 0},
+		// The Δ rule with a Δ no query reaches ends phase 2 by lookups as
+		// the exact query does, and so does the same work (checked below).
+		// Only the NoCleanerShrink ablation keeps the paper's phase 2, in the
+		// same doubling segments: it reads every list to its end, so only
+		// its cleanings follow the schedule, and it makes no lookup.
+		{"Δ", Config{}, topk.Options{Delta: time.Hour}, 625_721, 254, 128_207, 5_395, 6_946},
 		{"NoCleanerShrink", Config{NoCleanerShrink: true}, topk.Options{Exact: true}, 11_183_215, 4_776, 128_207, 5_396, 0},
-	} {
+	}
+	measured := make(map[string][5]int64, len(rows))
+	for _, want := range rows {
 		s := NewWithConfig(view, want.cfg)
 		opts := want.opts
 		opts.K, opts.Threads = 10, 1
@@ -329,5 +367,9 @@ func TestSpartaWorkAtThreads1(t *testing.T) {
 				want.name, len(pool), got.postings, got.cleanings, got.peak, got.inserts, got.random,
 				want.postings, want.cleanings, want.peak, want.inserts, want.random)
 		}
+		measured[want.name] = [5]int64{got.postings, got.cleanings, got.peak, got.inserts, got.random}
+	}
+	if measured["Δ"] != measured["SegSize 1024"] {
+		t.Errorf("the Δ row %v drifted from the exact SegSize 1024 row %v", measured["Δ"], measured["SegSize 1024"])
 	}
 }

@@ -22,15 +22,15 @@
 // queue — a list's segments start at one block and double up to
 // SegSize, whatever the phase; docHeap (guarded by one lock, with lazy
 // lower-bound refresh on insert) holds the current top-k; the cleaner
-// also detects safe termination, |docMap| = |docHeap|. An exact
-// query's cleaner may end phase 2 sooner, once
-// looking up the scores the candidates left still miss takes no longer
-// than one more round of segments (Fagin, Lotem and Naor's Combined
-// Algorithm); either way an exact answer's missing scores are then
-// completed by doc-order lookups. The cleaner is event-driven: a pass
-// that does not end the query parks, and the next segment boundary, list
-// end or heap insert submits it again; in the approximate configuration a timer
-// (topk.IdleStop) ends the query once the heap has been idle for Δ.
+// also detects safe termination, |docMap| = |docHeap|. The cleaner may
+// end phase 2 sooner, once looking up the scores the candidates left
+// still miss takes no longer than one more round of segments (Fagin,
+// Lotem and Naor's Combined Algorithm); either way the answer's missing
+// scores are then completed by doc-order lookups. The cleaner is
+// event-driven: a pass that does not end the query parks, and the next
+// segment boundary, list end or heap insert submits it again. In the
+// approximate configuration a timer (topk.IdleStop) also ends a query
+// that has not proved its answer once the heap has been idle for Δ.
 package core
 
 import (
@@ -268,10 +268,11 @@ func (r *run) run() (model.TopK, topk.Stats, error) {
 		return nil, st, err
 	}
 
-	// Line 7: return the heap contents. An exact answer first gets full
-	// scores, here and not in the cleaner: a worker may still have been
-	// setting a score the completion would set too. The answer is among
-	// the heap's members and the candidates left in docMap — a few
+	// Line 7: return the heap contents. An answer the cleaner proved
+	// first gets full scores, here and not in the cleaner: a worker may
+	// still have been setting a score the completion would set too, and a
+	// Δ query's answer is completed like an exact one's. The answer is
+	// among the heap's members and the candidates left in docMap — a few
 	// outside the heap when the cleaner ended phase 2 by lookups. The
 	// two sets are joined, not assumed nested: a candidate the
 	// probabilistic rule dropped may still reach the heap through a map
@@ -279,7 +280,7 @@ func (r *run) run() (model.TopK, topk.Stats, error) {
 	// the heap like any other insert, each refreshing every member's
 	// bound, so the heap ends holding the k best full scores.
 	r.heapMu.Lock()
-	if r.opts.Exact && (st.StopReason == "safe" || st.StopReason == "prob") {
+	if st.StopReason == "safe" || st.StopReason == "prob" {
 		var cands []*cmap.DocState
 		r.docMap.Load().Range(func(d *cmap.DocState) bool {
 			if !r.docHeap.Contains(d) {
@@ -521,14 +522,14 @@ func (r *run) updateHeap(d *cmap.DocState) {
 // without entries that can no longer reach the top-k, installs the copy
 // with a single pointer swing and evaluates the stopping conditions:
 // |docMap| = |docHeap|, and once the hash is complete lookupsCheaper,
-// which ends an exact query's phase 2 with candidates still outside the
-// heap for run() to complete. A pass that does not end the query parks
-// instead of going round again (line 48): its outcome can only change
-// when a term bound falls, a list ends, or Θ or the heap's membership
-// moves, and each of those events re-submits it (cleanerJob.Notify). On
-// the paper's 12-core box the cleaner occupies a spare hardware thread;
-// here it shares the query's workers, so it must not hold one while it
-// has nothing to do.
+// which ends phase 2 with candidates still outside the heap for run() to
+// complete. A pass that does not end the query parks instead of going
+// round again (line 48): its outcome can only change when a term bound
+// falls, a list ends, or Θ or the heap's membership moves, and each of
+// those events re-submits it (cleanerJob.Notify). On the paper's
+// 12-core box the cleaner occupies a spare hardware thread; here it
+// shares the query's workers, so it must not hold one while it has
+// nothing to do.
 func (r *run) cleaner() {
 	if r.done.Load() {
 		return
@@ -618,22 +619,22 @@ func (r *run) cleaner() {
 }
 
 // lookupsCheaper is Fagin, Lotem and Naor's Combined Algorithm (PODS
-// 2001) as a stopping condition of an exact query's phase 2: once UBStop
-// has latched, kept holds every document that can still beat Θ (with
-// ProbEpsilon, every one likely to), so the top-k of their full scores
-// is the answer. Phase 2 would read on in score order only to find their
-// missing scores; a doc-order lookup finds each in one block. Lookups
-// win when they take no longer than one more round of segments: SegSize
-// of every live list, capped by what is left of it, read by up to
-// Threads workers at once, against M missing (candidate, term) scores of
-// live lists, one block each, looked up one after another once the
-// workers are gone. The round stands for the rest of phase 2, not for
-// the next segment, which is shorter while segments still double:
-// priced at that, the switch fires later and reads more. The Δ stop,
-// whose phase 2 is about heap stability, and the NoCleanerShrink
-// ablation keep the paper's phase 2.
+// 2001) as a stopping condition of phase 2: once UBStop has latched,
+// kept holds every document that can still beat Θ (with ProbEpsilon,
+// every one likely to), so the top-k of their full scores is the answer.
+// Phase 2 would read on in score order only to find their missing
+// scores; a doc-order lookup finds each in one block. Lookups win when
+// they take no longer than one more round of segments: SegSize of every
+// live list, capped by what is left of it, read by up to Threads workers
+// at once, against M missing (candidate, term) scores of live lists, one
+// block each, looked up one after another once the workers are gone. The
+// round stands for the rest of phase 2, not for the next segment, which
+// is shorter while segments still double: priced at that, the switch
+// fires later and reads more. A query with a Δ takes the switch too, so
+// it stops safe as soon as an exact one would; only the NoCleanerShrink
+// ablation keeps the paper's phase 2.
 func (r *run) lookupsCheaper(kept *cmap.Map) bool {
-	if !r.opts.Exact || r.cfg.NoCleanerShrink {
+	if r.cfg.NoCleanerShrink {
 		return false
 	}
 	var round, live int64

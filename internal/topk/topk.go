@@ -146,12 +146,13 @@ type Stats struct {
 	Duration time.Duration
 	// Postings is the number of posting entries traversed.
 	Postings int64
-	// RandomAccesses counts by-document score lookups (RA family, and
-	// the NRA family's completion of an exact answer's scores).
+	// RandomAccesses counts by-document score lookups (RA family, the
+	// NRA family's completion of an exact answer's scores, and Sparta's
+	// completion of any answer it stopped safe or prob on).
 	RandomAccesses int64
 	// HeapInserts counts successful top-k heap insertions. Sparta's
-	// include the completed candidates an exact query inserts after
-	// ending phase 2 by lookups that enter the heap.
+	// include the completed candidates a query inserts after ending
+	// phase 2 by lookups that enter the heap.
 	HeapInserts int64
 	// CandidatesPeak is the largest candidate-map size observed.
 	CandidatesPeak int64

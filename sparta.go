@@ -23,8 +23,9 @@
 //	res, stats, err := alg.Search(query, sparta.Options{K: 10, Threads: 4, Exact: true})
 //
 // Approximate retrieval (the paper's headline mode) replaces Exact
-// with a Delta: the query stops once the result heap has been stable
-// for that long, reaching ~97%+ recall at a fraction of the latency.
+// with a Delta: a Sparta query still stops safe, with the exact answer,
+// as soon as it can prove it, and otherwise once the result heap has
+// been stable for that long.
 package sparta
 
 import (
