@@ -2,7 +2,9 @@ package algotest_test
 
 import (
 	"fmt"
+	"sync"
 	"testing"
+	"time"
 
 	"sparta/internal/algos/algotest"
 	"sparta/internal/algos/bmw"
@@ -51,36 +53,91 @@ func TestAllExactAlgorithmsAgree(t *testing.T) {
 	}
 }
 
-// probeQueries is TestNRAFamilyExactScores' query count.
+// probeQueries is the probe pool's query count.
 var probeQueries = 200
 
+// probe is the corpus and queries on which the NRA family's safe stop
+// comes earliest, with brute force's answers: 20 000 documents and
+// queries of 3–12 terms, read in segments of 16 postings. Built once.
+var probe struct {
+	once sync.Once
+	x    *index.Index
+	qs   []model.Query
+	want []model.TopK
+}
+
+func probePool() (*index.Index, []model.Query, []model.TopK) {
+	probe.once.Do(func() {
+		probe.x = index.FromCorpus(corpus.New(corpus.Spec{
+			Name: "probe", Docs: 20_000, Vocab: 2_000, ZipfS: 1.0,
+			MeanDocLen: 60, MinDocLen: 5, Seed: 27,
+		}))
+		for i := range probeQueries {
+			q := algotest.RandomQuery(probe.x, 3+i%10, uint64(2700+i))
+			probe.qs = append(probe.qs, q)
+			probe.want = append(probe.want, topk.BruteForce(probe.x, q, 10))
+		}
+	})
+	return probe.x, probe.qs, probe.want
+}
+
 // TestNRAFamilyExactScores probes the NRA family where its safe stop
-// comes earliest: 20 000 documents, segments of 16 postings, 200 queries
-// of 3–12 terms. The stop proves the top-k set while members' lower
-// bounds may still miss terms whose postings lie below where their
-// lists stopped; an exact answer must complete them (and sNRA's merge
-// must then rank by true scores), so every answer is brute force's.
+// comes earliest (probePool). The stop proves the top-k set while
+// members' lower bounds may still miss terms whose postings lie below
+// where their lists stopped; an exact answer must complete them (and
+// sNRA's merge must then rank by true scores), so every answer is brute
+// force's.
 func TestNRAFamilyExactScores(t *testing.T) {
-	x := index.FromCorpus(corpus.New(corpus.Spec{
-		Name: "probe", Docs: 20_000, Vocab: 2_000, ZipfS: 1.0,
-		MeanDocLen: 60, MinDocLen: 5, Seed: 27,
-	}))
-	const k = 10
-	n := probeQueries
-	qs, want := make([]model.Query, n), make([]model.TopK, n)
-	for i := range qs {
-		qs[i] = algotest.RandomQuery(x, 3+i%10, uint64(2700+i))
-		want[i] = topk.BruteForce(x, qs[i], k)
-	}
+	x, qs, want := probePool()
 	for _, id := range []bench.AlgoID{bench.AlgoNRA, bench.AlgoPNRA, bench.AlgoSNRA} {
 		t.Run(string(id), func(t *testing.T) {
 			alg := bench.MakeAlgorithm(id, x)
 			for i, q := range qs {
-				got, _, err := alg.Search(q, topk.Options{K: k, Exact: true, Threads: 2, SegSize: 16})
+				got, _, err := alg.Search(q, topk.Options{K: 10, Exact: true, Threads: 2, SegSize: 16})
 				if err != nil {
 					t.Fatalf("q%d: %v", i, err)
 				}
 				algotest.AssertExact(t, fmt.Sprintf("q%d (m=%d)", i, len(q)), want[i], got)
+			}
+		})
+	}
+}
+
+// TestNRAFamilyDeltaSafeScores is the same probe with a Δ no query
+// reaches instead of Exact, at Threads 1 and 4: a query that stops safe
+// proved its set the way an exact one does, and its scores are completed
+// the same way, so its answer is brute force's bytes. Each algorithm's
+// safe answers must have made lookups, or the check says nothing; at
+// Threads 1 the count is the same every run. pNRA runs the queries of
+// up to 5 terms: at one thread it re-scans its whole docMap after every
+// segment, and the longer ones take seconds each under -race.
+func TestNRAFamilyDeltaSafeScores(t *testing.T) {
+	x, qs, want := probePool()
+	for _, id := range []bench.AlgoID{bench.AlgoPNRA, bench.AlgoNRA, bench.AlgoSelNRA} {
+		t.Run(string(id), func(t *testing.T) {
+			alg := bench.MakeAlgorithm(id, x)
+			var lookups int64
+			for _, threads := range []int{1, 4} {
+				safe := 0
+				for i, q := range qs {
+					if id == bench.AlgoPNRA && len(q) > 5 {
+						continue
+					}
+					got, st, err := alg.Search(q, topk.Options{K: 10, Delta: time.Hour, Threads: threads, SegSize: 16})
+					if err != nil {
+						t.Fatalf("Threads %d q%d: %v", threads, i, err)
+					}
+					if st.StopReason != "safe" {
+						continue
+					}
+					safe++
+					lookups += st.RandomAccesses
+					algotest.AssertExact(t, fmt.Sprintf("Threads %d q%d (m=%d)", threads, i, len(q)), want[i], got)
+				}
+				t.Logf("Threads %d: %d queries stopped safe", threads, safe)
+			}
+			if lookups == 0 {
+				t.Fatal("no safe answer had a score to look up: the completion was not exercised")
 			}
 		})
 	}

@@ -187,6 +187,42 @@ func TestCompletionStopPathsSettle(t *testing.T) {
 			check("oom")
 		})
 	}
+
+	// At Threads 4 the completion runs one term per worker. Whether a run
+	// ends phase 2 by lookups, and so how many terms it completes, is the
+	// scheduler's call: this query (found by search) completes two or more
+	// terms in 40 runs of 40 at GOMAXPROCS 1, in 30 at GOMAXPROCS 4, and
+	// in 5–16 of 20 beside a CPU-bound test. Every run must settle and
+	// return brute force's answer — the cancel strikes only after the
+	// stop is proved — and at least one of the 40 must have been struck
+	// while completing two or more terms.
+	t.Run("SpartaLookupsThreads4", func(t *testing.T) {
+		q := algotest.RandomQuery(x, 8, 50)
+		want := topk.BruteForce(x, q, 10)
+		struck := 0
+		for range 40 {
+			budget := membudget.New(1 << 30)
+			ctx, cancel := context.WithCancel(context.Background())
+			v := &cancelAtCompletion{Index: disk, cancel: cancel}
+			got, st, err := core.New(v).SearchContext(ctx, q, topk.Options{K: 10, Exact: true, Threads: 4, Budget: budget})
+			cancel()
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := "cancel during parallel completion (" + st.StopReason + ")"
+			algotest.AssertExact(t, path, want, got)
+			algotest.AssertSettled(t, path, store)
+			if used := budget.Used(); used != 0 {
+				t.Fatalf("%s: budget still holds %d bytes", path, used)
+			}
+			if v.opened.Load() >= 2 {
+				struck++
+			}
+		}
+		if struck == 0 {
+			t.Fatal("no run was cancelled while completing two or more terms")
+		}
+	})
 }
 
 // lastPass records how many candidates Sparta's last cleaner pass kept:

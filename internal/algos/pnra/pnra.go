@@ -117,8 +117,8 @@ func (a *PNRA) search(es *topk.ExecState, q model.Query, opts topk.Options) (mod
 		return nil, st, membudget.ErrMemoryBudget
 	}
 	r.heapMu.Lock()
-	if opts.Exact && st.StopReason == "safe" {
-		st.RandomAccesses = topk.CompleteScores(view, q, r.ubs, r.docHeap.Items())
+	if st.StopReason == "safe" {
+		st.RandomAccesses = topk.CompleteScores(view, q, r.ubs, r.docHeap.Items(), opts.Threads)
 	}
 	res := r.docHeap.Results()
 	r.heapMu.Unlock()

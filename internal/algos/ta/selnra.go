@@ -167,8 +167,8 @@ scan:
 			break
 		}
 	}
-	if opts.Exact && st.StopReason == "safe" {
-		st.RandomAccesses = topk.CompleteScores(view, q, ubs, h.Items())
+	if st.StopReason == "safe" {
+		st.RandomAccesses = topk.CompleteScores(view, q, ubs, h.Items(), 1)
 	}
 	st.Duration = time.Since(start)
 	res := h.Results()

@@ -193,9 +193,10 @@ func (a *NRA) SearchContext(ctx context.Context, q model.Query, opts topk.Option
 // Stopping (§3.2): the safe variant stops when (1) Σ UB[i] <= Θ and
 // (2) every visited document outside the heap has UB(D) <= Θ.
 // Condition (2) requires an O(|docMap|·m) scan, so it is evaluated
-// periodically rather than per posting. An exact answer then has its
-// scores completed through doc cursors on view (topk.CompleteScores).
-// The approximate variant stops when the heap has not changed for Δ.
+// periodically rather than per posting. A safe answer, exact or with a
+// Δ, then has its scores completed through doc cursors on view
+// (topk.CompleteScores): the stop proves the set, not the scores. The
+// approximate variant also stops when the heap has not changed for Δ.
 func RunNRA(es *topk.ExecState, view postings.View, q model.Query, cursors []postings.ScoreCursor, opts topk.Options) (model.TopK, topk.Stats, error) {
 	start := time.Now()
 	var st topk.Stats
@@ -297,8 +298,8 @@ scan:
 		// All lists exhausted: every bound is final, results are exact.
 		st.StopReason = "exhausted"
 	}
-	if opts.Exact && st.StopReason == "safe" {
-		st.RandomAccesses = topk.CompleteScores(view, q, ubs, h.Items())
+	if st.StopReason == "safe" {
+		st.RandomAccesses = topk.CompleteScores(view, q, ubs, h.Items(), 1)
 	}
 	st.Duration = time.Since(start)
 	res := h.Results()

@@ -108,8 +108,9 @@ func (d *DocState) NumTerms() int { return len(d.scores) }
 // most once — a posting appears once per list and one worker owns a
 // list at a time — so the lower bound advances by s exactly. That is why
 // a score completion (topk.CompleteScores) runs only once the query's
-// workers are gone: a lookup and a worker that both set the same pair
-// would count it twice.
+// workers are gone, and gives each term to one of its own goroutines: a
+// lookup and a worker, or two lookups, that both set the same pair would
+// count it twice.
 func (d *DocState) SetScore(i int, s model.Score) {
 	atomic.StoreInt64(&d.scores[i], int64(s))
 	d.lb.Add(int64(s))

@@ -26,11 +26,12 @@
 // end phase 2 sooner, once looking up the scores the candidates left
 // still miss takes no longer than one more round of segments (Fagin,
 // Lotem and Naor's Combined Algorithm); either way the answer's missing
-// scores are then completed by doc-order lookups. The cleaner is
-// event-driven: a pass that does not end the query parks, and the next
-// segment boundary, list end or heap insert submits it again. In the
-// approximate configuration a timer (topk.IdleStop) also ends a query
-// that has not proved its answer once the heap has been idle for Δ.
+// scores are then completed by doc-order lookups, one term per worker
+// as the round is one list per worker. The cleaner is event-driven: a
+// pass that does not end the query parks, and the next segment
+// boundary, list end or heap insert submits it again. In the approximate
+// configuration a timer (topk.IdleStop) also ends a query that has not
+// proved its answer once the heap has been idle for Δ.
 package core
 
 import (
@@ -278,7 +279,8 @@ func (r *run) run() (model.TopK, topk.Stats, error) {
 	// probabilistic rule dropped may still reach the heap through a map
 	// or replica a worker already held. Completed, the outsiders enter
 	// the heap like any other insert, each refreshing every member's
-	// bound, so the heap ends holding the k best full scores.
+	// bound, so the heap ends holding the k best full scores. The lookups
+	// run one term per goroutine, up to Threads (lookupsCheaper).
 	r.heapMu.Lock()
 	if st.StopReason == "safe" || st.StopReason == "prob" {
 		var cands []*cmap.DocState
@@ -290,7 +292,7 @@ func (r *run) run() (model.TopK, topk.Stats, error) {
 		})
 		outside := len(cands)
 		cands = append(cands, r.docHeap.Items()...)
-		st.RandomAccesses = topk.CompleteScores(r.view, r.q, r.ubs, cands)
+		st.RandomAccesses = topk.CompleteScores(r.view, r.q, r.ubs, cands, r.opts.Threads)
 		for _, d := range cands[:outside] {
 			if evicted, _ := r.docHeap.UpdateInsert(d); evicted != d {
 				st.HeapInserts++
@@ -625,26 +627,26 @@ func (r *run) cleaner() {
 // Phase 2 would read on in score order only to find their missing
 // scores; a doc-order lookup finds each in one block. Lookups win when
 // they take no longer than one more round of segments: SegSize of every
-// live list, capped by what is left of it, read by up to Threads workers
-// at once, against M missing (candidate, term) scores of live lists, one
-// block each, looked up one after another once the workers are gone. The
-// round stands for the rest of phase 2, not for the next segment, which
-// is shorter while segments still double: priced at that, the switch
-// fires later and reads more. A query with a Δ takes the switch too, so
-// it stops safe as soon as an exact one would; only the NoCleanerShrink
-// ablation keeps the paper's phase 2.
+// live list, capped by what is left of it, against M missing (candidate,
+// term) scores of live lists, one block each. Both sides are read by the
+// same Threads workers — a round one list per worker, the lookups one
+// term per worker (topk.CompleteScores) — so the worker count cancels
+// and the switch falls at the same work whatever the query's Threads.
+// The round stands for the rest of phase 2, not for the next segment,
+// which is shorter while segments still double: priced at that, the
+// switch fires later and reads more. A query with a Δ takes the switch
+// too, so it stops safe as soon as an exact one would; only the
+// NoCleanerShrink ablation keeps the paper's phase 2.
 func (r *run) lookupsCheaper(kept *cmap.Map) bool {
 	if r.cfg.NoCleanerShrink {
 		return false
 	}
-	var round, live int64
+	var round int64
 	for i, ub := range r.ubBuf {
 		if ub > 0 {
 			round += min(int64(r.opts.SegSize), r.left[i].Load())
-			live++
 		}
 	}
-	perLookup := postings.BlockSize * min(int64(r.opts.Threads), live)
 	var missing int64
 	kept.Range(func(d *cmap.DocState) bool {
 		for i, ub := range r.ubBuf {
@@ -652,9 +654,9 @@ func (r *run) lookupsCheaper(kept *cmap.Map) bool {
 				missing++
 			}
 		}
-		return missing*perLookup <= round
+		return missing*postings.BlockSize <= round
 	})
-	return missing*perLookup <= round
+	return missing*postings.BlockSize <= round
 }
 
 var _ topk.Algorithm = (*Sparta)(nil)

@@ -6,6 +6,8 @@ package topk
 import (
 	"cmp"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"sparta/internal/cmap"
 	"sparta/internal/model"
@@ -23,27 +25,61 @@ import (
 // cursors' charges are paid when Finish settles the query's readers
 // together, not one real sleep per lookup as View.RandomAccess pays
 // them. Called once no worker can touch the members any more.
-func CompleteScores(view postings.View, q model.Query, ubs *UpperBounds, members []*cmap.DocState) int64 {
-	var ra int64
+//
+// Up to workers goroutines, the caller among them, each take the next
+// term not yet taken: only term i's goroutine sets a member's score i, so
+// the members' bounds (atomic) sum each score once.
+func CompleteScores(view postings.View, q model.Query, ubs *UpperBounds, members []*cmap.DocState, workers int) int64 {
 	members = slices.SortedFunc(slices.Values(members), func(a, b *cmap.DocState) int {
 		return cmp.Compare(a.ID, b.ID)
 	})
-	for i, t := range q {
-		if ubs.Get(i) == 0 {
+	if workers = min(workers, len(q)); workers > 1 {
+		return completeParallel(view, q, ubs, members, workers)
+	}
+	var ra int64
+	for i := range q {
+		ra += completeTerm(view, q, ubs, i, members)
+	}
+	return ra
+}
+
+// completeParallel is CompleteScores on workers goroutines.
+func completeParallel(view postings.View, q model.Query, ubs *UpperBounds, members []*cmap.DocState, workers int) int64 {
+	var next, ra atomic.Int64
+	var wg sync.WaitGroup
+	work := func() {
+		defer wg.Done()
+		for i := int(next.Add(1) - 1); i < len(q); i = int(next.Add(1) - 1) {
+			ra.Add(completeTerm(view, q, ubs, i, members))
+		}
+	}
+	wg.Add(workers)
+	for range workers - 1 {
+		go work()
+	}
+	work()
+	wg.Wait()
+	return ra.Load()
+}
+
+// completeTerm looks up term i's score for every member, in doc-id
+// order, that has none, and returns the lookups made.
+func completeTerm(view postings.View, q model.Query, ubs *UpperBounds, i int, members []*cmap.DocState) int64 {
+	if ubs.Get(i) == 0 {
+		return 0
+	}
+	var ra int64
+	var c postings.DocCursor
+	for _, d := range members {
+		if d.ScoreAt(i) != 0 {
 			continue
 		}
-		var c postings.DocCursor
-		for _, d := range members {
-			if d.ScoreAt(i) != 0 {
-				continue
-			}
-			if c == nil {
-				c = view.DocCursor(t)
-			}
-			ra++
-			if c.SkipTo(d.ID) && c.Doc() == d.ID {
-				d.SetScore(i, c.Score())
-			}
+		if c == nil {
+			c = view.DocCursor(q[i])
+		}
+		ra++
+		if c.SkipTo(d.ID) && c.Doc() == d.ID {
+			d.SetScore(i, c.Score())
 		}
 	}
 	return ra

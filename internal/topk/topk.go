@@ -146,9 +146,9 @@ type Stats struct {
 	Duration time.Duration
 	// Postings is the number of posting entries traversed.
 	Postings int64
-	// RandomAccesses counts by-document score lookups (RA family, the
-	// NRA family's completion of an exact answer's scores, and Sparta's
-	// completion of any answer it stopped safe or prob on).
+	// RandomAccesses counts by-document score lookups (RA family, and
+	// the NRA family's completion of any answer it stopped safe on —
+	// Sparta's also prob).
 	RandomAccesses int64
 	// HeapInserts counts successful top-k heap insertions. Sparta's
 	// include the completed candidates a query inserts after ending
