@@ -100,6 +100,8 @@ func (s *dailyStats) ScoreCursorShard(t model.TermID, shard, nShards int) postin
 	return postings.NewSliceScoreCursor(sub, 0)
 }
 
+func (s *dailyStats) Resident(model.TermID, model.DocID) bool { return true }
+
 func (s *dailyStats) RandomAccess(t model.TermID, d model.DocID) (model.Score, bool) {
 	list := s.byDay[t]
 	i := sort.Search(len(list), func(i int) bool { return list[i].Doc >= d })

@@ -192,10 +192,12 @@ type segment struct {
 
 // pass is what one cleaner pass left: the postings read by then, the
 // candidates it kept, the (candidate, term) scores they still missed in
-// live lists, and the postings one more round of segments would read —
-// the two sides of the switch to lookups.
+// live lists and what looking them up is worth in postings —
+// ResidentLookupPostings for a lookup whose block is resident, a block
+// for any other — and the postings one more round of segments would
+// read: the two sides of the switch to lookups.
 type pass struct {
-	read, kept, missing, round int
+	read, kept, missing, price, round int
 }
 
 // runTrace is one query run at Threads 1, followed from inside: per term
@@ -211,8 +213,8 @@ type runTrace struct {
 	st            topk.Stats
 }
 
-// traceRun runs q at Threads 1 and traces it.
-func traceRun(t *testing.T, view postings.View, q model.Query, opts topk.Options) runTrace {
+// traceRun runs q under cfg at Threads 1 and traces it.
+func traceRun(t *testing.T, view postings.View, q model.Query, cfg Config, opts topk.Options) runTrace {
 	t.Helper()
 	var r *run
 	tr := runTrace{segs: make([][]segment, len(q)), atUBStop: -1}
@@ -239,6 +241,11 @@ func traceRun(t *testing.T, view postings.View, q model.Query, opts topk.Options
 				for i := range q {
 					if d.ScoreAt(i) == 0 && r.ubs.Get(i) > 0 {
 						p.missing++
+						if view.Resident(q[i], d.ID) {
+							p.price += ResidentLookupPostings
+						} else {
+							p.price += postings.BlockSize
+						}
 					}
 				}
 				return true
@@ -256,7 +263,7 @@ func traceRun(t *testing.T, view postings.View, q model.Query, opts topk.Options
 	opts.Threads, opts.Observer = 1, obs
 	opts = opts.WithDefaults()
 	es := topk.NewExecState(context.Background(), obs)
-	r = newRun(view, q, opts, Config{}, es)
+	r = newRun(view, q, opts, cfg, es)
 	for i := range r.cursors {
 		r.cursors[i] = countingCursor{r.cursors[i], latched, &read[i]}
 	}
@@ -279,14 +286,16 @@ func traceRun(t *testing.T, view postings.View, q model.Query, opts topk.Options
 // the first cleaner pass's candidates, their missing scores and the next
 // round's postings, and the candidates left at the last pass — more than
 // the heap when phase 2 ended by lookups. It checks that the counts
-// agree with Stats and that every switch to lookups obeyed its rule.
+// agree with Stats and that every switch to lookups obeyed its rule: the
+// missing scores' price, each ResidentLookupPostings where its block is
+// resident and a block where it is not, at most the round's postings.
 func TestSpartaPhase2Price(t *testing.T) {
 	view, pool := ramLongStack(t)
 	const k = 10
 	cols := []string{"before", "after", "share‰", "atUBStop", "kept1", "missing1", "round1", "afterPass1", "atSwitch", "passes", "lookups"}
 	vals := make(map[string][]int)
 	for qi, q := range pool {
-		tr := traceRun(t, view, q, topk.Options{K: k, Exact: true})
+		tr := traceRun(t, view, q, Config{}, topk.Options{K: k, Exact: true})
 		if got := int64(tr.before + tr.after); got != tr.st.Postings {
 			t.Fatalf("query %d: %d postings traced, Stats says %d", qi, got, tr.st.Postings)
 		}
@@ -300,8 +309,8 @@ func TestSpartaPhase2Price(t *testing.T) {
 			"afterPass1": tr.before + tr.after - first.read, "passes": len(tr.passes), "lookups": int(tr.st.RandomAccesses),
 		}
 		if last.kept > k {
-			if last.missing*postings.BlockSize > last.round {
-				t.Errorf("query %d: switched to lookups with %d missing scores against a round of %d postings", qi, last.missing, last.round)
+			if last.price > last.round {
+				t.Errorf("query %d: switched to lookups with %d missing scores priced at %d postings against a round of %d", qi, last.missing, last.price, last.round)
 			}
 			row["atSwitch"] = last.kept
 			vals["atSwitch"] = append(vals["atSwitch"], last.kept)
@@ -342,7 +351,7 @@ func TestSpartaSegmentsGrowFromOneBlock(t *testing.T) {
 	}
 	x := b.Build()
 	term, _ := x.Lookup("term")
-	segs := traceRun(t, x, model.Query{term}, topk.Options{K: 2000, Exact: true}).segs
+	segs := traceRun(t, x, model.Query{term}, Config{}, topk.Options{K: 2000, Exact: true}).segs
 	var starts []int
 	for _, s := range segs[0] {
 		starts = append(starts, s.start)
@@ -355,36 +364,44 @@ func TestSpartaSegmentsGrowFromOneBlock(t *testing.T) {
 // TestSpartaSegmentsDoubleInEitherPhase checks the schedule on the
 // ram_long pool: the j-th segment of a list is min(64·2^j, SegSize)
 // postings whether or not UBStop had latched when it began. A list's last
-// segment is cut short by its end or by the stop and is not measured; at
-// least one measured segment must have begun after the latch, or the
-// check says nothing about phase 2.
+// segment is cut short by its end or by the stop and is not measured.
+// The default configuration usually ends phase 2 by lookups at its first
+// cleaner pass, so a list's one segment after the latch is its last; the
+// NoCleanerShrink ablation keeps the paper's phase 2 in the same
+// segments, and at least one of its measured segments must have begun
+// after the latch, or the check says nothing about phase 2.
 func TestSpartaSegmentsDoubleInEitherPhase(t *testing.T) {
 	view, pool := ramLongStack(t)
 	for _, seg := range []int{256, 1024} {
-		afterLatch := 0
-		for qi, q := range pool[:20] {
-			for i, list := range traceRun(t, view, q, topk.Options{K: 10, Exact: true, SegSize: seg}).segs {
-				want := min(postings.BlockSize, seg)
-				for j := 0; j+1 < len(list); j, want = j+1, min(2*want, seg) {
-					if got := list[j+1].start - list[j].start; got != want {
-						t.Fatalf("SegSize %d query %d term %d segment %d (UBStop %v): %d postings, want %d", seg, qi, i, j, list[j].latched, got, want)
-					}
-					if list[j].latched {
-						afterLatch++
+		for _, tc := range []struct {
+			name string
+			cfg  Config
+		}{{"default", Config{}}, {"NoCleanerShrink", Config{NoCleanerShrink: true}}} {
+			cfg, afterLatch := tc.cfg, 0
+			for qi, q := range pool[:20] {
+				for i, list := range traceRun(t, view, q, cfg, topk.Options{K: 10, Exact: true, SegSize: seg}).segs {
+					want := min(postings.BlockSize, seg)
+					for j := 0; j+1 < len(list); j, want = j+1, min(2*want, seg) {
+						if got := list[j+1].start - list[j].start; got != want {
+							t.Fatalf("%s SegSize %d query %d term %d segment %d (UBStop %v): %d postings, want %d", tc.name, seg, qi, i, j, list[j].latched, got, want)
+						}
+						if list[j].latched {
+							afterLatch++
+						}
 					}
 				}
 			}
+			if afterLatch == 0 && cfg.NoCleanerShrink {
+				t.Errorf("%s SegSize %d: no measured segment began after UBStop in 20 queries", tc.name, seg)
+			}
+			t.Logf("%s SegSize %d: %d measured segments began after UBStop", tc.name, seg, afterLatch)
 		}
-		if afterLatch == 0 {
-			t.Errorf("SegSize %d: no measured segment began after UBStop in 20 queries", seg)
-		}
-		t.Logf("SegSize %d: %d measured segments began after UBStop", seg, afterLatch)
 	}
 }
 
 // exactPostingsAtThreads1 is the postings the exact default row of
 // TestSpartaWorkAtThreads1 reads over the ram_long pool.
-const exactPostingsAtThreads1 = 625_721
+const exactPostingsAtThreads1 = 292_341
 
 // TestSpartaWorkAtThreads1 gates work, not time: at Threads 1 the job
 // order is deterministic, so these sums over the ram_long pool repeat
@@ -398,18 +415,18 @@ func TestSpartaWorkAtThreads1(t *testing.T) {
 		opts                                       topk.Options
 		postings, cleanings, peak, inserts, random int64
 	}{
-		{"SegSize 64", Config{}, topk.Options{Exact: true, SegSize: 64}, 3_352_442, 12_196, 114_794, 5_390, 1_641},
-		{"SegSize 256", Config{}, topk.Options{Exact: true, SegSize: 256}, 2_065_969, 1_505, 128_207, 5_396, 1_900},
-		{"SegSize 1024", Config{}, topk.Options{Exact: true}, exactPostingsAtThreads1, 254, 128_207, 5_395, 6_946}, // DefaultSegSize
+		{"SegSize 64", Config{}, topk.Options{Exact: true, SegSize: 64}, 823_488, 1_686, 114_794, 5_390, 4_948},
+		{"SegSize 256", Config{}, topk.Options{Exact: true, SegSize: 256}, 355_111, 156, 128_207, 5_394, 16_148},
+		{"SegSize 1024", Config{}, topk.Options{Exact: true}, exactPostingsAtThreads1, 120, 128_207, 5_393, 22_749}, // DefaultSegSize
 		// The probabilistic stop of an exact query ends phase 2 by lookups
 		// too, and completes what it keeps: it reads less than the exact run.
-		{"ProbEpsilon", Config{ProbEpsilon: 0.05}, topk.Options{Exact: true}, 487_336, 255, 78_821, 5_395, 7_451},
+		{"ProbEpsilon", Config{ProbEpsilon: 0.05}, topk.Options{Exact: true}, 211_391, 120, 78_821, 5_385, 23_170},
 		// The Δ rule with a Δ no query reaches ends phase 2 by lookups as
 		// the exact query does, and so does the same work (checked below).
 		// Only the NoCleanerShrink ablation keeps the paper's phase 2, in the
 		// same doubling segments: it reads every list to its end, so only
 		// its cleanings follow the schedule, and it makes no lookup.
-		{"Δ", Config{}, topk.Options{Delta: time.Hour}, 625_721, 254, 128_207, 5_395, 6_946},
+		{"Δ", Config{}, topk.Options{Delta: time.Hour}, 292_341, 120, 128_207, 5_393, 22_749},
 		{"NoCleanerShrink", Config{NoCleanerShrink: true}, topk.Options{Exact: true}, 11_183_215, 4_776, 128_207, 5_396, 0},
 	}
 	measured := make(map[string][5]int64, len(rows))
@@ -454,9 +471,11 @@ func TestSpartaWorkAtThreads1(t *testing.T) {
 // at Threads 2 and 3.5× at Threads 4 here. Medians of 60 runs, half
 // beside a CPU-bound test, read 1.00–1.38× and 1.00×
 // (results/threads_flat_work.txt, which also has the multi-core
-// numbers). The race detector randomizes the run queue and slows each
-// pass tenfold, so there one pass must stay within 3×: 12 runs read up
-// to 1.31× and 2.14×, the serial pricing 2.3× and 6.1×.
+// numbers); with resident lookups priced at ResidentLookupPostings, ten
+// runs read 1.00–1.28× and 1.00× (results/lookup_price.txt). The race
+// detector randomizes the run queue and slows each pass tenfold, so
+// there one pass must stay within 3×: 12 runs read up to 1.31× and
+// 2.14×, the serial pricing 2.3× and 6.1×.
 func TestSpartaWorkAcrossThreads(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	view, pool := ramLongStack(t)

@@ -24,8 +24,9 @@
 // lower-bound refresh on insert) holds the current top-k; the cleaner
 // also detects safe termination, |docMap| = |docHeap|. The cleaner may
 // end phase 2 sooner, once looking up the scores the candidates left
-// still miss takes no longer than one more round of segments (Fagin,
-// Lotem and Naor's Combined Algorithm); either way the answer's missing
+// still miss takes no longer than one more round of segments, each
+// lookup priced by whether its block is in memory (Fagin, Lotem and
+// Naor's Combined Algorithm); either way the answer's missing
 // scores are then completed by doc-order lookups, one term per worker
 // as the round is one list per worker. The cleaner is event-driven: a
 // pass that does not end the query parks, and the next segment
@@ -620,6 +621,29 @@ func (r *run) cleaner() {
 	r.cleanerJob.Park(epoch)
 }
 
+// ResidentLookupPostings is what a lookup whose block is resident
+// (postings.View.Resident) costs, in phase-2 postings. Such a lookup
+// reads nothing: it is a search of the resident block directory and one
+// doc-block decode. On the RAM store at one thread, `calibrate`'s
+// "lookup price" line times it at 0.81 µs on the CW corpus, against
+// 65 ns for the floor of a phase-2 posting (score-cursor step, docMap
+// probe, score set), medians of ten passes on a 2-CPU host: a ratio of
+// 12.5 (10.8–13.1). That bounds the price from above, since reading on
+// also schedules segments and runs cleaner passes the floor leaves out.
+// Below it the whole query decides: on the ram_long pool at Threads 1
+// prices 4 and 8 do the same work (2 436 postings and 190 lookups per
+// query), 16 reads 3 % more and 32 38 % more, and 8 ran fastest
+// (BenchmarkSpartaRAMLong, medians of eight alternating runs: 552 µs
+// against 574 at 16; 32 no faster in three). A lookup whose block is not
+// resident keeps the price of the block it reads, postings.BlockSize:
+// a cold lookup is never priced below a sequential block, so the switch
+// never fires sooner on cold data than when every lookup was priced so.
+// A store that charges for reads calls every block cold, even one its
+// caches hold (diskindex.Index.Resident): a lookup of a block its
+// decoded-block cache holds measured about 8 postings too, but priced
+// so it cost the sharded workload throughput (DESIGN deviation 12).
+const ResidentLookupPostings = 8
+
 // lookupsCheaper is Fagin, Lotem and Naor's Combined Algorithm (PODS
 // 2001) as a stopping condition of phase 2: once UBStop has latched,
 // kept holds every document that can still beat Θ (with ProbEpsilon,
@@ -627,16 +651,17 @@ func (r *run) cleaner() {
 // Phase 2 would read on in score order only to find their missing
 // scores; a doc-order lookup finds each in one block. Lookups win when
 // they take no longer than one more round of segments: SegSize of every
-// live list, capped by what is left of it, against M missing (candidate,
-// term) scores of live lists, one block each. Both sides are read by the
-// same Threads workers — a round one list per worker, the lookups one
-// term per worker (topk.CompleteScores) — so the worker count cancels
-// and the switch falls at the same work whatever the query's Threads.
-// The round stands for the rest of phase 2, not for the next segment,
-// which is shorter while segments still double: priced at that, the
-// switch fires later and reads more. A query with a Δ takes the switch
-// too, so it stops safe as soon as an exact one would; only the
-// NoCleanerShrink ablation keeps the paper's phase 2.
+// live list, capped by what is left of it, against the missing
+// (candidate, term) scores of live lists, each priced by where its block
+// is (lookupPrice). Both sides are read by the same Threads workers — a
+// round one list per worker, the lookups one term per worker
+// (topk.CompleteScores) — so the worker count cancels and the switch
+// falls at the same work whatever the query's Threads. The round stands
+// for the rest of phase 2, not for the next segment, which is shorter
+// while segments still double: priced at that, the switch fires later
+// and reads more. A query with a Δ takes the switch too, so it stops
+// safe as soon as an exact one would; only the NoCleanerShrink ablation
+// keeps the paper's phase 2.
 func (r *run) lookupsCheaper(kept *cmap.Map) bool {
 	if r.cfg.NoCleanerShrink {
 		return false
@@ -647,16 +672,26 @@ func (r *run) lookupsCheaper(kept *cmap.Map) bool {
 			round += min(int64(r.opts.SegSize), r.left[i].Load())
 		}
 	}
-	var missing int64
+	var price int64
 	kept.Range(func(d *cmap.DocState) bool {
 		for i, ub := range r.ubBuf {
 			if ub > 0 && d.ScoreAt(i) == 0 {
-				missing++
+				price += r.lookupPrice(i, d.ID)
 			}
 		}
-		return missing*postings.BlockSize <= round
+		return price <= round
 	})
-	return missing*postings.BlockSize <= round
+	return price <= round
+}
+
+// lookupPrice is the phase-2 postings one lookup of doc d in term i's
+// list is worth: ResidentLookupPostings when its block is resident, the
+// block it reads otherwise. The probe charges nothing.
+func (r *run) lookupPrice(i int, d model.DocID) int64 {
+	if r.view.Resident(r.q[i], d) {
+		return ResidentLookupPostings
+	}
+	return postings.BlockSize
 }
 
 var _ topk.Algorithm = (*Sparta)(nil)

@@ -432,6 +432,15 @@ func (x *Index) randomAccess(t model.TermID, d model.DocID, rd *iomodel.Reader) 
 	return 0, false
 }
 
+// Resident implements postings.View: a lookup costs CPU only on a store
+// that charges nothing (RAMConfig), whose blocks are all in memory. On a
+// store that charges, no block is resident, not even one the page cache
+// or the decoded-block cache holds: priced as resident, such lookups
+// made the switch fire sooner on the sharded store, which then read
+// fewer postings for more decoded-block cache fills and lost queries per
+// second (DESIGN deviation 12).
+func (x *Index) Resident(model.TermID, model.DocID) bool { return x.store.Free() }
+
 // BindExec implements postings.ExecBinder: the returned view opens
 // cursors whose simulated I/O waits end early once ctx is done, whose
 // physical fetches are reported to onIO, and whose posting-cache

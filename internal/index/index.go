@@ -127,6 +127,9 @@ func (x *Index) ScoreCursorShard(t model.TermID, shard, nShards int) postings.Sc
 	return postings.NewSliceScoreCursor(list, 0)
 }
 
+// Resident implements postings.View: every posting is in memory.
+func (x *Index) Resident(model.TermID, model.DocID) bool { return true }
+
 // RandomAccess implements postings.View via binary search on the
 // doc-ordered list.
 func (x *Index) RandomAccess(t model.TermID, d model.DocID) (model.Score, bool) {

@@ -258,6 +258,12 @@ func (s *Store) Snapshot() Stats {
 // away from their I/O bill.
 func (s *Store) Unsettled() time.Duration { return time.Duration(s.owedNs.Load()) }
 
+// Free reports whether the store charges nothing for a read: the RAM
+// model (RAMConfig), whose readers skip the page cache altogether.
+func (s *Store) Free() bool {
+	return s.cfg.SeqLatency == 0 && s.cfg.RandLatency == 0 && s.cfg.NoSleep
+}
+
 // stripeFor maps a block to its cache stripe.
 func (s *Store) stripeFor(id blockID) *cacheStripe {
 	if len(s.stripe) == 1 {
@@ -440,7 +446,7 @@ func (r *Reader) View(off, n int64) []byte {
 
 func (r *Reader) touchBlock(b int64) {
 	s := r.store
-	if s.cfg.SeqLatency == 0 && s.cfg.RandLatency == 0 && s.cfg.NoSleep {
+	if s.Free() {
 		// RAM-resident model: reads cost nothing; skip the cache
 		// machinery entirely (no counters either).
 		return

@@ -134,6 +134,7 @@ func (l *Live) compactOnce(ctx context.Context) (bool, error) {
 	spliced = append(spliced, fz)
 	spliced = append(spliced, l.frozen[runHi:]...)
 	l.frozen = spliced
+	l.sumFrozenDFLocked()
 	err = l.writeManifestLocked()
 	l.publishLocked()
 	l.mu.Unlock()
@@ -189,7 +190,7 @@ func (l *Live) mergeRun(ctx context.Context, run []*frozenSeg, nTerms int) (_ *m
 			for cur.Next() {
 				d := cur.Doc()
 				tf := uint32(cur.Score()) // raw payload: term frequency
-				list = append(list, tfPost{doc: d, tf: tf, w: rawWeight(tf, fz.docLen(d))})
+				list = append(list, tfPost{doc: d, tf: tf, w: fz.weight(tf, d)})
 			}
 		}
 		if len(list) == 0 {

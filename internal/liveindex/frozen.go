@@ -50,7 +50,8 @@ type frozenSeg struct {
 	dir     string
 	gen     int
 	lo, hi  model.DocID
-	docLens []uint32 // per local document, RAM-resident
+	docLens []uint32  // per local document, RAM-resident
+	sqrtLen []float64 // √docLens, rawWeight's denominator (sqrtLens)
 	inner   *diskindex.Index
 	dfs     []int32 // local df per term (dictionary cache)
 	nBlocks int     // total block-max blocks, for stats
@@ -90,6 +91,16 @@ func (s *frozenSeg) localDF(t model.TermID) int {
 }
 
 func (s *frozenSeg) docLen(d model.DocID) int { return int(s.docLens[d-s.lo]) }
+
+// weight is rawWeight(tf, docLen(d)) from the segment's tables: the
+// same float operations on the same operands, so the same bits, without
+// a logarithm and a square root per posting.
+func (s *frozenSeg) weight(tf uint32, d model.DocID) float64 {
+	if tf < uint32(len(logTF)) {
+		return logTF[tf] / s.sqrtLen[d-s.lo]
+	}
+	return rawWeight(tf, s.docLen(d))
+}
 
 // writeFrozen serializes a raw segment snapshot into dir using the
 // diskindex layout plus the length sidecar.
@@ -157,7 +168,7 @@ func openFrozen(dir string, gen int, lo, hi model.DocID, cfg iomodel.Config) (*f
 	}
 	s := &frozenSeg{
 		dir: dir, gen: gen, lo: lo, hi: hi,
-		docLens: docLens, inner: inner,
+		docLens: docLens, sqrtLen: sqrtLens(docLens), inner: inner,
 		dfs: make([]int32, inner.NumTerms()),
 	}
 	for t := 0; t < inner.NumTerms(); t++ {
@@ -243,8 +254,11 @@ func (v *frozenView) RandomAccess(t model.TermID, d model.DocID) (model.Score, b
 	if !ok {
 		return 0, false
 	}
-	return scoreOf(rawWeight(uint32(tf), v.seg.docLen(d)), v.idf(t)), true
+	return scoreOf(v.seg.weight(uint32(tf), d), v.idf(t)), true
 }
+
+// Resident implements postings.View: the inner index's probe.
+func (v *frozenView) Resident(t model.TermID, d model.DocID) bool { return v.src.Resident(t, d) }
 
 // BindExec implements postings.ExecBinder by binding the inner
 // diskindex view and rewrapping, so bound cursors keep the
@@ -277,8 +291,7 @@ func (c *fzDocCursor) BlockLast() model.DocID                { return c.in.Block
 func (c *fzDocCursor) BlockLastAt(d model.DocID) model.DocID { return c.in.BlockLastAt(d) }
 
 func (c *fzDocCursor) Score() model.Score {
-	d := c.in.Doc()
-	return scoreOf(rawWeight(uint32(c.in.Score()), c.seg.docLen(d)), c.idf)
+	return scoreOf(c.seg.weight(uint32(c.in.Score()), c.in.Doc()), c.idf)
 }
 
 func (c *fzDocCursor) MaxScore() model.Score { return boundOf(uint32(c.in.MaxScore()), c.idf) }
@@ -304,7 +317,7 @@ func (c *fzScoreCursor) Next() bool {
 		return false
 	}
 	c.pos = 1
-	c.cur = scoreOf(rawWeight(uint32(c.in.Score()), c.seg.docLen(c.in.Doc())), c.idf)
+	c.cur = scoreOf(c.seg.weight(uint32(c.in.Score()), c.in.Doc()), c.idf)
 	return true
 }
 

@@ -1,6 +1,7 @@
 package liveindex
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -131,6 +132,29 @@ func TestSnapshotsExtendWithoutDisturbingEarlierOnes(t *testing.T) {
 			if !slices.Equal(g.post, w.post) || !slices.Equal(g.impact, w.impact) ||
 				!slices.Equal(g.blocks, w.blocks) || g.wmax != w.wmax {
 				t.Fatalf("snapshot of %d docs, term %d: differs from a memtable built in one go", got.docs(), tid)
+			}
+		}
+	}
+}
+
+// TestFrozenWeightTablesMatchRawWeight pins the frozen segment's table
+// scoring to rawWeight bit for bit: tf 1–300 crosses the end of the
+// 1 + ln tf table, and the document lengths include 0, which both clamp
+// to 1.
+func TestFrozenWeightTablesMatchRawWeight(t *testing.T) {
+	const lo = 500
+	var lens []uint32
+	for n := uint32(0); n < 70; n++ {
+		lens = append(lens, n)
+	}
+	lens = append(lens, 255, 256, 1000, 4095, 1<<20)
+	seg := &frozenSeg{lo: lo, docLens: lens, sqrtLen: sqrtLens(lens)}
+	for tf := uint32(1); tf <= 300; tf++ {
+		for i, n := range lens {
+			d := lo + model.DocID(i)
+			got, want := seg.weight(tf, d), rawWeight(tf, int(n))
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("tf %d, docLen %d: table weight %v, rawWeight %v", tf, n, got, want)
 			}
 		}
 	}

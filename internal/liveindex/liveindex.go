@@ -189,6 +189,7 @@ type Live struct {
 	names    []string
 	mem      *memtable
 	frozen   []*frozenSeg
+	frozenDF []int32 // per term, the frozen segments' df sum (sumFrozenDFLocked)
 	w        *wal
 	nextGen  int
 	walStart model.DocID
@@ -336,6 +337,7 @@ func Open(dir string, cfg Config) (*Live, error) {
 	}
 
 	l.mu.Lock()
+	l.sumFrozenDFLocked()
 	l.publishLocked()
 	l.mu.Unlock()
 
@@ -587,6 +589,7 @@ func (l *Live) flushLocked() error {
 		return err
 	}
 	l.trackStore(fz.inner.Store())
+	l.sumFrozenDFLocked()
 	l.mem = newMemtable(seg.hi)
 	l.flushes.Add(1)
 	l.lastFlushUnixNano.Store(time.Now().UnixNano())
@@ -628,19 +631,34 @@ func writeFileAtomic(path string, data []byte) error {
 	return nil
 }
 
-// publishLocked recomputes the global statistics of the current
-// segment set and swaps in the new epoch.
-func (l *Live) publishLocked() {
-	nTerms := len(l.names)
-	memSeg := l.mem.snapshot(nTerms)
-	n := int(memSeg.hi)
-
+// sumFrozenDFLocked recomputes frozenDF from every frozen segment's
+// df. It runs where the frozen set changes — open, flush and the
+// compaction splice — so that an append, which only grows the
+// memtable, does not re-sum every segment over the whole dictionary.
+func (l *Live) sumFrozenDFLocked() {
+	var nTerms int
+	for _, fz := range l.frozen {
+		nTerms = max(nTerms, len(fz.dfs))
+	}
 	df := make([]int32, nTerms)
 	for _, fz := range l.frozen {
 		for t, d := range fz.dfs {
 			df[t] += d
 		}
 	}
+	l.frozenDF = df
+}
+
+// publishLocked recomputes the global statistics of the current
+// segment set — frozenDF plus the memtable's lists — and swaps in the
+// new epoch.
+func (l *Live) publishLocked() {
+	nTerms := len(l.names)
+	memSeg := l.mem.snapshot(nTerms)
+	n := int(memSeg.hi)
+
+	df := make([]int32, nTerms)
+	copy(df, l.frozenDF)
 	for t, mt := range memSeg.terms {
 		if mt != nil {
 			df[t] += int32(len(mt.post))

@@ -86,6 +86,9 @@ func (v *memView) ScoreCursorShard(t model.TermID, shard, nShards int) postings.
 	return &memScoreCursor{list: list, idf: v.idf(t), max: max, pos: -1}
 }
 
+// Resident implements postings.View: the memtable is in memory.
+func (v *memView) Resident(model.TermID, model.DocID) bool { return true }
+
 func (v *memView) RandomAccess(t model.TermID, d model.DocID) (model.Score, bool) {
 	if v.seg.localDF(t) == 0 {
 		return 0, false

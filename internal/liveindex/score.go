@@ -51,6 +51,25 @@ func rawWeight(tf uint32, docLen int) float64 {
 	return (1 + math.Log(float64(tf))) / math.Sqrt(float64(docLen))
 }
 
+// logTF[tf] is 1 + ln tf, rawWeight's numerator, for the term
+// frequencies nearly every posting has.
+var logTF = func() (t [256]float64) {
+	for tf := range t {
+		t[tf] = 1 + math.Log(float64(tf))
+	}
+	return t
+}()
+
+// sqrtLens is rawWeight's denominator for every document of a segment:
+// √|D| with the same docLen clamp.
+func sqrtLens(docLens []uint32) []float64 {
+	out := make([]float64, len(docLens))
+	for i, n := range docLens {
+		out[i] = math.Sqrt(float64(max(int(n), 1)))
+	}
+	return out
+}
+
 // idfOf is the global idf term, mirroring scoring.TermScore (including
 // the df clamp).
 func idfOf(numDocs, df int) float64 {

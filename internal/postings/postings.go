@@ -144,6 +144,14 @@ type View interface {
 	// secondary by-document index that the RA family requires (§3.2).
 	// The bool reports whether d appears in t's posting list.
 	RandomAccess(t model.TermID, d model.DocID) (model.Score, bool)
+	// Resident reports whether a lookup of d in t's doc-ordered list —
+	// RandomAccess, or a DocCursor's SkipTo — would find the block that
+	// can hold d in memory, so that it costs CPU only. It is a probe, not
+	// a read: it charges nothing and moves no cache order or counter, so
+	// an algorithm can price a lookup before making it. A view whose
+	// postings are in memory answers true; one over a store that charges
+	// for reads answers false.
+	Resident(t model.TermID, d model.DocID) bool
 }
 
 // ExecBinder is implemented by views whose traversal charges simulated
