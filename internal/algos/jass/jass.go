@@ -134,7 +134,7 @@ scan:
 		}
 	}
 	if st.StopReason == "" {
-		if st.Postings >= budget {
+		if budget < total && st.Postings >= budget {
 			st.StopReason = "fraction"
 		} else {
 			st.StopReason = "exhausted"
@@ -227,7 +227,7 @@ func (a *PJASS) search(es *topk.ExecState, q model.Query, opts topk.Options) (mo
 	}
 	if reason := es.StopReason(); reason != "" {
 		st.StopReason = reason
-	} else if r.nPostings.Load() >= budget {
+	} else if budget < total && r.nPostings.Load() >= budget {
 		st.StopReason = "fraction"
 	} else {
 		st.StopReason = "exhausted"
@@ -302,7 +302,9 @@ func (r *pjassRun) processTerm(i int) {
 	r.pool.Submit(func() { r.processTerm(i) })
 }
 
-// workBudget converts the fraction p into a posting count.
+// workBudget converts the fraction p into a posting count. A budget of
+// every posting (p = 1, or Exact) cuts nothing, so a run that spends it
+// stops "exhausted", not "fraction".
 func workBudget(total int64, opts topk.Options) int64 {
 	p := opts.FracP
 	if opts.Exact || p <= 0 || p > 1 {

@@ -11,9 +11,10 @@
 // 1/S-th of the documents, so early stopping is far weaker — the very
 // result that motivates Sparta's judicious sharing.
 //
-// When fewer threads than shards are available, shards are scheduled as
-// jobs on a worker pool (the partitioning is fixed at index build time,
-// 12 shards by default, matching the paper's setup).
+// Shards run as the parts of one topk.FanOut, at most Threads at a
+// time (the partitioning is fixed at index build time, 12 shards by
+// default, matching the paper's setup), which merges their lists and
+// folds their Stats the way shardserve folds shards.
 //
 // A departure from the paper (DESIGN.md §4a): NRA proves the top-k
 // *set*, but the scores it reports are lower bounds, and a merge that
@@ -26,12 +27,9 @@ package snra
 
 import (
 	"context"
-	"sync"
-	"time"
 
 	"sparta/internal/algos/ta"
 	"sparta/internal/diskindex"
-	"sparta/internal/jobqueue"
 	"sparta/internal/model"
 	"sparta/internal/postings"
 	"sparta/internal/topk"
@@ -64,8 +62,7 @@ func (a *SNRA) Search(q model.Query, opts topk.Options) (model.TopK, topk.Stats,
 
 // SearchContext implements topk.Algorithm. One execution state is
 // shared across all shard-local NRA instances, so a single cancellation
-// stops every shard; the merge then runs over the partial shard
-// results.
+// stops every shard; topk.FanOut then merges the partial shard results.
 func (a *SNRA) SearchContext(ctx context.Context, q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
 	opts = opts.WithDefaults()
 	es := topk.NewExecState(ctx, opts.Observer)
@@ -76,7 +73,6 @@ func (a *SNRA) SearchContext(ctx context.Context, q model.Query, opts topk.Optio
 }
 
 func (a *SNRA) search(es *topk.ExecState, q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
-	start := time.Now()
 	if opts.Probe != nil {
 		opts.Probe.Start()
 	}
@@ -90,73 +86,34 @@ func (a *SNRA) search(es *topk.ExecState, q model.Query, opts topk.Options) (mod
 	}
 
 	view := es.BindView(a.view)
-	var (
-		mu      sync.Mutex
-		results []model.TopK
-		stTotal topk.Stats
-		firstEr error
-	)
-	pool := jobqueue.New(opts.Threads)
-	for s := 0; s < shards; s++ {
-		s := s
-		pool.Submit(func() {
-			if es.Stopped() {
-				return // drop unstarted shards; started ones stop inside
+	// The ExecState already saw QueryStart once and carries the
+	// observer: the fan-out gets none, so neither it nor the
+	// shard-local runs open query scopes of their own.
+	fanOpts := opts
+	fanOpts.Observer = nil
+	all, st, err := topk.FanOut(es.Context(), q, fanOpts, shards, opts.Threads, topk.StopMerged, func(_ context.Context, s int, shardOpts topk.Options) (model.TopK, topk.Stats, error) {
+		if es.Stopped() {
+			return nil, topk.Stats{}, nil // drop unstarted shards; started ones stop inside
+		}
+		es.SegmentScheduled(s)
+		cursors := make([]postings.ScoreCursor, len(q))
+		for i, t := range q {
+			cursors[i] = view.ScoreCursorShard(t, s, shards)
+		}
+		// Thread-local NRA; the probe is shared (it is the only global
+		// view of accrual and is internally synchronized).
+		res, st, err := ta.RunNRA(es, view, q, cursors, shardOpts)
+		if err == nil && opts.Probe != nil {
+			for _, r := range res {
+				opts.Probe.ObserveInsert(r.Doc, r.Score)
 			}
-			es.SegmentScheduled(s)
-			cursors := make([]postings.ScoreCursor, len(q))
-			for i, t := range q {
-				cursors[i] = view.ScoreCursorShard(t, s, shards)
-			}
-			// Thread-local NRA; the probe is shared (it is the only
-			// global view of accrual and is internally synchronized).
-			// The Observer already saw QueryStart once — shard-local runs
-			// share es rather than opening their own query scopes.
-			shardOpts := opts
-			shardOpts.Probe = nil
-			shardOpts.Observer = nil
-			res, st, err := ta.RunNRA(es, view, q, cursors, shardOpts)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstEr == nil {
-					firstEr = err
-				}
-				return
-			}
-			results = append(results, res)
-			stTotal.Postings += st.Postings
-			stTotal.RandomAccesses += st.RandomAccesses
-			stTotal.HeapInserts += st.HeapInserts
-			if st.CandidatesPeak > stTotal.CandidatesPeak {
-				stTotal.CandidatesPeak = st.CandidatesPeak
-			}
-			if opts.Probe != nil {
-				for _, r := range res {
-					opts.Probe.ObserveInsert(r.Doc, r.Score)
-				}
-			}
-		})
-	}
-	pool.CloseAfterDrain()
-	if firstEr != nil {
-		stTotal.StopReason = "oom"
-		stTotal.Duration = time.Since(start)
-		return nil, stTotal, firstEr
-	}
-
-	// Merge the shard-local top-k lists, keep the global top-k.
-	all := topk.MergeTopK(results, opts.K)
-	if reason := es.StopReason(); reason != "" {
-		stTotal.StopReason = reason
-	} else {
-		stTotal.StopReason = "merged"
-	}
-	stTotal.Duration = time.Since(start)
-	if opts.Probe != nil {
+		}
+		return res, st, err
+	})
+	if err == nil && opts.Probe != nil {
 		opts.Probe.Final(all)
 	}
-	return all, stTotal, nil
+	return all, st, err
 }
 
 var _ topk.Algorithm = (*SNRA)(nil)

@@ -751,81 +751,18 @@ func (l *Live) Search(q model.Query, opts topk.Options) (model.TopK, topk.Stats,
 }
 
 // SearchContext evaluates q over the epoch current at call time: one
-// algorithm instance per segment runs in parallel and the partial
-// top-ks merge (topk.MergeTopK). Segments cover disjoint document
-// ranges and score under the epoch's global statistics, so exact parts
-// — each the reference's bytes — merge into the exact answer with no
-// further pass. Epochs published mid-query do not disturb it. The
-// merged StopReason is the most telling of the segments' (stopRank).
+// algorithm instance per segment, all segments at once, through
+// topk.FanOut, which merges the partial top-ks (topk.MergeTopK) and
+// folds their Stats. Segments cover disjoint document ranges and score
+// under the epoch's global statistics, so exact parts — each the
+// reference's bytes — merge into the exact answer with no further pass.
+// Epochs published mid-query do not disturb it. The stop reason is the
+// most telling of the segments' (topk.Stats.Fold).
 func (l *Live) SearchContext(ctx context.Context, q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, topk.Stats{}, err
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	start := time.Now()
-	k := opts.K
-	if k <= 0 {
-		k = topk.DefaultK
-	}
-	ep := l.epochNow()
-	if len(ep.views) == 0 {
-		return model.TopK{}, topk.Stats{Duration: time.Since(start), StopReason: "exhausted"}, nil
-	}
-
-	parts := make([]model.TopK, len(ep.views))
-	stats := make([]topk.Stats, len(ep.views))
-	errs := make([]error, len(ep.views))
-	var wg sync.WaitGroup
-	for i, v := range ep.views {
-		wg.Add(1)
-		go func(i int, v postings.View) {
-			defer wg.Done()
-			alg := l.cfg.Factory(v)
-			parts[i], stats[i], errs[i] = alg.SearchContext(ctx, q, opts)
-		}(i, v)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, topk.Stats{}, err
-		}
-	}
-
-	merged := topk.MergeTopK(parts, k)
-	agg := topk.Stats{Duration: time.Since(start)}
-	for i := range stats {
-		agg.Postings += stats[i].Postings
-		agg.RandomAccesses += stats[i].RandomAccesses
-		agg.HeapInserts += stats[i].HeapInserts
-		agg.Cleanings += stats[i].Cleanings
-		if stats[i].CandidatesPeak > agg.CandidatesPeak {
-			agg.CandidatesPeak = stats[i].CandidatesPeak
-		}
-		if r := stats[i].StopReason; agg.StopReason == "" || stopRank(r) < stopRank(agg.StopReason) {
-			agg.StopReason = r
-		}
-	}
-	return merged, agg, nil
-}
-
-// stopRank orders segment stop reasons, most telling first, whatever
-// the segment order: a context stop, then any other stop that may leave
-// the merged answer partial, then a proven-safe stop, then a segment
-// that read all its postings, then one that had none to read.
-func stopRank(reason string) int {
-	switch reason {
-	case topk.StopCancelled, topk.StopDeadline:
-		return 0
-	case "safe":
-		return 2
-	case "exhausted":
-		return 3
-	case "empty":
-		return 4
-	}
-	return 1
+	views := l.epochNow().views
+	return topk.FanOut(ctx, q, opts, len(views), len(views), "", func(ctx context.Context, i int, opts topk.Options) (model.TopK, topk.Stats, error) {
+		return l.cfg.Factory(views[i]).SearchContext(ctx, q, opts)
+	})
 }
 
 // SegmentStats describes one segment of the current epoch.

@@ -580,6 +580,47 @@ func TestLiveStopReasonRanksSegments(t *testing.T) {
 	}
 }
 
+// TestLiveObservedQueryIsOneQuery: an observer sees a query over a
+// multi-segment epoch as one query — one QueryStart, one QueryFinish
+// carrying the merged Stats — and no segment runs the query's recall
+// probe, which measures one index's heap.
+func TestLiveObservedQueryIsOneQuery(t *testing.T) {
+	bags := testBags(300, 41)
+	// Factory unset: core.New (Sparta) on every segment.
+	l, err := liveindex.Open(t.TempDir(), liveindex.Config{IO: ramIO(), FlushDocs: 100, DisableCompaction: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	appendAll(t, l, bags)
+	if got := len(l.SegmentStats()); got < 3 {
+		t.Fatalf("segments = %d, want >= 3", got)
+	}
+	fresh := buildFresh(bags, 300)
+	q := algotest.RandomQuery(fresh, 4, 47)
+	want := topk.BruteForce(fresh, q, 10)
+
+	obs := &topk.RecordingObserver{}
+	probe := topk.NewRecallProbe(want)
+	got, st, err := l.Search(q, topk.Options{K: 10, Exact: true, Threads: 2, Observer: obs, Probe: probe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	algotest.AssertExact(t, "observed", want, got)
+	if obs.Queries() != 1 || obs.Finishes() != 1 {
+		t.Errorf("observer saw %d starts / %d finishes, want 1/1", obs.Queries(), obs.Finishes())
+	}
+	if last, err := obs.Last(); err != nil || last != st {
+		t.Errorf("observer last = (%+v, %v), want the merged (%+v, nil)", last, err, st)
+	}
+	if obs.HeapUpdates() == 0 {
+		t.Error("observer saw no heap updates: the segments' execution events were lost")
+	}
+	if n := len(probe.Series().Points()); n != 0 {
+		t.Errorf("a segment ran the recall probe (%d points)", n)
+	}
+}
+
 // TestLiveBackgroundCompactor: the automatic path — flush-triggered
 // kicks merge segments down while ingest continues, and identity
 // holds throughout.

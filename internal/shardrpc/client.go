@@ -234,7 +234,7 @@ func (cl *Client) SearchContext(ctx context.Context, q model.Query, opts topk.Op
 			// why this side cancelled, exactly as a local algorithm
 			// watching the same context would report it. (A server-side
 			// StopDeadline — its own budget fired first — stands.)
-			st.StopReason = stopReasonFor(ctx.Err())
+			st.StopReason = topk.StopReasonFor(ctx.Err())
 		}
 		return res, st, err
 	}
@@ -357,14 +357,6 @@ func decodeSearchResp(r respFrame) (model.TopK, topk.Stats, error) {
 	default:
 		return nil, topk.Stats{}, fmt.Errorf("%w: unexpected response type %d", ErrTransport, r.typ)
 	}
-}
-
-// stopReasonFor maps a context error onto the anytime stop vocabulary.
-func stopReasonFor(err error) string {
-	if err == context.DeadlineExceeded {
-		return topk.StopDeadline
-	}
-	return topk.StopCancelled
 }
 
 // respFrame is one response delivered to a waiting request: the frame,

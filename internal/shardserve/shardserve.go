@@ -4,8 +4,8 @@
 // the *index* — each shard is its own view with its own simulated
 // store, its own Searcher-grade algorithm instance, and optionally its
 // own decoded-block cache — and serves every query by fanning it out
-// to all shards concurrently, then merging the per-shard top-k lists
-// into the global top-k (topk.MergeTopK).
+// to all shards concurrently through topk.FanOut, which merges the
+// per-shard top-k lists into the global top-k (topk.MergeTopK).
 //
 // The serving concerns layered on top of the fan-out are the ones that
 // dominate sharded tail latency in practice:
@@ -50,13 +50,17 @@ import (
 )
 
 // Aggregate StopReasons reported by scatter/gather queries (per-shard
-// reasons live in ShardRunStats.Stats.StopReason).
+// reasons live in ShardRunStats.Stats.StopReason). topk.FanOut's rule
+// picks one: the context's reason if the query's context ended, then
+// StopPartial, then a shard's early stop (delta, oom, prob, …), then
+// StopMerged.
 const (
-	// StopMerged: every shard delivered a complete result.
-	StopMerged = "merged"
+	// StopMerged: every shard delivered a complete result and none
+	// stopped early.
+	StopMerged = topk.StopMerged
 	// StopPartial: at least one shard was dropped (deadline, error, or
 	// breaker skip); the merged top-k covers the shards that answered.
-	StopPartial = "partial"
+	StopPartial = topk.StopPartial
 )
 
 // Factory builds one algorithm instance over one shard's view —
@@ -398,66 +402,30 @@ type ShardedStats struct {
 }
 
 // SearchShards evaluates q over every shard concurrently and merges
-// the per-shard top-k lists into the global top-k. Shards that miss
-// their deadline, error out, or are skipped by an open breaker are
-// counted in Stats.ShardsDropped; the merged result covers whatever
-// the remaining shards delivered (never an error for per-shard
-// failures — the anytime contract, per shard).
+// the per-shard top-k lists into the global top-k (topk.FanOut, one
+// part per shard). Shards that miss their deadline, error out, or are
+// skipped by an open breaker are counted in Stats.ShardsDropped; the
+// merged result covers whatever the remaining shards delivered (never
+// an error for per-shard failures — the anytime contract, per shard).
 func (g *Group) SearchShards(ctx context.Context, q model.Query, opts topk.Options) (model.TopK, ShardedStats, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, ShardedStats{}, err
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	start := time.Now()
-	k := opts.K
-	if k <= 0 {
-		k = topk.DefaultK
-	}
-	obs := opts.Observer
-	if obs != nil {
-		obs.QueryStart(q, opts)
-	}
-	sopts := opts
-	sopts.Probe = nil // recall probes are single-index instruments
-	if obs != nil {
-		// Forward execution events to the query observer but keep the
-		// per-query lifecycle events ours: one QueryStart/QueryFinish
-		// per sharded query, not one per shard.
-		sopts.Observer = shardObserver{obs}
-	}
-
 	n := len(g.shards)
-	parts := make([]model.TopK, n)
 	runs := make([]ShardRunStats, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	merged, st, err := topk.FanOut(ctx, q, opts, n, n, StopMerged, func(ctx context.Context, i int, opts topk.Options) (model.TopK, topk.Stats, error) {
 		sh := g.shards[i]
 		sh.queries.Add(1)
-		wg.Add(1)
-		go func(i int, sh *shardState) {
-			defer wg.Done()
-			parts[i], runs[i] = g.runShard(ctx, i, sh, q, sopts)
-		}(i, sh)
+		res, run := g.runShard(ctx, i, sh, q, opts)
+		runs[i] = run
+		part := run.Stats
+		if run.Dropped {
+			part.ShardsDropped = 1
+		}
+		return res, part, nil
+	})
+	if err != nil {
+		return nil, ShardedStats{}, err
 	}
-	wg.Wait()
-
-	merged := topk.MergeTopK(parts, k)
-	agg := topk.Stats{}
-	out := ShardedStats{Shards: runs}
-	for i := range runs {
-		r := &runs[i]
-		agg.Postings += r.Stats.Postings
-		agg.RandomAccesses += r.Stats.RandomAccesses
-		agg.HeapInserts += r.Stats.HeapInserts
-		agg.Cleanings += r.Stats.Cleanings
-		if r.Stats.CandidatesPeak > agg.CandidatesPeak {
-			agg.CandidatesPeak = r.Stats.CandidatesPeak
-		}
-		if r.Dropped {
-			agg.ShardsDropped++
-		}
+	out := ShardedStats{Stats: st, Shards: runs}
+	for _, r := range runs {
 		if r.Hedged {
 			out.Hedges++
 		}
@@ -465,19 +433,6 @@ func (g *Group) SearchShards(ctx context.Context, q model.Query, opts topk.Optio
 			out.HedgeWins++
 		}
 		out.Retries += r.Retries
-	}
-	agg.Duration = time.Since(start)
-	switch {
-	case ctx.Err() != nil:
-		agg.StopReason = stopReasonFor(ctx.Err())
-	case agg.ShardsDropped > 0:
-		agg.StopReason = StopPartial
-	default:
-		agg.StopReason = StopMerged
-	}
-	out.Stats = agg
-	if obs != nil {
-		obs.QueryFinish(agg, nil)
 	}
 	return merged, out, nil
 }
@@ -867,21 +822,5 @@ func (g *Group) RegisterMetrics(r *metrics.Registry, prefix string) {
 		r.RegisterFunc(fmt.Sprintf("%sshard.%d", prefix, i), func() any { return g.Counters(i) })
 	}
 }
-
-// stopReasonFor maps a context error to the StopReason vocabulary.
-func stopReasonFor(err error) string {
-	if errors.Is(err, context.DeadlineExceeded) {
-		return topk.StopDeadline
-	}
-	return topk.StopCancelled
-}
-
-// shardObserver forwards execution events to the query's observer but
-// swallows the per-shard QueryStart/QueryFinish, which the group emits
-// exactly once itself.
-type shardObserver struct{ topk.Observer }
-
-func (shardObserver) QueryStart(model.Query, topk.Options) {}
-func (shardObserver) QueryFinish(topk.Stats, error)        {}
 
 var _ topk.Algorithm = (*Group)(nil)

@@ -542,3 +542,53 @@ func TestConcurrentGroupQueriesExactAndSettled(t *testing.T) {
 		algotest.AssertExact(t, fmt.Sprintf("concurrent/q%d", i), topk.BruteForce(x, q, k), results[i])
 	}
 }
+
+// stopAlg answers one result and reports the stop reason it was given.
+type stopAlg struct{ reason string }
+
+func (stopAlg) Name() string { return "stop" }
+
+func (a stopAlg) Search(q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
+	return a.SearchContext(context.Background(), q, opts)
+}
+
+func (a stopAlg) SearchContext(context.Context, model.Query, topk.Options) (model.TopK, topk.Stats, error) {
+	return model.TopK{{Doc: 1, Score: 1}}, topk.Stats{StopReason: a.reason}, nil
+}
+
+// TestGroupStopReasonFoldsShards: a shard that stopped early shows in
+// the group's stop reason, in either shard order; complete shards still
+// merge, a dropped shard still makes the answer partial, and a cancelled
+// query still reports the cancellation.
+func TestGroupStopReasonFoldsShards(t *testing.T) {
+	x := algotest.SmallIndex(t, 5)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	bg := context.Background()
+	for _, c := range []struct {
+		ctx    context.Context
+		shards [2]string
+		want   string
+	}{
+		{bg, [2]string{"delta", "safe"}, "delta"},
+		{bg, [2]string{"safe", "exhausted"}, shardserve.StopMerged},
+		{bg, [2]string{topk.StopDeadline, "delta"}, shardserve.StopPartial},
+		{cancelled, [2]string{"safe", "safe"}, topk.StopCancelled},
+	} {
+		for _, order := range [][2]string{c.shards, {c.shards[1], c.shards[0]}} {
+			g, err := shardserve.New(shardserve.Config{},
+				shardserve.Shard{View: x, Alg: stopAlg{order[0]}},
+				shardserve.Shard{View: x, Alg: stopAlg{order[1]}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, st, err := g.SearchShards(c.ctx, model.Query{0}, topk.Options{K: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.StopReason != c.want {
+				t.Errorf("shards stopped %v: group stop %q, want %q", order, st.StopReason, c.want)
+			}
+		}
+	}
+}

@@ -45,21 +45,30 @@ func CompleteScores(view postings.View, q model.Query, ubs *UpperBounds, members
 
 // completeParallel is CompleteScores on workers goroutines.
 func completeParallel(view postings.View, q model.Query, ubs *UpperBounds, members []*cmap.DocState, workers int) int64 {
-	var next, ra atomic.Int64
+	var ra atomic.Int64
+	parallel(len(q), workers, func(i int) { ra.Add(completeTerm(view, q, ubs, i, members)) })
+	return ra.Load()
+}
+
+// parallel runs job(i) for every i in [0, n) on up to workers
+// goroutines, the caller among them, each taking the next index not yet
+// taken, and returns once every job has returned.
+func parallel(n, workers int, job func(i int)) {
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	work := func() {
 		defer wg.Done()
-		for i := int(next.Add(1) - 1); i < len(q); i = int(next.Add(1) - 1) {
-			ra.Add(completeTerm(view, q, ubs, i, members))
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			job(i)
 		}
 	}
+	workers = max(1, min(workers, n))
 	wg.Add(workers)
 	for range workers - 1 {
 		go work()
 	}
 	work()
 	wg.Wait()
-	return ra.Load()
 }
 
 // completeTerm looks up term i's score for every member, in doc-id

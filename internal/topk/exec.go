@@ -221,12 +221,13 @@ func (e *ExecState) watch(done <-chan struct{}) {
 }
 
 func (e *ExecState) markStopped(err error) {
-	e.reason.Store(reasonFor(err))
+	e.reason.Store(StopReasonFor(err))
 	e.stopped.Store(true)
 }
 
-// reasonFor maps a context error to the Stats.StopReason vocabulary.
-func reasonFor(err error) string {
+// StopReasonFor maps a context error to the Stats.StopReason
+// vocabulary: StopDeadline for an expired deadline, else StopCancelled.
+func StopReasonFor(err error) string {
 	if errors.Is(err, context.DeadlineExceeded) {
 		return StopDeadline
 	}

@@ -90,14 +90,14 @@ func TestExecStateFinishIdempotent(t *testing.T) {
 }
 
 func TestReasonFor(t *testing.T) {
-	if r := reasonFor(context.DeadlineExceeded); r != StopDeadline {
+	if r := StopReasonFor(context.DeadlineExceeded); r != StopDeadline {
 		t.Errorf("DeadlineExceeded -> %q", r)
 	}
-	if r := reasonFor(context.Canceled); r != StopCancelled {
+	if r := StopReasonFor(context.Canceled); r != StopCancelled {
 		t.Errorf("Canceled -> %q", r)
 	}
 	wrapped := errors.Join(errors.New("outer"), context.DeadlineExceeded)
-	if r := reasonFor(wrapped); r != StopDeadline {
+	if r := StopReasonFor(wrapped); r != StopDeadline {
 		t.Errorf("wrapped DeadlineExceeded -> %q", r)
 	}
 }

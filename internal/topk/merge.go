@@ -1,9 +1,13 @@
-// Cross-shard result merging for the scatter/gather serving layer
-// (internal/shardserve): each index shard evaluates the query
-// independently and returns its local top-k; MergeTopK combines the
-// per-shard lists into the global top-k with a k-way heap merge.
+// Fan-out over document-range parts, and the merge of their answers.
+// Three layers run one query as independent parts, each over its own
+// document range and scoring under the global statistics: shardserve's
+// shards, liveindex's segments and sNRA's partitions (§5.2.2). FanOut
+// is the one combinator all three use: it runs the parts on the
+// goroutines CompleteScores runs its terms on (parallel), merges their
+// top-k lists with MergeTopK and folds their Stats (Stats.Fold), so
+// every layer counts work and reports stop reasons by the same rule.
 //
-// This is the serving-side sibling of heap.Merge (which merges
+// MergeTopK is the serving-side sibling of heap.Merge (which merges
 // per-thread heaps inside one query): here the inputs are already
 // canonically sorted result lists, so a k-way merge over the list
 // heads produces the first k global results in O(P·k·log P) without
@@ -11,7 +15,153 @@
 
 package topk
 
-import "sparta/internal/model"
+import (
+	"context"
+	"sync/atomic"
+	"time"
+
+	"sparta/internal/model"
+)
+
+// Stop reasons of a fan-out whose parts are shards (see FanOut).
+const (
+	// StopMerged: every shard delivered a complete result and none
+	// stopped early.
+	StopMerged = "merged"
+	// StopPartial: at least one shard was dropped; the merged top-k
+	// covers the shards that answered.
+	StopPartial = "partial"
+)
+
+// Part evaluates part i of a fanned-out query. Its opts are the
+// query's with Probe nil and an Observer, if any, that forwards
+// execution events but not QueryStart/QueryFinish, which FanOut emits
+// once for the whole query. A part its caller dropped (a shard that
+// did not deliver a complete result) reports ShardsDropped 1.
+type Part func(ctx context.Context, i int, opts Options) (model.TopK, Stats, error)
+
+// FanOut evaluates q as n parts, at most workers at a time (the caller
+// among them), and merges their answers with MergeTopK. The first part
+// error ends the query: parts not yet started are skipped, and the
+// error returns with no answer. The parts' Stats are folded
+// (Stats.Fold), and the stop reason is, in this order:
+//   - the context's reason, if the query's context ended;
+//   - StopPartial, if a part was dropped;
+//   - the folded reason, if a part stopped early (delta, oom, prob, …);
+//   - complete, when it is not empty (shard fan-outs pass StopMerged);
+//   - the folded reason (safe, exhausted, empty).
+//
+// With no parts there is nothing to read: the answer is empty and
+// stopped "exhausted".
+func FanOut(ctx context.Context, q model.Query, opts Options, n, workers int, complete string, part Part) (model.TopK, Stats, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, Stats{}, err
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	start := time.Now()
+	obs := opts.Observer
+	if obs != nil {
+		obs.QueryStart(q, opts)
+	}
+	popts := opts
+	popts.Probe = nil // recall probes are single-index instruments
+	if obs != nil {
+		popts.Observer = partObserver{obs}
+	}
+
+	parts := make([]model.TopK, n)
+	stats := make([]Stats, n)
+	errs := make([]error, n)
+	var failed atomic.Bool
+	parallel(n, workers, func(i int) {
+		if failed.Load() {
+			return
+		}
+		parts[i], stats[i], errs[i] = part(ctx, i, popts)
+		if errs[i] != nil {
+			failed.Store(true)
+		}
+	})
+
+	var st Stats
+	for i := range stats {
+		st.Fold(stats[i])
+	}
+	switch {
+	case n == 0:
+		st.StopReason = "exhausted"
+	case ctx.Err() != nil:
+		st.StopReason = StopReasonFor(ctx.Err())
+	case st.ShardsDropped > 0:
+		st.StopReason = StopPartial
+	case complete != "" && stopRank(st.StopReason) > 1:
+		st.StopReason = complete
+	}
+	st.Duration = time.Since(start)
+	var res model.TopK
+	var err error
+	for _, err = range errs {
+		if err != nil {
+			break
+		}
+	}
+	if err == nil {
+		res = MergeTopK(parts, opts.K)
+	}
+	if obs != nil {
+		obs.QueryFinish(st, err)
+	}
+	return res, st, err
+}
+
+// Fold adds one part's Stats to s, a fanned-out query's: the counts add
+// up, CandidatesPeak is the largest part's, and StopReason becomes the
+// more telling of the two (stopRank; equal ranks go to the name that
+// sorts first, so the fold does not depend on the parts' order).
+// Duration is the caller's.
+func (s *Stats) Fold(part Stats) {
+	s.Postings += part.Postings
+	s.RandomAccesses += part.RandomAccesses
+	s.HeapInserts += part.HeapInserts
+	s.Cleanings += part.Cleanings
+	s.ShardsDropped += part.ShardsDropped
+	s.CandidatesPeak = max(s.CandidatesPeak, part.CandidatesPeak)
+	if r, q := stopRank(part.StopReason), stopRank(s.StopReason); r < q || r == q && part.StopReason < s.StopReason {
+		s.StopReason = part.StopReason
+	}
+}
+
+// stopRank orders stop reasons, most telling first: a context stop,
+// then any other stop that may leave the answer short (delta, oom,
+// prob, fraction, a nested fan-out's partial, …), then a proven stop
+// (safe, the TA family's ubstop, a nested fan-out's merged), then a
+// part that read all its postings, then one that had none to read,
+// then a part that never ran.
+func stopRank(reason string) int {
+	switch reason {
+	case StopCancelled, StopDeadline:
+		return 0
+	case "safe", "ubstop", StopMerged:
+		return 2
+	case "exhausted":
+		return 3
+	case "empty":
+		return 4
+	case "":
+		return 5
+	}
+	return 1
+}
+
+// partObserver forwards a part's execution events to the query's
+// observer but swallows its QueryStart/QueryFinish, which FanOut emits
+// exactly once itself.
+type partObserver struct{ Observer }
+
+func (partObserver) QueryStart(model.Query, Options) {}
+func (partObserver) QueryFinish(Stats, error)        {}
 
 // MergeTopK merges per-shard top-k lists into the global top-k.
 //

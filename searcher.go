@@ -219,7 +219,7 @@ func (s *Searcher) SearchContext(ctx context.Context, q Query, opts Options) (To
 				s.waits.record(time.Since(waitStart))
 				defer func() { <-s.sem }()
 			case <-ctx.Done():
-				st := Stats{StopReason: stopReasonFor(ctx.Err()), Duration: time.Since(start)}
+				st := Stats{StopReason: topk.StopReasonFor(ctx.Err()), Duration: time.Since(start)}
 				s.rejected.Add(1)
 				s.waits.record(time.Since(waitStart))
 				s.account(st, nil)
@@ -373,14 +373,6 @@ func (w *waitRing) quantile(q float64) time.Duration {
 		idx = n - 1
 	}
 	return s[idx]
-}
-
-// stopReasonFor maps a context error to the corresponding stop reason.
-func stopReasonFor(err error) string {
-	if err == context.DeadlineExceeded {
-		return topk.StopDeadline
-	}
-	return topk.StopCancelled
 }
 
 var _ topk.Algorithm = (*Searcher)(nil)

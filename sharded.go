@@ -48,9 +48,13 @@ type (
 	ShardSetManifest = shardserve.Manifest
 )
 
-// Aggregate stop reasons reported by scatter/gather queries.
+// Aggregate stop reasons reported by scatter/gather queries. A query
+// whose context ended reports its context's reason; else StopPartial if
+// a shard was dropped; else a shard's early stop ("delta", "prob",
+// "oom", …) if one stopped early; else StopMerged.
 const (
-	// StopMerged: every shard delivered a complete result.
+	// StopMerged: every shard delivered a complete result and none
+	// stopped early.
 	StopMerged = shardserve.StopMerged
 	// StopPartial: at least one shard was dropped; the merged top-k
 	// covers the shards that answered.
