@@ -15,9 +15,11 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
+	"time"
 
 	"sparta/internal/algos/ta"
 	"sparta/internal/core"
@@ -101,6 +103,10 @@ func (s *dailyStats) ScoreCursorShard(t model.TermID, shard, nShards int) postin
 }
 
 func (s *dailyStats) Resident(model.TermID, model.DocID) bool { return true }
+
+func (s *dailyStats) BindExec(context.Context, func(time.Duration), func(), func(bool)) (postings.View, func()) {
+	return s, nil
+}
 
 func (s *dailyStats) RandomAccess(t model.TermID, d model.DocID) (model.Score, bool) {
 	list := s.byDay[t]

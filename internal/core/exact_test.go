@@ -79,19 +79,20 @@ type cancelAtCompletion struct {
 	opened atomic.Int64
 }
 
-func (c *cancelAtCompletion) BindExec(ctx context.Context, onIO func(time.Duration), onStop func(), onCache func(bool)) postings.BoundView {
-	return boundCancel{BoundView: c.Index.BindExec(ctx, onIO, onStop, onCache), c: c}
+func (c *cancelAtCompletion) BindExec(ctx context.Context, onIO func(time.Duration), onStop func(), onCache func(bool)) (postings.View, func()) {
+	bound, settle := c.Index.BindExec(ctx, onIO, onStop, onCache)
+	return boundCancel{View: bound, c: c}, settle
 }
 
 type boundCancel struct {
-	postings.BoundView
+	postings.View
 	c *cancelAtCompletion
 }
 
 func (b boundCancel) DocCursor(t model.TermID) postings.DocCursor {
 	b.c.opened.Add(1)
 	b.c.cancel()
-	return b.BoundView.DocCursor(t)
+	return b.View.DocCursor(t)
 }
 
 // TestSpartaDeltaSafeMatchesBruteForce is the same check for the Δ stop:

@@ -97,9 +97,7 @@ type Index struct {
 
 var (
 	_ postings.View        = (*Index)(nil)
-	_ postings.ExecBinder  = (*Index)(nil)
 	_ postings.BlockWalker = (*Index)(nil)
-	_ postings.BoundView   = (*execView)(nil)
 )
 
 func newIndex(d *directory, region []byte, cfg iomodel.Config) *Index {
@@ -441,15 +439,16 @@ func (x *Index) randomAccess(t model.TermID, d model.DocID, rd *iomodel.Reader) 
 // second (DESIGN deviation 12).
 func (x *Index) Resident(model.TermID, model.DocID) bool { return x.store.Free() }
 
-// BindExec implements postings.ExecBinder: the returned view opens
-// cursors whose simulated I/O waits end early once ctx is done, whose
-// physical fetches are reported to onIO, and whose posting-cache
-// lookups are reported to onCache. It shares the index, page cache and
-// posting cache with the receiver, and tracks every reader it hands out
-// so the execution layer can pay any outstanding I/O charges when the
-// query finishes (SettleAll).
-func (x *Index) BindExec(ctx context.Context, onIO func(time.Duration), onStop func(), onCache func(hit bool)) postings.BoundView {
-	return &execView{Index: x, ctx: ctx, onIO: onIO, onStop: onStop, onCache: onCache}
+// BindExec implements postings.View: the returned view opens cursors
+// whose simulated I/O waits end early once ctx is done, whose physical
+// fetches are reported to onIO, and whose posting-cache lookups are
+// reported to onCache. It shares the index, page cache and posting
+// cache with the receiver, and tracks every reader it hands out so the
+// execution layer can pay any outstanding I/O charges when the query
+// finishes (settleAll).
+func (x *Index) BindExec(ctx context.Context, onIO func(time.Duration), onStop func(), onCache func(hit bool)) (postings.View, func()) {
+	v := &execView{Index: x, ctx: ctx, onIO: onIO, onStop: onStop, onCache: onCache}
+	return v, v.settleAll
 }
 
 // execView is a per-query binding of an Index to an execution context.
@@ -475,16 +474,16 @@ func (v *execView) newReader() *iomodel.Reader {
 	return rd
 }
 
-// SettleAll implements postings.BoundView: it pays the accrued-but-unpaid
-// simulated latency of every reader this view handed out. Callers must
-// ensure the query's workers have quiesced first.
+// settleAll is the bound view's settle func: it pays the
+// accrued-but-unpaid simulated latency of every reader this view handed
+// out. Callers must ensure the query's workers have quiesced first.
 //
 // Readers settle concurrently: each owed tail is a wait its owning
 // worker would have performed in parallel with the others, so the
 // settlement wall-clock is the max outstanding charge, not the sum —
 // settling hundreds of readers serially would also multiply the
 // sleep-granularity floor of each micro-payment into real milliseconds.
-func (v *execView) SettleAll() {
+func (v *execView) settleAll() {
 	v.mu.Lock()
 	readers := v.readers
 	v.mu.Unlock()

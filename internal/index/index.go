@@ -13,10 +13,12 @@
 package index
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sort"
 	"sync"
+	"time"
 
 	"sparta/internal/corpus"
 	"sparta/internal/model"
@@ -129,6 +131,12 @@ func (x *Index) ScoreCursorShard(t model.TermID, shard, nShards int) postings.Sc
 
 // Resident implements postings.View: every posting is in memory.
 func (x *Index) Resident(model.TermID, model.DocID) bool { return true }
+
+// BindExec implements postings.View: reads charge nothing, so the index
+// is its own binding, with nothing to settle.
+func (x *Index) BindExec(context.Context, func(time.Duration), func(), func(bool)) (postings.View, func()) {
+	return x, nil
+}
 
 // RandomAccess implements postings.View via binary search on the
 // doc-ordered list.

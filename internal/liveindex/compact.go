@@ -95,7 +95,7 @@ func (l *Live) compactOnce(ctx context.Context) (bool, error) {
 	l.compactInFlight.Add(1)
 	defer l.compactInFlight.Add(-1)
 
-	seg, err := l.mergeRun(ctx, run, nTerms)
+	seg, err := l.mergeRun(ctx, run, nTerms, gen)
 	if err != nil {
 		return false, err
 	}
@@ -152,53 +152,43 @@ func (l *Live) compactOnce(ctx context.Context) (bool, error) {
 }
 
 // mergeRun reads the run's raw postings through bound charged views
-// and builds the merged segment snapshot. Returns (nil, nil) on
-// cancellation. All charged I/O is settled before returning, on every
-// path.
-func (l *Live) mergeRun(ctx context.Context, run []*frozenSeg, nTerms int) (_ *memSegment, err error) {
-	bound := make([]postings.BoundView, len(run))
+// and builds the merged segment snapshot, generation gen. Returns (nil,
+// nil) on cancellation. All charged I/O is settled before returning, on
+// every path.
+func (l *Live) mergeRun(ctx context.Context, run []*frozenSeg, nTerms, gen int) (*memSegment, error) {
+	bound := make([]postings.View, len(run))
 	for i, fz := range run {
-		bound[i] = fz.inner.BindExec(ctx, nil, nil, nil)
+		var settle func()
+		bound[i], settle = fz.inner.BindExec(ctx, nil, nil, nil)
+		defer settle()
 	}
-	defer func() {
-		for _, b := range bound {
-			b.SettleAll()
-		}
-	}()
 
 	seg := &memSegment{
-		lo:    run[0].lo,
-		hi:    run[len(run)-1].hi,
-		terms: make([]*memTerm, nTerms),
+		segment: segment{gen: gen, lo: run[0].lo, hi: run[len(run)-1].hi},
+		terms:   make([]*memTerm, nTerms),
 	}
 	for _, fz := range run {
-		for _, n := range fz.docLens {
-			seg.docLens = append(seg.docLens, int(n))
-		}
+		seg.docLens = append(seg.docLens, fz.docLens...)
+		seg.sqrtLen = append(seg.sqrtLen, fz.sqrtLen...)
 	}
 
 	for t := 0; t < nTerms; t++ {
 		if ctx.Err() != nil {
 			return nil, nil
 		}
-		var list []tfPost
+		var list []model.Posting
 		for i, fz := range run {
-			if fz.localDF(model.TermID(t)) == 0 {
+			if t >= len(fz.dfs) || fz.dfs[t] == 0 {
 				continue
 			}
 			cur := bound[i].DocCursor(model.TermID(t))
 			for cur.Next() {
-				d := cur.Doc()
-				tf := uint32(cur.Score()) // raw payload: term frequency
-				list = append(list, tfPost{doc: d, tf: tf, w: fz.weight(tf, d)})
+				list = append(list, model.Posting{Doc: cur.Doc(), Score: cur.Score()})
 			}
 		}
-		if len(list) == 0 {
-			continue
+		if len(list) > 0 {
+			seg.terms[t] = newMemTerm(nil, list, &seg.segment)
 		}
-		seg.terms[t] = newMemTerm(nil, list)
-		seg.bytes += int64(24 * len(list))
 	}
-	seg.bytes += int64(8 * len(seg.docLens))
 	return seg, nil
 }

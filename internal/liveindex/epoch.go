@@ -9,11 +9,9 @@
 // deletion after compaction cannot pull bytes out from under a query.
 package liveindex
 
-import "sparta/internal/postings"
-
 // epoch is one published snapshot of the live index.
 type epoch struct {
-	n     int             // global corpus size
-	df    []int32         // global document frequency per term
-	views []postings.View // *frozenView, then *memView, in document order
+	n     int        // global corpus size
+	df    []int32    // global document frequency per term
+	views []*segView // the frozen segments, then the memtable, in document order
 }

@@ -35,8 +35,8 @@ func TestEpochDFMatchesFromScratchSum(t *testing.T) {
 			}
 		}
 		for _, v := range e.views {
-			if mv, ok := v.(*memView); ok {
-				for t, mt := range mv.seg.terms {
+			if ms, ok := v.src.(*memSegment); ok {
+				for t, mt := range ms.terms {
 					if mt != nil {
 						want[t] += int32(len(mt.post))
 					}

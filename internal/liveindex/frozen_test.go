@@ -1,9 +1,11 @@
 package liveindex
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"sparta/internal/codec"
 	"sparta/internal/corpus"
@@ -16,12 +18,14 @@ import (
 // order is not ordered by the stored payload — term 0 occurs once in
 // one-word documents (weight 1) and three times in long ones (weight
 // about 0.1), so by weight the term frequencies read 1, 1, …, 3, 3 —
-// and requires the frozen segment to serve, posting for posting and
-// under a later epoch's statistics, exactly what the memtable served.
-// A store that recomputed block bounds from the payload, or coded the
-// impact region as non-increasing scores, cannot.
+// and drives the one segment view twice, under a later epoch's
+// statistics: over the memtable snapshot and over the segment written
+// from it. The two must serve the same postings, scores and bounds,
+// whole lists and shard-filtered ones alike. A store that recomputed
+// block bounds from the payload, or coded the impact region as
+// non-increasing scores, cannot.
 func TestFrozenRoundTripsNonMonotoneTF(t *testing.T) {
-	const lo, docs, nTerms = 1000, 300, 3
+	const lo, docs, nTerms, shards = 1000, 300, 3, 12
 	m := newMemtable(lo)
 	for i := 0; i < docs; i++ {
 		bag := []corpus.TermCount{{Term: 0, Count: 1}}
@@ -30,11 +34,11 @@ func TestFrozenRoundTripsNonMonotoneTF(t *testing.T) {
 		}
 		m.appendDoc(lo+model.DocID(i), bag)
 	}
-	seg := m.snapshot(nTerms) // term 2 has no postings
+	seg := m.snapshot(nTerms, 1) // term 2 has no postings
 	rises := false
 	imp := seg.term(0).impact
 	for i := 1; i < len(imp); i++ {
-		rises = rises || imp[i].tf > imp[i-1].tf
+		rises = rises || imp[i].Score > imp[i-1].Score
 	}
 	if !rises {
 		t.Fatal("the fixture's term frequencies are monotone in impact order; it tests nothing")
@@ -54,45 +58,70 @@ func TestFrozenRoundTripsNonMonotoneTF(t *testing.T) {
 
 	// An epoch in which the corpus has grown past the segment.
 	n, df := int(seg.hi)+5000, []int32{docs + 700, docs/2 + 40, 0}
-	mem := &memView{seg: seg, n: n, df: df, gen: 1}
-	frozen := newFrozenView(fz, n, df)
+	mem := &segView{seg: &seg.segment, src: seg, n: n, df: df}
+	frozen := &segView{seg: &fz.segment, src: fz.inner, n: n, df: df}
 	for tid := 0; tid < nTerms; tid++ {
 		term := model.TermID(tid)
-		if frozen.DF(term) != mem.DF(term) {
-			t.Fatalf("term %d: df %d, memtable %d", tid, frozen.DF(term), mem.DF(term))
-		}
-		// Stored bounds are quantized upward: never below the memtable's.
-		if frozen.MaxScore(term) < mem.MaxScore(term) {
-			t.Errorf("term %d: max %d below the memtable's %d", tid, frozen.MaxScore(term), mem.MaxScore(term))
+		if frozen.DF(term) != mem.DF(term) || frozen.MaxScore(term) != mem.MaxScore(term) {
+			t.Fatalf("term %d: df %d, max %d; memtable df %d, max %d",
+				tid, frozen.DF(term), frozen.MaxScore(term), mem.DF(term), mem.MaxScore(term))
 		}
 		fd, md := frozen.DocCursor(term), mem.DocCursor(term)
+		if fd.Len() != md.Len() || fd.MaxScore() != md.MaxScore() {
+			t.Fatalf("term %d doc cursor: len %d, max %d; memtable len %d, max %d",
+				tid, fd.Len(), fd.MaxScore(), md.Len(), md.MaxScore())
+		}
 		for i := 0; md.Next(); i++ {
 			if !fd.Next() || fd.Doc() != md.Doc() || fd.Score() != md.Score() {
 				t.Fatalf("term %d doc order, posting %d: frozen (%d,%d), memtable (%d,%d)",
 					tid, i, fd.Doc(), fd.Score(), md.Doc(), md.Score())
 			}
-			if fd.BlockLast() != md.BlockLast() || fd.BlockMax() < md.BlockMax() || fd.BlockMax() < fd.Score() {
+			if fd.BlockLast() != md.BlockLast() || fd.BlockMax() != md.BlockMax() || fd.BlockMax() < fd.Score() {
 				t.Fatalf("term %d posting %d: block (last %d, max %d), memtable (last %d, max %d), score %d",
 					tid, i, fd.BlockLast(), fd.BlockMax(), md.BlockLast(), md.BlockMax(), fd.Score())
 			}
-			if s, ok := frozen.RandomAccess(term, md.Doc()); !ok || s != md.Score() {
-				t.Fatalf("term %d: RandomAccess(%d) = %d,%v, memtable scores %d", tid, md.Doc(), s, ok, md.Score())
+			if fd.BlockMaxAt(md.Doc()+1) != md.BlockMaxAt(md.Doc()+1) || fd.BlockLastAt(md.Doc()+1) != md.BlockLastAt(md.Doc()+1) {
+				t.Fatalf("term %d: block after doc %d differs", tid, md.Doc())
+			}
+			for _, v := range []*segView{frozen, mem} {
+				if s, ok := v.RandomAccess(term, md.Doc()); !ok || s != md.Score() {
+					t.Fatalf("term %d: %s RandomAccess(%d) = %d,%v, cursor scores %d", tid, v.seg.kind, md.Doc(), s, ok, md.Score())
+				}
 			}
 		}
 		if fd.Next() {
 			t.Fatalf("term %d: frozen doc cursor runs past the memtable's", tid)
 		}
-		var fs, ms postings.ScoreCursor = frozen.ScoreCursor(term), mem.ScoreCursor(term)
-		for i := 0; ms.Next(); i++ {
-			if !fs.Next() || fs.Doc() != ms.Doc() || fs.Score() != ms.Score() || fs.Bound() != ms.Bound() {
-				t.Fatalf("term %d impact order, posting %d: frozen (%d,%d), memtable (%d,%d)",
-					tid, i, fs.Doc(), fs.Score(), ms.Doc(), ms.Score())
-			}
+		sameScoreOrder(t, fmt.Sprintf("term %d", tid), frozen.ScoreCursor(term), mem.ScoreCursor(term))
+		covered := 0
+		for sh := 0; sh < shards; sh++ {
+			fs, ms := frozen.ScoreCursorShard(term, sh, shards), mem.ScoreCursorShard(term, sh, shards)
+			covered += sameScoreOrder(t, fmt.Sprintf("term %d shard %d/%d", tid, sh, shards), fs, ms)
 		}
-		if fs.Next() {
-			t.Fatalf("term %d: frozen score cursor runs past the memtable's", tid)
+		if covered != mem.DF(term) {
+			t.Fatalf("term %d: %d shards yield %d postings of %d", tid, shards, covered, mem.DF(term))
 		}
 	}
+}
+
+// sameScoreOrder requires two score cursors to yield the same postings,
+// scores and bounds, and returns how many they yielded.
+func sameScoreOrder(t *testing.T, label string, fs, ms postings.ScoreCursor) int {
+	t.Helper()
+	if fs.Bound() != ms.Bound() {
+		t.Fatalf("%s: frozen bound %d before the first posting, memtable %d", label, fs.Bound(), ms.Bound())
+	}
+	i := 0
+	for ; ms.Next(); i++ {
+		if !fs.Next() || fs.Doc() != ms.Doc() || fs.Score() != ms.Score() || fs.Bound() != ms.Bound() {
+			t.Fatalf("%s impact order, posting %d: frozen (%d,%d) bound %d, memtable (%d,%d) bound %d",
+				label, i, fs.Doc(), fs.Score(), fs.Bound(), ms.Doc(), ms.Score(), ms.Bound())
+		}
+	}
+	if fs.Next() || fs.Bound() != ms.Bound() {
+		t.Fatalf("%s: the frozen cursor runs past the memtable's %d postings", label, i)
+	}
+	return i
 }
 
 // TestSnapshotsExtendWithoutDisturbingEarlierOnes takes a snapshot after
@@ -118,7 +147,7 @@ func TestSnapshotsExtendWithoutDisturbingEarlierOnes(t *testing.T) {
 	for i := 0; i < docs; i++ {
 		m.appendDoc(lo+model.DocID(i), bagOf(i))
 		if i%4 != 1 { // some snapshots cover two documents
-			snaps = append(snaps, m.snapshot(nTerms))
+			snaps = append(snaps, m.snapshot(nTerms, 1))
 		}
 	}
 	for _, got := range snaps {
@@ -126,11 +155,11 @@ func TestSnapshotsExtendWithoutDisturbingEarlierOnes(t *testing.T) {
 		for i := 0; i < got.docs(); i++ {
 			ref.appendDoc(lo+model.DocID(i), bagOf(i))
 		}
-		want := ref.snapshot(nTerms)
+		want := ref.snapshot(nTerms, 1)
 		for tid := model.TermID(0); tid < nTerms; tid++ {
 			g, w := got.term(tid), want.term(tid)
 			if !slices.Equal(g.post, w.post) || !slices.Equal(g.impact, w.impact) ||
-				!slices.Equal(g.blocks, w.blocks) || g.wmax != w.wmax {
+				!slices.Equal(g.blocks, w.blocks) || g.max != w.max {
 				t.Fatalf("snapshot of %d docs, term %d: differs from a memtable built in one go", got.docs(), tid)
 			}
 		}
@@ -148,7 +177,7 @@ func TestFrozenWeightTablesMatchRawWeight(t *testing.T) {
 		lens = append(lens, n)
 	}
 	lens = append(lens, 255, 256, 1000, 4095, 1<<20)
-	seg := &frozenSeg{lo: lo, docLens: lens, sqrtLen: sqrtLens(lens)}
+	seg := &segment{lo: lo, docLens: lens, sqrtLen: sqrtLens(lens)}
 	for tf := uint32(1); tf <= 300; tf++ {
 		for i, n := range lens {
 			d := lo + model.DocID(i)
@@ -157,5 +186,48 @@ func TestFrozenWeightTablesMatchRawWeight(t *testing.T) {
 				t.Fatalf("tf %d, docLen %d: table weight %v, rawWeight %v", tf, n, got, want)
 			}
 		}
+	}
+}
+
+// TestMemtableBytesCountsItsLists requires MemtableBytes, after appends
+// that cross block boundaries, to equal what the published snapshot
+// holds: both posting orders, the block metadata and the per-document
+// tables.
+func TestMemtableBytesCountsItsLists(t *testing.T) {
+	io := iomodel.RAMConfig()
+	l, err := Open(t.TempDir(), Config{IO: &io, DisableCompaction: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	const docs = 2*postings.BlockSize + 9
+	for i := range docs {
+		bag := []corpus.TermCount{{Term: 0, Count: uint32(1 + i%3)}} // three blocks
+		if i%3 == 0 {
+			bag = append(bag, corpus.TermCount{Term: 2, Count: 4}) // one block
+		}
+		if _, err := l.AppendBag(bag); err != nil {
+			t.Fatal(err)
+		}
+	}
+	views := l.epochNow().views
+	seg := views[len(views)-1].src.(*memSegment)
+	want := int64(len(seg.docLens))*int64(unsafe.Sizeof(seg.docLens[0])) +
+		int64(len(seg.sqrtLen))*int64(unsafe.Sizeof(seg.sqrtLen[0]))
+	blocks := 0
+	for t := range seg.terms {
+		mt := seg.term(model.TermID(t))
+		want += int64(len(mt.post)+len(mt.impact))*int64(unsafe.Sizeof(model.Posting{})) +
+			int64(len(mt.blocks))*int64(unsafe.Sizeof(postings.BlockMeta{}))
+		blocks += len(mt.blocks)
+	}
+	if seg.docs() != docs || blocks != 4 {
+		t.Fatalf("snapshot holds %d documents in %d blocks, want %d in 4", seg.docs(), blocks, docs)
+	}
+	if got := l.MemtableBytes(); got != want {
+		t.Fatalf("MemtableBytes %d, the snapshot's lists hold %d", got, want)
+	}
+	if st := l.SegmentStats(); st[len(st)-1].Bytes != want {
+		t.Fatalf("memtable SegmentStats.Bytes %d, the snapshot's lists hold %d", st[len(st)-1].Bytes, want)
 	}
 }

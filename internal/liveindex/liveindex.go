@@ -552,8 +552,8 @@ func (l *Live) flushLocked() error {
 	if l.mem.docs() == 0 {
 		return nil
 	}
-	seg := l.mem.snapshot(len(l.names))
-	gen := l.nextGen
+	seg := l.mem.snapshot(len(l.names), l.nextGen)
+	gen := seg.gen
 	segDir := segDirName(gen)
 	if err := writeFrozen(filepath.Join(l.dir, segDir), seg); err != nil {
 		return err
@@ -654,7 +654,7 @@ func (l *Live) sumFrozenDFLocked() {
 // new epoch.
 func (l *Live) publishLocked() {
 	nTerms := len(l.names)
-	memSeg := l.mem.snapshot(nTerms)
+	memSeg := l.mem.snapshot(nTerms, l.nextGen)
 	n := int(memSeg.hi)
 
 	df := make([]int32, nTerms)
@@ -665,12 +665,12 @@ func (l *Live) publishLocked() {
 		}
 	}
 
-	var views []postings.View
+	views := make([]*segView, 0, len(l.frozen)+1)
 	for _, fz := range l.frozen {
-		views = append(views, newFrozenView(fz, n, df))
+		views = append(views, &segView{seg: &fz.segment, src: fz.inner, n: n, df: df})
 	}
 	if memSeg.docs() > 0 {
-		views = append(views, &memView{seg: memSeg, n: n, df: df, gen: l.nextGen})
+		views = append(views, &segView{seg: &memSeg.segment, src: memSeg, n: n, df: df})
 	}
 	l.cur.Store(&epoch{n: n, df: df, views: views})
 }
@@ -779,18 +779,11 @@ type SegmentStats struct {
 // SegmentStats lists the current epoch's segments in document order.
 func (l *Live) SegmentStats() []SegmentStats {
 	ep := l.epochNow()
-	out := make([]SegmentStats, 0, len(ep.views))
-	for _, v := range ep.views {
-		switch v := v.(type) {
-		case *frozenView:
-			s := v.seg
-			out = append(out, SegmentStats{Kind: "frozen", Generation: s.gen, Lo: s.lo, Hi: s.hi,
-				Docs: s.docs(), Bytes: s.inner.CompressedBytes(), Blocks: s.nBlocks})
-		case *memView:
-			s := v.seg
-			out = append(out, SegmentStats{Kind: "memtable", Generation: v.gen, Lo: s.lo, Hi: s.hi,
-				Docs: s.docs(), Bytes: s.bytes})
-		}
+	out := make([]SegmentStats, len(ep.views))
+	for i, v := range ep.views {
+		s := v.seg
+		out[i] = SegmentStats{Kind: s.kind, Generation: s.gen, Lo: s.lo, Hi: s.hi,
+			Docs: s.docs(), Bytes: s.bytes, Blocks: s.blocks}
 	}
 	return out
 }

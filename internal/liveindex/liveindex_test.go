@@ -700,6 +700,71 @@ func TestLiveConcurrentCompact(t *testing.T) {
 	algotest.AssertSettled(t, "after concurrent compaction", l)
 }
 
+// TestLiveQueriesBesideAppends runs exact queries while another
+// goroutine appends through several flushes, so queries read snapshots
+// whose lists the appends go on extending by immutable prefix. Every
+// answer must be well formed whatever epoch it pinned, and the index
+// must end byte-identical to a fresh build with every charge settled.
+func TestLiveQueriesBesideAppends(t *testing.T) {
+	const n = 600
+	bags := testBags(n, 79)
+	l, err := liveindex.Open(t.TempDir(), liveindex.Config{
+		IO: ramIO(), FlushDocs: 140, DisableCompaction: true, Factory: segFactory,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	fresh := buildFresh(bags, n)
+	queries := []model.Query{algotest.RandomQuery(fresh, 3, 83), algotest.RandomQuery(fresh, 6, 89)}
+
+	segAlgo = bench.AlgoSparta
+	appended := make(chan error, 1)
+	go func() {
+		for i, bag := range bags {
+			if _, err := l.AppendBag(bag); err != nil {
+				appended <- fmt.Errorf("append %d: %w", i, err)
+				return
+			}
+		}
+		appended <- nil
+	}()
+	type answer struct {
+		got model.TopK
+		k   int
+	}
+	var answers []answer
+	for running := true; running; {
+		select {
+		case err := <-appended:
+			if err != nil {
+				t.Fatal(err)
+			}
+			running = false
+		default:
+		}
+		for qi, q := range queries {
+			k := 5 + 10*qi
+			answers = append(answers, answer{exactSearch(t, l, q, k), k})
+		}
+	}
+	if l.Flushes() < 4 {
+		t.Fatalf("%d flushes during the run, want 4", l.Flushes())
+	}
+	t.Logf("%d answers beside %d appends and %d flushes", len(answers), n, l.Flushes())
+	for i, a := range answers {
+		label := fmt.Sprintf("answer %d of %d", i, len(answers))
+		algotest.AssertPartialTopK(t, label, a.got, a.k)
+		for _, r := range a.got {
+			if int(r.Doc) >= l.NumDocs() {
+				t.Fatalf("%s: doc %d, the index holds %d", label, r.Doc, l.NumDocs())
+			}
+		}
+	}
+	assertIdentity(t, "beside-appends", l, fresh, queries)
+	algotest.AssertSettled(t, "after queries beside appends", l)
+}
+
 // TestLiveSegmentStats sanity-checks the per-segment accounting the
 // stat tooling prints.
 func TestLiveSegmentStats(t *testing.T) {

@@ -7,51 +7,54 @@
 // memTerm that every snapshot shares until the term changes again, so a
 // snapshot costs one pointer per dictionary term plus the terms the
 // appends since the last one touched.
+//
+// The lists are a frozen segment's payload (frozen.go): the term
+// frequency in each posting's Score, the impact order by weight, and
+// quantized maxima. A snapshot is served by the same view as a frozen
+// segment, and a flush writes its lists as they are.
 package liveindex
 
 import (
+	"context"
 	"slices"
+	"sort"
+	"time"
+	"unsafe"
 
 	"sparta/internal/corpus"
 	"sparta/internal/model"
 	"sparta/internal/postings"
 )
 
-// tfPost is one raw posting: global document id, term frequency, and
-// the precomputed idf-independent weight component.
-type tfPost struct {
-	doc model.DocID
-	tf  uint32
-	w   float64
-}
-
-// memBlock is block-max metadata in raw-weight space; the epoch view
-// maps it to a score bound with the global idf.
-type memBlock struct {
-	last model.DocID
-	wmax float64
-}
-
 // memTerm is one term's lists as one snapshot publishes them: the
 // doc-ordered postings, the same postings by weight, the block-max
-// metadata and the largest weight. Nothing reachable from it is written
-// after it is published.
+// metadata and the term's maximum, both quantized (quantUp). Nothing
+// reachable from it is written after it is published.
 type memTerm struct {
-	post   []tfPost
-	impact []tfPost
-	blocks []memBlock
-	wmax   float64
+	post   []model.Posting
+	impact []model.Posting
+	blocks []postings.BlockMeta
+	max    model.Score
 }
 
 // noPostings stands for every term a segment has no postings for.
 var noPostings = &memTerm{}
 
+// The bytes a memtable holds per posting (doc and impact order), per
+// block of a term's list, and per document (length and its root).
+const (
+	postingBytes = 2 * int64(unsafe.Sizeof(model.Posting{}))
+	blockBytes   = int64(unsafe.Sizeof(postings.BlockMeta{}))
+	memDocBytes  = int64(unsafe.Sizeof(uint32(0)) + unsafe.Sizeof(float64(0)))
+)
+
 // memtable accumulates appended documents. All mutation happens under
 // the owning Live's lock; queries only ever see snapshots.
 type memtable struct {
-	lo      model.DocID // global id of the memtable's first document
-	docLens []int       // per local document
-	post    [][]tfPost  // per term, doc-ordered (documents arrive in id order)
+	lo      model.DocID       // global id of the memtable's first document
+	docLens []uint32          // per local document
+	sqrtLen []float64         // √docLens, beside them (sqrtLens)
+	post    [][]model.Posting // per term, doc-ordered (documents arrive in id order)
 	dirty   map[model.TermID]struct{}
 
 	// terms holds each term's lists as last published (nil: none yet),
@@ -59,7 +62,7 @@ type memtable struct {
 	// snapshots taken earlier keep their consistent versions.
 	terms []*memTerm
 
-	bytes int64
+	bytes int64 // what the lists above hold, as a snapshot publishes them
 }
 
 func newMemtable(lo model.DocID) *memtable {
@@ -71,34 +74,38 @@ func (m *memtable) docs() int { return len(m.docLens) }
 // appendDoc indexes one document. doc must be the next global id
 // (m.lo + m.docs()); the bag must not repeat terms.
 func (m *memtable) appendDoc(doc model.DocID, bag []corpus.TermCount) {
-	length := 0
+	var length uint32
 	for _, tc := range bag {
-		length += int(tc.Count)
+		length += tc.Count
 	}
 	m.docLens = append(m.docLens, length)
+	m.sqrtLen = append(m.sqrtLen, sqrtLen(length))
+	m.bytes += memDocBytes
 	for _, tc := range bag {
 		for int(tc.Term) >= len(m.post) {
 			m.post = append(m.post, nil)
 			m.terms = append(m.terms, nil)
 		}
-		m.post[tc.Term] = append(m.post[tc.Term], tfPost{
-			doc: doc, tf: tc.Count, w: rawWeight(tc.Count, length),
-		})
+		if len(m.post[tc.Term])%postings.BlockSize == 0 {
+			m.bytes += blockBytes
+		}
+		m.post[tc.Term] = append(m.post[tc.Term], model.Posting{Doc: doc, Score: model.Score(tc.Count)})
 		m.dirty[tc.Term] = struct{}{}
-		m.bytes += 24 // posting in both orders + block-meta amortized
+		m.bytes += postingBytes
 	}
-	m.bytes += 8 // docLens entry
 }
 
 // memSegment is an immutable snapshot of the memtable: the in-memory
 // segment a query epoch serves. Slices are shared with the memtable by
-// immutable prefix.
+// immutable prefix. It is the raw postings.View a segment view reads,
+// like a frozen segment's diskindex.Index: Score is the term frequency,
+// maxima are quantized weights.
 type memSegment struct {
-	lo, hi  model.DocID
-	docLens []int
-	terms   []*memTerm // per dictionary term; nil where the segment has no postings
-	bytes   int64
+	segment
+	terms []*memTerm // per dictionary term; nil where the segment has no postings
 }
+
+var _ postings.View = (*memSegment)(nil)
 
 // term returns t's lists; a term the segment has no postings for, or
 // that joined the dictionary after the snapshot, has empty ones.
@@ -110,74 +117,117 @@ func (s *memSegment) term(t model.TermID) *memTerm {
 }
 
 // snapshot rebuilds the derived structures of dirty terms and freezes
-// the current contents. nTerms is the live dictionary size; terms the
-// memtable has no postings for appear as empty lists.
-func (m *memtable) snapshot(nTerms int) *memSegment {
+// the current contents as generation gen. nTerms is the live dictionary
+// size; terms the memtable has no postings for appear as empty lists.
+func (m *memtable) snapshot(nTerms, gen int) *memSegment {
+	n := len(m.docLens)
+	seg := &memSegment{
+		segment: segment{
+			kind: "memtable", gen: gen, lo: m.lo, hi: m.lo + model.DocID(n),
+			docLens: m.docLens[:n:n], sqrtLen: m.sqrtLen[:n:n], bytes: m.bytes,
+		},
+		terms: make([]*memTerm, nTerms),
+	}
 	for t := range m.dirty {
-		m.terms[t] = newMemTerm(m.terms[t], m.post[t])
+		m.terms[t] = newMemTerm(m.terms[t], m.post[t], &seg.segment)
 	}
 	clear(m.dirty)
-
-	seg := &memSegment{
-		lo:      m.lo,
-		hi:      m.lo + model.DocID(len(m.docLens)),
-		docLens: m.docLens[:len(m.docLens):len(m.docLens)],
-		terms:   make([]*memTerm, nTerms),
-		bytes:   m.bytes,
-	}
 	copy(seg.terms, m.terms)
 	return seg
 }
 
 // newMemTerm derives the published form of a non-empty doc-ordered
-// list. prev, when not nil, is the form published for a prefix of list:
-// the new postings are merged into its impact order and its full blocks
-// are kept, so an append costs a term a copy, not a sort.
-func newMemTerm(prev *memTerm, list []tfPost) *memTerm {
+// list, weighing its postings with seg's tables. prev, when not nil, is
+// the form published for a prefix of list: the new postings are merged
+// into its impact order and its full blocks are kept, so an append
+// costs a term a copy, not a sort.
+func newMemTerm(prev *memTerm, list []model.Posting, seg *segment) *memTerm {
 	if prev == nil {
 		prev = noPostings
 	}
+	// By weight descending, document id ascending on ties: the impact
+	// order of every segment.
+	cmp := func(a, b model.Posting) int {
+		wa, wb := seg.weight(uint32(a.Score), a.Doc), seg.weight(uint32(b.Score), b.Doc)
+		switch {
+		case wa > wb:
+			return -1
+		case wa < wb:
+			return 1
+		case a.Doc < b.Doc:
+			return -1
+		case a.Doc > b.Doc:
+			return 1
+		}
+		return 0
+	}
 	old := prev.impact
 	added := slices.Clone(list[len(old):])
-	slices.SortFunc(added, cmpImpact)
-	imp := make([]tfPost, 0, len(list))
+	slices.SortFunc(added, cmp)
+	imp := make([]model.Posting, 0, len(list))
 	for _, p := range added {
-		i, _ := slices.BinarySearchFunc(old, p, cmpImpact)
+		i, _ := slices.BinarySearchFunc(old, p, cmp)
 		imp = append(append(imp, old[:i]...), p)
 		old = old[i:]
 	}
 	imp = append(imp, old...)
 
 	full := len(prev.post) / postings.BlockSize // prev's blocks no new posting joins
-	blocks := make([]memBlock, full, (len(list)+postings.BlockSize-1)/postings.BlockSize)
+	blocks := make([]postings.BlockMeta, full, (len(list)+postings.BlockSize-1)/postings.BlockSize)
 	copy(blocks, prev.blocks)
 	for start := full * postings.BlockSize; start < len(list); start += postings.BlockSize {
 		block := list[start:min(start+postings.BlockSize, len(list))]
-		meta := memBlock{last: block[len(block)-1].doc}
+		var wmax float64
 		for _, p := range block {
-			meta.wmax = max(meta.wmax, p.w)
+			wmax = max(wmax, seg.weight(uint32(p.Score), p.Doc))
 		}
-		blocks = append(blocks, meta)
+		blocks = append(blocks, postings.BlockMeta{Last: block[len(block)-1].Doc, Max: model.Score(quantUp(wmax))})
 	}
-	return &memTerm{post: list, impact: imp, blocks: blocks, wmax: imp[0].w}
+	top := imp[0]
+	return &memTerm{post: list, impact: imp, blocks: blocks,
+		max: model.Score(quantUp(seg.weight(uint32(top.Score), top.Doc)))}
 }
 
-// cmpImpact orders postings by weight descending, document id ascending
-// on ties — the impact order every segment form shares.
-func cmpImpact(a, b tfPost) int {
-	switch {
-	case a.w > b.w:
-		return -1
-	case a.w < b.w:
-		return 1
-	case a.doc < b.doc:
-		return -1
-	case a.doc > b.doc:
-		return 1
-	}
-	return 0
+// NumDocs implements postings.View: the end of the segment's global id
+// range, which is what a frozen segment's payload records.
+func (s *memSegment) NumDocs() int  { return int(s.hi) }
+func (s *memSegment) NumTerms() int { return len(s.terms) }
+
+func (s *memSegment) DF(t model.TermID) int               { return len(s.term(t).post) }
+func (s *memSegment) MaxScore(t model.TermID) model.Score { return s.term(t).max }
+
+func (s *memSegment) DocCursor(t model.TermID) postings.DocCursor {
+	mt := s.term(t)
+	return postings.NewSliceDocCursor(mt.post, mt.blocks, mt.max)
 }
 
-func (s *memSegment) docs() int { return len(s.docLens) }
+func (s *memSegment) ScoreCursor(t model.TermID) postings.ScoreCursor {
+	mt := s.term(t)
+	return postings.NewSliceScoreCursor(mt.impact, mt.max)
+}
 
-func (s *memSegment) localDF(t model.TermID) int { return len(s.term(t).post) }
+// ScoreCursorShard implements postings.View over [0, NumDocs), like the
+// frozen payload's stored sublists; a segment view filters the impact
+// order to its epoch's ranges instead.
+func (s *memSegment) ScoreCursorShard(t model.TermID, shard, nShards int) postings.ScoreCursor {
+	lo, hi := postings.ShardRange(s.NumDocs(), shard, nShards)
+	return &rangeScoreCursor{in: s.ScoreCursor(t), lo: lo, hi: hi}
+}
+
+func (s *memSegment) RandomAccess(t model.TermID, d model.DocID) (model.Score, bool) {
+	list := s.term(t).post
+	i := sort.Search(len(list), func(i int) bool { return list[i].Doc >= d })
+	if i < len(list) && list[i].Doc == d {
+		return list[i].Score, true
+	}
+	return 0, false
+}
+
+// Resident implements postings.View: the memtable is in memory.
+func (s *memSegment) Resident(model.TermID, model.DocID) bool { return true }
+
+// BindExec implements postings.View: the memtable charges nothing, so
+// the snapshot is its own binding, with nothing to settle.
+func (s *memSegment) BindExec(context.Context, func(time.Duration), func(), func(bool)) (postings.View, func()) {
+	return s, nil
+}

@@ -60,12 +60,14 @@ var logTF = func() (t [256]float64) {
 	return t
 }()
 
-// sqrtLens is rawWeight's denominator for every document of a segment:
-// √|D| with the same docLen clamp.
+// sqrtLen is rawWeight's denominator for a document of n tokens: √|D|
+// with the same docLen clamp. sqrtLens maps it over a segment.
+func sqrtLen(n uint32) float64 { return math.Sqrt(float64(max(n, 1))) }
+
 func sqrtLens(docLens []uint32) []float64 {
 	out := make([]float64, len(docLens))
 	for i, n := range docLens {
-		out[i] = math.Sqrt(float64(max(int(n), 1)))
+		out[i] = sqrtLen(n)
 	}
 	return out
 }

@@ -152,33 +152,20 @@ type View interface {
 	// postings are in memory answers true; one over a store that charges
 	// for reads answers false.
 	Resident(t model.TermID, d model.DocID) bool
-}
-
-// ExecBinder is implemented by views whose traversal charges simulated
-// I/O (package diskindex). BindExec returns a BoundView whose cursors
-// end their I/O waits early once ctx is done — making an I/O fetch the
-// natural cancellation point for disk-resident queries — and report
-// every physical block fetch's charged latency to onIO. onStop is
-// invoked the first time a cursor's wait is cut short, giving the
-// execution layer a synchronous cancellation signal on the goroutine
-// that observed it. onCache receives the outcome of every app-level
-// posting-cache lookup the bound cursors perform. Any callback may be
-// nil. The returned view shares the underlying index, page cache, and
-// posting cache; in-memory views simply don't implement this interface.
-type ExecBinder interface {
-	BindExec(ctx context.Context, onIO func(time.Duration), onStop func(), onCache func(hit bool)) BoundView
-}
-
-// BoundView is the result of BindExec: a View that hands out charged
-// readers. SettleAll pays every reader's accrued but unpaid
-// simulated-I/O latency. The execution layer calls it when a query
-// finishes, so algorithms that stop early — threshold reached,
-// deadline, cancellation — cannot abandon cursors with their I/O bill
-// outstanding. It must only be called after the query's workers have
-// quiesced (readers are single-goroutine objects).
-type BoundView interface {
-	View
-	SettleAll()
+	// BindExec binds the view to one query's execution. The cursors of
+	// the returned view end their simulated I/O waits early once ctx is
+	// done — an I/O fetch is the natural cancellation point of a
+	// disk-resident query — and report every physical block fetch's
+	// charged latency to onIO; onStop is invoked the first time a wait
+	// is cut short, on the goroutine that observed it; onCache receives
+	// the outcome of every posting-cache lookup. Any callback may be nil.
+	// settle, when not nil, pays every reader's accrued but unpaid
+	// simulated latency: the execution layer calls it once the query's
+	// workers have quiesced, so an algorithm that stops early cannot
+	// abandon cursors with their bill outstanding. A view that charges
+	// nothing returns itself and a nil settle; a view that wraps another
+	// binds through it.
+	BindExec(ctx context.Context, onIO func(time.Duration), onStop func(), onCache func(hit bool)) (bound View, settle func())
 }
 
 // BlockWalker is a block-at-a-time traversal of a term's doc-ordered

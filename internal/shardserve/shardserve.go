@@ -453,9 +453,9 @@ type attempt struct {
 // quantile, and retrying transient errors on the next untried replica
 // with capped exponential backoff inside the deadline budget. Every
 // launched attempt is joined before returning, so every attempt's I/O
-// settlement (ExecState.Finish → SettleAll) has completed by the time
-// the shard reports. The shard is skipped only when every replica is
-// excluded.
+// settlement (ExecState.Finish → each bound view's settle func) has
+// completed by the time the shard reports. The shard is skipped only
+// when every replica is excluded.
 func (g *Group) runShard(ctx context.Context, i int, sh *shardState, q model.Query, opts topk.Options) (model.TopK, ShardRunStats) {
 	run := ShardRunStats{Shard: i, Name: sh.Name, Replica: -1}
 	sctx := ctx

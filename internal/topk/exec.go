@@ -182,7 +182,7 @@ type ExecState struct {
 	closeOnce sync.Once
 
 	settleMu sync.Mutex
-	settlers []postings.BoundView // bound views with possibly-unpaid I/O
+	settlers []func() // bound views' settle funcs: possibly-unpaid I/O
 }
 
 // NewExecState creates the execution state for one query under ctx.
@@ -269,8 +269,8 @@ func (e *ExecState) Begin(q model.Query, opts Options) {
 // charges of bound views, and emits the QueryFinish event. Call
 // exactly once, when the evaluation ends (any path). Every algorithm
 // joins its workers before returning, so by the time Finish runs no
-// goroutine still touches the bound cursors — the precondition
-// postings.BoundView's SettleAll requires.
+// goroutine still touches the bound cursors — the precondition a
+// bound view's settle func requires.
 func (e *ExecState) Finish(st Stats, err error) {
 	if e == nil {
 		return
@@ -280,8 +280,8 @@ func (e *ExecState) Finish(st Stats, err error) {
 	settlers := e.settlers
 	e.settlers = nil
 	e.settleMu.Unlock()
-	for _, s := range settlers {
-		s.SettleAll()
+	for _, settle := range settlers {
+		settle()
 	}
 	if e.observing {
 		e.obs.QueryFinish(st, err)
@@ -309,17 +309,13 @@ func (e *ExecState) CleanerPass(kept, dropped int) {
 	}
 }
 
-// BindView attaches the execution state to views that support it (the
-// simulated-disk indexes implement postings.ExecBinder): their I/O
-// waits end early on cancellation — the natural cancellation point for
-// disk-resident queries — and physical fetches flow to the observer.
-// Views without binding support (the in-memory index) pass through.
+// BindView binds v to the execution state (postings.View's BindExec):
+// on a view that charges simulated I/O, waits end early on cancellation
+// — the natural cancellation point for disk-resident queries — and
+// physical fetches flow to the observer. An in-memory view returns
+// itself.
 func (e *ExecState) BindView(v postings.View) postings.View {
 	if e == nil {
-		return v
-	}
-	b, ok := v.(postings.ExecBinder)
-	if !ok {
 		return v
 	}
 	// Even uncancellable, unobserved queries bind: the bound view tracks
@@ -339,9 +335,11 @@ func (e *ExecState) BindView(v postings.View) postings.View {
 		// before the watcher goroutine's asynchronous flip is visible.
 		onStop = func() { e.markStopped(e.ctx.Err()) }
 	}
-	bound := b.BindExec(e.ctx, onIO, onStop, onCache)
-	e.settleMu.Lock()
-	e.settlers = append(e.settlers, bound)
-	e.settleMu.Unlock()
+	bound, settle := v.BindExec(e.ctx, onIO, onStop, onCache)
+	if settle != nil {
+		e.settleMu.Lock()
+		e.settlers = append(e.settlers, settle)
+		e.settleMu.Unlock()
+	}
 	return bound
 }
