@@ -33,7 +33,7 @@ func main() {
 
 	var (
 		indexDir = flag.String("index", "", "index directory (required)")
-		algo     = flag.String("algo", "Sparta", "algorithm: Sparta pRA pNRA sNRA pBMW pWAND pJASS RA NRA SelNRA MaxScore WAND BMW JASS")
+		algo     = flag.String("algo", "Sparta", "algorithm: Sparta pRA pNRA sNRA pBMW pWAND pJASS RA NRA MaxScore WAND BMW JASS")
 		terms    = flag.String("terms", "", "comma-separated term ids")
 		qfile    = flag.String("queryfile", "", "queries.tsv from corpusgen (alternative to -terms)")
 		qlen     = flag.Int("qlen", 12, "query length to pick from -queryfile")

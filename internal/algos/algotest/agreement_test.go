@@ -113,7 +113,7 @@ func TestNRAFamilyExactScores(t *testing.T) {
 // segment, and the longer ones take seconds each under -race.
 func TestNRAFamilyDeltaSafeScores(t *testing.T) {
 	x, qs, want := probePool()
-	for _, id := range []bench.AlgoID{bench.AlgoPNRA, bench.AlgoNRA, bench.AlgoSelNRA} {
+	for _, id := range []bench.AlgoID{bench.AlgoPNRA, bench.AlgoNRA} {
 		t.Run(string(id), func(t *testing.T) {
 			alg := bench.MakeAlgorithm(id, x)
 			var lookups int64
@@ -203,6 +203,13 @@ func TestStatsSanity(t *testing.T) {
 		// by more than a small factor.
 		if st.Postings > 4*total {
 			t.Errorf("%s: postings %d implausible (index total %d)", alg.Name(), st.Postings, total)
+		}
+
+		// A query with no terms has nothing to read: every algorithm
+		// answers it empty, stopped "exhausted".
+		res, st, err := alg.Search(model.Query{}, topk.Options{K: 10, Exact: true, Threads: 2})
+		if err != nil || len(res) != 0 || st.StopReason != "exhausted" {
+			t.Errorf("%s: empty query => %d results, stop %q, err %v; want 0, \"exhausted\", nil", alg.Name(), len(res), st.StopReason, err)
 		}
 	}
 }

@@ -196,7 +196,7 @@ func TestAllVariantsAgreeAcrossViews(t *testing.T) {
 	}
 
 	sequential := map[bench.AlgoID]bool{
-		bench.AlgoRA: true, bench.AlgoNRA: true, bench.AlgoSelNRA: true,
+		bench.AlgoRA: true, bench.AlgoNRA: true,
 		bench.AlgoWAND: true, bench.AlgoMaxScore: true, bench.AlgoBMW: true,
 		bench.AlgoJASS: true,
 	}

@@ -26,6 +26,12 @@ import (
 // storage model (tiny blocks, near-empty cache, high latencies) so an
 // uncancelled exact query takes far longer than the test's deadlines.
 func slowIndex(tb testing.TB) (*index.Index, *diskindex.Index) {
+	return slowStore(tb, false)
+}
+
+// slowStore is slowIndex's storage model; with noSleep it charges and
+// reports every fetch the same way without sleeping the charges out.
+func slowStore(tb testing.TB, noSleep bool) (*index.Index, *diskindex.Index) {
 	tb.Helper()
 	mem := algotest.MediumIndex(tb, 7)
 	cfg := iomodel.Config{
@@ -34,6 +40,7 @@ func slowIndex(tb testing.TB) (*index.Index, *diskindex.Index) {
 		SeqLatency:  500 * time.Microsecond,
 		RandLatency: 2 * time.Millisecond,
 		SleepBatch:  time.Microsecond,
+		NoSleep:     noSleep,
 	}
 	x, err := diskindex.FromIndex(mem, diskindex.DefaultShards, cfg)
 	if err != nil {
@@ -167,37 +174,90 @@ func TestCancelledPartialIsPrefixQuality(t *testing.T) {
 }
 
 // TestObserverSeesExecution checks the Observer plumbing end to end on
-// a disk-resident run: query lifecycle, segment scheduling, heap
-// updates, and I/O fetches all surface.
+// a disk-resident run of every algorithm: one QueryStart and one
+// QueryFinish carrying the returned Stats, Duration included, I/O
+// fetches, and a recall probe whose series ends with exactly one final
+// point (the probe's rate limit keeps at most the first in-flight
+// observation, one document of k, so recall below 1; the final point is
+// the only one at the exact answer's recall of 1). Sparta's run also
+// shows segment scheduling and heap updates. The store charges without
+// sleeping: RA's random accesses would sleep for seconds.
 func TestObserverSeesExecution(t *testing.T) {
-	mem, x := slowIndex(t)
+	mem, x := slowStore(t, true)
 	q := algotest.RandomQuery(mem, 4, 16)
-	var obs topk.RecordingObserver
-	opts := cancelOpts()
-	opts.Observer = &obs
-	alg := bench.MakeAlgorithm(bench.AlgoSparta, x)
-	res, st, err := alg.SearchContext(context.Background(), q, opts)
-	if err != nil {
-		t.Fatal(err)
+	exact := topk.BruteForce(mem, q, cancelOpts().K)
+	for _, id := range bench.AllAlgos {
+		t.Run(string(id), func(t *testing.T) {
+			var obs topk.RecordingObserver
+			probe := topk.NewRecallProbe(exact)
+			probe.MinInterval = time.Hour
+			opts := cancelOpts()
+			opts.Observer = &obs
+			opts.Probe = probe
+			res, st, err := bench.MakeAlgorithm(id, x).SearchContext(context.Background(), q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res) == 0 {
+				t.Fatal("no results")
+			}
+			if obs.Queries() != 1 || obs.Finishes() != 1 {
+				t.Errorf("observer saw %d starts / %d finishes, want 1/1", obs.Queries(), obs.Finishes())
+			}
+			if id == bench.AlgoSparta && (obs.Segments() == 0 || obs.HeapUpdates() == 0) {
+				t.Errorf("observer saw %d segments and %d heap updates, want both > 0", obs.Segments(), obs.HeapUpdates())
+			}
+			if obs.IOFetches() == 0 || obs.IOWait() == 0 {
+				t.Errorf("observer saw %d I/O fetches (%v wait), want > 0", obs.IOFetches(), obs.IOWait())
+			}
+			if gotSt, gotErr := obs.Last(); gotErr != nil || gotSt != st {
+				t.Errorf("observer last = (%+v, %v), want (%+v, nil)", gotSt, gotErr, st)
+			}
+			pts := probe.Series().Points()
+			finals := 0
+			for _, p := range pts {
+				if p.Value == 1 {
+					finals++
+				}
+			}
+			if len(pts) == 0 || pts[len(pts)-1].Value != 1 || finals != 1 || len(pts) > 2 {
+				t.Errorf("probe series %v, want at most one early point then one final point at recall 1", pts)
+			}
+		})
 	}
-	if len(res) == 0 {
-		t.Fatal("no results")
-	}
-	if obs.Queries() != 1 || obs.Finishes() != 1 {
-		t.Errorf("observer saw %d starts / %d finishes, want 1/1", obs.Queries(), obs.Finishes())
-	}
-	if obs.Segments() == 0 {
-		t.Error("observer saw no segment scheduling")
-	}
-	if obs.HeapUpdates() == 0 {
-		t.Error("observer saw no heap updates")
-	}
-	if obs.IOFetches() == 0 || obs.IOWait() == 0 {
-		t.Errorf("observer saw %d I/O fetches (%v wait), want > 0", obs.IOFetches(), obs.IOWait())
-	}
-	gotSt, gotErr := obs.Last()
-	if gotErr != nil || gotSt.StopReason != st.StopReason {
-		t.Errorf("observer last = (%q, %v), want (%q, nil)", gotSt.StopReason, gotErr, st.StopReason)
+}
+
+// TestInvalidOptionsRejected: every algorithm validates its options
+// before it reads anything, and returns Validate's error, not a panic
+// or an answer.
+func TestInvalidOptionsRejected(t *testing.T) {
+	x := algotest.SmallIndex(t, 31)
+	q := algotest.RandomQuery(x, 3, 32)
+	for _, c := range []struct {
+		name string
+		opts topk.Options
+	}{
+		{"negative K", topk.Options{K: -1}},
+		{"negative Threads", topk.Options{K: 10, Threads: -2}},
+		{"Exact with Delta", topk.Options{K: 10, Exact: true, Delta: time.Millisecond}},
+	} {
+		want := c.opts.Validate()
+		if want == nil {
+			t.Fatalf("%s: Validate accepted %+v", c.name, c.opts)
+		}
+		for _, id := range bench.AllAlgos {
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("%s, %s: panicked: %v", c.name, id, p)
+					}
+				}()
+				res, _, err := bench.MakeAlgorithm(id, x).Search(q, c.opts)
+				if err == nil || err.Error() != want.Error() || res != nil {
+					t.Errorf("%s, %s: %d results, err %v; want none and %v", c.name, id, len(res), err, want)
+				}
+			}()
+		}
 	}
 }
 

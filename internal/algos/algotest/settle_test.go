@@ -122,7 +122,6 @@ func TestCompletionStopPathsSettle(t *testing.T) {
 		{"SpartaLookups", bench.AlgoSparta, topk.DefaultSegSize, true},
 		{"pNRA", bench.AlgoPNRA, 16, false},
 		{"NRA", bench.AlgoNRA, 16, false},
-		{"SelNRA", bench.AlgoSelNRA, 16, false},
 		{"sNRA", bench.AlgoSNRA, 16, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {

@@ -19,7 +19,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"sparta/internal/heap"
 	"sparta/internal/jobqueue"
@@ -69,21 +68,11 @@ func (a *BMW) Search(q model.Query, opts topk.Options) (model.TopK, topk.Stats, 
 
 // SearchContext implements topk.Algorithm.
 func (a *BMW) SearchContext(ctx context.Context, q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
-	opts = opts.WithDefaults()
-	es := topk.NewExecState(ctx, opts.Observer)
-	es.Begin(q, opts)
-	res, st, err := a.search(es, q, opts)
-	es.Finish(st, err)
-	return res, st, err
+	return topk.Run(ctx, q, opts, a.view, a.search)
 }
 
-func (a *BMW) search(es *topk.ExecState, q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
-	start := time.Now()
-	if opts.Probe != nil {
-		opts.Probe.Start()
-	}
+func (a *BMW) search(es *topk.ExecState, view postings.View, q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
 	var st topk.Stats
-	view := es.BindView(a.view)
 	h := heap.GetScore(opts.K)
 	f := opts.BoostF
 	if opts.Exact {
@@ -98,15 +87,8 @@ func (a *BMW) search(es *topk.ExecState, q model.Query, opts topk.Options) (mode
 		h, nil, es, &nPost, &nInserts, opts.Probe)
 	st.Postings = nPost
 	st.HeapInserts = nInserts
-	if st.StopReason = es.StopReason(); st.StopReason == "" {
-		st.StopReason = "exhausted"
-	}
-	st.Duration = time.Since(start)
 	res := h.Results()
 	heap.PutScore(h)
-	if opts.Probe != nil {
-		opts.Probe.Final(res)
-	}
 	return res, st, nil
 }
 
@@ -141,21 +123,11 @@ func (a *PBMW) Search(q model.Query, opts topk.Options) (model.TopK, topk.Stats,
 
 // SearchContext implements topk.Algorithm.
 func (a *PBMW) SearchContext(ctx context.Context, q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
-	opts = opts.WithDefaults()
-	es := topk.NewExecState(ctx, opts.Observer)
-	es.Begin(q, opts)
-	res, st, err := a.search(es, q, opts)
-	es.Finish(st, err)
-	return res, st, err
+	return topk.Run(ctx, q, opts, a.view, a.search)
 }
 
-func (a *PBMW) search(es *topk.ExecState, q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
-	start := time.Now()
-	if opts.Probe != nil {
-		opts.Probe.Start()
-	}
+func (a *PBMW) search(es *topk.ExecState, view postings.View, q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
 	var st topk.Stats
-	view := es.BindView(a.view)
 	f := opts.BoostF
 	if opts.Exact {
 		f = 1
@@ -203,13 +175,6 @@ func (a *PBMW) search(es *topk.ExecState, q model.Query, opts topk.Options) (mod
 	}
 	st.Postings = nPost.Load()
 	st.HeapInserts = nInserts.Load()
-	if st.StopReason = es.StopReason(); st.StopReason == "" {
-		st.StopReason = "exhausted"
-	}
-	st.Duration = time.Since(start)
-	if opts.Probe != nil {
-		opts.Probe.Final(res)
-	}
 	return res, st, nil
 }
 

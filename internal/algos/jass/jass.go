@@ -25,7 +25,6 @@ package jass
 import (
 	"context"
 	"sync/atomic"
-	"time"
 
 	"sparta/internal/cmap"
 	"sparta/internal/heap"
@@ -61,22 +60,11 @@ func (a *JASS) Search(q model.Query, opts topk.Options) (model.TopK, topk.Stats,
 // ends the accumulation early and the top-k selection runs over
 // whatever accumulated.
 func (a *JASS) SearchContext(ctx context.Context, q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
-	opts = opts.WithDefaults()
-	es := topk.NewExecState(ctx, opts.Observer)
-	es.Begin(q, opts)
-	res, st, err := a.search(es, q, opts)
-	es.Finish(st, err)
-	return res, st, err
+	return topk.Run(ctx, q, opts, a.view, a.search)
 }
 
-func (a *JASS) search(es *topk.ExecState, q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
-	start := time.Now()
-	if opts.Probe != nil {
-		opts.Probe.Start()
-	}
+func (a *JASS) search(es *topk.ExecState, view postings.View, q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
 	var st topk.Stats
-
-	view := es.BindView(a.view)
 	m := len(q)
 	cursors := make([]postings.ScoreCursor, m)
 	var total int64
@@ -109,7 +97,6 @@ scan:
 		c := cursors[best]
 		for j := 0; j < segSizeJASS && st.Postings < budget; j++ {
 			if es.Stopped() {
-				st.StopReason = es.StopReason()
 				break scan
 			}
 			if !c.Next() {
@@ -121,7 +108,6 @@ scan:
 			if _, ok := acc[doc]; !ok {
 				if err := opts.Budget.Charge(cmap.DocStateBytes); err != nil {
 					opts.Budget.Release(accBytes)
-					st.Duration = time.Since(start)
 					st.StopReason = "oom"
 					return nil, st, err
 				}
@@ -133,12 +119,8 @@ scan:
 			}
 		}
 	}
-	if st.StopReason == "" {
-		if budget < total && st.Postings >= budget {
-			st.StopReason = "fraction"
-		} else {
-			st.StopReason = "exhausted"
-		}
+	if budget < total && st.Postings >= budget {
+		st.StopReason = "fraction"
 	}
 	st.CandidatesPeak = int64(len(acc))
 	opts.Budget.Release(accBytes)
@@ -148,12 +130,8 @@ scan:
 		h.Push(d, s)
 	}
 	st.HeapInserts = int64(h.Len())
-	st.Duration = time.Since(start)
 	res := h.Results()
 	heap.PutScore(h)
-	if opts.Probe != nil {
-		opts.Probe.Final(res)
-	}
 	return res, st, nil
 }
 
@@ -177,22 +155,11 @@ func (a *PJASS) Search(q model.Query, opts topk.Options) (model.TopK, topk.Stats
 // performs the final selection over the scores accumulated so far — the
 // partial result the anytime contract promises.
 func (a *PJASS) SearchContext(ctx context.Context, q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
-	opts = opts.WithDefaults()
-	es := topk.NewExecState(ctx, opts.Observer)
-	es.Begin(q, opts)
-	res, st, err := a.search(es, q, opts)
-	es.Finish(st, err)
-	return res, st, err
+	return topk.Run(ctx, q, opts, a.view, a.search)
 }
 
-func (a *PJASS) search(es *topk.ExecState, q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
-	start := time.Now()
-	if opts.Probe != nil {
-		opts.Probe.Start()
-	}
+func (a *PJASS) search(es *topk.ExecState, view postings.View, q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
 	var st topk.Stats
-
-	view := es.BindView(a.view)
 	m := len(q)
 	var total int64
 	cursors := make([]postings.ScoreCursor, m)
@@ -222,15 +189,10 @@ func (a *PJASS) search(es *topk.ExecState, q model.Query, opts topk.Options) (mo
 	opts.Budget.Release(r.mapBytes.Load())
 	if r.failed.Load() {
 		st.StopReason = "oom"
-		st.Duration = time.Since(start)
 		return nil, st, membudget.ErrMemoryBudget
 	}
-	if reason := es.StopReason(); reason != "" {
-		st.StopReason = reason
-	} else if budget < total && r.nPostings.Load() >= budget {
+	if !es.Stopped() && budget < total && r.nPostings.Load() >= budget {
 		st.StopReason = "fraction"
-	} else {
-		st.StopReason = "exhausted"
 	}
 
 	// Final selection over the accumulated partial scores.
@@ -240,12 +202,8 @@ func (a *PJASS) search(es *topk.ExecState, q model.Query, opts topk.Options) (mo
 		return true
 	})
 	st.HeapInserts = int64(h.Len())
-	st.Duration = time.Since(start)
 	res := h.Results()
 	heap.PutScore(h)
-	if opts.Probe != nil {
-		opts.Probe.Final(res)
-	}
 	return res, st, nil
 }
 

@@ -17,7 +17,6 @@ package maxscore
 import (
 	"context"
 	"sort"
-	"time"
 
 	"sparta/internal/heap"
 	"sparta/internal/model"
@@ -44,22 +43,11 @@ func (a *MaxScore) Search(q model.Query, opts topk.Options) (model.TopK, topk.St
 
 // SearchContext implements topk.Algorithm.
 func (a *MaxScore) SearchContext(ctx context.Context, q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
-	opts = opts.WithDefaults()
-	es := topk.NewExecState(ctx, opts.Observer)
-	es.Begin(q, opts)
-	res, st, err := a.search(es, q, opts)
-	es.Finish(st, err)
-	return res, st, err
+	return topk.Run(ctx, q, opts, a.view, a.search)
 }
 
-func (a *MaxScore) search(es *topk.ExecState, q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
-	start := time.Now()
-	if opts.Probe != nil {
-		opts.Probe.Start()
-	}
+func (a *MaxScore) search(es *topk.ExecState, view postings.View, q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
 	var st topk.Stats
-
-	view := es.BindView(a.view)
 	type list struct {
 		c   postings.DocCursor
 		max model.Score
@@ -85,7 +73,6 @@ func (a *MaxScore) search(es *topk.ExecState, q model.Query, opts topk.Options) 
 
 	for split < len(lists) {
 		if es.Stopped() {
-			st.StopReason = es.StopReason()
 			break
 		}
 		theta := h.Threshold()
@@ -160,15 +147,8 @@ func (a *MaxScore) search(es *topk.ExecState, q model.Query, opts topk.Options) 
 		}
 	}
 
-	if st.StopReason == "" {
-		st.StopReason = "exhausted"
-	}
-	st.Duration = time.Since(start)
 	res := h.Results()
 	heap.PutScore(h)
-	if opts.Probe != nil {
-		opts.Probe.Final(res)
-	}
 	return res, st, nil
 }
 

@@ -20,7 +20,6 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"sparta/internal/cmap"
 	"sparta/internal/heap"
@@ -49,21 +48,10 @@ func (a *PNRA) Search(q model.Query, opts topk.Options) (model.TopK, topk.Stats,
 
 // SearchContext implements topk.Algorithm.
 func (a *PNRA) SearchContext(ctx context.Context, q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
-	opts = opts.WithDefaults()
-	es := topk.NewExecState(ctx, opts.Observer)
-	es.Begin(q, opts)
-	res, st, err := a.search(es, q, opts)
-	es.Finish(st, err)
-	return res, st, err
+	return topk.Run(ctx, q, opts, a.view, a.search)
 }
 
-func (a *PNRA) search(es *topk.ExecState, q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
-	start := time.Now()
-	if opts.Probe != nil {
-		opts.Probe.Start()
-	}
-
-	view := es.BindView(a.view)
+func (a *PNRA) search(es *topk.ExecState, view postings.View, q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
 	store := cmap.GetStore()
 	r := &run{
 		opts:    opts,
@@ -113,7 +101,6 @@ func (a *PNRA) search(es *topk.ExecState, q model.Query, opts topk.Options) (mod
 		st.StopReason = v.(string)
 	}
 	if r.failed.Load() {
-		st.Duration = time.Since(start)
 		return nil, st, membudget.ErrMemoryBudget
 	}
 	r.heapMu.Lock()
@@ -122,10 +109,6 @@ func (a *PNRA) search(es *topk.ExecState, q model.Query, opts topk.Options) (mod
 	}
 	res := r.docHeap.Results()
 	r.heapMu.Unlock()
-	st.Duration = time.Since(start)
-	if opts.Probe != nil {
-		opts.Probe.Final(res)
-	}
 	return res, st, nil
 }
 

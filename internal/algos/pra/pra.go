@@ -50,21 +50,10 @@ func (a *PRA) Search(q model.Query, opts topk.Options) (model.TopK, topk.Stats, 
 
 // SearchContext implements topk.Algorithm.
 func (a *PRA) SearchContext(ctx context.Context, q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
-	opts = opts.WithDefaults()
-	es := topk.NewExecState(ctx, opts.Observer)
-	es.Begin(q, opts)
-	res, st, err := a.search(es, q, opts)
-	es.Finish(st, err)
-	return res, st, err
+	return topk.Run(ctx, q, opts, a.view, a.search)
 }
 
-func (a *PRA) search(es *topk.ExecState, q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
-	start := time.Now()
-	if opts.Probe != nil {
-		opts.Probe.Start()
-	}
-
-	view := es.BindView(a.view)
+func (a *PRA) search(es *topk.ExecState, view postings.View, q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
 	r := &run{
 		view: view,
 		q:    q,
@@ -79,7 +68,7 @@ func (a *PRA) search(es *topk.ExecState, q model.Query, opts topk.Options) (mode
 		r.cursors[i] = view.ScoreCursor(t)
 	}
 	r.ubs = topk.NewUpperBounds(topk.TermMaxima(view, q))
-	r.lastHeapChange.Store(start.UnixNano())
+	r.lastHeapChange.Store(time.Now().UnixNano())
 	r.remaining.Store(int64(r.m))
 
 	workers := opts.Threads
@@ -101,10 +90,7 @@ func (a *PRA) search(es *topk.ExecState, q model.Query, opts topk.Options) (mode
 	opts.Budget.Release(r.seenBytes.Load())
 	if v := r.stopReason.Load(); v != nil {
 		st.StopReason = v.(string)
-	} else {
-		st.StopReason = "exhausted"
 	}
-	st.Duration = time.Since(start)
 	if r.failed.Load() {
 		st.StopReason = "oom"
 		heap.PutScore(r.h) // CloseAfterDrain returned: no worker holds it
@@ -115,9 +101,6 @@ func (a *PRA) search(es *topk.ExecState, q model.Query, opts topk.Options) (mode
 	res := r.h.Results()
 	r.heapMu.Unlock()
 	heap.PutScore(r.h)
-	if opts.Probe != nil {
-		opts.Probe.Final(res)
-	}
 	return res, st, nil
 }
 

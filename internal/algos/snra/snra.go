@@ -64,18 +64,10 @@ func (a *SNRA) Search(q model.Query, opts topk.Options) (model.TopK, topk.Stats,
 // shared across all shard-local NRA instances, so a single cancellation
 // stops every shard; topk.FanOut then merges the partial shard results.
 func (a *SNRA) SearchContext(ctx context.Context, q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
-	opts = opts.WithDefaults()
-	es := topk.NewExecState(ctx, opts.Observer)
-	es.Begin(q, opts)
-	res, st, err := a.search(es, q, opts)
-	es.Finish(st, err)
-	return res, st, err
+	return topk.Run(ctx, q, opts, a.view, a.search)
 }
 
-func (a *SNRA) search(es *topk.ExecState, q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
-	if opts.Probe != nil {
-		opts.Probe.Start()
-	}
+func (a *SNRA) search(es *topk.ExecState, view postings.View, q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
 	shards := opts.Shards
 	if shards == 0 {
 		if pre, ok := a.view.(prebuilt); ok {
@@ -85,13 +77,12 @@ func (a *SNRA) search(es *topk.ExecState, q model.Query, opts topk.Options) (mod
 		}
 	}
 
-	view := es.BindView(a.view)
 	// The ExecState already saw QueryStart once and carries the
 	// observer: the fan-out gets none, so neither it nor the
 	// shard-local runs open query scopes of their own.
 	fanOpts := opts
 	fanOpts.Observer = nil
-	all, st, err := topk.FanOut(es.Context(), q, fanOpts, shards, opts.Threads, topk.StopMerged, func(_ context.Context, s int, shardOpts topk.Options) (model.TopK, topk.Stats, error) {
+	return topk.FanOut(es.Context(), q, fanOpts, shards, opts.Threads, topk.StopMerged, func(_ context.Context, s int, shardOpts topk.Options) (model.TopK, topk.Stats, error) {
 		if es.Stopped() {
 			return nil, topk.Stats{}, nil // drop unstarted shards; started ones stop inside
 		}
@@ -110,10 +101,6 @@ func (a *SNRA) search(es *topk.ExecState, q model.Query, opts topk.Options) (mod
 		}
 		return res, st, err
 	})
-	if err == nil && opts.Probe != nil {
-		opts.Probe.Final(all)
-	}
-	return all, st, err
 }
 
 var _ topk.Algorithm = (*SNRA)(nil)

@@ -43,22 +43,11 @@ func (a *RA) Search(q model.Query, opts topk.Options) (model.TopK, topk.Stats, e
 
 // SearchContext implements topk.Algorithm.
 func (a *RA) SearchContext(ctx context.Context, q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
-	opts = opts.WithDefaults()
-	es := topk.NewExecState(ctx, opts.Observer)
-	es.Begin(q, opts)
-	res, st, err := a.search(es, q, opts)
-	es.Finish(st, err)
-	return res, st, err
+	return topk.Run(ctx, q, opts, a.view, a.search)
 }
 
-func (a *RA) search(es *topk.ExecState, q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
-	start := time.Now()
+func (a *RA) search(es *topk.ExecState, view postings.View, q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
 	var st topk.Stats
-	if opts.Probe != nil {
-		opts.Probe.Start()
-	}
-
-	view := es.BindView(a.view)
 	m := len(q)
 	cursors := make([]postings.ScoreCursor, m)
 	for i, t := range q {
@@ -68,14 +57,13 @@ func (a *RA) search(es *topk.ExecState, q model.Query, opts topk.Options) (model
 	h := heap.GetScore(opts.K)
 	seen := make(map[model.DocID]bool)
 	var seenBytes int64
-	lastHeapChange := start
+	lastHeapChange := time.Now()
 	active := m
 
 scan:
 	for active > 0 {
 		for i := 0; i < m; i++ {
 			if es.Stopped() {
-				st.StopReason = es.StopReason()
 				break scan
 			}
 			c := cursors[i]
@@ -96,7 +84,6 @@ scan:
 				if err := opts.Budget.Charge(seenEntryBytes); err != nil {
 					opts.Budget.Release(seenBytes)
 					heap.PutScore(h)
-					st.Duration = time.Since(start)
 					st.StopReason = "oom"
 					return nil, st, err
 				}
@@ -122,17 +109,10 @@ scan:
 			break
 		}
 	}
-	if st.StopReason == "" {
-		st.StopReason = "exhausted"
-	}
 	opts.Budget.Release(seenBytes)
 	st.CandidatesPeak = int64(len(seen))
-	st.Duration = time.Since(start)
 	res := h.Results()
 	heap.PutScore(h)
-	if opts.Probe != nil {
-		opts.Probe.Final(res)
-	}
 	return res, st, nil
 }
 
@@ -171,17 +151,13 @@ func (a *NRA) Search(q model.Query, opts topk.Options) (model.TopK, topk.Stats, 
 
 // SearchContext implements topk.Algorithm.
 func (a *NRA) SearchContext(ctx context.Context, q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
-	opts = opts.WithDefaults()
-	es := topk.NewExecState(ctx, opts.Observer)
-	es.Begin(q, opts)
-	view := es.BindView(a.view)
-	cursors := make([]postings.ScoreCursor, len(q))
-	for i, t := range q {
-		cursors[i] = view.ScoreCursor(t)
-	}
-	res, st, err := RunNRA(es, view, q, cursors, opts)
-	es.Finish(st, err)
-	return res, st, err
+	return topk.Run(ctx, q, opts, a.view, func(es *topk.ExecState, view postings.View, q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
+		cursors := make([]postings.ScoreCursor, len(q))
+		for i, t := range q {
+			cursors[i] = view.ScoreCursor(t)
+		}
+		return RunNRA(es, view, q, cursors, opts)
+	})
 }
 
 // RunNRA executes sequential NRA for q over the given score cursors
@@ -189,6 +165,8 @@ func (a *NRA) SearchContext(ctx context.Context, q model.Query, opts topk.Option
 // initial upper bounds). It is shared by NRA proper and by sNRA, which
 // runs one instance per index shard. es may be nil (run to completion,
 // unobserved); a shared es lets sNRA stop all shards from one context.
+// The query's lifecycle — probe, Duration, observer — is its caller's
+// (topk.Run); RunNRA's own clock serves only the Δ rule.
 //
 // Stopping (§3.2): the safe variant stops when (1) Σ UB[i] <= Θ and
 // (2) every visited document outside the heap has UB(D) <= Θ.
@@ -198,18 +176,14 @@ func (a *NRA) SearchContext(ctx context.Context, q model.Query, opts topk.Option
 // (topk.CompleteScores): the stop proves the set, not the scores. The
 // approximate variant also stops when the heap has not changed for Δ.
 func RunNRA(es *topk.ExecState, view postings.View, q model.Query, cursors []postings.ScoreCursor, opts topk.Options) (model.TopK, topk.Stats, error) {
-	start := time.Now()
 	var st topk.Stats
-	if opts.Probe != nil {
-		opts.Probe.Start()
-	}
 	m := len(cursors)
 	ubs := topk.NewUpperBounds(topk.TermMaxima(view, q))
 	h := heap.GetDoc(opts.K)
 	docMap := cmap.GetLocalMap()
 	var mapBytes int64
 	theta := model.Score(0)
-	lastHeapChange := start
+	lastHeapChange := time.Now()
 	active := m
 	ubStop := false
 	// Condition (2) is rechecked every checkEvery traversed postings.
@@ -255,7 +229,6 @@ scan:
 				if err := opts.Budget.Charge(cmap.DocStateBytes); err != nil {
 					st.CandidatesPeak = int64(len(docMap))
 					release()
-					st.Duration = time.Since(start)
 					st.StopReason = "oom"
 					return nil, st, err
 				}
@@ -301,12 +274,8 @@ scan:
 	if st.StopReason == "safe" {
 		st.RandomAccesses = topk.CompleteScores(view, q, ubs, h.Items(), 1)
 	}
-	st.Duration = time.Since(start)
 	res := h.Results()
 	release()
-	if opts.Probe != nil {
-		opts.Probe.Final(res)
-	}
 	return res, st, nil
 }
 

@@ -31,7 +31,6 @@ const (
 	AlgoPJASS    AlgoID = "pJASS"
 	AlgoRA       AlgoID = "RA"
 	AlgoNRA      AlgoID = "NRA"
-	AlgoSelNRA   AlgoID = "SelNRA"
 	AlgoWAND     AlgoID = "WAND"
 	AlgoPWAND    AlgoID = "pWAND"
 	AlgoMaxScore AlgoID = "MaxScore"
@@ -44,7 +43,7 @@ const (
 // the identity suites iterate this one list.
 var AllAlgos = []AlgoID{
 	AlgoSparta, AlgoPRA, AlgoPNRA, AlgoSNRA, AlgoPBMW, AlgoPJASS, AlgoRA,
-	AlgoNRA, AlgoSelNRA, AlgoWAND, AlgoPWAND, AlgoMaxScore, AlgoBMW, AlgoJASS,
+	AlgoNRA, AlgoWAND, AlgoPWAND, AlgoMaxScore, AlgoBMW, AlgoJASS,
 }
 
 // MakeAlgorithm instantiates id over view.
@@ -66,8 +65,6 @@ func MakeAlgorithm(id AlgoID, view postings.View) topk.Algorithm {
 		return ta.NewRA(view)
 	case AlgoNRA:
 		return ta.NewNRA(view)
-	case AlgoSelNRA:
-		return ta.NewSelNRA(view)
 	case AlgoWAND:
 		return bmw.NewWAND(view)
 	case AlgoPWAND:

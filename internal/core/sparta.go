@@ -39,7 +39,6 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"sparta/internal/cmap"
 	"sparta/internal/heap"
@@ -111,13 +110,9 @@ func (s *Sparta) Search(q model.Query, opts topk.Options) (model.TopK, topk.Stat
 // (or wake early from a simulated I/O sleep), the run finishes with the
 // context's stop reason, and the current heap contents are returned.
 func (s *Sparta) SearchContext(ctx context.Context, q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
-	opts = opts.WithDefaults()
-	es := topk.NewExecState(ctx, opts.Observer)
-	es.Begin(q, opts)
-	r := newRun(es.BindView(s.view), q, opts, s.cfg, es)
-	res, st, err := r.run()
-	es.Finish(st, err)
-	return res, st, err
+	return topk.Run(ctx, q, opts, s.view, func(es *topk.ExecState, view postings.View, q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
+		return newRun(view, q, opts, s.cfg, es).run()
+	})
 }
 
 // run holds one query evaluation's shared state (Table 1).
@@ -212,7 +207,6 @@ func newRun(view postings.View, q model.Query, opts topk.Options, cfg Config, es
 }
 
 func (r *run) run() (model.TopK, topk.Stats, error) {
-	start := time.Now()
 	// Every return below is either before the pool exists or after
 	// pool.Close() and idle.Stop() have returned: no worker, cleaner pass
 	// or Δ timer is left that could reach the heap or a candidate, on any
@@ -221,12 +215,6 @@ func (r *run) run() (model.TopK, topk.Stats, error) {
 		heap.PutDoc(r.docHeap)
 		r.store.Release()
 	}()
-	if r.opts.Probe != nil {
-		r.opts.Probe.Start()
-	}
-	if r.m == 0 {
-		return model.TopK{}, topk.Stats{StopReason: "empty", Duration: time.Since(start)}, nil
-	}
 
 	// Algorithm 1 lines 1–3: one PROCESSTERM job per term, up to m
 	// worker threads (fewer if the pool is smaller).
@@ -266,7 +254,6 @@ func (r *run) run() (model.TopK, topk.Stats, error) {
 	err := r.runErr
 	r.errMu.Unlock()
 	if err != nil {
-		st.Duration = time.Since(start)
 		return nil, st, err
 	}
 
@@ -302,10 +289,6 @@ func (r *run) run() (model.TopK, topk.Stats, error) {
 	}
 	res := r.docHeap.Results()
 	r.heapMu.Unlock()
-	st.Duration = time.Since(start)
-	if r.opts.Probe != nil {
-		r.opts.Probe.Final(res)
-	}
 	return res, st, nil
 }
 

@@ -91,7 +91,7 @@ func TestSpartaEmptyQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 0 || st.StopReason != "empty" {
+	if len(got) != 0 || st.StopReason != "exhausted" {
 		t.Errorf("empty query => %d results, stop=%q", len(got), st.StopReason)
 	}
 }
@@ -201,12 +201,13 @@ func TestSpartaTermMapActivation(t *testing.T) {
 		t.Fatal(err)
 	}
 	algotest.AssertExact(t, "Sparta(Phi=inf)", exact, got)
-	// And with Phi = 0 termMaps never activate; still exact.
-	got2, _, err := s.Search(q, topk.Options{K: 10, Exact: true, Threads: 4, SegSize: 32, Phi: -1})
+	// And with Phi = 1 termMaps never activate (a cleaned map holds at
+	// least the heap); still exact.
+	got2, _, err := s.Search(q, topk.Options{K: 10, Exact: true, Threads: 4, SegSize: 32, Phi: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	algotest.AssertExact(t, "Sparta(Phi=0)", exact, got2)
+	algotest.AssertExact(t, "Sparta(Phi=1)", exact, got2)
 }
 
 func TestSpartaRecallProbe(t *testing.T) {

@@ -565,7 +565,6 @@ func TestLiveStopReasonRanksSegments(t *testing.T) {
 		{topk.StopDeadline, "delta", topk.StopDeadline},
 		{"exhausted", "safe", "safe"},
 		{"exhausted", "exhausted", "exhausted"},
-		{"empty", "exhausted", "exhausted"},
 	} {
 		for _, order := range [][2]string{{c.first, c.second}, {c.second, c.first}} {
 			reasons = order

@@ -12,13 +12,8 @@
 package sched
 
 import (
-	"context"
-	"sync"
-	"time"
-
 	"sparta/internal/model"
 	"sparta/internal/postings"
-	"sparta/internal/stats"
 	"sparta/internal/topk"
 )
 
@@ -44,69 +39,10 @@ func DFPredictor(view postings.View) CostPredictor {
 // count. Admission remains FCFS on the shared pool.
 func RunAdaptive(alg topk.Algorithm, queryStream []model.Query, poolSize int,
 	baseOpts topk.Options, predict CostPredictor, longThreshold int64) Result {
-	return RunAdaptiveContext(context.Background(), alg, queryStream, poolSize,
-		baseOpts, predict, longThreshold)
-}
-
-// RunAdaptiveContext is RunAdaptive with a run-wide context (see
-// RunContext for the cancellation semantics).
-func RunAdaptiveContext(ctx context.Context, alg topk.Algorithm, queryStream []model.Query,
-	poolSize int, baseOpts topk.Options, predict CostPredictor, longThreshold int64) Result {
-
-	pool := newTokenPool(poolSize)
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		latency  stats.Sample
-		errs     int
-		admitted int
-	)
-	start := time.Now()
-	for _, q := range queryStream {
-		q := q
-		if ctx.Err() != nil {
-			break
-		}
-		want := 1
+	return run(alg, queryStream, poolSize, baseOpts, func(q model.Query) int {
 		if predict(q) >= longThreshold {
-			want = len(q)
+			return len(q)
 		}
-		got := pool.acquire(want)
-		if ctx.Err() != nil {
-			pool.release(got)
-			break
-		}
-		admitted++
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer pool.release(got)
-			qStart := time.Now()
-			opts := baseOpts
-			opts.Threads = got
-			if baseOpts.Budget != nil {
-				opts.Budget = freshBudget(baseOpts.Budget)
-			}
-			_, _, err := alg.SearchContext(ctx, q, opts)
-			mu.Lock()
-			latency.AddDuration(time.Since(qStart))
-			if err != nil {
-				errs++
-			}
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	wall := time.Since(start)
-	qps := 0.0
-	if wall > 0 {
-		qps = float64(admitted) / wall.Seconds()
-	}
-	return Result{
-		Queries: admitted,
-		Wall:    wall,
-		QPS:     qps,
-		Latency: &latency,
-		Errors:  errs,
-	}
+		return 1
+	})
 }

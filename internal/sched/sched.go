@@ -15,7 +15,6 @@
 package sched
 
 import (
-	"context"
 	"sync"
 	"time"
 
@@ -91,38 +90,24 @@ func (p *tokenPool) release(n int) {
 // bounded by what is free at admission. baseOpts carries K and the
 // approximation knobs; Threads is overridden per query.
 func Run(alg topk.Algorithm, queryStream []model.Query, poolSize int, baseOpts topk.Options) Result {
-	return RunContext(context.Background(), alg, queryStream, poolSize, baseOpts)
+	return run(alg, queryStream, poolSize, baseOpts, func(q model.Query) int { return len(q) })
 }
 
-// RunContext is Run with a run-wide context: cancelling ctx stops
-// admitting new queries and cancels the ones in flight (each query
-// inherits ctx through SearchContext, so in-flight queries return
-// their anytime partial results and release their threads). Result
-// counts only the queries actually admitted.
-func RunContext(ctx context.Context, alg topk.Algorithm, queryStream []model.Query, poolSize int, baseOpts topk.Options) Result {
+// run is the one admission loop: FCFS, each query asking the pool for
+// want(q) threads.
+func run(alg topk.Algorithm, queryStream []model.Query, poolSize int, baseOpts topk.Options, want func(model.Query) int) Result {
 	pool := newTokenPool(poolSize)
 	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		latency  stats.Sample
-		errs     int
-		admitted int
+		wg      sync.WaitGroup
+		mu      sync.Mutex
+		latency stats.Sample
+		errs    int
 	)
 	start := time.Now()
 	for _, q := range queryStream {
-		q := q
-		if ctx.Err() != nil {
-			break
-		}
 		// FCFS admission: acquire on the submitting goroutine in
 		// stream order, then evaluate concurrently.
-		got := pool.acquire(len(q))
-		if ctx.Err() != nil {
-			// Cancelled while waiting for threads; the query never ran.
-			pool.release(got)
-			break
-		}
-		admitted++
+		got := pool.acquire(want(q))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -136,7 +121,7 @@ func RunContext(ctx context.Context, alg topk.Algorithm, queryStream []model.Que
 			if baseOpts.Budget != nil {
 				opts.Budget = freshBudget(baseOpts.Budget)
 			}
-			_, _, err := alg.SearchContext(ctx, q, opts)
+			_, _, err := alg.Search(q, opts)
 			mu.Lock()
 			latency.AddDuration(time.Since(qStart))
 			if err != nil {
@@ -149,10 +134,10 @@ func RunContext(ctx context.Context, alg topk.Algorithm, queryStream []model.Que
 	wall := time.Since(start)
 	qps := 0.0
 	if wall > 0 {
-		qps = float64(admitted) / wall.Seconds()
+		qps = float64(len(queryStream)) / wall.Seconds()
 	}
 	return Result{
-		Queries: admitted,
+		Queries: len(queryStream),
 		Wall:    wall,
 		QPS:     qps,
 		Latency: &latency,

@@ -258,6 +258,53 @@ func (e *ExecState) StopReason() string {
 	return e.reason.Load().(string)
 }
 
+// Body is one algorithm's traversal of q: it reads view, already bound
+// to es, under opts, already validated and defaulted, and reports its
+// own stop reasons. It runs only for a query with terms.
+type Body func(es *ExecState, view postings.View, q model.Query, opts Options) (model.TopK, Stats, error)
+
+// Run is the one query lifecycle every Algorithm's SearchContext goes
+// through, around the algorithm's body:
+//  1. validate opts (an invalid query returns Validate's error and
+//     emits nothing), then fill their defaults;
+//  2. create the ExecState and emit QueryStart;
+//  3. start the clock and the recall probe;
+//  4. run body over view bound to the ExecState; a query with no terms
+//     has nothing to read and is answered empty, stopped "exhausted";
+//  5. a stop reason body left empty becomes the context's, else
+//     "exhausted";
+//  6. Duration is the wall time from the clock's start, before the
+//     settlement below;
+//  7. the probe records its final point, unless body failed;
+//  8. Finish settles the bound views and emits QueryFinish.
+func Run(ctx context.Context, q model.Query, opts Options, view postings.View, body Body) (model.TopK, Stats, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, Stats{}, err
+	}
+	opts = opts.WithDefaults()
+	es := NewExecState(ctx, opts.Observer)
+	es.Begin(q, opts)
+	start := time.Now()
+	if opts.Probe != nil {
+		opts.Probe.Start()
+	}
+	res, st, err := model.TopK{}, Stats{}, error(nil)
+	if len(q) > 0 {
+		res, st, err = body(es, es.BindView(view), q, opts)
+	}
+	if st.StopReason == "" {
+		if st.StopReason = es.StopReason(); st.StopReason == "" {
+			st.StopReason = "exhausted"
+		}
+	}
+	st.Duration = time.Since(start)
+	if err == nil && opts.Probe != nil {
+		opts.Probe.Final(res)
+	}
+	es.Finish(st, err)
+	return res, st, err
+}
+
 // Begin emits the QueryStart event.
 func (e *ExecState) Begin(q model.Query, opts Options) {
 	if e != nil && e.observing {

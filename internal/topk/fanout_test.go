@@ -30,8 +30,7 @@ func TestStatsFoldRanksStopReasons(t *testing.T) {
 		{[]string{"exhausted", "safe"}, "safe"},
 		{[]string{"ubstop", "exhausted"}, "ubstop"},
 		{[]string{"exhausted", "exhausted"}, "exhausted"},
-		{[]string{"empty", "exhausted"}, "exhausted"},
-		{[]string{"empty", ""}, "empty"},
+		{[]string{"exhausted", ""}, "exhausted"},
 		{[]string{"", "safe", ""}, "safe"}, // a skipped part says nothing
 		{[]string{"", ""}, ""},
 	} {

@@ -49,7 +49,7 @@ type Part func(ctx context.Context, i int, opts Options) (model.TopK, Stats, err
 //   - StopPartial, if a part was dropped;
 //   - the folded reason, if a part stopped early (delta, oom, prob, …);
 //   - complete, when it is not empty (shard fan-outs pass StopMerged);
-//   - the folded reason (safe, exhausted, empty).
+//   - the folded reason (safe, exhausted).
 //
 // With no parts there is nothing to read: the answer is empty and
 // stopped "exhausted".
@@ -137,8 +137,7 @@ func (s *Stats) Fold(part Stats) {
 // then any other stop that may leave the answer short (delta, oom,
 // prob, fraction, a nested fan-out's partial, …), then a proven stop
 // (safe, the TA family's ubstop, a nested fan-out's merged), then a
-// part that read all its postings, then one that had none to read,
-// then a part that never ran.
+// part that read all its postings, then a part that never ran.
 func stopRank(reason string) int {
 	switch reason {
 	case StopCancelled, StopDeadline:
@@ -147,10 +146,8 @@ func stopRank(reason string) int {
 		return 2
 	case "exhausted":
 		return 3
-	case "empty":
-		return 4
 	case "":
-		return 5
+		return 4
 	}
 	return 1
 }

@@ -183,7 +183,9 @@ type Algorithm interface {
 	// SearchContext evaluates q under ctx. Cancellation and deadline
 	// expiry are anytime stops, not errors: the call returns the
 	// best-so-far partial top-k with Stats.StopReason set to
-	// StopCancelled or StopDeadline and a nil error.
+	// StopCancelled or StopDeadline and a nil error. Invalid opts are
+	// an error (Options.Validate). Every single-index algorithm's
+	// SearchContext is one call to Run.
 	SearchContext(ctx context.Context, q model.Query, opts Options) (model.TopK, Stats, error)
 }
 

@@ -26,9 +26,7 @@ func TestPostingCacheHitRateOnZipfianLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache := sparta.NewPostingCache(16 << 20)
-	if !sparta.AttachPostingCache(disk, cache) {
-		t.Fatal("disk index did not accept a posting cache")
-	}
+	disk.SetPostingCache(cache)
 
 	s := sparta.NewSearcher(sparta.New(disk), sparta.SearcherConfig{PostingCache: cache})
 	log := queries.Generate(disk, 6, 40, 11).Length(4)
@@ -75,7 +73,7 @@ func TestPostingCacheBudgetUnderConcurrency(t *testing.T) {
 	}
 	const limit = 128 << 10 // far smaller than the working set: constant eviction
 	cache := sparta.NewPostingCache(limit)
-	sparta.AttachPostingCache(disk, cache)
+	disk.SetPostingCache(cache)
 	s := sparta.NewSearcher(sparta.New(disk), sparta.SearcherConfig{
 		MaxConcurrent: 8, PostingCache: cache,
 	})

@@ -17,9 +17,9 @@ import (
 // ErrCacheNotAttached is returned by a Searcher whose configured
 // PostingCache was never attached to an index view: every lookup would
 // miss, which silently reports a 0% hit rate instead of the
-// misconfiguration it is. Attach the cache first (AttachPostingCache),
-// or open shards with Config.CacheBytes, which attaches at open time.
-var ErrCacheNotAttached = errors.New("sparta: SearcherConfig.PostingCache set but not attached to any index view (AttachPostingCache)")
+// misconfiguration it is. Attach the cache first (the on-disk index's
+// SetPostingCache), or open shards with Config.CacheBytes, which attaches at open time.
+var ErrCacheNotAttached = errors.New("sparta: SearcherConfig.PostingCache set but not attached to any index view (SetPostingCache)")
 
 // ErrAdmissionShed is returned by a Searcher that dropped a query at
 // admission under load: the concurrency limit was saturated and the
@@ -52,7 +52,7 @@ type SearcherConfig struct {
 	// PostingCache, when non-nil, is the decoded-block cache shared by
 	// this searcher's queries; its hit/miss/bytes counters appear in
 	// Counters(). The cache serves cursors only once attached to the
-	// index view (AttachPostingCache) — this field does not attach it,
+	// index view (its SetPostingCache) — this field does not attach it,
 	// because the Searcher wraps an Algorithm, not the view beneath it.
 	// A cache that is supplied here but never attached is a
 	// misconfiguration: queries fail with ErrCacheNotAttached rather

@@ -112,14 +112,11 @@ func TestSearcherRejectsUnattachedCache(t *testing.T) {
 	x := shardedTestIndex(t)
 	cache := sparta.NewPostingCache(1 << 20)
 	// Deliberately never attached: the in-memory index has nothing to
-	// cache, and AttachPostingCache would report false.
+	// cache.
 	s := sparta.NewSearcher(sparta.New(x), sparta.SearcherConfig{PostingCache: cache})
 	_, _, err := s.Search(popularQuery(3), sparta.Options{K: 5})
 	if err != sparta.ErrCacheNotAttached {
 		t.Fatalf("err = %v, want ErrCacheNotAttached", err)
-	}
-	if sparta.AttachPostingCache(x, cache) {
-		t.Fatal("in-memory index accepted a posting cache")
 	}
 	// model.Query zero-term path must not mask the validation either.
 	if _, _, err := s.Search(model.Query{}, sparta.Options{}); err != sparta.ErrCacheNotAttached {

@@ -80,7 +80,8 @@ type (
 
 	// PostingCache is a budgeted, shared cache of decoded posting
 	// blocks — the hot-term tier above the simulated page cache. Attach
-	// one to a disk-modeled index with AttachPostingCache and hand it to
+	// one to an on-disk index with its SetPostingCache (one cache per
+	// index: keys are (term, region, block)) and hand it to
 	// SearcherConfig.PostingCache to surface its counters.
 	PostingCache = plcache.Cache
 	// PostingCacheStats is a point-in-time PostingCache snapshot.
@@ -122,19 +123,6 @@ func Exact(v View, q Query, k int) TopK { return topk.BruteForce(v, q, k) }
 // limitBytes (<= 0 means unbounded — bound it in serving).
 func NewPostingCache(limitBytes int64) *PostingCache {
 	return plcache.NewWithBudget(limitBytes)
-}
-
-// AttachPostingCache attaches c to v if v supports an app-level
-// decoded-block cache (the disk-modeled indexes do; the in-memory index
-// has nothing to cache). It reports whether the view accepted it. One
-// cache must serve exactly one index: keys are (term, region, block)
-// and would collide across indexes.
-func AttachPostingCache(v View, c *PostingCache) bool {
-	s, ok := v.(interface{ SetPostingCache(*plcache.Cache) })
-	if ok {
-		s.SetPostingCache(c)
-	}
-	return ok
 }
 
 // NewMetricsRegistry creates an empty metrics registry.
