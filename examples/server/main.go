@@ -10,8 +10,8 @@
 //	GET /search?q=<terms>&k=10&algo=sparta|pbmw|pjass&mode=exact|high
 //	GET /stats
 //
-// Each algorithm runs through a sparta.ShardedSearcher: the Searcher
-// layer enforces the 250 ms SLA, the concurrent-query cap, and
+// Each algorithm runs through a sparta.Searcher over a shard group: the
+// Searcher enforces the 250 ms SLA, the concurrent-query cap, and
 // load-aware shedding (a query whose remaining budget is smaller than
 // the observed admission-queue wait gets a 503 instead of a guaranteed
 // timeout), while the shard group underneath fans every query out to
@@ -119,19 +119,14 @@ const (
 	drainTimeout = queryTimeout + 250*time.Millisecond
 )
 
-// searcher is the query surface shared by the sharded searchers and
-// the single-index searcher over the live index.
-type searcher interface {
-	Name() string
-	SearchContext(ctx context.Context, q sparta.Query, opts sparta.Options) (sparta.TopK, sparta.Stats, error)
-	RegisterMetrics(r *sparta.MetricsRegistry, prefix string)
-}
-
 type server struct {
 	mem       *index.Index
 	live      *sparta.LiveIndex
-	searchers map[string]searcher
-	registry  *sparta.MetricsRegistry
+	searchers map[string]*sparta.Searcher
+	// groups are the shard groups behind the sharded searchers, by the
+	// same name: their per-shard counters and settlement.
+	groups   map[string]*sparta.ShardGroup
+	registry *sparta.MetricsRegistry
 }
 
 func main() {
@@ -147,24 +142,37 @@ func main() {
 	mem := index.FromCorpus(corpus.New(spec))
 
 	gcfg := sparta.ShardGroupConfig{
-		CacheBytes:     postingCacheBytes / numShards,
-		ShardTimeout:   shardTimeout,
-		BudgetFraction: 0.9, // leave headroom for merge + resolution
-		Hedge:          sparta.ShardHedgeConfig{Enabled: true},
-		Replicas:       numReplicas,
-		TripAfter:      3,
+		CacheBytes:   postingCacheBytes / numShards,
+		ShardTimeout: shardTimeout,
+		Hedge:        sparta.ShardHedgeConfig{Enabled: true},
+		Replicas:     numReplicas,
+		TripAfter:    3,
 	}
 	scfg := sparta.SearcherConfig{
 		Timeout:       queryTimeout,
 		MaxConcurrent: poolSize,
 		ShedQuantile:  shedQuantile,
 	}
-	mk := func(factory sparta.ShardFactory) *sparta.ShardedSearcher {
+	s := &server{
+		mem:       mem,
+		searchers: map[string]*sparta.Searcher{},
+		groups:    map[string]*sparta.ShardGroup{},
+		registry:  sparta.NewMetricsRegistry(),
+	}
+	serveGroup := func(name string, g *sparta.ShardGroup) {
+		s.searchers[name] = sparta.NewSearcher(g, scfg)
+		s.groups[name] = g
+	}
+	for name, factory := range map[string]sparta.ShardFactory{
+		"sparta": func(v sparta.View) sparta.Algorithm { return core.New(v) },
+		"pbmw":   func(v sparta.View) sparta.Algorithm { return bmw.NewPBMW(v) },
+		"pjass":  func(v sparta.View) sparta.Algorithm { return jass.NewP(v) },
+	} {
 		g, err := sparta.ShardIndex(mem, numShards, factory, gcfg)
 		if err != nil {
 			log.Fatal(err)
 		}
-		return sparta.NewShardedSearcher(g, scfg)
+		serveGroup(name, g)
 	}
 
 	// The live backend: the same corpus generator feeds the first
@@ -186,17 +194,8 @@ func main() {
 		}
 	}
 
-	s := &server{
-		mem:      mem,
-		live:     live,
-		registry: sparta.NewMetricsRegistry(),
-		searchers: map[string]searcher{
-			"sparta": mk(func(v sparta.View) sparta.Algorithm { return core.New(v) }),
-			"pbmw":   mk(func(v sparta.View) sparta.Algorithm { return bmw.NewPBMW(v) }),
-			"pjass":  mk(func(v sparta.View) sparta.Algorithm { return jass.NewP(v) }),
-			"live":   sparta.NewSearcher(live, scfg),
-		},
-	}
+	s.live = live
+	s.searchers["live"] = sparta.NewSearcher(live, scfg)
 
 	// The remote backend: every shard is a cmd/shardserver process; the
 	// group treats each address as that shard's (only) replica. Shard
@@ -211,16 +210,15 @@ func main() {
 			}
 		}
 		g, clients, err := sparta.DialShards(addrs, sparta.ShardGroupConfig{
-			ShardTimeout:   shardTimeout,
-			BudgetFraction: 0.9,
-			Hedge:          sparta.ShardHedgeConfig{Enabled: true},
-			TripAfter:      3,
+			ShardTimeout: shardTimeout,
+			Hedge:        sparta.ShardHedgeConfig{Enabled: true},
+			TripAfter:    3,
 		}, sparta.RemoteShardConfig{})
 		if err != nil {
 			log.Fatal(err)
 		}
 		remoteClients = clients
-		s.searchers["remote"] = sparta.NewShardedSearcher(g, scfg)
+		serveGroup("remote", g)
 		// Fold every shardserver's counter snapshot into /stats; a dead
 		// server reports its error instead of blocking the snapshot.
 		for i, cl := range clients {
@@ -243,6 +241,9 @@ func main() {
 	s.registry.RegisterFunc("index.postings", func() any { return mem.TotalPostings() })
 	for name, sr := range s.searchers {
 		sr.RegisterMetrics(s.registry, "serve."+name)
+	}
+	for name, g := range s.groups {
+		g.RegisterMetrics(s.registry, "serve."+name)
 	}
 	live.RegisterMetrics(s.registry, "live")
 
@@ -273,12 +274,8 @@ func main() {
 	if err := httpSrv.Shutdown(dctx); err != nil {
 		log.Printf("drain incomplete: %v", err)
 	}
-	for name, sr := range s.searchers {
-		ss, ok := sr.(*sparta.ShardedSearcher)
-		if !ok {
-			continue
-		}
-		if d := ss.Group().Unsettled(); d != 0 {
+	for name, g := range s.groups {
+		if d := g.Unsettled(); d != 0 {
 			log.Printf("warning: backend %q exiting with %v unsettled simulated I/O", name, d)
 		}
 	}
@@ -363,8 +360,8 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// The request context propagates client disconnects; the Searcher
-	// layers its 250 ms SLA timeout on top, and each shard gets the
-	// tighter of shardTimeout and its share of what remains.
+	// layers its 250 ms SLA timeout on top, and each shard stops at the
+	// earlier of shardTimeout and the query's deadline.
 	res, st, err := alg.SearchContext(r.Context(), q, opts)
 	if errors.Is(err, sparta.ErrAdmissionShed) {
 		// Load shedding: executing this query could only produce a result

@@ -20,7 +20,7 @@ func TestLiveIngestThenSearch(t *testing.T) {
 	defer live.Close()
 	s := &server{
 		live:      live,
-		searchers: map[string]searcher{"live": sparta.NewSearcher(live, sparta.SearcherConfig{})},
+		searchers: map[string]*sparta.Searcher{"live": sparta.NewSearcher(live, sparta.SearcherConfig{})},
 	}
 
 	rec := httptest.NewRecorder()

@@ -217,45 +217,76 @@ func (cl *Client) SearchContext(ctx context.Context, q model.Query, opts topk.Op
 			return nil, topk.Stats{StopReason: topk.StopDeadline}, nil
 		}
 	}
-	body := encodeSearchBody(nil, budget, q, opts)
-	id, ch, c, err := cl.issue(tSearch, body)
+	body, cancelled, err := cl.call(ctx, tSearch, tResult, encodeSearchBody(nil, budget, q, opts), true)
 	if err != nil {
 		return nil, topk.Stats{}, err
 	}
-	defer c.unregister(id)
-	select {
-	case r := <-ch:
-		return decodeSearchResp(r)
-	case <-ctx.Done():
-		res, st, err := cl.joinCancelled(c, id, ch)
-		if err == nil && (st.StopReason == "" || st.StopReason == topk.StopCancelled) {
-			// The server stopping on our cancel frame is an artifact of
-			// the protocol; the reason the caller observes must reflect
-			// why this side cancelled, exactly as a local algorithm
-			// watching the same context would report it. (A server-side
-			// StopDeadline — its own budget fired first — stands.)
-			st.StopReason = topk.StopReasonFor(ctx.Err())
-		}
-		return res, st, err
+	res, st, err := decodeResultBody(body)
+	if err == nil && cancelled && (st.StopReason == "" || st.StopReason == topk.StopCancelled) {
+		// The server stopping on our cancel frame is an artifact of the
+		// protocol; the reason the caller observes must reflect why this
+		// side cancelled, exactly as a local algorithm watching the same
+		// context would report it. (A server-side StopDeadline — its own
+		// budget fired first — stands.)
+		st.StopReason = topk.StopReasonFor(ctx.Err())
 	}
+	return res, st, err
 }
 
 // Resolve implements shardserve.Resolver: batched exact resolution of
 // candidate scores against the server's view.
 func (cl *Client) Resolve(ctx context.Context, q model.Query, docs []model.DocID) ([]model.Score, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	body := encodeResolveBody(nil, q, docs)
-	id, ch, c, err := cl.issue(tResolve, body)
+	body, _, err := cl.call(ctx, tResolve, tResolved, encodeResolveBody(nil, q, docs), true)
 	if err != nil {
 		return nil, err
 	}
+	return decodeResolvedBody(body)
+}
+
+// ServerStats fetches the server's counter snapshot over the stats RPC.
+// It returns as soon as ctx ends, without waiting for the server.
+func (cl *Client) ServerStats(ctx context.Context) (ServerStats, error) {
+	body, _, err := cl.call(ctx, tStats, tStatsResult, nil, false)
+	if err != nil {
+		return ServerStats{}, err
+	}
+	return decodeStatsBody(body)
+}
+
+// call is the one request path: it grabs a connection, sends one
+// request frame of type typ, and waits for the response, returning its
+// body when the response has type want. If ctx ends first, a joining
+// call (join) sends a cancel frame and waits up to CancelGrace for the
+// server's answer, reporting cancelled, so the request is joined, never
+// leaked; a non-joining call returns ctx's error at once. Connection
+// failures, grace misses and unexpected response types wrap
+// ErrTransport, a server-reported failure ErrRemote. On a send failure
+// the connection is torn down (the stream position is unknowable); a
+// grace miss leaves it up, and a late response for the id is
+// discarded.
+func (cl *Client) call(ctx context.Context, typ, want byte, body []byte, join bool) (resp []byte, cancelled bool, err error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	c, err := cl.grab()
+	if err != nil {
+		return nil, false, err
+	}
+	id := cl.ids.Add(1)
+	ch := c.register(id)
 	defer c.unregister(id)
+	if err := c.send(typ, id, body); err != nil {
+		c.fail(fmt.Errorf("%w: send: %v", ErrTransport, err))
+		return nil, false, fmt.Errorf("%w: send: %v", ErrTransport, err)
+	}
 	var r respFrame
 	select {
 	case r = <-ch:
 	case <-ctx.Done():
+		if !join {
+			return nil, false, fmt.Errorf("%w: %v", ErrTransport, ctx.Err())
+		}
+		cancelled = true
 		cl.cancelsSent.Add(1)
 		_ = c.send(tCancel, id, nil)
 		t := time.NewTimer(cl.cfg.CancelGrace)
@@ -263,99 +294,19 @@ func (cl *Client) Resolve(ctx context.Context, q model.Query, docs []model.DocID
 		select {
 		case r = <-ch:
 		case <-t.C:
-			return nil, fmt.Errorf("%w: resolve cancelled, no response within grace", ErrTransport)
+			return nil, true, fmt.Errorf("%w: cancelled, no response within grace", ErrTransport)
 		}
 	}
-	if r.err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrTransport, r.err)
-	}
-	switch r.typ {
-	case tResolved:
-		return decodeResolvedBody(r.body)
-	case tError:
+	switch {
+	case r.err != nil:
+		return nil, cancelled, fmt.Errorf("%w: %v", ErrTransport, r.err)
+	case r.typ == want:
+		return r.body, cancelled, nil
+	case r.typ == tError:
 		msg, _ := decodeErrorBody(r.body)
-		return nil, fmt.Errorf("%w: %s", ErrRemote, msg)
+		return nil, cancelled, fmt.Errorf("%w: %s", ErrRemote, msg)
 	default:
-		return nil, fmt.Errorf("%w: unexpected response type %d", ErrTransport, r.typ)
-	}
-}
-
-// ServerStats fetches the server's counter snapshot over the stats RPC.
-func (cl *Client) ServerStats(ctx context.Context) (ServerStats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	id, ch, c, err := cl.issue(tStats, nil)
-	if err != nil {
-		return ServerStats{}, err
-	}
-	defer c.unregister(id)
-	select {
-	case r := <-ch:
-		if r.err != nil {
-			return ServerStats{}, fmt.Errorf("%w: %v", ErrTransport, r.err)
-		}
-		switch r.typ {
-		case tStatsResult:
-			return decodeStatsBody(r.body)
-		case tError:
-			msg, _ := decodeErrorBody(r.body)
-			return ServerStats{}, fmt.Errorf("%w: %s", ErrRemote, msg)
-		default:
-			return ServerStats{}, fmt.Errorf("%w: unexpected response type %d", ErrTransport, r.typ)
-		}
-	case <-ctx.Done():
-		return ServerStats{}, fmt.Errorf("%w: %v", ErrTransport, ctx.Err())
-	}
-}
-
-// issue grabs a connection, registers a fresh request id, and sends one
-// request frame. On send failure the connection is torn down (the
-// stream position is unknowable) and ErrTransport reported.
-func (cl *Client) issue(typ byte, body []byte) (uint64, chan respFrame, *clientConn, error) {
-	c, err := cl.grab()
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	id := cl.ids.Add(1)
-	ch := c.register(id)
-	if err := c.send(typ, id, body); err != nil {
-		c.unregister(id)
-		c.fail(fmt.Errorf("%w: send: %v", ErrTransport, err))
-		return 0, nil, nil, fmt.Errorf("%w: send: %v", ErrTransport, err)
-	}
-	return id, ch, c, nil
-}
-
-// joinCancelled handles a request whose context fired: send the cancel
-// frame, then wait — bounded by CancelGrace — for the server's partial
-// response so the request is joined, never leaked. The connection
-// survives a grace miss; only this request reports ErrTransport.
-func (cl *Client) joinCancelled(c *clientConn, id uint64, ch chan respFrame) (model.TopK, topk.Stats, error) {
-	cl.cancelsSent.Add(1)
-	_ = c.send(tCancel, id, nil)
-	t := time.NewTimer(cl.cfg.CancelGrace)
-	defer t.Stop()
-	select {
-	case r := <-ch:
-		return decodeSearchResp(r)
-	case <-t.C:
-		return nil, topk.Stats{}, fmt.Errorf("%w: cancelled, no response within grace", ErrTransport)
-	}
-}
-
-func decodeSearchResp(r respFrame) (model.TopK, topk.Stats, error) {
-	if r.err != nil {
-		return nil, topk.Stats{}, fmt.Errorf("%w: %v", ErrTransport, r.err)
-	}
-	switch r.typ {
-	case tResult:
-		return decodeResultBody(r.body)
-	case tError:
-		msg, _ := decodeErrorBody(r.body)
-		return nil, topk.Stats{}, fmt.Errorf("%w: %s", ErrRemote, msg)
-	default:
-		return nil, topk.Stats{}, fmt.Errorf("%w: unexpected response type %d", ErrTransport, r.typ)
+		return nil, cancelled, fmt.Errorf("%w: unexpected response type %d", ErrTransport, r.typ)
 	}
 }
 

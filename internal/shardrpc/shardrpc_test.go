@@ -261,6 +261,50 @@ func TestRemoteCancelAndDisconnectSettle(t *testing.T) {
 	}
 }
 
+// TestRemoteEmptyQueryExhausted: over the wire too, a query with no
+// terms is answered empty and stopped "exhausted", as a single index
+// answers it, and no request reaches a server.
+func TestRemoteEmptyQueryExhausted(t *testing.T) {
+	x := algotest.MediumIndex(t, 8)
+	ram := iomodel.RAMConfig()
+	factory := func(v postings.View) topk.Algorithm { return core.New(v) }
+	servers, addrs := startServers(t, writeShards(t, x, 2), 2, factory, shardserve.Config{IO: &ram})
+	g, clients, err := shardrpc.DialGroup(addrs, shardserve.Config{}, shardrpc.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shardrpc.CloseClients(clients)
+	res, st, err := g.Search(model.Query{}, topk.Options{K: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 0 || st.StopReason != "exhausted" {
+		t.Fatalf("%d results stopped %q, want none stopped exhausted", len(res), st.StopReason)
+	}
+	for i, srv := range servers {
+		if n := srv.Stats().Requests; n != 0 {
+			t.Fatalf("server %d served %d requests, want 0", i, n)
+		}
+	}
+}
+
+// expireAlg runs an algorithm under a deadline of its own, d from the
+// call: a shard whose replica it wraps misses its deadline.
+type expireAlg struct {
+	topk.Algorithm
+	d time.Duration
+}
+
+func (a expireAlg) Search(q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
+	return a.SearchContext(context.Background(), q, opts)
+}
+
+func (a expireAlg) SearchContext(ctx context.Context, q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
+	ctx, cancel := context.WithTimeout(ctx, a.d)
+	defer cancel()
+	return a.Algorithm.SearchContext(ctx, q, opts)
+}
+
 // TestRemoteStopReasonsDistinguishable is the ShardedStats stop-reason
 // merging contract over the wire: a remote shard that answers a partial
 // (deadline), one that fails at the transport, and one skipped by its
@@ -292,25 +336,29 @@ func TestRemoteStopReasonsDistinguishable(t *testing.T) {
 	}
 	defer s1.Close()
 
-	addrs := [][]string{{s0.Addr().String()}, {s1.Addr().String()}, {deadAddr(t)}}
-	gcfg := shardserve.Config{
-		// Shard 1 gets a budget far below its slow-I/O evaluation time;
-		// the others keep the full query budget.
-		ShardTimeoutFor: func(i int) time.Duration {
-			if i == 1 {
-				return 300 * time.Microsecond
-			}
-			return 0
-		},
+	addrs := []string{s0.Addr().String(), s1.Addr().String(), deadAddr(t)}
+	var clients []*shardrpc.Client
+	defer func() { shardrpc.CloseClients(clients) }()
+	shards := make([]shardserve.Shard, len(addrs))
+	for i, addr := range addrs {
+		cl := shardrpc.NewClient(addr, shardrpc.Config{CancelGrace: 100 * time.Millisecond})
+		clients = append(clients, cl)
+		var alg topk.Algorithm = cl
+		if i == 1 {
+			// Shard 1 gets a budget far below its slow-I/O evaluation
+			// time; the others keep the full query budget.
+			alg = expireAlg{cl, 300 * time.Microsecond}
+		}
+		shards[i] = shardserve.Shard{Replicas: []shardserve.Replica{{Name: addr, Alg: alg}}}
+	}
+	g, err := shardserve.New(shardserve.Config{
 		TripAfter:  1,
 		ProbeEvery: 1 << 20, // no probes during this test
 		RetryMax:   -1,      // single attempt per shard per query
-	}
-	g, clients, err := shardrpc.DialGroup(addrs, gcfg, shardrpc.Config{CancelGrace: 100 * time.Millisecond})
+	}, shards...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer shardrpc.CloseClients(clients)
 
 	q := algotest.RandomQuery(x, 8, 11)
 	opts := topk.Options{K: 10, Exact: true}
@@ -500,4 +548,51 @@ func TestSettlementCheckFires(t *testing.T) {
 	}
 	alg.rd.Settle()
 	algotest.AssertSettled(t, "after the test settles the leaked read", st)
+}
+
+// fixedAlg answers every query with the same top-k.
+type fixedAlg struct{ res model.TopK }
+
+func (fixedAlg) Name() string { return "fixed" }
+
+func (a fixedAlg) Search(q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
+	return a.SearchContext(context.Background(), q, opts)
+}
+
+func (a fixedAlg) SearchContext(context.Context, model.Query, topk.Options) (model.TopK, topk.Stats, error) {
+	return a.res, topk.Stats{StopReason: "exhausted"}, nil
+}
+
+// BenchmarkClientSearch is one search round trip over loopback to a
+// one-shard server whose algorithm answers a fixed top-10, so what it
+// times and counts is the request path on both ends of the wire:
+// allocs/op counts the client's and the server's allocations together.
+func BenchmarkClientSearch(b *testing.B) {
+	res := make(model.TopK, 10)
+	for i := range res {
+		res[i] = model.Result{Doc: model.DocID(i), Score: model.Score(100 - i)}
+	}
+	g, err := shardserve.New(shardserve.Config{}, shardserve.Shard{
+		Replicas: []shardserve.Replica{{Alg: fixedAlg{res}}},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := shardrpc.Listen("127.0.0.1:0", g, shardrpc.ServerConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	cl := shardrpc.NewClient(srv.Addr().String(), shardrpc.Config{})
+	defer cl.Close()
+	q, opts := model.Query{1, 2, 3}, topk.Options{K: 10, Exact: true}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := cl.SearchContext(ctx, q, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

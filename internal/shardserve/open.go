@@ -52,109 +52,57 @@ type ShardManifest struct {
 	MerkleRoot string              `json:"merkle_root"`
 }
 
-// ShardView is one opened shard: the disk-modeled view plus the store
-// and optional cache that belong to it.
-type ShardView struct {
-	View  *diskindex.Index
-	Store *iomodel.Store
-	Cache *plcache.Cache
-	Lo    model.DocID
-	Hi    model.DocID
-}
-
-// PartitionViews partitions x into p document-range shards and opens
-// each as its own disk-modeled index with an independent simulated
-// store configured by io. When cacheBytes is positive, every shard
-// also gets its own decoded-block cache of that budget, attached at
-// open time.
-func PartitionViews(x *index.Index, p int, io iomodel.Config, cacheBytes int64) ([]ShardView, error) {
+// FromIndex partitions x into p document-range shards and serves them
+// with factory's algorithm — the one-call path tests and
+// single-process experiments use. Each shard is built once and reopened
+// per further replica (cfg.Replicas, default 1; diskindex.Reopen over
+// the shared directory and bytes), every replica getting its own
+// independently charged store (cfg.IO, default iomodel.DefaultConfig)
+// and, when cfg.CacheBytes is positive, its own decoded-block cache,
+// attached at open time.
+func FromIndex(x *index.Index, p int, factory Factory, cfg Config) (*Group, error) {
 	if p <= 0 {
 		return nil, fmt.Errorf("shardserve: shard count must be positive, got %d", p)
 	}
-	views := make([]ShardView, p)
+	io := cfg.io()
+	shards := make([]Shard, p)
 	for s, part := range x.Partition(p) {
 		di, err := diskindex.FromIndex(part, diskindex.DefaultShards, io)
 		if err != nil {
 			return nil, fmt.Errorf("shardserve: opening shard %d: %w", s, err)
 		}
 		lo, hi := postings.ShardRange(x.NumDocs(), s, p)
-		views[s] = ShardView{View: di, Store: di.Store(), Lo: lo, Hi: hi}
-		if cacheBytes > 0 {
-			c := plcache.NewWithBudget(cacheBytes)
-			di.SetPostingCache(c)
-			views[s].Cache = c
-		}
-	}
-	return views, nil
-}
-
-// NewFromViews assembles a group over already-opened shard views,
-// binding factory's algorithm to each.
-func NewFromViews(cfg Config, factory Factory, views []ShardView) (*Group, error) {
-	shards := make([]Shard, len(views))
-	for i, v := range views {
-		shards[i] = Shard{
-			Name:  fmt.Sprintf("shard%d", i),
-			View:  v.View,
-			Alg:   factory(v.View),
-			Store: v.Store,
-			Cache: v.Cache,
-			Lo:    v.Lo,
-			Hi:    v.Hi,
-		}
+		shards[s] = Shard{Replicas: replicas(di, cfg, factory, nil), Lo: lo, Hi: hi}
 	}
 	return New(cfg, shards...)
 }
 
-// FromIndex partitions x into p shards, opens each over its own
-// simulated store (cfg.IO, default iomodel.DefaultConfig) with an
-// optional per-shard cache (cfg.CacheBytes), and serves them with
-// factory's algorithm — the one-call path tests and single-process
-// experiments use. With cfg.Replicas > 1 each shard is built once and
-// reopened per replica (diskindex.Reopen over the shared directory and
-// bytes), every replica getting its own independently charged store
-// and cache.
-func FromIndex(x *index.Index, p int, factory Factory, cfg Config) (*Group, error) {
-	io := iomodel.DefaultConfig()
-	if cfg.IO != nil {
-		io = *cfg.IO
-	}
-	if cfg.Replicas <= 1 {
-		views, err := PartitionViews(x, p, io, cfg.CacheBytes)
-		if err != nil {
-			return nil, err
-		}
-		return NewFromViews(cfg, factory, views)
-	}
-	views, err := PartitionViews(x, p, io, 0)
-	if err != nil {
-		return nil, err
-	}
-	shards := make([]Shard, p)
-	for s, v := range views {
-		shards[s] = Shard{Replicas: replicas(v.View, cfg.Replicas, io, cfg.CacheBytes, factory, nil), Lo: v.Lo, Hi: v.Hi}
-	}
-	return New(cfg, shards...)
-}
-
-// replicas returns n replicas of one shard: first itself, then n-1
-// reopenings of it over the same directory and bytes. Each has its own
-// independently charged store and, when cacheBytes is positive, its own
-// decoded-block cache.
-func replicas(first *diskindex.Index, n int, io iomodel.Config, cacheBytes int64, factory Factory, verify func() error) []Replica {
-	reps := make([]Replica, n)
+// replicas returns cfg.Replicas (default 1) replicas of one shard:
+// first itself, then reopenings of it over the same directory and
+// bytes. Each has its own independently charged store (cfg.IO) and,
+// when cfg.CacheBytes is positive, its own decoded-block cache.
+func replicas(first *diskindex.Index, cfg Config, factory Factory, verify func() error) []Replica {
+	reps := make([]Replica, max(cfg.Replicas, 1))
 	for r := range reps {
 		di := first
 		if r > 0 {
-			di = first.Reopen(io)
+			di = first.Reopen(cfg.io())
 		}
 		reps[r] = Replica{View: di, Alg: factory(di), Store: di.Store(), Verify: verify}
-		if cacheBytes > 0 {
-			reps[r].Cache = plcache.NewWithBudget(cacheBytes)
+		if cfg.CacheBytes > 0 {
+			reps[r].Cache = plcache.NewWithBudget(cfg.CacheBytes)
 			di.SetPostingCache(reps[r].Cache)
 		}
 	}
 	return reps
+}
+
+// io is the store configuration shards are opened with.
+func (c Config) io() iomodel.Config {
+	if c.IO != nil {
+		return *c.IO
+	}
+	return iomodel.DefaultConfig()
 }
 
 // WriteDir partitions x into p shards and writes each as a diskindex
@@ -299,20 +247,16 @@ func OpenShard(dir string, shard int, factory Factory, cfg Config) (*Group, erro
 // by factory's algorithm. Every replica keeps the Verify hook, re-run
 // before it can be promoted to primary.
 func openManifestShard(dir string, s int, sm ShardManifest, factory Factory, cfg Config) (Shard, error) {
-	io := iomodel.DefaultConfig()
-	if cfg.IO != nil {
-		io = *cfg.IO
-	}
 	shardDir := filepath.Join(dir, sm.Dir)
 	files, root := sm.Files, sm.MerkleRoot
 	verify := func() error { return merkle.VerifyDir(shardDir, files, root) }
 	if err := verify(); err != nil {
 		return Shard{}, fmt.Errorf("shardserve: shard %d failed verification: %w", s, err)
 	}
-	di, err := diskindex.OpenDir(shardDir, io)
+	di, err := diskindex.OpenDir(shardDir, cfg.io())
 	if err != nil {
 		return Shard{}, fmt.Errorf("shardserve: opening shard %d: %w", s, err)
 	}
-	reps := replicas(di, max(cfg.Replicas, 1), io, cfg.CacheBytes, factory, verify)
+	reps := replicas(di, cfg, factory, verify)
 	return Shard{Name: fmt.Sprintf("shard%d", s), Replicas: reps, Lo: model.DocID(sm.LoDoc), Hi: model.DocID(sm.HiDoc)}, nil
 }

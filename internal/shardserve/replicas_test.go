@@ -316,10 +316,8 @@ func (a *gateAlg) SearchContext(ctx context.Context, q model.Query, opts topk.Op
 // regression test for the half-open admission race.
 func TestHalfOpenProbeAdmissionExact(t *testing.T) {
 	const maxProbes, herd = 3, 32
-	x := algotest.SmallIndex(t, 31)
 	alg := &gateAlg{res: model.TopK{{Doc: 1, Score: 10}}}
-	g, err := shardserve.New(shardserve.Config{TripAfter: 1, ProbeEvery: 1, MaxProbes: maxProbes},
-		shardserve.Shard{View: x, Alg: alg})
+	g, err := shardserve.New(shardserve.Config{TripAfter: 1, ProbeEvery: 1, MaxProbes: maxProbes}, one(alg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +328,7 @@ func TestHalfOpenProbeAdmissionExact(t *testing.T) {
 	if _, st, err := g.SearchShards(context.Background(), q, opts); err != nil || !st.Shards[0].Dropped {
 		t.Fatalf("tripping query: err=%v stats=%+v", err, st.Shards)
 	}
-	if !g.Counters(0).Tripped {
+	if !tripped(g, 0) {
 		t.Fatal("breaker not tripped")
 	}
 
@@ -375,7 +373,7 @@ func TestHalfOpenProbeAdmissionExact(t *testing.T) {
 	}
 	// The successful probes closed the breaker; normal traffic resumes.
 	alg.gate.Store(nil)
-	if g.Counters(0).Tripped {
+	if tripped(g, 0) {
 		t.Fatal("successful probes did not close the breaker")
 	}
 	if _, st, err := g.SearchShards(context.Background(), q, opts); err != nil || st.Shards[0].Dropped {

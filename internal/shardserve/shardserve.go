@@ -1,29 +1,29 @@
 // Package shardserve is the scatter/gather serving layer: one query,
 // many independent index shards. Where sNRA partitions a single query
 // across goroutines inside one index (§5.2.2), this package partitions
-// the *index* — each shard is its own view with its own simulated
-// store, its own Searcher-grade algorithm instance, and optionally its
-// own decoded-block cache — and serves every query by fanning it out
-// to all shards concurrently through topk.FanOut, which merges the
+// the *index* — each shard is a set of replicas, each its own view with
+// its own simulated store, its own algorithm instance, and optionally
+// its own decoded-block cache — and serves every query by fanning it
+// out to all shards concurrently through topk.FanOut, which merges the
 // per-shard top-k lists into the global top-k (topk.MergeTopK).
 //
 // The serving concerns layered on top of the fan-out are the ones that
 // dominate sharded tail latency in practice:
 //
-//   - Per-shard deadlines: each shard runs under the tighter of
-//     Config.ShardTimeout and the query's remaining context budget
-//     scaled by Config.BudgetFraction. A shard that misses its
-//     deadline contributes its anytime partial top-k (PR 1's
-//     cancellation contract, now per shard) and is counted in
+//   - Per-shard deadlines: each shard runs under the earlier of
+//     Config.ShardTimeout and the query's own deadline. A shard that
+//     misses its deadline contributes its anytime partial top-k (the
+//     cancellation contract, per shard) and is counted in
 //     Stats.ShardsDropped — the query as a whole still answers.
 //   - Straggler hedging: when a shard's attempt outlives the recent
-//     latency quantile, the query is re-issued to the shard's replica;
-//     the first attempt to finish wins and the loser is cancelled
-//     *and joined*, so its simulated I/O is settled before the query
-//     reports (Store.Unsettled()==0 holds even for abandoned work).
-//   - Health accounting: consecutive shard errors trip a breaker;
-//     tripped shards are skipped (counted as dropped) except for an
-//     occasional probe query that can close the breaker again.
+//     latency quantile, the query is re-issued to another replica; the
+//     first attempt to finish wins and the loser is cancelled *and
+//     joined*, so its simulated I/O is settled before the query reports
+//     (Store.Unsettled()==0 holds even for abandoned work).
+//   - Health accounting: consecutive replica errors trip that replica's
+//     breaker; a shard whose replicas are all tripped is skipped
+//     (counted as dropped) except for an occasional probe query that can
+//     close a breaker again.
 //
 // Shards cover disjoint document ranges and score under the global
 // statistics, and every exact algorithm's answer carries exact scores
@@ -35,7 +35,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -44,7 +43,6 @@ import (
 	"sparta/internal/iomodel"
 	"sparta/internal/metrics"
 	"sparta/internal/model"
-	"sparta/internal/plcache"
 	"sparta/internal/postings"
 	"sparta/internal/topk"
 )
@@ -67,29 +65,14 @@ const (
 // how the group binds a retrieval strategy to every shard it opens.
 type Factory func(view postings.View) topk.Algorithm
 
-// Shard describes one index shard of a Group.
+// Shard describes one index shard of a Group: its replica set and the
+// document range it covers.
 type Shard struct {
 	// Name labels the shard in stats and metrics ("shard3" if empty).
 	Name string
-	// Replicas are the shard's opened backend copies; Replicas[0]
-	// starts as the primary. When empty, one replica is assembled from
-	// the legacy single-backend fields below.
+	// Replicas are the shard's opened backend copies (at least one);
+	// Replicas[0] starts as the primary.
 	Replicas []Replica
-	// View is the shard's index view (required when Replicas is empty).
-	View postings.View
-	// Alg evaluates queries over View (required when Replicas is
-	// empty). It must be safe for concurrent use, as every Algorithm in
-	// this repository is.
-	Alg topk.Algorithm
-	// Replica, when non-nil, becomes a second replica sharing View —
-	// the legacy hedge target, kept for callers predating Replicas.
-	Replica topk.Algorithm
-	// Store, when non-nil, is the shard's simulated storage; the group
-	// uses it for settlement accounting (Unsettled) and cache metrics.
-	Store *iomodel.Store
-	// Cache, when non-nil, is the shard's decoded-block cache; its
-	// counters appear in ShardCounters.
-	Cache *plcache.Cache
 	// Lo, Hi record the covered document range [Lo, Hi). When Hi > Lo,
 	// ResolveScores asks this shard only about documents inside it.
 	Lo, Hi model.DocID
@@ -119,17 +102,10 @@ type Config struct {
 	// single-index SearcherConfig.PostingCache field. Ignored by New.
 	CacheBytes int64
 
-	// ShardTimeout bounds each shard's evaluation of one query. Zero
-	// means no per-shard timeout beyond the query context.
+	// ShardTimeout bounds each shard's evaluation of one query; a shard
+	// also never outlives the query's own context. Zero means no
+	// per-shard timeout beyond the query context.
 	ShardTimeout time.Duration
-	// ShardTimeoutFor, when non-nil, overrides ShardTimeout per shard
-	// (ops escape hatch; tests use it to force one shard to expire).
-	ShardTimeoutFor func(shard int) time.Duration
-	// BudgetFraction scales the query's remaining context budget into
-	// the per-shard deadline: shard deadline = min(ShardTimeout,
-	// remaining×BudgetFraction). 0 (or >1) means 1.0 — a shard may use
-	// the whole remaining budget.
-	BudgetFraction float64
 
 	// Hedge tunes straggler hedging.
 	Hedge HedgeConfig
@@ -170,10 +146,6 @@ type Config struct {
 	NoExactResolve bool
 }
 
-// latWindow is the per-shard completion-latency ring used for the
-// hedge quantile.
-const latWindow = 64
-
 // shardState is a Shard plus the group's per-shard serving state.
 type shardState struct {
 	Shard
@@ -194,39 +166,9 @@ type shardState struct {
 	lastVerifyErr  atomic.Pointer[error]
 	promoteMu      sync.Mutex
 
-	latMu  sync.Mutex
-	lat    [latWindow]time.Duration
-	latN   int
-	latPos int
-}
-
-func (sh *shardState) recordLatency(d time.Duration) {
-	sh.latMu.Lock()
-	sh.lat[sh.latPos] = d
-	sh.latPos = (sh.latPos + 1) % latWindow
-	if sh.latN < latWindow {
-		sh.latN++
-	}
-	sh.latMu.Unlock()
-}
-
-// latencyQuantile returns the q-quantile of the recorded completion
-// latencies, or 0 when no history exists yet.
-func (sh *shardState) latencyQuantile(q float64) time.Duration {
-	sh.latMu.Lock()
-	n := sh.latN
-	buf := make([]time.Duration, n)
-	copy(buf, sh.lat[:n])
-	sh.latMu.Unlock()
-	if n == 0 {
-		return 0
-	}
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-	i := int(q * float64(n))
-	if i >= n {
-		i = n - 1
-	}
-	return buf[i]
+	// lat holds the shard's recent completion latencies, for the hedge
+	// delay.
+	lat metrics.Window
 }
 
 // Group serves queries over a set of index shards. It implements
@@ -274,24 +216,14 @@ func New(cfg Config, shards ...Shard) (*Group, error) {
 	}
 	g := &Group{cfg: cfg, shards: make([]*shardState, len(shards))}
 	for i, sh := range shards {
-		reps := sh.Replicas
-		if len(reps) == 0 {
-			// Legacy single-backend shard: replica 0 from the flat
-			// fields, plus the old hedge target as a second replica
-			// sharing the view.
-			if sh.View == nil || sh.Alg == nil {
-				return nil, fmt.Errorf("shardserve: shard %d needs View and Alg", i)
-			}
-			reps = []Replica{{View: sh.View, Alg: sh.Alg, Store: sh.Store, Cache: sh.Cache}}
-			if sh.Replica != nil {
-				reps = append(reps, Replica{View: sh.View, Alg: sh.Replica, Store: sh.Store})
-			}
+		if len(sh.Replicas) == 0 {
+			return nil, fmt.Errorf("shardserve: shard %d has no replicas", i)
 		}
 		if sh.Name == "" {
 			sh.Name = fmt.Sprintf("shard%d", i)
 		}
 		st := &shardState{Shard: sh}
-		for ri, rep := range reps {
+		for ri, rep := range sh.Replicas {
 			if rep.Alg == nil {
 				return nil, fmt.Errorf("shardserve: shard %d replica %d needs Alg", i, ri)
 			}
@@ -303,13 +235,6 @@ func New(cfg Config, shards ...Shard) (*Group, error) {
 			}
 			st.replicas = append(st.replicas, &replicaState{Replica: rep})
 		}
-		// Mirror replica 0 into the legacy flat fields so ShardInfo and
-		// older call sites keep seeing a single-backend shard.
-		st.Shard.Replicas = reps
-		st.Shard.View = reps[0].View
-		st.Shard.Alg = reps[0].Alg
-		st.Shard.Store = reps[0].Store
-		st.Shard.Cache = reps[0].Cache
 		g.shards[i] = st
 	}
 	g.name = fmt.Sprintf("Sharded[%s×%d]", g.shards[0].replicas[0].Alg.Name(), len(g.shards))
@@ -327,15 +252,12 @@ func (g *Group) ShardInfo(i int) Shard { return g.shards[i].Shard }
 
 // Unsettled sums the unpaid simulated-I/O debt across every replica
 // store of every shard — zero after every query, including dropped,
-// hedged, and retried attempts. Stores shared between replicas (the
-// legacy hedge arrangement) count once.
+// hedged, and retried attempts.
 func (g *Group) Unsettled() time.Duration {
 	var d time.Duration
-	seen := make(map[*iomodel.Store]bool)
 	for _, sh := range g.shards {
 		for _, r := range sh.replicas {
-			if r.Store != nil && !seen[r.Store] {
-				seen[r.Store] = true
+			if r.Store != nil {
 				d += r.Store.Unsettled()
 			}
 		}
@@ -424,8 +346,11 @@ func (g *Group) SearchShards(ctx context.Context, q model.Query, opts topk.Optio
 	if err != nil {
 		return nil, ShardedStats{}, err
 	}
-	out := ShardedStats{Stats: st, Shards: runs}
-	for _, r := range runs {
+	out := ShardedStats{Stats: st}
+	if len(q) > 0 { // FanOut runs no shard for a query with no terms
+		out.Shards = runs
+	}
+	for _, r := range out.Shards {
 		if r.Hedged {
 			out.Hedges++
 		}
@@ -459,7 +384,8 @@ type attempt struct {
 func (g *Group) runShard(ctx context.Context, i int, sh *shardState, q model.Query, opts topk.Options) (model.TopK, ShardRunStats) {
 	run := ShardRunStats{Shard: i, Name: sh.Name, Replica: -1}
 	sctx := ctx
-	if d := g.shardDeadline(i, ctx); d > 0 {
+	if d := g.cfg.ShardTimeout; d > 0 {
+		// The shard's deadline is the earlier of its own and the query's.
 		var cancel context.CancelFunc
 		sctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
@@ -538,7 +464,7 @@ func (g *Group) runShard(ctx context.Context, i int, sh *shardState, q model.Que
 		sh.errs.Add(1)
 	}
 	if !run.Dropped {
-		sh.recordLatency(time.Since(started))
+		sh.lat.Record(time.Since(started))
 	}
 	g.maybePromote(sh)
 	if winner.err != nil {
@@ -571,7 +497,7 @@ func (g *Group) raceAttempt(sctx context.Context, sh *shardState, r int, probe b
 
 	var winner attempt
 	if g.cfg.Hedge.Enabled {
-		delay := sh.latencyQuantile(g.cfg.Hedge.Quantile)
+		delay := sh.lat.Quantile(g.cfg.Hedge.Quantile)
 		if delay < g.cfg.Hedge.MinDelay {
 			delay = g.cfg.Hedge.MinDelay
 		}
@@ -630,32 +556,6 @@ func (g *Group) retryBudget(sh *shardState) int {
 		return len(sh.replicas) - 1
 	}
 	return g.cfg.RetryMax
-}
-
-// shardDeadline derives shard i's time budget: the tighter of the
-// configured per-shard timeout and the query's remaining context
-// budget scaled by BudgetFraction. Zero means no extra deadline.
-func (g *Group) shardDeadline(i int, ctx context.Context) time.Duration {
-	d := g.cfg.ShardTimeout
-	if g.cfg.ShardTimeoutFor != nil {
-		if o := g.cfg.ShardTimeoutFor(i); o > 0 {
-			d = o
-		}
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		rem := time.Until(dl)
-		if rem < 0 {
-			rem = 0
-		}
-		frac := g.cfg.BudgetFraction
-		if frac <= 0 || frac > 1 {
-			frac = 1
-		}
-		if b := time.Duration(float64(rem) * frac); d == 0 || b < d {
-			d = b
-		}
-	}
-	return d
 }
 
 // ResolveScores computes each document's exact score for q by per-term
@@ -729,9 +629,6 @@ type ShardCounters struct {
 	// Replicas is the per-replica breakdown.
 	Primary  int               `json:"primary"`
 	Replicas []ReplicaCounters `json:"replicas"`
-	// Tripped reports whether the current primary's breaker is not
-	// closed (legacy single-backend view of health).
-	Tripped bool `json:"tripped"`
 	// Cache counters mirror the shard's decoded-block cache (zero when
 	// none is attached).
 	CacheHits             int64 `json:"cache_hits"`
@@ -765,15 +662,11 @@ func (g *Group) Counters(i int) ShardCounters {
 		Promotions:     sh.promotions.Load(),
 		VerifyFailures: sh.verifyFailures.Load(),
 		Primary:        primary,
-		Tripped:        !sh.replicas[primary].healthy(),
 	}
 	if ep := sh.lastVerifyErr.Load(); ep != nil {
 		c.LastVerifyError = (*ep).Error()
 	}
-	// Cache and store figures aggregate over replicas, counting shared
-	// backends (the legacy hedge arrangement) once.
-	seenCache := make(map[*plcache.Cache]bool)
-	seenStore := make(map[*iomodel.Store]bool)
+	// Cache and store figures sum over the replicas.
 	for ri, r := range sh.replicas {
 		c.Replicas = append(c.Replicas, ReplicaCounters{
 			Replica: ri,
@@ -783,8 +676,7 @@ func (g *Group) Counters(i int) ShardCounters {
 			State:   r.stateName(),
 			Primary: ri == primary,
 		})
-		if r.Cache != nil && !seenCache[r.Cache] {
-			seenCache[r.Cache] = true
+		if r.Cache != nil {
 			cs := r.Cache.Snapshot()
 			c.CacheHits += cs.Hits
 			c.CacheMisses += cs.Misses
@@ -793,8 +685,7 @@ func (g *Group) Counters(i int) ShardCounters {
 			c.CacheDupFillsSuppressed += cs.DupFillsSuppressed
 			c.CacheInFlightFills += cs.InFlightFills
 		}
-		if r.Store != nil && !seenStore[r.Store] {
-			seenStore[r.Store] = true
+		if r.Store != nil {
 			c.UnsettledNs += int64(r.Store.Unsettled())
 		}
 	}

@@ -24,13 +24,38 @@ import (
 	"sparta/internal/topk"
 )
 
-func ramViews(t *testing.T, x *index.Index, p int) []shardserve.ShardView {
+// ramGroup partitions x into p shards on RAM stores, one replica each,
+// served by factory's algorithm.
+func ramGroup(t *testing.T, x *index.Index, p int, factory shardserve.Factory) *shardserve.Group {
 	t.Helper()
-	views, err := shardserve.PartitionViews(x, p, iomodel.RAMConfig(), 0)
+	ram := iomodel.RAMConfig()
+	g, err := shardserve.FromIndex(x, p, factory, shardserve.Config{IO: &ram})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return views
+	return g
+}
+
+// one is a shard with a single replica running alg.
+func one(alg topk.Algorithm) shardserve.Shard {
+	return shardserve.Shard{Replicas: []shardserve.Replica{{Alg: alg}}}
+}
+
+// expireAlg runs an algorithm under a deadline of its own, d from the
+// call: a shard whose replica it wraps misses its deadline.
+type expireAlg struct {
+	topk.Algorithm
+	d time.Duration
+}
+
+func (a expireAlg) Search(q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
+	return a.SearchContext(context.Background(), q, opts)
+}
+
+func (a expireAlg) SearchContext(ctx context.Context, q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
+	ctx, cancel := context.WithTimeout(ctx, a.d)
+	defer cancel()
+	return a.Algorithm.SearchContext(ctx, q, opts)
 }
 
 // TestShardedMatchesSingleIndexExact is the merge-equivalence property:
@@ -43,15 +68,10 @@ func TestShardedMatchesSingleIndexExact(t *testing.T) {
 		algotest.RandomQuery(x, 7, 23),
 	}
 	for _, p := range []int{1, 2, 4, 8} {
-		views := ramViews(t, x, p)
 		for _, id := range bench.AllAlgos {
-			id := id
-			g, err := shardserve.NewFromViews(shardserve.Config{}, func(v postings.View) topk.Algorithm {
+			g := ramGroup(t, x, p, func(v postings.View) topk.Algorithm {
 				return bench.MakeAlgorithm(id, v)
-			}, views)
-			if err != nil {
-				t.Fatal(err)
-			}
+			})
 			for qi, q := range queries {
 				k := 10 + qi*15
 				want := topk.BruteForce(x, q, k)
@@ -77,12 +97,9 @@ func TestShardedMatchesSingleIndexExact(t *testing.T) {
 // document outside every range costs none.
 func TestResolveScoresAsksOnlyTheOwningShard(t *testing.T) {
 	x := algotest.MediumIndex(t, 31)
-	g, err := shardserve.NewFromViews(shardserve.Config{}, func(v postings.View) topk.Algorithm {
+	g := ramGroup(t, x, 4, func(v postings.View) topk.Algorithm {
 		return core.New(v)
-	}, ramViews(t, x, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	q := algotest.RandomQuery(x, 4, 9)
 	want := topk.BruteForce(x, q, 20)
 	docs := make([]model.DocID, len(want))
@@ -126,12 +143,9 @@ func TestShardedApproxRecallNotWorse(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, p := range []int{2, 4} {
-			g, err := shardserve.NewFromViews(shardserve.Config{}, func(v postings.View) topk.Algorithm {
+			g := ramGroup(t, x, p, func(v postings.View) topk.Algorithm {
 				return core.New(v)
-			}, ramViews(t, x, p))
-			if err != nil {
-				t.Fatal(err)
-			}
+			})
 			gres, st, err := g.Search(q, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -147,23 +161,27 @@ func TestShardedApproxRecallNotWorse(t *testing.T) {
 }
 
 // TestForcedDeadlineExpiry forces one shard's deadline to expire
-// instantly: the query must still answer with ShardsDropped=1, a valid
-// partial top-k that is exact over the surviving shards, and zero
-// unsettled I/O on every shard store afterward.
+// instantly, by wrapping that shard's replica in a nanosecond deadline:
+// the query must still answer with ShardsDropped=1, a valid partial
+// top-k that is exact over the surviving shards, and zero unsettled I/O
+// on every shard store afterward.
 func TestForcedDeadlineExpiry(t *testing.T) {
 	x := algotest.MediumIndex(t, 99)
 	const p, bad = 4, 2
-	cfg := shardserve.Config{
-		ShardTimeoutFor: func(shard int) time.Duration {
-			if shard == bad {
-				return time.Nanosecond
-			}
-			return time.Second
-		},
-	}
-	g, err := shardserve.FromIndex(x, p, func(v postings.View) topk.Algorithm {
+	opened, err := shardserve.FromIndex(x, p, func(v postings.View) topk.Algorithm {
 		return core.New(v)
-	}, cfg)
+	}, shardserve.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := make([]shardserve.Shard, p)
+	for i := range shards {
+		shards[i] = opened.ShardInfo(i)
+	}
+	rep := shards[bad].Replicas[0]
+	rep.Alg = expireAlg{rep.Alg, time.Nanosecond}
+	shards[bad].Replicas = []shardserve.Replica{rep}
+	g, err := shardserve.New(shardserve.Config{ShardTimeout: time.Second}, shards...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +275,7 @@ func TestHedgingWinsAndJoinsLoser(t *testing.T) {
 	fast := &fakeAlg{name: "fast", res: model.TopK{{Doc: 2, Score: 200}}}
 	g, err := shardserve.New(shardserve.Config{
 		Hedge: shardserve.HedgeConfig{Enabled: true, MinDelay: 5 * time.Millisecond, Quantile: 0.9},
-	}, shardserve.Shard{View: x, Alg: slow, Replica: fast})
+	}, shardserve.Shard{Replicas: []shardserve.Replica{{View: x, Alg: slow}, {View: x, Alg: fast}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +303,7 @@ func TestHedgeNotLaunchedWhenPrimaryFast(t *testing.T) {
 	repl := &fakeAlg{name: "repl", res: model.TopK{{Doc: 2, Score: 200}}}
 	g, err := shardserve.New(shardserve.Config{
 		Hedge: shardserve.HedgeConfig{Enabled: true, MinDelay: 250 * time.Millisecond},
-	}, shardserve.Shard{View: x, Alg: prim, Replica: repl})
+	}, shardserve.Shard{Replicas: []shardserve.Replica{{View: x, Alg: prim}, {View: x, Alg: repl}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,14 +317,11 @@ func TestHedgeNotLaunchedWhenPrimaryFast(t *testing.T) {
 }
 
 func TestBreakerTripsSkipsAndRecovers(t *testing.T) {
-	x := algotest.SmallIndex(t, 3)
 	healthy := &fakeAlg{name: "ok", res: model.TopK{{Doc: 1, Score: 100}}}
 	flaky := &fakeAlg{name: "flaky", res: model.TopK{{Doc: 300, Score: 90}}}
 	boom := errors.New("shard down")
 	flaky.err.Store(&boom)
-	g, err := shardserve.New(shardserve.Config{TripAfter: 2, ProbeEvery: 4},
-		shardserve.Shard{View: x, Alg: healthy},
-		shardserve.Shard{View: x, Alg: flaky})
+	g, err := shardserve.New(shardserve.Config{TripAfter: 2, ProbeEvery: 4}, one(healthy), one(flaky))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,11 +338,11 @@ func TestBreakerTripsSkipsAndRecovers(t *testing.T) {
 			t.Fatalf("query %d: %+v, want shard 1 dropped with error", i, st.Shards)
 		}
 	}
-	if !g.Counters(1).Tripped {
+	if !tripped(g, 1) {
 		t.Fatal("breaker not tripped after TripAfter consecutive errors")
 	}
 
-	// Tripped: queries skip the shard (no calls through) except probes.
+	// Open breaker: queries skip the shard (no calls through) except probes.
 	flakyCallsBefore := flaky.calls.Load()
 	var skipped, probed int
 	for i := 0; i < 8; i++ {
@@ -354,12 +369,12 @@ func TestBreakerTripsSkipsAndRecovers(t *testing.T) {
 	// Shard heals: the next successful probe closes the breaker.
 	var noErr error
 	flaky.err.Store(&noErr)
-	for i := 0; i < 8 && g.Counters(1).Tripped; i++ {
+	for i := 0; i < 8 && tripped(g, 1); i++ {
 		if _, _, err := g.SearchShards(context.Background(), q, opts); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if g.Counters(1).Tripped {
+	if tripped(g, 1) {
 		t.Fatal("breaker did not close after a successful probe")
 	}
 	_, st, err := g.SearchShards(context.Background(), q, opts)
@@ -371,22 +386,31 @@ func TestBreakerTripsSkipsAndRecovers(t *testing.T) {
 	}
 }
 
+// tripped reports whether shard i's primary replica is not closed.
+func tripped(g *shardserve.Group, i int) bool {
+	c := g.Counters(i)
+	return c.Replicas[c.Primary].State != "closed"
+}
+
 func TestGroupValidation(t *testing.T) {
 	if _, err := shardserve.New(shardserve.Config{}); err == nil {
 		t.Fatal("empty group accepted")
 	}
 	x := algotest.SmallIndex(t, 4)
-	if _, err := shardserve.New(shardserve.Config{}, shardserve.Shard{View: x}); err == nil {
-		t.Fatal("shard without Alg accepted")
+	if _, err := shardserve.New(shardserve.Config{}, shardserve.Shard{}); err == nil {
+		t.Fatal("shard without replicas accepted")
+	}
+	if _, err := shardserve.New(shardserve.Config{}, shardserve.Shard{Replicas: []shardserve.Replica{{View: x}}}); err == nil {
+		t.Fatal("replica without Alg accepted")
 	}
 	// A cache supplied but never attached to the view must be rejected.
 	c := plcache.NewWithBudget(1 << 20)
-	alg := &fakeAlg{name: "a"}
-	if _, err := shardserve.New(shardserve.Config{}, shardserve.Shard{View: x, Alg: alg, Cache: c}); err == nil {
+	cached := shardserve.Shard{Replicas: []shardserve.Replica{{View: x, Alg: &fakeAlg{name: "a"}, Cache: c}}}
+	if _, err := shardserve.New(shardserve.Config{}, cached); err == nil {
 		t.Fatal("unattached cache accepted")
 	}
 	c.MarkAttached()
-	if _, err := shardserve.New(shardserve.Config{}, shardserve.Shard{View: x, Alg: alg, Cache: c}); err != nil {
+	if _, err := shardserve.New(shardserve.Config{}, cached); err != nil {
 		t.Fatalf("attached cache rejected: %v", err)
 	}
 }
@@ -410,7 +434,7 @@ func TestFromIndexAttachesPerShardCaches(t *testing.T) {
 	}
 	var hits int64
 	for i := 0; i < g.NumShards(); i++ {
-		if g.ShardInfo(i).Cache == nil {
+		if g.ShardInfo(i).Replicas[0].Cache == nil {
 			t.Fatalf("shard %d: no cache attached", i)
 		}
 		hits += g.Counters(i).CacheHits
@@ -421,9 +445,7 @@ func TestFromIndexAttachesPerShardCaches(t *testing.T) {
 }
 
 func TestRegisterMetrics(t *testing.T) {
-	x := algotest.SmallIndex(t, 5)
-	g, err := shardserve.New(shardserve.Config{},
-		shardserve.Shard{View: x, Alg: &fakeAlg{name: "a", res: model.TopK{{Doc: 1, Score: 10}}}})
+	g, err := shardserve.New(shardserve.Config{}, one(&fakeAlg{name: "a", res: model.TopK{{Doc: 1, Score: 10}}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,12 +495,9 @@ func TestWriteDirOpenDirRoundTrip(t *testing.T) {
 
 func TestSearchShardsRespectsGlobalCancel(t *testing.T) {
 	x := algotest.MediumIndex(t, 17)
-	g, err := shardserve.NewFromViews(shardserve.Config{}, func(v postings.View) topk.Algorithm {
+	g := ramGroup(t, x, 2, func(v postings.View) topk.Algorithm {
 		return core.New(v)
-	}, ramViews(t, x, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	got, st, err := g.SearchShards(ctx, algotest.RandomQuery(x, 4, 3), topk.Options{K: 10})
@@ -499,13 +518,10 @@ func TestSearchShardsRespectsGlobalCancel(t *testing.T) {
 func TestConcurrentGroupQueriesExactAndSettled(t *testing.T) {
 	x := algotest.MediumIndex(t, 1234)
 	const p, n = 4, 6
-	views, err := shardserve.PartitionViews(x, p, iomodel.RAMConfig(), 4<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := shardserve.NewFromViews(shardserve.Config{}, func(v postings.View) topk.Algorithm {
+	ram := iomodel.RAMConfig()
+	g, err := shardserve.FromIndex(x, p, func(v postings.View) topk.Algorithm {
 		return bench.MakeAlgorithm(bench.AlgoSparta, v)
-	}, views)
+	}, shardserve.Config{IO: &ram, CacheBytes: 4 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,6 +559,30 @@ func TestConcurrentGroupQueriesExactAndSettled(t *testing.T) {
 	}
 }
 
+// TestGroupEmptyQueryExhausted: a query with no terms gets the answer
+// every single-index algorithm gives it — empty, stopped "exhausted" —
+// and asks no shard.
+func TestGroupEmptyQueryExhausted(t *testing.T) {
+	a, b := &fakeAlg{name: "a"}, &fakeAlg{name: "b"}
+	g, err := shardserve.New(shardserve.Config{}, one(a), one(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, st, err := g.SearchShards(context.Background(), model.Query{}, topk.Options{K: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 0 || st.StopReason != "exhausted" || len(st.Shards) != 0 {
+		t.Fatalf("%d results, stop %q, %d shard runs; want 0, exhausted, 0", len(res), st.StopReason, len(st.Shards))
+	}
+	if calls := a.calls.Load() + b.calls.Load(); calls != 0 {
+		t.Fatalf("%d shard calls, want 0", calls)
+	}
+	if single, sst, _ := core.New(algotest.SmallIndex(t, 6)).Search(model.Query{}, topk.Options{K: 5}); len(single) != 0 || sst.StopReason != st.StopReason {
+		t.Fatalf("single index answers %d results stopped %q; the group %q", len(single), sst.StopReason, st.StopReason)
+	}
+}
+
 // stopAlg answers one result and reports the stop reason it was given.
 type stopAlg struct{ reason string }
 
@@ -561,7 +601,6 @@ func (a stopAlg) SearchContext(context.Context, model.Query, topk.Options) (mode
 // merge, a dropped shard still makes the answer partial, and a cancelled
 // query still reports the cancellation.
 func TestGroupStopReasonFoldsShards(t *testing.T) {
-	x := algotest.SmallIndex(t, 5)
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	bg := context.Background()
@@ -576,9 +615,7 @@ func TestGroupStopReasonFoldsShards(t *testing.T) {
 		{cancelled, [2]string{"safe", "safe"}, topk.StopCancelled},
 	} {
 		for _, order := range [][2]string{c.shards, {c.shards[1], c.shards[0]}} {
-			g, err := shardserve.New(shardserve.Config{},
-				shardserve.Shard{View: x, Alg: stopAlg{order[0]}},
-				shardserve.Shard{View: x, Alg: stopAlg{order[1]}})
+			g, err := shardserve.New(shardserve.Config{}, one(stopAlg{order[0]}), one(stopAlg{order[1]}))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -45,9 +45,11 @@ type Observer interface {
 	// QueryFinish is called once, after evaluation ends (also on error
 	// and cancellation), with the final statistics.
 	QueryFinish(st Stats, err error)
-	// SegmentScheduled is called when a worker begins a posting-list
-	// segment (score-order algorithms: the term index; pBMW: the
-	// document-range job index).
+	// SegmentScheduled is called when a worker begins a unit of
+	// scheduled work: a posting-list segment in Sparta, pRA, pNRA, JASS
+	// and pJASS (the term index), a document-range job in pBMW and pWAND
+	// (the job index), a partition in sNRA (the partition index). RA,
+	// NRA, WAND, BMW and MaxScore schedule no work and never call it.
 	SegmentScheduled(term int)
 	// HeapUpdate is called when a document enters the top-k heap.
 	HeapUpdate(doc model.DocID, score model.Score)

@@ -101,6 +101,22 @@ func TestFanOutStopRule(t *testing.T) {
 	}
 }
 
+// TestFanOutNoTermsRunsNoPart: a query with no terms is answered like
+// one with no parts — empty, stopped "exhausted" — whatever the parts
+// would have said, and none of them runs.
+func TestFanOutNoTermsRunsNoPart(t *testing.T) {
+	var calls atomic.Int64
+	res, st, err := FanOut(context.Background(), model.Query{}, Options{K: 10}, 3, 2, StopMerged,
+		func(context.Context, int, Options) (model.TopK, Stats, error) {
+			calls.Add(1)
+			return model.TopK{{Doc: 1, Score: 1}}, Stats{StopReason: "exhausted"}, nil
+		})
+	if err != nil || len(res) != 0 || st.StopReason != "exhausted" || calls.Load() != 0 {
+		t.Fatalf("got %d results, stop %q, err %v, %d parts run; want 0, exhausted, nil, 0",
+			len(res), st.StopReason, err, calls.Load())
+	}
+}
+
 // TestFanOutObservesOneQuery: the parts' execution events reach the
 // query's observer, their lifecycle events do not, and the one
 // QueryFinish carries the folded Stats; no part sees the recall probe.

@@ -51,14 +51,18 @@ type Part func(ctx context.Context, i int, opts Options) (model.TopK, Stats, err
 //   - complete, when it is not empty (shard fan-outs pass StopMerged);
 //   - the folded reason (safe, exhausted).
 //
-// With no parts there is nothing to read: the answer is empty and
-// stopped "exhausted".
+// With no parts, or a query with no terms, there is nothing to read: no
+// part runs, and the answer is empty and stopped "exhausted", as a
+// single-index algorithm answers a query with no terms.
 func FanOut(ctx context.Context, q model.Query, opts Options, n, workers int, complete string, part Part) (model.TopK, Stats, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, Stats{}, err
 	}
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	if len(q) == 0 {
+		n = 0
 	}
 	start := time.Now()
 	obs := opts.Observer

@@ -3,9 +3,7 @@ package sparta
 import (
 	"context"
 	"errors"
-	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -144,8 +142,8 @@ func (c SearcherCounters) CacheHitRate() float64 {
 type Searcher struct {
 	alg   topk.Algorithm
 	cfg   SearcherConfig
-	sem   chan struct{} // nil when MaxConcurrent == 0
-	waits waitRing      // recent admission waits, for shedding
+	sem   chan struct{}  // nil when MaxConcurrent == 0
+	waits metrics.Window // waits of recent queries that queued, for shedding
 
 	queries   atomic.Int64
 	errors    atomic.Int64
@@ -205,7 +203,7 @@ func (s *Searcher) SearchContext(ctx context.Context, q Query, opts Options) (To
 			// place other queries could use.
 			if q := s.cfg.ShedQuantile; q > 0 {
 				if dl, ok := ctx.Deadline(); ok {
-					if est := s.waits.quantile(q); est > 0 && time.Until(dl) < est {
+					if est := s.waits.Quantile(q); est > 0 && time.Until(dl) < est {
 						st := Stats{StopReason: topk.StopShed, Duration: time.Since(start)}
 						s.shed.Add(1)
 						s.account(st, ErrAdmissionShed)
@@ -216,12 +214,12 @@ func (s *Searcher) SearchContext(ctx context.Context, q Query, opts Options) (To
 			waitStart := time.Now()
 			select {
 			case s.sem <- struct{}{}:
-				s.waits.record(time.Since(waitStart))
+				s.waits.Record(time.Since(waitStart))
 				defer func() { <-s.sem }()
 			case <-ctx.Done():
 				st := Stats{StopReason: topk.StopReasonFor(ctx.Err()), Duration: time.Since(start)}
 				s.rejected.Add(1)
-				s.waits.record(time.Since(waitStart))
+				s.waits.Record(time.Since(waitStart))
 				s.account(st, nil)
 				return model.TopK{}, st, nil
 			}
@@ -324,55 +322,6 @@ var batchCounterNames = []string{
 	"warmed_blocks", "fused_members", "fused_fallback_members",
 	"fused_traversals", "fused_blocks_saved", "detach_early",
 	"fused_block_skips", "fused_ub_stops", "fused_resolve_ra",
-}
-
-// waitRingSize is how many recent admission waits the shedding
-// estimator remembers; like the shard hedging ring, small and recent
-// beats large and stale under shifting load.
-const waitRingSize = 64
-
-// waitRing is a fixed ring of recently observed admission-queue waits.
-// Only queries that actually queued record a wait, so an idle searcher's
-// estimate decays to nothing as old waits rotate out.
-type waitRing struct {
-	mu  sync.Mutex
-	buf [waitRingSize]time.Duration
-	n   int // filled entries (≤ waitRingSize)
-	pos int // next write
-}
-
-func (w *waitRing) record(d time.Duration) {
-	w.mu.Lock()
-	w.buf[w.pos] = d
-	w.pos = (w.pos + 1) % waitRingSize
-	if w.n < waitRingSize {
-		w.n++
-	}
-	w.mu.Unlock()
-}
-
-// quantile returns the q-quantile (0 < q ≤ 1) of the remembered waits,
-// or 0 when none have been recorded yet — shedding self-disables until
-// the queue has history.
-func (w *waitRing) quantile(q float64) time.Duration {
-	w.mu.Lock()
-	n := w.n
-	var tmp [waitRingSize]time.Duration
-	copy(tmp[:n], w.buf[:n])
-	w.mu.Unlock()
-	if n == 0 {
-		return 0
-	}
-	s := tmp[:n]
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := int(q*float64(n)) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	return s[idx]
 }
 
 var _ topk.Algorithm = (*Searcher)(nil)

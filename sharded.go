@@ -6,17 +6,16 @@
 // argument.
 package sparta
 
-import (
-	"context"
-	"time"
-
-	"sparta/internal/shardserve"
-)
+import "sparta/internal/shardserve"
 
 type (
 	// ShardGroup serves queries over a set of index shards by
-	// scatter/gather. It implements Algorithm, so it drops into a
-	// Searcher like any single-index strategy.
+	// scatter/gather. It implements Algorithm, so NewSearcher(g, cfg)
+	// serves it like any single-index strategy; g itself keeps the
+	// per-shard surface (SearchShards, AllCounters, Unsettled,
+	// RegisterMetrics). Leave the Searcher's PostingCache unset: shard
+	// caches are per replica and attached at open time
+	// (ShardGroupConfig.CacheBytes).
 	ShardGroup = shardserve.Group
 	// ShardGroupConfig parameterizes a ShardGroup (per-shard deadlines,
 	// hedging, breaker, per-shard cache budget).
@@ -86,44 +85,3 @@ func OpenShardDir(dir string, factory ShardFactory, cfg ShardGroupConfig) (*Shar
 // every mismatch (nil when the set is intact). `indexstat -verify` is
 // the command-line form.
 func VerifyShardDir(dir string) error { return shardserve.VerifySet(dir) }
-
-// ShardedSearcher is a Searcher over a ShardGroup: the single-index
-// serving concerns (timeout, admission, aggregate counters) wrap the
-// scatter/gather layer, and the group's per-shard state stays
-// reachable. Safe for concurrent use.
-type ShardedSearcher struct {
-	*Searcher
-	group *ShardGroup
-}
-
-// NewShardedSearcher wraps g. Do not set cfg.PostingCache here — shard
-// caches are per shard and attached at open time (ShardGroupConfig.
-// CacheBytes); a group-level cache would collide keys across shards
-// and queries would fail with ErrCacheNotAttached.
-func NewShardedSearcher(g *ShardGroup, cfg SearcherConfig) *ShardedSearcher {
-	return &ShardedSearcher{Searcher: NewSearcher(g, cfg), group: g}
-}
-
-// Group returns the underlying shard group.
-func (s *ShardedSearcher) Group() *ShardGroup { return s.group }
-
-// SearchShards is the introspective query path: SearchContext's
-// evaluation with the per-shard breakdown, bypassing the Searcher's
-// admission queue and timeout (pass a context deadline to bound it).
-func (s *ShardedSearcher) SearchShards(ctx context.Context, q Query, opts Options) (TopK, ShardedStats, error) {
-	return s.group.SearchShards(ctx, q, opts)
-}
-
-// ShardCounters returns every shard's counter snapshot.
-func (s *ShardedSearcher) ShardCounters() []ShardCounters { return s.group.AllCounters() }
-
-// Unsettled sums the unpaid simulated-I/O debt across shard stores —
-// zero between queries.
-func (s *ShardedSearcher) Unsettled() time.Duration { return s.group.Unsettled() }
-
-// RegisterMetrics registers both the searcher-level counters and the
-// per-shard counters in r under prefix.
-func (s *ShardedSearcher) RegisterMetrics(r *MetricsRegistry, prefix string) {
-	s.Searcher.RegisterMetrics(r, prefix)
-	s.group.RegisterMetrics(r, prefix)
-}

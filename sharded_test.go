@@ -22,7 +22,10 @@ func shardedTestIndex(tb testing.TB) *index.Index {
 	return index.FromCorpus(c)
 }
 
-func TestShardedSearcherMatchesExact(t *testing.T) {
+// TestShardGroupSearcherMatchesExact: a Searcher over a shard group
+// answers exactly, and the group keeps the per-shard surface — the
+// breakdown, the counters, settlement and the per-shard metrics.
+func TestShardGroupSearcherMatchesExact(t *testing.T) {
 	x := shardedTestIndex(t)
 	ram := iomodel.RAMConfig()
 	g, err := sparta.ShardIndex(x, 4, func(v sparta.View) sparta.Algorithm {
@@ -31,7 +34,7 @@ func TestShardedSearcherMatchesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := sparta.NewShardedSearcher(g, sparta.SearcherConfig{MaxConcurrent: 4})
+	s := sparta.NewSearcher(g, sparta.SearcherConfig{MaxConcurrent: 4})
 	q := popularQuery(5)
 	const k = 10
 	want := sparta.Exact(x, q, k)
@@ -53,13 +56,13 @@ func TestShardedSearcherMatchesExact(t *testing.T) {
 	if c := s.Counters(); c.Queries != 1 {
 		t.Fatalf("searcher counters = %+v, want 1 query", c)
 	}
-	if sc := s.ShardCounters(); len(sc) != 4 || sc[0].Queries != 1 {
+	if sc := g.AllCounters(); len(sc) != 4 || sc[0].Queries != 1 {
 		t.Fatalf("shard counters = %+v, want 4 shards with 1 query each", sc)
 	}
-	algotest.AssertSettled(t, "between queries", s)
+	algotest.AssertSettled(t, "between queries", g)
 
 	// The per-shard breakdown path.
-	_, sst, err := s.SearchShards(context.Background(), q, sparta.Options{K: k, Exact: true})
+	_, sst, err := g.SearchShards(context.Background(), q, sparta.Options{K: k, Exact: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,6 +73,7 @@ func TestShardedSearcherMatchesExact(t *testing.T) {
 	// Metrics registration covers both layers.
 	r := sparta.NewMetricsRegistry()
 	s.RegisterMetrics(r, "serve")
+	g.RegisterMetrics(r, "serve")
 	snap := r.Snapshot()
 	if _, ok := snap["serve.queries"]; !ok {
 		t.Fatalf("searcher metrics missing: %v", snap)
@@ -79,7 +83,10 @@ func TestShardedSearcherMatchesExact(t *testing.T) {
 	}
 }
 
-func TestShardedSearcherTimeoutStillAnswers(t *testing.T) {
+// TestShardGroupSearcherTimeoutStillAnswers: shards that miss their
+// timeout are dropped, the Searcher still answers, and the group is
+// settled.
+func TestShardGroupSearcherTimeoutStillAnswers(t *testing.T) {
 	x := shardedTestIndex(t)
 	slow := iomodel.Config{
 		BlockSize:   256,
@@ -94,7 +101,7 @@ func TestShardedSearcherTimeoutStillAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := sparta.NewShardedSearcher(g, sparta.SearcherConfig{})
+	s := sparta.NewSearcher(g, sparta.SearcherConfig{})
 	got, st, err := s.Search(popularQuery(6), sparta.Options{K: 10, Exact: true, Threads: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +112,7 @@ func TestShardedSearcherTimeoutStillAnswers(t *testing.T) {
 	if len(got) > 10 {
 		t.Fatalf("got %d results, want <= k", len(got))
 	}
-	algotest.AssertSettled(t, "after deadline-dropped shards", s)
+	algotest.AssertSettled(t, "after deadline-dropped shards", g)
 }
 
 func TestSearcherRejectsUnattachedCache(t *testing.T) {
