@@ -273,10 +273,10 @@ func BenchmarkAblationCleaner(b *testing.B) {
 // (Φ=1: a cleaned map holds at least the heap, so none activates) (§4.3).
 func BenchmarkAblationTermMap(b *testing.B) {
 	b.Run("phi=10000", func(b *testing.B) {
-		runSpartaConfigBench(b, core.Config{}, topk.Options{Exact: true, Phi: 10_000})
+		runSpartaConfigBench(b, core.Config{Phi: 10_000}, topk.Options{Exact: true})
 	})
 	b.Run("phi=off", func(b *testing.B) {
-		runSpartaConfigBench(b, core.Config{}, topk.Options{Exact: true, Phi: 1})
+		runSpartaConfigBench(b, core.Config{Phi: 1}, topk.Options{Exact: true})
 	})
 }
 

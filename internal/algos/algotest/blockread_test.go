@@ -18,7 +18,9 @@ import (
 	"sparta/internal/xrand"
 )
 
-const equivShards = 6
+// equivShards is the partition count sNRA uses over the in-memory
+// index, so every view splits its lists alike.
+const equivShards = diskindex.DefaultShards
 
 // equivViews builds the three view implementations over one corpus: the
 // in-memory index (the reference the block-decoded cursors must match),
@@ -206,7 +208,7 @@ func TestAllVariantsAgreeAcrossViews(t *testing.T) {
 		k := 15
 		exact := topk.BruteForce(mem, q, k)
 		for _, id := range bench.AllAlgos {
-			opts := topk.Options{K: k, Exact: true, Threads: 2, Shards: equivShards}
+			opts := topk.Options{K: k, Exact: true, Threads: 2}
 			if sequential[id] {
 				opts.Threads = 1
 			}

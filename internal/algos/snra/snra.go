@@ -53,9 +53,8 @@ type prebuilt interface {
 // Name implements topk.Algorithm.
 func (a *SNRA) Name() string { return "sNRA" }
 
-// Search implements topk.Algorithm. opts.Shards selects the partition
-// count; zero uses the index's build-time shard count (or the paper's
-// 12 for in-memory views).
+// Search implements topk.Algorithm. The partition count is the index's
+// build-time shard count, or the paper's 12 for in-memory views.
 func (a *SNRA) Search(q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
 	return a.SearchContext(context.Background(), q, opts)
 }
@@ -68,13 +67,9 @@ func (a *SNRA) SearchContext(ctx context.Context, q model.Query, opts topk.Optio
 }
 
 func (a *SNRA) search(es *topk.ExecState, view postings.View, q model.Query, opts topk.Options) (model.TopK, topk.Stats, error) {
-	shards := opts.Shards
-	if shards == 0 {
-		if pre, ok := a.view.(prebuilt); ok {
-			shards = pre.Shards()
-		} else {
-			shards = diskindex.DefaultShards
-		}
+	shards := diskindex.DefaultShards
+	if pre, ok := a.view.(prebuilt); ok {
+		shards = pre.Shards()
 	}
 
 	// The ExecState already saw QueryStart once and carries the

@@ -9,21 +9,33 @@ import (
 	"sparta/internal/algos/algotest"
 	"sparta/internal/codec"
 	"sparta/internal/diskindex"
+	"sparta/internal/index"
 	"sparta/internal/iomodel"
 	"sparta/internal/membudget"
 	"sparta/internal/model"
 	"sparta/internal/topk"
 )
 
+// sharded builds x on a free store pre-partitioned into shards: sNRA
+// partitions an index at its build-time shard count.
+func sharded(t *testing.T, x *index.Index, shards int) *diskindex.Index {
+	t.Helper()
+	disk, err := diskindex.FromIndex(x, shards, iomodel.RAMConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return disk
+}
+
 func TestSNRAExactHighRecall(t *testing.T) {
 	x := algotest.SmallIndex(t, 1)
-	a := New(x)
+	a := New(sharded(t, x, 4))
 	for _, m := range []int{1, 2, 3, 5} {
 		for _, threads := range []int{1, 2, 4} {
 			q := algotest.RandomQuery(x, m, uint64(m*5+threads))
 			exact := topk.BruteForce(x, q, 20)
 			got, _, err := a.Search(q, topk.Options{
-				K: 20, Exact: true, Threads: threads, Shards: 4, SegSize: 32,
+				K: 20, Exact: true, Threads: threads, SegSize: 32,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -37,10 +49,10 @@ func TestSNRAExactHighRecall(t *testing.T) {
 
 func TestSNRAMediumRecall(t *testing.T) {
 	x := algotest.MediumIndex(t, 2)
-	a := New(x)
+	a := New(sharded(t, x, 8))
 	q := algotest.RandomQuery(x, 6, 7)
 	exact := topk.BruteForce(x, q, 100)
-	got, st, err := a.Search(q, topk.Options{K: 100, Exact: true, Threads: 4, Shards: 8})
+	got, st, err := a.Search(q, topk.Options{K: 100, Exact: true, Threads: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +76,7 @@ func TestSNRAShardsDefaultFromDiskIndex(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Shards unset: must pick up the index's build-time count (4).
+		// The index's build-time count (4), not the default 12.
 		got, _, err := New(disk).Search(q, topk.Options{K: 10, Exact: true, Threads: 2})
 		if err != nil {
 			t.Fatal(err)
@@ -75,11 +87,11 @@ func TestSNRAShardsDefaultFromDiskIndex(t *testing.T) {
 
 func TestSNRADelta(t *testing.T) {
 	x := algotest.MediumIndex(t, 4)
-	a := New(x)
+	a := New(sharded(t, x, 4))
 	q := algotest.RandomQuery(x, 6, 13)
 	exact := topk.BruteForce(x, q, 50)
 	got, _, err := a.Search(q, topk.Options{
-		K: 50, Delta: 2 * time.Millisecond, Threads: 4, Shards: 4,
+		K: 50, Delta: 2 * time.Millisecond, Threads: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -91,10 +103,10 @@ func TestSNRADelta(t *testing.T) {
 
 func TestSNRAMemoryBudget(t *testing.T) {
 	x := algotest.MediumIndex(t, 5)
-	a := New(x)
+	a := New(sharded(t, x, 4))
 	q := algotest.RandomQuery(x, 5, 17)
 	b := membudget.New(1000)
-	_, st, err := a.Search(q, topk.Options{K: 10, Exact: true, Threads: 2, Shards: 4, Budget: b})
+	_, st, err := a.Search(q, topk.Options{K: 10, Exact: true, Threads: 2, Budget: b})
 	if !errors.Is(err, membudget.ErrMemoryBudget) {
 		t.Fatalf("err = %v", err)
 	}
@@ -109,12 +121,12 @@ func TestSNRAScansMoreThanSequentialNRA(t *testing.T) {
 	// weaker local threshold.
 	x := algotest.MediumIndex(t, 6)
 	q := algotest.RandomQuery(x, 4, 19)
-	_, stShard, err := New(x).Search(q, topk.Options{K: 100, Exact: true, Threads: 4, Shards: 8})
+	_, stShard, err := New(sharded(t, x, 8)).Search(q, topk.Options{K: 100, Exact: true, Threads: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Sequential NRA = 1 shard.
-	_, stSeq, err := New(x).Search(q, topk.Options{K: 100, Exact: true, Threads: 1, Shards: 1})
+	_, stSeq, err := New(sharded(t, x, 1)).Search(q, topk.Options{K: 100, Exact: true, Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,7 +127,6 @@ func (e *Env) budget() *membudget.Budget {
 func (e *Env) baseOpts() topk.Options {
 	return topk.Options{
 		K:      e.Opts.K,
-		Shards: e.Opts.Shards,
 		Budget: e.budget(),
 	}
 }

@@ -68,12 +68,11 @@ func TestSpartaDeltaStopFiresWithoutACleanerPass(t *testing.T) {
 		slack = 120 * time.Millisecond // scheduling delay, race detector included; keeps Δ+slack under 2Δ
 	)
 	x, err := diskindex.FromIndex(algotest.MediumIndex(t, 32), diskindex.DefaultShards, iomodel.Config{
-		BlockSize:    256,
-		CacheBlocks:  16,
-		SeqLatency:   time.Microsecond,
-		RandLatency:  2 * time.Microsecond,
-		SleepBatch:   time.Microsecond,
-		StuckLatency: stuck,
+		BlockSize:   256,
+		CacheBlocks: 16,
+		SeqLatency:  time.Microsecond,
+		RandLatency: 2 * time.Microsecond,
+		SleepBatch:  time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +84,12 @@ func TestSpartaDeltaStopFiresWithoutACleanerPass(t *testing.T) {
 	// waiting for one takes seconds. Only the Δ timer can end the query.
 	var hang atomic.Bool
 	var lastChange atomic.Int64
-	x.Store().SetFaultHook(func(int, int64) (time.Duration, bool) { return 0, hang.Load() })
+	x.Store().SetFaultHook(func(int, int64) time.Duration {
+		if hang.Load() {
+			return stuck
+		}
+		return 0
+	})
 	obs := passObserver{onPass: func() { hang.Store(true) }, lastChange: &lastChange}
 	base := runtime.NumGoroutine()
 

@@ -70,7 +70,14 @@ type Config struct {
 	// once an unseen document's pass probability falls below it. Zero
 	// keeps the safe deterministic bounds.
 	ProbEpsilon float64
+	// Phi is the docMap size below which workers clone per-term local
+	// maps (defaultPhi if zero).
+	Phi int
 }
+
+// defaultPhi is Sparta's local-copy threshold Φ: "in our
+// implementation, Φ = 10K entries" (§4.3).
+const defaultPhi = 10_000
 
 // mapShards returns the docMap stripe count for cfg.
 func (c Config) mapShards() int {
@@ -172,6 +179,9 @@ type run struct {
 }
 
 func newRun(view postings.View, q model.Query, opts topk.Options, cfg Config, es *topk.ExecState) *run {
+	if cfg.Phi == 0 {
+		cfg.Phi = defaultPhi
+	}
 	m := len(q)
 	r := &run{
 		view:     view,
@@ -368,7 +378,7 @@ func (r *run) processTerm(i int) {
 	// is worth cloning: the growing-phase map is mostly dead candidates,
 	// and a replica never drops an entry again.
 	if r.termMaps[i] == nil && r.cleaned.Load() {
-		if dm := r.docMap.Load(); dm.Len() < r.opts.Phi {
+		if dm := r.docMap.Load(); dm.Len() < r.cfg.Phi {
 			tm := r.store.Table(dm.Len())
 			dm.Range(func(d *cmap.DocState) bool {
 				if d.ScoreAt(i) == 0 {

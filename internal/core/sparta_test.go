@@ -32,10 +32,10 @@ func TestSpartaExactMatchesBruteForce(t *testing.T) {
 
 func TestSpartaExactMediumEarlyStops(t *testing.T) {
 	x := algotest.MediumIndex(t, 2)
-	s := New(x)
+	s := NewWithConfig(x, Config{Phi: 500})
 	q := algotest.RandomQuery(x, 5, 77)
 	exact := topk.BruteForce(x, q, 10)
-	got, st, err := s.Search(q, topk.Options{K: 10, Exact: true, Threads: 4, SegSize: 64, Phi: 500})
+	got, st, err := s.Search(q, topk.Options{K: 10, Exact: true, Threads: 4, SegSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,17 +193,16 @@ func TestSpartaTermMapActivation(t *testing.T) {
 	// With Phi large, termMaps activate as soon as UBStop holds; the
 	// run must still be exact.
 	x := algotest.MediumIndex(t, 12)
-	s := New(x)
 	q := algotest.RandomQuery(x, 4, 43)
 	exact := topk.BruteForce(x, q, 10)
-	got, _, err := s.Search(q, topk.Options{K: 10, Exact: true, Threads: 4, SegSize: 32, Phi: 1 << 30})
+	got, _, err := NewWithConfig(x, Config{Phi: 1 << 30}).Search(q, topk.Options{K: 10, Exact: true, Threads: 4, SegSize: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
 	algotest.AssertExact(t, "Sparta(Phi=inf)", exact, got)
 	// And with Phi = 1 termMaps never activate (a cleaned map holds at
 	// least the heap); still exact.
-	got2, _, err := s.Search(q, topk.Options{K: 10, Exact: true, Threads: 4, SegSize: 32, Phi: 1})
+	got2, _, err := NewWithConfig(x, Config{Phi: 1}).Search(q, topk.Options{K: 10, Exact: true, Threads: 4, SegSize: 32})
 	if err != nil {
 		t.Fatal(err)
 	}

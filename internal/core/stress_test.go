@@ -63,17 +63,19 @@ func TestSpartaTinySegmentsMaximizeInterleaving(t *testing.T) {
 }
 
 func TestSpartaTinyPhiForcesEarlyTermMaps(t *testing.T) {
-	// Phi = 1: termMaps activate the moment UBStop holds, while the
-	// docMap is still large — the replicas must carry the query to an
-	// exact finish regardless.
+	// A Φ above any map size: every list clones its termMap the moment
+	// the cleaner has been over the docMap once, while the map is still
+	// large — the replicas must carry the query to an exact finish
+	// regardless. (Φ = 1 activates none: a cleaned map holds at least
+	// the heap.)
 	x := algotest.MediumIndex(t, 53)
 	q := algotest.RandomQuery(x, 5, 67)
 	exact := topk.BruteForce(x, q, 10)
-	got, _, err := New(x).Search(q, topk.Options{K: 10, Exact: true, Threads: 4, Phi: 1})
+	got, _, err := NewWithConfig(x, Config{Phi: 1 << 30}).Search(q, topk.Options{K: 10, Exact: true, Threads: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	algotest.AssertExact(t, "Sparta(phi=1)", exact, got)
+	algotest.AssertExact(t, "Sparta(phi=inf)", exact, got)
 }
 
 func TestSpartaK1(t *testing.T) {
@@ -112,7 +114,7 @@ func TestSpartaManyTermsFewThreads(t *testing.T) {
 	x := algotest.MediumIndex(t, 56)
 	q := algotest.RandomQuery(x, 12, 79)
 	exact := topk.BruteForce(x, q, 20)
-	got, _, err := New(x).Search(q, topk.Options{K: 20, Exact: true, Threads: 2, SegSize: 32, Phi: 1 << 30})
+	got, _, err := NewWithConfig(x, Config{Phi: 1 << 30}).Search(q, topk.Options{K: 20, Exact: true, Threads: 2, SegSize: 32})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,12 +48,17 @@ func TestResidentProbe(t *testing.T) {
 	if x.Resident(term, d) {
 		t.Fatal("cold store: block resident")
 	}
-	cache := plcache.New(plcache.Config{AdmitFirstTouch: true})
+	cache := plcache.NewWithBudget(0)
 	x.SetPostingCache(cache)
 	x.RandomAccess(term, d)
-	for c := x.DocCursor(term); c.Next(); {
+	for pass := 0; pass < 2; pass++ { // the second walk's fills are admitted
+		for c := x.DocCursor(term); c.Next(); {
+		}
 	}
 	st, cs := store.Snapshot(), cache.Snapshot()
+	if cs.Entries == 0 {
+		t.Fatal("the decoded-block cache holds no block of the term")
+	}
 	for _, d := range docs {
 		if x.Resident(term, d) {
 			t.Fatalf("charging store: doc %d resident", d)

@@ -10,7 +10,9 @@
 //
 //   - I/O latency and stuck reads install as an iomodel.FaultHook, a
 //     pure function of (file, block) — whether a given physical fetch
-//     is slow is a property of the fetch, not of when it happens.
+//     is slow is a property of the fetch, not of when it happens. A
+//     stuck read is one charged Plan.StuckLatency, which a bound
+//     reader's deadline or cancellation cuts short.
 //   - Transient errors and darkness wrap the topk.Algorithm boundary
 //     (simulated readers never surface I/O errors themselves), with a
 //     per-attempt sequence counter so retries draw fresh decisions.
@@ -57,10 +59,12 @@ type Plan struct {
 	LatencyRate float64
 	// Latency is the extra charge for a slow fetch.
 	Latency time.Duration
-	// StuckRate is the probability that a fetch hangs for the store's
-	// StuckLatency — long enough that the query's deadline, not the
-	// disk, ends the wait.
+	// StuckRate is the probability that a fetch hangs for StuckLatency
+	// (decided per (file, block)).
 	StuckRate float64
+	// StuckLatency is the charge of a stuck fetch (default 50ms) — long
+	// enough that the query's deadline, not the disk, ends the wait.
+	StuckLatency time.Duration
 	// Dark marks the scope permanently unreachable: every attempt
 	// returns ErrDark and no I/O faults matter.
 	Dark bool
@@ -113,14 +117,19 @@ func (in *Injector) BindStore(s *iomodel.Store) {
 		return
 	}
 	plan, scope := in.plan, in.scope
-	s.SetFaultHook(func(file int, block int64) (time.Duration, bool) {
+	if plan.StuckLatency <= 0 {
+		plan.StuckLatency = 50 * time.Millisecond
+	}
+	s.SetFaultHook(func(file int, block int64) time.Duration {
 		h := mix(scope, 0x10b10c, uint64(file), uint64(block))
 		var extra time.Duration
 		if plan.LatencyRate > 0 && toProb(h) < plan.LatencyRate {
 			extra = plan.Latency
 		}
-		stuck := plan.StuckRate > 0 && toProb(mix(h, 0x57ac4)) < plan.StuckRate
-		return extra, stuck
+		if plan.StuckRate > 0 && toProb(mix(h, 0x57ac4)) < plan.StuckRate {
+			extra += plan.StuckLatency
+		}
+		return extra
 	})
 }
 

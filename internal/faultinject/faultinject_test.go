@@ -103,12 +103,11 @@ func TestZeroPlanWrapsNothing(t *testing.T) {
 func storeIO(t *testing.T, plan Plan, shard, replica int) time.Duration {
 	t.Helper()
 	cfg := iomodel.Config{
-		BlockSize:    64,
-		CacheBlocks:  4,
-		SeqLatency:   time.Microsecond,
-		RandLatency:  2 * time.Microsecond,
-		StuckLatency: 100 * time.Microsecond,
-		NoSleep:      true,
+		BlockSize:   64,
+		CacheBlocks: 4,
+		SeqLatency:  time.Microsecond,
+		RandLatency: 2 * time.Microsecond,
+		NoSleep:     true,
 	}
 	s := iomodel.NewStore(cfg)
 	data := make([]byte, 64*64)
@@ -129,7 +128,7 @@ func storeIO(t *testing.T, plan Plan, shard, replica int) time.Duration {
 }
 
 func TestStoreFaultsDeterministicAndCharged(t *testing.T) {
-	plan := Plan{Seed: 99, LatencyRate: 0.25, Latency: 40 * time.Microsecond, StuckRate: 0.05}
+	plan := Plan{Seed: 99, LatencyRate: 0.25, Latency: 40 * time.Microsecond, StuckRate: 0.05, StuckLatency: 100 * time.Microsecond}
 	base := storeIO(t, Plan{}, 0, 0)
 	a := storeIO(t, plan, 0, 0)
 	b := storeIO(t, plan, 0, 0)

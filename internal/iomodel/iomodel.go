@@ -22,6 +22,11 @@
 // as batched time.Sleep calls so the scheduler sees realistic I/O waits
 // without micro-sleep overhead. All activity is counted, so experiments
 // can also report machine-independent work metrics.
+//
+// Faults: a FaultHook adds latency to physical fetches. A stuck read is
+// nothing more than a long added charge — a reader bound to a context
+// stops waiting when the context ends; package faultinject decides
+// which fetches stick and for how long.
 package iomodel
 
 import (
@@ -50,13 +55,6 @@ type Config struct {
 	// NoSleep counts charges without sleeping. Unit tests use it;
 	// experiments must not.
 	NoSleep bool
-	// CacheStripes segments the cache to reduce lock contention
-	// (default 16). 1 gives a single exact global LRU.
-	CacheStripes int
-	// StuckLatency is the charge of a fetch a FaultHook declares stuck
-	// (default 50ms) — long enough that a bound reader's deadline, not
-	// the disk, decides when the wait ends.
-	StuckLatency time.Duration
 }
 
 // DefaultConfig mimics a mid-range SSD behind a deliberately small page
@@ -89,21 +87,21 @@ type Stats struct {
 	SimulatedIO time.Duration // total latency charged
 }
 
-// defaultCacheStripes segments the page cache so concurrent workers do
-// not serialize on one lock; each stripe runs its own LRU over an equal
-// share of the capacity (segmented LRU, as OS page caches do).
-const defaultCacheStripes = 16
+// cacheStripes segments the page cache so concurrent workers do not
+// serialize on one lock; each stripe runs its own LRU over an equal
+// share of the capacity (segmented LRU, as OS page caches do). A cache
+// of fewer blocks gets one stripe per block.
+const cacheStripes = 16
 
 // FaultHook is consulted on every physical block fetch (a page-cache
 // miss). It returns extra simulated latency to charge on top of the
-// configured sequential/random cost, and whether the fetch is stuck —
-// a stuck fetch charges Config.StuckLatency, so a reader bound to a
-// context waits until its deadline or cancellation cuts the wait short
-// (the natural shape of a hung disk read), while an unbound reader
-// sleeps the stuck charge out. Hooks must be safe for concurrent use
-// and, for reproducible fault schedules, should be pure functions of
-// (file, block) — see package faultinject.
-type FaultHook func(file int, block int64) (extra time.Duration, stuck bool)
+// configured sequential/random cost. A long charge models a stuck
+// fetch: a reader bound to a context waits until its deadline or
+// cancellation cuts the wait short (the natural shape of a hung disk
+// read), while an unbound reader sleeps it out. Hooks must be safe for
+// concurrent use and, for reproducible fault schedules, should be pure
+// functions of (file, block) — see package faultinject.
+type FaultHook func(file int, block int64) time.Duration
 
 // Store is a simulated disk with a shared page cache.
 type Store struct {
@@ -146,7 +144,8 @@ type lruEntry struct {
 }
 
 // NewStore creates an empty store with cfg (zero-value fields take
-// defaults from DefaultConfig).
+// defaults from DefaultConfig). Its page cache holds exactly
+// cfg.CacheBlocks blocks over min(16, CacheBlocks) stripes.
 func NewStore(cfg Config) *Store {
 	def := DefaultConfig()
 	if cfg.BlockSize <= 0 {
@@ -158,19 +157,19 @@ func NewStore(cfg Config) *Store {
 	if cfg.SleepBatch <= 0 {
 		cfg.SleepBatch = def.SleepBatch
 	}
-	if cfg.CacheStripes <= 0 {
-		cfg.CacheStripes = defaultCacheStripes
-	}
-	if cfg.StuckLatency <= 0 {
-		cfg.StuckLatency = 50 * time.Millisecond
-	}
-	s := &Store{cfg: cfg, stripe: make([]cacheStripe, cfg.CacheStripes)}
-	per := cfg.CacheBlocks / cfg.CacheStripes
-	if per < 1 {
-		per = 1
-	}
+	return newStore(cfg, min(cacheStripes, cfg.CacheBlocks))
+}
+
+// newStore builds a store over the given number of cache stripes; the
+// first CacheBlocks%stripes stripes hold one block more than the rest,
+// so the capacities sum to CacheBlocks.
+func newStore(cfg Config, stripes int) *Store {
+	s := &Store{cfg: cfg, stripe: make([]cacheStripe, stripes)}
 	for i := range s.stripe {
-		s.stripe[i].cap = per
+		s.stripe[i].cap = cfg.CacheBlocks / stripes
+		if i < cfg.CacheBlocks%stripes {
+			s.stripe[i].cap++
+		}
 		s.stripe[i].cache = make(map[blockID]*lruEntry)
 	}
 	return s
@@ -470,11 +469,7 @@ func (r *Reader) touchBlock(b int64) {
 		lat = s.cfg.RandLatency
 	}
 	if hp := s.fault.Load(); hp != nil {
-		extra, stuck := (*hp)(r.file, b)
-		lat += extra
-		if stuck {
-			lat += s.cfg.StuckLatency
-		}
+		lat += (*hp)(r.file, b)
 	}
 	if lat == 0 {
 		return

@@ -9,18 +9,19 @@ import (
 
 func testConfig(cacheBlocks int) Config {
 	return Config{
-		BlockSize:    64,
-		CacheBlocks:  cacheBlocks,
-		SeqLatency:   time.Microsecond,
-		RandLatency:  10 * time.Microsecond,
-		SleepBatch:   time.Millisecond,
-		NoSleep:      true,
-		CacheStripes: 1,
+		BlockSize:   64,
+		CacheBlocks: cacheBlocks,
+		SeqLatency:  time.Microsecond,
+		RandLatency: 10 * time.Microsecond,
+		SleepBatch:  time.Millisecond,
+		NoSleep:     true,
 	}
 }
 
+// newStoreWithFile builds a store whose page cache is one exact LRU
+// (one stripe), so eviction order is global, and gives it one file.
 func newStoreWithFile(cfg Config, size int) (*Store, int) {
-	s := NewStore(cfg)
+	s := newStore(cfg, 1)
 	data := make([]byte, size)
 	for i := range data {
 		data[i] = byte(i)
@@ -250,12 +251,11 @@ func TestBindCancelCutsWaitsShort(t *testing.T) {
 	// Real sleeps on, punishing latency: an unbound reader takes >= 50ms
 	// to scan; a reader bound to a cancelled context returns promptly.
 	cfg := Config{
-		BlockSize:    64,
-		CacheBlocks:  2,
-		SeqLatency:   5 * time.Millisecond,
-		RandLatency:  5 * time.Millisecond,
-		SleepBatch:   time.Microsecond,
-		CacheStripes: 1,
+		BlockSize:   64,
+		CacheBlocks: 2,
+		SeqLatency:  5 * time.Millisecond,
+		RandLatency: 5 * time.Millisecond,
+		SleepBatch:  time.Microsecond,
 	}
 	s, h := newStoreWithFile(cfg, 64*20)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -396,5 +396,28 @@ func TestUnsettledTracksOwedCharges(t *testing.T) {
 	r2.View(0, 64*4)
 	if got := s2.Unsettled(); got != 0 {
 		t.Errorf("Unsettled with immediate batches = %v, want 0", got)
+	}
+}
+
+// TestPageCacheHoldsExactlyCacheBlocks: the striped page cache holds
+// CacheBlocks blocks, not a multiple of its stripe count, at every
+// size, over min(16, CacheBlocks) stripes.
+func TestPageCacheHoldsExactlyCacheBlocks(t *testing.T) {
+	for _, n := range []int{1, 4, 8, 100, 512, 4096} {
+		cfg := testConfig(n)
+		s := NewStore(cfg)
+		blocks := 8*n + 64
+		h := s.AddFile("f", make([]byte, blocks*cfg.BlockSize))
+		r := s.NewReader(h)
+		for b := 0; b < blocks; b++ {
+			r.View(int64(b*cfg.BlockSize), 1)
+		}
+		r.Settle()
+		if got := s.CacheLen(); got != n {
+			t.Errorf("CacheBlocks %d: cache holds %d blocks", n, got)
+		}
+		if got, want := len(s.stripe), min(16, n); got != want {
+			t.Errorf("CacheBlocks %d: %d stripes, want %d", n, got, want)
+		}
 	}
 }

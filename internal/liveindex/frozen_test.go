@@ -12,6 +12,7 @@ import (
 	"sparta/internal/iomodel"
 	"sparta/internal/model"
 	"sparta/internal/postings"
+	"sparta/internal/scoring"
 )
 
 // TestFrozenRoundTripsNonMonotoneTF flushes a memtable whose impact
@@ -166,24 +167,31 @@ func TestSnapshotsExtendWithoutDisturbingEarlierOnes(t *testing.T) {
 	}
 }
 
-// TestFrozenWeightTablesMatchRawWeight pins the frozen segment's table
-// scoring to rawWeight bit for bit: tf 1–300 crosses the end of the
-// 1 + ln tf table, and the document lengths include 0, which both clamp
-// to 1.
+// TestFrozenWeightTablesMatchRawWeight pins a segment's table scoring
+// to scoring.TermScore bit for bit: the weight from the per-document
+// √|D| table equals LogTF/SqrtLen, and its score under an idf equals
+// the builder's. tf 1–300 crosses the end of the 1 + ln tf table, and
+// the document lengths include 0, which both clamp to 1.
 func TestFrozenWeightTablesMatchRawWeight(t *testing.T) {
-	const lo = 500
+	const lo, numDocs = 500, 100_000
 	var lens []uint32
 	for n := uint32(0); n < 70; n++ {
 		lens = append(lens, n)
 	}
 	lens = append(lens, 255, 256, 1000, 4095, 1<<20)
 	seg := &segment{lo: lo, docLens: lens, sqrtLen: sqrtLens(lens)}
+	sc := scoring.New(numDocs)
 	for tf := uint32(1); tf <= 300; tf++ {
 		for i, n := range lens {
 			d := lo + model.DocID(i)
-			got, want := seg.weight(tf, d), rawWeight(tf, int(n))
+			got, want := seg.weight(tf, d), scoring.LogTF(tf)/scoring.SqrtLen(int(n))
 			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("tf %d, docLen %d: table weight %v, rawWeight %v", tf, n, got, want)
+				t.Fatalf("tf %d, docLen %d: table weight %v, raw weight %v", tf, n, got, want)
+			}
+			for _, df := range []int{0, 1, 7, 5000, numDocs} {
+				if got, want := scoring.Score(got, scoring.IDF(numDocs, df)), sc.TermScore(tf, int(n), df); got != want {
+					t.Fatalf("tf %d, docLen %d, df %d: live score %d, builder's %d", tf, n, df, got, want)
+				}
 			}
 		}
 	}

@@ -52,6 +52,9 @@ const (
 	// diskindex.FormatVersion with a group-coded seglens sidecar.
 	// Versions 1–3 listed segments in the retired three-file layout.
 	manifestVersion = 4
+
+	// maxBatch caps how many queued appends commit under one WAL sync.
+	maxBatch = 64
 )
 
 // Config parameterizes a live index. The zero value serves.
@@ -74,9 +77,6 @@ type Config struct {
 	// DisableCompaction turns the background compactor off; Compact()
 	// still works when called explicitly.
 	DisableCompaction bool
-	// MaxBatch caps how many queued appends commit under one WAL sync
-	// (default 64).
-	MaxBatch int
 }
 
 func (c Config) withDefaults() Config {
@@ -95,9 +95,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CompactMaxDocs <= 0 {
 		c.CompactMaxDocs = 4 * c.FlushDocs
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
 	}
 	return c
 }
@@ -238,7 +235,7 @@ func Open(dir string, cfg Config) (*Live, error) {
 		dir:          dir,
 		cfg:          cfg,
 		dict:         make(map[string]model.TermID),
-		reqs:         make(chan *appendReq, cfg.MaxBatch),
+		reqs:         make(chan *appendReq, maxBatch),
 		ingesterDone: make(chan struct{}),
 		compactKick:  make(chan struct{}, 1),
 		compactDone:  make(chan struct{}),
@@ -404,7 +401,7 @@ func (l *Live) ingester() {
 	defer close(l.ingesterDone)
 	for first := range l.reqs {
 		batch := []*appendReq{first}
-		for len(batch) < l.cfg.MaxBatch {
+		for len(batch) < maxBatch {
 			select {
 			case r, ok := <-l.reqs:
 				if !ok {

@@ -24,6 +24,7 @@ import (
 	"sparta/internal/corpus"
 	"sparta/internal/model"
 	"sparta/internal/postings"
+	"sparta/internal/scoring"
 )
 
 // memTerm is one term's lists as one snapshot publishes them: the
@@ -79,7 +80,7 @@ func (m *memtable) appendDoc(doc model.DocID, bag []corpus.TermCount) {
 		length += tc.Count
 	}
 	m.docLens = append(m.docLens, length)
-	m.sqrtLen = append(m.sqrtLen, sqrtLen(length))
+	m.sqrtLen = append(m.sqrtLen, scoring.SqrtLen(int(length)))
 	m.bytes += memDocBytes
 	for _, tc := range bag {
 		for int(tc.Term) >= len(m.post) {

@@ -10,11 +10,10 @@
 // cannot bake final scores: it stores the raw term frequency per
 // posting instead, and scores are produced at cursor-read time from
 // the idf-independent weight w = (1 + ln tf)/sqrt(|D|) and the global
-// idf of the query's epoch. The float64 operation sequence below is
-// kept exactly the builder's — same operands, same order, each
-// individually rounded — so the resulting fixed-point score is
-// bit-identical to what Builder.Build would have produced for the same
-// corpus state.
+// idf of the query's epoch. Both w and the score come from scoring's
+// own pieces (LogTF, SqrtLen, IDF, Score), the ones TermScore is made
+// of, so the fixed-point score is bit-identical to what Builder.Build
+// would have produced for the same corpus state.
 //
 // Impact lists are ordered by w (descending, document id ascending on
 // ties). The map w ↦ score is monotone for any fixed idf > 0, so a
@@ -39,58 +38,17 @@ import (
 	"math"
 
 	"sparta/internal/model"
+	"sparta/internal/scoring"
 )
 
-// rawWeight is the idf-independent score component of one posting,
-// mirroring scoring.TermScore's operand order exactly (including the
-// docLen clamp).
-func rawWeight(tf uint32, docLen int) float64 {
-	if docLen < 1 {
-		docLen = 1
-	}
-	return (1 + math.Log(float64(tf))) / math.Sqrt(float64(docLen))
-}
-
-// logTF[tf] is 1 + ln tf, rawWeight's numerator, for the term
-// frequencies nearly every posting has.
-var logTF = func() (t [256]float64) {
-	for tf := range t {
-		t[tf] = 1 + math.Log(float64(tf))
-	}
-	return t
-}()
-
-// sqrtLen is rawWeight's denominator for a document of n tokens: √|D|
-// with the same docLen clamp. sqrtLens maps it over a segment.
-func sqrtLen(n uint32) float64 { return math.Sqrt(float64(max(n, 1))) }
-
+// sqrtLens maps scoring.SqrtLen over a segment's document lengths: the
+// per-document √|D| a segment keeps beside them.
 func sqrtLens(docLens []uint32) []float64 {
 	out := make([]float64, len(docLens))
 	for i, n := range docLens {
-		out[i] = sqrtLen(n)
+		out[i] = scoring.SqrtLen(int(n))
 	}
 	return out
-}
-
-// idfOf is the global idf term, mirroring scoring.TermScore (including
-// the df clamp).
-func idfOf(numDocs, df int) float64 {
-	if df < 1 {
-		df = 1
-	}
-	return math.Log(1 + float64(numDocs)/float64(df))
-}
-
-// scoreOf produces the final fixed-point score, bit-identical to
-// scoring.TermScore(tf, docLen, df) for w = rawWeight(tf, docLen) and
-// idf = idfOf(N, df): one multiply, the same rounding, the same
-// positive floor.
-func scoreOf(w, idf float64) model.Score {
-	sc := model.FromFloat(w * idf)
-	if sc <= 0 {
-		sc = 1
-	}
-	return sc
 }
 
 // quantUp quantizes a raw weight upward into the u32 Max fields of the

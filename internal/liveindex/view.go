@@ -10,6 +10,7 @@ import (
 
 	"sparta/internal/model"
 	"sparta/internal/postings"
+	"sparta/internal/scoring"
 )
 
 // segment is what both segment kinds share: the global document range,
@@ -19,21 +20,18 @@ type segment struct {
 	gen     int    // a memtable's is the generation its flush takes
 	lo, hi  model.DocID
 	docLens []uint32  // per local document
-	sqrtLen []float64 // √docLens, rawWeight's denominator (sqrtLens)
+	sqrtLen []float64 // √docLens, the weight's denominator (sqrtLens)
 	bytes   int64     // stored postings of a frozen segment, heap lists of a memtable
 	blocks  int       // block-max blocks of a frozen segment
 }
 
 func (s *segment) docs() int { return int(s.hi - s.lo) }
 
-// weight is rawWeight(tf, docLen(d)) from the segment's tables: the
-// same float operations on the same operands, so the same bits, without
-// a logarithm and a square root per posting.
+// weight is the idf-independent weight (1 + ln tf)/√|D| of a posting of
+// d, with d's √|D| from the segment's table instead of a square root
+// per posting.
 func (s *segment) weight(tf uint32, d model.DocID) float64 {
-	if tf < uint32(len(logTF)) {
-		return logTF[tf] / s.sqrtLen[d-s.lo]
-	}
-	return rawWeight(tf, int(s.docLens[d-s.lo]))
+	return scoring.LogTF(tf) / s.sqrtLen[d-s.lo]
 }
 
 // segView serves one segment under one epoch's global (N, df)
@@ -46,7 +44,7 @@ type segView struct {
 	df  []int32 // epoch-global document frequencies
 }
 
-func (v *segView) idf(t model.TermID) float64 { return idfOf(v.n, int(v.df[t])) }
+func (v *segView) idf(t model.TermID) float64 { return scoring.IDF(v.n, int(v.df[t])) }
 
 // NumDocs implements postings.View: the epoch-global corpus size, like
 // a shard view presenting global document ids.
@@ -111,7 +109,7 @@ func (v *segView) RandomAccess(t model.TermID, d model.DocID) (model.Score, bool
 	if !ok {
 		return 0, false
 	}
-	return scoreOf(v.seg.weight(uint32(tf), d), v.idf(t)), true
+	return scoring.Score(v.seg.weight(uint32(tf), d), v.idf(t)), true
 }
 
 // Resident implements postings.View: the raw view's probe.
@@ -143,7 +141,7 @@ func (c *docCursor) BlockLast() model.DocID                { return c.in.BlockLa
 func (c *docCursor) BlockLastAt(d model.DocID) model.DocID { return c.in.BlockLastAt(d) }
 
 func (c *docCursor) Score() model.Score {
-	return scoreOf(c.seg.weight(uint32(c.in.Score()), c.in.Doc()), c.idf)
+	return scoring.Score(c.seg.weight(uint32(c.in.Score()), c.in.Doc()), c.idf)
 }
 
 func (c *docCursor) MaxScore() model.Score { return boundOf(uint32(c.in.MaxScore()), c.idf) }
@@ -169,7 +167,7 @@ func (c *scoreCursor) Next() bool {
 		return false
 	}
 	c.pos = 1
-	c.cur = scoreOf(c.seg.weight(uint32(c.in.Score()), c.in.Doc()), c.idf)
+	c.cur = scoring.Score(c.seg.weight(uint32(c.in.Score()), c.in.Doc()), c.idf)
 	return true
 }
 

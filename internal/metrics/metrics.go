@@ -1,15 +1,14 @@
 // Package metrics is a dependency-free metrics registry — the
-// expvar-style sink ROADMAP asks for, sized for this repo: named
-// counters and gauges backed by atomics, plus lazily-evaluated
-// functions for values that already live elsewhere (Searcher counters,
-// cache snapshots, per-shard health). A Registry serializes to flat
-// JSON, so examples/server's /stats endpoint is one WriteJSON call
-// instead of hand-rolled marshaling, and scrapers get a stable,
-// greppable namespace ("searcher.sparta.queries", "shard.3.deadline_misses").
+// expvar-style sink ROADMAP asks for, sized for this repo: named,
+// lazily-evaluated functions over values that already live elsewhere
+// (Searcher counters, cache snapshots, per-shard health). A Registry
+// serializes to flat JSON, so examples/server's /stats endpoint is one
+// WriteJSON call instead of hand-rolled marshaling, and scrapers get a
+// stable, greppable namespace ("searcher.sparta.queries",
+// "shard.3.deadline_misses").
 //
-// All operations are safe for concurrent use. Counter and Gauge reads
-// and writes are single atomics; Snapshot holds the registry lock only
-// to copy the name table, then evaluates outside it.
+// All operations are safe for concurrent use. Snapshot holds the
+// registry lock only to copy the name table, then evaluates outside it.
 package metrics
 
 import (
@@ -17,88 +16,21 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
+	"maps"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
-
-// Counter is a monotonically increasing int64 metric.
-type Counter struct {
-	v atomic.Int64
-}
-
-// Inc adds 1.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds d (d must be non-negative; counters only go up).
-func (c *Counter) Add(d int64) { c.v.Add(d) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a float64 metric that can go up and down.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// metricVar is one registered metric: the owning object (for
-// idempotent re-registration checks) and its snapshot evaluator.
-type metricVar struct {
-	obj  any
-	eval func() any
-}
 
 // Registry holds named metrics. The zero value is not usable; call
 // NewRegistry.
 type Registry struct {
 	mu   sync.Mutex
-	vars map[string]metricVar
+	vars map[string]func() any
 }
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{vars: make(map[string]metricVar)}
-}
-
-// Counter returns the counter registered under name, creating it on
-// first use. It panics if name is already registered as something
-// other than a counter.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if v, ok := r.vars[name]; ok {
-		if c, ok := v.obj.(*Counter); ok {
-			return c
-		}
-		panic(fmt.Sprintf("metrics: %q already registered as a non-counter", name))
-	}
-	c := &Counter{}
-	r.vars[name] = metricVar{obj: c, eval: func() any { return c.Value() }}
-	return c
-}
-
-// Gauge returns the gauge registered under name, creating it on first
-// use. It panics if name is already registered as something other
-// than a gauge.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if v, ok := r.vars[name]; ok {
-		if g, ok := v.obj.(*Gauge); ok {
-			return g
-		}
-		panic(fmt.Sprintf("metrics: %q already registered as a non-gauge", name))
-	}
-	g := &Gauge{}
-	r.vars[name] = metricVar{obj: g, eval: func() any { return g.Value() }}
-	return g
+	return &Registry{vars: make(map[string]func() any)}
 }
 
 // RegisterFunc registers a value computed at snapshot time — for
@@ -109,27 +41,13 @@ func (r *Registry) Gauge(name string) *Gauge {
 func (r *Registry) RegisterFunc(name string, f func() any) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.vars[name] = metricVar{obj: nil, eval: f}
-}
-
-// Names returns the registered metric names, unsorted.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.vars))
-	for n := range r.vars {
-		out = append(out, n)
-	}
-	return out
+	r.vars[name] = f
 }
 
 // Snapshot evaluates every metric and returns a name → value map.
 func (r *Registry) Snapshot() map[string]any {
 	r.mu.Lock()
-	fns := make(map[string]func() any, len(r.vars))
-	for n, v := range r.vars {
-		fns[n] = v.eval
-	}
+	fns := maps.Clone(r.vars)
 	r.mu.Unlock()
 	out := make(map[string]any, len(fns))
 	for n, f := range fns {

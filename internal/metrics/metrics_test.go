@@ -3,31 +3,11 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
-
-func TestCounterAndGauge(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("queries")
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Fatalf("counter = %d, want 5", c.Value())
-	}
-	if r.Counter("queries") != c {
-		t.Fatal("re-registering a counter name returned a different counter")
-	}
-	g := r.Gauge("hit_rate")
-	g.Set(0.75)
-	if g.Value() != 0.75 {
-		t.Fatalf("gauge = %v, want 0.75", g.Value())
-	}
-	snap := r.Snapshot()
-	if snap["queries"] != int64(5) || snap["hit_rate"] != 0.75 {
-		t.Fatalf("snapshot = %v", snap)
-	}
-}
 
 func TestRegisterFunc(t *testing.T) {
 	r := NewRegistry()
@@ -41,21 +21,10 @@ func TestRegisterFunc(t *testing.T) {
 	}
 }
 
-func TestKindMismatchPanics(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("x")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Gauge on a counter name did not panic")
-		}
-	}()
-	r.Gauge("x")
-}
-
 func TestWriteJSON(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("b.count").Add(2)
-	r.Gauge("a.rate").Set(0.5)
+	r.RegisterFunc("b.count", func() any { return int64(2) })
+	r.RegisterFunc("a.rate", func() any { return 0.5 })
 	r.RegisterFunc("c.info", func() any { return map[string]any{"ok": true} })
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
@@ -80,8 +49,8 @@ func TestWriteJSON(t *testing.T) {
 // a contract — a change here is a breaking change, not a cleanup.
 func TestWriteJSONEncodingPinned(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("serve.queries").Add(7)
-	r.Gauge("cache.hit_rate").Set(0.25)
+	r.RegisterFunc("serve.queries", func() any { return int64(7) })
+	r.RegisterFunc("cache.hit_rate", func() any { return 0.25 })
 	r.RegisterFunc("breaker", func() any {
 		return map[string]any{"state": "open", "trips": 3}
 	})
@@ -117,22 +86,34 @@ func TestWriteJSONEncodingPinned(t *testing.T) {
 	}
 }
 
+// TestConcurrentUse registers, re-registers and snapshots from several
+// goroutines at once; the race detector checks the registry's lock.
 func TestConcurrentUse(t *testing.T) {
 	r := NewRegistry()
+	var shared atomic.Int64
+	r.RegisterFunc("shared", func() any { return shared.Load() })
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
-		go func() {
+		go func(i int) {
 			defer wg.Done()
+			name := fmt.Sprintf("g%d", i)
 			for j := 0; j < 1000; j++ {
-				r.Counter("shared").Inc()
-				r.Gauge("g").Set(float64(j))
+				shared.Add(1)
+				v := j
+				r.RegisterFunc(name, func() any { return v })
 				r.Snapshot()
 			}
-		}()
+		}(i)
 	}
 	wg.Wait()
-	if v := r.Counter("shared").Value(); v != 8000 {
-		t.Fatalf("shared counter = %d, want 8000", v)
+	snap := r.Snapshot()
+	if v := snap["shared"]; v != int64(8000) {
+		t.Fatalf("shared = %v, want 8000", v)
+	}
+	for i := 0; i < 8; i++ {
+		if v := snap[fmt.Sprintf("g%d", i)]; v != 999 {
+			t.Fatalf("g%d = %v, want 999 (the last registration)", i, v)
+		}
 	}
 }

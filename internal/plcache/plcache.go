@@ -18,7 +18,7 @@
 // its key in a small per-stripe ghost set and is rejected; the block
 // is admitted when Put again while still remembered. One long cold
 // scan therefore costs a few KB of ghost keys instead of flushing the
-// resident hot set. Config.AdmitFirstTouch restores admit-on-first-Put.
+// resident hot set.
 //
 // The cache is safe for concurrent use and striped to keep concurrent
 // queries off one lock. Cached slices are shared read-only across
@@ -70,21 +70,9 @@ const entryOverhead = 96
 // entryBytes is the accounted size of a cached block of n postings.
 func entryBytes(n int) int64 { return int64(n)*postingBytes + entryOverhead }
 
-// Config parameterizes a Cache.
-type Config struct {
-	// Budget caps the decoded bytes held. Nil or unlimited budgets make
-	// the cache unbounded — tests only; serving should always bound it.
-	Budget *membudget.Budget
-	// Stripes segments the cache to reduce lock contention (default 16).
-	Stripes int
-	// AdmitFirstTouch disables the two-touch admission filter: blocks
-	// enter the cache on their first Put instead of their second. The
-	// default (two-touch) keeps one long cold scan from flushing the
-	// hot set — a block must be decoded twice within the recent-miss
-	// window before it may displace resident blocks. First-touch is for
-	// tests and for working sets known to fit entirely in budget.
-	AdmitFirstTouch bool
-}
+// cacheStripes segments the cache to keep concurrent queries off one
+// lock.
+const cacheStripes = 16
 
 // ghostKeys is the per-stripe capacity of the recent-miss ghost set
 // backing two-touch admission. Ghost entries are keys only (no
@@ -127,11 +115,10 @@ func (s Stats) HitRate() float64 {
 }
 
 // Cache is a sharded LRU of decoded posting blocks with two-touch
-// admission (see Config.AdmitFirstTouch).
+// admission.
 type Cache struct {
-	budget     *membudget.Budget
-	stripes    []stripe
-	firstTouch bool
+	budget  *membudget.Budget
+	stripes []stripe
 
 	hits       atomic.Int64
 	misses     atomic.Int64
@@ -182,16 +169,20 @@ type entry struct {
 	prev, next *entry
 }
 
-// New creates a cache under cfg.
-func New(cfg Config) *Cache {
-	if cfg.Stripes <= 0 {
-		cfg.Stripes = 16
-	}
+// NewWithBudget creates a cache holding at most limitBytes of decoded
+// blocks (<= 0 means unbounded — tests only; serving should always
+// bound it).
+func NewWithBudget(limitBytes int64) *Cache {
+	return newCache(membudget.New(limitBytes), cacheStripes)
+}
+
+// newCache creates a cache over the given number of stripes charging
+// budget.
+func newCache(budget *membudget.Budget, stripes int) *Cache {
 	c := &Cache{
-		budget:     cfg.Budget,
-		stripes:    make([]stripe, cfg.Stripes),
-		firstTouch: cfg.AdmitFirstTouch,
-		fills:      make(map[Key]*fill),
+		budget:  budget,
+		stripes: make([]stripe, stripes),
+		fills:   make(map[Key]*fill),
 	}
 	for i := range c.stripes {
 		c.stripes[i].table = make(map[Key]*entry)
@@ -200,13 +191,7 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// NewWithBudget creates a cache holding at most limitBytes of decoded
-// blocks (<= 0 means unbounded).
-func NewWithBudget(limitBytes int64) *Cache {
-	return New(Config{Budget: membudget.New(limitBytes)})
-}
-
-// Budget returns the cache's memory budget (may be nil).
+// Budget returns the cache's memory budget.
 func (c *Cache) Budget() *membudget.Budget { return c.budget }
 
 func (c *Cache) stripeFor(k Key) *stripe {
@@ -323,12 +308,12 @@ func (c *Cache) finishFill(k Key, f *fill) {
 }
 
 // Put inserts a copy of post under k, evicting least-recently-used
-// blocks until the budget admits it. Under the default two-touch
-// admission the first Put of a key only records it in the stripe's
-// ghost set and is rejected; a second Put while the key is still
-// remembered admits the block. If the block cannot fit even with the
-// stripe emptied (or it is already cached), the cache is left as is.
-// The caller keeps ownership of post.
+// blocks until the budget admits it. Under two-touch admission the
+// first Put of a key only records it in the stripe's ghost set and is
+// rejected; a second Put while the key is still remembered admits the
+// block. If the block cannot fit even with the stripe emptied (or it is
+// already cached), the cache is left as is. The caller keeps ownership
+// of post.
 func (c *Cache) Put(k Key, post []model.Posting) { c.put(k, post, false, false) }
 
 // put inserts post under k. hot bypasses two-touch admission; owned
@@ -343,7 +328,7 @@ func (c *Cache) put(k Key, post []model.Posting, hot, owned bool) {
 	if _, dup := st.table[k]; dup {
 		return // raced with another query decoding the same block
 	}
-	if !hot && !c.firstTouch && !st.ghostTouch(k) {
+	if !hot && !st.ghostTouch(k) {
 		c.admRejects.Add(1)
 		return
 	}

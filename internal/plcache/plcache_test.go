@@ -19,17 +19,20 @@ func block(n int, seed int) []model.Posting {
 	return out
 }
 
-func newFirstTouch(limit int64) *Cache {
-	return New(Config{Budget: membudget.New(limit), AdmitFirstTouch: true})
+// admit puts post under k twice: the first Put is only remembered by
+// two-touch admission, the second is cached.
+func admit(c *Cache, k Key, post []model.Posting) {
+	c.Put(k, post)
+	c.Put(k, post)
 }
 
 func TestGetPutRoundTrip(t *testing.T) {
-	c := newFirstTouch(1 << 20)
+	c := NewWithBudget(1 << 20)
 	k := Key{Term: 3, Kind: KindDoc, Block: 7}
 	if _, ok := c.Get(k); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.Put(k, block(64, 1))
+	admit(c, k, block(64, 1))
 	got, ok := c.Get(k)
 	if !ok || len(got) != 64 || got[0].Doc != 1 {
 		t.Fatalf("Get = %v postings, ok=%v", len(got), ok)
@@ -41,10 +44,10 @@ func TestGetPutRoundTrip(t *testing.T) {
 }
 
 func TestKindsDoNotCollide(t *testing.T) {
-	c := newFirstTouch(1 << 20)
-	c.Put(Key{Term: 1, Kind: KindDoc, Block: 0}, block(4, 10))
-	c.Put(Key{Term: 1, Kind: KindImpact, Block: 0}, block(4, 20))
-	c.Put(Key{Term: 1, Kind: KindShard(3), Block: 0}, block(4, 30))
+	c := NewWithBudget(1 << 20)
+	admit(c, Key{Term: 1, Kind: KindDoc, Block: 0}, block(4, 10))
+	admit(c, Key{Term: 1, Kind: KindImpact, Block: 0}, block(4, 20))
+	admit(c, Key{Term: 1, Kind: KindShard(3), Block: 0}, block(4, 30))
 	for _, tc := range []struct {
 		kind Kind
 		doc  model.DocID
@@ -57,10 +60,10 @@ func TestKindsDoNotCollide(t *testing.T) {
 }
 
 func TestPutCopiesCallerSlice(t *testing.T) {
-	c := newFirstTouch(1 << 20)
+	c := NewWithBudget(1 << 20)
 	mine := block(8, 5)
 	k := Key{Term: 2, Kind: KindDoc, Block: 0}
-	c.Put(k, mine)
+	admit(c, k, mine)
 	mine[0].Doc = 999 // caller reuses its buffer (e.g. returns it to a pool)
 	got, _ := c.Get(k)
 	if got[0].Doc == 999 {
@@ -71,9 +74,9 @@ func TestPutCopiesCallerSlice(t *testing.T) {
 func TestBudgetNeverExceeded(t *testing.T) {
 	limit := int64(10 * 1024)
 	b := membudget.New(limit)
-	c := New(Config{Budget: b, Stripes: 4, AdmitFirstTouch: true})
+	c := newCache(b, 4)
 	for i := 0; i < 1000; i++ {
-		c.Put(Key{Term: model.TermID(i), Kind: KindDoc, Block: 0}, block(64, i))
+		admit(c, Key{Term: model.TermID(i), Kind: KindDoc, Block: 0}, block(64, i))
 		if used := b.Used(); used > limit {
 			t.Fatalf("budget used %d exceeds limit %d", used, limit)
 		}
@@ -95,8 +98,8 @@ func TestBudgetNeverExceeded(t *testing.T) {
 }
 
 func TestOversizedBlockNotCached(t *testing.T) {
-	c := newFirstTouch(64) // smaller than any block
-	c.Put(Key{Term: 1, Kind: KindDoc, Block: 0}, block(64, 1))
+	c := NewWithBudget(64) // smaller than any block
+	admit(c, Key{Term: 1, Kind: KindDoc, Block: 0}, block(64, 1))
 	if _, ok := c.Get(Key{Term: 1, Kind: KindDoc, Block: 0}); ok {
 		t.Error("oversized block was cached")
 	}
@@ -108,12 +111,12 @@ func TestOversizedBlockNotCached(t *testing.T) {
 func TestLRUEvictionOrder(t *testing.T) {
 	// Single stripe so recency is globally ordered; room for ~2 blocks.
 	b := membudget.New(2 * entryBytes(64))
-	c := New(Config{Budget: b, Stripes: 1, AdmitFirstTouch: true})
+	c := newCache(b, 1)
 	k := func(i int) Key { return Key{Term: model.TermID(i), Kind: KindDoc, Block: 0} }
-	c.Put(k(1), block(64, 1))
-	c.Put(k(2), block(64, 2))
+	admit(c, k(1), block(64, 1))
+	admit(c, k(2), block(64, 2))
 	c.Get(k(1)) // 1 most recent
-	c.Put(k(3), block(64, 3))
+	admit(c, k(3), block(64, 3))
 	if _, ok := c.Get(k(2)); ok {
 		t.Error("LRU entry 2 should have been evicted")
 	}
@@ -126,9 +129,9 @@ func TestLRUEvictionOrder(t *testing.T) {
 }
 
 func TestDuplicatePutKeepsFirst(t *testing.T) {
-	c := newFirstTouch(1 << 20)
+	c := NewWithBudget(1 << 20)
 	k := Key{Term: 9, Kind: KindImpact, Block: 2}
-	c.Put(k, block(4, 1))
+	admit(c, k, block(4, 1))
 	c.Put(k, block(4, 2))
 	got, _ := c.Get(k)
 	if got[0].Doc != 1 {
@@ -141,7 +144,7 @@ func TestDuplicatePutKeepsFirst(t *testing.T) {
 
 func TestConcurrentAccessRace(t *testing.T) {
 	b := membudget.New(64 * 1024)
-	c := New(Config{Budget: b})
+	c := newCache(b, cacheStripes)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -177,11 +180,11 @@ func TestHitRate(t *testing.T) {
 }
 
 func BenchmarkGetHit(b *testing.B) {
-	c := New(Config{Budget: membudget.New(1 << 24), AdmitFirstTouch: true})
+	c := NewWithBudget(1 << 24)
 	keys := make([]Key, 256)
 	for i := range keys {
 		keys[i] = Key{Term: model.TermID(i), Kind: KindDoc, Block: 0}
-		c.Put(keys[i], block(64, i))
+		admit(c, keys[i], block(64, i))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -230,7 +233,7 @@ func TestTwoTouchScanResistance(t *testing.T) {
 	// distinct blocks: with two-touch admission the scan must not evict
 	// any hot block.
 	b := membudget.New(16 * entryBytes(64))
-	c := New(Config{Budget: b, Stripes: 1})
+	c := newCache(b, 1)
 	hot := make([]Key, 8)
 	for i := range hot {
 		hot[i] = Key{Term: model.TermID(i), Kind: KindDoc, Block: 0}
@@ -251,7 +254,7 @@ func TestTwoTouchScanResistance(t *testing.T) {
 }
 
 func TestGhostRingForgetsOldKeys(t *testing.T) {
-	c := New(Config{Budget: membudget.New(1 << 20), Stripes: 1})
+	c := newCache(membudget.New(1<<20), 1)
 	k := Key{Term: 1, Kind: KindDoc, Block: 0}
 	c.Put(k, block(4, 1)) // remembered
 	// Push more than ghostKeys distinct keys through the stripe so k's
@@ -289,7 +292,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 func TestGetOrFillSingleFlight(t *testing.T) {
-	c := newFirstTouch(1 << 20)
+	c := NewWithBudget(1 << 20)
 	k := Key{Term: 9, Kind: KindDoc, Block: 3}
 	var fillCalls atomic.Int64
 	release := make(chan struct{})
@@ -346,7 +349,7 @@ func TestGetOrFillSingleFlight(t *testing.T) {
 }
 
 func TestGetOrFillErrorDoesNotCache(t *testing.T) {
-	c := newFirstTouch(1 << 20)
+	c := NewWithBudget(1 << 20)
 	k := Key{Term: 5, Kind: KindImpact, Block: 0}
 	boom := fmt.Errorf("disk on fire")
 	if _, _, err := c.GetOrFill(k, func() ([]model.Posting, error) { return nil, boom }); err != boom {
@@ -366,7 +369,7 @@ func TestGetOrFillErrorDoesNotCache(t *testing.T) {
 }
 
 func TestGetOrFillPanicUnblocksWaiters(t *testing.T) {
-	c := newFirstTouch(1 << 20)
+	c := NewWithBudget(1 << 20)
 	k := Key{Term: 6, Kind: KindDoc, Block: 1}
 	entered := make(chan struct{})
 	release := make(chan struct{})
@@ -417,7 +420,7 @@ func TestGetOrFillHotBypassesTwoTouch(t *testing.T) {
 }
 
 func TestGetOrFillManyConcurrentMissesChargeOnce(t *testing.T) {
-	c := newFirstTouch(1 << 20)
+	c := NewWithBudget(1 << 20)
 	k := Key{Term: 13, Kind: KindDoc, Block: 0}
 	var fillCalls atomic.Int64
 	release := make(chan struct{})

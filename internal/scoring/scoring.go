@@ -23,12 +23,12 @@ import (
 
 // Scorer computes integer term scores for one corpus.
 type Scorer struct {
-	numDocs float64
+	numDocs int
 }
 
 // New creates a scorer for a corpus of numDocs documents.
 func New(numDocs int) *Scorer {
-	return &Scorer{numDocs: float64(numDocs)}
+	return &Scorer{numDocs: numDocs}
 }
 
 // TermScore returns the fixed-point tf-idf score of a term occurring tf
@@ -38,25 +38,43 @@ func (s *Scorer) TermScore(tf uint32, docLen int, df int) model.Score {
 	if tf == 0 {
 		return 0
 	}
-	if docLen < 1 {
-		docLen = 1
-	}
-	if df < 1 {
-		df = 1
-	}
-	w := (1 + math.Log(float64(tf))) / math.Sqrt(float64(docLen)) * math.Log(1+s.numDocs/float64(df))
-	sc := model.FromFloat(w)
-	if sc <= 0 {
-		sc = 1 // postings always carry a positive score
-	}
-	return sc
+	return Score(LogTF(tf)/SqrtLen(docLen), IDF(s.numDocs, df))
 }
 
-// IDF returns the (unscaled) inverse document frequency component, for
-// diagnostics and tests.
-func (s *Scorer) IDF(df int) float64 {
-	if df < 1 {
-		df = 1
+// The formula's pieces. The live index scores at read time from the
+// same pieces — a weight LogTF/SqrtLen stored per posting, the idf of
+// the moment — so its scores are TermScore's bit for bit: one copy of
+// each floating-point operation, not two copies compiled alike.
+
+// logTFs[tf] is 1 + ln tf for the term frequencies nearly every
+// posting has.
+var logTFs = func() (t [256]float64) {
+	for tf := range t {
+		t[tf] = 1 + math.Log(float64(tf))
 	}
-	return math.Log(1 + s.numDocs/float64(df))
+	return t
+}()
+
+// LogTF returns 1 + ln tf, the weight's numerator.
+func LogTF(tf uint32) float64 {
+	if tf < uint32(len(logTFs)) {
+		return logTFs[tf]
+	}
+	return 1 + math.Log(float64(tf))
+}
+
+// SqrtLen returns √|D|, the weight's denominator, for a document of
+// docLen tokens (at least one).
+func SqrtLen(docLen int) float64 { return math.Sqrt(float64(max(docLen, 1))) }
+
+// IDF returns the inverse document frequency ln(1 + N/df) of a term in
+// df of numDocs documents (df at least one).
+func IDF(numDocs, df int) float64 {
+	return math.Log(1 + float64(numDocs)/float64(max(df, 1)))
+}
+
+// Score returns the fixed-point score w·idf of a posting of weight w,
+// rounded, and at least 1: postings always carry a positive score.
+func Score(w, idf float64) model.Score {
+	return max(model.FromFloat(w*idf), 1)
 }

@@ -73,11 +73,10 @@ func TestTermScorePositiveProperty(t *testing.T) {
 }
 
 func TestIDF(t *testing.T) {
-	s := New(1000)
-	if s.IDF(1) <= s.IDF(999) {
+	if IDF(1000, 1) <= IDF(1000, 999) {
 		t.Error("IDF must decrease with df")
 	}
-	if s.IDF(0) != s.IDF(1) {
+	if IDF(1000, 0) != IDF(1000, 1) {
 		t.Error("IDF(0) should be floored to IDF(1)")
 	}
 }

@@ -39,7 +39,7 @@ func TestChaosTransportStaysExactAndSettled(t *testing.T) {
 	io := iomodel.Config{
 		BlockSize: 4096, CacheBlocks: 256,
 		SeqLatency: time.Microsecond, RandLatency: 4 * time.Microsecond,
-		SleepBatch: 20 * time.Microsecond, StuckLatency: 2 * time.Millisecond,
+		SleepBatch: 20 * time.Microsecond,
 	}
 	// ~10% of frames faulted, per direction. Drops are the expensive
 	// fate (silence until a deadline or a hedge covers it); garbles

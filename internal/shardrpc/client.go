@@ -24,8 +24,6 @@ type Config struct {
 	// arbitrary concurrency; more connections spread head-of-line
 	// blocking risk.
 	Conns int
-	// DialTimeout bounds one dial attempt (default 2s).
-	DialTimeout time.Duration
 	// RedialBackoff is the wait after a failed dial before the next dial
 	// is attempted on that connection slot, doubling per consecutive
 	// failure up to RedialBackoffMax (defaults 50ms / 2s). Requests
@@ -39,8 +37,6 @@ type Config struct {
 	// (default 250ms). Past it the request reports ErrTransport; the
 	// connection stays up (a late response for the id is discarded).
 	CancelGrace time.Duration
-	// MaxFrame bounds incoming frames (default DefaultMaxFrame).
-	MaxFrame int
 	// FaultHook, when non-nil, intercepts outgoing frames — the chaos
 	// suite's seam.
 	FaultHook FaultHook
@@ -53,9 +49,6 @@ func (c Config) withDefaults() Config {
 	if c.Conns <= 0 {
 		c.Conns = 1
 	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 2 * time.Second
-	}
 	if c.RedialBackoff <= 0 {
 		c.RedialBackoff = 50 * time.Millisecond
 	}
@@ -64,9 +57,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CancelGrace <= 0 {
 		c.CancelGrace = 250 * time.Millisecond
-	}
-	if c.MaxFrame <= 0 {
-		c.MaxFrame = DefaultMaxFrame
 	}
 	return c
 }
@@ -168,7 +158,7 @@ func (cl *Client) grab() (*clientConn, error) {
 		return nil, fmt.Errorf("%w: %s unreachable (in redial backoff)", ErrTransport, cl.addr)
 	}
 	cl.dials.Add(1)
-	nc, err := net.DialTimeout("tcp", cl.addr, cl.cfg.DialTimeout)
+	nc, err := net.DialTimeout("tcp", cl.addr, dialTimeout)
 	if err != nil {
 		cl.dialFails.Add(1)
 		if cl.backoff == 0 {
@@ -338,7 +328,7 @@ func newClientConn(cl *Client, nc net.Conn) *clientConn {
 		pending: make(map[uint64]chan respFrame),
 	}
 	c.fw = frameWriter{w: nc, hook: cl.cfg.FaultHook}
-	go c.readLoop(cl.cfg.MaxFrame)
+	go c.readLoop()
 	return c
 }
 
@@ -398,10 +388,10 @@ func (c *clientConn) fail(err error) {
 // readLoop dispatches response frames to their waiting requests. Any
 // read error — including a CRC mismatch, after which the stream cannot
 // be trusted — kills the connection.
-func (c *clientConn) readLoop(maxFrame int) {
+func (c *clientConn) readLoop() {
 	br := bufio.NewReader(c.c)
 	for {
-		payload, err := readFrame(br, maxFrame)
+		payload, err := readFrame(br)
 		if err != nil {
 			if err == ErrGarbled {
 				c.owner.garbled.Add(1)

@@ -22,8 +22,6 @@ type ServerConfig struct {
 	// Name labels the server in its stats snapshot (default the
 	// listener address).
 	Name string
-	// MaxFrame bounds incoming frames (default DefaultMaxFrame).
-	MaxFrame int
 	// FaultHook, when non-nil, intercepts outgoing frames — the chaos
 	// suite's seam for response-side faults.
 	FaultHook FaultHook
@@ -111,9 +109,6 @@ type Server struct {
 func Serve(ln net.Listener, g *shardserve.Group, cfg ServerConfig) *Server {
 	if cfg.Name == "" {
 		cfg.Name = ln.Addr().String()
-	}
-	if cfg.MaxFrame <= 0 {
-		cfg.MaxFrame = DefaultMaxFrame
 	}
 	s := &Server{
 		g:     g,
@@ -346,7 +341,7 @@ func (c *srvConn) readLoop() {
 	defer c.teardown()
 	br := bufio.NewReader(c.c)
 	for {
-		payload, err := readFrame(br, c.s.cfg.MaxFrame)
+		payload, err := readFrame(br)
 		if err != nil {
 			if err == ErrGarbled {
 				c.s.badFrames.Add(1)

@@ -149,7 +149,7 @@ func slowIO() iomodel.Config {
 	return iomodel.Config{
 		BlockSize: 4096, CacheBlocks: 64,
 		SeqLatency: 2 * time.Microsecond, RandLatency: 8 * time.Microsecond,
-		SleepBatch: 20 * time.Microsecond, StuckLatency: 2 * time.Millisecond,
+		SleepBatch: 20 * time.Microsecond,
 	}
 }
 
@@ -204,7 +204,7 @@ func TestRemoteCancelAndDisconnectSettle(t *testing.T) {
 	// is stuck until the cancel cuts it short.
 	store := g.ShardInfo(0).Replicas[0].Store
 	store.Flush()
-	store.SetFaultHook(func(int, int64) (time.Duration, bool) { return 0, true })
+	store.SetFaultHook(func(int, int64) time.Duration { return 2 * time.Millisecond })
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(300 * time.Microsecond)

@@ -21,9 +21,9 @@
 // frame was sent), not absolute wall clock — the two processes need not
 // share a clock; the server honors at most the budget the client still
 // had at send time, restarted from receipt. Responses carry the
-// partial top-k, the full topk.Stats (binary, topk.AppendStats), and
-// the stop reason, so the caller's k-way merge, drop accounting, and
-// exact resolution are byte-identical to in-process serving.
+// partial top-k and the full topk.Stats, stop reason included, so the
+// caller's k-way merge, drop accounting, and exact resolution are
+// byte-identical to in-process serving.
 package shardrpc
 
 import (
@@ -46,7 +46,7 @@ import (
 const (
 	// tSearch carries a query: remaining deadline budget, options, terms.
 	tSearch byte = 1
-	// tResult answers tSearch: binary topk.Stats + the (partial) top-k.
+	// tResult answers tSearch: topk.Stats + the (partial) top-k.
 	tResult byte = 2
 	// tError answers any request with a server-side error string; the
 	// client surfaces it as a transient error (ErrRemote) feeding the
@@ -67,9 +67,12 @@ const (
 	tStatsResult byte = 8
 )
 
-// DefaultMaxFrame bounds a frame's payload size; both ends refuse
-// larger frames (a garbled length field must not allocate gigabytes).
-const DefaultMaxFrame = 16 << 20
+// maxFrame bounds a frame's payload size; both ends refuse larger
+// frames (a garbled length field must not allocate gigabytes).
+const maxFrame = 16 << 20
+
+// dialTimeout bounds one dial attempt.
+const dialTimeout = 2 * time.Second
 
 // frameHeaderLen is the fixed frame prefix: payload length + CRC.
 const frameHeaderLen = 8
@@ -151,7 +154,7 @@ func (fw *frameWriter) send(payload []byte) error {
 // readFrame reads one frame's payload, enforcing the size bound and the
 // CRC. A CRC mismatch returns ErrGarbled; callers treat it as fatal for
 // the connection.
-func readFrame(r io.Reader, maxFrame int) ([]byte, error) {
+func readFrame(r io.Reader) ([]byte, error) {
 	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
@@ -205,8 +208,6 @@ func encodeSearchBody(b []byte, budget time.Duration, q model.Query, opts topk.O
 	b = binary.AppendUvarint(b, math.Float64bits(opts.BoostF))
 	b = binary.AppendUvarint(b, math.Float64bits(opts.FracP))
 	b = binary.AppendUvarint(b, uint64(opts.SegSize))
-	b = binary.AppendUvarint(b, uint64(opts.Phi))
-	b = binary.AppendUvarint(b, uint64(opts.Shards))
 	return appendQuery(b, q)
 }
 
@@ -220,16 +221,17 @@ func decodeSearchBody(b []byte) (budget time.Duration, q model.Query, opts topk.
 	opts.BoostF = math.Float64frombits(d.uvarint())
 	opts.FracP = math.Float64frombits(d.uvarint())
 	opts.SegSize = int(d.uvarint())
-	opts.Phi = int(d.uvarint())
-	opts.Shards = int(d.uvarint())
 	q = d.query()
 	return budget, q, opts, d.finish("search")
 }
 
 func encodeResultBody(b []byte, st topk.Stats, res model.TopK) []byte {
-	sb := topk.AppendStats(nil, st)
-	b = binary.AppendUvarint(b, uint64(len(sb)))
-	b = append(b, sb...)
+	for _, v := range []int64{int64(st.Duration), st.Postings, st.RandomAccesses,
+		st.HeapInserts, st.CandidatesPeak, st.Cleanings, int64(st.ShardsDropped)} {
+		b = binary.AppendVarint(b, v)
+	}
+	b = binary.AppendUvarint(b, uint64(len(st.StopReason)))
+	b = append(b, st.StopReason...)
 	b = binary.AppendUvarint(b, uint64(len(res)))
 	for _, r := range res {
 		b = binary.AppendUvarint(b, uint64(r.Doc))
@@ -240,11 +242,13 @@ func encodeResultBody(b []byte, st topk.Stats, res model.TopK) []byte {
 
 func decodeResultBody(b []byte) (model.TopK, topk.Stats, error) {
 	d := decoder{b: b}
-	sb := d.bytes()
-	st, _, serr := topk.DecodeStats(sb)
-	if serr != nil {
-		return nil, topk.Stats{}, serr
+	var st topk.Stats
+	st.Duration = time.Duration(d.varint())
+	for _, f := range []*int64{&st.Postings, &st.RandomAccesses, &st.HeapInserts, &st.CandidatesPeak, &st.Cleanings} {
+		*f = d.varint()
 	}
+	st.ShardsDropped = int(d.varint())
+	st.StopReason = string(d.bytes())
 	n := d.uvarint()
 	if d.err == nil && n > uint64(len(d.b)) {
 		// Each result costs ≥2 bytes; a count beyond the remaining body

@@ -16,7 +16,7 @@ func TestSearchBodyRoundTrip(t *testing.T) {
 	q := model.Query{3, 90, 7}
 	opts := topk.Options{
 		K: 25, Threads: 4, Exact: true, Delta: -3,
-		BoostF: 1.5, FracP: 0.25, SegSize: 512, Phi: 9, Shards: 3,
+		BoostF: 1.5, FracP: 0.25, SegSize: 512,
 	}
 	budget, gotQ, gotOpts, err := decodeSearchBody(encodeSearchBody(nil, 750*time.Millisecond, q, opts))
 	if err != nil {
@@ -70,6 +70,56 @@ func TestResultBodyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStatsWireRoundTrip: every topk.Stats field crosses the wire in a
+// result body unchanged, negative and empty values included.
+func TestStatsWireRoundTrip(t *testing.T) {
+	cases := []topk.Stats{
+		{},
+		{
+			Duration:       1234567 * time.Nanosecond,
+			Postings:       987654321,
+			RandomAccesses: 42,
+			HeapInserts:    7,
+			CandidatesPeak: 100000,
+			Cleanings:      3,
+			StopReason:     topk.StopDeadline,
+			ShardsDropped:  2,
+		},
+		{Duration: -1, Postings: -5, StopReason: "exhausted"},
+		{StopReason: ""},
+	}
+	res := model.TopK{{Doc: 1, Score: 9}}
+	for i, want := range cases {
+		gotRes, got, err := decodeResultBody(encodeResultBody(nil, want, res))
+		if err != nil {
+			t.Fatalf("case %d: decode: %v", i, err)
+		}
+		if got != want || !reflect.DeepEqual(gotRes, res) {
+			t.Fatalf("case %d: round trip mismatch:\n got %+v %v\nwant %+v %v", i, got, gotRes, want, res)
+		}
+	}
+}
+
+// TestStatsWireTrailingBytes: a result body followed by bytes it does
+// not account for is refused, not read past.
+func TestStatsWireTrailingBytes(t *testing.T) {
+	b := encodeResultBody(nil, topk.Stats{Postings: 9, StopReason: "safe"}, nil)
+	if _, _, err := decodeResultBody(append(b, 0xDE, 0xAD)); err == nil {
+		t.Fatal("trailing bytes accepted")
+	}
+}
+
+// TestStatsWireRejects: a result body cut anywhere, inside its stats or
+// its results, decodes to an error, never a panic.
+func TestStatsWireRejects(t *testing.T) {
+	full := encodeResultBody(nil, topk.Stats{Postings: 1 << 40, StopReason: "delta"}, model.TopK{{Doc: 3, Score: 5}})
+	for cut := 0; cut < len(full); cut++ {
+		if _, _, err := decodeResultBody(full[:cut]); err == nil {
+			t.Fatalf("truncation at %d of %d accepted", cut, len(full))
+		}
+	}
+}
+
 func TestResolveBodyRoundTrip(t *testing.T) {
 	q := model.Query{1, 2}
 	docs := []model.DocID{0, 7, 1 << 30}
@@ -97,7 +147,7 @@ func TestFrameRejectsCorruptionAndRunts(t *testing.T) {
 	}
 	clean := append([]byte(nil), buf.Bytes()...)
 
-	got, err := readFrame(bytes.NewReader(clean), DefaultMaxFrame)
+	got, err := readFrame(bytes.NewReader(clean))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,12 +159,15 @@ func TestFrameRejectsCorruptionAndRunts(t *testing.T) {
 	// Flip one payload bit: the checksum must catch it.
 	bad := append([]byte(nil), clean...)
 	bad[len(bad)-1] ^= 1
-	if _, err := readFrame(bytes.NewReader(bad), DefaultMaxFrame); err != ErrGarbled {
+	if _, err := readFrame(bytes.NewReader(bad)); err != ErrGarbled {
 		t.Fatalf("corrupt frame: err %v, want ErrGarbled", err)
 	}
 
-	// An oversized frame is rejected before allocation.
-	if _, err := readFrame(bytes.NewReader(clean), 4); err == nil || err == ErrGarbled {
+	// An oversized frame is rejected before allocation: its header
+	// alone, claiming one byte more than the bound, is refused.
+	huge := make([]byte, frameHeaderLen)
+	binary.BigEndian.PutUint32(huge[0:4], maxFrame+1)
+	if _, err := readFrame(bytes.NewReader(huge)); err == nil || err == ErrGarbled {
 		t.Fatalf("oversized frame: err %v, want a size error", err)
 	}
 
@@ -124,7 +177,7 @@ func TestFrameRejectsCorruptionAndRunts(t *testing.T) {
 	runt[frameHeaderLen] = tResult
 	binary.BigEndian.PutUint32(runt[0:4], 1)
 	binary.BigEndian.PutUint32(runt[4:8], crc32.ChecksumIEEE(runt[frameHeaderLen:]))
-	if _, err := readFrame(bytes.NewReader(runt), DefaultMaxFrame); err == nil {
+	if _, err := readFrame(bytes.NewReader(runt)); err == nil {
 		t.Fatal("runt frame accepted")
 	}
 
@@ -134,7 +187,7 @@ func TestFrameRejectsCorruptionAndRunts(t *testing.T) {
 	if err := gw.send(payload); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readFrame(bytes.NewReader(gbuf.Bytes()), DefaultMaxFrame); err != ErrGarbled {
+	if _, err := readFrame(bytes.NewReader(gbuf.Bytes())); err != ErrGarbled {
 		t.Fatalf("injected garble: err %v, want ErrGarbled", err)
 	}
 

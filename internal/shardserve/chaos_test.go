@@ -62,7 +62,7 @@ func TestChaosReplicatedServingStaysExact(t *testing.T) {
 	io := iomodel.Config{
 		BlockSize: 4096, CacheBlocks: 256,
 		SeqLatency: time.Microsecond, RandLatency: 4 * time.Microsecond,
-		SleepBatch: 20 * time.Microsecond, StuckLatency: 2 * time.Millisecond,
+		SleepBatch: 20 * time.Microsecond,
 	}
 	const p, r = 2, 3
 	planFor := func(shard, replica int) faultinject.Plan {
@@ -70,7 +70,7 @@ func TestChaosReplicatedServingStaysExact(t *testing.T) {
 			Seed:        4242,
 			ErrRate:     0.10, // every replica drops 10% of attempts
 			LatencyRate: 0.20, Latency: 10 * time.Microsecond,
-			StuckRate: 0.02,
+			StuckRate: 0.02, StuckLatency: 2 * time.Millisecond,
 		}
 		if shard == 0 && replica == 0 {
 			pl.Dark = true // shard 0's primary never answers
@@ -136,7 +136,7 @@ func TestSettlementUnderRandomFaultSchedules(t *testing.T) {
 	io := iomodel.Config{
 		BlockSize: 1024, CacheBlocks: 8,
 		SeqLatency: 2 * time.Microsecond, RandLatency: 8 * time.Microsecond,
-		SleepBatch: 50 * time.Microsecond, StuckLatency: 500 * time.Microsecond,
+		SleepBatch: 50 * time.Microsecond,
 	}
 	const seeds, perSeed = 10, 100
 	for seed := 0; seed < seeds; seed++ {
@@ -151,7 +151,7 @@ func TestSettlementUnderRandomFaultSchedules(t *testing.T) {
 				Seed:        uint64(seed),
 				ErrRate:     0.15,
 				LatencyRate: 0.30, Latency: 30 * time.Microsecond,
-				StuckRate: 0.10,
+				StuckRate: 0.10, StuckLatency: 500 * time.Microsecond,
 			}
 		}
 		g, _ := faultedGroup(t, x, 2, 2, io, cfg, planFor)

@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit the experiment
 // harness needs: means, percentiles (the paper reports mean and 95th
-// percentile latencies), histograms, and time-stamped series for the
+// percentile latencies) and time-stamped series for the
 // recall-dynamics figures.
 package stats
 
@@ -41,21 +41,6 @@ func (s *Sample) Mean() float64 {
 		sum += x
 	}
 	return sum / float64(len(s.xs))
-}
-
-// StdDev returns the population standard deviation.
-func (s *Sample) StdDev() float64 {
-	n := len(s.xs)
-	if n == 0 {
-		return 0
-	}
-	mean := s.Mean()
-	sum := 0.0
-	for _, x := range s.xs {
-		d := x - mean
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(n))
 }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) using
@@ -141,36 +126,6 @@ func MergeMean(series []*Series, step time.Duration, horizon time.Duration) *Ser
 		out.Record(t, sum/float64(len(series)))
 	}
 	return out
-}
-
-// Histogram counts observations into fixed-width buckets; used by the
-// harness to sanity-check workload distributions (e.g. query lengths).
-type Histogram struct {
-	Width   float64
-	Buckets map[int]int
-	total   int
-}
-
-// NewHistogram creates a histogram with the given bucket width.
-func NewHistogram(width float64) *Histogram {
-	return &Histogram{Width: width, Buckets: make(map[int]int)}
-}
-
-// Add counts an observation.
-func (h *Histogram) Add(x float64) {
-	h.Buckets[int(math.Floor(x/h.Width))]++
-	h.total++
-}
-
-// Total returns the number of observations.
-func (h *Histogram) Total() int { return h.total }
-
-// Frac returns the fraction of observations in bucket b.
-func (h *Histogram) Frac(b int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Buckets[b]) / float64(h.total)
 }
 
 // FmtMS formats a millisecond quantity the way the paper's tables do:

@@ -22,7 +22,7 @@ func TestSampleMean(t *testing.T) {
 
 func TestEmptySample(t *testing.T) {
 	var s Sample
-	if s.Mean() != 0 || s.Percentile(95) != 0 || s.StdDev() != 0 {
+	if s.Mean() != 0 || s.Percentile(95) != 0 {
 		t.Error("empty sample should return zeros")
 	}
 }
@@ -79,16 +79,6 @@ func TestAddDuration(t *testing.T) {
 	}
 }
 
-func TestStdDev(t *testing.T) {
-	var s Sample
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Add(x)
-	}
-	if got := s.StdDev(); math.Abs(got-2) > 1e-9 {
-		t.Errorf("StdDev = %v, want 2", got)
-	}
-}
-
 func TestSeriesAt(t *testing.T) {
 	var s Series
 	s.Record(10*time.Millisecond, 0.5)
@@ -134,22 +124,6 @@ func TestMergeMeanEmpty(t *testing.T) {
 	m := MergeMean(nil, time.Millisecond, time.Second)
 	if len(m.Points()) != 0 {
 		t.Error("merging no series should yield empty series")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(1)
-	for _, x := range []float64{0.1, 0.9, 1.5, 2.5, 2.9} {
-		h.Add(x)
-	}
-	if h.Total() != 5 {
-		t.Errorf("Total = %d, want 5", h.Total())
-	}
-	if got := h.Frac(0); got != 0.4 {
-		t.Errorf("Frac(0) = %v, want 0.4", got)
-	}
-	if got := h.Frac(2); got != 0.4 {
-		t.Errorf("Frac(2) = %v, want 0.4", got)
 	}
 }
 

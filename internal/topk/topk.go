@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sparta/internal/heap"
 	"sparta/internal/membudget"
 	"sparta/internal/model"
 	"sparta/internal/postings"
@@ -31,11 +30,6 @@ const DefaultK = 1000
 // threads are available, §4.2). For Sparta it is the cap of segments
 // that start at one block and double (DESIGN.md §4a deviation 10).
 const DefaultSegSize = 1024
-
-// DefaultPhi is Sparta's docMap size threshold below which workers
-// clone per-term local maps; "in our implementation, Φ = 10K entries"
-// (§4.3).
-const DefaultPhi = 10_000
 
 // Options parameterizes a query evaluation.
 type Options struct {
@@ -62,10 +56,6 @@ type Options struct {
 	// family use it as is; Sparta grows every list's segments from one
 	// block up to it, in either phase.
 	SegSize int
-	// Phi is Sparta's local-copy threshold Φ (DefaultPhi if zero).
-	Phi int
-	// Shards is sNRA's partition count (index shard count if zero).
-	Shards int
 	// Budget caps candidate-state memory; exceeded => ErrMemoryBudget
 	// (the paper's OOM "N/A" entries). Nil = unlimited.
 	Budget *membudget.Budget
@@ -98,12 +88,6 @@ func (o Options) Validate() error {
 	if o.SegSize < 0 {
 		return fmt.Errorf("topk: SegSize must be non-negative, got %d", o.SegSize)
 	}
-	if o.Phi < 0 {
-		return fmt.Errorf("topk: Phi must be non-negative, got %d", o.Phi)
-	}
-	if o.Shards < 0 {
-		return fmt.Errorf("topk: Shards must be non-negative, got %d", o.Shards)
-	}
 	if o.Exact && o.Delta > 0 {
 		return fmt.Errorf("topk: Exact and Delta are mutually exclusive")
 	}
@@ -126,9 +110,6 @@ func (o Options) WithDefaults() Options {
 	}
 	if o.SegSize == 0 {
 		o.SegSize = DefaultSegSize
-	}
-	if o.Phi == 0 {
-		o.Phi = DefaultPhi
 	}
 	if o.BoostF == 0 {
 		o.BoostF = 1
@@ -253,7 +234,7 @@ type RecallProbe struct {
 	// MinInterval rate-limits observations (default 1ms).
 	MinInterval time.Duration
 	last        time.Time
-	acc         *heap.ScoreHeap // accumulator for ObserveInsert mode
+	acc         *bestK // accumulator for ObserveInsert mode
 }
 
 // NewRecallProbe creates a probe against the exact result.
@@ -297,24 +278,94 @@ func (p *RecallProbe) Observe(approx model.TopK) {
 // top-k accumulator and records its recall. Algorithms whose result
 // state is scattered across thread-local heaps (pBMW) or a candidate
 // map with no heap at all (pJASS) use this mode: the probe maintains
-// the globally-merged view for them.
+// the globally-merged view for them. A document fed more than once —
+// JASS feeds its growing score after every posting — counts once, at
+// its best score.
 func (p *RecallProbe) ObserveInsert(doc model.DocID, score model.Score) {
 	now := time.Now()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.acc == nil {
-		k := len(p.exact)
-		if k == 0 {
-			k = 1
-		}
-		p.acc = heap.NewScore(k)
+		p.acc = &bestK{k: max(len(p.exact), 1), pos: make(map[model.DocID]int)}
 	}
-	p.acc.Push(doc, score)
+	p.acc.push(doc, score)
 	if !p.last.IsZero() && now.Sub(p.last) < p.MinInterval {
 		return
 	}
 	p.last = now
-	p.series.Record(now.Sub(p.start), model.Recall(p.exact, p.acc.Results()))
+	p.series.Record(now.Sub(p.start), model.Recall(p.exact, p.acc.results()))
+}
+
+// bestK keeps the k documents with the highest best scores: a min-heap
+// on score that knows each member's position, so a member fed again
+// with a higher score moves up in place instead of entering twice. A
+// document outside it that is fed a lower score than before is still
+// rejected: the threshold it fell below only rises.
+type bestK struct {
+	k    int
+	heap []model.Result
+	pos  map[model.DocID]int
+}
+
+func (b *bestK) push(doc model.DocID, score model.Score) {
+	if i, ok := b.pos[doc]; ok {
+		if score > b.heap[i].Score {
+			b.heap[i].Score = score
+			b.down(i)
+		}
+		return
+	}
+	if len(b.heap) < b.k {
+		b.heap = append(b.heap, model.Result{Doc: doc, Score: score})
+		b.pos[doc] = len(b.heap) - 1
+		b.up(len(b.heap) - 1)
+		return
+	}
+	if score <= b.heap[0].Score {
+		return
+	}
+	delete(b.pos, b.heap[0].Doc)
+	b.heap[0] = model.Result{Doc: doc, Score: score}
+	b.pos[doc] = 0
+	b.down(0)
+}
+
+func (b *bestK) results() model.TopK {
+	out := append(model.TopK(nil), b.heap...)
+	out.Sort()
+	return out
+}
+
+func (b *bestK) swap(i, j int) {
+	b.heap[i], b.heap[j] = b.heap[j], b.heap[i]
+	b.pos[b.heap[i].Doc], b.pos[b.heap[j].Doc] = i, j
+}
+
+func (b *bestK) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if b.heap[parent].Score <= b.heap[i].Score {
+			return
+		}
+		b.swap(i, parent)
+		i = parent
+	}
+}
+
+func (b *bestK) down(i int) {
+	for {
+		least := i
+		for _, c := range []int{2*i + 1, 2*i + 2} {
+			if c < len(b.heap) && b.heap[c].Score < b.heap[least].Score {
+				least = c
+			}
+		}
+		if least == i {
+			return
+		}
+		b.swap(i, least)
+		i = least
+	}
 }
 
 // Final records a last observation regardless of rate limiting.

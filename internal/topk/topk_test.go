@@ -21,7 +21,7 @@ func testView(t *testing.T) *index.Index {
 func TestWithDefaults(t *testing.T) {
 	o := Options{}.WithDefaults()
 	if o.K != DefaultK || o.Threads != 1 || o.SegSize != DefaultSegSize ||
-		o.Phi != DefaultPhi || o.BoostF != 1 || o.FracP != 1 {
+		o.BoostF != 1 || o.FracP != 1 {
 		t.Errorf("defaults = %+v", o)
 	}
 	o2 := Options{K: 5, Threads: 3, BoostF: 2}.WithDefaults()
@@ -127,6 +127,42 @@ func TestRecallProbe(t *testing.T) {
 	}
 }
 
+// TestRecallProbeCountsADocumentOnce: ObserveInsert keeps each
+// document's best score, so one fed again (JASS feeds its growing score
+// after every posting) fills one slot of the accumulated top-k, not
+// several.
+func TestRecallProbeCountsADocumentOnce(t *testing.T) {
+	exact := model.TopK{{Doc: 1, Score: 30}, {Doc: 2, Score: 20}}
+	type feed struct {
+		doc   model.DocID
+		score model.Score
+	}
+	for _, tc := range []struct {
+		name  string
+		feeds []feed
+		want  float64
+	}{
+		{"one doc twice", []feed{{1, 10}, {1, 30}}, 0.5},
+		{"one doc growing", []feed{{1, 5}, {1, 6}, {1, 7}}, 0.5},
+		{"lower score later", []feed{{1, 30}, {1, 10}}, 0.5},
+		{"distinct docs", []feed{{1, 10}, {3, 15}, {1, 30}, {2, 20}}, 1},
+		{"evicted, then back", []feed{{1, 5}, {3, 8}, {4, 9}, {1, 30}, {2, 20}}, 1},
+		{"outsider grows past a member", []feed{{1, 30}, {2, 20}, {3, 1}, {3, 19}}, 1},
+		{"member displaced", []feed{{1, 30}, {2, 10}, {3, 15}, {3, 18}}, 0.5},
+	} {
+		p := NewRecallProbe(exact)
+		p.MinInterval = 0
+		p.Start()
+		for _, f := range tc.feeds {
+			p.ObserveInsert(f.doc, f.score)
+		}
+		pts := p.Series().Points()
+		if got := pts[len(pts)-1].Value; got != tc.want {
+			t.Errorf("%s: recall %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestRecallProbeRateLimit(t *testing.T) {
 	p := NewRecallProbe(model.TopK{{Doc: 1, Score: 1}})
 	p.MinInterval = time.Hour
@@ -151,7 +187,7 @@ func TestOptionsValidate(t *testing.T) {
 		{BoostF: 5, FracP: 0.5},
 		{Exact: true, BoostF: 1}, // f = 1 is the exact setting itself
 		{Exact: true, FracP: 1},  // p = 1 likewise
-		{SegSize: 64, Phi: 100, Shards: 12},
+		{SegSize: 64},
 	}
 	for i, o := range ok {
 		if err := o.Validate(); err != nil {
@@ -167,8 +203,6 @@ func TestOptionsValidate(t *testing.T) {
 		{FracP: -0.1},
 		{Exact: true, Delta: time.Millisecond},
 		{SegSize: -1},
-		{Phi: -10},
-		{Shards: -3},
 		{Exact: true, BoostF: 2},
 		{Exact: true, FracP: 0.5},
 	}
