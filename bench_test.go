@@ -56,7 +56,7 @@ func benchEnvT(tb testing.TB) *bench.Env {
 		}
 		cfg := iomodel.DefaultConfig()
 		env, err := bench.NewEnv(spec, cfg, bench.EnvOptions{
-			K: benchK, QueriesPerLength: 10, Shards: 12, MemBudgetEntries: -1,
+			K: benchK, QueriesPerLength: 10, MemBudgetEntries: -1,
 		})
 		if err != nil {
 			panic(err)
@@ -79,7 +79,7 @@ func runQueryBench(b *testing.B, v bench.Variant, m, threads int) {
 		q := qs[i%len(qs)]
 		opts := v.Opts
 		opts.Threads = threads
-		alg := bench.MakeAlgorithm(v.ID, env.Disk)
+		alg := env.Algorithm(v.ID)
 		res, st, err := alg.Search(q, opts)
 		if err != nil {
 			b.Fatal(err)
@@ -169,7 +169,7 @@ func BenchmarkFig3fDynamics(b *testing.B) {
 				opts := v.Opts
 				opts.Threads = benchThreads
 				opts.Probe = probe
-				if _, _, err := bench.MakeAlgorithm(v.ID, env.Disk).Search(q, opts); err != nil {
+				if _, _, err := env.Algorithm(v.ID).Search(q, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -202,7 +202,7 @@ func BenchmarkFig4Throughput(b *testing.B) {
 			var qps float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res := sched.Run(bench.MakeAlgorithm(v.ID, env.Disk), stream, benchThreads, v.Opts)
+				res := sched.Run(env.Algorithm(v.ID), stream, benchThreads, v.Opts)
 				if res.Errors > 0 {
 					b.Fatalf("%d failed queries", res.Errors)
 				}

@@ -26,8 +26,8 @@ import (
 	"time"
 
 	"sparta/internal/bench"
-	"sparta/internal/cindex"
 	"sparta/internal/cmap"
+	"sparta/internal/codec"
 	"sparta/internal/core"
 	"sparta/internal/corpus"
 	"sparta/internal/diskindex"
@@ -64,7 +64,7 @@ func main() {
 	}
 	log.Printf("%s built in %v", env.Describe(), time.Since(t0).Round(time.Millisecond))
 	qs := env.Sets.Length(*mlen)[:*nq]
-	ram, err := cindex.FromIndex(env.Mem, env.Opts.Shards, iomodel.RAMConfig())
+	ram, err := diskindex.FromIndexWith(env.Mem, iomodel.RAMConfig(), codec.Group)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func main() {
 		for _, q := range qs {
 			opts.K = *k
 			opts.Threads = *threads
-			res, st, err := bench.MakeAlgorithm(id, env.Disk).Search(q, opts)
+			res, st, err := env.Algorithm(id).Search(q, opts)
 			if err != nil {
 				fmt.Printf("%-18s ERR %v\n", label, err)
 				return

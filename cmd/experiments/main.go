@@ -57,7 +57,6 @@ func main() {
 		k       = flag.Int("k", 10, "retrieval depth (k/corpus selectivity matches the paper's 1000/50M)")
 		nq      = flag.Int("queries", 10, "queries per measurement point")
 		threads = flag.Int("threads", 12, "max worker threads (paper: 12-core Xeon)")
-		shards  = flag.Int("shards", 12, "sNRA shards")
 		budget  = flag.Int("budget", 200_000, "candidate memory budget in entries (<0 disables)")
 		seed    = flag.Uint64("seed", 2020, "workload seed")
 		ram     = flag.Bool("ram", false, "RAM-resident indexes (no simulated I/O)")
@@ -88,7 +87,6 @@ func main() {
 		envOpts: bench.EnvOptions{
 			K:                *k,
 			QueriesPerLength: max(*nq, 10),
-			Shards:           *shards,
 			Seed:             *seed,
 			MemBudgetEntries: *budget,
 		},
@@ -417,7 +415,7 @@ func (r *runner) run(name string) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		ci, err := diskindex.FromIndexWith(env.Mem, r.envOpts.Shards, r.cfg, codec.Group)
+		ci, err := diskindex.FromIndexWith(env.Mem, r.cfg, codec.Group)
 		if err != nil {
 			return "", err
 		}

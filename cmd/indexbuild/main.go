@@ -1,8 +1,8 @@
 // Command indexbuild pre-builds the on-disk index of a corpus
 // directory created by corpusgen — the paper's offline index build
 // (§5.1): uncompressed binary posting files in both document order and
-// score order, block-max metadata, the RA secondary ordering, and the
-// sNRA shard partition. -compressed also writes the same index with the
+// score order, block-max metadata and the RA secondary ordering (the
+// doc-ordered lists). -compressed also writes the same index with the
 // group block codec to <out>-compressed: the same directory format,
 // opened by the same tools, with another codec id in its manifest.
 //
@@ -42,7 +42,6 @@ func main() {
 	var (
 		corpusDir = flag.String("corpus", "", "corpus directory containing corpus.json (required)")
 		out       = flag.String("out", "", "index output directory (default <corpus>/index)")
-		shards    = flag.Int("shards", diskindex.DefaultShards, "sNRA document-id shards")
 		comp      = flag.Bool("compressed", false, "also write the index with the group block codec to <out>-compressed")
 		live      = flag.Bool("live", false, "ingest through the segmented live-index path instead of a one-shot build")
 		liveFlush = flag.Int("live-flush", 4096, "live-index memtable flush threshold (documents)")
@@ -77,15 +76,15 @@ func main() {
 		x.NumTerms(), x.TotalPostings(), time.Since(start).Round(time.Millisecond))
 
 	start = time.Now()
-	if err := diskindex.WriteDir(x, *shards, *out); err != nil {
+	if err := diskindex.WriteDir(x, *out); err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("wrote %s (%d shards) in %v", *out, *shards, time.Since(start).Round(time.Millisecond))
+	log.Printf("wrote %s in %v", *out, time.Since(start).Round(time.Millisecond))
 
 	if *comp {
 		cdir := *out + "-compressed"
 		start = time.Now()
-		if err := diskindex.WriteDirWith(x, *shards, cdir, codec.Group); err != nil {
+		if err := diskindex.WriteDirWith(x, cdir, codec.Group); err != nil {
 			log.Fatal(err)
 		}
 		log.Printf("wrote %s in %v", cdir, time.Since(start).Round(time.Millisecond))

@@ -93,8 +93,8 @@ func main() {
 	}
 
 	m := idx.Manifest()
-	fmt.Printf("docs: %d   terms: %d   postings: %d   shards: %d   codec: %s\n",
-		m.NumDocs, m.NumTerms, m.TotalPostings, m.Shards, m.Codec)
+	fmt.Printf("docs: %d   terms: %d   postings: %d   codec: %s\n",
+		m.NumDocs, m.NumTerms, m.TotalPostings, m.Codec)
 	if stored := idx.CompressedBytes(); stored > 0 {
 		fmt.Printf("postings region: %d bytes stored, %d uncompressed (%.2fx)\n",
 			stored, idx.RawBytes(), float64(idx.RawBytes())/float64(stored))

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -33,7 +34,7 @@ func main() {
 
 	var (
 		indexDir = flag.String("index", "", "index directory (required)")
-		algo     = flag.String("algo", "Sparta", "algorithm: Sparta pRA pNRA sNRA pBMW pWAND pJASS RA NRA MaxScore WAND BMW JASS")
+		algo     = flag.String("algo", "Sparta", fmt.Sprintf("algorithm: %v", bench.AllAlgos))
 		terms    = flag.String("terms", "", "comma-separated term ids")
 		qfile    = flag.String("queryfile", "", "queries.tsv from corpusgen (alternative to -terms)")
 		qlen     = flag.Int("qlen", 12, "query length to pick from -queryfile")
@@ -97,6 +98,9 @@ func main() {
 		}
 	}
 
+	if !slices.Contains(bench.AllAlgos, bench.AlgoID(*algo)) {
+		log.Fatalf("unknown algorithm %q (want one of %v)", *algo, bench.AllAlgos)
+	}
 	alg := bench.MakeAlgorithm(bench.AlgoID(*algo), idx)
 	opts := topk.Options{K: *k, Threads: *threads}
 	switch *mode {

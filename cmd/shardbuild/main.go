@@ -33,7 +33,6 @@ func main() {
 		corpusDir = flag.String("corpus", "", "corpus directory containing corpus.json (required)")
 		out       = flag.String("out", "", "shard-set output directory (default <corpus>/shards)")
 		p         = flag.Int("p", 4, "number of document-range shards")
-		inner     = flag.Int("shards", 0, "per-shard sNRA document-id shards (0 = diskindex default)")
 	)
 	flag.Parse()
 	if *corpusDir == "" {
@@ -63,7 +62,7 @@ func main() {
 		x.NumTerms(), x.TotalPostings(), time.Since(start).Round(time.Millisecond))
 
 	start = time.Now()
-	if err := shardserve.WriteDir(x, *p, *inner, *out); err != nil {
+	if err := shardserve.WriteDir(x, *p, 0, *out); err != nil {
 		log.Fatal(err)
 	}
 	log.Printf("wrote %s (%d shards) in %v", *out, *p, time.Since(start).Round(time.Millisecond))

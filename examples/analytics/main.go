@@ -91,17 +91,6 @@ func (s *dailyStats) ScoreCursor(t model.TermID) postings.ScoreCursor {
 	return postings.NewSliceScoreCursor(s.impact[t], 0)
 }
 
-func (s *dailyStats) ScoreCursorShard(t model.TermID, shard, nShards int) postings.ScoreCursor {
-	lo, hi := postings.ShardRange(s.numApps, shard, nShards)
-	var sub []model.Posting
-	for _, p := range s.impact[t] {
-		if p.Doc >= lo && p.Doc < hi {
-			sub = append(sub, p)
-		}
-	}
-	return postings.NewSliceScoreCursor(sub, 0)
-}
-
 func (s *dailyStats) Resident(model.TermID, model.DocID) bool { return true }
 
 func (s *dailyStats) BindExec(context.Context, func(time.Duration), func(), func(bool)) (postings.View, func()) {

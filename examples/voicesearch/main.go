@@ -32,7 +32,7 @@ func main() {
 	}
 	fmt.Printf("building %d-doc index...\n", spec.Docs)
 	mem := index.FromCorpus(corpus.New(spec))
-	disk, err := diskindex.FromIndex(mem, diskindex.DefaultShards, iomodel.DefaultConfig())
+	disk, err := diskindex.FromIndex(mem, iomodel.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

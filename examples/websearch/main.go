@@ -36,7 +36,7 @@ func main() {
 	mem := index.FromCorpus(corpus.New(spec))
 
 	// Disk-resident index behind a simulated SSD and page cache.
-	disk, err := diskindex.FromIndex(mem, diskindex.DefaultShards, iomodel.DefaultConfig())
+	disk, err := diskindex.FromIndex(mem, iomodel.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

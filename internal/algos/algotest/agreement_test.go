@@ -39,9 +39,9 @@ func TestAllExactAlgorithmsAgree(t *testing.T) {
 			k := 5 + rng.Intn(30)
 			q := algotest.RandomQuery(x, m, seed+uint64(m))
 			exact := topk.BruteForce(x, q, k)
-			for _, id := range bench.AllAlgos {
+			for _, id := range suiteAlgos {
 				name := fmt.Sprintf("trial%d/m%d/k%d/%s", trial, m, k, id)
-				got, _, err := bench.MakeAlgorithm(id, x).Search(q, topk.Options{
+				got, _, err := makeAlgorithm(t, id, x, x).Search(q, topk.Options{
 					K: k, Exact: true, Threads: 1 + trial%4, SegSize: 32 << (trial % 3),
 				})
 				if err != nil {
@@ -91,7 +91,7 @@ func TestNRAFamilyExactScores(t *testing.T) {
 	x, qs, want := probePool()
 	for _, id := range []bench.AlgoID{bench.AlgoNRA, bench.AlgoPNRA, bench.AlgoSNRA} {
 		t.Run(string(id), func(t *testing.T) {
-			alg := bench.MakeAlgorithm(id, x)
+			alg := makeAlgorithm(t, id, x, x)
 			for i, q := range qs {
 				got, _, err := alg.Search(q, topk.Options{K: 10, Exact: true, Threads: 2, SegSize: 16})
 				if err != nil {
@@ -186,8 +186,8 @@ func TestStatsSanity(t *testing.T) {
 	for _, term := range q {
 		total += int64(x.DF(term))
 	}
-	for _, id := range bench.AllAlgos {
-		alg := bench.MakeAlgorithm(id, x)
+	for _, id := range suiteAlgos {
+		alg := makeAlgorithm(t, id, x, x)
 		_, st, err := alg.Search(q, topk.Options{K: 10, Exact: true, Threads: 2})
 		if err != nil {
 			t.Fatalf("%s: %v", alg.Name(), err)

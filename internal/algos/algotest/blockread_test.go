@@ -18,21 +18,17 @@ import (
 	"sparta/internal/xrand"
 )
 
-// equivShards is the partition count sNRA uses over the in-memory
-// index, so every view splits its lists alike.
-const equivShards = diskindex.DefaultShards
-
 // equivViews builds the three view implementations over one corpus: the
 // in-memory index (the reference the block-decoded cursors must match),
 // the uncompressed disk layout, and the compressed one.
 func equivViews(t *testing.T, seed uint64) (*index.Index, *diskindex.Index, *cindex.Index) {
 	t.Helper()
 	x := algotest.MediumIndex(t, seed)
-	disk, err := diskindex.FromIndex(x, equivShards, iomodel.RAMConfig())
+	disk, err := diskindex.FromIndex(x, iomodel.RAMConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := cindex.FromIndex(x, equivShards, iomodel.RAMConfig())
+	comp, err := cindex.FromIndex(x, 0, iomodel.RAMConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,10 +140,6 @@ func TestBlockCursorsMatchReference(t *testing.T) {
 			assertDocCursorsEqual(t, name+"/doc", mem.DocCursor(tid), v.DocCursor(tid))
 			assertSkipToEqual(t, name+"/skip", mem.DocCursor(tid), v.DocCursor(tid), uint64(term)+7)
 			assertScoreCursorsEqual(t, name+"/imp", mem.ScoreCursor(tid), v.ScoreCursor(tid))
-			for s := 0; s < equivShards; s += 2 {
-				assertScoreCursorsEqual(t, fmt.Sprintf("%s/shard%d", name, s),
-					mem.ScoreCursorShard(tid, s, equivShards), v.ScoreCursorShard(tid, s, equivShards))
-			}
 			rng := xrand.New(uint64(term) * 31)
 			for i := 0; i < 40; i++ {
 				d := model.DocID(rng.Intn(mem.NumDocs() + 10))
@@ -207,7 +199,7 @@ func TestAllVariantsAgreeAcrossViews(t *testing.T) {
 		q := algotest.RandomQuery(mem, m, uint64(400+m))
 		k := 15
 		exact := topk.BruteForce(mem, q, k)
-		for _, id := range bench.AllAlgos {
+		for _, id := range suiteAlgos {
 			opts := topk.Options{K: k, Exact: true, Threads: 2}
 			if sequential[id] {
 				opts.Threads = 1
@@ -222,7 +214,7 @@ func TestAllVariantsAgreeAcrossViews(t *testing.T) {
 				{"group", compBare}, {"group-cold", comp}, {"group-warm", comp},
 			} {
 				name := fmt.Sprintf("m%d/%s/%s", m, id, view.label)
-				got, st, err := bench.MakeAlgorithm(id, view.v).Search(q, opts)
+				got, st, err := makeAlgorithm(t, id, mem, view.v).Search(q, opts)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}

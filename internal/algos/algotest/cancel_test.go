@@ -43,7 +43,7 @@ func slowStore(tb testing.TB, noSleep bool) (*index.Index, *diskindex.Index) {
 		SleepBatch:  time.Microsecond,
 		NoSleep:     noSleep,
 	}
-	x, err := diskindex.FromIndex(mem, diskindex.DefaultShards, cfg)
+	x, err := diskindex.FromIndex(mem, cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -68,8 +68,8 @@ func TestPreCancelledContext(t *testing.T) {
 	q := algotest.RandomQuery(mem, 4, 11)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, id := range bench.AllAlgos {
-		alg := bench.MakeAlgorithm(id, x)
+	for _, id := range suiteAlgos {
+		alg := makeAlgorithm(t, id, mem, x)
 		res, st, err := alg.SearchContext(ctx, q, cancelOpts())
 		if err != nil {
 			t.Errorf("%s: pre-cancelled context returned error %v, want nil", id, err)
@@ -86,8 +86,8 @@ func TestExpiredDeadline(t *testing.T) {
 	q := algotest.RandomQuery(mem, 4, 12)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	for _, id := range bench.AllAlgos {
-		alg := bench.MakeAlgorithm(id, x)
+	for _, id := range suiteAlgos {
+		alg := makeAlgorithm(t, id, mem, x)
 		res, st, err := alg.SearchContext(ctx, q, cancelOpts())
 		if err != nil {
 			t.Errorf("%s: expired deadline returned error %v, want nil", id, err)
@@ -100,12 +100,11 @@ func TestExpiredDeadline(t *testing.T) {
 }
 
 func TestMidFlightCancel(t *testing.T) {
-	_, x := slowIndex(t)
+	mem, x := slowIndex(t)
 	q := slowQuery()
-	for _, id := range bench.AllAlgos {
-		id := id
+	for _, id := range suiteAlgos {
 		t.Run(string(id), func(t *testing.T) {
-			alg := bench.MakeAlgorithm(id, x)
+			alg := makeAlgorithm(t, id, mem, x)
 			ctx, cancel := context.WithCancel(context.Background())
 			time.AfterFunc(500*time.Microsecond, cancel)
 			start := time.Now()
@@ -191,7 +190,7 @@ func TestObserverSeesExecution(t *testing.T) {
 	mem, x := slowStore(t, true)
 	q := algotest.RandomQuery(mem, 4, 16)
 	exact := topk.BruteForce(mem, q, cancelOpts().K)
-	for _, id := range bench.AllAlgos {
+	for _, id := range suiteAlgos {
 		t.Run(string(id), func(t *testing.T) {
 			var obs topk.RecordingObserver
 			probe := topk.NewRecallProbe(exact)
@@ -199,7 +198,7 @@ func TestObserverSeesExecution(t *testing.T) {
 			opts := cancelOpts()
 			opts.Observer = &obs
 			opts.Probe = probe
-			res, st, err := bench.MakeAlgorithm(id, x).SearchContext(context.Background(), q, opts)
+			res, st, err := makeAlgorithm(t, id, mem, x).SearchContext(context.Background(), q, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -253,14 +252,14 @@ func TestInvalidOptionsRejected(t *testing.T) {
 		if want == nil {
 			t.Fatalf("%s: Validate accepted %+v", c.name, c.opts)
 		}
-		for _, id := range bench.AllAlgos {
+		for _, id := range suiteAlgos {
 			func() {
 				defer func() {
 					if p := recover(); p != nil {
 						t.Errorf("%s, %s: panicked: %v", c.name, id, p)
 					}
 				}()
-				res, _, err := bench.MakeAlgorithm(id, x).Search(q, c.opts)
+				res, _, err := makeAlgorithm(t, id, x, x).Search(q, c.opts)
 				if err == nil || err.Error() != want.Error() || res != nil {
 					t.Errorf("%s, %s: %d results, err %v; want none and %v", c.name, id, len(res), err, want)
 				}
@@ -275,11 +274,8 @@ func TestInvalidOptionsRejected(t *testing.T) {
 func TestContextSearchMatchesSearch(t *testing.T) {
 	mem := algotest.SmallIndex(t, 21)
 	q := algotest.RandomQuery(mem, 3, 22)
-	for _, id := range bench.AllAlgos {
-		if id == bench.AlgoSNRA {
-			continue // sNRA needs a sharded (disk) view for stable shards
-		}
-		alg := bench.MakeAlgorithm(id, mem)
+	for _, id := range suiteAlgos {
+		alg := makeAlgorithm(t, id, mem, mem)
 		opts := topk.Options{K: 10, Threads: 2, Exact: true}
 		res1, _, err1 := alg.Search(q, opts)
 		res2, _, err2 := alg.SearchContext(context.Background(), q, opts)

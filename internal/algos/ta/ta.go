@@ -163,8 +163,9 @@ func (a *NRA) SearchContext(ctx context.Context, q model.Query, opts topk.Option
 // RunNRA executes sequential NRA for q over the given score cursors
 // (one per query term, opened on view, whose term maxima are the
 // initial upper bounds). It is shared by NRA proper and by sNRA, which
-// runs one instance per index shard. es may be nil (run to completion,
-// unobserved); a shared es lets sNRA stop all shards from one context.
+// runs one instance per document-range partition. es may be nil (run to
+// completion, unobserved); a shared es lets sNRA stop all parts from one
+// context.
 // The query's lifecycle — probe, Duration, observer — is its caller's
 // (topk.Run); RunNRA's own clock serves only the Δ rule.
 //

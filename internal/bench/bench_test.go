@@ -16,7 +16,7 @@ func tinyEnv(t *testing.T) *Env {
 	}
 	cfg := iomodel.DefaultConfig()
 	cfg.NoSleep = true
-	env, err := NewEnv(spec, cfg, EnvOptions{K: 20, QueriesPerLength: 3, Shards: 4})
+	env, err := NewEnv(spec, cfg, EnvOptions{K: 20, QueriesPerLength: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,12 +177,14 @@ func TestRunThroughputByLengthSmoke(t *testing.T) {
 
 func TestMakeAlgorithmAll(t *testing.T) {
 	env := tinyEnv(t)
-	for _, id := range []AlgoID{AlgoSparta, AlgoPRA, AlgoPNRA, AlgoSNRA, AlgoPBMW,
-		AlgoPJASS, AlgoRA, AlgoNRA, AlgoWAND, AlgoBMW, AlgoJASS} {
+	for _, id := range AllAlgos {
 		a := MakeAlgorithm(id, env.Mem)
 		if a.Name() == "" {
 			t.Errorf("%s has empty name", id)
 		}
+	}
+	if a := env.Algorithm(AlgoSNRA); a.Name() != "sNRA" {
+		t.Errorf("the environment's sNRA is named %q", a.Name())
 	}
 }
 

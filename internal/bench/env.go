@@ -10,11 +10,13 @@ import (
 	"fmt"
 	"sync"
 
+	"sparta/internal/algos/snra"
 	"sparta/internal/corpus"
 	"sparta/internal/diskindex"
 	"sparta/internal/index"
 	"sparta/internal/iomodel"
 	"sparta/internal/model"
+	"sparta/internal/postings"
 	"sparta/internal/queries"
 	"sparta/internal/topk"
 )
@@ -31,8 +33,6 @@ type EnvOptions struct {
 	K int
 	// QueriesPerLength is the per-length pool size (default 20).
 	QueriesPerLength int
-	// Shards is the sNRA pre-partition count (default 12, as the paper).
-	Shards int
 	// Seed drives query generation (default 2020).
 	Seed uint64
 	// MemBudgetEntries caps each query's candidate-state memory at this
@@ -49,9 +49,6 @@ func (o EnvOptions) withDefaults() EnvOptions {
 	}
 	if o.QueriesPerLength == 0 {
 		o.QueriesPerLength = 20
-	}
-	if o.Shards == 0 {
-		o.Shards = diskindex.DefaultShards
 	}
 	if o.Seed == 0 {
 		o.Seed = 2020
@@ -74,6 +71,9 @@ type Env struct {
 
 	mu         sync.Mutex
 	exactCache map[string]model.TopK
+
+	partsOnce sync.Once
+	parts     []postings.View // sNRA's partitions of Disk, built on first use
 }
 
 // NewEnv generates the corpus, builds both indexes, and samples the
@@ -82,7 +82,7 @@ func NewEnv(spec corpus.Spec, cfg iomodel.Config, opts EnvOptions) (*Env, error)
 	opts = opts.withDefaults()
 	c := corpus.New(spec)
 	mem := index.FromCorpus(c)
-	disk, err := diskindex.FromIndex(mem, opts.Shards, cfg)
+	disk, err := diskindex.FromIndex(mem, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("bench: building disk index for %s: %w", spec.Name, err)
 	}
@@ -95,6 +95,25 @@ func NewEnv(spec corpus.Spec, cfg iomodel.Config, opts EnvOptions) (*Env, error)
 		Sets:       sets,
 		exactCache: make(map[string]model.TopK),
 	}, nil
+}
+
+// Algorithm instantiates id over Disk. sNRA runs on Mem's
+// snra.Partitions document-range parts instead, each built into an
+// index under Disk's codec on Disk's store, so it reads through the page
+// cache every other algorithm does: built on its first use, before any
+// query of it runs.
+func (e *Env) Algorithm(id AlgoID) topk.Algorithm {
+	if id != AlgoSNRA {
+		return MakeAlgorithm(id, e.Disk)
+	}
+	e.partsOnce.Do(func() {
+		var err error
+		if e.parts, err = snra.OnDisk(e.Mem, snra.Partitions, e.Disk.Store(), e.Disk.Codec()); err != nil {
+			// The whole index built under the same codec: a part cannot fail.
+			panic(fmt.Sprintf("bench: %v", err))
+		}
+	})
+	return snra.New(e.parts)
 }
 
 // Exact returns the ground-truth top-k for q, computed once by brute

@@ -39,7 +39,7 @@ func (e *Env) runVariant(v Variant, qs []model.Query, threads int) LatencyCell {
 	for _, q := range qs {
 		opts := v.Opts
 		opts.Threads = threads
-		alg := MakeAlgorithm(v.ID, e.Disk)
+		alg := e.Algorithm(v.ID)
 		res, st, err := alg.Search(q, opts)
 		if err != nil {
 			if errors.Is(err, membudget.ErrMemoryBudget) {
@@ -143,7 +143,7 @@ func (e *Env) RunRecallDynamics(variants []Variant, nQueries, threads int, step,
 			opts := v.Opts
 			opts.Threads = threads
 			opts.Probe = probe
-			alg := MakeAlgorithm(v.ID, e.Disk)
+			alg := e.Algorithm(v.ID)
 			if _, _, err := alg.Search(q, opts); err != nil {
 				na = true
 				break
@@ -174,7 +174,7 @@ func (e *Env) RunThroughput(variants []Variant, poolSize, nQueries int) []Throug
 	out := make([]ThroughputCell, 0, len(variants))
 	for _, v := range variants {
 		e.FlushAndReset()
-		alg := MakeAlgorithm(v.ID, e.Disk)
+		alg := e.Algorithm(v.ID)
 		res := sched.Run(alg, stream, poolSize, v.Opts)
 		cell := ThroughputCell{Label: v.Label, QPS: res.QPS, P95MS: res.Latency.Percentile(95)}
 		if res.Errors > 0 {
@@ -194,7 +194,7 @@ func (e *Env) RunThroughputByLength(variants []Variant, lengths []int, poolSize,
 		point := SweepPoint{X: l}
 		for _, v := range variants {
 			e.FlushAndReset()
-			alg := MakeAlgorithm(v.ID, e.Disk)
+			alg := e.Algorithm(v.ID)
 			res := sched.Run(alg, qs, poolSize, v.Opts)
 			cell := LatencyCell{Label: v.Label, Mean: res.QPS, P95: res.Latency.Percentile(95)}
 			if res.Errors > 0 {

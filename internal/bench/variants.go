@@ -9,7 +9,6 @@ import (
 	"sparta/internal/algos/maxscore"
 	"sparta/internal/algos/pnra"
 	"sparta/internal/algos/pra"
-	"sparta/internal/algos/snra"
 	"sparta/internal/algos/ta"
 	"sparta/internal/cmap"
 	"sparta/internal/core"
@@ -38,15 +37,17 @@ const (
 	AlgoJASS     AlgoID = "JASS"
 )
 
-// AllAlgos lists every algorithm. Each answers an Exact query with the
-// reference's bytes, scores included (the topk.Algorithm contract), so
-// the identity suites iterate this one list.
+// AllAlgos lists every algorithm over one view. Each answers an Exact
+// query with the reference's bytes, scores included (the topk.Algorithm
+// contract), so the identity suites iterate this one list. sNRA is not
+// among them: it runs on a partition set (Env.Algorithm, snra.New), and
+// inside a shard or a segment it would partition twice.
 var AllAlgos = []AlgoID{
-	AlgoSparta, AlgoPRA, AlgoPNRA, AlgoSNRA, AlgoPBMW, AlgoPJASS, AlgoRA,
+	AlgoSparta, AlgoPRA, AlgoPNRA, AlgoPBMW, AlgoPJASS, AlgoRA,
 	AlgoNRA, AlgoWAND, AlgoPWAND, AlgoMaxScore, AlgoBMW, AlgoJASS,
 }
 
-// MakeAlgorithm instantiates id over view.
+// MakeAlgorithm instantiates id, one of AllAlgos, over view.
 func MakeAlgorithm(id AlgoID, view postings.View) topk.Algorithm {
 	switch id {
 	case AlgoSparta:
@@ -55,8 +56,6 @@ func MakeAlgorithm(id AlgoID, view postings.View) topk.Algorithm {
 		return pra.New(view)
 	case AlgoPNRA:
 		return pnra.New(view)
-	case AlgoSNRA:
-		return snra.New(view)
 	case AlgoPBMW:
 		return bmw.NewPBMW(view)
 	case AlgoPJASS:

@@ -19,8 +19,9 @@ import (
 // one in the codec id its manifest carries and in nothing else.
 type Index = diskindex.Index
 
-// FromIndex builds x into a charged store with the group codec. shards
-// is the sNRA pre-partition count (0 means diskindex.DefaultShards).
-func FromIndex(x *index.Index, shards int, cfg iomodel.Config) (*Index, error) {
-	return diskindex.FromIndexWith(x, shards, cfg, codec.Group)
+// FromIndex builds x into a charged store with the group codec. The int
+// is accepted and ignored: it was the count of sNRA shard sublists the
+// index stored, and sNRA now runs on partitions of its own.
+func FromIndex(x *index.Index, _ int, cfg iomodel.Config) (*Index, error) {
+	return diskindex.FromIndexWith(x, cfg, codec.Group)
 }

@@ -37,7 +37,7 @@ func buildBoth(t *testing.T, seed uint64) (*index.Index, *Index) {
 func buildBothWith(t *testing.T, seed uint64, id codec.ID) (*index.Index, *Index) {
 	t.Helper()
 	mem := algotest.MediumIndex(t, seed)
-	ci, err := diskindex.FromIndexWith(mem, 4, testCfg(), id)
+	ci, err := diskindex.FromIndexWith(mem, testCfg(), id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,14 +156,25 @@ func TestCompressedRandomAccess(t *testing.T) {
 	}
 }
 
+// TestCompressedShards: a compressed partition set (sNRA's form) on one
+// store yields each term's postings once across its parts, in score
+// order within each.
 func TestCompressedShards(t *testing.T) {
-	mem, ci := buildBoth(t, 6)
+	mem := algotest.MediumIndex(t, 6)
 	const shards = 4
+	store := iomodel.NewStore(testCfg())
+	parts := make([]*Index, shards)
+	for s, part := range mem.Partition(shards) {
+		var err error
+		if parts[s], err = diskindex.FromIndexOn(part, store, codec.Group); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for tid := 0; tid < mem.NumTerms(); tid += 23 {
 		term := model.TermID(tid)
 		total := 0
 		for s := 0; s < shards; s++ {
-			c := ci.ScoreCursorShard(term, s, shards)
+			c := parts[s].ScoreCursor(term)
 			prev := model.Score(1 << 60)
 			for c.Next() {
 				if c.Score() > prev {
@@ -202,20 +213,10 @@ func TestAlgorithmsRunOnCompressedIndex(t *testing.T) {
 	}
 }
 
-func TestShardCountMismatchPanics(t *testing.T) {
-	_, ci := buildBoth(t, 9)
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic on shard mismatch")
-		}
-	}()
-	ci.ScoreCursorShard(0, 0, 7)
-}
-
 func TestWriteOpenDirRoundTrip(t *testing.T) {
 	mem := algotest.MediumIndex(t, 10)
 	dir := t.TempDir()
-	if err := diskindex.WriteDirWith(mem, 4, dir, codec.Group); err != nil {
+	if err := diskindex.WriteDirWith(mem, dir, codec.Group); err != nil {
 		t.Fatal(err)
 	}
 	ci, err := diskindex.OpenDir(dir, testCfg())
@@ -238,17 +239,7 @@ func TestWriteOpenDirRoundTrip(t *testing.T) {
 			t.Fatalf("term %d cursor long after reopen", tid)
 		}
 	}
-	// Shards and random access survive too.
-	total := 0
-	for s := 0; s < 4; s++ {
-		c := ci.ScoreCursorShard(0, s, 4)
-		for c.Next() {
-			total++
-		}
-	}
-	if total != mem.DF(0) {
-		t.Errorf("shards yield %d, df %d", total, mem.DF(0))
-	}
+	// Random access survives too.
 	for _, p := range mem.Postings(1) {
 		if s, ok := ci.RandomAccess(1, p.Doc); !ok || s != p.Score {
 			t.Fatalf("RandomAccess(%d) after reopen", p.Doc)
@@ -269,7 +260,7 @@ func TestWriteOpenDirRoundTrip(t *testing.T) {
 func TestOpenDirCorrupt(t *testing.T) {
 	mem := algotest.SmallIndex(t, 11)
 	dir := t.TempDir()
-	if err := diskindex.WriteDirWith(mem, 2, dir, codec.Group); err != nil {
+	if err := diskindex.WriteDirWith(mem, dir, codec.Group); err != nil {
 		t.Fatal(err)
 	}
 	// Truncated directory file must error, not panic.
@@ -342,7 +333,7 @@ func TestCodecPersistsAcrossWriteOpen(t *testing.T) {
 	mem := algotest.MediumIndex(t, 22)
 	for _, id := range []codec.ID{codec.Raw, codec.Group} {
 		dir := t.TempDir()
-		if err := diskindex.WriteDirWith(mem, 4, dir, id); err != nil {
+		if err := diskindex.WriteDirWith(mem, dir, id); err != nil {
 			t.Fatal(err)
 		}
 		ci, err := diskindex.OpenDir(dir, testCfg())
@@ -385,7 +376,7 @@ func TestOpenDirRefusesOldVersion(t *testing.T) {
 		"old version":       {diskindex.ManifestFile, `{"Version":3,"NumDocs":10,"NumTerms":5,"Shards":2,"Codec":1}`},
 	} {
 		dir := t.TempDir()
-		if err := diskindex.WriteDirWith(mem, 2, dir, codec.Group); err != nil {
+		if err := diskindex.WriteDirWith(mem, dir, codec.Group); err != nil {
 			t.Fatal(err)
 		}
 		if old.file != diskindex.ManifestFile {

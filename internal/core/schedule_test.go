@@ -67,7 +67,7 @@ func TestSpartaDeltaStopFiresWithoutACleanerPass(t *testing.T) {
 		stuck = 250 * time.Millisecond
 		slack = 120 * time.Millisecond // scheduling delay, race detector included; keeps Δ+slack under 2Δ
 	)
-	x, err := diskindex.FromIndex(algotest.MediumIndex(t, 32), diskindex.DefaultShards, iomodel.Config{
+	x, err := diskindex.FromIndex(algotest.MediumIndex(t, 32), iomodel.Config{
 		BlockSize:   256,
 		CacheBlocks: 16,
 		SeqLatency:  time.Microsecond,
@@ -135,7 +135,7 @@ func TestSpartaDeltaStopFiresWithoutACleanerPass(t *testing.T) {
 func TestSpartaCancelledWhileCleanerParked(t *testing.T) {
 	// Storage slow enough that the query spends nearly all its time
 	// inside segments, with the cleaner parked in between.
-	x, err := diskindex.FromIndex(algotest.MediumIndex(t, 33), diskindex.DefaultShards, iomodel.Config{
+	x, err := diskindex.FromIndex(algotest.MediumIndex(t, 33), iomodel.Config{
 		BlockSize:   256,
 		CacheBlocks: 16,
 		SeqLatency:  500 * time.Microsecond,

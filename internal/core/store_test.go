@@ -45,7 +45,7 @@ func newStoreCase(t *testing.T, seed uint64) *storeCase {
 		Name: "store", Docs: 1200, Vocab: 240, ZipfS: 1.0,
 		MeanDocLen: 50, MinDocLen: 5, Seed: seed,
 	}))
-	disk, err := diskindex.FromIndex(x, 4, iomodel.Config{
+	disk, err := diskindex.FromIndex(x, iomodel.Config{
 		BlockSize:   4096,
 		CacheBlocks: 16,
 		SeqLatency:  200 * time.Nanosecond,

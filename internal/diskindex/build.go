@@ -13,32 +13,37 @@ import (
 
 // FromIndex converts an in-memory index directly into an opened
 // disk-modeled index in the paper's uncompressed layout (codec.Raw),
-// skipping the filesystem round trip. shards is the sNRA pre-partition
-// count (0 means DefaultShards).
-func FromIndex(x *index.Index, shards int, cfg iomodel.Config) (*Index, error) {
-	return FromIndexWith(x, shards, cfg, codec.Raw)
+// skipping the filesystem round trip.
+func FromIndex(x *index.Index, cfg iomodel.Config) (*Index, error) {
+	return FromIndexWith(x, cfg, codec.Raw)
 }
 
 // FromIndexWith is FromIndex with the block codec named.
-func FromIndexWith(x *index.Index, shards int, cfg iomodel.Config, id codec.ID) (*Index, error) {
-	d, region, err := build(x, shards, id)
+func FromIndexWith(x *index.Index, cfg iomodel.Config, id codec.ID) (*Index, error) {
+	return FromIndexOn(x, iomodel.NewStore(cfg), id)
+}
+
+// FromIndexOn is FromIndexWith onto an existing store: x's postings
+// become one more file of store, read through its page cache and
+// counted in its statistics beside the files already there. The parts
+// of one partition set share a disk this way. Build before the store
+// serves queries: adding a file does not synchronize with readers.
+func FromIndexOn(x *index.Index, store *iomodel.Store, id codec.ID) (*Index, error) {
+	d, region, err := build(x, id)
 	if err != nil {
 		return nil, err
 	}
-	return newIndex(d, region, cfg), nil
+	return newIndex(d, region, store), nil
 }
 
 // build cuts every posting region of x into blocks, appends their
 // encodings to one region in directory order — per term: doc blocks,
-// impact blocks, then each shard sublist's blocks — and records the
-// directory. Block maxima and last ids are x's own (x.Blocks), not
-// recomputed from the score field: an index whose payload is not the
-// score (the live index's frozen segments store term frequencies and
-// bound them by a weight) keeps the bounds it was given.
-func build(x *index.Index, shards int, id codec.ID) (*directory, []byte, error) {
-	if shards <= 0 {
-		shards = DefaultShards
-	}
+// then impact blocks — and records the directory. Block maxima and last
+// ids are x's own (x.Blocks), not recomputed from the score field: an
+// index whose payload is not the score (the live index's frozen
+// segments store term frequencies and bound them by a weight) keeps the
+// bounds it was given.
+func build(x *index.Index, id codec.ID) (*directory, []byte, error) {
 	if !id.Valid() {
 		return nil, nil, fmt.Errorf("diskindex: unknown codec id %d", uint8(id))
 	}
@@ -46,13 +51,12 @@ func build(x *index.Index, shards int, id codec.ID) (*directory, []byte, error) 
 	d := &directory{
 		manifest: Manifest{
 			Version: FormatVersion, NumDocs: x.NumDocs(), NumTerms: nTerms,
-			Shards: shards, Codec: id, TotalPostings: total,
+			Codec: id, TotalPostings: total,
 		},
-		terms:     make([]termMeta, nTerms),
-		shardRecs: make([]shardRec, 0, nTerms*shards),
+		terms: make([]termMeta, nTerms),
 	}
 	// Raw's size is exact; Group lands near half of it (DESIGN.md §4i).
-	size := total * codec.RawPostingBytes * 3
+	size := total * codec.RawPostingBytes * 2
 	if id != codec.Raw {
 		size /= 2
 	}
@@ -85,8 +89,6 @@ func build(x *index.Index, shards int, id codec.ID) (*directory, []byte, error) 
 		return dst, nil
 	}
 
-	sharded := make([][]model.Posting, shards)
-	numDocs := int64(x.NumDocs())
 	for t := range d.terms {
 		term := model.TermID(t)
 		docList, impList, dir := x.Postings(term), x.Impact(term), x.Blocks(term)
@@ -108,25 +110,6 @@ func build(x *index.Index, shards int, id codec.ID) (*directory, []byte, error) 
 		d.docDir = append(d.docDir, dir...)
 		if d.impMeta, err = appendBlocks(d.impMeta, impList, false, uint32(tm.max)); err != nil {
 			return nil, nil, fmt.Errorf("diskindex: term %d impact blocks: %w", t, err)
-		}
-		// Shard sublists in one pass: a posting's shard follows from its
-		// document id.
-		for s := range sharded {
-			sharded[s] = sharded[s][:0]
-		}
-		for _, p := range impList {
-			s := int(int64(p.Doc) * int64(shards) / numDocs)
-			sharded[s] = append(sharded[s], p)
-		}
-		for s, sub := range sharded {
-			rec := shardRec{n: int32(len(sub)), blkStart: int32(len(d.impMeta))}
-			if len(sub) > 0 {
-				rec.max = sub[0].Score // impact-ordered: first is max
-			}
-			if d.impMeta, err = appendBlocks(d.impMeta, sub, false, uint32(tm.max)); err != nil {
-				return nil, nil, fmt.Errorf("diskindex: term %d shard %d: %w", t, s, err)
-			}
-			d.shardRecs = append(d.shardRecs, rec)
 		}
 		d.terms[t] = tm
 	}

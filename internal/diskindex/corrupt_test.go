@@ -24,7 +24,7 @@ func writeValidDir(t *testing.T) string {
 	t.Helper()
 	mem := testCorpusIndex(t, 100)
 	dir := filepath.Join(t.TempDir(), "idx")
-	if err := WriteDir(mem, 2, dir); err != nil {
+	if err := WriteDir(mem, dir); err != nil {
 		t.Fatal(err)
 	}
 	return dir
@@ -58,7 +58,7 @@ func TestOpenDirWrongVersion(t *testing.T) {
 	}
 }
 
-// TestOpenDirRetiredFormats: the two directory layouts this format
+// TestOpenDirRetiredFormats: the three directory layouts this format
 // replaced, and the codec id it retired, are each refused with the typed
 // error that says what to do about it.
 func TestOpenDirRetiredFormats(t *testing.T) {
@@ -80,6 +80,12 @@ func TestOpenDirRetiredFormats(t *testing.T) {
 	write(compressed, "cmanifest.json", `{"Version":3,"NumDocs":3,"NumTerms":1,"Shards":2,"Codec":1}`)
 	write(compressed, "cdir.bin", "")
 	write(compressed, "cpostings.bin", "")
+	// Format 4 is this layout plus one impact-ordered sublist per sNRA
+	// shard: the same three file names, a header with a shard count.
+	sublists := filepath.Join(root, "v4")
+	write(sublists, ManifestFile, `{"Version":4,"NumDocs":3,"NumTerms":1,"Shards":12,"Codec":1,"TotalPostings":3}`)
+	write(sublists, DirFile, "sdx4")
+	write(sublists, PostingsFile, "")
 	leb := writeValidDir(t)
 	raw, err := os.ReadFile(filepath.Join(leb, ManifestFile))
 	if err != nil {
@@ -93,7 +99,7 @@ func TestOpenDirRetiredFormats(t *testing.T) {
 	out, _ := json.Marshal(m)
 	write(leb, ManifestFile, string(out))
 
-	for name, dir := range map[string]string{"three-file": threeFile, "cindex": compressed, "codec 0": leb} {
+	for name, dir := range map[string]string{"three-file": threeFile, "cindex": compressed, "shard sublists": sublists, "codec 0": leb} {
 		_, err := OpenDir(dir, testCfg())
 		var re *RebuildError
 		if !errors.As(err, &re) || !strings.Contains(err.Error(), "rebuild") {
@@ -102,19 +108,18 @@ func TestOpenDirRetiredFormats(t *testing.T) {
 	}
 }
 
-// dirTables locates the four tables of a dir.bin by its header.
+// dirTables locates the three tables of a dir.bin by its header.
 func dirTables(buf []byte) []struct {
 	name        string
 	off, rec, n int
 } {
 	u := func(i int) int { return int(binary.LittleEndian.Uint32(buf[4*i:])) }
-	nTerms, shards, nDoc, nImp := u(1), u(2), u(3), u(4)
+	nTerms, nDoc, nImp := u(1), u(2), u(3)
 	tabs := []struct {
 		name        string
 		off, rec, n int
 	}{
 		{"terms", 0, termRecSize, nTerms},
-		{"shards", 0, shardRecSize, nTerms * shards},
 		{"doc blocks", 0, docRecSize, nDoc},
 		{"impact blocks", 0, impRecSize, nImp},
 	}
@@ -140,7 +145,7 @@ func TestOpenDirCorruptDirectory(t *testing.T) {
 	mem := testCorpusIndex(t, 150)
 	for _, id := range []codec.ID{codec.Raw, codec.Group} {
 		dir := filepath.Join(t.TempDir(), "idx")
-		if err := WriteDirWith(mem, 3, dir, id); err != nil {
+		if err := WriteDirWith(mem, dir, id); err != nil {
 			t.Fatal(err)
 		}
 		good, err := os.ReadFile(filepath.Join(dir, DirFile))
@@ -236,10 +241,6 @@ func readEverything(x *Index) {
 		for c := x.ScoreCursor(t); c.Next(); {
 			_ = c.Bound()
 		}
-		for s := 0; s < x.Shards(); s++ {
-			for c := x.ScoreCursorShard(t, s, x.Shards()); c.Next(); {
-			}
-		}
 		for d := 0; d < x.NumDocs(); d += 7 {
 			x.RandomAccess(t, model.DocID(d))
 		}
@@ -271,7 +272,7 @@ func TestReaderBeyondFilePanics(t *testing.T) {
 	// Reading past the postings region is a programming error and must
 	// fail loudly rather than return garbage.
 	mem := testCorpusIndex(t, 50)
-	disk, err := FromIndex(mem, 2, testCfg())
+	disk, err := FromIndex(mem, testCfg())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,14 @@
 // Package diskindex is the repository's one on-(simulated-)disk inverted
 // index. Per §5.1 of the paper, "the appropriate index (either in
 // document order or in score order) is pre-built offline and stored on
-// disk"; per §5.2, pRA additionally needs a by-document index and sNRA
-// a partition into document-id shards. One directory holds all of it.
+// disk"; per §5.2, pRA additionally needs a by-document index, which is
+// the doc-ordered list itself. One directory holds both orders, so it
+// stores each posting twice. sNRA's document-id partitions are indexes
+// of their own, one per range of index.Partition.
 //
-// Every posting region — a term's doc-ordered list, its impact-ordered
-// list, one impact-ordered sublist per shard — is stored as a sequence
-// of postings.BlockSize-posting blocks, each turned into bytes by the
+// Every posting region — a term's doc-ordered list and its
+// impact-ordered list — is stored as a sequence of
+// postings.BlockSize-posting blocks, each turned into bytes by the
 // block codec the manifest names (package codec). codec.Raw is the
 // paper's layout, "uncompressed as a collection of binary files": §5.1
 // is a configuration of this package, not a package of its own.
@@ -37,10 +39,6 @@ import (
 	"sparta/internal/postings"
 )
 
-// DefaultShards is the number of document-id shards pre-built for the
-// shared-nothing baseline; the paper partitions into 12 (§5.2.2).
-const DefaultShards = 12
-
 // blockMeta directs one stored block. ref is what its codec decodes
 // against: the doc id immediately before a doc-ordered block, the score
 // bound entering an impact-ordered one.
@@ -61,27 +59,16 @@ type termMeta struct {
 	impStart int32
 }
 
-// shardRec directs one term × shard impact sublist: its length, its max
-// score (the tight initial Bound), and where its nBlocks(n) blocks start
-// in the impact block table. Term t's records are
-// shardRecs[t*Shards : (t+1)*Shards].
-type shardRec struct {
-	n        int32
-	max      model.Score
-	blkStart int32
-}
-
 func nBlocks(n int32) int32 { return (n + postings.BlockSize - 1) / postings.BlockSize }
 
 // directory is everything about an index but its posting bytes and its
 // store: immutable once built or opened, so Reopen shares it.
 type directory struct {
-	manifest  Manifest
-	terms     []termMeta
-	shardRecs []shardRec
-	docMeta   []blockMeta
-	docDir    []postings.BlockMeta // (last, max) of docMeta[i]; what SkipTo and block-max pruning read
-	impMeta   []blockMeta          // per term: the impact list's blocks, then each shard sublist's
+	manifest Manifest
+	terms    []termMeta
+	docMeta  []blockMeta
+	docDir   []postings.BlockMeta // (last, max) of docMeta[i]; what SkipTo and block-max pruning read
+	impMeta  []blockMeta
 }
 
 // Index is an opened on-disk index whose posting reads are charged
@@ -100,10 +87,8 @@ var (
 	_ postings.BlockWalker = (*Index)(nil)
 )
 
-func newIndex(d *directory, region []byte, cfg iomodel.Config) *Index {
-	x := &Index{directory: d, store: iomodel.NewStore(cfg)}
-	x.postFile = x.store.AddFile(PostingsFile, region)
-	return x
+func newIndex(d *directory, region []byte, store *iomodel.Store) *Index {
+	return &Index{directory: d, store: store, postFile: store.AddFile(PostingsFile, region)}
 }
 
 // Reopen returns another index over the same directory and posting
@@ -112,7 +97,7 @@ func newIndex(d *directory, region []byte, cfg iomodel.Config) *Index {
 // every copy is charged independently, none pays for the build again,
 // and nothing they share is ever written.
 func (x *Index) Reopen(cfg iomodel.Config) *Index {
-	return newIndex(x.directory, x.store.RawBytesOf(x.postFile), cfg)
+	return newIndex(x.directory, x.store.RawBytesOf(x.postFile), iomodel.NewStore(cfg))
 }
 
 // Store exposes the simulated storage for flushing and statistics.
@@ -123,9 +108,6 @@ func (x *Index) Manifest() Manifest { return x.manifest }
 
 // Codec returns the block codec the index was built with.
 func (x *Index) Codec() codec.ID { return x.manifest.Codec }
-
-// Shards returns the pre-built shard count.
-func (x *Index) Shards() int { return x.manifest.Shards }
 
 // SetPostingCache attaches an app-level cache of decoded posting
 // blocks, shared by every cursor (and every concurrent query) over this
@@ -146,8 +128,8 @@ func (x *Index) PostingCache() *plcache.Cache { return x.cache.Load() }
 func (x *Index) CompressedBytes() int64 { return x.store.FileSize(x.postFile) }
 
 // RawBytes returns the size the postings region has under codec.Raw:
-// every posting three times (doc order, impact order, shard sublists).
-func (x *Index) RawBytes() int64 { return x.manifest.TotalPostings * codec.RawPostingBytes * 3 }
+// every posting twice (doc order, impact order).
+func (x *Index) RawBytes() int64 { return x.manifest.TotalPostings * codec.RawPostingBytes * 2 }
 
 // TermCompressedBytes returns the stored byte size of term t's
 // doc-ordered region (the region tooling reports per-term ratios on).
@@ -216,29 +198,6 @@ func (x *Index) scoreCursor(t model.TermID, rd *iomodel.Reader, onCache func(boo
 	}
 }
 
-// ScoreCursorShard implements postings.View using the pre-partitioned
-// shard sublists. nShards must equal the build-time shard count (or 1
-// for the unsharded list).
-func (x *Index) ScoreCursorShard(t model.TermID, shard, nShards int) postings.ScoreCursor {
-	return x.scoreCursorShard(t, shard, nShards, x.store.NewReader(x.postFile), nil)
-}
-
-func (x *Index) scoreCursorShard(t model.TermID, shard, nShards int, rd *iomodel.Reader, onCache func(bool)) *cursor {
-	if nShards <= 1 {
-		return x.scoreCursor(t, rd, onCache)
-	}
-	if nShards != x.Shards() {
-		panic(fmt.Sprintf("diskindex: index pre-built with %d shards, requested %d", x.Shards(), nShards))
-	}
-	rec := x.shardRecs[int(t)*nShards+shard]
-	return &cursor{
-		x: x, rd: rd, cache: x.cache.Load(), onCache: onCache,
-		key:    plcache.Key{Term: t, Kind: plcache.KindShard(shard)},
-		blocks: x.impMeta[rec.blkStart : rec.blkStart+nBlocks(rec.n)],
-		max:    rec.max, n: int(rec.n), blk: -1,
-	}
-}
-
 // loadBlock is the one way stored bytes become postings: block b of the
 // region key names, from the decoded-block cache when one is attached —
 // concurrent misses on a block share one fetch+decode, and only the
@@ -283,7 +242,7 @@ func (x *Index) decode(rd *iomodel.Reader, key plcache.Key, b blockMeta, out []m
 // cursor walks one posting region a block at a time. It is both cursor
 // types of postings.View: a doc-ordered region comes with its (last,
 // max) directory and answers the DocCursor methods, an impact-ordered
-// one (a whole list or a shard sublist) answers Bound.
+// one answers Bound.
 type cursor struct {
 	x       *Index
 	rd      *iomodel.Reader
@@ -508,10 +467,6 @@ func (v *execView) DocCursor(t model.TermID) postings.DocCursor {
 
 func (v *execView) ScoreCursor(t model.TermID) postings.ScoreCursor {
 	return v.Index.scoreCursor(t, v.newReader(), v.onCache)
-}
-
-func (v *execView) ScoreCursorShard(t model.TermID, shard, nShards int) postings.ScoreCursor {
-	return v.Index.scoreCursorShard(t, shard, nShards, v.newReader(), v.onCache)
 }
 
 // RandomAccess probes through an untracked reader that is constructed

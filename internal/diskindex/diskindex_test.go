@@ -9,6 +9,7 @@ import (
 	"sparta/internal/index"
 	"sparta/internal/iomodel"
 	"sparta/internal/model"
+	"sparta/internal/postings"
 )
 
 func testCorpusIndex(t *testing.T, docs int) *index.Index {
@@ -28,7 +29,7 @@ func testCfg() iomodel.Config {
 
 func TestRoundTripThroughMemory(t *testing.T) {
 	mem := testCorpusIndex(t, 300)
-	disk, err := FromIndex(mem, 4, testCfg())
+	disk, err := FromIndex(mem, testCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func TestRoundTripThroughMemory(t *testing.T) {
 func TestRoundTripThroughFiles(t *testing.T) {
 	mem := testCorpusIndex(t, 200)
 	dir := filepath.Join(t.TempDir(), "idx")
-	if err := WriteDir(mem, 4, dir); err != nil {
+	if err := WriteDir(mem, dir); err != nil {
 		t.Fatal(err)
 	}
 	disk, err := OpenDir(dir, testCfg())
@@ -92,58 +93,39 @@ func verifyEquivalent(t *testing.T, mem *index.Index, disk *Index) {
 	}
 }
 
+// TestShardCursors builds the parts of one partition set (sNRA's form)
+// onto one store: each reads what its in-memory part holds, inside its
+// own document range, and all of them charge the one store.
 func TestShardCursors(t *testing.T) {
 	mem := testCorpusIndex(t, 300)
 	const shards = 4
-	disk, err := FromIndex(mem, shards, testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for tid := 0; tid < mem.NumTerms(); tid += 9 {
-		term := model.TermID(tid)
-		total := 0
-		for s := 0; s < shards; s++ {
-			c := disk.ScoreCursorShard(term, s, shards)
-			prev := model.Score(1 << 60)
-			for c.Next() {
-				if c.Score() > prev {
-					t.Fatalf("term %d shard %d out of order", tid, s)
-				}
-				prev = c.Score()
-				lo, hi := shardBounds(mem.NumDocs(), s, shards)
+	store := iomodel.NewStore(testCfg())
+	for s, part := range mem.Partition(shards) {
+		disk, err := FromIndexOn(part, store, codec.Group)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if disk.Store() != store {
+			t.Fatalf("part %d reads its own store", s)
+		}
+		verifyEquivalent(t, part, disk)
+		lo, hi := postings.ShardRange(mem.NumDocs(), s, shards)
+		for tid := 0; tid < mem.NumTerms(); tid += 9 {
+			for c := disk.ScoreCursor(model.TermID(tid)); c.Next(); {
 				if c.Doc() < lo || c.Doc() >= hi {
-					t.Fatalf("term %d shard %d contains doc %d outside [%d,%d)",
-						tid, s, c.Doc(), lo, hi)
+					t.Fatalf("term %d part %d holds doc %d outside [%d,%d)", tid, s, c.Doc(), lo, hi)
 				}
-				total++
 			}
 		}
-		if total != mem.DF(term) {
-			t.Fatalf("term %d: shards yield %d, df %d", tid, total, mem.DF(term))
-		}
 	}
-}
-
-func shardBounds(docs, s, n int) (model.DocID, model.DocID) {
-	return model.DocID(s * docs / n), model.DocID((s + 1) * docs / n)
-}
-
-func TestShardCountMismatchPanics(t *testing.T) {
-	disk, err := FromIndex(testCorpusIndex(t, 100), 4, testCfg())
-	if err != nil {
-		t.Fatal(err)
+	if io := store.Snapshot(); io.BlocksRead == 0 {
+		t.Error("the parts' reads charged nothing to their store")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched shard count did not panic")
-		}
-	}()
-	disk.ScoreCursorShard(0, 0, 5)
 }
 
 func TestRandomAccessMatches(t *testing.T) {
 	mem := testCorpusIndex(t, 300)
-	disk, err := FromIndex(mem, 2, testCfg())
+	disk, err := FromIndex(mem, testCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +146,7 @@ func TestRandomAccessMatches(t *testing.T) {
 
 func TestIOCharged(t *testing.T) {
 	mem := testCorpusIndex(t, 300)
-	disk, err := FromIndex(mem, 2, testCfg())
+	disk, err := FromIndex(mem, testCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +168,7 @@ func TestRandomAccessChargedAsRandom(t *testing.T) {
 	mem := testCorpusIndex(t, 2000)
 	cfg := testCfg()
 	cfg.BlockSize = 512 // small blocks so the binary search spans many
-	disk, err := FromIndex(mem, 2, cfg)
+	disk, err := FromIndex(mem, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +186,7 @@ func TestRandomAccessChargedAsRandom(t *testing.T) {
 
 func TestSkipToOnDisk(t *testing.T) {
 	mem := testCorpusIndex(t, 500)
-	disk, err := FromIndex(mem, 2, testCfg())
+	disk, err := FromIndex(mem, testCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,19 +210,16 @@ func TestSkipToOnDisk(t *testing.T) {
 
 func TestManifest(t *testing.T) {
 	mem := testCorpusIndex(t, 100)
-	disk, err := FromIndex(mem, 3, testCfg())
+	disk, err := FromIndex(mem, testCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := disk.Manifest()
-	if m.NumDocs != 100 || m.Shards != 3 || m.Version != FormatVersion {
+	if m.NumDocs != 100 || m.Version != FormatVersion {
 		t.Errorf("manifest = %+v", m)
 	}
 	if m.TotalPostings != mem.TotalPostings() {
 		t.Errorf("TotalPostings = %d, want %d", m.TotalPostings, mem.TotalPostings())
-	}
-	if disk.Shards() != 3 {
-		t.Errorf("Shards() = %d", disk.Shards())
 	}
 }
 
@@ -255,7 +234,7 @@ func TestOpenDirMissingFile(t *testing.T) {
 // own, so a replica's reads are charged to that replica alone.
 func TestReopenChargesIndependently(t *testing.T) {
 	mem := testCorpusIndex(t, 300)
-	first, err := FromIndex(mem, 4, testCfg())
+	first, err := FromIndex(mem, testCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,11 +269,11 @@ func TestReopenChargesIndependently(t *testing.T) {
 // family's I/O bill does not depend on how the index was built.
 func TestRandomAccessCostIsCodecIndependent(t *testing.T) {
 	mem := testCorpusIndex(t, 2000)
-	raw, err := FromIndexWith(mem, 2, testCfg(), codec.Raw)
+	raw, err := FromIndexWith(mem, testCfg(), codec.Raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	group, err := FromIndexWith(mem, 2, testCfg(), codec.Group)
+	group, err := FromIndexWith(mem, testCfg(), codec.Group)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,13 +24,11 @@ import (
 //	                directory file's checksum
 //	dir.bin       — the RAM-resident block directory, as flat fixed-width
 //	                tables: a header with the table lengths, then term
-//	                records (df, max), shard records (n, max), doc block
-//	                records (byte length, last doc id, block max) and
-//	                impact block records (byte length, entering score
-//	                bound), all little-endian u32
+//	                records (df, max), doc block records (byte length,
+//	                last doc id, block max) and impact block records (byte
+//	                length, entering score bound), all little-endian u32
 //	postings.bin  — the encoded blocks back to back, in directory order:
-//	                per term its doc blocks, its impact blocks, then each
-//	                shard sublist's blocks
+//	                per term its doc blocks, then its impact blocks
 //
 // dir.bin stores only what cannot be derived. Blocks tile postings.bin
 // in table order, so offsets are running sums of byte lengths; every
@@ -47,13 +45,14 @@ const (
 
 	// FormatVersion identifies the layout. 1 was the uncompressed
 	// manifest.json/dict.bin/postings.bin triple and 3 the compressed
-	// cmanifest.json/cdir.bin/cpostings.bin one, both retired.
-	FormatVersion = 4
+	// cmanifest.json/cdir.bin/cpostings.bin one; 4 stored every posting a
+	// third time, in one impact-ordered sublist per sNRA shard. All are
+	// retired.
+	FormatVersion = 5
 
-	dirMagic      = 0x34786473 // "sdx4"
-	dirHeaderSize = 4 * 5      // magic, nTerms, shards, nDocBlocks, nImpBlocks
+	dirMagic      = 0x35786473 // "sdx5"
+	dirHeaderSize = 4 * 4      // magic, nTerms, nDocBlocks, nImpBlocks
 	termRecSize   = 4 * 2
-	shardRecSize  = 4 * 2
 	docRecSize    = 4 * 3
 	impRecSize    = 4 * 2
 
@@ -67,7 +66,6 @@ type Manifest struct {
 	Version  int
 	NumDocs  int
 	NumTerms int
-	Shards   int
 	Codec    codec.ID
 	// TotalPostings sizes reports; RawBytes is derived from it.
 	TotalPostings int64
@@ -94,29 +92,25 @@ func (e *RebuildError) Error() string {
 
 // WriteDir serializes x into directory dir (created if needed) in the
 // paper's uncompressed layout (codec.Raw).
-func WriteDir(x *index.Index, shards int, dir string) error {
-	return WriteDirWith(x, shards, dir, codec.Raw)
+func WriteDir(x *index.Index, dir string) error {
+	return WriteDirWith(x, dir, codec.Raw)
 }
 
 // WriteDirWith is WriteDir with the block codec named.
-func WriteDirWith(x *index.Index, shards int, dir string, id codec.ID) error {
-	d, region, err := build(x, shards, id)
+func WriteDirWith(x *index.Index, dir string, id codec.ID) error {
+	d, region, err := build(x, id)
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, 0, dirHeaderSize+len(d.terms)*termRecSize+len(d.shardRecs)*shardRecSize+
-		len(d.docMeta)*docRecSize+len(d.impMeta)*impRecSize)
+	buf := make([]byte, 0, dirHeaderSize+len(d.terms)*termRecSize+len(d.docMeta)*docRecSize+len(d.impMeta)*impRecSize)
 	u32 := func(vs ...uint32) {
 		for _, v := range vs {
 			buf = binary.LittleEndian.AppendUint32(buf, v)
 		}
 	}
-	u32(dirMagic, uint32(len(d.terms)), uint32(d.manifest.Shards), uint32(len(d.docMeta)), uint32(len(d.impMeta)))
+	u32(dirMagic, uint32(len(d.terms)), uint32(len(d.docMeta)), uint32(len(d.impMeta)))
 	for _, tm := range d.terms {
 		u32(uint32(tm.df), uint32(tm.max))
-	}
-	for _, r := range d.shardRecs {
-		u32(uint32(r.n), uint32(r.max))
 	}
 	for i, b := range d.docMeta {
 		u32(uint32(b.byteLen), uint32(d.docDir[i].Last), uint32(d.docDir[i].Max))
@@ -185,7 +179,7 @@ func OpenDir(dir string, cfg iomodel.Config) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("diskindex: %s: %w", DirFile, err)
 	}
-	return newIndex(d, region, cfg), nil
+	return newIndex(d, region, iomodel.NewStore(cfg)), nil
 }
 
 // readDirectory expands dir.bin into the in-memory directory, deriving
@@ -193,9 +187,8 @@ func OpenDir(dir string, cfg iomodel.Config) (*Index, error) {
 // describes, and checks everything a cursor will later rely on: table
 // sizes against the header and the manifest, each raw block's byte
 // length against its count, doc ids increasing and inside the corpus,
-// block and score bounds inside their term's, each term's shard
-// sublists adding up to its df, and the blocks tiling the postings
-// region exactly.
+// block and score bounds inside their term's, and the blocks tiling the
+// postings region exactly.
 func readDirectory(m Manifest, buf []byte, regionSize int64) (*directory, error) {
 	if len(buf) < dirHeaderSize {
 		return nil, fmt.Errorf("header truncated (%d bytes)", len(buf))
@@ -209,31 +202,22 @@ func readDirectory(m Manifest, buf []byte, regionSize int64) (*directory, error)
 	if magic := u32(); magic != dirMagic {
 		return nil, fmt.Errorf("bad magic %#x", magic)
 	}
-	nTerms, shards, nDoc, nImp := int64(u32()), int64(u32()), int64(u32()), int64(u32())
-	// Bounding the counts by the file's size keeps their products small.
-	room := int64(len(buf))
-	if nTerms != int64(m.NumTerms) || shards != int64(m.Shards) || m.NumDocs < 0 || m.NumDocs > math.MaxUint32 ||
-		shards < 1 || nTerms > room || shards > room/max(nTerms, 1) {
-		return nil, fmt.Errorf("%d terms × %d shards, manifest says %d × %d over %d docs",
-			nTerms, shards, m.NumTerms, m.Shards, m.NumDocs)
+	nTerms, nDoc, nImp := int64(u32()), int64(u32()), int64(u32())
+	if nTerms != int64(m.NumTerms) || m.NumDocs < 0 || m.NumDocs > math.MaxUint32 {
+		return nil, fmt.Errorf("%d terms, manifest says %d over %d docs", nTerms, m.NumTerms, m.NumDocs)
 	}
-	nShard := nTerms * shards
-	if want := dirHeaderSize + nTerms*termRecSize + nShard*shardRecSize + nDoc*docRecSize + nImp*impRecSize; int64(len(buf)) != want {
+	if want := dirHeaderSize + nTerms*termRecSize + nDoc*docRecSize + nImp*impRecSize; int64(len(buf)) != want {
 		return nil, fmt.Errorf("%d bytes, tables need %d", len(buf), want)
 	}
 	d := &directory{
-		manifest:  m,
-		terms:     make([]termMeta, nTerms),
-		shardRecs: make([]shardRec, nShard),
-		docMeta:   make([]blockMeta, nDoc),
-		docDir:    make([]postings.BlockMeta, nDoc),
-		impMeta:   make([]blockMeta, nImp),
+		manifest: m,
+		terms:    make([]termMeta, nTerms),
+		docMeta:  make([]blockMeta, nDoc),
+		docDir:   make([]postings.BlockMeta, nDoc),
+		impMeta:  make([]blockMeta, nImp),
 	}
 	for t := range d.terms {
 		d.terms[t] = termMeta{df: int32(u32()), max: model.Score(u32())}
-	}
-	for i := range d.shardRecs {
-		d.shardRecs[i] = shardRec{n: int32(u32()), max: model.Score(u32())}
 	}
 	for i := range d.docMeta {
 		d.docMeta[i].byteLen = int32(u32())
@@ -267,18 +251,6 @@ func readDirectory(m Manifest, buf []byte, regionSize int64) (*directory, error)
 		}
 		return blocks, nil
 	}
-	// claimImpact is claim on the impact table plus its score bounds:
-	// every region enters at its term's max, and under a codec that
-	// delta-codes scores no block enters above the one before it.
-	claimImpact := func(n int32, max model.Score) error {
-		blocks, err := claim(d.impMeta, &impAt, n)
-		for i, b := range blocks {
-			if i == 0 && b.ref != uint32(max) || i > 0 && m.Codec != codec.Raw && b.ref > blocks[i-1].ref {
-				return fmt.Errorf("block %d enters at score %d under a term max of %d", i, b.ref, max)
-			}
-		}
-		return err
-	}
 	for t := range d.terms {
 		tm := &d.terms[t]
 		tm.docStart, tm.impStart = int32(docAt), int32(impAt)
@@ -296,21 +268,16 @@ func readDirectory(m Manifest, buf []byte, regionSize int64) (*directory, error)
 			}
 			base = int64(bm.Last)
 		}
-		if err := claimImpact(tm.df, tm.max); err != nil {
+		// The impact list enters at the term's max, and under a codec that
+		// delta-codes scores no block enters above the one before it.
+		imps, err := claim(d.impMeta, &impAt, tm.df)
+		if err != nil {
 			return nil, fmt.Errorf("term %d impact order: %w", t, err)
 		}
-		var sum int64
-		recs := d.shardRecs[int64(t)*shards : int64(t+1)*shards]
-		for s := range recs {
-			rec := &recs[s]
-			rec.blkStart = int32(impAt)
-			if err := claimImpact(rec.n, tm.max); err != nil {
-				return nil, fmt.Errorf("term %d shard %d: %w", t, s, err)
+		for i, b := range imps {
+			if i == 0 && b.ref != uint32(tm.max) || i > 0 && m.Codec != codec.Raw && b.ref > imps[i-1].ref {
+				return nil, fmt.Errorf("term %d impact order: block %d enters at score %d under a term max of %d", t, i, b.ref, tm.max)
 			}
-			sum += int64(rec.n)
-		}
-		if sum != int64(tm.df) {
-			return nil, fmt.Errorf("term %d: shard sublists hold %d postings, df is %d", t, sum, tm.df)
 		}
 		total += int64(tm.df)
 	}

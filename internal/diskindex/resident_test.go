@@ -25,7 +25,7 @@ func TestResidentProbe(t *testing.T) {
 		}
 	}
 
-	ram, err := FromIndex(mem, 2, iomodel.RAMConfig())
+	ram, err := FromIndex(mem, iomodel.RAMConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestResidentProbe(t *testing.T) {
 		}
 	}
 
-	x, err := FromIndex(mem, 2, iomodel.Config{
+	x, err := FromIndex(mem, iomodel.Config{
 		BlockSize: 512, CacheBlocks: 1 << 12,
 		SeqLatency: time.Microsecond, RandLatency: 2 * time.Microsecond, SleepBatch: time.Microsecond,
 	})

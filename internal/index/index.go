@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"sparta/internal/corpus"
@@ -46,14 +45,6 @@ type Index struct {
 	post    [][]model.Posting // doc-ordered, per term
 	impact  [][]model.Posting // score-ordered, per term
 	blocks  [][]postings.BlockMeta
-
-	shardMu    sync.Mutex
-	shardCache map[shardKey][]model.Posting
-}
-
-type shardKey struct {
-	term          model.TermID
-	shard, shards int
 }
 
 var _ postings.View = (*Index)(nil)
@@ -98,35 +89,6 @@ func (x *Index) DocCursor(t model.TermID) postings.DocCursor {
 // ScoreCursor implements postings.View.
 func (x *Index) ScoreCursor(t model.TermID) postings.ScoreCursor {
 	return postings.NewSliceScoreCursor(x.impact[t], x.terms[t].Max)
-}
-
-// ScoreCursorShard implements postings.View. Shard lists are built on
-// first use and cached; a pre-partitioned on-disk index (diskindex)
-// stores them explicitly instead.
-func (x *Index) ScoreCursorShard(t model.TermID, shard, nShards int) postings.ScoreCursor {
-	if nShards <= 1 {
-		return x.ScoreCursor(t)
-	}
-	key := shardKey{term: t, shard: shard, shards: nShards}
-	x.shardMu.Lock()
-	if x.shardCache == nil {
-		x.shardCache = make(map[shardKey][]model.Posting)
-	}
-	list, ok := x.shardCache[key]
-	x.shardMu.Unlock()
-	if !ok {
-		lo, hi := postings.ShardRange(x.numDocs, shard, nShards)
-		list = make([]model.Posting, 0, len(x.impact[t])/nShards+1)
-		for _, p := range x.impact[t] {
-			if p.Doc >= lo && p.Doc < hi {
-				list = append(list, p)
-			}
-		}
-		x.shardMu.Lock()
-		x.shardCache[key] = list
-		x.shardMu.Unlock()
-	}
-	return postings.NewSliceScoreCursor(list, 0)
 }
 
 // Resident implements postings.View: every posting is in memory.

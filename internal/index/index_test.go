@@ -145,15 +145,18 @@ func TestFromCorpus(t *testing.T) {
 	}
 }
 
+// TestShardCursorsPartitionImpactList checks the score cursors sNRA
+// reads: those of Partition's parts split each impact list.
 func TestShardCursorsPartitionImpactList(t *testing.T) {
 	x := corpusIndex(t, 400)
 	const shards = 4
+	parts := x.Partition(shards)
 	for tid := 0; tid < x.NumTerms(); tid += 13 {
 		term := model.TermID(tid)
 		seen := make(map[model.DocID]model.Score)
 		n := 0
 		for s := 0; s < shards; s++ {
-			c := x.ScoreCursorShard(term, s, shards)
+			c := parts[s].ScoreCursor(term)
 			prev := model.Score(1 << 60)
 			for c.Next() {
 				if c.Score() > prev {
@@ -180,7 +183,7 @@ func TestShardCursorsPartitionImpactList(t *testing.T) {
 
 func TestShardCursorSingleShardIsFullList(t *testing.T) {
 	x := corpusIndex(t, 100)
-	c := x.ScoreCursorShard(0, 0, 1)
+	c := x.Partition(1)[0].ScoreCursor(0)
 	if c.Len() != x.DF(0) {
 		t.Errorf("1-shard cursor len %d != df %d", c.Len(), x.DF(0))
 	}

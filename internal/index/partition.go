@@ -1,12 +1,14 @@
-// Document-range partitioning for the sharded serving layer
-// (internal/shardserve): PartitionRange carves one global index into a
-// shard that holds only the postings of a contiguous document range,
-// while keeping the *global* document ids and the *global* tf-idf
-// scores. Rebuilding a shard from its sub-corpus instead would change
-// every idf (document frequencies are corpus-wide), so per-shard
-// results could never merge byte-identically with the single-index
-// reference; filtering the already-scored lists sidesteps that
-// entirely — a shard is just a projection of the global index.
+// Document-range partitioning, the one partition form: the sharded
+// serving layer (internal/shardserve) serves one part per shard, and
+// sNRA (internal/algos/snra) runs one NRA per part. PartitionRange
+// carves one global index into a part that holds only the postings of
+// a contiguous document range, while keeping the *global* document ids
+// and the *global* tf-idf scores. Rebuilding a part from its sub-corpus
+// instead would change every idf (document frequencies are
+// corpus-wide), so per-part results could never merge byte-identically
+// with the single-index reference; filtering the already-scored lists
+// sidesteps that entirely — a part is just a projection of the global
+// index.
 
 package index
 
@@ -63,10 +65,8 @@ func (x *Index) PartitionRange(lo, hi model.DocID) *Index {
 	return s
 }
 
-// Partition splits x into p document-range shards using the same
-// contiguous near-equal ranges as intra-query sharding
-// (postings.ShardRange), so shard s of the serving layer covers
-// exactly the documents sNRA's shard s would.
+// Partition splits x into p document-range parts over the contiguous
+// near-equal ranges of postings.ShardRange.
 func (x *Index) Partition(p int) []*Index {
 	if p <= 1 {
 		return []*Index{x}

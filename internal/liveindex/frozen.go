@@ -39,12 +39,6 @@ import (
 // segLensFile is the per-segment sidecar of u32 document lengths.
 const segLensFile = "seglens.bin"
 
-// frozenStoredShards is the sNRA pre-partition count written into
-// frozen payloads. Stored sublists are built against segment-local
-// statistics and unusable for epoch-global shard ranges, so they are
-// kept minimal; the view filters the impact order instead.
-const frozenStoredShards = 1
-
 // frozenSeg is one immutable on-disk segment; its document tables are
 // RAM-resident.
 type frozenSeg struct {
@@ -95,7 +89,7 @@ func writeFrozen(dir string, seg *memSegment) error {
 	// encoder's document-space math stays in bounds; the serving view
 	// overrides it with the epoch's corpus size.
 	raw := index.NewPrebuilt(seg.NumDocs(), terms, post, impact, blocks)
-	if err := diskindex.WriteDir(raw, frozenStoredShards, dir); err != nil {
+	if err := diskindex.WriteDir(raw, dir); err != nil {
 		return err
 	}
 	lens := codec.AppendUint32Stream(make([]byte, 0, len(seg.docLens)+8), seg.docLens)

@@ -50,8 +50,9 @@ const (
 	// writes: per-file SHA-256 digests plus a per-segment Merkle root,
 	// verified before a segment is served, over segments in
 	// diskindex.FormatVersion with a group-coded seglens sidecar.
-	// Versions 1–3 listed segments in the retired three-file layout.
-	manifestVersion = 4
+	// Version 4 listed segments in diskindex format 4, versions 1–3 in
+	// the retired three-file layout.
+	manifestVersion = 5
 
 	// maxBatch caps how many queued appends commit under one WAL sync.
 	maxBatch = 64

@@ -816,7 +816,7 @@ func TestLiveSegmentStats(t *testing.T) {
 // ways into it return the typed error that says to rebuild, and leave
 // the directory alone.
 func TestOpenRefusesOldManifests(t *testing.T) {
-	for _, version := range []int{1, 2, 3, 5} {
+	for _, version := range []int{1, 2, 3, 4, 6} {
 		dir := t.TempDir()
 		man := fmt.Sprintf(`{"version":%d,"next_gen":2,"wal_start":40,"segments":[{"dir":"seg-000001","gen":1,"lo":0,"hi":40,"docs":40}]}`, version)
 		if err := os.WriteFile(filepath.Join(dir, liveindex.ManifestFile), []byte(man), 0o644); err != nil {

@@ -207,14 +207,6 @@ func (s *memSegment) ScoreCursor(t model.TermID) postings.ScoreCursor {
 	return postings.NewSliceScoreCursor(mt.impact, mt.max)
 }
 
-// ScoreCursorShard implements postings.View over [0, NumDocs), like the
-// frozen payload's stored sublists; a segment view filters the impact
-// order to its epoch's ranges instead.
-func (s *memSegment) ScoreCursorShard(t model.TermID, shard, nShards int) postings.ScoreCursor {
-	lo, hi := postings.ShardRange(s.NumDocs(), shard, nShards)
-	return &rangeScoreCursor{in: s.ScoreCursor(t), lo: lo, hi: hi}
-}
-
 func (s *memSegment) RandomAccess(t model.TermID, d model.DocID) (model.Score, bool) {
 	list := s.term(t).post
 	i := sort.Search(len(list), func(i int) bool { return list[i].Doc >= d })

@@ -86,21 +86,6 @@ func (v *segView) ScoreCursor(t model.TermID) postings.ScoreCursor {
 	return &scoreCursor{in: v.src.ScoreCursor(t), seg: v.seg, idf: v.idf(t), max: v.MaxScore(t)}
 }
 
-// ScoreCursorShard implements postings.View by filtering the impact
-// order to the epoch-global shard range, so the shared-nothing
-// baseline's partitions line up across every segment of a set (a
-// frozen segment's stored sublists were partitioned against its own
-// statistics). The reported Len is the full list length — an upper
-// bound; sNRA, the baseline it serves, is exact all the same, and the
-// per-segment identity suite checks it.
-func (v *segView) ScoreCursorShard(t model.TermID, shard, nShards int) postings.ScoreCursor {
-	if nShards <= 1 || v.DF(t) == 0 {
-		return v.ScoreCursor(t)
-	}
-	lo, hi := postings.ShardRange(v.n, shard, nShards)
-	return &rangeScoreCursor{in: v.ScoreCursor(t), lo: lo, hi: hi}
-}
-
 func (v *segView) RandomAccess(t model.TermID, d model.DocID) (model.Score, bool) {
 	if v.DF(t) == 0 || d < v.seg.lo || d >= v.seg.hi {
 		return 0, false
@@ -184,24 +169,3 @@ func (c *scoreCursor) Bound() model.Score {
 	}
 	return c.cur
 }
-
-// rangeScoreCursor filters a score-order cursor to a document range,
-// preserving order and bounds. Len is inherited (an upper bound).
-type rangeScoreCursor struct {
-	in     postings.ScoreCursor
-	lo, hi model.DocID
-}
-
-func (c *rangeScoreCursor) Next() bool {
-	for c.in.Next() {
-		if d := c.in.Doc(); d >= c.lo && d < c.hi {
-			return true
-		}
-	}
-	return false
-}
-
-func (c *rangeScoreCursor) Doc() model.DocID   { return c.in.Doc() }
-func (c *rangeScoreCursor) Score() model.Score { return c.in.Score() }
-func (c *rangeScoreCursor) Bound() model.Score { return c.in.Bound() }
-func (c *rangeScoreCursor) Len() int           { return c.in.Len() }

@@ -34,8 +34,8 @@ import (
 	"sparta/internal/model"
 )
 
-// Kind distinguishes the posting regions of one term, so doc-ordered,
-// impact-ordered and per-shard blocks of the same term never collide.
+// Kind distinguishes the posting regions of one term, so doc-ordered
+// and impact-ordered blocks of the same term never collide.
 type Kind uint16
 
 const (
@@ -43,12 +43,7 @@ const (
 	KindDoc Kind = 0
 	// KindImpact is the impact-ordered region.
 	KindImpact Kind = 1
-	// kindShardBase is the first shard region; shard s is kindShardBase+s.
-	kindShardBase Kind = 2
 )
-
-// KindShard returns the Kind of shard s's impact-ordered region.
-func KindShard(s int) Kind { return kindShardBase + Kind(s) }
 
 // Key identifies one decoded posting block of one index. A cache must
 // not be shared between distinct indexes (keys would collide); share it

@@ -47,11 +47,10 @@ func TestKindsDoNotCollide(t *testing.T) {
 	c := NewWithBudget(1 << 20)
 	admit(c, Key{Term: 1, Kind: KindDoc, Block: 0}, block(4, 10))
 	admit(c, Key{Term: 1, Kind: KindImpact, Block: 0}, block(4, 20))
-	admit(c, Key{Term: 1, Kind: KindShard(3), Block: 0}, block(4, 30))
 	for _, tc := range []struct {
 		kind Kind
 		doc  model.DocID
-	}{{KindDoc, 10}, {KindImpact, 20}, {KindShard(3), 30}} {
+	}{{KindDoc, 10}, {KindImpact, 20}} {
 		got, ok := c.Get(Key{Term: 1, Kind: tc.kind, Block: 0})
 		if !ok || got[0].Doc != tc.doc {
 			t.Errorf("kind %d: got %v ok=%v, want doc %d", tc.kind, got, ok, tc.doc)

@@ -136,10 +136,6 @@ type View interface {
 	DocCursor(t model.TermID) DocCursor
 	// ScoreCursor opens a score-order traversal of t's posting list.
 	ScoreCursor(t model.TermID) ScoreCursor
-	// ScoreCursorShard opens a score-order traversal restricted to the
-	// shard-th of nShards equal document-id ranges; the shared-nothing
-	// sNRA baseline runs one NRA instance per shard (§5.2.2).
-	ScoreCursorShard(t model.TermID, shard, nShards int) ScoreCursor
 	// RandomAccess returns t's score for document d, using the
 	// secondary by-document index that the RA family requires (§3.2).
 	// The bool reports whether d appears in t's posting list.
@@ -198,8 +194,8 @@ type BlockWalker interface {
 
 // ShardRange returns the half-open document-id range [lo, hi) of shard
 // number `shard` out of nShards over a corpus of numDocs documents.
-// Ranges are contiguous and of near-equal size, partitioning the id
-// space the way sNRA's build-time partitioning does.
+// Ranges are contiguous and of near-equal size; index.Partition cuts
+// serving shards and sNRA's partitions along them.
 func ShardRange(numDocs, shard, nShards int) (lo, hi model.DocID) {
 	lo = model.DocID(shard * numDocs / nShards)
 	hi = model.DocID((shard + 1) * numDocs / nShards)

@@ -32,7 +32,7 @@ func faultedGroup(t *testing.T, x *index.Index, p, r int, io iomodel.Config,
 	shards := make([]shardserve.Shard, p)
 	var injs []*faultinject.Injector
 	for s, part := range x.Partition(p) {
-		built, err := diskindex.FromIndex(part, diskindex.DefaultShards, io)
+		built, err := diskindex.FromIndex(part, io)
 		if err != nil {
 			t.Fatal(err)
 		}

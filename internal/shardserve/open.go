@@ -28,10 +28,10 @@ const ManifestFile = "shards.json"
 // manifestVersion is the one shard-set manifest this build reads and
 // writes: per-file SHA-256 digests and a per-shard Merkle root, which
 // OpenDir and replica promotion verify before serving, over shard
-// directories in diskindex.FormatVersion. Version 2 carried the same
-// digests over the retired three-file shard layout; version 1 carried
-// none.
-const manifestVersion = 3
+// directories in diskindex.FormatVersion. Version 3 carried the same
+// digests over shard directories in diskindex format 4, version 2 over
+// the retired three-file shard layout; version 1 carried none.
+const manifestVersion = 4
 
 // Manifest describes a built shard set.
 type Manifest struct {
@@ -67,7 +67,7 @@ func FromIndex(x *index.Index, p int, factory Factory, cfg Config) (*Group, erro
 	io := cfg.io()
 	shards := make([]Shard, p)
 	for s, part := range x.Partition(p) {
-		di, err := diskindex.FromIndex(part, diskindex.DefaultShards, io)
+		di, err := diskindex.FromIndex(part, io)
 		if err != nil {
 			return nil, fmt.Errorf("shardserve: opening shard %d: %w", s, err)
 		}
@@ -107,14 +107,11 @@ func (c Config) io() iomodel.Config {
 
 // WriteDir partitions x into p shards and writes each as a diskindex
 // directory under dir ("shard-0000", "shard-0001", ...) plus the
-// shards.json manifest. innerShards is each shard index's build-time
-// sNRA pre-partition count (0 = diskindex.DefaultShards).
-func WriteDir(x *index.Index, p, innerShards int, dir string) error {
+// shards.json manifest. The third argument is accepted and ignored: it
+// was the count of sNRA shard sublists each shard index stored.
+func WriteDir(x *index.Index, p, _ int, dir string) error {
 	if p <= 0 {
 		return fmt.Errorf("shardserve: shard count must be positive, got %d", p)
-	}
-	if innerShards <= 0 {
-		innerShards = diskindex.DefaultShards
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("shardserve: creating %s: %w", dir, err)
@@ -122,7 +119,7 @@ func WriteDir(x *index.Index, p, innerShards int, dir string) error {
 	m := Manifest{Version: manifestVersion, NumDocs: x.NumDocs()}
 	for s, part := range x.Partition(p) {
 		sub := fmt.Sprintf("shard-%04d", s)
-		if err := diskindex.WriteDir(part, innerShards, filepath.Join(dir, sub)); err != nil {
+		if err := diskindex.WriteDir(part, filepath.Join(dir, sub)); err != nil {
 			return fmt.Errorf("shardserve: writing shard %d: %w", s, err)
 		}
 		// Hash every index file back from disk — the digests attest to

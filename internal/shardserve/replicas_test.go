@@ -477,7 +477,7 @@ func TestReplicasShareBytesNotStores(t *testing.T) {
 func TestOpenRefusesOldManifests(t *testing.T) {
 	x := algotest.SmallIndex(t, 35)
 	factory := func(v postings.View) topk.Algorithm { return core.New(v) }
-	for _, version := range []int{1, 2} {
+	for _, version := range []int{1, 2, 3} {
 		dir := t.TempDir()
 		if err := shardserve.WriteDir(x, 2, 0, dir); err != nil {
 			t.Fatal(err)
@@ -487,9 +487,9 @@ func TestOpenRefusesOldManifests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		old := strings.Replace(string(raw), `"version": 3`, fmt.Sprintf(`"version": %d`, version), 1)
+		old := strings.Replace(string(raw), `"version": 4`, fmt.Sprintf(`"version": %d`, version), 1)
 		if old == string(raw) {
-			t.Fatalf("manifest carries no version 3 to rewrite:\n%s", raw)
+			t.Fatalf("manifest carries no version 4 to rewrite:\n%s", raw)
 		}
 		if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
 			t.Fatal(err)

@@ -1,11 +1,11 @@
 // Package shardserve is the scatter/gather serving layer: one query,
-// many independent index shards. Where sNRA partitions a single query
-// across goroutines inside one index (§5.2.2), this package partitions
-// the *index* — each shard is a set of replicas, each its own view with
-// its own simulated store, its own algorithm instance, and optionally
-// its own decoded-block cache — and serves every query by fanning it
-// out to all shards concurrently through topk.FanOut, which merges the
-// per-shard top-k lists into the global top-k (topk.MergeTopK).
+// many independent index shards. A shard is one of the document-range
+// parts sNRA also runs on (index.Partition, §5.2.2), served as a set of
+// replicas, each its own view with its own simulated store, its own
+// algorithm instance, and optionally its own decoded-block cache. The
+// package serves every query by fanning it out to all shards
+// concurrently through topk.FanOut, which merges the per-shard top-k
+// lists into the global top-k (topk.MergeTopK).
 //
 // The serving concerns layered on top of the fan-out are the ones that
 // dominate sharded tail latency in practice:

@@ -261,8 +261,9 @@ func (e *ExecState) StopReason() string {
 }
 
 // Body is one algorithm's traversal of q: it reads view, already bound
-// to es, under opts, already validated and defaulted, and reports its
-// own stop reasons. It runs only for a query with terms.
+// to es (nil if Run was given none), under opts, already validated and
+// defaulted, and reports its own stop reasons. It runs only for a query
+// with terms.
 type Body func(es *ExecState, view postings.View, q model.Query, opts Options) (model.TopK, Stats, error)
 
 // Run is the one query lifecycle every Algorithm's SearchContext goes
@@ -362,9 +363,10 @@ func (e *ExecState) CleanerPass(kept, dropped int) {
 // on a view that charges simulated I/O, waits end early on cancellation
 // — the natural cancellation point for disk-resident queries — and
 // physical fetches flow to the observer. An in-memory view returns
-// itself.
+// itself, and so does nil: an algorithm over several views (sNRA's
+// partitions) hands topk.Run none and binds each view itself.
 func (e *ExecState) BindView(v postings.View) postings.View {
-	if e == nil {
+	if e == nil || v == nil {
 		return v
 	}
 	// Even uncancellable, unobserved queries bind: the bound view tracks

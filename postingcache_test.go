@@ -21,7 +21,7 @@ func TestPostingCacheHitRateOnZipfianLog(t *testing.T) {
 		Name: "zipf", Docs: 8000, Vocab: 2000, ZipfS: 1.0,
 		MeanDocLen: 80, MinDocLen: 5, Seed: 7,
 	}))
-	disk, err := diskindex.FromIndex(mem, diskindex.DefaultShards, iomodel.RAMConfig())
+	disk, err := diskindex.FromIndex(mem, iomodel.RAMConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestPostingCacheBudgetUnderConcurrency(t *testing.T) {
 		Name: "conc", Docs: 4000, Vocab: 600, ZipfS: 1.0,
 		MeanDocLen: 50, MinDocLen: 5, Seed: 13,
 	}))
-	disk, err := diskindex.FromIndex(mem, diskindex.DefaultShards, iomodel.RAMConfig())
+	disk, err := diskindex.FromIndex(mem, iomodel.RAMConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func BenchmarkCursorTraversalRAM(b *testing.B) {
 		Name: "trav", Docs: 20000, Vocab: 2000, ZipfS: 1.0,
 		MeanDocLen: 150, MinDocLen: 5, Seed: 3,
 	}))
-	disk, err := diskindex.FromIndex(mem, 12, iomodel.RAMConfig())
+	disk, err := diskindex.FromIndex(mem, iomodel.RAMConfig())
 	if err != nil {
 		b.Fatal(err)
 	}

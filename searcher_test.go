@@ -29,7 +29,7 @@ func bigSlowIndex(tb testing.TB) (*index.Index, *diskindex.Index) {
 		MeanDocLen: 60, MinDocLen: 5, Seed: 99,
 	})
 	mem := index.FromCorpus(c)
-	disk, err := diskindex.FromIndex(mem, diskindex.DefaultShards, iomodel.Config{
+	disk, err := diskindex.FromIndex(mem, iomodel.Config{
 		BlockSize:   256,
 		CacheBlocks: 16,
 		SeqLatency:  200 * time.Microsecond,

@@ -78,7 +78,7 @@ func TestFacadeApproximate(t *testing.T) {
 func TestIntegrationPipeline(t *testing.T) {
 	env := benchEnvT(t)
 	dir := filepath.Join(t.TempDir(), "index")
-	if err := diskindex.WriteDir(env.Mem, 12, dir); err != nil {
+	if err := diskindex.WriteDir(env.Mem, dir); err != nil {
 		t.Fatal(err)
 	}
 	cfg := iomodel.DefaultConfig()
